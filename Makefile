@@ -63,11 +63,13 @@ bench:
 	$(GO) test -bench=. -benchtime 1x -benchmem -run=^$$ -timeout 30m .
 
 # bench-oracle refreshes the recorded columnar-kernel baseline: the
-# oracle benchmarks (reference vs kernel at 100k and 1M branches) piped
-# through cmd/benchjson into BENCH_oracle.json. The 1M speedup pairs are
-# the acceptance numbers for the kernels (>= 2x).
+# oracle benchmarks (reference vs kernel at 100k and 1M branches, and
+# the Figure 5 per-window loop vs one shared OracleWindows pass at 200k
+# and 1M plus the Figure 5 selective sweep) piped through cmd/benchjson
+# into BENCH_oracle.json. The 1M speedup pairs are the acceptance
+# numbers for the kernels (>= 2x).
 bench-oracle:
-	$(GO) test -run '^$$' -bench '(PackedTraceBuild|OracleProfile|OracleJoint)' \
+	$(GO) test -run '^$$' -bench '(PackedTraceBuild|OracleProfile|OracleJoint|OracleWindows)' \
 		-benchtime 3x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_oracle.json
 
 # bench-sim refreshes the recorded simulation-engine baseline: the

@@ -695,6 +695,53 @@ func BenchmarkOracleJoint(b *testing.B) {
 	}
 }
 
+// benchFig5Windows are the six Figure 5 windows the suite selects for in
+// one shared oracle pass (the default window 16 comes from the shared
+// bundle).
+var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
+
+// BenchmarkOracleWindows measures the Figure 5 oracle workload on the
+// gcc trace at 200k and 1M branches: the per-window loop (one full
+// Oracle run per window) against one core.OracleWindows call sharing
+// both trace walks across the six windows, plus the Figure 5 fused
+// selective sweep over all seven windows' selections. branches/s is
+// trace branches per wall second (windows or configs not multiplied
+// in), so the loop/shared pair at each length is the shared pass's
+// speedup directly.
+func BenchmarkOracleWindows(b *testing.B) {
+	for _, n := range []int{200_000, 1_000_000} {
+		tr := benchTraceN(b, "gcc", n)
+		pt := tr.Packed()
+		b.Run(fmt.Sprintf("len=%d/impl=loop", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, w := range benchFig5Windows {
+					core.Oracle(pt, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: w}})
+				}
+			}
+			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+		})
+		b.Run(fmt.Sprintf("len=%d/impl=shared", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.OracleWindows(pt, benchFig5Windows, core.OracleOptions{})
+			}
+			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+		})
+		b.Run(fmt.Sprintf("len=%d/sweep=fig5", n), func(b *testing.B) {
+			windows := []int{8, 12, 16, 20, 24, 28, 32}
+			sels := core.OracleWindows(pt, windows, core.OracleOptions{})
+			cfgs := make([]core.SelectiveConfig, len(windows))
+			for i, w := range windows {
+				cfgs[i] = core.SelectiveConfig{Name: fmt.Sprintf("sel3(%d)", w), Window: w, Assign: sels[i].BySize[3]}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.SimulateSweep(tr, core.NewSelectiveSweep("fig5", cfgs), sim.Options{})
+			}
+			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+		})
+	}
+}
+
 // BenchmarkSimPredictor measures single-predictor simulation throughput:
 // the per-record reference loop against the columnar kernel engine over
 // the memoized packed view. Each iteration simulates the full trace on a

@@ -147,9 +147,9 @@ func ProfileCandidates(t *trace.Trace, cfg OracleConfig) map[trace.Addr]*Candida
 // within the beam.
 //
 // The columnar kernel folds the reference implementation's two
-// tabulation streams into a single trace pass that records one packed
-// state vector per dynamic instance, then scores all pairs and triples
-// from the per-branch instance matrices.
+// tabulation streams into a single trace pass that records each dynamic
+// instance's candidate states in per-branch taken/not-taken bit planes,
+// then scores all pairs and triples from those planes.
 //
 // Deprecated: SelectRefs is Oracle with Stage: StageSelect and
 // Options.Candidates; new code should call Oracle.

@@ -17,11 +17,11 @@ func TestOracleEmitterAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
 	for _, windowLen := range []int{4, 16, 32} {
-		em := newPackedEmitter(pt, windowLen)
+		em := newPackedEmitter(pt, []int{windowLen})
 		for i := 0; i < tr.Len(); i++ {
-			em.emit(i)
+			em.emit(i, false)
 		}
-		allocs := testing.AllocsPerRun(200, func() { em.emit(tr.Len() / 2) })
+		allocs := testing.AllocsPerRun(200, func() { em.emit(tr.Len()/2, false) })
 		if allocs != 0 {
 			t.Errorf("window %d: emit allocates %.1f per call, want 0", windowLen, allocs)
 		}
@@ -29,37 +29,32 @@ func TestOracleEmitterAllocs(t *testing.T) {
 }
 
 // TestCollectStreamAllocs pins the pass-2/3 collection loop's steady
-// state: with every instance matrix preallocated to its branch's
-// dynamic count (as newBeamMatcher sizes it), replaying the stream over
-// reset matrices allocates nothing per record.
+// state: with every branch's instance planes preallocated to its
+// dynamic count (as newBeamMatcher sizes them), replaying the stream
+// over reset planes allocates nothing per record — for one window and
+// for the shared multi-window walk.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
-	cfg := OracleConfig{WindowLen: 8}.withDefaults()
-	cands := ProfileCandidatesPacked(pt, cfg)
-	matchers := make([]*beamMatcher, pt.NumBranches())
-	var all []*beamMatcher
-	for pc, c := range cands {
-		if len(c.Refs) == 0 {
-			continue
+	for _, windows := range [][]int{{8}, {8, 12, 16, 20, 24, 28, 32}} {
+		cfg := OracleConfig{}.withDefaults()
+		cands := profileWindows(pt, windows, cfg)
+		pcs := sortedPCs(cands)
+		matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
+		em := newPackedEmitter(pt, windows)
+		collectRange(em, matchers, 0, pt.Len()) // warm the emitter scratch
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, bm := range matcherOf {
+				for _, m := range bm.mats {
+					clear(m)
+				}
+				clear(bm.outs)
+				bm.n = 0
+			}
+			collectRange(em, matchers, 0, pt.Len())
+		})
+		if allocs != 0 {
+			t.Errorf("windows %v: collectRange allocates %.1f per full replay, want 0", windows, allocs)
 		}
-		if rid, ok := pt.IDOf(pc); ok {
-			bm := newBeamMatcher(pt.IDOf, c.Refs, c.Total)
-			matchers[rid] = bm
-			all = append(all, bm)
-		}
-	}
-	em := newPackedEmitter(pt, cfg.WindowLen)
-	collectRange(em, matchers, 0, pt.Len()) // warm the emitter scratch
-	allocs := testing.AllocsPerRun(3, func() {
-		for _, bm := range all {
-			bm.m.vecs = bm.m.vecs[:0]
-			bm.m.outs = bm.m.outs[:0]
-			bm.m.n = 0
-		}
-		collectRange(em, matchers, 0, pt.Len())
-	})
-	if allocs != 0 {
-		t.Errorf("collectStream allocates %.1f per full replay, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"branchcorr/internal/obs"
 	"branchcorr/internal/trace"
@@ -14,6 +15,8 @@ import (
 // Oracle for in-memory inputs and OracleBlocks for bounded-memory
 // streams. The old names remain as byte-identical deprecated wrappers;
 // the bplint dep-api rule migrates in-memory callers mechanically.
+// OracleWindows is Oracle's full stage over several window lengths at
+// once; Oracle's full stage is its one-window call.
 
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and
@@ -95,12 +98,51 @@ func Oracle(src Source, opts OracleOptions) *Selections {
 	case StageSelect:
 		return selectPacked(pt, opts.Candidates, opts.OracleConfig)
 	case StageFull:
-		reg := obs.Or(opts.Obs)
-		reg.Counter("core.oracle.builds").Inc()
-		defer reg.StartSpan("core.oracle.build").End()
-		return selectPacked(pt, profilePacked(pt, opts.OracleConfig), opts.OracleConfig)
+		return OracleWindows(pt, []int{opts.OracleConfig.withDefaults().WindowLen}, opts)[0]
 	}
 	panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
+}
+
+// OracleWindows runs the full oracle (StageFull) at every listed window
+// length and returns one Selections per entry of windows, in argument
+// order; each is bit-identical to Oracle with that WindowLen, and
+// repeated lengths share one result. opts.WindowLen is ignored.
+//
+// All windows share the two trace walks. Both tagging schemes resolve a
+// tag only from more-recent entries, so a window-n walk is exactly the
+// first n steps of the walk at the largest window: the profile pass
+// buckets its joint counts by the smallest window that saw them (window
+// n's statistics are prefix sums), and the collection pass resolves
+// each branch's union of per-window beams once per record. A watermark
+// prune makes the smaller windows inexact; if one fires, those windows
+// are re-profiled with one-window passes, counted in
+// core.oracle.windows.fallbacks. core.oracle.builds gains one per
+// window delivered, and the candidate and prune counters report what
+// per-window Oracle calls would.
+func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections {
+	if opts.Stage != StageFull {
+		panic(fmt.Sprintf("core: OracleWindows runs stage %v only, got %v", StageFull, opts.Stage))
+	}
+	if len(windows) == 0 {
+		return nil
+	}
+	cfg := opts.OracleConfig.withDefaults()
+	distinct := slices.Clone(windows)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	checkWindows(distinct)
+
+	reg := obs.Or(cfg.Obs)
+	reg.Counter("core.oracle.builds").Add(int64(len(windows)))
+	defer reg.StartSpan("core.oracle.build").End()
+	pt := src.Packed()
+	sels := selectWindows(pt, distinct, profileWindows(pt, distinct, cfg), cfg)
+	out := make([]*Selections, len(windows))
+	for i, n := range windows {
+		w, _ := slices.BinarySearch(distinct, n)
+		out[i] = sels[w]
+	}
+	return out
 }
 
 // OracleBlocks is Oracle over a streaming trace.BlockSource, in memory

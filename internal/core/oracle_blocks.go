@@ -57,18 +57,24 @@ func clearFrom(ws []uint64, from int) {
 // the column position of the chunk's first record. Block bitsets are
 // block-relative, so each bit is re-based by the carry offset.
 func (w *columnWindow) extend(blk trace.Block) int {
+	return w.extendRange(blk.IDs, blk.Taken, blk.Back, 0, blk.Len())
+}
+
+// extendRange is extend over records [lo, hi) of a column triple whose
+// bit i describes record i (a kernel block's full or chunk columns).
+func (w *columnWindow) extendRange(ids []int32, taken, back []uint64, lo, hi int) int {
 	base := w.carry
-	total := base + blk.Len()
-	w.ids = append(w.ids[:base], blk.IDs...)
+	total := base + hi - lo
+	w.ids = append(w.ids[:base], ids[lo:hi]...)
 	for words := (total + 63) / 64; len(w.taken) < words; {
 		w.taken = append(w.taken, 0)
 		w.back = append(w.back, 0)
 	}
 	clearFrom(w.taken, base)
 	clearFrom(w.back, base)
-	for i := 0; i < blk.Len(); i++ {
-		setBit1(w.taken, base+i, blk.Taken1(i))
-		setBit1(w.back, base+i, blk.Back1(i))
+	for i := lo; i < hi; i++ {
+		setBit1(w.taken, base+i-lo, taken[i>>6]>>(uint(i)&63)&1)
+		setBit1(w.back, base+i-lo, back[i>>6]>>(uint(i)&63)&1)
 	}
 	return base
 }
@@ -97,7 +103,7 @@ func (w *columnWindow) retire(total int) {
 // the complete intern table.
 func profileBlocks(src trace.BlockSource, cfg OracleConfig) ([]kernelProfile, []trace.Addr, error) {
 	reg := obs.Or(cfg.Obs)
-	em := newOracleEmitter(cfg.WindowLen)
+	em := newOracleEmitter([]int{cfg.WindowLen})
 	win := columnWindow{n: cfg.WindowLen}
 	var profiles []kernelProfile
 	for {
@@ -106,9 +112,8 @@ func profileBlocks(src trace.BlockSource, cfg OracleConfig) ([]kernelProfile, []
 			break
 		}
 		addrs := src.Addrs()
-		for len(profiles) < len(addrs) {
-			profiles = append(profiles, kernelProfile{})
-			profiles[len(profiles)-1].tab.init()
+		if len(profiles) < len(addrs) {
+			profiles = append(profiles, newProfiles(len(addrs)-len(profiles), 1)...)
 		}
 		em.growScratch(len(addrs))
 		base := win.extend(blk)
@@ -131,7 +136,7 @@ func profilePass(src trace.BlockSource, cfg OracleConfig) (map[trace.Addr]*Candi
 	if err != nil {
 		return nil, nil, err
 	}
-	return assembleCandidates(profiles, addrs, cfg), addrs, nil
+	return assembleCandidates(profiles, addrs, cfg, 1, 0)[0], addrs, nil
 }
 
 // ProfileCandidatesBlocks is oracle pass 1 over a streaming block
@@ -177,10 +182,11 @@ func selectBlocks(src trace.BlockSource, addrs []trace.Addr, cands map[trace.Add
 	cfg = cfg.withDefaults()
 	defer obs.Or(cfg.Obs).StartSpan("core.oracle.select").End()
 
-	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, len(addrs), internIndex(addrs))
+	windowed := []map[trace.Addr]*Candidates{cands}
+	pcs := sortedPCs(windowed)
+	matchers, matcherOf := buildMatchers(pcs, windowed, len(addrs), internIndex(addrs))
 
-	em := newOracleEmitter(cfg.WindowLen)
+	em := newOracleEmitter([]int{cfg.WindowLen})
 	em.growScratch(len(addrs))
 	win := columnWindow{n: cfg.WindowLen}
 	for {
@@ -196,7 +202,7 @@ func selectBlocks(src trace.BlockSource, addrs []trace.Addr, cands map[trace.Add
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	return scoreSelections(pcs, cands, matcherOf, cfg), nil
+	return scoreSelections(pcs, cands, matcherOf, 0, cfg), nil
 }
 
 // BuildSelectiveBlocks is the full oracle pipeline over a streaming

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"branchcorr/internal/bp"
@@ -12,7 +13,9 @@ import (
 // mechanism at once: an occurrence-correlated pair (0x200 copies 0x100),
 // a cross-iteration correlation over a taken backward loop branch
 // (0x210 copies the previous iteration's 0x100), aliasing noise, and
-// variable-length iteration bodies.
+// variable-length iteration bodies. Branch 0x400 first executes in the
+// last quarter of the iterations, so a streamed replay interns it
+// chunks after 0x200, whose "late" config refs name it.
 func selSweepTrace(iters int) *trace.Trace {
 	tr := trace.New("sel-sweep", 0)
 	rng := lcg(21)
@@ -23,6 +26,9 @@ func selSweepTrace(iters int) *trace.Trace {
 		tr.Append(rec(0x100, y))
 		for g := 0; g < i%4; g++ {
 			tr.Append(rec(trace.Addr(0x300+g*4), noise.bit()))
+		}
+		if i >= iters*3/4 {
+			tr.Append(rec(0x400, !y))
 		}
 		tr.Append(rec(0x200, y))
 		tr.Append(rec(0x210, prevY))
@@ -40,12 +46,17 @@ func selSweepConfigs() []SelectiveConfig {
 		0x200: {Ref{0x100, Occurrence, 0}, Ref{0x300, Occurrence, 0}, Ref{0x1F0, BackwardCount, 0}},
 		0x210: {Ref{0x100, BackwardCount, 1}},
 	}
+	late := Assignment{
+		0x200: {Ref{0x400, Occurrence, 0}, Ref{0x100, Occurrence, 0}, Ref{0x400, Occurrence, 0}},
+		0x400: {Ref{0x1F0, BackwardCount, 0}, Ref{0x500, Occurrence, 0}},
+	}
 	return []SelectiveConfig{
 		{Name: "pair(16)", Window: 16, Assign: pair},
 		{Name: "multi(8)", Window: 8, Assign: multi},
 		{Name: "multi(24,presence)", Window: 24, Assign: multi, Mode: ModePresence},
 		{Name: "empty(4)", Window: 4, Assign: Assignment{}},
 		{Name: "pair(32,presence)", Window: 32, Assign: pair, Mode: ModePresence},
+		{Name: "late(12)", Window: 12, Assign: late},
 	}
 }
 
@@ -72,7 +83,12 @@ func selSweepTotals(g *SelectiveSweep, pt *trace.Packed, chunk int) []int32 {
 
 // TestSelectiveSweepScalarConformance pins the fused selective grid
 // bit-identical, per config, to independent scalar Selective replays,
-// across chunk sizes including single-record and word-straddling ones.
+// across chunk sizes including single-record and word-straddling ones —
+// both as [Lo, Hi) ranges over the full packed columns and streamed
+// through sim.SimulateSweepBlocks from an on-disk encoding, whose blocks
+// carry chunk-only columns under an intern table that grows as new PCs
+// appear (0x400 is interned chunks after its consumer 0x200; 0x500 never
+// appears at all), and one config names a ref twice.
 func TestSelectiveSweepScalarConformance(t *testing.T) {
 	tr := selSweepTrace(4000)
 	pt := trace.Pack(tr)
@@ -87,12 +103,28 @@ func TestSelectiveSweepScalarConformance(t *testing.T) {
 			p.Update(r)
 		}
 	}
+	var enc bytes.Buffer
+	if err := tr.Write(&enc); err != nil {
+		t.Fatal(err)
+	}
 	for _, chunk := range []int{1, 63, 64, 65, 1000, tr.Len()} {
 		got := selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, chunk)
+		src, err := trace.ReadBlocks(bytes.NewReader(enc.Bytes()), chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := sim.SimulateSweepBlocks(src, NewSelectiveSweep("sel", cfgs), sim.Options{})
+		if err != nil {
+			t.Fatalf("chunk=%d: %v", chunk, err)
+		}
 		for c := range want {
 			if got[c] != want[c] {
 				t.Errorf("chunk=%d config %s: %d correct (fused) vs %d (scalar)",
 					chunk, cfgs[c].Name, got[c], want[c])
+			}
+			if streamed.Correct[c] != int64(want[c]) {
+				t.Errorf("chunk=%d config %s: %d correct (streamed) vs %d (scalar)",
+					chunk, cfgs[c].Name, streamed.Correct[c], want[c])
 			}
 		}
 	}
@@ -107,7 +139,7 @@ func TestSelectiveSweepShardComposition(t *testing.T) {
 	cfgs := selSweepConfigs()
 	want := selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, 1000)
 	names := NewSelectiveSweep("sel", cfgs).ConfigNames()
-	for _, r := range [][2]int{{0, 1}, {0, 2}, {2, 5}, {1, 4}, {0, 5}} {
+	for _, r := range [][2]int{{0, 1}, {0, 2}, {2, 5}, {1, 4}, {0, 6}, {5, 6}} {
 		lo, hi := r[0], r[1]
 		sub := NewSelectiveSweep("sel", cfgs).Shard(lo, hi)
 		kernel := sub.(bp.SweepKernel)
@@ -203,38 +235,51 @@ func TestSelectiveSweepValidation(t *testing.T) {
 	}
 }
 
-// TestStatesWithinMatchesDedicatedWindow is the prefix property the
-// fused window sharing rests on: resolving refs within the n most
-// recent entries of a large ring must equal resolving them against a
-// dedicated n-capacity window fed the identical stream, at every step.
-func TestStatesWithinMatchesDedicatedWindow(t *testing.T) {
+// TestEmitterPrefixMatchesDedicatedWindow is the prefix property the
+// shared multi-window walk rests on: resolving refs within the emissions
+// a multi-window emitter attributes to window n (keys[:ends[w]]) must
+// equal resolving them against a dedicated n-capacity window fed the
+// identical stream, at every step.
+func TestEmitterPrefixMatchesDedicatedWindow(t *testing.T) {
 	tr := selSweepTrace(600)
+	pt := trace.Pack(tr)
 	refs := []Ref{
 		{0x100, Occurrence, 0}, {0x100, Occurrence, 2}, {0x200, Occurrence, 1},
 		{0x100, BackwardCount, 1}, {0x1F0, BackwardCount, 0}, {0x300, BackwardCount, 2},
 	}
-	for _, n := range []int{1, 2, 5, 16, 32} {
-		big := NewWindow(32)
-		small := NewWindow(n)
-		wantSt := make([]State, len(refs))
-		gotSt := make([]State, len(refs))
-		for i, r := range tr.Records() {
-			small.States(refs, wantSt)
-			big.StatesWithin(n, refs, gotSt)
-			for k := range refs {
-				if gotSt[k] != wantSt[k] {
-					t.Fatalf("n=%d step %d ref %v: StatesWithin %v, dedicated window %v",
-						n, i, refs[k], gotSt[k], wantSt[k])
+	keys := make([]uint64, len(refs))
+	for k, r := range refs {
+		rid, ok := pt.IDOf(r.PC)
+		if !ok {
+			t.Fatalf("ref PC 0x%x not in trace", uint32(r.PC))
+		}
+		keys[k], _ = refKeyOf(rid, r)
+	}
+	windows := []int{1, 2, 5, 16, 32}
+	em := newPackedEmitter(pt, windows)
+	small := make([]*Window, len(windows))
+	for w, n := range windows {
+		small[w] = NewWindow(n)
+	}
+	wantSt := make([]State, len(refs))
+	for i, r := range tr.Records() {
+		em.emit(i, false)
+		for w, n := range windows {
+			small[w].States(refs, wantSt)
+			for k, key := range keys {
+				got := StateAbsent
+				for _, e := range em.keys[:em.ends[w]] {
+					if e&^refKeyTakenBit == key {
+						got = stateOf(e&refKeyTakenBit != 0)
+						break
+					}
+				}
+				if got != wantSt[k] {
+					t.Fatalf("n=%d step %d ref %v: emitter prefix %v, dedicated window %v",
+						n, i, refs[k], got, wantSt[k])
 				}
 			}
-			small.Push(r)
-			big.Push(r)
+			small[w].Push(r)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("StatesWithin(0) did not panic")
-		}
-	}()
-	NewWindow(4).StatesWithin(0, refs, make([]State, len(refs)))
 }

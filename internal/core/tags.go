@@ -179,22 +179,18 @@ func (w *Window) at(i int) trace.Record {
 // window entries with the same address; its backward-count tag is the
 // number of taken backward branches more recent than it (the entry itself
 // excluded).
-func (w *Window) Visit(fn func(ref Ref, taken bool) bool) {
-	w.visitN(w.size, fn)
-}
-
-// visitN is Visit restricted to the n most recent entries (n <= w.size).
+//
 // Both tag schemes depend only on entries more recent than the one being
-// tagged, so the first n steps of the full walk ARE the walk a dedicated
+// tagged, so the first n steps of the walk ARE the walk a dedicated
 // n-capacity window holding the same stream would produce — the prefix
-// property that lets one maximal window serve a whole window-length
-// sweep (StatesWithin).
-func (w *Window) visitN(n int, fn func(ref Ref, taken bool) bool) {
+// property that lets one walk at the largest window serve a whole
+// window-length sweep (oracleEmitter).
+func (w *Window) Visit(fn func(ref Ref, taken bool) bool) {
 	w.seenPC = w.seenPC[:0]
 	w.seenCnt = w.seenCnt[:0]
 	w.segPC = w.segPC[:0]
 	backs := uint8(0)
-	for i := 0; i < n; i++ {
+	for i := 0; i < w.size; i++ {
 		r := w.at(i)
 		var o uint8
 		slot := -1
@@ -250,27 +246,11 @@ func (w *Window) visitN(n int, fn func(ref Ref, taken bool) bool) {
 // scheme, when a branch executes more than once in one iteration), the
 // most recent match wins.
 func (w *Window) States(refs []Ref, states []State) {
-	w.statesN(w.size, refs, states)
-}
-
-// StatesWithin resolves refs as States would against a window of length
-// n fed the same stream: only the n most recent entries are consulted
-// (fewer during warmup). n must be positive; n beyond the window's
-// capacity is clamped to it. This is how one maximal-length window
-// serves every config of a window-length sweep in a single ring.
-func (w *Window) StatesWithin(n int, refs []Ref, states []State) {
-	if n <= 0 {
-		panic(fmt.Sprintf("core: window view length %d must be positive", n))
-	}
-	w.statesN(min(n, w.size), refs, states)
-}
-
-func (w *Window) statesN(n int, refs []Ref, states []State) {
 	for i := range refs {
 		states[i] = StateAbsent
 	}
 	remaining := len(refs)
-	w.visitN(n, func(ref Ref, taken bool) bool {
+	w.Visit(func(ref Ref, taken bool) bool {
 		for i, want := range refs {
 			if states[i] == StateAbsent && want == ref {
 				states[i] = stateOf(taken)

@@ -98,9 +98,9 @@ type Figure5Result struct {
 }
 
 // Figure5 sweeps the history window length for the 3-branch selective
-// predictor. Each window length requires its own oracle selection (the
-// candidate set depends on the window), so this is the suite's most
-// expensive exhibit.
+// predictor. Each window length has its own oracle selection (the
+// candidate set depends on the window); one shared oracle pass serves
+// every window of a benchmark.
 func (s *Suite) Figure5() *Figure5Result {
 	res := &Figure5Result{
 		Windows:    s.cfg.Fig5Windows,
@@ -114,35 +114,44 @@ func (s *Suite) Figure5() *Figure5Result {
 }
 
 // figure5Cell sweeps every configured window for one benchmark: one
-// oracle pass per window (the candidate set depends on the window — the
-// default window reuses the shared bundle's selections), then a single
-// sweep call simulating every window's selective predictor over one
-// trace walk. The context is consulted between oracle passes, so an
-// aborted pool stops a cell mid-collection instead of finishing the
-// suite's most expensive exhibit.
+// shared oracle pass selects for every non-default window (a window-n
+// walk is the first n steps of the largest window's walk; the default
+// window reuses the shared bundle's selections), then a single sweep
+// call simulates every window's selective predictor over one trace
+// walk. The context is consulted before each of the two stages, so an
+// aborted pool skips the rest of the suite's most expensive exhibit.
 func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) []float64 {
-	accs := make([]float64, len(s.cfg.Fig5Windows))
-	cfgs := make([]core.SelectiveConfig, 0, len(s.cfg.Fig5Windows))
-	for _, n := range s.cfg.Fig5Windows {
-		if ctx.Err() != nil {
-			break
+	windows := s.cfg.Fig5Windows
+	accs := make([]float64, len(windows))
+	if ctx.Err() != nil {
+		return accs
+	}
+	var others []int
+	for _, n := range windows {
+		if n != s.cfg.Oracle.WindowLen {
+			others = append(others, n)
 		}
+	}
+	var shared []*core.Selections
+	if len(others) > 0 {
+		s.log("%s: oracle selection (windows %v)", tr.Name(), others)
+		shared = s.oracleBuild(tr, s.cfg.Oracle, others)
+	}
+	cfgs := make([]core.SelectiveConfig, len(windows))
+	for i, n := range windows {
 		var sels *core.Selections
 		if n == s.cfg.Oracle.WindowLen {
 			sels = s.selsFor(tr) // reuse the shared selection
 		} else {
-			s.log("%s: oracle selection (window %d)", tr.Name(), n)
-			ocfg := s.cfg.Oracle
-			ocfg.WindowLen = n
-			sels = s.oracleBuild(tr, ocfg)
+			sels, shared = shared[0], shared[1:]
 		}
-		cfgs = append(cfgs, core.SelectiveConfig{
+		cfgs[i] = core.SelectiveConfig{
 			Name:   fmt.Sprintf("IF 3-branch selective(%d)", n),
 			Window: n,
 			Assign: sels.BySize[3],
-		})
+		}
 	}
-	if len(cfgs) == 0 {
+	if ctx.Err() != nil {
 		return accs
 	}
 	out := s.simSweep(tr, core.NewSelectiveSweep("fig5-selective-windows", cfgs))

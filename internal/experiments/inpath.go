@@ -46,14 +46,17 @@ func (s *Suite) inPathCell(tr *trace.Trace) InPathRow {
 	s.log("%s: presence-only selective history", tr.Name())
 	// The direction-mode result and the oracle's ref choices are
 	// cached in the global bundle; the presence-mode run reuses the
-	// same assignment.
-	pres := core.NewSelectiveMode("presence-sel3", s.cfg.Oracle.WindowLen,
-		g.sels.BySize[3], core.ModePresence)
-	pr := s.simRun(tr, pres)[0]
+	// same assignment as a one-config fused selective sweep.
+	pres := core.NewSelectiveSweep("inpath-presence", []core.SelectiveConfig{{
+		Name:   "presence-sel3",
+		Window: s.cfg.Oracle.WindowLen,
+		Assign: g.sels.BySize[3],
+		Mode:   core.ModePresence,
+	}})
 	return InPathRow{
 		Benchmark: tr.Name(),
 		Direction: g.sel[3].Accuracy(),
-		Presence:  pr.Accuracy(),
+		Presence:  s.simSweep(tr, pres).Accuracy(0),
 		Static:    base.static.Accuracy(),
 	}
 }

@@ -13,7 +13,7 @@ import (
 // buildReportWith builds a full golden-config report with the given
 // oracle pipeline implementation and returns its JSON and rendered-text
 // bytes.
-func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.OracleConfig) *core.Selections) (string, string) {
+func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.OracleConfig, []int) []*core.Selections) (string, string) {
 	t.Helper()
 	s, err := NewSuite(goldenConfig(), t.Logf)
 	if err != nil {
@@ -33,6 +33,17 @@ func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.
 	return buf.String(), report.Render()
 }
 
+// referenceOracleWindows is the suite's oracle hook on the reference
+// implementation: one ReferenceBuildSelective run per window.
+func referenceOracleWindows(tr *trace.Trace, cfg core.OracleConfig, windows []int) []*core.Selections {
+	out := make([]*core.Selections, len(windows))
+	for i, n := range windows {
+		cfg.WindowLen = n
+		out[i] = core.ReferenceBuildSelective(tr, cfg)
+	}
+	return out
+}
+
 // TestReportByteIdentityKernelVsReference is the end-to-end guarantee of
 // the columnar oracle kernels: a full report built with the packed
 // kernels must be byte-identical — JSON and rendered text — to one built
@@ -40,7 +51,7 @@ func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.
 // level. This is the acceptance gate for swapping implementations under
 // the public oracle API.
 func TestReportByteIdentityKernelVsReference(t *testing.T) {
-	refJSON, refText := buildReportWith(t, 1, core.ReferenceBuildSelective)
+	refJSON, refText := buildReportWith(t, 1, referenceOracleWindows)
 	for _, parallel := range []int{1, 8} {
 		kJSON, kText := buildReportWith(t, parallel, nil) // default: columnar kernels
 		if kJSON != refJSON {

@@ -189,11 +189,13 @@ type Suite struct {
 	base    memo[*baseBundle]
 	log     func(format string, args ...any)
 
-	// oracleBuild runs the full oracle pipeline for one trace/config. It
-	// defaults to the columnar kernels over the memoized packed view;
-	// differential tests swap in core.ReferenceBuildSelective to prove
-	// report bytes are implementation-independent.
-	oracleBuild func(tr *trace.Trace, cfg core.OracleConfig) *core.Selections
+	// oracleBuild runs the full oracle pipeline for one trace/config at
+	// each listed window length (cfg.WindowLen is ignored), returning
+	// the selections in window order. It defaults to one shared
+	// core.OracleWindows pass over the memoized packed view; differential
+	// tests swap in a per-window core.ReferenceBuildSelective loop to
+	// prove report bytes are implementation-independent.
+	oracleBuild func(tr *trace.Trace, cfg core.OracleConfig, windows []int) []*core.Selections
 
 	// simRun drives a batch of predictors over a trace. It defaults to
 	// sim.Simulate (with the suite's registry), whose columnar fast path
@@ -234,8 +236,8 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 		}
 	}
 	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf}
-	s.oracleBuild = func(tr *trace.Trace, ocfg core.OracleConfig) *core.Selections {
-		return core.Oracle(s.packedFor(tr), core.OracleOptions{OracleConfig: ocfg})
+	s.oracleBuild = func(tr *trace.Trace, ocfg core.OracleConfig, windows []int) []*core.Selections {
+		return core.OracleWindows(s.packedFor(tr), windows, core.OracleOptions{OracleConfig: ocfg})
 	}
 	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
 		return sim.Simulate(tr, predictors, sim.Options{Observer: cfg.Obs}).Results
@@ -318,7 +320,7 @@ func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
 	return s.sels.get(tr.Name(), func() *core.Selections {
 		s.obs.Counter("suite.memo.sels.misses").Inc()
 		s.log("%s: oracle selection (window %d)", tr.Name(), s.cfg.Oracle.WindowLen)
-		return s.oracleBuild(tr, s.cfg.Oracle)
+		return s.oracleBuild(tr, s.cfg.Oracle, []int{s.cfg.Oracle.WindowLen})[0]
 	})
 }
 
