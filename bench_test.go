@@ -314,22 +314,22 @@ func BenchmarkExtensionOnlineSelective(b *testing.B) {
 		b.Run("oracle-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				sels := core.BuildSelective(tr, core.OracleConfig{WindowLen: 16})
-				acc = sim.RunOne(tr, core.NewSelective("sel3", 16, sels.BySize[3])).Accuracy()
+				sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
+				acc = sim.Simulate(tr, []bp.Predictor{core.NewSelective("sel3", 16, sels.BySize[3])}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
 		b.Run("online-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, core.NewOnlineSelective(3, 16, 256)).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{core.NewOnlineSelective(3, 16, 256)}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
 		b.Run("gshare-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewGshare(16)).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{bp.NewGshare(16)}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -347,7 +347,7 @@ func BenchmarkExtensionContextSwitch(b *testing.B) {
 	mixed := trace.Interleave("gcc+perl", 5000, gcc, perl)
 	mixedFine := trace.Interleave("gcc+perl-fine", 250, gcc, perl)
 	accOn := func(p bp.Predictor, tr *trace.Trace, prefix trace.Addr) float64 {
-		res := sim.RunOne(tr, p)
+		res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 		correct, total := 0, 0
 		for pc, br := range res.PerBranch {
 			if pc&0xFF00_0000 == uint32HighBits(prefix) {
@@ -361,10 +361,14 @@ func BenchmarkExtensionContextSwitch(b *testing.B) {
 		name string
 		run  func() float64
 	}{
-		{"gshare-gcc-alone", func() float64 { return sim.RunOne(gcc, bp.NewGshare(14)).Accuracy() }},
+		{"gshare-gcc-alone", func() float64 {
+			return sim.Simulate(gcc, []bp.Predictor{bp.NewGshare(14)}, sim.Options{}).Results[0].Accuracy()
+		}},
 		{"gshare-gcc-mixed-q5000", func() float64 { return accOn(bp.NewGshare(14), mixed, 0x0200_0000) }},
 		{"gshare-gcc-mixed-q250", func() float64 { return accOn(bp.NewGshare(14), mixedFine, 0x0200_0000) }},
-		{"ifgshare-gcc-alone", func() float64 { return sim.RunOne(gcc, bp.NewIFGshare(14)).Accuracy() }},
+		{"ifgshare-gcc-alone", func() float64 {
+			return sim.Simulate(gcc, []bp.Predictor{bp.NewIFGshare(14)}, sim.Options{}).Results[0].Accuracy()
+		}},
 		{"ifgshare-gcc-mixed-q250", func() float64 { return accOn(bp.NewIFGshare(14), mixedFine, 0x0200_0000) }},
 	}
 	for _, c := range cases {
@@ -388,8 +392,8 @@ func BenchmarkAblationOracleTopK(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				sels := core.BuildSelective(tr, core.OracleConfig{WindowLen: 16, TopK: k})
-				r := sim.RunOne(tr, core.NewSelective("sel3", 16, sels.BySize[3]))
+				sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16, TopK: k}})
+				r := sim.Simulate(tr, []bp.Predictor{core.NewSelective("sel3", 16, sels.BySize[3])}, sim.Options{}).Results[0]
 				acc = r.Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc-sel3")
@@ -415,8 +419,8 @@ func BenchmarkAblationTagSchemes(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
 				cfg := core.OracleConfig{WindowLen: 16, Schemes: c.schemes}
-				sels := core.BuildSelective(tr, cfg)
-				r := sim.RunOne(tr, core.NewSelective("sel3", 16, sels.BySize[3]))
+				sels := core.Oracle(tr, core.OracleOptions{OracleConfig: cfg})
+				r := sim.Simulate(tr, []bp.Predictor{core.NewSelective("sel3", 16, sels.BySize[3])}, sim.Options{}).Results[0]
 				acc = r.Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc-sel3")
@@ -433,7 +437,7 @@ func BenchmarkAblationGshareHistory(b *testing.B) {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewGshare(bits)).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{bp.NewGshare(bits)}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -457,7 +461,7 @@ func BenchmarkAblationPathVsPattern(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, c.mk()).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{c.mk()}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -482,7 +486,7 @@ func BenchmarkAblationLoopBTB(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, c.mk()).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{c.mk()}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -499,14 +503,14 @@ func BenchmarkAblationStaticPHT(b *testing.B) {
 		b.Run("profiled-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewProfiledGshare(tr, 14)).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{bp.NewProfiledGshare(tr, 14)}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
 		b.Run("adaptive-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewGshare(14)).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{bp.NewGshare(14)}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -533,7 +537,7 @@ func BenchmarkAblationModern(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, c.mk()).Accuracy()
+				acc = sim.Simulate(tr, []bp.Predictor{c.mk()}, sim.Options{}).Results[0].Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -584,7 +588,7 @@ func BenchmarkPredictors(b *testing.B) {
 func BenchmarkSelectivePredictor(b *testing.B) {
 	tr := benchTrace(b, "gcc")
 	recs := tr.Records()
-	sels := core.BuildSelective(tr, core.OracleConfig{WindowLen: 16})
+	sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
 	p := core.NewSelective("sel3", 16, sels.BySize[3])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -599,7 +603,7 @@ func BenchmarkSelectivePredictor(b *testing.B) {
 func BenchmarkOraclePasses(b *testing.B) {
 	tr := benchTrace(b, "gcc")
 	for i := 0; i < b.N; i++ {
-		core.BuildSelective(tr, core.OracleConfig{WindowLen: 16})
+		core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
 	}
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 }
@@ -663,7 +667,7 @@ func BenchmarkOracleProfile(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("len=%d/impl=kernel", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ProfileCandidatesPacked(pt, cfg)
+				core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageProfile})
 			}
 			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 		})
@@ -679,7 +683,7 @@ func BenchmarkOracleJoint(b *testing.B) {
 	for _, n := range benchOracleLengths {
 		tr := benchTraceN(b, "gcc", n)
 		pt := trace.Pack(tr)
-		cands := core.ProfileCandidatesPacked(pt, cfg)
+		cands := core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageProfile}).Candidates
 		b.Run(fmt.Sprintf("len=%d/impl=ref", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.ReferenceSelectRefs(tr, cands, cfg)
@@ -688,7 +692,7 @@ func BenchmarkOracleJoint(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("len=%d/impl=kernel", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.SelectRefsPacked(pt, cands, cfg)
+				core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageSelect, Candidates: cands})
 			}
 			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 		})
@@ -766,13 +770,13 @@ func BenchmarkSimPredictor(b *testing.B) {
 			name, _, _ := strings.Cut(spec, ":")
 			b.Run(fmt.Sprintf("pred=%s/len=%d/impl=ref", name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sim.RunReference(tr, mk())
+					sim.Simulate(tr, []bp.Predictor{mk()}, sim.Options{ForceReference: true})
 				}
 				b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 			})
 			b.Run(fmt.Sprintf("pred=%s/len=%d/impl=kernel", name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sim.Run(tr, mk())
+					sim.Simulate(tr, []bp.Predictor{mk()}, sim.Options{})
 				}
 				b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 			})
@@ -881,7 +885,7 @@ func BenchmarkSimSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("grid=%s/len=%d/impl=independent", grid.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, p := range grid.mk().Configs() {
-						sim.Run(tr, p)
+						sim.Simulate(tr, []bp.Predictor{p}, sim.Options{})
 					}
 				}
 				b.ReportMetric(float64(ncfg)*float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "branches/s")

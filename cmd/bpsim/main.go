@@ -6,7 +6,6 @@
 //	bpsim -trace gcc.btr -p gshare:16 -p pas:12,10,6
 //	bpsim -workload go -n 500000 -p 'hybrid:(gshare:14),(pas:12,10,6),12' -per-branch
 //	bpsim -workload gcc -metrics out.json   # engine metrics snapshot at exit
-//	bpsim -serve localhost:8149             # expose the engines as the v1 HTTP API
 //	bpsim -specs     # list example predictor specs
 package main
 
@@ -14,14 +13,11 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
-	"branchcorr/internal/service"
 	"branchcorr/internal/sim"
 	"branchcorr/internal/trace"
 	"branchcorr/internal/workloads"
@@ -49,8 +45,6 @@ func main() {
 		listSpecs = flag.Bool("specs", false, "list example predictor specs and exit")
 		metrics   = flag.String("metrics", "", "write the obs metrics snapshot (JSON) to this file at exit")
 		debugAddr = flag.String("debug-addr", "", "serve expvar, pprof, and /metrics on this address (e.g. localhost:6060)")
-		serve     = flag.String("serve", "", "serve the v1 HTTP API on this address instead of running a simulation")
-		corpusDir = flag.String("corpus", "", "trace store directory for -serve (default: a fresh temp directory)")
 	)
 	flag.Var(&specs, "p", "predictor spec (repeatable; see -specs)")
 	flag.Parse()
@@ -85,28 +79,6 @@ func main() {
 			fmt.Println(s)
 		}
 		return
-	}
-	if *serve != "" {
-		// Ad-hoc serving mode: the same internal/service engine room as
-		// cmd/bpsimd, minus the daemon trappings (no signal handling, no
-		// graceful shutdown) — handy for one-off local experiments.
-		dir := *corpusDir
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "bpsim-corpus-*"); err != nil {
-				fatal(err)
-			}
-		}
-		srv, err := service.New(service.Config{CorpusDir: dir, Registry: reg})
-		if err != nil {
-			fatal(err)
-		}
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "bpsim: serving v1 API on http://%s/ (corpus %s)\n", ln.Addr(), dir)
-		fatal(http.Serve(ln, srv.Handler()))
 	}
 	if len(specs) == 0 {
 		specs = specList{"gshare:16", "pas:12,10,6", "bimodal:14"}

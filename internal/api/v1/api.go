@@ -1,7 +1,7 @@
 // Package v1 is the bpsimd wire schema, version 1: the request and
 // response types of every service endpoint, one canonical JSON encoding
-// shared by the server, cmd/bpload, and cmd/bpsim -serve, and the
-// structured error envelope.
+// shared by the server and cmd/bpload, and the structured error
+// envelope.
 //
 // Schema discipline:
 //

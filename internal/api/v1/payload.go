@@ -14,8 +14,7 @@ import (
 // assignments, candidate beams) is emitted sorted by PC, so the same
 // result value always yields the same payload value — and, through
 // Marshal, the same bytes. The builders live here rather than in the
-// server so cmd/bpsim -serve and test clients shape payloads the same
-// way.
+// server so the server and test clients shape payloads the same way.
 
 // FormatPC renders a branch address the way core.Ref does ("0x4000").
 func FormatPC(pc trace.Addr) string {

@@ -63,9 +63,9 @@ func TestPredictorDeterminismConformance(t *testing.T) {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			mk := func() bp.Predictor {
-				p, err := bp.ParseEnv(spec, env)
+				p, err := bp.Parse(spec, env)
 				if err != nil {
-					t.Fatalf("ParseEnv(%q): %v", spec, err)
+					t.Fatalf("Parse(%q): %v", spec, err)
 				}
 				return p
 			}

@@ -170,11 +170,7 @@ func TestSplitBest(t *testing.T) {
 		tr.Append(trace.Record{PC: 0x30, Taken: i%40 != 39, Backward: true})
 	}
 	stats := trace.Summarize(tr)
-	rs := sim.Run(tr,
-		bp.NewIdealStatic(stats),
-		bp.NewGshare(10),
-		bp.NewLoop(),
-	)
+	rs := sim.Simulate(tr, []bp.Predictor{bp.NewIdealStatic(stats), bp.NewGshare(10), bp.NewLoop()}, sim.Options{}).Results
 	static, gshare, loop := rs[0], rs[1], rs[2]
 	split := SplitBest(stats, static,
 		func(pc trace.Addr) int { return gshare.Branch(pc).Correct },

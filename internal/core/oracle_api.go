@@ -8,15 +8,11 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's consolidated public API, mirroring the
-// sim.Simulate consolidation: the nine historical entry points
-// (ProfileCandidates/SelectRefs/BuildSelective, their Packed variants,
-// and their Blocks twins) collapse into two options-based calls —
-// Oracle for in-memory inputs and OracleBlocks for bounded-memory
-// streams. The old names remain as byte-identical deprecated wrappers;
-// the bplint dep-api rule migrates in-memory callers mechanically.
-// OracleWindows is Oracle's full stage over several window lengths at
-// once; Oracle's full stage is its one-window call.
+// This file is the oracle's public API, mirroring sim.Simulate: two
+// options-based calls — Oracle for in-memory inputs and OracleBlocks for
+// bounded-memory streams — each running the full pipeline or one stage
+// of it. OracleWindows is Oracle's full stage over several window
+// lengths at once; Oracle's full stage is its one-window call.
 
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and

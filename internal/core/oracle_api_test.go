@@ -9,20 +9,20 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// The consolidated Oracle/OracleBlocks entry points must be bit-identical
-// to the nine named entry points they supersede — the wrappers are the
-// executable contract, so every stage is differentially pinned here.
+// The Oracle/OracleBlocks entry points are pinned stage by stage to the
+// reference oracle (the executable specification), through both Source
+// forms: a *trace.Trace and its *trace.Packed view.
 
 func TestOracleMatchesBuildSelective(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		cfg := OracleConfig{WindowLen: 16}
-		want := BuildSelective(tr, cfg)
+		want := ReferenceBuildSelective(tr, cfg)
 		if got := Oracle(tr, OracleOptions{OracleConfig: cfg}); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Oracle(trace) differs from BuildSelective", tr.Name())
+			t.Errorf("%s: Oracle(trace) differs from ReferenceBuildSelective", tr.Name())
 		}
 		// A *trace.Packed is a Source in its own right.
 		if got := Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg}); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Oracle(packed) differs from BuildSelective", tr.Name())
+			t.Errorf("%s: Oracle(packed) differs from ReferenceBuildSelective", tr.Name())
 		}
 	}
 }
@@ -30,7 +30,7 @@ func TestOracleMatchesBuildSelective(t *testing.T) {
 func TestOracleStageProfileMatchesProfileCandidates(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		cfg := OracleConfig{WindowLen: 16, TopK: 8}
-		want := ProfileCandidates(tr, cfg)
+		want := ReferenceProfileCandidates(tr, cfg)
 		got := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
 		if len(got.BySize[1]) != 0 {
 			t.Errorf("%s: StageProfile filled BySize", tr.Name())
@@ -42,12 +42,10 @@ func TestOracleStageProfileMatchesProfileCandidates(t *testing.T) {
 func TestOracleStageSelectMatchesSelectRefs(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		cfg := OracleConfig{WindowLen: 16}
-		cands := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
-		want := SelectRefs(tr, cands, cfg)
-		got := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: StageSelect differs from SelectRefs", tr.Name())
-		}
+		cands := ReferenceProfileCandidates(tr, cfg)
+		want := ReferenceSelectRefs(tr, cands, cfg)
+		got := Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
+		mustEqualSelections(t, got, want)
 	}
 }
 
@@ -62,6 +60,8 @@ func TestOracleStagedPipelineMatchesFull(t *testing.T) {
 	mustEqualSelections(t, got, want)
 }
 
+// TestOracleBlocksMatchesBlocksWrappers pins every OracleBlocks stage
+// over a decoded BTR1 stream to the same stage of the in-memory Oracle.
 func TestOracleBlocksMatchesBlocksWrappers(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		var buf bytes.Buffer
@@ -73,31 +73,18 @@ func TestOracleBlocksMatchesBlocksWrappers(t *testing.T) {
 		}
 		cfg := OracleConfig{WindowLen: 16}
 
-		want, err := BuildSelectiveBlocks(open, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := Oracle(tr, OracleOptions{OracleConfig: cfg})
 		got, err := OracleBlocks(open, OracleOptions{OracleConfig: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: OracleBlocks differs from BuildSelectiveBlocks", tr.Name())
-		}
+		mustEqualSelections(t, got, want)
 
-		src, err := open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCands, err := ProfileCandidatesBlocks(src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		prof, err := OracleBlocks(open, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustEqualCandidates(t, prof.Candidates, wantCands)
+		mustEqualCandidates(t, prof.Candidates, Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates)
 
 		pt := trace.Pack(tr)
 		sel, err := OracleBlocks(open, OracleOptions{

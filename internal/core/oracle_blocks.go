@@ -139,17 +139,6 @@ func profilePass(src trace.BlockSource, cfg OracleConfig) (map[trace.Addr]*Candi
 	return assembleCandidates(profiles, addrs, cfg, 1, 0)[0], addrs, nil
 }
 
-// ProfileCandidatesBlocks is oracle pass 1 over a streaming block
-// source, in memory bounded by the chunk size rather than the trace
-// length.
-//
-// Deprecated: ProfileCandidatesBlocks is OracleBlocks with Stage:
-// StageProfile (project .Candidates); new code should call OracleBlocks.
-func ProfileCandidatesBlocks(src trace.BlockSource, cfg OracleConfig) (map[trace.Addr]*Candidates, error) {
-	cands, _, err := profilePass(src, cfg.withDefaults())
-	return cands, err
-}
-
 // internIndex builds an ID-resolution closure over a complete intern
 // table, standing in for Packed.IDOf on the streaming path.
 func internIndex(addrs []trace.Addr) func(trace.Addr) (int32, bool) {
@@ -161,15 +150,6 @@ func internIndex(addrs []trace.Addr) func(trace.Addr) (int32, bool) {
 		id, ok := idx[a]
 		return id, ok
 	}
-}
-
-// SelectRefsBlocks is oracle passes 2+3 over a streaming block source.
-//
-// Deprecated: SelectRefsBlocks is OracleBlocks with Stage: StageSelect,
-// Options.Candidates, and Options.Addrs; new code should call
-// OracleBlocks.
-func SelectRefsBlocks(src trace.BlockSource, addrs []trace.Addr, cands map[trace.Addr]*Candidates, cfg OracleConfig) (*Selections, error) {
-	return selectBlocks(src, addrs, cands, cfg)
 }
 
 // selectBlocks is oracle passes 2+3 over a streaming block source:
@@ -203,14 +183,4 @@ func selectBlocks(src trace.BlockSource, addrs []trace.Addr, cands map[trace.Add
 		return nil, err
 	}
 	return scoreSelections(pcs, cands, matcherOf, 0, cfg), nil
-}
-
-// BuildSelectiveBlocks is the full oracle pipeline over a streaming
-// source: profile, then select, each pass streaming the input in
-// bounded memory.
-//
-// Deprecated: BuildSelectiveBlocks is OracleBlocks with zero
-// OracleOptions; new code should call OracleBlocks.
-func BuildSelectiveBlocks(open func() (trace.BlockSource, error), cfg OracleConfig) (*Selections, error) {
-	return OracleBlocks(open, OracleOptions{OracleConfig: cfg})
 }

@@ -123,10 +123,10 @@ func TestKernelDifferentialWindows(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/w=%d", tr.Name(), w), func(t *testing.T) {
 				cfg := OracleConfig{WindowLen: w}
 				pt := trace.Pack(tr)
-				gotC := ProfileCandidatesPacked(pt, cfg)
+				gotC := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 				wantC := ReferenceProfileCandidates(tr, cfg)
 				mustEqualCandidates(t, gotC, wantC)
-				mustEqualSelections(t, SelectRefsPacked(pt, gotC, cfg), ReferenceSelectRefs(tr, wantC, cfg))
+				mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: gotC}), ReferenceSelectRefs(tr, wantC, cfg))
 			})
 		}
 	}
@@ -141,7 +141,7 @@ func TestKernelDifferentialSchemes(t *testing.T) {
 		{Occurrence, BackwardCount},
 	} {
 		cfg := OracleConfig{Schemes: schemes}
-		mustEqualSelections(t, BuildSelectivePacked(pt, cfg), ReferenceBuildSelective(tr, cfg))
+		mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg}), ReferenceBuildSelective(tr, cfg))
 	}
 }
 
@@ -155,21 +155,21 @@ func TestKernelDifferentialPrunePressure(t *testing.T) {
 		tr := randomTrace(uint32(maxCands), 800, 30)
 		pt := trace.Pack(tr)
 		cfg := OracleConfig{WindowLen: 32, MaxCandidates: maxCands}
-		gotC := ProfileCandidatesPacked(pt, cfg)
+		gotC := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 		wantC := ReferenceProfileCandidates(tr, cfg)
 		mustEqualCandidates(t, gotC, wantC)
-		mustEqualSelections(t, SelectRefsPacked(pt, gotC, cfg), ReferenceSelectRefs(tr, wantC, cfg))
+		mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: gotC}), ReferenceSelectRefs(tr, wantC, cfg))
 	}
 }
 
-// TestKernelScoreParallelInvariant pins that SelectRefsPacked output is
+// TestKernelScoreParallelInvariant pins that the select stage output is
 // invariant across scoring parallelism levels.
 func TestKernelScoreParallelInvariant(t *testing.T) {
 	tr := randomTrace(11, 600, 12)
 	pt := trace.Pack(tr)
-	base := BuildSelectivePacked(pt, OracleConfig{ScoreParallel: 1})
+	base := Oracle(pt, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: 1}})
 	for _, par := range []int{2, 8, 0} {
-		got := BuildSelectivePacked(pt, OracleConfig{ScoreParallel: par})
+		got := Oracle(pt, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: par}})
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("ScoreParallel=%d selections differ from serial run", par)
 		}
@@ -242,6 +242,6 @@ func TestPruneBiasRegression(t *testing.T) {
 		{WindowLen: 8},
 		{WindowLen: 8, MaxCandidates: 8},
 	} {
-		mustEqualCandidates(t, ProfileCandidatesPacked(pt, cfg), ReferenceProfileCandidates(tr, cfg))
+		mustEqualCandidates(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates, ReferenceProfileCandidates(tr, cfg))
 	}
 }

@@ -473,14 +473,6 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 	return score + max32(p.total[0]-presentT, p.total[1]-presentN)
 }
 
-// ProfileCandidatesPacked is oracle pass 1 over the columnar trace view.
-//
-// Deprecated: ProfileCandidatesPacked is Oracle with Stage: StageProfile
-// (project .Candidates); new code should call Oracle.
-func ProfileCandidatesPacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidates {
-	return profilePacked(pt, cfg)
-}
-
 // profilePacked is oracle pass 1 at the config's window over the
 // columnar trace view. It produces bit-identical results to
 // ReferenceProfileCandidates.
@@ -729,17 +721,17 @@ type branchSelection struct {
 	size1, size2, size3 []Ref
 }
 
-// SelectRefsPacked is oracle passes 2+3 over the columnar trace view.
-//
-// Deprecated: SelectRefsPacked is Oracle with Stage: StageSelect and
-// Options.Candidates; new code should call Oracle.
-func SelectRefsPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
-	return selectPacked(pt, cands, cfg)
-}
-
 // selectPacked is oracle passes 2+3 at the config's window over the
-// columnar trace view. Produces bit-identical Selections to
-// ReferenceSelectRefs.
+// columnar trace view. With each branch's TopK candidates fixed, it
+// scores the exact joint distribution of every candidate *pair* with the
+// branch outcome (so purely interacting correlations — e.g. branch
+// X = Y AND Z of figure 1c, where neither Y nor Z alone predicts X — are
+// found as long as both components are in the beam), picks the best
+// pair, then greedily extends it with each remaining candidate to choose
+// the best triple. This approximates the paper's oracle choice of "the
+// 1, 2 or 3 most important branches" (section 3.4); the approximation is
+// exact for sizes 1 and 2 within the beam. Produces bit-identical
+// Selections to ReferenceSelectRefs.
 func selectPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
 	cfg = cfg.withDefaults()
 	return selectWindows(pt, []int{cfg.WindowLen}, []map[trace.Addr]*Candidates{cands}, cfg)[0]

@@ -20,15 +20,31 @@ func streamChunks(w int) []int {
 	return []int{1, w - 1, w, w + 1, 1000}
 }
 
+// once adapts an already-open single-pass source to OracleBlocks'
+// opener contract, for the one-pass stages (StageProfile, StageSelect).
+func once(src trace.BlockSource) func() (trace.BlockSource, error) {
+	return func() (trace.BlockSource, error) { return src, nil }
+}
+
+// streamProfile is OracleBlocks' StageProfile projected to its
+// candidates.
+func streamProfile(src trace.BlockSource, cfg OracleConfig) (map[trace.Addr]*Candidates, error) {
+	sel, err := OracleBlocks(once(src), OracleOptions{OracleConfig: cfg, Stage: StageProfile})
+	if err != nil {
+		return nil, err
+	}
+	return sel.Candidates, nil
+}
+
 func TestProfileCandidatesBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		pt := trace.Pack(tr)
 		for _, w := range []int{8, 16, 32} {
 			cfg := OracleConfig{WindowLen: w}
-			want := ProfileCandidatesPacked(pt, cfg)
+			want := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 			for _, chunk := range streamChunks(w) {
 				t.Run(fmt.Sprintf("%s/w=%d/chunk=%d", tr.Name(), w, chunk), func(t *testing.T) {
-					got, err := ProfileCandidatesBlocks(pt.Blocks(chunk), cfg)
+					got, err := streamProfile(pt.Blocks(chunk), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -43,10 +59,10 @@ func TestSelectRefsBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		pt := trace.Pack(tr)
 		cfg := OracleConfig{WindowLen: 16}
-		cands := ProfileCandidatesPacked(pt, cfg)
-		want := SelectRefsPacked(pt, cands, cfg)
+		cands := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+		want := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
 		for _, chunk := range streamChunks(16) {
-			got, err := SelectRefsBlocks(pt.Blocks(chunk), pt.Addrs(), cands, cfg)
+			got, err := OracleBlocks(once(pt.Blocks(chunk)), OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands, Addrs: pt.Addrs()})
 			if err != nil {
 				t.Fatalf("%s chunk %d: %v", tr.Name(), chunk, err)
 			}
@@ -65,11 +81,11 @@ func TestBuildSelectiveBlocksFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := OracleConfig{WindowLen: 16}
-		want := BuildSelectivePacked(trace.Pack(tr), cfg)
+		want := Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg})
 		for _, chunk := range []int{1, 17, 256} {
-			got, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
+			got, err := OracleBlocks(func() (trace.BlockSource, error) {
 				return trace.ReadBlocks(bytes.NewReader(buf.Bytes()), chunk)
-			}, cfg)
+			}, OracleOptions{OracleConfig: cfg})
 			if err != nil {
 				t.Fatalf("%s chunk %d: %v", tr.Name(), chunk, err)
 			}
@@ -86,9 +102,9 @@ func TestStreamDifferentialPrunePressure(t *testing.T) {
 	tr := randomTrace(9, 800, 30)
 	pt := trace.Pack(tr)
 	cfg := OracleConfig{WindowLen: 32, MaxCandidates: 8}
-	want := ProfileCandidatesPacked(pt, cfg)
+	want := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 	for _, chunk := range []int{1, 31, 33, 777} {
-		got, err := ProfileCandidatesBlocks(pt.Blocks(chunk), cfg)
+		got, err := streamProfile(pt.Blocks(chunk), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +119,10 @@ func TestStreamDifferentialSchemes(t *testing.T) {
 	pt := trace.Pack(tr)
 	for _, schemes := range [][]Scheme{{Occurrence}, {BackwardCount}} {
 		cfg := OracleConfig{Schemes: schemes}
-		want := BuildSelectivePacked(pt, cfg)
-		got, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
+		want := Oracle(pt, OracleOptions{OracleConfig: cfg})
+		got, err := OracleBlocks(func() (trace.BlockSource, error) {
 			return pt.Blocks(37), nil
-		}, cfg)
+		}, OracleOptions{OracleConfig: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,25 +143,25 @@ func TestOracleBlocksTruncatedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ProfileCandidatesBlocks(src, OracleConfig{}); err == nil {
+	if _, err := streamProfile(src, OracleConfig{}); err == nil {
 		t.Error("profile over truncated stream should fail")
 	}
-	if _, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
+	if _, err := OracleBlocks(func() (trace.BlockSource, error) {
 		return trace.ReadBlocks(bytes.NewReader(data), 64)
-	}, OracleConfig{}); err == nil {
+	}, OracleOptions{OracleConfig: OracleConfig{}}); err == nil {
 		t.Error("build over truncated stream should fail")
 	}
 }
 
 func TestOracleBlocksEmptyTrace(t *testing.T) {
 	pt := trace.Pack(trace.New("empty", 0))
-	cands, err := ProfileCandidatesBlocks(pt.Blocks(8), OracleConfig{})
+	cands, err := streamProfile(pt.Blocks(8), OracleConfig{})
 	if err != nil || len(cands) != 0 {
 		t.Fatalf("empty profile: %v, %d candidates", err, len(cands))
 	}
-	sel, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
+	sel, err := OracleBlocks(func() (trace.BlockSource, error) {
 		return pt.Blocks(8), nil
-	}, OracleConfig{})
+	}, OracleOptions{OracleConfig: OracleConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}

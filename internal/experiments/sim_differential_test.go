@@ -15,14 +15,19 @@ import (
 // per-record reference loop while behavior stays scalar-identical.
 type scalarOnly struct{ bp.Predictor }
 
-// referenceTimeline is sim.RunTimeline with every kernel stripped,
-// forcing the interleaved reference loop.
+// referenceRun is sim.Simulate pinned to the per-record reference loop.
+func referenceRun(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
+	return sim.Simulate(tr, predictors, sim.Options{ForceReference: true}).Results
+}
+
+// referenceTimeline is a bucketed sim.Simulate with every kernel
+// stripped, forcing the reference loop.
 func referenceTimeline(tr *trace.Trace, bucket int, predictors ...bp.Predictor) []*sim.Timeline {
 	stripped := make([]bp.Predictor, len(predictors))
 	for i, p := range predictors {
 		stripped[i] = scalarOnly{p}
 	}
-	return sim.RunTimeline(tr, bucket, stripped...)
+	return sim.Simulate(tr, stripped, sim.Options{BucketSize: bucket}).Timelines
 }
 
 // referenceSweep is sim.SimulateSweep pinned to the scalar reference
@@ -68,9 +73,9 @@ func buildReportWithSim(t *testing.T, parallel int,
 // batched kernels must be byte-identical — JSON and rendered text — to
 // one built with the per-record reference loop, at every parallelism
 // level. This is the acceptance gate for the sim fast path riding under
-// the public Run/RunTimeline API.
+// the public Simulate API.
 func TestReportByteIdentitySimKernelVsReference(t *testing.T) {
-	refJSON, refText := buildReportWithSim(t, 1, sim.RunReference, referenceTimeline, referenceSweep)
+	refJSON, refText := buildReportWithSim(t, 1, referenceRun, referenceTimeline, referenceSweep)
 	for _, parallel := range []int{1, 8} {
 		kJSON, kText := buildReportWithSim(t, parallel, nil, nil, nil) // default: kernel + fused-sweep fast paths
 		if kJSON != refJSON {

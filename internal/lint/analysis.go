@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
 )
@@ -47,8 +46,6 @@ type Module struct {
 	// deprecated indexes module objects whose doc comment carries a
 	// "Deprecated:" marker.
 	deprecated map[types.Object]bool
-
-	src map[string][]byte // lazily cached file contents, for fixes
 }
 
 // NewModule derives the shared analysis facts from the packages.
@@ -58,7 +55,6 @@ func NewModule(pkgs []*Package) *Module {
 		funcs:      make(map[*types.Func]*FuncInfo),
 		hot:        make(map[*types.Func]string),
 		deprecated: make(map[types.Object]bool),
-		src:        make(map[string][]byte),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -82,19 +78,6 @@ func (m *Module) HotVia(fn *types.Func) string { return m.hot[fn] }
 // IsDeprecated reports whether obj's declaration carries a
 // "Deprecated:" doc marker.
 func (m *Module) IsDeprecated(obj types.Object) bool { return m.deprecated[obj] }
-
-// Source returns (and caches) the contents of a file of the module.
-func (m *Module) Source(filename string) ([]byte, error) {
-	if b, ok := m.src[filename]; ok {
-		return b, nil
-	}
-	b, err := os.ReadFile(filename)
-	if err != nil {
-		return nil, err
-	}
-	m.src[filename] = b
-	return b, nil
-}
 
 // hotFuncs returns every hot-reachable function that has a body in the
 // module, in deterministic source order.

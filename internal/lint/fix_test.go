@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,83 +48,6 @@ func runRules(t *testing.T, root, ruleIDs string) []Finding {
 		t.Fatal(err)
 	}
 	return Run(pkgs, rules)
-}
-
-// TestDepAPIFix applies the dep-api migration fixes to a fixture copy:
-// every wrapper call — the sim.Run* family and the oracle entry-point
-// family — is rewritten to its options form (pinned by golden files),
-// only the two mechanically unfixable uses survive, and a second -fix
-// pass is a no-op (idempotency).
-func TestDepAPIFix(t *testing.T) {
-	root := copyFixtureTree(t)
-	findings := runRules(t, root, "dep-api")
-	if len(findings) != 11 {
-		t.Fatalf("pre-fix dep-api findings = %d, want 11: %v", len(findings), findings)
-	}
-	changed, err := ApplyFixes(findings)
-	if err != nil {
-		t.Fatalf("ApplyFixes: %v", err)
-	}
-	wantChanged := []string{
-		filepath.Join("depfix", "use", "use.go"),
-		filepath.Join("oraclefix", "use", "use.go"),
-	}
-	if len(changed) != len(wantChanged) {
-		t.Fatalf("changed files = %v, want %v", changed, wantChanged)
-	}
-	for _, want := range wantChanged {
-		found := false
-		for _, got := range changed {
-			if strings.HasSuffix(got, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("changed files = %v, missing %s", changed, want)
-		}
-	}
-
-	for fixture, goldenName := range map[string]string{
-		"depfix":    "depfix_use_fixed.golden",
-		"oraclefix": "oraclefix_use_fixed.golden",
-	} {
-		fixed, err := os.ReadFile(filepath.Join(root, "internal", fixture, "use", "use.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenPath := filepath.Join("testdata", goldenName)
-		if *updateGolden {
-			if err := os.WriteFile(goldenPath, fixed, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		golden, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("read golden (regenerate with -update): %v", err)
-		}
-		if !bytes.Equal(fixed, golden) {
-			t.Errorf("fixed %s/use.go deviates from golden:\n--- got ---\n%s\n--- want ---\n%s", fixture, fixed, golden)
-		}
-	}
-
-	// The rewritten tree must still type-check, and only the
-	// function-value reference and the deprecated type use remain.
-	after := runRules(t, root, "dep-api")
-	if len(after) != 2 {
-		t.Fatalf("post-fix dep-api findings = %d, want 2 unfixable: %v", len(after), after)
-	}
-	for _, f := range after {
-		if f.Fix != nil {
-			t.Errorf("post-fix finding still carries a fix: %s", f)
-		}
-	}
-	changed, err = ApplyFixes(after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) != 0 {
-		t.Errorf("second -fix pass rewrote %v; fixes are not idempotent", changed)
-	}
 }
 
 // TestStaleIgnoreFix applies the ignore-reason delete fix: the stale

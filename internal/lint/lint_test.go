@@ -9,8 +9,8 @@ import (
 
 // fixtureCases pairs each seeded fixture with the rule family it
 // exercises. Running only the family keeps the want-comment bookkeeping
-// one-rule-per-line. Multi-package cases (depfix) list every package the
-// module-level rule must see in one run.
+// one-rule-per-line. Cases list every package a module-level rule must
+// see in one run.
 var fixtureCases = []struct {
 	name  string
 	dirs  []string
@@ -22,7 +22,7 @@ var fixtureCases = []struct {
 	{"iofix", []string{"internal/iofix"}, "io-print,io-errcheck"},
 	{"obsfix", []string{"internal/obsfix"}, "obs-io"},
 	{"hotfix", []string{"internal/hotfix"}, "kernel-purity,bce-hoist"},
-	{"depfix", []string{"internal/depfix/bp", "internal/depfix/sim", "internal/depfix/use"}, "dep-api"},
+	{"depfix", []string{"internal/depfix"}, "dep-api"},
 	{"syncfix", []string{"internal/syncfix"}, "sync-discipline"},
 	{"ignorefix", []string{"internal/ignorefix"}, "det-time,ignore-reason"},
 }

@@ -57,6 +57,23 @@ func TestSimulateBlocksMatchesSimulate(t *testing.T) {
 			sameOutcome(t, spec, want, got)
 		}
 	}
+	// All specs in one call, fanned out across four workers per chunk,
+	// against the sequential in-memory run.
+	mkAll := func() []bp.Predictor {
+		ps, err := bp.ParseAll(bp.KnownSpecs(), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	want := Simulate(tr, mkAll(), Options{BucketSize: 1000})
+	for _, chunk := range []int{63, 1000, tr.Len()} {
+		got, err := SimulateBlocks(pt.Blocks(chunk), mkAll(), Options{Parallel: 4, BucketSize: 1000})
+		if err != nil {
+			t.Fatalf("parallel chunk %d: %v", chunk, err)
+		}
+		sameOutcome(t, "parallel", want, got)
+	}
 }
 
 // TestSimulateBlocksFromDisk closes the loop through the on-disk codec:

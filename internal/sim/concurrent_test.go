@@ -26,8 +26,8 @@ func TestRunConcurrentMatchesRun(t *testing.T) {
 			bp.NewBimodal(10),
 		}
 	}
-	seq := Run(tr, mk()...)
-	con := RunConcurrent(tr, mk()...)
+	seq := Simulate(tr, mk(), Options{}).Results
+	con := Simulate(tr, mk(), Options{Parallel: -1}).Results
 	for i := range seq {
 		if seq[i].Correct != con[i].Correct || seq[i].Total != con[i].Total {
 			t.Errorf("predictor %s: sequential %d/%d vs concurrent %d/%d",
@@ -42,7 +42,7 @@ func TestRunConcurrentMatchesRun(t *testing.T) {
 }
 
 func TestRunConcurrentEmpty(t *testing.T) {
-	rs := RunConcurrent(trace.New("e", 0), bp.AlwaysTaken{})
+	rs := Simulate(trace.New("e", 0), []bp.Predictor{bp.AlwaysTaken{}}, Options{Parallel: -1}).Results
 	if rs[0].Total != 0 {
 		t.Errorf("empty: %+v", rs[0])
 	}

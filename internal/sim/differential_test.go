@@ -68,12 +68,13 @@ func sameResult(t *testing.T, ctxt string, a, b *Result) {
 	}
 }
 
-// TestDifferentialRunEquivalence is the documented-but-previously-
-// untested equivalence claim of this package: for every registered
-// predictor spec, Run, RunStream (over the encoded trace), and
-// RunConcurrent produce identical Results — totals and per-branch maps —
-// on randomized traces. Each driver gets a fresh predictor instance, so
-// the test also exercises every spec's determinism across constructions.
+// TestDifferentialRunEquivalence pins every driver and engine to the
+// reference loop: for every registered predictor spec, the kernel path,
+// SimulateBlocks over the encoded trace, and the concurrent fan-out
+// produce Results identical to Options.ForceReference — totals and
+// per-branch maps — on randomized traces. Each run gets a fresh
+// predictor instance, so the test also exercises every spec's
+// determinism across constructions.
 func TestDifferentialRunEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		tr := randomTrace(seed, 15_000)
@@ -87,27 +88,30 @@ func TestDifferentialRunEquivalence(t *testing.T) {
 
 		for _, spec := range bp.KnownSpecs() {
 			mk := func() bp.Predictor {
-				p, err := bp.ParseEnv(spec, env)
+				p, err := bp.Parse(spec, env)
 				if err != nil {
 					t.Fatalf("spec %q: %v", spec, err)
 				}
 				return p
 			}
-			ref := Run(tr, mk())[0]
+			ref := Simulate(tr, []bp.Predictor{mk()}, Options{ForceReference: true}).Results[0]
 
-			sc, err := trace.NewScanner(bytes.NewReader(encoded))
+			fast := Simulate(tr, []bp.Predictor{mk()}, Options{}).Results[0]
+			sameResult(t, spec+"/fast", ref, fast)
+
+			src, err := trace.ReadBlocks(bytes.NewReader(encoded), 1000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamed, err := RunStream(sc, mk())
+			streamed, err := SimulateBlocks(src, []bp.Predictor{mk()}, Options{})
 			if err != nil {
-				t.Fatalf("spec %q: RunStream: %v", spec, err)
+				t.Fatalf("spec %q: SimulateBlocks: %v", spec, err)
 			}
-			// RunStream labels results with the scanner's name, which
-			// round-trips through the codec and must match the trace's.
-			sameResult(t, spec+"/stream", ref, streamed[0])
+			// Streamed results carry the stream's name, which round-trips
+			// through the codec and must match the trace's.
+			sameResult(t, spec+"/stream", ref, streamed.Results[0])
 
-			concurrent := RunConcurrent(tr, mk())
+			concurrent := Simulate(tr, []bp.Predictor{mk()}, Options{Parallel: -1}).Results
 			sameResult(t, spec+"/concurrent", ref, concurrent[0])
 
 			if seed == 1 && ref.Total != tr.Len() {
@@ -118,7 +122,7 @@ func TestDifferentialRunEquivalence(t *testing.T) {
 }
 
 // TestDifferentialMultiPredictor drives several predictors through one
-// Run/RunConcurrent pass: result order must follow argument order and
+// sequential and one fanned-out pass: result order must follow argument order and
 // every predictor must match its solo run.
 func TestDifferentialMultiPredictor(t *testing.T) {
 	tr := randomTrace(7, 10_000)
@@ -134,10 +138,10 @@ func TestDifferentialMultiPredictor(t *testing.T) {
 		}
 		return ps
 	}
-	batch := Run(tr, mk()...)
-	conc := RunConcurrent(tr, mk()...)
+	batch := Simulate(tr, mk(), Options{}).Results
+	conc := Simulate(tr, mk(), Options{Parallel: -1}).Results
 	for i, spec := range specs {
-		solo := Run(tr, mk()[i])[0]
+		solo := Simulate(tr, []bp.Predictor{mk()[i]}, Options{}).Results[0]
 		sameResult(t, spec+"/batch-vs-solo", solo, batch[i])
 		sameResult(t, spec+"/concurrent-vs-solo", solo, conc[i])
 	}

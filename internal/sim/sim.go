@@ -5,43 +5,43 @@
 // accuracies, and the classifications of section 5 compare per-branch
 // correct counts across predictors.
 //
-// Simulate is the single entry point: it drives a set of predictors over
-// a trace under an Options value selecting parallelism, timeline
-// bucketing, and engine. The package has two execution engines with
-// pinned-identical results:
+// The package has two kinds of entry point — Simulate for per-branch
+// Results (and Timelines), SimulateSweep for whole config grids — each
+// with a streaming twin (SimulateBlocks, SimulateSweepBlocks) that reads
+// a trace.BlockSource in bounded memory. The in-memory calls feed the
+// trace's memoized Packed view to the same per-block step as one
+// zero-copy block, so each pair is one driver with two block sources.
+// There are two execution engines with pinned-identical results:
 //
 //   - the reference loop (Options.ForceReference) — one Predict/Update
-//     interface call pair and one per-address map update per dynamic
-//     branch — which is the executable specification;
+//     interface call pair per dynamic branch on records rebuilt from the
+//     packed columns — which is the executable specification;
 //   - the columnar fast path, taken transparently for every predictor
-//     implementing bp.KernelPredictor: the trace's memoized Packed view
-//     (dense int32 branch IDs + taken bitset) streams through the
-//     predictor's batched SimulateBlock kernel, and per-branch correct
-//     counts accumulate in a flat slice indexed by dense ID instead of a
-//     pointer map.
+//     implementing bp.KernelPredictor (and every grid implementing
+//     bp.SweepKernel): the dense int32 branch IDs and taken/backward
+//     bitsets stream through the batched SimulateBlock (SweepBlock)
+//     kernel.
 //
-// Differential tests (kernel_test.go, differential_test.go, and the
-// experiments package's report byte-identity test) prove the two engines
-// bit-identical: same totals, same per-branch accounts, same report
-// bytes.
+// Either way per-branch correct counts accumulate in a flat slice
+// indexed by dense ID. Differential tests (kernel_test.go,
+// differential_test.go, and the experiments package's report
+// byte-identity test) prove the two engines bit-identical: same totals,
+// same per-branch accounts, same report bytes.
 //
-// Simulate reports which engine each predictor engaged into an
+// The drivers report which engine each predictor engaged into an
 // obs.Registry (Options.Observer, defaulting to the process registry):
 // counters sim.records, sim.runs.{fastpath,reference}, and
 // sim.{fastpath,reference}.<predictor>. The counts depend only on the
-// work requested, never on scheduling, so snapshots are identical at any
-// parallelism.
+// work requested, never on scheduling or chunking, so snapshots are
+// identical at any parallelism.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
 
-	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
-	"branchcorr/internal/runner"
 	"branchcorr/internal/trace"
 )
 
@@ -104,48 +104,6 @@ func newResult(predictor, traceName string) *Result {
 	}
 }
 
-// record tallies one prediction.
-func (r *Result) record(pc trace.Addr, correct bool) {
-	r.Total++
-	b := r.PerBranch[pc]
-	if b == nil {
-		b = &BranchAcc{}
-		r.PerBranch[pc] = b
-	}
-	b.Total++
-	if correct {
-		r.Correct++
-		b.Correct++
-	}
-}
-
-// fullBlock builds the kernel input covering the whole packed trace.
-func fullBlock(pt *trace.Packed) bp.KernelBlock {
-	return bp.KernelBlock{
-		IDs:   pt.IDs(),
-		Taken: pt.TakenWords(),
-		Back:  pt.BackwardWords(),
-		Addrs: pt.Addrs(),
-		Lo:    0,
-		Hi:    pt.Len(),
-	}
-}
-
-// resultFromCounts converts the fast path's flat per-ID accounting into
-// the map-shaped Result the rest of the repo consumes. Every dense ID
-// occurs at least once in the trace, so the map's key set is exactly the
-// reference loop's.
-func resultFromCounts(name string, pt *trace.Packed, correct []int32, total int) *Result {
-	r := newResult(name, pt.Name())
-	addrs, counts := pt.Addrs(), pt.Counts()
-	for id := range addrs {
-		r.PerBranch[addrs[id]] = &BranchAcc{Correct: int(correct[id]), Total: int(counts[id])}
-	}
-	r.Correct = total
-	r.Total = pt.Len()
-	return r
-}
-
 // Timeline is a predictor's accuracy over consecutive equal-size spans
 // of a trace, exposing warmup/training behavior: the first buckets show
 // the cold predictor, the tail its steady state.
@@ -155,14 +113,15 @@ type Timeline struct {
 	Accuracy  []float64 // per-bucket accuracy (last bucket may be partial)
 }
 
-// Options configures one Simulate call. The zero value is the common
+// Options configures one simulation call. The zero value is the common
 // case: sequential, no timelines, fastest engine per predictor, metrics
 // into the process-wide default registry.
 type Options struct {
 	// Parallel is the worker budget for fanning independent work across
-	// the runner pool. In Simulate it bounds concurrent predictor runs
-	// (one cell per predictor; predictors are independent, the trace is
-	// read-only). In SimulateSweep and SimulateSweepBlocks it bounds
+	// the runner pool. In Simulate and SimulateBlocks it bounds
+	// concurrent predictor runs (one cell per predictor per block;
+	// predictors are independent, the block is read-only). In
+	// SimulateSweep and SimulateSweepBlocks it bounds
 	// config shards: the grid splits into up to Parallel contiguous
 	// sub-grids (bp.SweepSharder), each replaying on its own core, and
 	// the per-config counts compose exactly. 0 or 1 runs sequentially;
@@ -190,253 +149,12 @@ func (o Options) workers() int {
 	return o.Parallel
 }
 
-// Outcome carries everything one Simulate call produced, in predictor
+// Outcome carries everything one Simulate or SimulateBlocks call produced, in predictor
 // argument order.
 type Outcome struct {
 	Results []*Result
 	// Timelines is non-nil only when Options.BucketSize > 0.
 	Timelines []*Timeline
-}
-
-// Simulate drives every predictor over the trace (each predictor sees
-// the identical committed branch stream) and returns one Result — and,
-// when opts.BucketSize > 0, one Timeline — per predictor, in argument
-// order. Each predictor independently takes the columnar fast path over
-// the trace's memoized Packed view when it implements
-// bp.KernelPredictor (unless opts.ForceReference); predictors are
-// mutually independent, so engine choice and scheduling never change
-// the Outcome.
-func Simulate(t *trace.Trace, predictors []bp.Predictor, opts Options) *Outcome {
-	reg := obs.Or(opts.Observer)
-	out := &Outcome{Results: make([]*Result, len(predictors))}
-	if opts.BucketSize > 0 {
-		out.Timelines = make([]*Timeline, len(predictors))
-	}
-	if len(predictors) == 0 {
-		return out
-	}
-	defer reg.StartSpan("sim.simulate").End()
-	one := func(i int, p bp.Predictor) {
-		r, tl := simulateOne(t, p, opts, reg)
-		out.Results[i] = r
-		if out.Timelines != nil {
-			out.Timelines[i] = tl
-		}
-	}
-	if w := opts.workers(); w > 1 && len(predictors) > 1 {
-		cells := make([]runner.Cell, len(predictors))
-		for i, p := range predictors {
-			i, p := i, p
-			cells[i] = runner.Cell{
-				Exhibit:  "sim",
-				Workload: p.Name(),
-				Run: func(context.Context) error {
-					one(i, p)
-					return nil
-				},
-			}
-		}
-		err := runner.Run(context.Background(), cells, runner.Options{Parallel: w})
-		if err != nil {
-			// Unreachable: cells never fail and the context is never
-			// cancelled; a scheduler error here is a bug, not a condition.
-			panic("sim: Simulate scheduler failed: " + err.Error())
-		}
-	} else {
-		for i, p := range predictors {
-			one(i, p)
-		}
-	}
-	return out
-}
-
-// simulateOne runs one predictor via its best admissible engine and
-// accounts the engagement. Counter increments depend only on the
-// (trace, predictor, options) triple, so totals are deterministic at
-// any parallelism.
-func simulateOne(t *trace.Trace, p bp.Predictor, opts Options, reg *obs.Registry) (*Result, *Timeline) {
-	reg.Counter("sim.records").Add(int64(t.Len()))
-	if k, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference {
-		reg.Counter("sim.runs.fastpath").Inc()
-		reg.Counter("sim.fastpath." + p.Name()).Inc()
-		return runPackedOne(t, k, opts.BucketSize)
-	}
-	reg.Counter("sim.runs.reference").Inc()
-	reg.Counter("sim.reference." + p.Name()).Inc()
-	return runReferenceOne(t, p, opts.BucketSize)
-}
-
-// runPackedOne drives one kernel predictor over the trace's memoized
-// columnar view: per-branch correct counts accumulate in a flat slice
-// indexed by dense branch ID, with no interface call or map lookup per
-// record. With bucketing the kernel replays one packed block per bucket
-// into the same count slice (kernels only ever increment), so the
-// Result and the Timeline come out of a single pass.
-func runPackedOne(t *trace.Trace, k bp.KernelPredictor, bucketSize int) (*Result, *Timeline) {
-	pt := t.Packed()
-	correct := make([]int32, pt.NumBranches())
-	blk := fullBlock(pt)
-	if bucketSize <= 0 {
-		total := k.SimulateBlock(blk, correct)
-		return resultFromCounts(k.Name(), pt, correct, total), nil
-	}
-	tl := &Timeline{Predictor: k.Name(), Bucket: bucketSize}
-	total := 0
-	for lo := 0; lo < pt.Len(); lo += bucketSize {
-		hi := min(lo+bucketSize, pt.Len())
-		blk.Lo, blk.Hi = lo, hi
-		c := k.SimulateBlock(blk, correct)
-		total += c
-		tl.Accuracy = append(tl.Accuracy, float64(c)/float64(hi-lo))
-	}
-	return resultFromCounts(k.Name(), pt, correct, total), tl
-}
-
-// runReferenceOne drives one predictor through the per-record reference
-// loop — the executable specification the columnar kernels are pinned
-// against: one Predict/Update pair and one map-based per-branch account
-// per dynamic branch, with optional bucket accounting.
-func runReferenceOne(t *trace.Trace, p bp.Predictor, bucketSize int) (*Result, *Timeline) {
-	res := newResult(p.Name(), t.Name())
-	var tl *Timeline
-	if bucketSize > 0 {
-		tl = &Timeline{Predictor: p.Name(), Bucket: bucketSize}
-	}
-	bucketCorrect, bucketN := 0, 0
-	for _, rec := range t.Records() {
-		correct := p.Predict(rec) == rec.Taken
-		p.Update(rec)
-		res.record(rec.PC, correct)
-		if tl != nil {
-			if correct {
-				bucketCorrect++
-			}
-			if bucketN++; bucketN == bucketSize {
-				tl.Accuracy = append(tl.Accuracy, float64(bucketCorrect)/float64(bucketSize))
-				bucketCorrect, bucketN = 0, 0
-			}
-		}
-	}
-	if tl != nil && bucketN > 0 {
-		tl.Accuracy = append(tl.Accuracy, float64(bucketCorrect)/float64(bucketN))
-	}
-	return res, tl
-}
-
-// SimulateScanner drives the predictors from a trace scanner, so
-// on-disk traces of any length simulate in constant memory. The single
-// streaming pass interleaves predictors record by record;
-// opts.BucketSize works as in Simulate, while opts.Parallel and
-// opts.ForceReference are moot (streaming always uses the reference
-// loop — there is no packed view to kernel over). Results are identical
-// to Simulate over the equivalent in-memory trace.
-func SimulateScanner(sc *trace.Scanner, predictors []bp.Predictor, opts Options) (*Outcome, error) {
-	reg := obs.Or(opts.Observer)
-	out := &Outcome{Results: make([]*Result, len(predictors))}
-	if opts.BucketSize > 0 {
-		out.Timelines = make([]*Timeline, len(predictors))
-	}
-	bucketCorrect := make([]int, len(predictors))
-	for i, p := range predictors {
-		out.Results[i] = newResult(p.Name(), sc.Name())
-		if out.Timelines != nil {
-			out.Timelines[i] = &Timeline{Predictor: p.Name(), Bucket: opts.BucketSize}
-		}
-	}
-	n := 0
-	for sc.Scan() {
-		rec := sc.Record()
-		for i, p := range predictors {
-			correct := p.Predict(rec) == rec.Taken
-			p.Update(rec)
-			out.Results[i].record(rec.PC, correct)
-			if correct {
-				bucketCorrect[i]++
-			}
-		}
-		if n++; out.Timelines != nil && n%opts.BucketSize == 0 {
-			for i := range predictors {
-				out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
-					float64(bucketCorrect[i])/float64(opts.BucketSize))
-				bucketCorrect[i] = 0
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if out.Timelines != nil && n%opts.BucketSize != 0 {
-		for i := range predictors {
-			out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
-				float64(bucketCorrect[i])/float64(n%opts.BucketSize))
-		}
-	}
-	reg.Counter("sim.records").Add(int64(n) * int64(len(predictors)))
-	for _, p := range predictors {
-		reg.Counter("sim.runs.reference").Inc()
-		reg.Counter("sim.reference." + p.Name()).Inc()
-	}
-	return out, nil
-}
-
-// Run returns one Result per predictor, in argument order.
-//
-// Deprecated: Run is Simulate with zero Options; new code should call
-// Simulate.
-func Run(t *trace.Trace, predictors ...bp.Predictor) []*Result {
-	return Simulate(t, predictors, Options{}).Results
-}
-
-// RunReference runs every predictor through the per-record reference
-// loop, the executable specification the columnar fast path is pinned
-// bit-identical to by the package's differential tests.
-//
-// Deprecated: RunReference is Simulate with Options.ForceReference; new
-// code should call Simulate.
-func RunReference(t *trace.Trace, predictors ...bp.Predictor) []*Result {
-	return Simulate(t, predictors, Options{ForceReference: true}).Results
-}
-
-// RunOne is a convenience wrapper for a single predictor.
-//
-// Deprecated: RunOne is Simulate with one predictor; new code should
-// call Simulate.
-func RunOne(t *trace.Trace, p bp.Predictor) *Result {
-	return Simulate(t, []bp.Predictor{p}, Options{}).Results[0]
-}
-
-// RunTimeline records each predictor's accuracy per bucket of
-// bucketSize dynamic branches; bucketSize must be positive.
-//
-// Deprecated: RunTimeline is Simulate with Options.BucketSize; new code
-// should call Simulate.
-func RunTimeline(t *trace.Trace, bucketSize int, predictors ...bp.Predictor) []*Timeline {
-	if bucketSize <= 0 {
-		panic("sim: bucket size must be positive")
-	}
-	return Simulate(t, predictors, Options{BucketSize: bucketSize}).Timelines
-}
-
-// RunStream drives the predictors from a trace scanner in constant
-// memory.
-//
-// Deprecated: RunStream is SimulateScanner with zero Options; new code
-// should call SimulateScanner.
-func RunStream(sc *trace.Scanner, predictors ...bp.Predictor) ([]*Result, error) {
-	out, err := SimulateScanner(sc, predictors, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return out.Results, nil
-}
-
-// RunConcurrent behaves exactly like Run but fans the predictors out
-// across the runner worker pool.
-//
-// Deprecated: RunConcurrent is Simulate with Options.Parallel; new code
-// should call Simulate.
-func RunConcurrent(t *trace.Trace, predictors ...bp.Predictor) []*Result {
-	return Simulate(t, predictors, Options{Parallel: -1}).Results
 }
 
 // CombineMax builds the paper's hypothetical per-branch combiner: for

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"branchcorr/internal/bp"
@@ -96,6 +97,19 @@ func TestSimulateEngagementCounters(t *testing.T) {
 		}
 	}
 
+	// In-memory calls never report the streaming-only entries.
+	SimulateSweep(tr, bp.NewGshareSweep([]uint{4, 8}), Options{Observer: reg})
+	for name := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "sim.stream.") || name == "sim.sweep.blocks" {
+			t.Errorf("in-memory run reported streaming counter %s", name)
+		}
+	}
+	for name := range reg.Snapshot().Gauges {
+		if strings.HasPrefix(name, "sim.stream.") {
+			t.Errorf("in-memory run reported streaming gauge %s", name)
+		}
+	}
+
 	// ForceReference flips the kernel predictor onto the reference loop.
 	reg2 := obs.New()
 	Simulate(tr, mustParse(t, "gshare:10"), Options{ForceReference: true, Observer: reg2})
@@ -125,36 +139,26 @@ func TestSimulateCountersParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestSimulateScannerBuckets checks the streaming driver matches the
-// in-memory reference engine on both Results and Timelines.
+// TestSimulateScannerBuckets checks the driver over a decoded BTR1
+// stream matches the in-memory reference engine on both Results and
+// Timelines, with buckets straddling the decoder's chunks.
 func TestSimulateScannerBuckets(t *testing.T) {
 	tr := randomTrace(7, 5_500)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := trace.NewScanner(&buf)
+	src, err := trace.ReadBlocks(&buf, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := []string{"gshare:10", "tage"}
-	got, err := SimulateScanner(sc, mustParse(t, specs...), Options{BucketSize: 1000})
+	got, err := SimulateBlocks(src, mustParse(t, specs...), Options{BucketSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Simulate(tr, mustParse(t, specs...), Options{BucketSize: 1000, ForceReference: true})
-	for i := range specs {
-		sameResult(t, "stream/"+specs[i], want.Results[i], got.Results[i])
-		w, g := want.Timelines[i], got.Timelines[i]
-		if len(w.Accuracy) != len(g.Accuracy) {
-			t.Fatalf("%s: bucket counts %d vs %d", specs[i], len(w.Accuracy), len(g.Accuracy))
-		}
-		for b := range w.Accuracy {
-			if w.Accuracy[b] != g.Accuracy[b] {
-				t.Errorf("%s bucket %d: %v vs %v", specs[i], b, w.Accuracy[b], g.Accuracy[b])
-			}
-		}
-	}
+	sameOutcome(t, "stream", want, got)
 }
 
 // TestSimulateEmpty pins the degenerate cases: no predictors, and an

@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
-	"branchcorr/internal/runner"
 	"branchcorr/internal/trace"
 )
 
@@ -17,19 +14,18 @@ import (
 // packed columns; grids without one fall back to per-config simulation
 // inside the same call, each config on its own best engine. The
 // differential tests pin both engines bit-identical, per config, to
-// independent Simulate runs.
+// independent Simulate runs. As with Simulate, the in-memory and
+// streamed entry points share one per-block step (blockSweeper) and
+// differ only in their block source.
 //
 // On top of fusion sits config sharding (Options.Parallel > 1): the
 // grid splits into contiguous sub-grids (bp.SweepSharder), one runner
-// cell per shard, each replaying the identical record stream against
-// its own fresh state. Configs of one grid share no counter state, so
-// each shard's per-config counts land in a disjoint slice of the output
-// vector and the composed result is byte-identical to the sequential
-// run — the scheduler only ever changes who computes a count, never the
-// count (pinned by the shard differential tests under -race). In the
-// streaming variant a feeder cell decodes each chunk once and fans it
-// out to every shard with a per-chunk barrier (the source's buffers are
-// reused, so no shard may lag a chunk behind).
+// cell per shard per block, each replaying the identical record stream
+// against its own fresh state. Configs of one grid share no counter
+// state, so each shard's per-config counts land in a disjoint slice of
+// the output vector and the composed result is byte-identical to the
+// sequential run — the scheduler only ever changes who computes a count,
+// never the count (pinned by the shard differential tests under -race).
 
 // SweepOutcome is everything one SimulateSweep call produced: one
 // correct-prediction count per grid config, in grid order, over a
@@ -150,42 +146,6 @@ func shardAccount(reg *obs.Registry, shards []sweepShard) {
 	}
 }
 
-// sweepEngine replays the whole trace through one grid, adding each
-// config's correct count into correct (len(correct) = config count).
-// It is the unit of scheduling: the sequential path calls it once with
-// the full grid, the sharded path once per shard with a sub-grid and
-// the matching slice of the output vector.
-func sweepEngine(t *trace.Trace, grid bp.SweepGrid, force bool, correct []int64) {
-	pt := t.Packed()
-	if k, ok := grid.(bp.SweepKernel); ok && !force {
-		scratch := make([]int32, len(correct))
-		k.SweepBlock(fullBlock(pt), scratch)
-		for c, v := range scratch {
-			correct[c] += int64(v)
-		}
-		return
-	}
-	var perID []int32 // shared per-branch scratch; only the totals matter
-	for c, p := range grid.Configs() {
-		if kp, ok := p.(bp.KernelPredictor); ok && !force {
-			if perID == nil {
-				perID = make([]int32, pt.NumBranches())
-			}
-			correct[c] += int64(kp.SimulateBlock(fullBlock(pt), perID))
-			continue
-		}
-		n := 0
-		for _, rec := range t.Records() {
-			ok := p.Predict(rec) == rec.Taken
-			p.Update(rec)
-			if ok {
-				n++
-			}
-		}
-		correct[c] += int64(n)
-	}
-}
-
 // SimulateSweep drives an entire config grid over the trace in one call
 // and returns the per-config correct counts in grid order. When the
 // grid implements bp.SweepKernel (and opts.ForceReference is unset) the
@@ -213,50 +173,86 @@ func SimulateSweep(t *trace.Trace, grid bp.SweepGrid, opts Options) *SweepOutcom
 	defer reg.StartSpan("sim.simulate_sweep").End()
 	pt := t.Packed()
 	out := newSweepOutcome(grid, t.Name())
+	sweepers, fused := newSweepers(grid, opts, out.Correct, reg)
+	sweepStep(sweepers, wholeBlock(pt), pt.Addrs())
 	out.Total = pt.Len()
-	_, fused := grid.(bp.SweepKernel)
-	fused = fused && !opts.ForceReference
-	sweepAccount(reg, out.Grid, len(out.Configs), pt.Len(), fused)
-	n := sweepShards(opts, len(out.Configs))
-	if n <= 1 {
-		sweepEngine(t, grid, opts.ForceReference, out.Correct)
-		return out
-	}
-	shards := planShards(grid, len(out.Configs), n, fused)
-	shardAccount(reg, shards)
-	cells := make([]runner.Cell, len(shards))
-	for i, sh := range shards {
-		sh := sh
-		seg := out.Correct[sh.lo:sh.hi:sh.hi]
-		cells[i] = runner.Cell{
-			Exhibit:  "sweep-shard",
-			Workload: fmt.Sprintf("%s/%d", t.Name(), i),
-			Run: func(context.Context) error {
-				sweepEngine(t, sh.grid, opts.ForceReference, seg)
-				return nil
-			},
-		}
-	}
-	err := runner.Run(context.Background(), cells, runner.Options{Parallel: len(cells)})
-	if err != nil {
-		// Unreachable: cells never fail and the context is never
-		// cancelled; a scheduler error here is a bug, not a condition.
-		panic("sim: SimulateSweep scheduler failed: " + err.Error())
-	}
+	sweepAccount(reg, out.Grid, len(out.Configs), out.Total, fused)
 	return out
 }
 
-// blockSweeper advances one grid through a block stream, adding each
-// config's per-chunk correct counts into its int64 vector (so stream
-// length is unbounded). It resolves the grid's engine once — fused
-// kernel, or per-config predictors each on its own best engine — and is
-// the per-shard unit of the streaming scheduler.
+// SimulateSweepBlocks is SimulateSweep over a streaming block source:
+// the whole grid advances through one bounded-memory pass, one chunk
+// resident at a time, so figure-scale sweeps run in O(chunk) memory
+// straight from corpus.OpenBlocks streams. Each chunk replays through
+// the same per-block step SimulateSweep uses; with opts.Parallel > 1
+// the grid shards as in SimulateSweep and every shard finishes a chunk
+// before the next one loads (the source reuses its buffers). Results
+// are bit-identical to SimulateSweep over the equivalent in-memory trace
+// at any chunk size and any Parallel setting, pinned by the streamed
+// sweep differential tests.
+//
+// On top of SimulateSweep's counters the pass reports sim.sweep.blocks
+// and the peak-resident-chunk gauge sim.stream.peak_block_bytes.
+func SimulateSweepBlocks(src trace.BlockSource, grid bp.SweepGrid, opts Options) (*SweepOutcome, error) {
+	reg := obs.Or(opts.Observer)
+	defer reg.StartSpan("sim.simulate_sweep_blocks").End()
+	out := newSweepOutcome(grid, src.Name())
+	sweepers, fused := newSweepers(grid, opts, out.Correct, reg)
+	for {
+		blk, ok := src.Next()
+		if !ok {
+			break
+		}
+		addrs := src.Addrs()
+		reg.Counter("sim.sweep.blocks").Inc()
+		reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
+		sweepStep(sweepers, blk, addrs)
+		out.Total += blk.Len()
+	}
+	if err := src.Err(); err != nil {
+		return nil, err
+	}
+	sweepAccount(reg, out.Grid, len(out.Configs), out.Total, fused)
+	return out, nil
+}
+
+// newSweepers resolves a sweep call's schedule: one blockSweeper over
+// the whole grid, or — when the options grant more than one worker —
+// one per config shard, each owning its slice of correct. fused reports
+// the grid's effective engine.
+func newSweepers(grid bp.SweepGrid, opts Options, correct []int64, reg *obs.Registry) (sweepers []*blockSweeper, fused bool) {
+	_, fused = grid.(bp.SweepKernel)
+	fused = fused && !opts.ForceReference
+	n := sweepShards(opts, len(correct))
+	if n <= 1 {
+		return []*blockSweeper{newBlockSweeper(grid, opts.ForceReference, correct)}, fused
+	}
+	shards := planShards(grid, len(correct), n, fused)
+	shardAccount(reg, shards)
+	sweepers = make([]*blockSweeper, len(shards))
+	for i, sh := range shards {
+		sweepers[i] = newBlockSweeper(sh.grid, opts.ForceReference, correct[sh.lo:sh.hi:sh.hi])
+	}
+	return sweepers, fused
+}
+
+// sweepStep replays one block through every shard's sweeper: in place
+// for a single sweeper, else one runner cell per shard, all holding a
+// worker at once. It returns once every shard has consumed the block.
+func sweepStep(sweepers []*blockSweeper, blk trace.Block, addrs []trace.Addr) {
+	fanOut("sweep-shard", len(sweepers), len(sweepers), func(i int) { sweepers[i].step(blk, addrs) })
+}
+
+// blockSweeper is the per-block step of one grid (or config shard),
+// adding each config's per-block correct counts into its int64 vector
+// (so stream length is unbounded). It resolves the grid's engine once —
+// fused kernel, or per-config predictors each on its own best engine.
 type blockSweeper struct {
 	kernel  bp.SweepKernel
 	preds   []bp.Predictor
 	kernels []bp.KernelPredictor
 	scratch []int32
-	perID   []int32
+	perID   []int32 // shared per-branch scratch; only the totals matter
 	correct []int64
 }
 
@@ -276,10 +272,10 @@ func newBlockSweeper(grid bp.SweepGrid, force bool, correct []int64) *blockSweep
 	return s
 }
 
-// consume replays one chunk through every config. The block and addrs
+// step replays one block through every config. The block and addrs
 // views are only valid for the duration of the call (sources reuse
 // their buffers).
-func (s *blockSweeper) consume(blk trace.Block, addrs []trace.Addr) {
+func (s *blockSweeper) step(blk trace.Block, addrs []trace.Addr) {
 	kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: 0, Hi: blk.Len()}
 	if s.kernel != nil {
 		for c := range s.scratch {
@@ -299,141 +295,4 @@ func (s *blockSweeper) consume(blk trace.Block, addrs []trace.Addr) {
 			s.correct[c] += int64(referenceSegment(p, blk, addrs, 0, blk.Len(), s.perID))
 		}
 	}
-}
-
-// SimulateSweepBlocks is SimulateSweep over a streaming block source:
-// the whole grid advances through one bounded-memory pass, one chunk
-// resident at a time, so figure-scale sweeps run in O(chunk) memory
-// straight from corpus.OpenBlocks streams. Fused grids replay each
-// chunk through SweepBlock; fallback grids replay each chunk through
-// every config before the next chunk loads. With opts.Parallel > 1 the
-// grid shards as in SimulateSweep, with one extra feeder cell decoding
-// the stream once and fanning each chunk out to every shard under a
-// per-chunk barrier. Results are bit-identical to SimulateSweep over
-// the equivalent in-memory trace at any chunk size and any Parallel
-// setting, pinned by the streamed sweep differential tests.
-//
-// On top of SimulateSweep's counters the pass reports sim.sweep.blocks
-// and the peak-resident-chunk gauge sim.stream.peak_block_bytes.
-func SimulateSweepBlocks(src trace.BlockSource, grid bp.SweepGrid, opts Options) (*SweepOutcome, error) {
-	reg := obs.Or(opts.Observer)
-	defer reg.StartSpan("sim.simulate_sweep_blocks").End()
-	out := newSweepOutcome(grid, src.Name())
-	ncfg := len(out.Configs)
-	_, fused := grid.(bp.SweepKernel)
-	fused = fused && !opts.ForceReference
-	var (
-		pos int
-		err error
-	)
-	if n := sweepShards(opts, ncfg); n <= 1 {
-		pos, err = sweepBlocksSequential(src, grid, opts.ForceReference, out.Correct, reg)
-	} else {
-		shards := planShards(grid, ncfg, n, fused)
-		shardAccount(reg, shards)
-		pos, err = sweepBlocksSharded(src, shards, opts.ForceReference, out.Correct, reg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out.Total = pos
-	sweepAccount(reg, out.Grid, ncfg, pos, fused)
-	return out, nil
-}
-
-// sweepBlocksSequential is the single-worker streaming pass: one
-// blockSweeper over the whole grid consumes chunks as they decode.
-func sweepBlocksSequential(src trace.BlockSource, grid bp.SweepGrid, force bool, correct []int64, reg *obs.Registry) (int, error) {
-	sw := newBlockSweeper(grid, force, correct)
-	pos := 0
-	for {
-		blk, ok := src.Next()
-		if !ok {
-			break
-		}
-		addrs := src.Addrs()
-		reg.Counter("sim.sweep.blocks").Inc()
-		reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
-		sw.consume(blk, addrs)
-		pos += blk.Len()
-	}
-	return pos, src.Err()
-}
-
-// blockFeed is one decoded chunk in flight from the feeder to a shard.
-type blockFeed struct {
-	blk   trace.Block
-	addrs []trace.Addr
-}
-
-// sweepBlocksSharded fans a block stream out to per-shard sweepers: a
-// feeder cell decodes each chunk once and hands it to every shard,
-// then waits for all of them before loading the next chunk — the
-// source reuses its buffers, so the barrier is what makes the shared
-// view sound. Every cell must hold a worker simultaneously (the feeder
-// blocks on the slowest shard each chunk), hence Parallel =
-// len(cells); the runner caps workers at the cell count, so the
-// options' budget has already been applied by the shard plan.
-func sweepBlocksSharded(src trace.BlockSource, shards []sweepShard, force bool, correct []int64, reg *obs.Registry) (int, error) {
-	sweepers := make([]*blockSweeper, len(shards))
-	chans := make([]chan blockFeed, len(shards))
-	for i, sh := range shards {
-		sweepers[i] = newBlockSweeper(sh.grid, force, correct[sh.lo:sh.hi:sh.hi])
-		chans[i] = make(chan blockFeed)
-	}
-	var (
-		pos    int
-		srcErr error
-		wg     sync.WaitGroup
-	)
-	cells := make([]runner.Cell, 0, len(shards)+1)
-	cells = append(cells, runner.Cell{
-		Exhibit:  "sweep-feed",
-		Workload: src.Name(),
-		Run: func(context.Context) error {
-			defer func() {
-				for _, ch := range chans {
-					close(ch)
-				}
-			}()
-			for {
-				blk, ok := src.Next()
-				if !ok {
-					break
-				}
-				addrs := src.Addrs()
-				reg.Counter("sim.sweep.blocks").Inc()
-				reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
-				wg.Add(len(chans))
-				for _, ch := range chans {
-					ch <- blockFeed{blk: blk, addrs: addrs}
-				}
-				wg.Wait()
-				pos += blk.Len()
-			}
-			srcErr = src.Err()
-			return nil
-		},
-	})
-	for i := range shards {
-		ch, sw := chans[i], sweepers[i]
-		cells = append(cells, runner.Cell{
-			Exhibit:  "sweep-shard",
-			Workload: fmt.Sprintf("%s/%d", src.Name(), i),
-			Run: func(context.Context) error {
-				for f := range ch {
-					sw.consume(f.blk, f.addrs)
-					wg.Done()
-				}
-				return nil
-			},
-		})
-	}
-	err := runner.Run(context.Background(), cells, runner.Options{Parallel: len(cells)})
-	if err != nil {
-		// Unreachable: cells never fail and the context is never
-		// cancelled; a scheduler error here is a bug, not a condition.
-		panic("sim: SimulateSweepBlocks scheduler failed: " + err.Error())
-	}
-	return pos, srcErr
 }

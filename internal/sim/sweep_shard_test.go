@@ -12,7 +12,7 @@ import (
 // Parallel setting, SimulateSweep and SimulateSweepBlocks must produce
 // byte-identical outcomes to the sequential engine, for every grid
 // family — fused, fallback, and degraded-shard alike. Run under -race
-// these tests also pin the feeder barrier's soundness.
+// these tests also pin the per-block barrier's soundness.
 
 // kernelOnlyGrid hides a fused grid's Shard method: a SweepKernel that
 // is not a SweepSharder, forcing the scheduler's degraded path.
@@ -53,13 +53,15 @@ func TestSimulateSweepShardedMatchesSequential(t *testing.T) {
 			out := SimulateSweep(tr, mk(), Options{Parallel: par})
 			sameSweep(t, name+"/sharded", out, base.Correct, base.Total)
 		}
-		ref := SimulateSweep(tr, mk(), Options{ForceReference: true, Parallel: 2})
-		sameSweep(t, name+"/sharded-reference", ref, base.Correct, base.Total)
+		for _, par := range []int{0, 2} {
+			ref := SimulateSweep(tr, mk(), Options{ForceReference: true, Parallel: par})
+			sameSweep(t, name+"/reference", ref, base.Correct, base.Total)
+		}
 	}
 }
 
 // TestSimulateSweepBlocksShardedMatchesSequential pins the streaming
-// scheduler — feeder cell, per-chunk barrier, reused source buffers —
+// scheduler — per-chunk shard cells and barrier, reused source buffers —
 // byte-identical to the sequential streaming pass at every chunk size
 // and shard count.
 func TestSimulateSweepBlocksShardedMatchesSequential(t *testing.T) {
@@ -75,6 +77,11 @@ func TestSimulateSweepBlocksShardedMatchesSequential(t *testing.T) {
 				sameSweep(t, name+"/stream-sharded", out, base.Correct, base.Total)
 			}
 		}
+		ref, err := SimulateSweepBlocks(tr.Packed().Blocks(1000), mk(), Options{ForceReference: true, Parallel: 2})
+		if err != nil {
+			t.Fatalf("%s reference: %v", name, err)
+		}
+		sameSweep(t, name+"/stream-sharded-reference", ref, base.Correct, base.Total)
 	}
 }
 

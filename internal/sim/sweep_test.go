@@ -105,6 +105,15 @@ func TestSimulateSweepBlocksMatchesPacked(t *testing.T) {
 			}
 			sameSweep(t, name, out, want, tr.Len())
 		}
+		// The in-memory reference sweep is the same per-block step fed
+		// the whole trace as one block.
+		ref := SimulateSweep(tr, mk(), Options{ForceReference: true})
+		sameSweep(t, name+"/reference", ref, want, tr.Len())
+		streamedRef, err := SimulateSweepBlocks(tr.Packed().Blocks(65), mk(), Options{ForceReference: true})
+		if err != nil {
+			t.Fatalf("%s reference: %v", name, err)
+		}
+		sameSweep(t, name+"/stream-reference", streamedRef, want, tr.Len())
 	}
 }
 

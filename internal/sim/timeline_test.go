@@ -14,7 +14,7 @@ func TestRunTimeline(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		tr.Append(rec(0x40, i < 5_000))
 	}
-	tls := RunTimeline(tr, 1000, bp.NewBimodal(10), bp.AlwaysTaken{})
+	tls := Simulate(tr, []bp.Predictor{bp.NewBimodal(10), bp.AlwaysTaken{}}, Options{BucketSize: 1000}).Timelines
 	if len(tls) != 2 {
 		t.Fatalf("timelines: %d", len(tls))
 	}
@@ -35,7 +35,7 @@ func TestRunTimeline(t *testing.T) {
 	}
 	// Overall accuracy reconstructed from buckets must match a direct
 	// run.
-	direct := RunOne(tr, bp.NewBimodal(10))
+	direct := Simulate(tr, []bp.Predictor{bp.NewBimodal(10)}, Options{}).Results[0]
 	sum := 0.0
 	for _, a := range bimodal.Accuracy {
 		sum += a * 1000
@@ -50,20 +50,11 @@ func TestRunTimelinePartialBucket(t *testing.T) {
 	for i := 0; i < 2500; i++ {
 		tr.Append(rec(0x40, true))
 	}
-	tls := RunTimeline(tr, 1000, bp.AlwaysTaken{})
+	tls := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}}, Options{BucketSize: 1000}).Timelines
 	if len(tls[0].Accuracy) != 3 {
 		t.Fatalf("buckets: %v", tls[0].Accuracy)
 	}
 	if tls[0].Accuracy[2] != 1 {
 		t.Errorf("partial bucket accuracy: %v", tls[0].Accuracy[2])
 	}
-}
-
-func TestRunTimelinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bucket 0 should panic")
-		}
-	}()
-	RunTimeline(trace.New("x", 0), 0, bp.AlwaysTaken{})
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -154,7 +155,142 @@ func TestReadBlocksMatchesPack(t *testing.T) {
 					t.Fatalf("intern[%d] = %#x, want %#x", id, a, pt.AddrOf(int32(id)))
 				}
 			}
+			if br.Remaining() != 0 {
+				t.Errorf("Remaining after EOF = %d", br.Remaining())
+			}
+			if _, ok := br.Next(); ok {
+				t.Error("Next after EOF should be false")
+			}
 		}
+	}
+}
+
+// The TestScanner* tests pin the streaming decoder, ReadBlocks: it
+// must agree with Read record for record and reject every malformed or
+// truncated stream Read rejects, one chunk at a time.
+
+// drainErr reads br to the end and returns its error, checking that a
+// finished source stays finished.
+func drainErr(t *testing.T, br *BlockReader) error {
+	t.Helper()
+	for {
+		if _, ok := br.Next(); !ok {
+			break
+		}
+	}
+	if _, ok := br.Next(); ok {
+		t.Error("Next after the end should keep returning false")
+	}
+	return br.Err()
+}
+
+func TestScannerMatchesRead(t *testing.T) {
+	tr := localityTrace("scan", 5000, 17)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{1, 64, 1000, DefaultBlockLen} {
+		br, err := ReadBlocks(bytes.NewReader(buf.Bytes()), chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if br.Name() != want.Name() {
+			t.Errorf("chunk=%d: Name = %q, want %q", chunk, br.Name(), want.Name())
+		}
+		if br.Remaining() != want.Len() {
+			t.Errorf("chunk=%d: Remaining = %d, want %d", chunk, br.Remaining(), want.Len())
+		}
+		got := drainSource(t, br)
+		if len(got) != want.Len() {
+			t.Fatalf("chunk=%d: streamed %d records, Read decoded %d", chunk, len(got), want.Len())
+		}
+		for i, r := range got {
+			if r != want.At(i) {
+				t.Fatalf("chunk=%d: record %d: %v != %v", chunk, i, r, want.At(i))
+			}
+		}
+		if br.Remaining() != 0 {
+			t.Errorf("chunk=%d: Remaining after EOF = %d", chunk, br.Remaining())
+		}
+	}
+}
+
+func TestScannerBadMagic(t *testing.T) {
+	if _, err := ReadBlocks(strings.NewReader("XXXXXXXXXX"), 8); err != ErrBadMagic {
+		t.Errorf("err = %v, want ErrBadMagic", err)
+	}
+}
+
+func TestScannerHeaderErrors(t *testing.T) {
+	cases := map[string][]byte{
+		"empty":            nil,
+		"short magic":      []byte("BT"),
+		"bad magic":        []byte("XXXXXXXX"),
+		"missing name len": magic[:],
+		"huge name len":    newStream().uvarint(maxNameLen + 1).bytes(),
+		"truncated name":   newStream().uvarint(10).raw('a', 'b').bytes(),
+		"missing count":    newStream().name("n").bytes(),
+	}
+	for name, data := range cases {
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Read succeeded", name)
+		}
+		if _, err := ReadBlocks(bytes.NewReader(data), 8); err == nil {
+			t.Errorf("%s: ReadBlocks succeeded", name)
+		}
+	}
+}
+
+func TestScannerRejectsNonCanonical(t *testing.T) {
+	reserved := newStream().name("s").uvarint(1).uvarint(1 << 4).bytes()
+	zero := newStream().name("s").uvarint(1).uvarint(0).raw(0x00).bytes()
+	for name, data := range map[string][]byte{"reserved bits": reserved, "zero delta": zero} {
+		br, err := ReadBlocks(bytes.NewReader(data), 8)
+		if err != nil {
+			t.Fatalf("%s: header: %v", name, err)
+		}
+		if drainErr(t, br) == nil {
+			t.Errorf("%s: ReadBlocks accepted non-canonical stream", name)
+		}
+	}
+}
+
+// TestScannerTruncated cuts a stream at every byte: each proper prefix
+// must fail, in the header (ReadBlocks) or in the records (Err), never
+// decode as a shorter trace.
+func TestScannerTruncated(t *testing.T) {
+	tr := localityTrace("cut", 200, 5)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for cut := 0; cut < len(data); cut++ {
+		br, err := ReadBlocks(bytes.NewReader(data[:cut]), 16)
+		if err != nil {
+			continue
+		}
+		if drainErr(t, br) == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(data))
+		}
+	}
+}
+
+// TestScannerHugeCountBounded: a 15-byte stream claiming 2^60 records
+// surfaces as a truncation error, not an endless read.
+func TestScannerHugeCountBounded(t *testing.T) {
+	data := newStream().name("x").uvarint(1 << 60).bytes()
+	br, err := ReadBlocks(bytes.NewReader(data), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drainErr(t, br) == nil {
+		t.Error("ReadBlocks should surface the truncation")
 	}
 }
 
@@ -169,16 +305,8 @@ func TestReadBlocksTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok := br.Next(); !ok {
-			break
-		}
-	}
-	if br.Err() == nil {
+	if drainErr(t, br) == nil {
 		t.Error("truncated stream should surface an error")
-	}
-	if _, ok := br.Next(); ok {
-		t.Error("Next after error should keep returning false")
 	}
 }
 

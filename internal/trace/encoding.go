@@ -213,8 +213,8 @@ func (t *Trace) Write(w io.Writer) error {
 }
 
 // Read decodes a trace from r, materializing every record in memory.
-// Arbitrarily long on-disk traces should stream through NewScanner or
-// ReadBlocks instead. The header's record count is treated as a claim,
+// Arbitrarily long on-disk traces should stream through ReadBlocks
+// instead. The header's record count is treated as a claim,
 // not a budget: preallocation is capped (readPrealloc) and the record
 // slice grows only as records actually decode.
 func Read(r io.Reader) (*Trace, error) {

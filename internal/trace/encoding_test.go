@@ -52,22 +52,6 @@ func TestReadHugeCountNoOOM(t *testing.T) {
 	}
 }
 
-// TestScannerHugeCountBounded: the scanner never preallocated, but the
-// same claim must still surface as a truncation error, not an infinite
-// loop.
-func TestScannerHugeCountBounded(t *testing.T) {
-	data := newStream().name("x").uvarint(1 << 60).bytes()
-	sc, err := NewScanner(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sc.Scan() {
-	}
-	if sc.Err() == nil {
-		t.Error("scanner should surface the truncation")
-	}
-}
-
 func TestReadRejectsReservedHeaderBits(t *testing.T) {
 	for _, hdr := range []uint64{1 << 3, 1 << 7, flagTaken | 1<<5} {
 		data := newStream().name("r").uvarint(1).uvarint(hdr).uvarint(zigzag(4)).bytes()
@@ -137,42 +121,6 @@ func TestReadRejectsAliasedDelta(t *testing.T) {
 	}
 	if got.At(1).PC != 0xFFFFFFFF {
 		t.Errorf("PC = %#x", uint32(got.At(1).PC))
-	}
-}
-
-func TestScannerRejectsNonCanonical(t *testing.T) {
-	reserved := newStream().name("s").uvarint(1).uvarint(1 << 4).bytes()
-	zero := newStream().name("s").uvarint(1).uvarint(0).raw(0x00).bytes()
-	for name, data := range map[string][]byte{"reserved bits": reserved, "zero delta": zero} {
-		sc, err := NewScanner(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: header: %v", name, err)
-		}
-		for sc.Scan() {
-		}
-		if sc.Err() == nil {
-			t.Errorf("%s: scanner accepted non-canonical stream", name)
-		}
-	}
-}
-
-func TestScannerHeaderErrors(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":            nil,
-		"short magic":      []byte("BT"),
-		"bad magic":        []byte("XXXXXXXX"),
-		"missing name len": magic[:],
-		"huge name len":    newStream().uvarint(maxNameLen + 1).bytes(),
-		"truncated name":   newStream().uvarint(10).raw('a', 'b').bytes(),
-		"missing count":    newStream().name("n").bytes(),
-	}
-	for name, data := range cases {
-		if _, err := NewScanner(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: NewScanner succeeded", name)
-		}
-		if _, err := ReadBlocks(bytes.NewReader(data), 8); err == nil {
-			t.Errorf("%s: ReadBlocks succeeded", name)
-		}
 	}
 }
 

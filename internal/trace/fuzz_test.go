@@ -13,8 +13,9 @@ import (
 //  2. Canonical prefix identity: when Read accepts, re-encoding the
 //     trace reproduces exactly the bytes the decoder consumed — i.e.
 //     the input begins with the canonical encoding.
-//  3. The streaming Scanner agrees with Read record for record on every
-//     accepted input, so the two decoders cannot drift.
+//  3. The streaming block decoder, at a chunk size drawn from the
+//     input, agrees with Read record for record on every accepted
+//     input, so the two decoders cannot drift.
 func FuzzTraceRead(f *testing.F) {
 	tr := localityTrace("seed", 300, 17)
 	var buf bytes.Buffer
@@ -51,19 +52,31 @@ func FuzzTraceRead(f *testing.F) {
 		if rt.Name() != tr.Name() || rt.Len() != tr.Len() {
 			t.Fatalf("round-trip: %q/%d vs %q/%d", rt.Name(), rt.Len(), tr.Name(), tr.Len())
 		}
-		sc, err := NewScanner(bytes.NewReader(data))
+		chunk := 1
+		if len(data) > 0 {
+			chunk += int(data[len(data)-1])
+		}
+		br, err := ReadBlocks(bytes.NewReader(data), chunk)
 		if err != nil {
-			t.Fatalf("scanner rejected header Read accepted: %v", err)
+			t.Fatalf("block decoder rejected header Read accepted: %v", err)
 		}
 		i := 0
-		for sc.Scan() {
-			if i >= tr.Len() || sc.Record() != tr.At(i) {
-				t.Fatalf("scanner record %d diverges from Read", i)
+		for {
+			blk, ok := br.Next()
+			if !ok {
+				break
 			}
-			i++
+			addrs := br.Addrs()
+			for j, id := range blk.IDs {
+				r := Record{PC: addrs[id], Taken: blk.Taken1(j) != 0, Backward: blk.Back1(j) != 0}
+				if i >= tr.Len() || r != tr.At(i) {
+					t.Fatalf("block record %d diverges from Read (chunk %d)", i, chunk)
+				}
+				i++
+			}
 		}
-		if sc.Err() != nil || i != tr.Len() {
-			t.Fatalf("scanner stopped at %d/%d: %v", i, tr.Len(), sc.Err())
+		if br.Err() != nil || i != tr.Len() {
+			t.Fatalf("block decoder stopped at %d/%d (chunk %d): %v", i, tr.Len(), chunk, br.Err())
 		}
 	})
 }
