@@ -73,13 +73,16 @@ bench-oracle:
 		-benchtime 3x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_oracle.json
 
 # bench-sim refreshes the recorded simulation-engine baseline: the
-# per-predictor reference-vs-kernel benchmarks at 100k and 1M branches
-# piped through cmd/benchjson into BENCH_sim.json. The 1M speedup pairs
-# for gshare and bimodal are the acceptance numbers for the columnar
-# engine (>= 3x).
+# per-predictor reference-vs-kernel benchmarks at 100k and 1M branches,
+# plus the entropy-ceiling reference-vs-fold pairs (local and global
+# 12-bit contexts at 200k and 1M branches, internal/entropy) and the
+# fold path alone on a sparse trace (the sort side of its dense/sort
+# choice), piped through cmd/benchjson into BENCH_sim.json. The 1M speedup pairs for
+# gshare and bimodal are the acceptance numbers for the columnar engine
+# (>= 3x).
 bench-sim:
-	$(GO) test -run '^$$' -bench 'SimPredictor' \
-		-benchtime 3x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_sim.json
+	$(GO) test -run '^$$' -bench 'SimPredictor|EntropyCeilings' \
+		-benchtime 3x -timeout 30m . ./internal/entropy/ | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-sweep refreshes the recorded fused-sweep baseline: whole-grid
 # benchmarks (independent per-config kernel runs vs one fused pass vs

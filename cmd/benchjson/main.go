@@ -46,8 +46,9 @@ type Env struct {
 }
 
 // Speedup pairs one benchmark's baseline and optimized variants:
-// impl=ref vs impl=kernel, or impl=independent vs impl=fused (the sweep
-// benchmarks); the baseline fills the ref slot either way.
+// impl=ref vs impl=kernel, impl=independent vs impl=fused (the sweep
+// benchmarks), or impl=ref vs impl=fold (the entropy ceilings); the
+// baseline fills the ref slot and the optimized variant the kernel slot.
 type Speedup struct {
 	Name          string  `json:"name"`
 	RefNsPerOp    float64 `json:"ref_ns_per_op"`
@@ -122,8 +123,9 @@ func parse(r io.Reader) ([]Benchmark, Env, error) {
 }
 
 // speedups pairs names that differ only in a baseline-vs-optimized
-// /impl= segment (ref/kernel, or independent/fused for the sweep
-// benchmarks), sorted by name for stable output.
+// /impl= segment (ref/kernel, independent/fused for the sweep
+// benchmarks, or ref/fold for the entropy ceilings), sorted by name for
+// stable output.
 func speedups(benches []Benchmark) []Speedup {
 	byImpl := map[string]map[string]float64{} // base name -> impl -> ns/op
 	for _, b := range benches {
@@ -137,6 +139,8 @@ func speedups(benches []Benchmark) []Speedup {
 			base, impl = strings.Replace(b.Name, "/impl=independent", "", 1), "ref"
 		case strings.Contains(b.Name, "/impl=fused"):
 			base, impl = strings.Replace(b.Name, "/impl=fused", "", 1), "kernel"
+		case strings.Contains(b.Name, "/impl=fold"):
+			base, impl = strings.Replace(b.Name, "/impl=fold", "", 1), "kernel"
 		default:
 			continue
 		}

@@ -100,6 +100,22 @@ func TestSpeedupsSweepPairs(t *testing.T) {
 	}
 }
 
+func TestSpeedupsFoldPairs(t *testing.T) {
+	benches, _, err := parse(strings.NewReader(
+		"BenchmarkEntropyCeilings/kind=local/len=200000/impl=ref-2 	 3	 90000000 ns/op\n" +
+			"BenchmarkEntropyCeilings/kind=local/len=200000/impl=fold-2 	 3	 3000000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := speedups(benches)
+	if len(sp) != 1 || sp[0].Name != "EntropyCeilings/kind=local/len=200000" {
+		t.Fatalf("speedups = %+v, want one ref/fold pair", sp)
+	}
+	if sp[0].RefNsPerOp != 90000000 || sp[0].KernelNsPerOp != 3000000 || sp[0].Speedup != 30 {
+		t.Errorf("pair = %+v (fold must fill the kernel slot)", sp[0])
+	}
+}
+
 func TestParseShards(t *testing.T) {
 	benches, _, err := parse(strings.NewReader(sweepSample))
 	if err != nil {

@@ -34,6 +34,33 @@ import (
 // before open connections are closed hard.
 const shutdownGrace = 10 * time.Second
 
+// Connection timeouts, so a slow or stalled client cannot pin a
+// connection (and its goroutine) indefinitely. The header deadline is
+// tight; the whole-request deadline leaves room for the largest trace
+// upload over a slow link. ReadTimeout bounds only the reading of the
+// request: net/http lifts the read deadline once a handler reads the
+// body to EOF, which every handler does before computing, so its expiry
+// never cancels a request still computing (internal/service's
+// TestReadTimeoutSparesCoalescedWaiter pins this). No write deadline: a
+// cold oracle request may legitimately compute for longer than any
+// fixed bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in an http.Server carrying the
+// connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8149", "address to serve the v1 API on")
@@ -86,7 +113,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	fmt.Fprintf(os.Stderr, "bpsimd: serving v1 API on http://%s/\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 
 	"branchcorr/internal/obs"
@@ -42,12 +43,26 @@ func newPayloadCache(capacity int, reg *obs.Registry) *payloadCache {
 
 // do returns the payload for key, computing it at most once across
 // concurrent callers. The compute function runs without the cache lock
-// held.
-func (c *payloadCache) do(key string, compute func() ([]byte, error)) ([]byte, error) {
+// held. A caller coalesced onto another's flight waits only as long as
+// its own ctx lives: when ctx ends first it returns a canceled error,
+// and the flight and its other waiters carry on untouched. (The caller
+// that starts a flight runs it to completion, since the others share
+// it.)
+func (c *payloadCache) do(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		<-e.done
+		select {
+		case <-e.done:
+		default:
+			// Not finished: a completed entry always wins over an
+			// ended context, so only a real wait can be abandoned.
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, canceledErr(ctx.Err())
+			}
+		}
 		if e.err == nil {
 			c.hits.Inc()
 		}

@@ -236,10 +236,11 @@ func (s *Server) compute(ctx context.Context, endpoint string, rt resolvedTrace,
 	// The flight is shared by every request coalesced on this key, so it
 	// must outlive any one of them: detached from the first caller's
 	// cancellation, a client that disconnects while its flight is queued
-	// or mid-compute doesn't poison the waiters with its abort.
-	ctx = context.WithoutCancel(ctx)
-	return s.cache.do(key, func() ([]byte, error) {
-		release, err := s.admit(ctx)
+	// or mid-compute doesn't poison the waiters with its abort. Waiters
+	// still watch their own (cancelable) ctx.
+	flight := context.WithoutCancel(ctx)
+	return s.cache.do(ctx, key, func() ([]byte, error) {
+		release, err := s.admit(flight)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +260,7 @@ func (s *Server) compute(ctx context.Context, endpoint string, rt resolvedTrace,
 			payload, buildErr = build(reqReg)
 			return buildErr
 		}}
-		if rerr := runner.Run(ctx, []runner.Cell{cell}, runner.Options{
+		if rerr := runner.Run(flight, []runner.Cell{cell}, runner.Options{
 			Parallel: 1,
 			Observer: runner.RegistryObserver(s.reg),
 		}); rerr != nil {

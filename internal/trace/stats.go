@@ -75,26 +75,39 @@ func (s *Stats) SortedSites() []*SiteStats {
 	return out
 }
 
-// Summarize computes summary statistics for a trace in one pass.
+// Summarize computes summary statistics for a trace in one pass over
+// its memoized packed view: per-site counts are tallied into slices
+// indexed by dense branch ID, and Sites gets one entry per static
+// branch. A site's Backward bit is its first occurrence's; IDs are dense
+// in first-appearance order, so a record whose ID is the next unseen one
+// is that site's first occurrence.
 func Summarize(t *Trace) *Stats {
-	st := &Stats{Name: t.Name(), Sites: make(map[Addr]*SiteStats)}
-	for _, r := range t.Records() {
-		st.Dynamic++
-		if r.Taken {
-			st.Taken++
+	p := t.Packed()
+	counts, addrs := p.Counts(), p.Addrs()
+	takenWords := p.TakenWords()
+	taken := make([]int32, len(addrs))
+	back := make([]bool, len(addrs))
+	seen := int32(0)
+	for i, id := range p.IDs() {
+		taken[id] += int32(takenWords[i>>6] >> (uint(i) & 63) & 1)
+		if id == seen {
+			back[id] = p.Backward(i)
+			seen++
 		}
-		site := st.Sites[r.PC]
-		if site == nil {
-			site = &SiteStats{PC: r.PC, Backward: r.Backward}
-			st.Sites[r.PC] = site
-			st.Static++
-			if r.Backward {
-				st.BackwardSites++
-			}
-		}
-		site.Count++
-		if r.Taken {
-			site.Taken++
+	}
+	st := &Stats{
+		Name:    t.Name(),
+		Dynamic: p.Len(),
+		Static:  len(addrs),
+		Sites:   make(map[Addr]*SiteStats, len(addrs)),
+	}
+	sites := make([]SiteStats, len(addrs))
+	for id, pc := range addrs {
+		sites[id] = SiteStats{PC: pc, Count: int(counts[id]), Taken: int(taken[id]), Backward: back[id]}
+		st.Sites[pc] = &sites[id]
+		st.Taken += sites[id].Taken
+		if back[id] {
+			st.BackwardSites++
 		}
 	}
 	return st
