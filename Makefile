@@ -65,7 +65,8 @@ bench:
 # bench-oracle refreshes the recorded columnar-kernel baseline: the
 # oracle benchmarks (reference vs kernel at 100k and 1M branches, and
 # the Figure 5 per-window loop vs one shared OracleWindows pass at 200k
-# and 1M plus the Figure 5 selective sweep) piped through cmd/benchjson
+# and 1M plus the Figure 5 selective sweep, and the shared pass and sweep
+# on a high-entropy random trace) piped through cmd/benchjson
 # into BENCH_oracle.json. The 1M speedup pairs are the acceptance
 # numbers for the kernels (>= 2x).
 bench-oracle:

@@ -712,6 +712,13 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 // trace branches per wall second (windows or configs not multiplied
 // in), so the loop/shared pair at each length is the shared pass's
 // speedup directly.
+//
+// The trace=rand2000 level runs the same shared pass and sweep over a
+// high-entropy random trace of 50k branches across 2000 sites, where no
+// path signature repeats: it records what the path-signature memo costs
+// when it cannot help (its bypass), next to gcc where it does. (The
+// oracle itself is slow there — each branch's candidate table holds
+// thousands of refs — so the level stays short.)
 func BenchmarkOracleWindows(b *testing.B) {
 	for _, n := range []int{200_000, 1_000_000} {
 		tr := benchTraceN(b, "gcc", n)
@@ -724,26 +731,52 @@ func BenchmarkOracleWindows(b *testing.B) {
 			}
 			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 		})
-		b.Run(fmt.Sprintf("len=%d/impl=shared", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.OracleWindows(pt, benchFig5Windows, core.OracleOptions{})
-			}
-			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
-		})
-		b.Run(fmt.Sprintf("len=%d/sweep=fig5", n), func(b *testing.B) {
-			windows := []int{8, 12, 16, 20, 24, 28, 32}
-			sels := core.OracleWindows(pt, windows, core.OracleOptions{})
-			cfgs := make([]core.SelectiveConfig, len(windows))
-			for i, w := range windows {
-				cfgs[i] = core.SelectiveConfig{Name: fmt.Sprintf("sel3(%d)", w), Window: w, Assign: sels[i].BySize[3]}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.SimulateSweep(tr, core.NewSelectiveSweep("fig5", cfgs), sim.Options{})
-			}
-			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
-		})
+		benchOracleShared(b, fmt.Sprintf("len=%d", n), tr)
 	}
+	benchOracleShared(b, "len=50000/trace=rand2000", benchRandomTrace(50_000, 2000))
+}
+
+// benchOracleShared runs BenchmarkOracleWindows' shared-pass and fused
+// Figure 5 sweep levels over tr under the given name prefix.
+func benchOracleShared(b *testing.B, prefix string, tr *trace.Trace) {
+	pt := tr.Packed()
+	b.Run(prefix+"/impl=shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.OracleWindows(pt, benchFig5Windows, core.OracleOptions{})
+		}
+		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+	})
+	b.Run(prefix+"/sweep=fig5", func(b *testing.B) {
+		windows := []int{8, 12, 16, 20, 24, 28, 32}
+		sels := core.OracleWindows(pt, windows, core.OracleOptions{})
+		cfgs := make([]core.SelectiveConfig, len(windows))
+		for i, w := range windows {
+			cfgs[i] = core.SelectiveConfig{Name: fmt.Sprintf("sel3(%d)", w), Window: w, Assign: sels[i].BySize[3]}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sim.SimulateSweep(tr, core.NewSelectiveSweep("fig5", cfgs), sim.Options{})
+		}
+		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+	})
+}
+
+// benchRandomTrace builds a deterministic high-entropy trace of n
+// branches over the given number of static sites: uniformly random
+// sites and outcomes, with every fourth site a backward loop branch, so
+// path signatures almost never repeat.
+func benchRandomTrace(n, sites int) *trace.Trace {
+	tr := trace.New(fmt.Sprintf("rand%d", sites), n)
+	x := uint32(1)
+	next := func() uint32 {
+		x = x*1664525 + 1013904223
+		return x
+	}
+	for i := 0; i < n; i++ {
+		site := (next() >> 8) % uint32(sites)
+		tr.Append(trace.Record{PC: trace.Addr(0x1000 + 4*site), Taken: next()&0x40000 != 0, Backward: site%4 == 0})
+	}
+	return tr
 }
 
 // BenchmarkSimPredictor measures single-predictor simulation throughput:

@@ -32,29 +32,32 @@ func TestOracleEmitterAllocs(t *testing.T) {
 // state: with every branch's instance planes preallocated to its
 // dynamic count (as newBeamMatcher sizes them), replaying the stream
 // over reset planes allocates nothing per record — for one window and
-// for the shared multi-window walk.
+// for the shared multi-window walk, with the profile pass's signature
+// classes and with every record walking.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
 	for _, windows := range [][]int{{8}, {8, 12, 16, 20, 24, 28, 32}} {
 		cfg := OracleConfig{}.withDefaults()
-		cands := profileWindows(pt, windows, cfg)
-		pcs := sortedPCs(cands)
-		matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
-		em := newPackedEmitter(pt, windows)
-		collectRange(em, matchers, 0, pt.Len()) // warm the emitter scratch
-		allocs := testing.AllocsPerRun(3, func() {
-			for _, bm := range matcherOf {
-				for _, m := range bm.mats {
-					clear(m)
+		cands, classes := profileWindows(pt, windows, cfg)
+		for _, memo := range []*oracleMemo{classes, nil} {
+			pcs := sortedPCs(cands)
+			matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
+			em := newPackedEmitter(pt, windows)
+			collectRange(em, matchers, 0, pt.Len(), memo) // warm the emitter and memo scratch
+			allocs := testing.AllocsPerRun(3, func() {
+				for _, bm := range matcherOf {
+					for _, m := range bm.mats {
+						clear(m)
+					}
+					clear(bm.outs)
+					bm.n = 0
 				}
-				clear(bm.outs)
-				bm.n = 0
+				collectRange(em, matchers, 0, pt.Len(), memo)
+			})
+			if allocs != 0 {
+				t.Errorf("windows %v (memo %v): collectRange allocates %.1f per full replay, want 0", windows, memo != nil, allocs)
 			}
-			collectRange(em, matchers, 0, pt.Len())
-		})
-		if allocs != 0 {
-			t.Errorf("windows %v: collectRange allocates %.1f per full replay, want 0", windows, allocs)
 		}
 	}
 }

@@ -132,7 +132,8 @@ func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections 
 	reg.Counter("core.oracle.builds").Add(int64(len(windows)))
 	defer reg.StartSpan("core.oracle.build").End()
 	pt := src.Packed()
-	sels := selectWindows(pt, distinct, profileWindows(pt, distinct, cfg), cfg)
+	cands, memo := profileWindows(pt, distinct, cfg)
+	sels := selectWindows(pt, distinct, cands, cfg, memo)
 	out := make([]*Selections, len(windows))
 	for i, n := range windows {
 		w, _ := slices.BinarySearch(distinct, n)

@@ -12,7 +12,8 @@ import (
 // loops are the very same profileRange/collectRange the packed path
 // runs (differential tests pin the streamed results bit-identical to
 // the Packed entry points); only the column window they walk is fed
-// chunk by chunk.
+// chunk by chunk. They run without a path-signature memo: every record
+// walks, in record order.
 //
 // The stitching invariant: before processing a chunk, the column view
 // is [carry | chunk] where carry is the last min(WindowLen, records
@@ -105,27 +106,27 @@ func profileBlocks(src trace.BlockSource, cfg OracleConfig) ([]kernelProfile, []
 	reg := obs.Or(cfg.Obs)
 	em := newOracleEmitter([]int{cfg.WindowLen})
 	win := columnWindow{n: cfg.WindowLen}
-	var profiles []kernelProfile
+	pf := newProfiler(em, nil, cfg, nil)
 	for {
 		blk, ok := src.Next()
 		if !ok {
 			break
 		}
-		addrs := src.Addrs()
-		if len(profiles) < len(addrs) {
-			profiles = append(profiles, newProfiles(len(addrs)-len(profiles), 1)...)
+		pf.addrs = src.Addrs()
+		if len(pf.profiles) < len(pf.addrs) {
+			pf.profiles = append(pf.profiles, newProfiles(len(pf.addrs)-len(pf.profiles), 1)...)
 		}
-		em.growScratch(len(addrs))
+		em.growScratch(len(pf.addrs))
 		base := win.extend(blk)
 		em.setColumns(win.ids, win.taken, win.back)
-		profileRange(em, profiles, cfg, addrs, base, base+blk.Len())
+		pf.profileRange(base, base+blk.Len(), nil)
 		win.retire(base + blk.Len())
 		reg.Counter("core.oracle.stream.blocks").Inc()
 	}
 	if err := src.Err(); err != nil {
 		return nil, nil, err
 	}
-	return profiles, src.Addrs(), nil
+	return pf.profiles, src.Addrs(), nil
 }
 
 // profilePass runs pass 1 over a stream and returns both the ranked
@@ -176,7 +177,7 @@ func selectBlocks(src trace.BlockSource, addrs []trace.Addr, cands map[trace.Add
 		}
 		base := win.extend(blk)
 		em.setColumns(win.ids, win.taken, win.back)
-		collectRange(em, matchers, base, base+blk.Len())
+		collectRange(em, matchers, base, base+blk.Len(), nil)
 		win.retire(base + blk.Len())
 	}
 	if err := src.Err(); err != nil {

@@ -40,8 +40,20 @@ import (
 // beams once per record. A one-window run is the same code with one
 // bucket.
 //
-// Net: 3 trace passes -> 2 for any number of windows, no per-candidate
-// allocations, no closures in the per-record loop.
+// Both passes also walk once per distinct path signature, not once per
+// record. What a walk emits for record i depends only on its branch and
+// the previous n (id, taken, backward) entries, so records are first
+// classified by that signature (pathmemo.go) and each class of repeated
+// signatures walks once, at its first record: the profile pass adds the
+// class's outcome counts in one go, and the collection pass sets the
+// class's plane bits in every instance it holds. Only the first n
+// records, one-record classes and records the memo declined (budget or
+// bypass) walk on their own, in record order. The streamed passes
+// (oracle_blocks.go) take no memo: there every record walks.
+//
+// Net: 3 trace passes -> 2 for any number of windows, one emitter walk
+// per distinct signature, no per-candidate allocations, no closures in
+// the per-record loop.
 
 // A refKey packs a Ref against the trace's dense branch IDs:
 // bits [6..) dense ID, bit 5 scheme, bits [0..5) tag. For one PC the key
@@ -141,8 +153,9 @@ type oracleEmitter struct {
 	gen     uint64        // current emit generation
 	seg     uint64        // current backward-segment stamp
 
-	keys []uint64 // emitted packed ref keys | direction bit, Visit order
-	ends []int    // ends[w]: window windows[w]'s emissions are keys[:ends[w]]
+	keys []uint64  // emitted packed ref keys | direction bit, Visit order
+	ends []int     // ends[w]: window windows[w]'s emissions are keys[:ends[w]]
+	ops  []planeOp // collection scratch: the last collectWalk's plane writes
 
 	mark uint64 // current focus stamp
 }
@@ -382,10 +395,11 @@ func (t *candTable) presence(ci int) uint32 {
 }
 
 // insert is the counting loop's miss path: h is the empty slot probe
-// returned for key. The watermark prune fires exactly where the
-// reference's does — before an insertion that would exceed
-// 2*maxCandidates live candidates.
-func (t *candTable) insert(h int, key uint64, cell int, maxCandidates int, addrs []trace.Addr) {
+// returned for key, and wt the instances to count under cell (taken
+// outcome) and cell+1 (not-taken outcome). The watermark prune fires
+// exactly where the reference's does — before an insertion that would
+// exceed 2*maxCandidates live candidates.
+func (t *candTable) insert(h int, key uint64, cell int, wt [2]uint32, maxCandidates int, addrs []trace.Addr) {
 	if len(t.keys) >= 2*maxCandidates {
 		t.prune(maxCandidates, addrs)
 		h = t.probe(key) // table rebuilt: find the new insert slot
@@ -394,7 +408,7 @@ func (t *candTable) insert(h int, key uint64, cell int, maxCandidates int, addrs
 	n := len(t.cnts)
 	t.cnts = slices.Grow(t.cnts, t.stride)[:n+t.stride]
 	clear(t.cnts[n:])
-	t.cnts[n+cell] = 1
+	t.cnts[n+cell], t.cnts[n+cell+1] = wt[0], wt[1]
 	t.slots[h] = int32(len(t.keys) - 1)
 	if 4*len(t.keys) >= 3*len(t.slots) {
 		t.rebuild(2 * len(t.slots))
@@ -478,40 +492,51 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 // ReferenceProfileCandidates.
 func profilePacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidates {
 	cfg = cfg.withDefaults()
-	return profileWindows(pt, []int{cfg.WindowLen}, cfg)[0]
+	cands, _ := profileWindows(pt, []int{cfg.WindowLen}, cfg)
+	return cands[0]
 }
 
 // profileWindows is oracle pass 1 over the columnar trace view for every
 // window in windows (strictly ascending) at once: one stream at the
 // largest window, flat per-branch candidate tables with per-window
 // buckets, no closures and no per-candidate allocations. Result w is
-// bit-identical to a one-window pass at windows[w].
+// bit-identical to a one-window pass at windows[w]. It also returns the
+// path-signature classes it walked the trace by, so a collection pass
+// over the same trace and windows hashes no record twice.
 //
 // Exactness rests on table occupancy: a smaller window's table is a
 // subset of the largest window's at every point of the stream, so when
 // the shared tables never prune, no one-window table would have pruned
 // either. When any table did prune, the smaller windows are recomputed
 // with one-window passes, each counted in core.oracle.windows.fallbacks.
-func profileWindows(pt *trace.Packed, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
+// Those passes reuse the signature classes: positions with equal
+// signatures at the largest window have equal signatures at any smaller
+// one.
+func profileWindows(pt *trace.Packed, windows []int, cfg OracleConfig) ([]map[trace.Addr]*Candidates, *oracleMemo) {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.profile").End()
 	addrs := pt.Addrs()
+	memo := newPackedMemo(pt, windows[len(windows)-1])
+	defer memo.flush(reg)
 	profile := func(windows []int) []kernelProfile {
-		profiles := newProfiles(pt.NumBranches(), len(windows))
-		profileRange(newPackedEmitter(pt, windows), profiles, cfg, addrs, 0, pt.Len())
-		return profiles
+		pf := newProfiler(newPackedEmitter(pt, windows), newProfiles(pt.NumBranches(), len(windows)), cfg, addrs)
+		pf.profileRange(0, pt.Len(), memo)
+		if n := pf.rerunPruned(0, pt.Len(), memo); n > 0 {
+			reg.Counter("core.oracle.memo.reruns").Add(int64(n))
+		}
+		return pf.profiles
 	}
 	profiles := profile(windows)
 	last := len(windows) - 1
 	if last == 0 || !pruned(profiles) {
-		return assembleCandidates(profiles, addrs, cfg, len(windows), 0)
+		return assembleCandidates(profiles, addrs, cfg, len(windows), 0), memo
 	}
 	out := assembleCandidates(profiles, addrs, cfg, len(windows), last)
 	reg.Counter("core.oracle.windows.fallbacks").Add(int64(last))
 	for w := 0; w < last; w++ {
 		out[w] = assembleCandidates(profile(windows[w:w+1]), addrs, cfg, 1, 0)[0]
 	}
-	return out
+	return out, memo
 }
 
 // pruned reports whether any branch's candidate table fired a watermark
@@ -579,52 +604,200 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 	return result
 }
 
-// profileRange is pass 1's per-record loop over emitter column positions
-// [lo, hi): emit the window at every position and count each emitted
-// candidate into the branch's flat table under its window bucket,
-// hand-inlining the table hit path. The packed path runs it once over
-// the whole column; the streaming path runs it once per chunk with lo at
-// the carry boundary.
+// oracleMemo is one packed trace's path-signature classes (see
+// pathmemo.go), shared by the profile and collection passes over it,
+// with the passes' per-class scratch and the memo counters they feed.
+// Streamed runs (oracle_blocks.go) take no memo: every record walks.
+type oracleMemo struct {
+	pathMemo
+	class []int32 // class of each position; -1 = per-record walk
+	aux   []int32 // per class: taken instances (profile), then next free slot in insts (collection)
+	insts []int32 // collection: instance indices grouped by class
+	walks int64   // walks made once for a whole class
+	hits  int64   // records a class walk served without walking
+}
+
+// newPackedMemo classifies every record of a packed trace by its
+// signature at window n. A class of one record saves no walk, so that
+// record is unclassified again (and its class's count zeroed): it walks
+// on the spot, in record order.
+func newPackedMemo(pt *trace.Packed, n int) *oracleMemo {
+	m := &oracleMemo{}
+	m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n, 0, pt.Len())
+	m.class = make([]int32, pt.Len())
+	for i := range m.class {
+		m.class[i], _ = m.classify(i)
+	}
+	for i, c := range m.class {
+		if c >= 0 && m.counts[c] == 1 {
+			m.class[i] = -1
+			m.counts[c] = 0
+		}
+	}
+	m.tags, m.slots = nil, nil // the trace is classified; no lookup follows
+	return m
+}
+
+// release drops the memo's per-record and per-class arrays once the
+// collection pass is done with them, so scoring runs without them live.
+func (m *oracleMemo) release() {
+	m.class, m.aux, m.insts = nil, nil, nil
+	m.reps, m.counts = nil, nil
+}
+
+// flush adds the memo counters gathered since the last flush to reg:
+// core.oracle.memo.walks counts class walks, core.oracle.memo.hits the
+// records they served beyond their representatives. Both depend only on
+// the trace and the config.
+func (m *oracleMemo) flush(reg *obs.Registry) {
+	reg.Counter("core.oracle.memo.walks").Add(m.walks)
+	reg.Counter("core.oracle.memo.hits").Add(m.hits)
+	m.walks, m.hits = 0, 0
+}
+
+// profiler is pass 1's walk context: the emitter, the per-branch tables
+// it counts into, and the config's scheme filter and prune watermark.
+type profiler struct {
+	em                  *oracleEmitter
+	profiles            []kernelProfile
+	addrs               []trace.Addr
+	maxCandidates       int
+	allowOcc, allowBack bool
+}
+
+func newProfiler(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, addrs []trace.Addr) *profiler {
+	return &profiler{
+		em:            em,
+		profiles:      profiles,
+		addrs:         addrs,
+		maxCandidates: cfg.MaxCandidates,
+		allowOcc:      cfg.schemeAllowed(Occurrence),
+		allowBack:     cfg.schemeAllowed(BackwardCount),
+	}
+}
+
+// profileRange is pass 1 over emitter column positions [lo, hi). Every
+// record's outcome lands in its branch's totals. A record the memo
+// classified only counts toward its class's taken instances; the rest
+// walk on the spot. Then each class walks once, at its representative,
+// with its instances by outcome. Counts are sums, so the order only
+// matters to the watermark prune (see rerunPruned). The packed path
+// runs it once over the whole column, with the memo that classified
+// exactly [lo, hi); the streaming path runs it once per chunk with lo
+// at the carry boundary and a nil memo: every record walks.
 //
 //bplint:hot
-func profileRange(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, addrs []trace.Addr, lo, hi int) {
-	allowOcc := cfg.schemeAllowed(Occurrence)
-	allowBack := cfg.schemeAllowed(BackwardCount)
-	ids := em.ids
+func (pf *profiler) profileRange(lo, hi int, memo *oracleMemo) {
+	ids := pf.em.ids
+	profiles := pf.profiles
+	var class, reps, counts, taken []int32
+	if memo != nil {
+		class, reps, counts = memo.class[lo:hi], memo.reps, memo.counts
+		taken = slices.Grow(memo.aux[:0], len(reps))[:len(reps)]
+		memo.aux = taken
+		clear(taken)
+	}
 	for i := lo; i < hi; i++ {
-		p := &profiles[ids[i]]
+		id := ids[i]
 		out := 1
-		if em.taken1(i) {
+		if pf.em.taken1(i) {
 			out = 0
 		}
-		p.total[out]++
-		em.emit(i, false)
-		tab := &p.tab
-		start := 0
-		for b, end := range em.ends {
-			for _, key := range em.keys[start:end] {
-				if key&refKeySchemeBit != 0 {
-					if !allowBack {
-						continue
-					}
-				} else if !allowOcc {
+		profiles[id].total[out]++
+		if class != nil {
+			if c := class[i-lo]; c >= 0 {
+				taken[c] += int32(1 - out)
+				continue
+			}
+		}
+		var wt [2]uint32
+		wt[out] = 1
+		pf.walk(i, wt) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
+	}
+	for c, n := range counts {
+		if n > 0 {
+			pf.walk(int(reps[c]), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
+			memo.walks++
+			memo.hits += int64(n - 1)
+		}
+	}
+}
+
+// rerunPruned restores record order for every branch whose table
+// pruned after taking class walks. A watermark prune fires in class
+// order exactly when it fires in record order — both happen iff the
+// branch's distinct-key count exceeds 2×MaxCandidates — but which
+// candidates survive depends on the order. Each such table is rebuilt
+// by the per-record walk over the branch's records in [lo, hi), the
+// range memo classified. It returns the number of tables rebuilt.
+func (pf *profiler) rerunPruned(lo, hi int, memo *oracleMemo) int {
+	ids := pf.em.ids
+	var redo []bool
+	n := 0
+	for c, count := range memo.counts {
+		id := ids[memo.reps[c]]
+		if tab := &pf.profiles[id].tab; count > 0 && tab.prunes > 0 && (redo == nil || !redo[id]) {
+			if redo == nil {
+				redo = make([]bool, len(pf.profiles))
+			}
+			redo[id] = true
+			*tab = candTable{}
+			tab.init(len(pf.em.windows))
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	for i := lo; i < hi; i++ {
+		if redo[ids[i]] {
+			wt := [2]uint32{0, 1}
+			if pf.em.taken1(i) {
+				wt = [2]uint32{1, 0}
+			}
+			pf.walk(i, wt)
+		}
+	}
+	return n
+}
+
+// walk is pass 1's one emission loop: emit position i's window and
+// count wt (instances by outcome) for each emitted candidate into the
+// branch's flat table under its window bucket, hand-inlining the table
+// hit path.
+//
+//bplint:hot
+func (pf *profiler) walk(i int, wt [2]uint32) {
+	em := pf.em
+	em.emit(i, false)
+	tab := &pf.profiles[em.ids[i]].tab
+	allowOcc, allowBack := pf.allowOcc, pf.allowBack
+	start := 0
+	for b, end := range em.ends {
+		for _, key := range em.keys[start:end] {
+			if key&refKeySchemeBit != 0 {
+				if !allowBack {
 					continue
 				}
-				cell := 4*b + out
-				if key&refKeyTakenBit == 0 {
-					cell += 2 // state = not-taken
-				}
-				key &^= refKeyTakenBit
-				// Hand-inlined table hit path; misses take the insert call.
-				h := tab.probe(key)
-				if s := tab.slots[h]; s >= 0 { //bplint:ignore bce-hoist insert may swap the slot array mid-loop; the header reload is the correctness contract
-					tab.cnts[int(s)*tab.stride+cell]++ //bplint:ignore bce-hoist insert may grow the counter array mid-loop; the header reload is the correctness contract
-				} else {
-					tab.insert(h, key, cell, cfg.MaxCandidates, addrs) //bplint:ignore kernel-purity miss path only; growth is amortized and bounded by the watermark prune
-				}
+			} else if !allowOcc {
+				continue
 			}
-			start = end
+			cell := 4 * b
+			if key&refKeyTakenBit == 0 {
+				cell += 2 // state = not-taken
+			}
+			key &^= refKeyTakenBit
+			// Hand-inlined table hit path; misses take the insert call.
+			h := tab.probe(key)
+			if s := tab.slots[h]; s >= 0 { //bplint:ignore bce-hoist insert may swap the slot array mid-loop; the header reload is the correctness contract
+				row := tab.cnts[int(s)*tab.stride+cell:]
+				row[0] += wt[0]
+				row[1] += wt[1]
+			} else {
+				tab.insert(h, key, cell, wt, pf.maxCandidates, pf.addrs) //bplint:ignore kernel-purity miss path only; growth is amortized and bounded by the watermark prune
+			}
 		}
+		start = end
 	}
 }
 
@@ -734,27 +907,35 @@ type branchSelection struct {
 // Selections to ReferenceSelectRefs.
 func selectPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
 	cfg = cfg.withDefaults()
-	return selectWindows(pt, []int{cfg.WindowLen}, []map[trace.Addr]*Candidates{cands}, cfg)[0]
+	return selectWindows(pt, []int{cfg.WindowLen}, []map[trace.Addr]*Candidates{cands}, cfg, nil)[0]
 }
 
 // selectWindows is oracle passes 2+3 for every window in windows
 // (strictly ascending, cands aligned with it), folded into a single
 // collection stream plus an off-trace scoring stage. For every dynamic
 // instance of a branch with a non-empty beam in some window it resolves
-// the window-max emissions against the union of the branch's beams once
-// and sets each window's bit planes; the exact pair/triple joint
+// the window-max emissions against the union of the branch's beams —
+// once per path-signature class, reusing memo when the profile pass
+// classified the trace at the same largest window, else classifying it
+// here — and sets each window's bit planes; the exact pair/triple joint
 // distributions are then recovered per window and branch with popcount
 // kernels and scored in parallel across the internal/runner pool
 // (cfg.ScoreParallel workers, identical output at any level).
-func selectWindows(pt *trace.Packed, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
-	defer obs.Or(cfg.Obs).StartSpan("core.oracle.select").End()
+func selectWindows(pt *trace.Packed, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig, memo *oracleMemo) []*Selections {
+	reg := obs.Or(cfg.Obs)
+	defer reg.StartSpan("core.oracle.select").End()
 
 	pcs := sortedPCs(cands)
 	matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
 
 	// Collection stream: one pass over the trace, one set of plane bits
 	// per dynamic instance.
-	collectRange(newPackedEmitter(pt, windows), matchers, 0, pt.Len())
+	if memo == nil {
+		memo = newPackedMemo(pt, windows[len(windows)-1])
+	}
+	collectRange(newPackedEmitter(pt, windows), matchers, 0, pt.Len(), memo)
+	memo.flush(reg)
+	memo.release()
 
 	out := make([]*Selections, len(windows))
 	for w := range windows {
@@ -853,63 +1034,127 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 	return sel
 }
 
-// collectRange is the folded pass-2/3 per-record loop over emitter
-// column positions [lo, hi): for every dynamic instance of a branch with
-// a beam, resolve the walk's emissions against the union of the
-// branch's beams and set the instance's plane bits in every window whose
-// prefix holds the emission. Each key occurs at most once per walk, so
-// the walk stops once every union key has resolved. The active matcher
-// changes every record, so its headers cannot hoist above the record
-// loop.
+// A planeOp is one bit-plane write of a collection walk: window w's
+// plane word at offset off (plus the instance's word) gets the
+// instance's bit.
+type planeOp struct{ w, off int32 }
+
+// apply sets instance t's bit at every plane op.
+func (bm *beamMatcher) apply(ops []planeOp, t int) {
+	word, bit := t>>6, uint64(1)<<(uint(t)&63)
+	mats := bm.mats
+	for _, op := range ops {
+		mats[op.w][int(op.off)+word] |= bit
+	}
+}
+
+// collectRange is the folded pass-2/3 loop over emitter column
+// positions [lo, hi): every dynamic instance of a branch with a beam
+// gets its instance index and outcome bit, and its plane bits from the
+// walk of its window. A record the memo classified is filed under its
+// class; the rest walk on the spot. Then each class walks once, at its
+// representative, and sets the same bits for every instance filed under
+// it — the bits depend only on the signature, so the planes are
+// identical to the per-record walk's. As in profileRange, memo must
+// have classified exactly [lo, hi), or be nil: every record walks.
 //
 //bplint:hot
-func collectRange(em *oracleEmitter, matchers []*beamMatcher, lo, hi int) {
+func collectRange(em *oracleEmitter, matchers []*beamMatcher, lo, hi int, memo *oracleMemo) {
 	ids := em.ids
-	nw := len(em.windows)
+	var class, counts, next, insts []int32
+	if memo != nil {
+		class, counts = memo.class[lo:hi], memo.counts
+		next = slices.Grow(memo.aux[:0], len(counts))[:len(counts)]
+		total := int32(0)
+		for c, n := range counts {
+			next[c] = total
+			total += n
+		}
+		insts = slices.Grow(memo.insts[:0], int(total))[:total]
+		memo.aux, memo.insts = next, insts
+	}
 	for i := lo; i < hi; i++ {
 		bm := matchers[ids[i]]
 		if bm == nil {
 			continue
 		}
-		em.focus(&bm.set)
-		em.emit(i, true)
 		t := bm.n
 		bm.n++
-		word, bit := t>>6, uint64(1)<<(uint(t)&63)
-		if word >= bm.words {
+		if t>>6 >= bm.words {
 			bm.grow() //bplint:ignore kernel-purity reached only when caller-supplied Candidates under-report the instance count
 		}
 		if em.taken1(i) {
-			bm.outs[word] |= bit //bplint:ignore bce-hoist bm is selected per record; its outcome bitset cannot hoist above the record loop
+			bm.outs[t>>6] |= uint64(1) << (uint(t) & 63) //bplint:ignore bce-hoist bm is selected per record; its outcome bitset cannot hoist above the record loop
 		}
-		words := bm.words
-		remaining := len(bm.set.keys) //bplint:ignore bce-hoist bm is selected per record; its key count cannot hoist above the record loop
-		start := 0
-	walk:
-		for b, end := range em.ends {
-			for _, key := range em.keys[start:end] {
-				ki := em.find(&bm.set, key&^refKeyTakenBit)
-				if ki < 0 {
-					continue
-				}
-				state := 0
-				if key&refKeyTakenBit == 0 {
-					state = 1
-				}
-				for w := b; w < nw; w++ {
-					slot := int(bm.slots[ki*nw+w]) //bplint:ignore bce-hoist bm is selected per record; its slot array cannot hoist above the record loop
-					if slot >= 0 {
-						bm.mats[w][(2*slot+state)*words+word] |= bit //bplint:ignore bce-hoist per-window planes are selected per emission
-					}
-				}
-				remaining--
-				if remaining == 0 {
-					break walk
+		if class != nil {
+			if c := class[i-lo]; c >= 0 {
+				insts[next[c]] = int32(t)
+				next[c]++
+				continue
+			}
+		}
+		bm.apply(collectWalk(em, bm, i), t) //bplint:ignore kernel-purity the walk's op scratch grows to the largest walk once, then is reused
+	}
+	if memo == nil {
+		return
+	}
+	start := int32(0)
+	for c, rep := range memo.reps {
+		n := counts[c]
+		if bm := matchers[ids[rep]]; bm != nil && n > 0 {
+			ops := collectWalk(em, bm, int(rep)) //bplint:ignore kernel-purity the walk's op scratch grows to the largest walk once, then is reused
+			for _, t := range insts[start : start+n] {
+				bm.apply(ops, int(t))
+			}
+			memo.walks++
+			memo.hits += int64(n - 1)
+		}
+		start += n
+	}
+}
+
+// collectWalk is the collection's one emission loop: it resolves
+// position i's walk against the union of bm's beams and returns the
+// plane writes it implies — for each resolved key, its state's plane in
+// every window whose prefix holds the emission — in the emitter's
+// scratch. Each key occurs at most once per walk, so the walk stops
+// once every union key has resolved. The matcher changes every call, so
+// its headers cannot hoist.
+//
+//bplint:hot
+func collectWalk(em *oracleEmitter, bm *beamMatcher, i int) []planeOp {
+	em.focus(&bm.set)
+	em.emit(i, true)
+	ops := em.ops[:0]
+	nw := len(em.windows)
+	words := bm.words
+	remaining := len(bm.set.keys)
+	start := 0
+walk:
+	for b, end := range em.ends {
+		for _, key := range em.keys[start:end] {
+			ki := em.find(&bm.set, key&^refKeyTakenBit)
+			if ki < 0 {
+				continue
+			}
+			state := 0
+			if key&refKeyTakenBit == 0 {
+				state = 1
+			}
+			for w := b; w < nw; w++ {
+				if slot := int(bm.slots[ki*nw+w]); slot >= 0 { //bplint:ignore bce-hoist bm changes every call; its slot array cannot hoist
+					ops = append(ops, planeOp{int32(w), int32((2*slot + state) * words)}) //bplint:ignore kernel-purity the scratch grows to the largest walk once, then is reused
 				}
 			}
-			start = end
+			remaining--
+			if remaining == 0 {
+				break walk
+			}
 		}
+		start = end
 	}
+	em.ops = ops
+	return ops
 }
 
 // jointCount is one joint pattern's instance count and how many of

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchcorr/internal/obs"
@@ -31,9 +32,11 @@ func perWindowOracle(src Source, windows []int, cfg OracleConfig) []*Selections 
 
 // checkOracleWindows runs OracleWindows and the per-window loop into
 // fresh registries and fails unless every window's selections and the
-// deterministic counter snapshots agree. The only counter allowed to
-// differ is core.oracle.windows.fallbacks, which must read wantFallbacks
-// (and be absent when zero, so snapshots without prunes are unchanged).
+// deterministic counter snapshots agree. The counters allowed to differ
+// are the path-signature memo's (core.oracle.memo.*: the shared pass
+// classifies once, at the largest window) and
+// core.oracle.windows.fallbacks, which must read wantFallbacks (and be
+// absent when zero, so snapshots without prunes are unchanged).
 // With reference set, each window is also checked against
 // ReferenceBuildSelective.
 func checkOracleWindows(t *testing.T, tr *trace.Trace, cfg OracleConfig, wantFallbacks int64, reference bool) {
@@ -63,6 +66,13 @@ func checkOracleWindows(t *testing.T, tr *trace.Trace, cfg OracleConfig, wantFal
 		t.Errorf("core.oracle.windows.fallbacks = %d (registered %v), want %d", fallbacks, touched, wantFallbacks)
 	}
 	delete(gs.Counters, "core.oracle.windows.fallbacks")
+	for _, snap := range []map[string]int64{gs.Counters, ls.Counters} {
+		for name := range snap {
+			if strings.HasPrefix(name, "core.oracle.memo.") {
+				delete(snap, name)
+			}
+		}
+	}
 	if !reflect.DeepEqual(gs.Counters, ls.Counters) || !reflect.DeepEqual(gs.Gauges, ls.Gauges) {
 		t.Errorf("counter snapshots differ:\n shared   %v %v\n per-window %v %v",
 			gs.Counters, gs.Gauges, ls.Counters, ls.Gauges)

@@ -28,15 +28,21 @@ type SelectiveConfig struct {
 // resolve an entry's tag from strictly more-recent entries, so the first
 // n steps of a walk at the largest config window are exactly the walk a
 // dedicated n-entry window would produce. The sweep therefore resolves
-// tags with the oracle's columnar emitter (oracleEmitter): one walk per
-// record at the largest window over a carried column window of the last
-// maxWindow records, with each config reading the prefix of emissions
-// its own window covers. Per dense ID the configs' refs fold into one
-// union of packed ref keys (a refKeySet), and the walk is focused on the
-// union's PCs, so each emission resolves once however many configs name
-// it. Per config: the pattern-counter
-// tables, held as dense per-ID columns so the per-record replay does no
-// map access.
+// tags with the oracle's columnar emitter (oracleEmitter) at the largest
+// window over a carried column window of the last maxWindow records,
+// with each config reading the prefix of emissions its own window
+// covers. Per dense ID the configs' refs fold into one union of packed
+// ref keys (a refKeySet), and the walk is focused on the union's PCs, so
+// each emission resolves once however many configs name it.
+//
+// The walk runs once per distinct path signature, not once per record:
+// a record's resolved pattern-table indices depend only on its branch
+// and the maxWindow entries before it, so a block-scoped path-signature
+// memo (pathmemo.go) caches each signature's per-config indices at its
+// first record and later records with that signature reuse them. The
+// counter train/predict step still runs for every record, in order.
+// Per config: the pattern-counter tables, held as dense per-ID columns
+// so the per-record replay does no map access.
 //
 // SweepBlock is observationally identical, per config, to replaying the
 // records through NewSelectiveMode(cfg...): the resolved pattern trains
@@ -44,7 +50,9 @@ type SelectiveConfig struct {
 // records that precede it in the stream — the scalar ordering (Update
 // pushes after training). Blocks may be full columns with a [Lo, Hi)
 // range or chunk-only columns (Lo = 0) under a growing intern table; a
-// ref naming a PC not yet interned is absent until the PC appears.
+// ref naming a PC not yet interned is absent until the PC appears. The
+// memo is scoped to one SweepBlock call, within which the intern table
+// and every branch's key union are fixed.
 type SelectiveSweep struct {
 	gridName string
 	cfgs     []SelectiveConfig
@@ -56,6 +64,10 @@ type SelectiveSweep struct {
 	idOf     map[trace.Addr]int32   // interned PCs seen so far
 	waiting  map[trace.Addr][]int32 // uninterned ref PC -> consumer IDs
 	states   []State                // [config × MaxSelectiveRefs] resolution scratch
+
+	memo pathMemo // the current block's path-signature classes
+	pats []uint8  // [class × config]: the class's pattern-table index per config
+	pat  []uint8  // per config: an unclassified record's pattern-table index
 }
 
 // selBranch is one dense ID's fused-grid state.
@@ -107,6 +119,7 @@ func NewSelectiveSweep(gridName string, cfgs []SelectiveConfig) *SelectiveSweep 
 		idOf:     make(map[trace.Addr]int32),
 		waiting:  make(map[trace.Addr][]int32),
 		states:   make([]State, len(cfgs)*MaxSelectiveRefs),
+		pat:      make([]uint8, len(cfgs)),
 	}
 }
 
@@ -222,92 +235,128 @@ func (g *SelectiveSweep) resolveKeys(id int32, addrs []trace.Addr, register bool
 }
 
 // SweepBlock implements bp.SweepKernel. The block's records stream
-// through the carried column window in selSweepChunk steps.
+// through the carried column window in selSweepChunk steps, classified
+// by a path-signature memo scoped to the block: its representatives are
+// positions in the block's own columns, so a record whose window
+// reaches back before the block's first column (a chunk-only block's
+// first maxWindow records) walks on its own.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	g.extend(blk.Addrs)
 	correct = correct[:len(g.cfgs)]
+	g.memo.reset(blk.IDs, blk.Taken, blk.Back, g.col.n, blk.Lo, blk.Hi)
+	g.pats = g.pats[:0]
 	for lo := blk.Lo; lo < blk.Hi; lo += selSweepChunk {
 		hi := min(lo+selSweepChunk, blk.Hi)
 		base := g.col.extendRange(blk.IDs, blk.Taken, blk.Back, lo, hi)
 		g.em.setColumns(g.col.ids, g.col.taken, g.col.back)
-		g.sweepRange(base, base+hi-lo, correct)
+		g.sweepRange(base, base+hi-lo, lo-base, correct)
 		g.col.retire(base + hi - lo)
 	}
 }
 
-// sweepRange replays column positions [lo, hi): one emitter walk per
-// record resolves every config's refs (config c reads the emissions of
-// its own window's prefix), then each config trains its pattern counter.
+// sweepRange replays column positions [lo, hi), block position i+shift
+// for column position i. Each record's pattern-table index per config
+// comes from its signature class — resolved by one walk at the class's
+// first record and cached — or, for an unclassified record, from a walk
+// of its own; then every config trains its pattern counter, in record
+// order.
 //
 //bplint:hot
-func (g *SelectiveSweep) sweepRange(lo, hi int, correct []int32) {
+func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
 	em := g.em
 	ids := em.ids
 	branches := g.branches
-	cfgs := g.cfgs
-	bucket := g.bucket
-	ncfg := len(bucket)
-	st := g.states
+	ncfg := len(g.cfgs)
 	for i := lo; i < hi; i++ {
 		br := &branches[ids[i]]
 		taken := em.taken1(i)
-		for j := range st {
-			st[j] = StateAbsent
-		}
-		if remaining := len(br.set.keys); remaining > 0 { //bplint:ignore bce-hoist br is selected per record; its key count cannot hoist above the record loop
-			em.focus(&br.set)
-			em.emit(i, true)
-			start := 0
-		walk:
-			for b, end := range em.ends {
-				for _, key := range em.keys[start:end] {
-					ki := em.find(&br.set, key&^refKeyTakenBit)
-					if ki < 0 {
-						continue
-					}
-					s := StateNotTaken
-					if key&refKeyTakenBit != 0 {
-						s = StateTaken
-					}
-					for c := 0; c < ncfg; c++ {
-						if bucket[c] < b {
-							continue // the emission lies beyond config c's window
-						}
-						for m := br.refsOf[ki*ncfg+c]; m != 0; m &= m - 1 { //bplint:ignore bce-hoist br is selected per record; its key columns cannot hoist above the record loop
-							st[c*MaxSelectiveRefs+bits.TrailingZeros8(m)] = s
-						}
-					}
-					remaining--
-					if remaining == 0 {
-						break walk
-					}
-				}
-				start = end
-			}
+		pat := g.pat
+		switch c, fresh := g.memo.classify(i + shift); { //bplint:ignore kernel-purity classes grow on the miss path only, within the memo's class budget
+		case fresh:
+			g.pats = extend(g.pats, ncfg) //bplint:ignore kernel-purity the cache grows by one class on the miss path only, within the memo's class budget
+			pat = g.pats[int(c)*ncfg:]
+			g.patterns(i, br, pat)
+		case c >= 0:
+			pat = g.pats[int(c)*ncfg:]
+		default:
+			g.patterns(i, br, pat)
 		}
 		for c := 0; c < ncfg; c++ {
-			n := int(br.nrefs[c]) //bplint:ignore bce-hoist br is selected per record; its per-config columns cannot hoist above the record loop
-			cst := st[c*MaxSelectiveRefs : c*MaxSelectiveRefs+n]
-			idx := 0
-			if cfgs[c].Mode == ModePresence {
-				for k := n - 1; k >= 0; k-- {
-					idx <<= 1
-					if cst[k] != StateAbsent {
-						idx |= 1
-					}
-				}
-			} else {
-				for k := n - 1; k >= 0; k-- {
-					idx = idx*NumStates + int(cst[k])
-				}
-			}
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
+			idx := pat[c]
 			cnt := tbl[idx]
 			if cnt.Taken() == taken {
 				correct[c]++
 			}
 			tbl[idx] = cnt.Next(taken)
 		}
+	}
+}
+
+// patterns is the sweep's one emission loop: one emitter walk at column
+// position i resolves every config's refs (config c reads the emissions
+// of its own window's prefix), and pat[c] receives config c's
+// pattern-table index.
+//
+//bplint:hot
+func (g *SelectiveSweep) patterns(i int, br *selBranch, pat []uint8) {
+	em := g.em
+	cfgs := g.cfgs
+	bucket := g.bucket
+	ncfg := len(bucket)
+	st := g.states
+	refsOf, nrefs := br.refsOf, br.nrefs
+	for j := range st {
+		st[j] = StateAbsent
+	}
+	if remaining := len(br.set.keys); remaining > 0 {
+		em.focus(&br.set)
+		em.emit(i, true)
+		start := 0
+	walk:
+		for b, end := range em.ends {
+			for _, key := range em.keys[start:end] {
+				ki := em.find(&br.set, key&^refKeyTakenBit)
+				if ki < 0 {
+					continue
+				}
+				s := StateNotTaken
+				if key&refKeyTakenBit != 0 {
+					s = StateTaken
+				}
+				for c := 0; c < ncfg; c++ {
+					if bucket[c] < b {
+						continue // the emission lies beyond config c's window
+					}
+					for m := refsOf[ki*ncfg+c]; m != 0; m &= m - 1 {
+						st[c*MaxSelectiveRefs+bits.TrailingZeros8(m)] = s
+					}
+				}
+				remaining--
+				if remaining == 0 {
+					break walk
+				}
+			}
+			start = end
+		}
+	}
+	for c := 0; c < ncfg; c++ {
+		n := int(nrefs[c])
+		cst := st[c*MaxSelectiveRefs : c*MaxSelectiveRefs+n]
+		idx := 0
+		if cfgs[c].Mode == ModePresence {
+			for k := n - 1; k >= 0; k-- {
+				idx <<= 1
+				if cst[k] != StateAbsent {
+					idx |= 1
+				}
+			}
+		} else {
+			for k := n - 1; k >= 0; k-- {
+				idx = idx*NumStates + int(cst[k])
+			}
+		}
+		pat[c] = uint8(idx)
 	}
 }
 
