@@ -942,6 +942,67 @@ func BenchmarkSimSweep(b *testing.B) {
 			}
 		}
 	}
+	benchSimSweepPerBranch(b)
+}
+
+// benchGlobalGrid is the per-branch grid the report's global-correlation
+// exhibits share (Figures 4 and 8, Table 2, in-path): 1-, 2- and 3-ref
+// oracle-selected selective predictors, the 3-ref one in presence mode,
+// IF-gshare(16) and gshare(16).
+func benchGlobalGrid(sels *core.Selections) bp.SweepGrid {
+	var cfgs []core.SelectiveConfig
+	for k := 1; k <= core.MaxSelectiveRefs; k++ {
+		cfgs = append(cfgs, core.SelectiveConfig{Name: fmt.Sprintf("IF %d-branch selective(16)", k), Window: 16, Assign: sels.BySize[k]})
+	}
+	cfgs = append(cfgs, core.SelectiveConfig{Name: "presence 3-branch selective(16)", Window: 16, Assign: sels.BySize[3], Mode: core.ModePresence})
+	return bp.NewConcatSweep("global-perbranch",
+		core.NewSelectiveSweep("global-selective", cfgs),
+		bp.NewIFGshareSweep([]uint{16}),
+		bp.NewGshareSweep([]uint{16}),
+	)
+}
+
+// benchSimSweepPerBranch adds BenchmarkSimSweep's per-branch rows, the
+// global grid at each length: impl=fused is one sim.SimulateSweep with Options.PerBranch (the
+// report's path), impl=reference is per-config sim.Simulate runs, where
+// the selective configs have no single-predictor kernel and take the
+// scalar reference loop (the path the report took before the fused
+// per-branch sweep). The oracle selections are built once per length,
+// outside the timer, and only when a row runs. The metric is aggregate
+// predicted branches/s (configs × branches / wall).
+func benchSimSweepPerBranch(b *testing.B) {
+	for _, n := range benchOracleLengths {
+		tr := benchTraceN(b, "gcc", n)
+		var sels *core.Selections
+		mk := func() bp.SweepGrid {
+			if sels == nil {
+				sels = core.Oracle(tr.Packed(), core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
+			}
+			return benchGlobalGrid(sels)
+		}
+		report := func(b *testing.B) {
+			ncfg := len(mk().ConfigNames())
+			b.ReportMetric(float64(ncfg)*float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
+		}
+		b.Run(fmt.Sprintf("grid=global-perbranch/len=%d/impl=reference", n), func(b *testing.B) {
+			mk()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Simulate(tr, mk().Configs(), sim.Options{})
+			}
+			report(b)
+		})
+		b.Run(fmt.Sprintf("grid=global-perbranch/len=%d/impl=fused", n), func(b *testing.B) {
+			mk()
+			reg := obs.New()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.SimulateSweep(tr, mk(), sim.Options{PerBranch: true, Observer: reg})
+			}
+			report(b)
+			assertFusedEngagement(b, reg, int64(b.N), 1)
+		})
+	}
 }
 
 // BenchmarkTraceEncoding measures the binary trace codec.

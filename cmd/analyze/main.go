@@ -101,7 +101,8 @@ func main() {
 		*top = len(hardest)
 	}
 	sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{}})
-	sel3 := sim.Simulate(tr, []bp.Predictor{core.NewSelective("sel3", 16, sels.BySize[3])}, sim.Options{}).Results[0]
+	sel3Grid := core.NewSelectiveSweep("sel3", []core.SelectiveConfig{{Name: "sel3", Window: 16, Assign: sels.BySize[3]}})
+	sel3 := sim.SimulateSweep(tr, sel3Grid, sim.Options{PerBranch: true}).Results[0]
 	fmt.Fprintf(w, "\nhardest %d branches under gshare, with oracle-selected correlations:\n", *top)
 	for _, h := range hardest[:*top] {
 		fmt.Fprintf(w, "  0x%08x: gshare %.2f%%, class %s, 3-ref selective %.2f%% via",

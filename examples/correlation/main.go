@@ -50,8 +50,13 @@ func main() {
 	ocfg := core.OracleConfig{WindowLen: 16}
 	sels := core.Oracle(tr, core.OracleOptions{OracleConfig: ocfg})
 
-	// Simulate the selective predictors the selections define.
-	rs := sim.Simulate(tr, []bp.Predictor{core.NewSelective("sel1", 16, sels.BySize[1]), core.NewSelective("sel2", 16, sels.BySize[2]), core.NewSelective("sel3", 16, sels.BySize[3])}, sim.Options{}).Results
+	// Simulate the selective predictors the selections define: one
+	// fused sweep over the three, counted per branch.
+	var cfgs []core.SelectiveConfig
+	for k := 1; k <= core.MaxSelectiveRefs; k++ {
+		cfgs = append(cfgs, core.SelectiveConfig{Name: fmt.Sprintf("sel%d", k), Window: 16, Assign: sels.BySize[k]})
+	}
+	rs := sim.SimulateSweep(tr, core.NewSelectiveSweep("selective", cfgs), sim.Options{PerBranch: true}).Results
 
 	fmt.Println("hardest gcc branches under gshare(16), and their oracle-selected correlations:")
 	for _, h := range hardest[:5] {

@@ -29,8 +29,10 @@ func main() {
 		tr := w.Generate(200_000)
 
 		sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
-		rs := sim.Simulate(tr, []bp.Predictor{bp.NewGshare(16), core.NewOnlineSelective(3, 16, 256), core.NewSelective("oracle-sel3", 16, sels.BySize[3])}, sim.Options{}).Results
-		gshare, online, oracle := rs[0].Accuracy(), rs[1].Accuracy(), rs[2].Accuracy()
+		rs := sim.Simulate(tr, []bp.Predictor{bp.NewGshare(16), core.NewOnlineSelective(3, 16, 256)}, sim.Options{}).Results
+		sel3 := core.NewSelectiveSweep("oracle-sel3", []core.SelectiveConfig{{Name: "oracle-sel3", Window: 16, Assign: sels.BySize[3]}})
+		gshare, online := rs[0].Accuracy(), rs[1].Accuracy()
+		oracle := sim.SimulateSweep(tr, sel3, sim.Options{}).Accuracy(0)
 		recovered := "-"
 		if oracle > gshare {
 			recovered = fmt.Sprintf("%5.0f%%", 100*(online-gshare)/(oracle-gshare))

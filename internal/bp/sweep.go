@@ -2,6 +2,7 @@ package bp
 
 import (
 	"fmt"
+	"slices"
 
 	"branchcorr/internal/trace"
 )
@@ -88,6 +89,32 @@ type SweepKernel interface {
 	SweepBlock(blk KernelBlock, correct []int32)
 }
 
+// BranchSweepKernel is a SweepKernel that can also attribute each
+// config's correct predictions to static branches: the per-branch output
+// sim.SimulateSweep produces under Options.PerBranch. SweepBlockBranches
+// is SweepBlock plus, for every record of the range config c predicts
+// correctly, one added to branches[c][id], id being the record's dense
+// branch ID (each branches[c] must cover len(blk.Addrs)). Kernels choose
+// between their totals-only and per-branch loops once per block or tile,
+// so SweepBlock keeps its own loops.
+type BranchSweepKernel interface {
+	SweepKernel
+	SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32)
+}
+
+// CountsBranches reports whether g is a fused grid that can count per
+// branch: a BranchSweepKernel, except a ConcatSweep with a part that
+// cannot.
+func CountsBranches(g SweepGrid) bool {
+	switch g := g.(type) {
+	case *ConcatSweep:
+		return g.branches != nil
+	case BranchSweepKernel:
+		return true
+	}
+	return false
+}
+
 // SweepSharder is a SweepGrid that can split itself into independent
 // contiguous sub-grids, the unit of config-sharded parallel sweeps:
 // configs of one grid share no counter state, so per-config correct
@@ -152,18 +179,26 @@ func newSweepScratch() sweepScratch {
 
 // extendPcx grows a cached per-ID word-aligned-address column to cover
 // addrs, computing entries only for newly interned IDs. The allocation
-// sits outside every loop and is amortized doubling, so steady-state
-// blocks of a stream reuse the column and allocate nothing.
+// sits outside every loop and is amortized (growColumn), so
+// steady-state blocks of a stream reuse the column and allocate nothing.
 func extendPcx(pcx []uint32, addrs []trace.Addr) []uint32 {
-	if len(addrs) <= len(pcx) {
-		return pcx
+	old := len(pcx)
+	pcx = growColumn(pcx, len(addrs))
+	for id := old; id < len(pcx); id++ {
+		pcx[id] = uint32(addrs[id]) >> 2
 	}
-	out := make([]uint32, len(addrs), max(len(addrs), 2*cap(pcx)))
-	copy(out, pcx)
-	for id := len(pcx); id < len(addrs); id++ {
-		out[id] = uint32(addrs[id]) >> 2
+	return pcx
+}
+
+// growColumn extends a per-ID column to n entries as a stream's intern
+// table grows: within capacity it reslices, beyond it slices.Grow
+// reallocates with append's amortized growth. Entries past the old
+// length are zero, because columns never shrink.
+func growColumn[E any](s []E, n int) []E {
+	if n <= len(s) {
+		return s
 	}
-	return out
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // GshareSweep is the fused gshare grid: one config per history length,
@@ -235,9 +270,23 @@ func (g *GshareSweep) Shard(lo, hi int) SweepGrid {
 // per-record work once — ID load, outcome extract, key pcx^h, history
 // shift — and each config pair's replay of the staged tile is the
 // single-config kernel loop minus exactly that work.
+func (g *GshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
+	g.sweep(blk, correct, nil)
+}
+
+// SweepBlockBranches implements BranchSweepKernel: the shared pass is
+// SweepBlock's, and each config replays the staged tile alone through
+// replayBranches.
+func (g *GshareSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32) {
+	g.sweep(blk, correct, branches)
+}
+
+// sweep is SweepBlock, and with non-nil branches SweepBlockBranches; the
+// choice between the paired totals-only replay and the per-branch one is
+// made once per tile.
 //
 //bplint:hot
-func (g *GshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
+func (g *GshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
 	g.pcx = extendPcx(g.pcx, blk.Addrs)
 	pcx := g.pcx
 	phts := g.phts
@@ -256,6 +305,13 @@ func (g *GshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 			kk[i] = ((pcx[ids[j]]^h)&kmax)<<1 | uint32(t)
 			h = h<<1 | uint32(t)
 			j++
+		}
+		if branches != nil {
+			tids := ids[lo:hi]
+			for c, tbl := range phts {
+				correct[c] += replayBranches(kk, tids, tbl, branches[c])
+			}
+			continue
 		}
 		c := 0
 		for ; c+2 <= len(phts); c += 2 {
@@ -293,6 +349,27 @@ func (g *GshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 		}
 	}
 	g.history = h
+}
+
+// replayBranches replays one config's power-of-2 table over a staged
+// key|outcome tile whose records have dense IDs tids, adding each
+// correct prediction to perID[id] as well as to the returned count.
+//
+//bplint:hot
+func replayBranches(kk []uint32, tids []int32, tbl []Counter2, perID []int32) int32 {
+	tids = tids[:len(kk)]
+	m := uint32(len(tbl) - 1)
+	n := int32(0)
+	for i, v := range kk {
+		t := Counter2(v & 1)
+		s := (v >> 1) & m
+		x := sweepStep[tbl[s]<<1|t]
+		ok := int32(x & 1)
+		n += ok
+		perID[tids[i]] += ok
+		tbl[s] = Counter2(x >> 1)
+	}
+	return n
 }
 
 // BimodalSweep is the fused bimodal grid: one config per table size,
@@ -805,14 +882,15 @@ func (g *PredictorGrid) Shard(lo, hi int) SweepGrid {
 }
 
 var (
-	_ SweepKernel  = (*GshareSweep)(nil)
-	_ SweepKernel  = (*BimodalSweep)(nil)
-	_ SweepKernel  = (*GAsSweep)(nil)
-	_ SweepKernel  = (*PAsSweep)(nil)
-	_ SweepGrid    = (*PredictorGrid)(nil)
-	_ SweepSharder = (*GshareSweep)(nil)
-	_ SweepSharder = (*BimodalSweep)(nil)
-	_ SweepSharder = (*GAsSweep)(nil)
-	_ SweepSharder = (*PAsSweep)(nil)
-	_ SweepSharder = (*PredictorGrid)(nil)
+	_ SweepKernel       = (*GshareSweep)(nil)
+	_ BranchSweepKernel = (*GshareSweep)(nil)
+	_ SweepKernel       = (*BimodalSweep)(nil)
+	_ SweepKernel       = (*GAsSweep)(nil)
+	_ SweepKernel       = (*PAsSweep)(nil)
+	_ SweepGrid         = (*PredictorGrid)(nil)
+	_ SweepSharder      = (*GshareSweep)(nil)
+	_ SweepSharder      = (*BimodalSweep)(nil)
+	_ SweepSharder      = (*GAsSweep)(nil)
+	_ SweepSharder      = (*PAsSweep)(nil)
+	_ SweepSharder      = (*PredictorGrid)(nil)
 )

@@ -9,9 +9,10 @@ import "fmt"
 // is what lets a heterogeneous figure — say selective predictors, an
 // IF-gshare, and a gshare — ride one fused pass per trace.
 type ConcatSweep struct {
-	name  string
-	parts []SweepKernel
-	offs  []int // offs[i] is part i's first config index; offs[len(parts)] is the total
+	name     string
+	parts    []SweepKernel
+	branches []BranchSweepKernel // the parts again when every part counts per branch, else nil
+	offs     []int               // offs[i] is part i's first config index; offs[len(parts)] is the total
 }
 
 // NewConcatSweep returns a fused grid over the parts' configs in
@@ -24,7 +25,16 @@ func NewConcatSweep(name string, parts ...SweepKernel) *ConcatSweep {
 	for i, p := range parts {
 		offs[i+1] = offs[i] + len(p.ConfigNames())
 	}
-	return &ConcatSweep{name: name, parts: append([]SweepKernel(nil), parts...), offs: offs}
+	g := &ConcatSweep{name: name, parts: append([]SweepKernel(nil), parts...), offs: offs}
+	branches := make([]BranchSweepKernel, len(parts))
+	for i, p := range parts {
+		if !CountsBranches(p) {
+			return g
+		}
+		branches[i] = p.(BranchSweepKernel)
+	}
+	g.branches = branches
+	return g
 }
 
 // GridName implements SweepGrid.
@@ -56,6 +66,20 @@ func (g *ConcatSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	offs := g.offs
 	for i, p := range g.parts {
 		p.SweepBlock(blk, correct[offs[i]:offs[i+1]])
+	}
+}
+
+// SweepBlockBranches implements BranchSweepKernel: each part replays the
+// block against its slices of the count vector and of the per-branch
+// counts. It panics unless every part counts per branch
+// (CountsBranches).
+func (g *ConcatSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32) {
+	if g.branches == nil {
+		panic(fmt.Sprintf("bp: concat sweep %q has a part that cannot count per branch", g.name))
+	}
+	offs := g.offs
+	for i, p := range g.branches {
+		p.SweepBlockBranches(blk, correct[offs[i]:offs[i+1]], branches[offs[i]:offs[i+1]])
 	}
 }
 
@@ -97,6 +121,7 @@ func (g *ConcatSweep) Shard(lo, hi int) SweepGrid {
 }
 
 var (
-	_ SweepKernel  = (*ConcatSweep)(nil)
-	_ SweepSharder = (*ConcatSweep)(nil)
+	_ SweepKernel       = (*ConcatSweep)(nil)
+	_ BranchSweepKernel = (*ConcatSweep)(nil)
+	_ SweepSharder      = (*ConcatSweep)(nil)
 )

@@ -32,15 +32,12 @@ import (
 // extendKeyHi grows a cached per-ID map-key-prefix column (addr<<32) to
 // cover addrs, mirroring extendPcx.
 func extendKeyHi(keyHi []uint64, addrs []trace.Addr) []uint64 {
-	if len(addrs) <= len(keyHi) {
-		return keyHi
+	old := len(keyHi)
+	keyHi = growColumn(keyHi, len(addrs))
+	for id := old; id < len(keyHi); id++ {
+		keyHi[id] = uint64(addrs[id]) << 32
 	}
-	out := make([]uint64, len(addrs), max(len(addrs), 2*cap(keyHi)))
-	copy(out, keyHi)
-	for id := len(keyHi); id < len(addrs); id++ {
-		out[id] = uint64(addrs[id]) << 32
-	}
-	return out
+	return keyHi
 }
 
 // IFGshareSweep is the fused interference-free gshare grid: one config
@@ -113,9 +110,20 @@ func (g *IFGshareSweep) Shard(lo, hi int) SweepGrid {
 // unmasked history and outcome per record and advances the register;
 // each config's replay is the scalar loop minus the history update, one
 // map read-modify-write per record through the sweepStep LUT.
+func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
+	g.sweep(blk, correct, nil)
+}
+
+// SweepBlockBranches implements BranchSweepKernel.
+func (g *IFGshareSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32) {
+	g.sweep(blk, correct, branches)
+}
+
+// sweep is SweepBlock, and with non-nil branches SweepBlockBranches; the
+// per-branch replay is chosen once per tile and config.
 //
 //bplint:hot
-func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
+func (g *IFGshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
 	keyHi := g.keyHi
 	counters := g.counters
@@ -139,6 +147,10 @@ func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 		for c := range counters {
 			tbl := counters[c]
 			m := hmasks[c]
+			if branches != nil {
+				correct[c] += replayMapBranches(kk, tids, keyHi, tbl, m, branches[c]) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+				continue
+			}
 			n := int32(0)
 			for i, v := range kk {
 				t := Counter2(v & 1)
@@ -152,6 +164,29 @@ func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 		}
 	}
 	g.history = h
+}
+
+// replayMapBranches replays one interference-free config's counter map
+// over a staged history|outcome tile whose records have dense IDs tids,
+// adding each correct prediction to perID[id] as well as to the
+// returned count.
+//
+//bplint:hot
+func replayMapBranches(kk []uint64, tids []int32, keyHi []uint64, tbl map[uint64]Counter2, m uint64, perID []int32) int32 {
+	tids = tids[:len(kk)]
+	n := int32(0)
+	for i, v := range kk {
+		t := Counter2(v & 1)
+		id := tids[i]
+		k := keyHi[id] | (v>>1)&m
+		cnt := tbl[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+		x := sweepStep[cnt<<1|t]
+		ok := int32(x & 1)
+		n += ok
+		perID[id] += ok
+		tbl[k] = Counter2(x >> 1) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+	}
+	return n
 }
 
 // IFPAsSweep is the fused interference-free PAs grid: one config per
@@ -229,11 +264,7 @@ func (g *IFPAsSweep) Shard(lo, hi int) SweepGrid {
 //bplint:hot
 func (g *IFPAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
-	if len(blk.Addrs) > len(g.hist) {
-		grown := make([]uint32, len(blk.Addrs), max(len(blk.Addrs), 2*cap(g.hist)))
-		copy(grown, g.hist)
-		g.hist = grown
-	}
+	g.hist = growColumn(g.hist, len(blk.Addrs))
 	keyHi := g.keyHi
 	hist := g.hist
 	counters := g.counters
@@ -273,8 +304,9 @@ func (g *IFPAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
 }
 
 var (
-	_ SweepKernel  = (*IFGshareSweep)(nil)
-	_ SweepKernel  = (*IFPAsSweep)(nil)
-	_ SweepSharder = (*IFGshareSweep)(nil)
-	_ SweepSharder = (*IFPAsSweep)(nil)
+	_ SweepKernel       = (*IFGshareSweep)(nil)
+	_ BranchSweepKernel = (*IFGshareSweep)(nil)
+	_ SweepKernel       = (*IFPAsSweep)(nil)
+	_ SweepSharder      = (*IFGshareSweep)(nil)
+	_ SweepSharder      = (*IFPAsSweep)(nil)
 )

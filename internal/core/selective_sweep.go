@@ -12,8 +12,9 @@ import (
 
 // SelectiveConfig is one column of a fused selective-predictor grid: a
 // named Selective over its own window length, ref assignment, and state
-// mode. Window sweeps (Figure 4) vary Window at a fixed Assign; figure
-// panels vary Assign (history size) at a fixed Window.
+// mode. Window sweeps (Figure 5) vary Window with each window's own
+// Assign; history-size comparisons (Figure 4) vary Assign at a fixed
+// Window.
 type SelectiveConfig struct {
 	Name   string
 	Window int
@@ -160,17 +161,15 @@ func checkSelShardRange(lo, hi, n int) {
 
 // extend interns the block's new dense IDs: each gets its per-config
 // ref counts and pow3-sized tables (pre-created here so the replay loop
-// never allocates, with the amortized-doubling growth of the bp sweep
-// columns) and its union key set. Consumers whose refs name a PC that
-// only now appears re-resolve their keys.
+// never allocates, with append's amortized growth) and its union key
+// set. Consumers whose refs name a PC that only now appears re-resolve
+// their keys.
 func (g *SelectiveSweep) extend(addrs []trace.Addr) {
 	old := len(g.branches)
 	if len(addrs) <= old {
 		return
 	}
-	branches := make([]selBranch, len(addrs), max(len(addrs), 2*cap(g.branches)))
-	copy(branches, g.branches)
-	g.branches = branches
+	g.branches = slices.Grow(g.branches, len(addrs)-old)[:len(addrs)]
 	for id := old; id < len(addrs); id++ {
 		g.idOf[addrs[id]] = int32(id)
 	}
@@ -241,6 +240,18 @@ func (g *SelectiveSweep) resolveKeys(id int32, addrs []trace.Addr, register bool
 // reaches back before the block's first column (a chunk-only block's
 // first maxWindow records) walks on its own.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
+	g.sweep(blk, correct, nil)
+}
+
+// SweepBlockBranches implements bp.BranchSweepKernel: SweepBlock with
+// the per-branch replay loop.
+func (g *SelectiveSweep) SweepBlockBranches(blk bp.KernelBlock, correct []int32, branches [][]int32) {
+	g.sweep(blk, correct, branches)
+}
+
+// sweep is SweepBlock, and with non-nil perID SweepBlockBranches; the
+// replay loop is chosen once per selSweepChunk step.
+func (g *SelectiveSweep) sweep(blk bp.KernelBlock, correct []int32, perID [][]int32) {
 	g.extend(blk.Addrs)
 	correct = correct[:len(g.cfgs)]
 	g.memo.reset(blk.IDs, blk.Taken, blk.Back, g.col.n, blk.Lo, blk.Hi)
@@ -249,17 +260,19 @@ func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 		hi := min(lo+selSweepChunk, blk.Hi)
 		base := g.col.extendRange(blk.IDs, blk.Taken, blk.Back, lo, hi)
 		g.em.setColumns(g.col.ids, g.col.taken, g.col.back)
-		g.sweepRange(base, base+hi-lo, lo-base, correct)
+		if perID != nil {
+			g.sweepRangeBranches(base, base+hi-lo, lo-base, correct, perID)
+		} else {
+			g.sweepRange(base, base+hi-lo, lo-base, correct)
+		}
 		g.col.retire(base + hi - lo)
 	}
 }
 
 // sweepRange replays column positions [lo, hi), block position i+shift
-// for column position i. Each record's pattern-table index per config
-// comes from its signature class — resolved by one walk at the class's
-// first record and cached — or, for an unclassified record, from a walk
-// of its own; then every config trains its pattern counter, in record
-// order.
+// for column position i: each record's per-config pattern-table indices
+// come from patternsAt, then every config trains its pattern counter,
+// in record order.
 //
 //bplint:hot
 func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
@@ -270,17 +283,7 @@ func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
 	for i := lo; i < hi; i++ {
 		br := &branches[ids[i]]
 		taken := em.taken1(i)
-		pat := g.pat
-		switch c, fresh := g.memo.classify(i + shift); { //bplint:ignore kernel-purity classes grow on the miss path only, within the memo's class budget
-		case fresh:
-			g.pats = extend(g.pats, ncfg) //bplint:ignore kernel-purity the cache grows by one class on the miss path only, within the memo's class budget
-			pat = g.pats[int(c)*ncfg:]
-			g.patterns(i, br, pat)
-		case c >= 0:
-			pat = g.pats[int(c)*ncfg:]
-		default:
-			g.patterns(i, br, pat)
-		}
+		pat := g.patternsAt(i, shift, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
 			idx := pat[c]
@@ -290,6 +293,54 @@ func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
 			}
 			tbl[idx] = cnt.Next(taken)
 		}
+	}
+}
+
+// sweepRangeBranches is sweepRange that also adds each correct
+// prediction of config c to perID[c][id], id being the record's dense ID.
+//
+//bplint:hot
+func (g *SelectiveSweep) sweepRangeBranches(lo, hi, shift int, correct []int32, perID [][]int32) {
+	em := g.em
+	ids := em.ids
+	branches := g.branches
+	ncfg := len(g.cfgs)
+	perID = perID[:ncfg]
+	for i := lo; i < hi; i++ {
+		id := ids[i]
+		br := &branches[id]
+		taken := em.taken1(i)
+		pat := g.patternsAt(i, shift, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
+		for c := 0; c < ncfg; c++ {
+			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
+			idx := pat[c]
+			cnt := tbl[idx]
+			if cnt.Taken() == taken {
+				correct[c]++
+				perID[c][id]++
+			}
+			tbl[idx] = cnt.Next(taken)
+		}
+	}
+}
+
+// patternsAt returns column position i's pattern-table index per config.
+// They come from the record's signature class, resolved by one walk at
+// the class's first record and cached, or, for an unclassified record,
+// from a walk of its own.
+func (g *SelectiveSweep) patternsAt(i, shift int, br *selBranch) []uint8 {
+	ncfg := len(g.cfgs)
+	switch c, fresh := g.memo.classify(i + shift); {
+	case fresh:
+		g.pats = extend(g.pats, ncfg)
+		pat := g.pats[int(c)*ncfg:]
+		g.patterns(i, br, pat)
+		return pat
+	case c >= 0:
+		return g.pats[int(c)*ncfg:]
+	default:
+		g.patterns(i, br, g.pat)
+		return g.pat
 	}
 }
 
@@ -361,6 +412,6 @@ func (g *SelectiveSweep) patterns(i int, br *selBranch, pat []uint8) {
 }
 
 var (
-	_ bp.SweepKernel  = (*SelectiveSweep)(nil)
-	_ bp.SweepSharder = (*SelectiveSweep)(nil)
+	_ bp.BranchSweepKernel = (*SelectiveSweep)(nil)
+	_ bp.SweepSharder      = (*SelectiveSweep)(nil)
 )

@@ -209,6 +209,32 @@ func TestSelectiveSweepAllocs(t *testing.T) {
 	}
 }
 
+// TestSelectiveSweepInternGrowth streams a trace whose sites appear one
+// at a time, so nearly every one-record block interns a new ID: the
+// per-ID state must grow amortized, never doubling per block.
+func TestSelectiveSweepInternGrowth(t *testing.T) {
+	tr := trace.New("intern-growth", 0)
+	for i := 0; i < 400; i++ {
+		tr.Append(rec(trace.Addr(0x1000+4*i), i%3 == 0))
+		tr.Append(rec(0x100, i%2 == 0))
+	}
+	var enc bytes.Buffer
+	if err := tr.Write(&enc); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.ReadBlocks(bytes.NewReader(enc.Bytes()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewSelectiveSweep("sel", []SelectiveConfig{{Name: "sel", Window: 8, Assign: Assignment{0x100: {Ref{0x1004, Occurrence, 0}}}}})
+	if _, err := sim.SimulateSweepBlocks(src, g, sim.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(g.branches); n != 401 || cap(g.branches) > 4*n {
+		t.Errorf("%d branches held in capacity %d", n, cap(g.branches))
+	}
+}
+
 // TestSelectiveSweepValidation pins the loud constructor failures.
 func TestSelectiveSweepValidation(t *testing.T) {
 	cases := map[string]func(){

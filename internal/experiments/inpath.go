@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"branchcorr/internal/core"
 	"branchcorr/internal/textplot"
 	"branchcorr/internal/trace"
 )
@@ -39,25 +38,16 @@ func (s *Suite) InPath() *InPathResult {
 	return res
 }
 
-// inPathCell decomposes one benchmark's selective-history accuracy.
+// inPathCell decomposes one benchmark's selective-history accuracy. Both
+// selective modes ran over the same oracle assignment in globalFor's
+// per-branch pass.
 func (s *Suite) inPathCell(tr *trace.Trace) InPathRow {
 	g := s.globalFor(tr)
-	base := s.baseFor(tr)
-	s.log("%s: presence-only selective history", tr.Name())
-	// The direction-mode result and the oracle's ref choices are
-	// cached in the global bundle; the presence-mode run reuses the
-	// same assignment as a one-config fused selective sweep.
-	pres := core.NewSelectiveSweep("inpath-presence", []core.SelectiveConfig{{
-		Name:   "presence-sel3",
-		Window: s.cfg.Oracle.WindowLen,
-		Assign: g.sels.BySize[3],
-		Mode:   core.ModePresence,
-	}})
 	return InPathRow{
 		Benchmark: tr.Name(),
 		Direction: g.sel[3].Accuracy(),
-		Presence:  s.simSweep(tr, pres).Accuracy(0),
-		Static:    base.static.Accuracy(),
+		Presence:  g.presence.Accuracy(),
+		Static:    s.baseFor(tr).static.Accuracy(),
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // metricsConfig is the fixed workload the metrics tests run: small
-// enough for CI, but covering the fast path (gshare via fig4), the
-// reference path (the selective predictors), the oracle passes, and the
+// enough for CI, but covering the per-branch fused sweep Figure 4 and
+// Table 2 share, the oracle passes, and the kernel fast path of the
 // user-spec extra exhibit.
 func metricsConfig(reg *obs.Registry) Config {
 	return Config{
@@ -31,7 +31,7 @@ func metricsConfig(reg *obs.Registry) Config {
 }
 
 // metricsExhibits is the exhibit subset the metrics tests build.
-var metricsExhibits = []string{"table1", "fig4", "extra"}
+var metricsExhibits = []string{"table1", "fig4", "table2", "extra"}
 
 // countersJSON builds the fixed report at the given parallelism into a
 // fresh registry and returns the deterministic snapshot (counters and

@@ -32,8 +32,8 @@ func referenceTimeline(tr *trace.Trace, bucket int, predictors ...bp.Predictor) 
 
 // referenceSweep is sim.SimulateSweep pinned to the scalar reference
 // loop, bypassing both the fused grid walk and per-config kernels.
-func referenceSweep(tr *trace.Trace, grid bp.SweepGrid) *sim.SweepOutcome {
-	return sim.SimulateSweep(tr, grid, sim.Options{ForceReference: true})
+func referenceSweep(tr *trace.Trace, grid bp.SweepGrid, perBranch bool) *sim.SweepOutcome {
+	return sim.SimulateSweep(tr, grid, sim.Options{ForceReference: true, PerBranch: perBranch})
 }
 
 // buildReportWithSim builds a full golden-config report with the given
@@ -42,7 +42,7 @@ func referenceSweep(tr *trace.Trace, grid bp.SweepGrid) *sim.SweepOutcome {
 func buildReportWithSim(t *testing.T, parallel int,
 	run func(*trace.Trace, ...bp.Predictor) []*sim.Result,
 	timeline func(*trace.Trace, int, ...bp.Predictor) []*sim.Timeline,
-	sweep func(*trace.Trace, bp.SweepGrid) *sim.SweepOutcome) (string, string) {
+	sweep func(*trace.Trace, bp.SweepGrid, bool) *sim.SweepOutcome) (string, string) {
 	t.Helper()
 	s, err := NewSuite(goldenConfig(), t.Logf)
 	if err != nil {

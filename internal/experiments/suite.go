@@ -129,12 +129,13 @@ func (c Config) withDefaults() Config {
 
 // globalBundle holds the per-trace results every global-correlation
 // exhibit shares: oracle-selected selective predictors of sizes 1–3, the
+// 3-ref one again with outcomes hidden (presence mode), the
 // interference-free gshare, and the real gshare.
 type globalBundle struct {
-	sel  [core.MaxSelectiveRefs + 1]*sim.Result
-	ifg  *sim.Result
-	g    *sim.Result
-	sels *core.Selections // the oracle's ref choices, for reuse
+	sel      [core.MaxSelectiveRefs + 1]*sim.Result
+	presence *sim.Result
+	ifg      *sim.Result
+	g        *sim.Result
 }
 
 // baseBundle holds the baseline predictor runs shared by the section 4
@@ -210,11 +211,13 @@ type Suite struct {
 	// wrapper.
 	simTimeline func(tr *trace.Trace, bucket int, predictors ...bp.Predictor) []*sim.Timeline
 
-	// simSweep drives a whole config grid over a trace in one call. It
-	// defaults to sim.SimulateSweep, whose fused path kicks in when the
-	// grid is a bp.SweepKernel; differential tests swap in a
-	// ForceReference call to prove report bytes are engine-independent.
-	simSweep func(tr *trace.Trace, grid bp.SweepGrid) *sim.SweepOutcome
+	// simSweep drives a whole config grid over a trace in one call,
+	// with per-branch Results when perBranch is set. It defaults to
+	// sim.SimulateSweep, whose fused path kicks in when the grid is a
+	// bp.SweepKernel (a bp.BranchSweepKernel for per-branch calls);
+	// differential tests swap in a ForceReference call to prove report
+	// bytes are engine-independent.
+	simSweep func(tr *trace.Trace, grid bp.SweepGrid, perBranch bool) *sim.SweepOutcome
 }
 
 // NewSuite generates traces for the configured workloads and returns a
@@ -245,8 +248,8 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 	s.simTimeline = func(tr *trace.Trace, bucket int, predictors ...bp.Predictor) []*sim.Timeline {
 		return sim.Simulate(tr, predictors, sim.Options{BucketSize: bucket, Observer: cfg.Obs}).Timelines
 	}
-	s.simSweep = func(tr *trace.Trace, grid bp.SweepGrid) *sim.SweepOutcome {
-		return sim.SimulateSweep(tr, grid, sim.Options{Observer: cfg.Obs, Parallel: cfg.SweepShards})
+	s.simSweep = func(tr *trace.Trace, grid bp.SweepGrid, perBranch bool) *sim.SweepOutcome {
+		return sim.SimulateSweep(tr, grid, sim.Options{Observer: cfg.Obs, Parallel: cfg.SweepShards, PerBranch: perBranch})
 	}
 	var store *corpus.Store
 	if cfg.CorpusDir != "" {
@@ -312,9 +315,9 @@ func (s *Suite) packedFor(tr *trace.Trace) *trace.Packed {
 }
 
 // selsFor computes (once) the oracle's selective-history ref choices for
-// a trace at the configured window. The sweep-driven Figure 4 cell and
-// the per-branch bundle (globalFor) both start here, so a report that
-// needs both pays for one oracle pass.
+// a trace at the configured window. The per-branch bundle (globalFor)
+// and Figure 5's default window both start here, so a report that needs
+// both pays for one oracle pass.
 func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
 	s.obs.Counter("suite.memo.sels.calls").Inc()
 	return s.sels.get(tr.Name(), func() *core.Selections {
@@ -324,27 +327,42 @@ func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
 	})
 }
 
-// globalFor computes (once) the selective/IF-gshare/gshare results for a
-// trace at the configured oracle window. Concurrent callers for the same
-// trace block on one computation and share its bundle.
+// globalFor computes (once) the per-branch results Figures 4 and 8,
+// Table 2 and the in-path exhibit share, for a trace at the configured
+// oracle window. All six predictors run as one per-branch fused sweep:
+// the three oracle-selected selective predictors and the presence-mode
+// 3-ref one share one selective grid (one emitter walk per path
+// signature), and the IF-gshare and gshare ride the same pass.
+// Concurrent callers for the same trace block on one computation and
+// share its bundle.
 func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 	s.obs.Counter("suite.memo.global.calls").Inc()
 	return s.global.get(tr.Name(), func() *globalBundle {
 		s.obs.Counter("suite.memo.global.misses").Inc()
 		sels := s.selsFor(tr)
-		selective := []bp.Predictor{
-			core.NewSelective(fmt.Sprintf("IF 1-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[1]),
-			core.NewSelective(fmt.Sprintf("IF 2-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[2]),
-			core.NewSelective(fmt.Sprintf("IF 3-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[3]),
+		n := s.cfg.Oracle.WindowLen
+		cfgs := make([]core.SelectiveConfig, 0, core.MaxSelectiveRefs+1)
+		for k := 1; k <= core.MaxSelectiveRefs; k++ {
+			cfgs = append(cfgs, core.SelectiveConfig{
+				Name:   fmt.Sprintf("IF %d-branch selective(%d)", k, n),
+				Window: n,
+				Assign: sels.BySize[k],
+			})
 		}
+		cfgs = append(cfgs, core.SelectiveConfig{
+			Name:   fmt.Sprintf("presence 3-branch selective(%d)", n),
+			Window: n,
+			Assign: sels.BySize[3],
+			Mode:   core.ModePresence,
+		})
+		grid := bp.NewConcatSweep("global-correlation",
+			core.NewSelectiveSweep("global-selective", cfgs),
+			bp.NewIFGshareSweep([]uint{s.cfg.GshareBits}),
+			bp.NewGshareSweep([]uint{s.cfg.GshareBits}),
+		)
 		s.log("%s: simulating selective + gshare predictors", tr.Name())
-		// Two batches: the selective predictors have no batched kernels,
-		// while (IF-)gshare do — batching them separately lets the second
-		// call take sim's columnar fast path. Predictors are independent,
-		// so the split leaves every Result bit-identical.
-		rs := s.simRun(tr, selective...)
-		gs := s.simRun(tr, s.newIFGshare(), s.newGshare())
-		b := &globalBundle{ifg: gs[0], g: gs[1], sels: sels}
+		rs := s.simSweep(tr, grid, true).Results
+		b := &globalBundle{presence: rs[3], ifg: rs[4], g: rs[5]}
 		b.sel[1], b.sel[2], b.sel[3] = rs[0], rs[1], rs[2]
 		return b
 	})

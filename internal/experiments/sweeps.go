@@ -40,7 +40,7 @@ func (s *Suite) Sweeps() *SweepsResult {
 // its own grid instance: a sweep grid carries per-config predictor
 // state bound to one trace walk, exactly like a predictor instance.
 func (s *Suite) sweepsCell(tr *trace.Trace) []float64 {
-	out := s.simSweep(tr, bp.NewGshareSweep(s.cfg.SweepGshareBits))
+	out := s.simSweep(tr, bp.NewGshareSweep(s.cfg.SweepGshareBits), false)
 	accs := make([]float64, len(out.Configs))
 	for c := range accs {
 		accs[c] = out.Accuracy(c)

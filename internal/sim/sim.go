@@ -135,6 +135,13 @@ type Options struct {
 	// loop, bypassing the columnar kernels — the differential tests'
 	// baseline engine.
 	ForceReference bool
+	// PerBranch makes SimulateSweep and SimulateSweepBlocks account
+	// every config per static branch as well: SweepOutcome.Results then
+	// holds one Result per config, shaped as Simulate's. Fused grids
+	// count per branch when bp.CountsBranches holds; any other grid
+	// runs per config. Simulate always accounts per branch and ignores
+	// it.
+	PerBranch bool
 	// Observer receives the engine-engagement counters; nil selects
 	// obs.Default().
 	Observer *obs.Registry

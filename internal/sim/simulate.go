@@ -76,10 +76,7 @@ func SimulateBlocks(src trace.BlockSource, predictors []bp.Predictor, opts Optio
 		addrs := src.Addrs()
 		reg.Counter("sim.stream.blocks").Inc()
 		reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
-		counts = growInt32(counts, len(addrs))
-		for _, id := range blk.IDs {
-			counts[id]++
-		}
+		counts = countIDs(counts, blk, len(addrs))
 		stepAll(sims, blk, addrs, opts.workers())
 	}
 	if err := src.Err(); err != nil {
@@ -177,21 +174,28 @@ func (s *simulator) closeBucket(n int) {
 	s.open = 0
 }
 
-// result closes a trailing partial bucket and assembles the map-shaped
-// Result the rest of the repo consumes. counts[id] is dense ID id's
-// dynamic occurrence count; every ID occurs at least once, so the map's
-// key set is exactly the set of executed branches.
+// result closes a trailing partial bucket and assembles the Result.
+// counts[id] is dense ID id's dynamic occurrence count.
 func (s *simulator) result(traceName string, addrs []trace.Addr, counts []int32) (*Result, *Timeline) {
 	if s.bucket > 0 && s.pos%s.bucket != 0 {
 		s.closeBucket(s.pos % s.bucket)
 	}
-	r := newResult(s.p.Name(), traceName)
+	return branchResult(s.p.Name(), traceName, addrs, s.correct, counts, s.hits, s.pos), s.tl
+}
+
+// branchResult assembles the map-shaped Result the rest of the repo
+// consumes from flat per-dense-ID counts: correct[id] and counts[id] are
+// dense ID id's correct predictions and dynamic occurrences. Every ID
+// occurs at least once, so the map's key set is exactly the set of
+// executed branches.
+func branchResult(predictor, traceName string, addrs []trace.Addr, correct, counts []int32, hits, total int) *Result {
+	r := newResult(predictor, traceName)
 	for id, a := range addrs {
-		r.PerBranch[a] = &BranchAcc{Correct: int(s.correct[id]), Total: int(counts[id])}
+		r.PerBranch[a] = &BranchAcc{Correct: int(correct[id]), Total: int(counts[id])}
 	}
-	r.Correct = s.hits
-	r.Total = s.pos
-	return r, s.tl
+	r.Correct = hits
+	r.Total = total
+	return r
 }
 
 // stepAll replays one block through every simulator: in place when
@@ -265,6 +269,16 @@ func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, h
 		p.Update(rec)
 	}
 	return c
+}
+
+// countIDs adds the block's records to the per-dense-ID occurrence
+// counts, grown to cover n interned IDs.
+func countIDs(counts []int32, blk trace.Block, n int) []int32 {
+	counts = growInt32(counts, n)
+	for _, id := range blk.IDs {
+		counts[id]++
+	}
+	return counts
 }
 
 // growInt32 extends s with zeroed entries up to length n, preserving the

@@ -26,16 +26,26 @@ import (
 // the output vector and the composed result is byte-identical to the
 // sequential run — the scheduler only ever changes who computes a count,
 // never the count (pinned by the shard differential tests under -race).
+//
+// Per-branch sweeps (Options.PerBranch) also count every config's
+// correct predictions per dense branch ID, into per-config slices that
+// shards split exactly as they split the totals; fused grids count them
+// through bp.BranchSweepKernel, and the per-config fallback counts them
+// anyway.
 
 // SweepOutcome is everything one SimulateSweep call produced: one
 // correct-prediction count per grid config, in grid order, over a
-// common record total.
+// common record total, and under Options.PerBranch one per-branch
+// Result per config.
 type SweepOutcome struct {
 	Grid    string   // grid name (bp.SweepGrid.GridName)
 	Trace   string   // trace name
 	Configs []string // per-config labels, grid order
 	Correct []int64  // per-config correct predictions
 	Total   int      // dynamic branches simulated (same for every config)
+	// Results holds one Result per config, in grid order, shaped as
+	// Simulate's, when the call set Options.PerBranch; nil otherwise.
+	Results []*Result
 }
 
 // Accuracy returns config c's prediction accuracy in [0,1].
@@ -60,17 +70,41 @@ func newSweepOutcome(grid bp.SweepGrid, traceName string) *SweepOutcome {
 // sweepAccount reports the work-proportional sweep counters: they
 // depend only on (trace length, grid, options), never on scheduling or
 // chunking, so snapshots stay deterministic.
-func sweepAccount(reg *obs.Registry, grid string, ncfg, records int, fused bool) {
+func sweepAccount(reg *obs.Registry, grid bp.SweepGrid, opts Options, out *SweepOutcome) {
+	ncfg, records := len(out.Configs), out.Total
 	reg.Counter("sim.sweep.configs").Add(int64(ncfg))
 	reg.Counter("sim.sweep.records").Add(int64(records))
 	reg.Counter("sim.sweep.predictions").Add(int64(ncfg) * int64(records))
+	fused, lost := sweepEngine(grid, opts)
 	if fused {
 		reg.Counter("sim.sweep.runs.fused").Inc()
-		reg.Counter("sim.sweep.fused." + grid).Inc()
+		reg.Counter("sim.sweep.fused." + out.Grid).Inc()
 	} else {
 		reg.Counter("sim.sweep.runs.fallback").Inc()
-		reg.Counter("sim.sweep.fallback." + grid).Inc()
+		reg.Counter("sim.sweep.fallback." + out.Grid).Inc()
 	}
+	if opts.PerBranch {
+		reg.Counter("sim.sweep.runs.perbranch").Inc()
+		if lost {
+			reg.Counter("sim.sweep.perbranch.fallback." + out.Grid).Inc()
+		}
+	}
+}
+
+// sweepEngine resolves whether grid runs fused under opts. A per-branch
+// request needs a grid that counts per branch (bp.CountsBranches); lost
+// reports a fused grid that such a request pushed onto per-config
+// simulation because it cannot.
+func sweepEngine(grid bp.SweepGrid, opts Options) (fused, lost bool) {
+	if opts.ForceReference {
+		return false, false
+	}
+	_, kernel := grid.(bp.SweepKernel)
+	if !opts.PerBranch {
+		return kernel, false
+	}
+	fused = bp.CountsBranches(grid)
+	return fused, kernel && !fused
 }
 
 // sweepShards resolves how many config shards a sweep call runs:
@@ -100,7 +134,7 @@ type sweepShard struct {
 // sweep is visible in the metrics (parentFused is the parent's
 // effective engine: degradation is only meaningful when the parent
 // would have fused).
-func planShards(grid bp.SweepGrid, ncfg, n int, parentFused bool) []sweepShard {
+func planShards(grid bp.SweepGrid, opts Options, ncfg, n int, parentFused bool) []sweepShard {
 	sharder, _ := grid.(bp.SweepSharder)
 	var cfgs []bp.Predictor // lazily materialized for non-sharder grids
 	shards := make([]sweepShard, 0, n)
@@ -120,7 +154,7 @@ func planShards(grid bp.SweepGrid, ncfg, n int, parentFused bool) []sweepShard {
 			}
 			sub = bp.NewPredictorGrid(fmt.Sprintf("%s[%d:%d)", grid.GridName(), lo, hi), cfgs[lo:hi])
 		}
-		_, subFused := sub.(bp.SweepKernel)
+		subFused, _ := sweepEngine(sub, opts)
 		shards = append(shards, sweepShard{lo: lo, hi: hi, grid: sub, degraded: parentFused && !subFused})
 		lo = hi
 	}
@@ -168,15 +202,23 @@ func shardAccount(reg *obs.Registry, shards []sweepShard) {
 // sim.sweep.records, and sim.sweep.predictions (configs × records);
 // sharded calls add sim.sweep.runs.sharded, sim.sweep.shards, and
 // sim.sweep.shards.degraded.
+//
+// opts.PerBranch adds SweepOutcome.Results: each config's correct
+// predictions per static branch, counted by the fused kernel when
+// bp.CountsBranches holds for the grid and by per-config simulation
+// otherwise.
+// Per-branch calls count sim.sweep.runs.perbranch, and a fused grid that
+// cannot count per branch adds sim.sweep.perbranch.fallback.<grid>.
 func SimulateSweep(t *trace.Trace, grid bp.SweepGrid, opts Options) *SweepOutcome {
 	reg := obs.Or(opts.Observer)
 	defer reg.StartSpan("sim.simulate_sweep").End()
 	pt := t.Packed()
 	out := newSweepOutcome(grid, t.Name())
-	sweepers, fused := newSweepers(grid, opts, out.Correct, reg)
-	sweepStep(sweepers, wholeBlock(pt), pt.Addrs())
+	branches := newBranchCounts(opts, len(out.Configs))
+	sweepStep(newSweepers(grid, opts, out.Correct, branches, reg), wholeBlock(pt), pt.Addrs())
 	out.Total = pt.Len()
-	sweepAccount(reg, out.Grid, len(out.Configs), out.Total, fused)
+	out.sweepResults(branches, pt.Addrs(), pt.Counts())
+	sweepAccount(reg, grid, opts, out)
 	return out
 }
 
@@ -197,7 +239,9 @@ func SimulateSweepBlocks(src trace.BlockSource, grid bp.SweepGrid, opts Options)
 	reg := obs.Or(opts.Observer)
 	defer reg.StartSpan("sim.simulate_sweep_blocks").End()
 	out := newSweepOutcome(grid, src.Name())
-	sweepers, fused := newSweepers(grid, opts, out.Correct, reg)
+	branches := newBranchCounts(opts, len(out.Configs))
+	sweepers := newSweepers(grid, opts, out.Correct, branches, reg)
+	var counts []int32 // per dense ID dynamic occurrence count, per-branch calls only
 	for {
 		blk, ok := src.Next()
 		if !ok {
@@ -206,34 +250,63 @@ func SimulateSweepBlocks(src trace.BlockSource, grid bp.SweepGrid, opts Options)
 		addrs := src.Addrs()
 		reg.Counter("sim.sweep.blocks").Inc()
 		reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
+		if branches != nil {
+			counts = countIDs(counts, blk, len(addrs))
+		}
 		sweepStep(sweepers, blk, addrs)
 		out.Total += blk.Len()
 	}
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	sweepAccount(reg, out.Grid, len(out.Configs), out.Total, fused)
+	out.sweepResults(branches, src.Addrs(), counts)
+	sweepAccount(reg, grid, opts, out)
 	return out, nil
+}
+
+// newBranchCounts allocates a per-branch call's per-config per-dense-ID
+// correct counts: one slice per config, grown as blocks intern new
+// branches. It returns nil for totals-only calls.
+func newBranchCounts(opts Options, ncfg int) [][]int32 {
+	if !opts.PerBranch {
+		return nil
+	}
+	return make([][]int32, ncfg)
+}
+
+// sweepResults fills out.Results from per-config per-dense-ID correct
+// counts (nil for totals-only calls, which leave Results nil). counts[id]
+// is dense ID id's dynamic occurrence count.
+func (o *SweepOutcome) sweepResults(branches [][]int32, addrs []trace.Addr, counts []int32) {
+	if branches == nil {
+		return
+	}
+	o.Results = make([]*Result, len(o.Configs))
+	for c, name := range o.Configs {
+		o.Results[c] = branchResult(name, o.Trace, addrs, branches[c], counts, int(o.Correct[c]), o.Total)
+	}
 }
 
 // newSweepers resolves a sweep call's schedule: one blockSweeper over
 // the whole grid, or — when the options grant more than one worker —
-// one per config shard, each owning its slice of correct. fused reports
-// the grid's effective engine.
-func newSweepers(grid bp.SweepGrid, opts Options, correct []int64, reg *obs.Registry) (sweepers []*blockSweeper, fused bool) {
-	_, fused = grid.(bp.SweepKernel)
-	fused = fused && !opts.ForceReference
+// one per config shard, each owning its slices of correct and branches.
+func newSweepers(grid bp.SweepGrid, opts Options, correct []int64, branches [][]int32, reg *obs.Registry) []*blockSweeper {
 	n := sweepShards(opts, len(correct))
 	if n <= 1 {
-		return []*blockSweeper{newBlockSweeper(grid, opts.ForceReference, correct)}, fused
+		return []*blockSweeper{newBlockSweeper(grid, opts, correct, branches)}
 	}
-	shards := planShards(grid, len(correct), n, fused)
+	fused, _ := sweepEngine(grid, opts)
+	shards := planShards(grid, opts, len(correct), n, fused)
 	shardAccount(reg, shards)
-	sweepers = make([]*blockSweeper, len(shards))
+	sweepers := make([]*blockSweeper, len(shards))
 	for i, sh := range shards {
-		sweepers[i] = newBlockSweeper(sh.grid, opts.ForceReference, correct[sh.lo:sh.hi:sh.hi])
+		var sub [][]int32
+		if branches != nil {
+			sub = branches[sh.lo:sh.hi:sh.hi]
+		}
+		sweepers[i] = newBlockSweeper(sh.grid, opts, correct[sh.lo:sh.hi:sh.hi], sub)
 	}
-	return sweepers, fused
+	return sweepers
 }
 
 // sweepStep replays one block through every shard's sweeper: in place
@@ -247,25 +320,29 @@ func sweepStep(sweepers []*blockSweeper, blk trace.Block, addrs []trace.Addr) {
 // adding each config's per-block correct counts into its int64 vector
 // (so stream length is unbounded). It resolves the grid's engine once —
 // fused kernel, or per-config predictors each on its own best engine.
+// Per-branch calls also add each config's per-dense-ID counts into its
+// caller-owned slice of branches, which step grows with the intern
+// table.
 type blockSweeper struct {
-	kernel  bp.SweepKernel
-	preds   []bp.Predictor
-	kernels []bp.KernelPredictor
-	scratch []int32
-	perID   []int32 // shared per-branch scratch; only the totals matter
-	correct []int64
+	kernel   bp.SweepKernel
+	preds    []bp.Predictor
+	kernels  []bp.KernelPredictor
+	scratch  []int32
+	perID    []int32   // shared per-branch scratch of a totals-only fallback
+	branches [][]int32 // per config per-dense-ID counts; nil for totals-only calls
+	correct  []int64
 }
 
-func newBlockSweeper(grid bp.SweepGrid, force bool, correct []int64) *blockSweeper {
-	s := &blockSweeper{correct: correct, scratch: make([]int32, len(correct))}
-	if k, ok := grid.(bp.SweepKernel); ok && !force {
-		s.kernel = k
+func newBlockSweeper(grid bp.SweepGrid, opts Options, correct []int64, branches [][]int32) *blockSweeper {
+	s := &blockSweeper{correct: correct, branches: branches, scratch: make([]int32, len(correct))}
+	if fused, _ := sweepEngine(grid, opts); fused {
+		s.kernel = grid.(bp.SweepKernel)
 		return s
 	}
 	s.preds = grid.Configs()
 	s.kernels = make([]bp.KernelPredictor, len(s.preds))
 	for c, p := range s.preds {
-		if kp, ok := p.(bp.KernelPredictor); ok && !force {
+		if kp, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference {
 			s.kernels[c] = kp
 		}
 	}
@@ -277,22 +354,35 @@ func newBlockSweeper(grid bp.SweepGrid, force bool, correct []int64) *blockSweep
 // their buffers).
 func (s *blockSweeper) step(blk trace.Block, addrs []trace.Addr) {
 	kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: 0, Hi: blk.Len()}
+	for c := range s.branches {
+		s.branches[c] = growInt32(s.branches[c], len(addrs))
+	}
 	if s.kernel != nil {
 		for c := range s.scratch {
 			s.scratch[c] = 0
 		}
-		s.kernel.SweepBlock(kblk, s.scratch)
+		if s.branches != nil {
+			s.kernel.(bp.BranchSweepKernel).SweepBlockBranches(kblk, s.scratch, s.branches)
+		} else {
+			s.kernel.SweepBlock(kblk, s.scratch)
+		}
 		for c, v := range s.scratch {
 			s.correct[c] += int64(v)
 		}
 		return
 	}
-	s.perID = growInt32(s.perID, len(addrs))
+	if s.branches == nil {
+		s.perID = growInt32(s.perID, len(addrs))
+	}
 	for c, p := range s.preds {
+		perID := s.perID
+		if s.branches != nil {
+			perID = s.branches[c]
+		}
 		if kp := s.kernels[c]; kp != nil {
-			s.correct[c] += int64(kp.SimulateBlock(kblk, s.perID))
+			s.correct[c] += int64(kp.SimulateBlock(kblk, perID))
 		} else {
-			s.correct[c] += int64(referenceSegment(p, blk, addrs, 0, blk.Len(), s.perID))
+			s.correct[c] += int64(referenceSegment(p, blk, addrs, 0, blk.Len(), perID))
 		}
 	}
 }
