@@ -119,7 +119,9 @@ type ClassifyConfig struct {
 	Obs *obs.Registry
 }
 
-func (c ClassifyConfig) withDefaults() ClassifyConfig {
+// WithDefaults returns c with every zero knob set to its default:
+// IFPAsHistoryBits 16, HighBias 0.99.
+func (c ClassifyConfig) WithDefaults() ClassifyConfig {
 	if c.IFPAsHistoryBits == 0 {
 		c.IFPAsHistoryBits = 16
 	}
@@ -133,7 +135,7 @@ func (c ClassifyConfig) withDefaults() ClassifyConfig {
 // and assigns every static branch to a per-address predictability class,
 // reproducing the method behind Figure 6.
 func ClassifyPerAddress(t *trace.Trace, cfg ClassifyConfig) *PAClassification {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	stats := trace.Summarize(t)
 	results := sim.Simulate(t, []bp.Predictor{
 		bp.NewIdealStatic(stats),

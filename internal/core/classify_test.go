@@ -119,7 +119,7 @@ func TestRepeatingCorrectIsMaxOfSubclasses(t *testing.T) {
 }
 
 func TestClassifyConfigDefaults(t *testing.T) {
-	cfg := ClassifyConfig{}.withDefaults()
+	cfg := ClassifyConfig{}.WithDefaults()
 	if cfg.IFPAsHistoryBits != 16 || cfg.HighBias != 0.99 {
 		t.Errorf("defaults = %+v", cfg)
 	}

@@ -48,7 +48,10 @@ type OracleConfig struct {
 // maxTopK bounds the beam width (and the States scratch arrays).
 const maxTopK = 32
 
-func (c OracleConfig) withDefaults() OracleConfig {
+// WithDefaults returns c with every zero knob set to its default:
+// WindowLen 16, TopK 16, MaxCandidates 2048. It panics if TopK exceeds
+// the beam limit of 32.
+func (c OracleConfig) WithDefaults() OracleConfig {
 	if c.WindowLen == 0 {
 		c.WindowLen = 16
 	}
@@ -74,13 +77,6 @@ func (c OracleConfig) schemeAllowed(s Scheme) bool {
 		}
 	}
 	return false
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Candidates is the per-branch outcome of oracle pass 1: the TopK
@@ -119,7 +115,7 @@ type Selections struct {
 func subsetScore(flat []uint32) uint32 {
 	score := uint32(0)
 	for p := 0; p < len(flat)/2; p++ {
-		score += max32(flat[p*2], flat[p*2+1])
+		score += max(flat[p*2], flat[p*2+1])
 	}
 	return score
 }

@@ -8,7 +8,19 @@
 // //bplint:ignore directives in oracle_kernel.go.
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"branchcorr/internal/trace"
+)
+
+// newPackedEmitter points a fresh emitter at a packed view's full columns.
+func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
+	e := newOracleEmitter(windows)
+	e.setColumns(wholeBlock(pt))
+	e.growScratch(pt.NumBranches())
+	return e
+}
 
 // TestOracleEmitterAllocs pins oracleEmitter.emit at zero allocations:
 // the key buffer is preallocated to the 2-refs-per-entry worst case, so
@@ -38,11 +50,15 @@ func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
 	for _, windows := range [][]int{{8}, {8, 12, 16, 20, 24, 28, 32}} {
-		cfg := OracleConfig{}.withDefaults()
-		cands, classes := profileWindows(pt, windows, cfg)
-		for _, memo := range []*oracleMemo{classes, nil} {
+		cfg := OracleConfig{}.WithDefaults()
+		in := &oracleInput{whole: pt}
+		cands, addrs, err := profileWindows(in, windows, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, memo := range []*oracleMemo{in.memo, nil} {
 			pcs := sortedPCs(cands)
-			matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
+			matchers, matcherOf := buildMatchers(pcs, cands, addrs)
 			em := newPackedEmitter(pt, windows)
 			collectRange(em, matchers, 0, pt.Len(), memo) // warm the emitter and memo scratch
 			allocs := testing.AllocsPerRun(3, func() {

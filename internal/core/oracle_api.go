@@ -12,7 +12,8 @@ import (
 // options-based calls — Oracle for in-memory inputs and OracleBlocks for
 // bounded-memory streams — each running the full pipeline or one stage
 // of it. OracleWindows is Oracle's full stage over several window
-// lengths at once; Oracle's full stage is its one-window call.
+// lengths at once. All three differ only in their input (see
+// oracle_blocks.go) and share one stage switch, runOracle.
 
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and
@@ -71,13 +72,6 @@ type OracleOptions struct {
 	// candidates a prior StageProfile run produced with the same config
 	// over the same records. Ignored by the other stages.
 	Candidates map[trace.Addr]*Candidates
-
-	// Addrs is OracleBlocks' StageSelect intern table: the complete
-	// first-appearance address table of the stream (as produced by the
-	// profile pass over the same records), needed to build beam matchers
-	// before the stream replays. In-memory Oracle ignores it — the
-	// packed view carries its own table.
-	Addrs []trace.Addr
 }
 
 // Oracle runs the correlation oracle over an in-memory source in the
@@ -87,16 +81,7 @@ type OracleOptions struct {
 // are bit-identical at every ScoreParallel and identical to the
 // streaming path (OracleBlocks) on the same records.
 func Oracle(src Source, opts OracleOptions) *Selections {
-	pt := src.Packed()
-	switch opts.Stage {
-	case StageProfile:
-		return &Selections{Candidates: profilePacked(pt, opts.OracleConfig)}
-	case StageSelect:
-		return selectPacked(pt, opts.Candidates, opts.OracleConfig)
-	case StageFull:
-		return OracleWindows(pt, []int{opts.OracleConfig.withDefaults().WindowLen}, opts)[0]
-	}
-	panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
+	return oracleMemory(src, []int{opts.WithDefaults().WindowLen}, opts)[0]
 }
 
 // OracleWindows runs the full oracle (StageFull) at every listed window
@@ -122,70 +107,88 @@ func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections 
 	if len(windows) == 0 {
 		return nil
 	}
-	cfg := opts.OracleConfig.withDefaults()
-	distinct := slices.Clone(windows)
-	slices.Sort(distinct)
-	distinct = slices.Compact(distinct)
-	checkWindows(distinct)
-
-	reg := obs.Or(cfg.Obs)
-	reg.Counter("core.oracle.builds").Add(int64(len(windows)))
-	defer reg.StartSpan("core.oracle.build").End()
-	pt := src.Packed()
-	cands, memo := profileWindows(pt, distinct, cfg)
-	sels := selectWindows(pt, distinct, cands, cfg, memo)
-	out := make([]*Selections, len(windows))
-	for i, n := range windows {
-		w, _ := slices.BinarySearch(distinct, n)
-		out[i] = sels[w]
-	}
-	return out
+	return oracleMemory(src, windows, opts)
 }
 
 // OracleBlocks is Oracle over a streaming trace.BlockSource, in memory
 // bounded by the chunk size rather than the trace length, bit-identical
 // to Oracle on the equivalent in-memory trace. open must yield an
 // identical record stream on every call (e.g. re-open the same corpus
-// entry or trace file): StageFull opens twice — once per pass — and
-// relies on the first pass's intern table matching the re-opened
-// stream's dense IDs; the other stages open once.
+// entry or trace file), because StageFull and StageSelect open it
+// twice: the profile pass, or for StageSelect a first read of the
+// complete intern table, must see the dense IDs the collection pass
+// sees. StageProfile opens it once.
 func OracleBlocks(open func() (trace.BlockSource, error), opts OracleOptions) (*Selections, error) {
-	cfg := opts.OracleConfig.withDefaults()
+	sels, err := runOracle(&oracleInput{open: open}, []int{opts.WithDefaults().WindowLen}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return sels[0], nil
+}
+
+// oracleMemory runs the oracle over an in-memory source, handed over as
+// one zero-copy block. An in-memory input cannot fail.
+func oracleMemory(src Source, windows []int, opts OracleOptions) []*Selections {
+	sels, err := runOracle(&oracleInput{whole: src.Packed()}, windows, opts)
+	if err != nil {
+		panic("core: in-memory oracle input failed: " + err.Error())
+	}
+	return sels
+}
+
+// runOracle is the oracle's one stage switch: it runs opts.Stage over
+// the input at every listed window length and returns one Selections per
+// entry of windows, in argument order (repeats share one result).
+// StageSelect scores opts.Candidates at every window, after a first pass
+// that only reads the input's complete intern table (free in memory, one
+// extra pass over a stream).
+func runOracle(in *oracleInput, windows []int, opts OracleOptions) ([]*Selections, error) {
+	cfg := opts.WithDefaults()
+	distinct := slices.Clone(windows)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	checkWindows(distinct)
+	reg := obs.Or(cfg.Obs)
+
+	var sels []*Selections
 	switch opts.Stage {
 	case StageProfile:
-		src, err := open()
+		cands, _, err := profileWindows(in, distinct, cfg)
 		if err != nil {
 			return nil, err
 		}
-		cands, _, err := profilePass(src, cfg)
-		if err != nil {
-			return nil, err
+		for _, c := range cands {
+			sels = append(sels, &Selections{Candidates: c})
 		}
-		return &Selections{Candidates: cands}, nil
 	case StageSelect:
-		src, err := open()
+		addrs, err := in.pass(reg, newOracleEmitter(distinct), func(int, int, []trace.Addr) {})
 		if err != nil {
 			return nil, err
 		}
-		return selectBlocks(src, opts.Addrs, opts.Candidates, cfg)
+		cands := make([]map[trace.Addr]*Candidates, len(distinct))
+		for w := range cands {
+			cands[w] = opts.Candidates
+		}
+		if sels, err = selectWindows(in, distinct, cands, addrs, cfg); err != nil {
+			return nil, err
+		}
 	case StageFull:
-		reg := obs.Or(cfg.Obs)
-		reg.Counter("core.oracle.builds").Inc()
+		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
 		defer reg.StartSpan("core.oracle.build").End()
-
-		src, err := open()
+		cands, addrs, err := profileWindows(in, distinct, cfg)
 		if err != nil {
 			return nil, err
 		}
-		cands, addrs, err := profilePass(src, cfg)
-		if err != nil {
+		if sels, err = selectWindows(in, distinct, cands, addrs, cfg); err != nil {
 			return nil, err
 		}
-		src, err = open()
-		if err != nil {
-			return nil, err
-		}
-		return selectBlocks(src, addrs, cands, cfg)
+	default:
+		panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 	}
-	panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
+	out := make([]*Selections, len(windows))
+	for i, n := range windows {
+		w, _ := slices.BinarySearch(distinct, n)
+		out[i] = sels[w]
+	}
+	return out, nil
 }

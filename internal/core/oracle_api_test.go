@@ -86,12 +86,10 @@ func TestOracleBlocksMatchesBlocksWrappers(t *testing.T) {
 		}
 		mustEqualCandidates(t, prof.Candidates, Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates)
 
-		pt := trace.Pack(tr)
 		sel, err := OracleBlocks(open, OracleOptions{
 			OracleConfig: cfg,
 			Stage:        StageSelect,
 			Candidates:   prof.Candidates,
-			Addrs:        pt.Addrs(),
 		})
 		if err != nil {
 			t.Fatal(err)

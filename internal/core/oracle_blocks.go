@@ -5,31 +5,98 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file runs the oracle's columnar passes over a streaming
-// trace.BlockSource in bounded memory: resident state is one chunk of
-// columns plus a WindowLen-record carry, the per-branch candidate
-// tables, and the emitter scratch — never the full trace. The per-record
-// loops are the very same profileRange/collectRange the packed path
-// runs (differential tests pin the streamed results bit-identical to
-// the Packed entry points); only the column window they walk is fed
-// chunk by chunk. They run without a path-signature memo: every record
-// walks, in record order.
+// This file is the oracle's one block driver. Every oracle pass — the
+// profile pass, the collection pass, and the streamed select stage's
+// intern-table read — takes its records as trace.Blocks from an
+// oracleInput, and each pass runs the same per-block step whatever the
+// input: the carried column window below, then profileRange or
+// collectRange over the block's positions in it. An in-memory run hands
+// the packed trace over as one zero-copy block, together with its
+// path-signature memo; a streamed run re-opens its BlockSource per pass
+// and takes no memo, so every record walks, in record order. Resident
+// state is one block of columns plus a WindowLen-record carry, the
+// per-branch candidate tables, and the emitter scratch.
 //
-// The stitching invariant: before processing a chunk, the column view
-// is [carry | chunk] where carry is the last min(WindowLen, records
+// The stitching invariant: before processing a block, the column view
+// is [carry | block] where carry is the last min(WindowLen, records
 // seen) records of the stream so far. Every emit position p in the
-// chunk therefore sees exactly the records (p-WindowLen, p) it would
+// block therefore sees exactly the records (p-WindowLen, p) it would
 // see in the full column, so window emission — and everything
-// downstream of it — is independent of the chunk size.
+// downstream of it — is independent of the block size.
 
-// columnWindow maintains the [carry | chunk] column view with reused
-// buffers.
+// oracleInput is the record stream one oracle run reads, pass after
+// pass: an in-memory packed trace (whole) or a stream opener (open),
+// exactly one of them set.
+type oracleInput struct {
+	whole *trace.Packed
+	open  func() (trace.BlockSource, error)
+	memo  *oracleMemo // whole's path-signature classes, once a pass asked for them
+}
+
+// memoAt returns the in-memory trace's path-signature classes at window
+// n, classifying the trace on first use; streamed inputs have none. One
+// run asks at one window only, its largest.
+func (in *oracleInput) memoAt(n int) *oracleMemo {
+	if in.whole != nil && in.memo == nil {
+		in.memo = newPackedMemo(in.whole, n)
+	}
+	return in.memo
+}
+
+// pass is one pass over the input, in record order. Each block joins a
+// column window carrying em's largest window, em is pointed at the view
+// with its scratch grown to the intern table so far, and step runs over
+// the block's view positions [lo, hi) with that intern table. pass
+// returns the complete intern table. It is the only place the oracle
+// reads a BlockSource; each streamed block counts in
+// core.oracle.stream.blocks.
+func (in *oracleInput) pass(reg *obs.Registry, em *oracleEmitter, step func(lo, hi int, addrs []trace.Addr)) ([]trace.Addr, error) {
+	win := columnWindow{n: em.windows[len(em.windows)-1]}
+	feed := func(blk trace.Block, addrs []trace.Addr) {
+		em.growScratch(len(addrs))
+		lo := win.extendRange(blk, 0, blk.Len())
+		em.setColumns(win.view)
+		step(lo, lo+blk.Len(), addrs)
+		win.retire(lo + blk.Len())
+	}
+	if in.whole != nil {
+		feed(wholeBlock(in.whole), in.whole.Addrs())
+		return in.whole.Addrs(), nil
+	}
+	src, err := in.open()
+	if err != nil {
+		return nil, err
+	}
+	for {
+		blk, ok := src.Next()
+		if !ok {
+			break
+		}
+		reg.Counter("core.oracle.stream.blocks").Inc()
+		feed(blk, src.Addrs())
+	}
+	if err := src.Err(); err != nil {
+		return nil, err
+	}
+	return src.Addrs(), nil
+}
+
+// wholeBlock views a packed trace as one zero-copy block. Pack zero-pads
+// its bitsets, so at offset 0 the block-relative bits are the absolute
+// ones.
+func wholeBlock(pt *trace.Packed) trace.Block {
+	return trace.Block{IDs: pt.IDs(), Taken: pt.TakenWords(), Back: pt.BackwardWords()}
+}
+
+// columnWindow maintains the [carry | chunk] column view. A chunk that
+// arrives with nothing carried is viewed in place, with no copy;
+// otherwise the view lives in reused buffers, which also hold the carry
+// between chunks.
 type columnWindow struct {
-	n     int // window length = max carried records
-	ids   []int32
-	taken []uint64
-	back  []uint64
-	carry int // carried records at the head of the columns
+	n     int         // window length = max carried records
+	view  trace.Block // the current [carry | chunk] columns
+	carry int         // carried records at the head of the view
+	buf   trace.Block // storage for a view that carries records
 }
 
 // setBit1 stores v's low bit at bit position p.
@@ -42,146 +109,39 @@ func setBit1(ws []uint64, p int, v uint64) {
 	}
 }
 
-// clearFrom zeroes every bit at position >= from.
-func clearFrom(ws []uint64, from int) {
-	w := from >> 6
-	if w >= len(ws) {
-		return
-	}
-	ws[w] &= uint64(1)<<(uint(from)&63) - 1
-	for j := w + 1; j < len(ws); j++ {
-		ws[j] = 0
-	}
-}
-
-// extend appends the chunk's records after the carried tail and returns
-// the column position of the chunk's first record. Block bitsets are
-// block-relative, so each bit is re-based by the carry offset.
-func (w *columnWindow) extend(blk trace.Block) int {
-	return w.extendRange(blk.IDs, blk.Taken, blk.Back, 0, blk.Len())
-}
-
-// extendRange is extend over records [lo, hi) of a column triple whose
-// bit i describes record i (a kernel block's full or chunk columns).
-func (w *columnWindow) extendRange(ids []int32, taken, back []uint64, lo, hi int) int {
+// extendRange appends records [lo, hi) of src, whose bit i describes
+// record i (a trace block, or a kernel block's full or chunk columns),
+// after the carried tail and returns the view position of record lo.
+func (w *columnWindow) extendRange(src trace.Block, lo, hi int) int {
 	base := w.carry
-	total := base + hi - lo
-	w.ids = append(w.ids[:base], ids[lo:hi]...)
-	for words := (total + 63) / 64; len(w.taken) < words; {
-		w.taken = append(w.taken, 0)
-		w.back = append(w.back, 0)
+	if base == 0 && lo == 0 {
+		w.view = trace.Block{IDs: src.IDs[:hi], Taken: src.Taken, Back: src.Back}
+		return 0
 	}
-	clearFrom(w.taken, base)
-	clearFrom(w.back, base)
-	for i := lo; i < hi; i++ {
-		setBit1(w.taken, base+i-lo, taken[i>>6]>>(uint(i)&63)&1)
-		setBit1(w.back, base+i-lo, back[i>>6]>>(uint(i)&63)&1)
-	}
+	w.copyIn(src, lo, hi, base)
+	w.view = w.buf
 	return base
 }
 
-// retire slides the last min(n, total) records of the current view to
-// the head of the columns, forming the next chunk's carry.
+// retire moves the last min(n, total) records of the view to the head
+// of the buffers, forming the next chunk's carry.
 func (w *columnWindow) retire(total int) {
-	nc := w.n
-	if total < nc {
-		nc = total
-	}
-	if shift := total - nc; shift > 0 {
-		copy(w.ids[:nc], w.ids[shift:total])
-		for i := 0; i < nc; i++ {
-			src := shift + i
-			setBit1(w.taken, i, w.taken[src>>6]>>(uint(src)&63)&1)
-			setBit1(w.back, i, w.back[src>>6]>>(uint(src)&63)&1)
-		}
-	}
-	w.carry = nc
+	w.carry = min(w.n, total)
+	w.copyIn(w.view, total-w.carry, total, 0)
 }
 
-// profileBlocks is pass 1's streaming driver: per-branch tables grow
-// with the source's intern table, and each chunk runs through
-// profileRange at the carry boundary. Returns the final profiles and
-// the complete intern table.
-func profileBlocks(src trace.BlockSource, cfg OracleConfig) ([]kernelProfile, []trace.Addr, error) {
-	reg := obs.Or(cfg.Obs)
-	em := newOracleEmitter([]int{cfg.WindowLen})
-	win := columnWindow{n: cfg.WindowLen}
-	pf := newProfiler(em, nil, cfg, nil)
-	for {
-		blk, ok := src.Next()
-		if !ok {
-			break
-		}
-		pf.addrs = src.Addrs()
-		if len(pf.profiles) < len(pf.addrs) {
-			pf.profiles = append(pf.profiles, newProfiles(len(pf.addrs)-len(pf.profiles), 1)...)
-		}
-		em.growScratch(len(pf.addrs))
-		base := win.extend(blk)
-		em.setColumns(win.ids, win.taken, win.back)
-		pf.profileRange(base, base+blk.Len(), nil)
-		win.retire(base + blk.Len())
-		reg.Counter("core.oracle.stream.blocks").Inc()
+// copyIn writes records [lo, hi) of src to the buffers from position
+// at on, re-basing each bit. src may be the buffers themselves when
+// at <= lo: every record then moves toward the head, so no position is
+// read after it was overwritten.
+func (w *columnWindow) copyIn(src trace.Block, lo, hi, at int) {
+	w.buf.IDs = append(w.buf.IDs[:at], src.IDs[lo:hi]...)
+	for words := (at + hi - lo + 63) / 64; len(w.buf.Taken) < words; {
+		w.buf.Taken = append(w.buf.Taken, 0)
+		w.buf.Back = append(w.buf.Back, 0)
 	}
-	if err := src.Err(); err != nil {
-		return nil, nil, err
+	for i := lo; i < hi; i++ {
+		setBit1(w.buf.Taken, at+i-lo, src.Taken1(i))
+		setBit1(w.buf.Back, at+i-lo, src.Back1(i))
 	}
-	return pf.profiles, src.Addrs(), nil
-}
-
-// profilePass runs pass 1 over a stream and returns both the ranked
-// candidates and the complete intern table the stream produced.
-func profilePass(src trace.BlockSource, cfg OracleConfig) (map[trace.Addr]*Candidates, []trace.Addr, error) {
-	defer obs.Or(cfg.Obs).StartSpan("core.oracle.profile").End()
-	profiles, addrs, err := profileBlocks(src, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return assembleCandidates(profiles, addrs, cfg, 1, 0)[0], addrs, nil
-}
-
-// internIndex builds an ID-resolution closure over a complete intern
-// table, standing in for Packed.IDOf on the streaming path.
-func internIndex(addrs []trace.Addr) func(trace.Addr) (int32, bool) {
-	idx := make(map[trace.Addr]int32, len(addrs))
-	for id, a := range addrs {
-		idx[a] = int32(id)
-	}
-	return func(a trace.Addr) (int32, bool) {
-		id, ok := idx[a]
-		return id, ok
-	}
-}
-
-// selectBlocks is oracle passes 2+3 over a streaming block source:
-// bit-identical to the packed select pass on the equivalent trace. addrs
-// must be the complete intern table of the stream (as returned by the
-// profile pass over the same records — a BlockSource re-opened on the
-// same input yields the same first-appearance IDs), so beam matchers
-// can be built up front.
-func selectBlocks(src trace.BlockSource, addrs []trace.Addr, cands map[trace.Addr]*Candidates, cfg OracleConfig) (*Selections, error) {
-	cfg = cfg.withDefaults()
-	defer obs.Or(cfg.Obs).StartSpan("core.oracle.select").End()
-
-	windowed := []map[trace.Addr]*Candidates{cands}
-	pcs := sortedPCs(windowed)
-	matchers, matcherOf := buildMatchers(pcs, windowed, len(addrs), internIndex(addrs))
-
-	em := newOracleEmitter([]int{cfg.WindowLen})
-	em.growScratch(len(addrs))
-	win := columnWindow{n: cfg.WindowLen}
-	for {
-		blk, ok := src.Next()
-		if !ok {
-			break
-		}
-		base := win.extend(blk)
-		em.setColumns(win.ids, win.taken, win.back)
-		collectRange(em, matchers, base, base+blk.Len(), nil)
-		win.retire(base + blk.Len())
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return scoreSelections(pcs, cands, matcherOf, 0, cfg), nil
 }

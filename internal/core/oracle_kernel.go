@@ -12,10 +12,12 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's columnar hot path. It computes exactly what
-// oracle_reference.go computes — differential tests enforce bit-identical
-// Candidates and Selections — but over the packed (SoA, dense-ID) trace
-// view, with three structural changes:
+// This file is the oracle's columnar hot path: the per-block profile
+// and collection steps the block driver (oracle_blocks.go) runs, and the
+// passes around them. It computes exactly what oracle_reference.go
+// computes — differential tests enforce bit-identical Candidates and
+// Selections — but over packed (SoA, dense-ID) trace columns, with
+// three structural changes:
 //
 //   - window tag resolution is a flat backward scan over the dense-ID
 //     column with epoch-stamped occurrence/segment scratch arrays, not a
@@ -48,8 +50,9 @@ import (
 // class's outcome counts in one go, and the collection pass sets the
 // class's plane bits in every instance it holds. Only the first n
 // records, one-record classes and records the memo declined (budget or
-// bypass) walk on their own, in record order. The streamed passes
-// (oracle_blocks.go) take no memo: there every record walks.
+// bypass) walk on their own, in record order. Only an in-memory run has
+// a memo, classified over its one whole-trace block; a streamed run's
+// blocks come with none, so there every record walks.
 //
 // Net: 3 trace passes -> 2 for any number of windows, one emitter walk
 // per distinct signature, no per-candidate allocations, no closures in
@@ -138,10 +141,10 @@ type emitScratch struct {
 // emission's index is below ends[w], and absent otherwise.
 //
 // The emitter works over raw packed columns, not a *trace.Packed: the
-// in-memory path hands it the full packed columns once, while the
-// streaming paths (oracle_blocks.go, SelectiveSweep) re-point it at a
-// carry+chunk window per block and grow the scratch as the intern table
-// grows. Every path runs the identical emit loop.
+// oracle passes and SelectiveSweep re-point it at their carried
+// [carry | block] column view per block (for an in-memory oracle run,
+// the whole trace's own columns) and grow the scratch as the intern
+// table grows. Every path runs the identical emit loop.
 type oracleEmitter struct {
 	windows []int // ascending distinct window lengths; the walk covers the last
 
@@ -234,18 +237,10 @@ func newOracleEmitter(windows []int) *oracleEmitter {
 	}
 }
 
-// newPackedEmitter points a fresh emitter at a packed view's full columns.
-func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
-	e := newOracleEmitter(windows)
-	e.setColumns(pt.IDs(), pt.TakenWords(), pt.BackwardWords())
-	e.growScratch(pt.NumBranches())
-	return e
-}
-
 // setColumns re-points the emitter at a column view. Epoch stamps stay
 // valid across calls: scratch state is per-emit, never per-column.
-func (e *oracleEmitter) setColumns(ids []int32, taken, back []uint64) {
-	e.ids, e.taken, e.back = ids, taken, back
+func (e *oracleEmitter) setColumns(cols trace.Block) {
+	e.ids, e.taken, e.back = cols.IDs, cols.Taken, cols.Back
 }
 
 // growScratch extends the per-ID scratch to cover nb dense IDs; existing
@@ -481,28 +476,20 @@ func newProfiles(nb, buckets int) []kernelProfile {
 // profileScore mirrors branchProfile.profileScore over one window's
 // flat counts.
 func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
-	score := max32(cnt[0], cnt[1]) + max32(cnt[2], cnt[3])
+	score := max(cnt[0], cnt[1]) + max(cnt[2], cnt[3])
 	presentT := cnt[0] + cnt[2]
 	presentN := cnt[1] + cnt[3]
-	return score + max32(p.total[0]-presentT, p.total[1]-presentN)
+	return score + max(p.total[0]-presentT, p.total[1]-presentN)
 }
 
-// profilePacked is oracle pass 1 at the config's window over the
-// columnar trace view. It produces bit-identical results to
-// ReferenceProfileCandidates.
-func profilePacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidates {
-	cfg = cfg.withDefaults()
-	cands, _ := profileWindows(pt, []int{cfg.WindowLen}, cfg)
-	return cands[0]
-}
-
-// profileWindows is oracle pass 1 over the columnar trace view for every
-// window in windows (strictly ascending) at once: one stream at the
-// largest window, flat per-branch candidate tables with per-window
-// buckets, no closures and no per-candidate allocations. Result w is
-// bit-identical to a one-window pass at windows[w]. It also returns the
-// path-signature classes it walked the trace by, so a collection pass
-// over the same trace and windows hashes no record twice.
+// profileWindows is oracle pass 1 over the input for every window in
+// windows (strictly ascending) at once: one stream at the largest
+// window, flat per-branch candidate tables with per-window buckets, no
+// closures and no per-candidate allocations. Result w is bit-identical
+// to a one-window pass at windows[w] and to ReferenceProfileCandidates.
+// It also returns the input's complete intern table. An in-memory input
+// is walked by path-signature class, and the collection pass over it
+// reuses the classes, so no record is hashed twice.
 //
 // Exactness rests on table occupancy: a smaller window's table is a
 // subset of the largest window's at every point of the stream, so when
@@ -512,31 +499,43 @@ func profilePacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidate
 // Those passes reuse the signature classes: positions with equal
 // signatures at the largest window have equal signatures at any smaller
 // one.
-func profileWindows(pt *trace.Packed, windows []int, cfg OracleConfig) ([]map[trace.Addr]*Candidates, *oracleMemo) {
+func profileWindows(in *oracleInput, windows []int, cfg OracleConfig) ([]map[trace.Addr]*Candidates, []trace.Addr, error) {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.profile").End()
-	addrs := pt.Addrs()
-	memo := newPackedMemo(pt, windows[len(windows)-1])
-	defer memo.flush(reg)
-	profile := func(windows []int) []kernelProfile {
-		pf := newProfiler(newPackedEmitter(pt, windows), newProfiles(pt.NumBranches(), len(windows)), cfg, addrs)
-		pf.profileRange(0, pt.Len(), memo)
-		if n := pf.rerunPruned(0, pt.Len(), memo); n > 0 {
-			reg.Counter("core.oracle.memo.reruns").Add(int64(n))
-		}
-		return pf.profiles
+	memo := in.memoAt(windows[len(windows)-1])
+	if memo != nil {
+		defer memo.flush(reg)
 	}
-	profiles := profile(windows)
+	profile := func(windows []int) ([]kernelProfile, []trace.Addr, error) {
+		pf := newProfiler(newOracleEmitter(windows), cfg)
+		addrs, err := in.pass(reg, pf.em, func(lo, hi int, addrs []trace.Addr) {
+			pf.grow(addrs)
+			pf.profileRange(lo, hi, memo)
+			if memo != nil {
+				if n := pf.rerunPruned(lo, hi, memo); n > 0 {
+					reg.Counter("core.oracle.memo.reruns").Add(int64(n))
+				}
+			}
+		})
+		return pf.profiles, addrs, err
+	}
+	profiles, addrs, err := profile(windows)
+	if err != nil {
+		return nil, nil, err
+	}
 	last := len(windows) - 1
 	if last == 0 || !pruned(profiles) {
-		return assembleCandidates(profiles, addrs, cfg, len(windows), 0), memo
+		return assembleCandidates(profiles, addrs, cfg, len(windows), 0), addrs, nil
 	}
 	out := assembleCandidates(profiles, addrs, cfg, len(windows), last)
 	reg.Counter("core.oracle.windows.fallbacks").Add(int64(last))
 	for w := 0; w < last; w++ {
-		out[w] = assembleCandidates(profile(windows[w:w+1]), addrs, cfg, 1, 0)[0]
+		if profiles, _, err = profile(windows[w : w+1]); err != nil {
+			return nil, nil, err
+		}
+		out[w] = assembleCandidates(profiles, addrs, cfg, 1, 0)[0]
 	}
-	return out, memo
+	return out, addrs, nil
 }
 
 // pruned reports whether any branch's candidate table fired a watermark
@@ -552,8 +551,7 @@ func pruned(profiles []kernelProfile) bool {
 
 // assembleCandidates turns pass 1's per-branch candidate tables into one
 // ranked Candidates map per window bucket (nw buckets) from `from` on (earlier
-// entries of the result stay nil) — the shared tail of the packed and
-// streaming profile entry points. Window w's counts are the prefix sums
+// entries of the result stay nil). Window w's counts are the prefix sums
 // of buckets 0..w, and a candidate with zero window-w presence is not in
 // window w's table, exactly as a one-window pass would never have
 // inserted it.
@@ -607,7 +605,7 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 // oracleMemo is one packed trace's path-signature classes (see
 // pathmemo.go), shared by the profile and collection passes over it,
 // with the passes' per-class scratch and the memo counters they feed.
-// Streamed runs (oracle_blocks.go) take no memo: every record walks.
+// Streamed oracle runs take no memo: every record walks.
 type oracleMemo struct {
 	pathMemo
 	class []int32 // class of each position; -1 = per-record walk
@@ -656,7 +654,8 @@ func (m *oracleMemo) flush(reg *obs.Registry) {
 }
 
 // profiler is pass 1's walk context: the emitter, the per-branch tables
-// it counts into, and the config's scheme filter and prune watermark.
+// it counts into, the intern table their prunes order keys by, and the
+// config's scheme filter and prune watermark.
 type profiler struct {
 	em                  *oracleEmitter
 	profiles            []kernelProfile
@@ -665,14 +664,20 @@ type profiler struct {
 	allowOcc, allowBack bool
 }
 
-func newProfiler(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, addrs []trace.Addr) *profiler {
+func newProfiler(em *oracleEmitter, cfg OracleConfig) *profiler {
 	return &profiler{
 		em:            em,
-		profiles:      profiles,
-		addrs:         addrs,
 		maxCandidates: cfg.MaxCandidates,
 		allowOcc:      cfg.schemeAllowed(Occurrence),
 		allowBack:     cfg.schemeAllowed(BackwardCount),
+	}
+}
+
+// grow extends the per-branch tables to the intern table so far.
+func (pf *profiler) grow(addrs []trace.Addr) {
+	pf.addrs = addrs
+	if n := len(addrs) - len(pf.profiles); n > 0 {
+		pf.profiles = append(pf.profiles, newProfiles(n, len(pf.em.windows))...)
 	}
 }
 
@@ -681,10 +686,10 @@ func newProfiler(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, 
 // classified only counts toward its class's taken instances; the rest
 // walk on the spot. Then each class walks once, at its representative,
 // with its instances by outcome. Counts are sums, so the order only
-// matters to the watermark prune (see rerunPruned). The packed path
-// runs it once over the whole column, with the memo that classified
-// exactly [lo, hi); the streaming path runs it once per chunk with lo
-// at the carry boundary and a nil memo: every record walks.
+// matters to the watermark prune (see rerunPruned). An in-memory run
+// steps it once over the whole trace, with the memo that classified
+// exactly [lo, hi); a streamed run steps it once per block with lo at
+// the carry boundary and a nil memo: every record walks.
 //
 //bplint:hot
 func (pf *profiler) profileRange(lo, hi int, memo *oracleMemo) {
@@ -824,11 +829,9 @@ func (bm *beamMatcher) plane(w, slot, state int) []uint64 {
 }
 
 // newBeamMatcher builds a matcher over one branch's per-window beams
-// (beams[w] may be empty) for total dynamic instances. idOf resolves a
-// PC to its dense ID in the trace's intern table (the packed path passes
-// pt.IDOf; the streaming path closes over the complete table produced by
-// the profile pass).
-func newBeamMatcher(idOf func(trace.Addr) (int32, bool), beams [][]Ref, total int) *beamMatcher {
+// (beams[w] may be empty) for total dynamic instances. idOf maps each PC
+// of the trace's intern table to its dense ID.
+func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, total int) *beamMatcher {
 	nw := len(beams)
 	bm := &beamMatcher{words: (total + 63) / 64, mats: make([][]uint64, nw)}
 	type keySlot struct {
@@ -841,7 +844,7 @@ func newBeamMatcher(idOf func(trace.Addr) (int32, bool), beams [][]Ref, total in
 			bm.mats[w] = make([]uint64, 2*len(refs)*bm.words)
 		}
 		for slot, r := range refs {
-			rid, ok := idOf(r.PC)
+			rid, ok := idOf[r.PC]
 			if !ok {
 				// A ref naming a PC absent from the trace can never be in any
 				// window: it stays StateAbsent, exactly like the reference's
@@ -894,54 +897,55 @@ type branchSelection struct {
 	size1, size2, size3 []Ref
 }
 
-// selectPacked is oracle passes 2+3 at the config's window over the
-// columnar trace view. With each branch's TopK candidates fixed, it
-// scores the exact joint distribution of every candidate *pair* with the
-// branch outcome (so purely interacting correlations — e.g. branch
-// X = Y AND Z of figure 1c, where neither Y nor Z alone predicts X — are
-// found as long as both components are in the beam), picks the best
-// pair, then greedily extends it with each remaining candidate to choose
-// the best triple. This approximates the paper's oracle choice of "the
-// 1, 2 or 3 most important branches" (section 3.4); the approximation is
-// exact for sizes 1 and 2 within the beam. Produces bit-identical
-// Selections to ReferenceSelectRefs.
-func selectPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
-	cfg = cfg.withDefaults()
-	return selectWindows(pt, []int{cfg.WindowLen}, []map[trace.Addr]*Candidates{cands}, cfg, nil)[0]
-}
-
 // selectWindows is oracle passes 2+3 for every window in windows
-// (strictly ascending, cands aligned with it), folded into a single
-// collection stream plus an off-trace scoring stage. For every dynamic
-// instance of a branch with a non-empty beam in some window it resolves
-// the window-max emissions against the union of the branch's beams —
-// once per path-signature class, reusing memo when the profile pass
-// classified the trace at the same largest window, else classifying it
-// here — and sets each window's bit planes; the exact pair/triple joint
-// distributions are then recovered per window and branch with popcount
-// kernels and scored in parallel across the internal/runner pool
-// (cfg.ScoreParallel workers, identical output at any level).
-func selectWindows(pt *trace.Packed, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig, memo *oracleMemo) []*Selections {
+// (strictly ascending, cands aligned with it) over the input, whose
+// complete intern table is addrs. With each branch's TopK candidates
+// fixed, it scores the exact joint distribution of every candidate
+// *pair* with the branch outcome (so purely interacting correlations —
+// e.g. branch X = Y AND Z of figure 1c, where neither Y nor Z alone
+// predicts X — are found as long as both components are in the beam),
+// picks the best pair, then greedily extends it with each remaining
+// candidate to choose the best triple. This approximates the paper's
+// oracle choice of "the 1, 2 or 3 most important branches" (section
+// 3.4); the approximation is exact for sizes 1 and 2 within the beam.
+// Result w is bit-identical to ReferenceSelectRefs at windows[w].
+//
+// The passes fold into a single collection stream plus an off-trace
+// scoring stage. For every dynamic instance of a branch with a
+// non-empty beam in some window it resolves the window-max emissions
+// against the union of the branch's beams — once per path-signature
+// class on an in-memory input — and sets each window's bit planes; the
+// exact pair/triple joint distributions are then recovered per window
+// and branch with popcount kernels and scored in parallel across the
+// internal/runner pool (cfg.ScoreParallel workers, identical output at
+// any level).
+func selectWindows(in *oracleInput, windows []int, cands []map[trace.Addr]*Candidates, addrs []trace.Addr, cfg OracleConfig) ([]*Selections, error) {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.select").End()
 
 	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
+	matchers, matcherOf := buildMatchers(pcs, cands, addrs)
 
 	// Collection stream: one pass over the trace, one set of plane bits
 	// per dynamic instance.
-	if memo == nil {
-		memo = newPackedMemo(pt, windows[len(windows)-1])
+	memo := in.memoAt(windows[len(windows)-1])
+	em := newOracleEmitter(windows)
+	em.growScratch(len(addrs)) // beams may name IDs a streamed block has not interned yet
+	if _, err := in.pass(reg, em, func(lo, hi int, _ []trace.Addr) {
+		collectRange(em, matchers, lo, hi, memo)
+	}); err != nil {
+		return nil, err
 	}
-	collectRange(newPackedEmitter(pt, windows), matchers, 0, pt.Len(), memo)
-	memo.flush(reg)
-	memo.release()
+	if memo != nil {
+		memo.flush(reg)
+		memo.release()
+	}
 
 	out := make([]*Selections, len(windows))
 	for w := range windows {
 		out[w] = scoreSelections(pcs, cands[w], matcherOf, w, cfg)
 	}
-	return out
+	return out, nil
 }
 
 // sortedPCs returns the canonical branch order: the candidate maps' keys,
@@ -964,9 +968,14 @@ func sortedPCs(cands []map[trace.Addr]*Candidates) []trace.Addr {
 
 // buildMatchers constructs one beam matcher per branch with a non-empty
 // beam in any window, both dense-ID indexed (for the collection loop)
-// and keyed by PC (for the scoring stage).
-func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, nb int, idOf func(trace.Addr) (int32, bool)) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
-	matchers := make([]*beamMatcher, nb)
+// and keyed by PC (for the scoring stage). addrs is the trace's
+// complete intern table.
+func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, addrs []trace.Addr) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
+	idOf := make(map[trace.Addr]int32, len(addrs))
+	for id, a := range addrs {
+		idOf[a] = int32(id)
+	}
+	matchers := make([]*beamMatcher, len(addrs))
 	matcherOf := make(map[trace.Addr]*beamMatcher, len(pcs))
 	beams := make([][]Ref, len(cands))
 	for _, pc := range pcs {
@@ -984,7 +993,7 @@ func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, nb int,
 		}
 		bm := newBeamMatcher(idOf, beams, total)
 		matcherOf[pc] = bm
-		if rid, ok := idOf(pc); ok {
+		if rid, ok := idOf[pc]; ok {
 			matchers[rid] = bm
 		}
 	}
@@ -993,8 +1002,7 @@ func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, nb int,
 
 // scoreSelections runs window w's off-trace scoring stage — per-branch,
 // embarrassingly parallel, pre-assigned result slots — and assembles its
-// Selections. Shared tail of the packed and streaming select entry
-// points.
+// Selections.
 func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcherOf map[trace.Addr]*beamMatcher, w int, cfg OracleConfig) *Selections {
 	results := make([]branchSelection, len(pcs))
 	cells := make([]runner.Cell, 0, len(pcs))
@@ -1167,7 +1175,7 @@ func (j jointCount) minus(a, b jointCount) jointCount {
 
 // score is the statically-filled-PHT correct count of the pattern:
 // max(taken, not-taken).
-func (j jointCount) score() uint32 { return max32(j.taken, j.tot-j.taken) }
+func (j jointCount) score() uint32 { return max(j.taken, j.tot-j.taken) }
 
 // countPlane tallies the instances set in plane a, split by outcome.
 func countPlane(a, outT []uint64) jointCount {

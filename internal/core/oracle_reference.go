@@ -40,11 +40,11 @@ func (p *branchProfile) profileScore(r Ref) uint32 {
 	score := uint32(0)
 	var present [2]uint32 // presence per outcome
 	for s := 0; s < 2; s++ {
-		score += max32(cs.cnt[s][0], cs.cnt[s][1])
+		score += max(cs.cnt[s][0], cs.cnt[s][1])
 		present[0] += cs.cnt[s][0]
 		present[1] += cs.cnt[s][1]
 	}
-	return score + max32(p.total[0]-present[0], p.total[1]-present[1])
+	return score + max(p.total[0]-present[0], p.total[1]-present[1])
 }
 
 // prune keeps only the maxKeep candidates with the highest presence
@@ -80,7 +80,7 @@ func (p *branchProfile) prune(maxKeep int) {
 // trace stream, a closure-based window walk, and a per-branch
 // map[Ref]*candStats. Differential tests pin the kernel against it.
 func ReferenceProfileCandidates(t *trace.Trace, cfg OracleConfig) map[trace.Addr]*Candidates {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	window := NewWindow(cfg.WindowLen)
 	profiles := make(map[trace.Addr]*branchProfile)
 	for _, r := range t.Records() {
@@ -234,7 +234,7 @@ func jointPass(t *trace.Trace, cands map[trace.Addr]*Candidates,
 // streams (all pairs, then triple extensions of the best pair), each a
 // full jointPass. Differential tests pin the kernel against it.
 func ReferenceSelectRefs(t *trace.Trace, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 
 	// Pass 2: all pairs among the beam.
 	pairSubs := make(map[trace.Addr][][]int, len(cands))

@@ -21,7 +21,7 @@ func streamChunks(w int) []int {
 }
 
 // once adapts an already-open single-pass source to OracleBlocks'
-// opener contract, for the one-pass stages (StageProfile, StageSelect).
+// opener contract, for the one-pass stage (StageProfile).
 func once(src trace.BlockSource) func() (trace.BlockSource, error) {
 	return func() (trace.BlockSource, error) { return src, nil }
 }
@@ -62,7 +62,9 @@ func TestSelectRefsBlocksMatchesPacked(t *testing.T) {
 		cands := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 		want := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
 		for _, chunk := range streamChunks(16) {
-			got, err := OracleBlocks(once(pt.Blocks(chunk)), OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands, Addrs: pt.Addrs()})
+			got, err := OracleBlocks(func() (trace.BlockSource, error) {
+				return pt.Blocks(chunk), nil
+			}, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
 			if err != nil {
 				t.Fatalf("%s chunk %d: %v", tr.Name(), chunk, err)
 			}

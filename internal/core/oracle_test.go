@@ -147,7 +147,7 @@ func TestOracleMonotoneInSize(t *testing.T) {
 }
 
 func TestOracleConfigDefaults(t *testing.T) {
-	cfg := OracleConfig{}.withDefaults()
+	cfg := OracleConfig{}.WithDefaults()
 	if cfg.WindowLen != 16 || cfg.TopK != 16 || cfg.MaxCandidates != 2048 {
 		t.Errorf("defaults = %+v", cfg)
 	}

@@ -256,10 +256,11 @@ func (g *SelectiveSweep) sweep(blk bp.KernelBlock, correct []int32, perID [][]in
 	correct = correct[:len(g.cfgs)]
 	g.memo.reset(blk.IDs, blk.Taken, blk.Back, g.col.n, blk.Lo, blk.Hi)
 	g.pats = g.pats[:0]
+	cols := trace.Block{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back}
 	for lo := blk.Lo; lo < blk.Hi; lo += selSweepChunk {
 		hi := min(lo+selSweepChunk, blk.Hi)
-		base := g.col.extendRange(blk.IDs, blk.Taken, blk.Back, lo, hi)
-		g.em.setColumns(g.col.ids, g.col.taken, g.col.back)
+		base := g.col.extendRange(cols, lo, hi)
+		g.em.setColumns(g.col.view)
 		if perID != nil {
 			g.sweepRangeBranches(base, base+hi-lo, lo-base, correct, perID)
 		} else {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -501,9 +502,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.writePayload(w, b)
 }
 
-// oracleParams canonicalizes an oracle request: defaults applied,
-// schemes parsed, stage resolved. The canonical form is the cache key,
-// so e.g. an explicit window_len 16 and the default share an entry.
+// oracleParams canonicalizes an oracle request: core's defaults
+// applied, schemes parsed, stage resolved. The canonical form is the
+// cache key, so e.g. an explicit window_len 16 and the default share an
+// entry.
 func oracleParams(req v1.OracleRequest) (core.OracleOptions, string, error) {
 	cfg := core.OracleConfig{
 		WindowLen:     req.WindowLen,
@@ -518,15 +520,7 @@ func oracleParams(req v1.OracleRequest) (core.OracleOptions, string, error) {
 	case cfg.MaxCandidates < 0 || cfg.MaxCandidates > 1<<20:
 		return core.OracleOptions{}, "", badRequest(fmt.Errorf("max_candidates %d outside [0, %d]", cfg.MaxCandidates, 1<<20))
 	}
-	if cfg.WindowLen == 0 {
-		cfg.WindowLen = 16
-	}
-	if cfg.TopK == 0 {
-		cfg.TopK = 16
-	}
-	if cfg.MaxCandidates == 0 {
-		cfg.MaxCandidates = 2048
-	}
+	cfg = cfg.WithDefaults()
 	// Scheme membership is order-insensitive; sort-deduplicate so any
 	// spelling of "both" keys like the default.
 	seen := map[string]core.Scheme{"occ": core.Occurrence, "back": core.BackwardCount}
@@ -538,7 +532,7 @@ func oracleParams(req v1.OracleRequest) (core.OracleOptions, string, error) {
 		schemes = append(schemes, name)
 	}
 	sort.Strings(schemes)
-	schemes = slicesCompact(schemes)
+	schemes = slices.Compact(schemes)
 	if len(schemes) == 2 {
 		schemes = nil // both schemes is the default
 	}
@@ -558,17 +552,6 @@ func oracleParams(req v1.OracleRequest) (core.OracleOptions, string, error) {
 	canon := fmt.Sprintf("stage=%s|window=%d|topk=%d|maxcand=%d|schemes=%s",
 		opts.Stage, cfg.WindowLen, cfg.TopK, cfg.MaxCandidates, strings.Join(schemes, ","))
 	return opts, canon, nil
-}
-
-// slicesCompact removes adjacent duplicates from a sorted slice.
-func slicesCompact(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func (s *Server) handleOracle(w http.ResponseWriter, r *http.Request) {
@@ -631,13 +614,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	cfg := core.ClassifyConfig{IFPAsHistoryBits: req.IFPAsHistoryBits, HighBias: req.HighBias}
-	if cfg.IFPAsHistoryBits == 0 {
-		cfg.IFPAsHistoryBits = 16
-	}
-	if cfg.HighBias == 0 {
-		cfg.HighBias = 0.99
-	}
+	cfg := core.ClassifyConfig{IFPAsHistoryBits: req.IFPAsHistoryBits, HighBias: req.HighBias}.WithDefaults()
 	key := fmt.Sprintf("classify|%s|bits=%d|bias=%g", rt.key, cfg.IFPAsHistoryBits, cfg.HighBias)
 	b, err := s.compute(r.Context(), "classify", rt, key, func(reg *obs.Registry) (any, error) {
 		cfg := cfg
