@@ -48,14 +48,14 @@ type options struct {
 	exhibits    string
 	parallel    int
 	sweepShards int
-	quiet      bool
-	asJSON     bool
-	cpuprofile string
-	memprofile string
-	metrics    string
-	debugAddr  string
-	corpusDir  string
-	specs      []string
+	quiet       bool
+	asJSON      bool
+	cpuprofile  string
+	memprofile  string
+	metrics     string
+	debugAddr   string
+	corpusDir   string
+	specs       []string
 }
 
 func main() {

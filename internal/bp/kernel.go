@@ -11,6 +11,14 @@ import "branchcorr/internal/trace"
 // predictor in a run implements it; the bp conformance suite
 // (kernel_test.go) pins each kernel bit-identical to its scalar
 // counterpart, including across interleaved scalar/kernel calls.
+//
+// Each family has at most one fast path. The dense-table families
+// (bimodal, gshare, GAs, PAs) and the static predictors have their own
+// loops here; for gshare and bimodal these measure no slower than a
+// 1-config fused sweep (the impl=sweep1 benchmark rows). The
+// interference-free predictors (IFGshare, IFPAs) are instead one-config
+// grids of their sweep_if.go staged replay over the predictor's own map
+// and registers, so their map loop is written once.
 
 // KernelBlock is the columnar input one kernel call consumes: the dense-ID and
 // outcome columns of a trace.Packed plus the record range [Lo, Hi) to
@@ -255,62 +263,45 @@ func (p *IdealStatic) SimulateBlock(blk KernelBlock, correct []int32) int {
 	return total
 }
 
-// SimulateBlock implements KernelPredictor. The interference-free
-// tables stay maps (that is the point of the variant: unbounded
-// per-branch state), but the kernel folds each ID's key prefix once and
-// does one map access per record where the scalar path does two.
+// SimulateBlock implements KernelPredictor as a one-config IFGshareSweep
+// over the predictor's own counter map and history register: the map
+// stays a map (that is the point of the variant: unbounded per-branch
+// state), and the sweep's staged replay reads each record's counter once
+// where the scalar Predict and Update read it twice. The staging buffer
+// is sized to the block, up to one tile, so short streamed chunks stay
+// cheap.
 func (p *IFGshare) SimulateBlock(blk KernelBlock, correct []int32) int {
-	keyHi := make([]uint64, len(blk.Addrs))
-	for id, a := range blk.Addrs {
-		keyHi[id] = uint64(a) << 32
+	g := IFGshareSweep{
+		hmasks:   []uint64{uint64(p.histMask)},
+		counters: []map[uint64]Counter2{p.counters},
+		history:  p.history,
+		kt:       make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}
-	h := p.history
-	ids := blk.IDs
-	total := 0
-	for i := blk.Lo; i < blk.Hi; i++ {
-		id := ids[i]
-		t := blk.takenBit(i)
-		k := keyHi[id] | uint64(h)
-		c := p.counters[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-		if uint64(c>>1) == t {
-			correct[id]++
-			total++
-		}
-		p.counters[k] = counterNext[t][c] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-		h = (h<<1 | uint32(t)) & p.histMask
-	}
-	p.history = h
-	return total
+	var total [1]int32
+	g.sweep(blk, total[:], [][]int32{correct})
+	p.history = g.history & p.histMask
+	return int(total[0])
 }
 
-// SimulateBlock implements KernelPredictor. Per-branch history registers
-// are loaded into a dense slice for the duration of the block and
-// written back at the end, so the inner loop updates local history
-// without a map access; the counter table stays a map keyed by
-// (address, history), as in the scalar path.
+// SimulateBlock implements KernelPredictor as a one-config IFPAsSweep
+// over the predictor's own counter map, with its per-branch history
+// registers loaded into the sweep's dense per-ID file for the duration of
+// the block and written back at the end.
 func (p *IFPAs) SimulateBlock(blk KernelBlock, correct []int32) int {
-	keyHi := make([]uint64, len(blk.Addrs))
 	hist := make([]uint32, len(blk.Addrs))
 	for id, a := range blk.Addrs {
-		keyHi[id] = uint64(a) << 32
 		hist[id] = p.hist[a] //bplint:ignore kernel-purity history registers load once per static branch into a dense slice, not per record
 	}
-	ids := blk.IDs
-	total := 0
-	for i := blk.Lo; i < blk.Hi; i++ {
-		id := ids[i]
-		t := blk.takenBit(i)
-		k := keyHi[id] | uint64(hist[id]&p.histMask)
-		c := p.counters[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-		if uint64(c>>1) == t {
-			correct[id]++
-			total++
-		}
-		p.counters[k] = counterNext[t][c] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-		hist[id] = (hist[id]<<1)&p.histMask | uint32(t)
+	g := IFPAsSweep{
+		hmasks:   []uint64{uint64(p.histMask)},
+		counters: []map[uint64]Counter2{p.counters},
+		hist:     hist,
+		kt:       make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}
+	var total [1]int32
+	g.sweep(blk, total[:], [][]int32{correct})
 	for id, a := range blk.Addrs {
-		p.hist[a] = hist[id] //bplint:ignore kernel-purity per-branch history writeback runs once per static branch at block end
+		p.hist[a] = hist[id] & p.histMask //bplint:ignore kernel-purity per-branch history writeback runs once per static branch at block end
 	}
-	return total
+	return int(total[0])
 }

@@ -141,8 +141,10 @@ func TestKernelScalarConformance(t *testing.T) {
 				}
 				wantPC, wantTotal := scalarCounts(mk(), tr, 0, tr.Len())
 				// Chunk sizes straddle bitset word boundaries (64) and
-				// include a full-trace single block.
-				for _, chunk := range []int{tr.Len(), 1000, 63} {
+				// include a full-trace single block and one past the
+				// sweep tile (2048), so a call crosses a tile boundary at
+				// an unaligned offset.
+				for _, chunk := range []int{tr.Len(), 1000, 63, 2049} {
 					gotPC, gotTotal := kernelCounts(mk(), pt, 0, tr.Len(), chunk)
 					sameCounts(t, fmt.Sprintf("seed=%d chunk=%d", seed, chunk), wantPC, wantTotal, gotPC, gotTotal)
 				}
@@ -158,14 +160,16 @@ func TestKernelScalarConformance(t *testing.T) {
 
 // TestKernelScalarInterleaving drives the first half of a trace through
 // the scalar methods and the second half through the kernel (and the
-// reverse), asserting the combined counts match an all-scalar replay:
+// reverse, and alternating in short runs), asserting the combined counts
+// match an all-scalar replay:
 // the contract requires SimulateBlock to consume and leave behind
 // exactly the scalar state, so the two call styles must compose.
 func TestKernelScalarInterleaving(t *testing.T) {
 	tr := kernelRandomTrace(7, 20_000)
 	pt := tr.Packed()
 	stats := trace.Summarize(tr)
-	specs := []string{"bimodal:10", "gshare:12", "gas:10,3", "pas:10,8,3", "ifgshare:12", "ifpas:12"}
+	// ifgshare:32 runs the full-width history mask.
+	specs := []string{"bimodal:10", "gshare:12", "gas:10,3", "pas:10,8,3", "ifgshare:12", "ifgshare:32", "ifpas:12"}
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
@@ -194,6 +198,26 @@ func TestKernelScalarInterleaving(t *testing.T) {
 				kPC[pc] += c
 			}
 			sameCounts(t, "kernel-then-scalar", wantPC, wantTotal, kPC, kTotal+sTotal)
+
+			// Alternating every 37 records puts a scalar call right
+			// after each kernel call, so state the kernel leaves behind
+			// is read hundreds of times rather than once.
+			r := mk()
+			altPC := make(map[trace.Addr]int)
+			altTotal := 0
+			for lo := 0; lo < tr.Len(); lo += 74 {
+				mid, hi := min(lo+37, tr.Len()), min(lo+74, tr.Len())
+				kPC, kTotal := kernelCounts(r, pt, lo, mid, 37)
+				sPC, sTotal := scalarCounts(r, tr, mid, hi)
+				for pc, c := range kPC {
+					altPC[pc] += c
+				}
+				for pc, c := range sPC {
+					altPC[pc] += c
+				}
+				altTotal += kTotal + sTotal
+			}
+			sameCounts(t, "alternating", wantPC, wantTotal, altPC, altTotal)
 		})
 	}
 }

@@ -26,23 +26,20 @@ import (
 //     the shared register's low bits. Per config: only the PHT.
 //   - BimodalSweep: the dense-ID walk and the per-ID address bits are
 //     shared; per config only the table size differs.
-//   - GAsSweep: the unmasked global history is shared as in gshare; each
-//     config's PHT-bank base recomputes from the shared per-ID address
-//     column as (pcx & addrMask_c) << histBits_c — two ALU ops, no
-//     per-config cached column.
-//   - PAsSweep: every config shares one BHT of unmasked per-address
-//     history registers (the grid is built at a fixed BHT size, so the
-//     address → register aliasing is identical across configs, and each
-//     config's masked local history is the shared register's low bits);
-//     bank bases recompute from pcx as in GAs.
+//
+// GAs and PAs have no grid: no figure sweeps their geometry, and their
+// kernel.go kernels serve every run. The interference-free grids are in
+// sweep_if.go, the hybrid grid in sweep_hybrid.go.
 //
 // Execution is tiled to keep the sharing from fighting the cache: each
 // SweepBlock call walks its range in fixed-size tiles, a shared pass
 // staging one packed key|outcome word per record into grid-owned
-// scratch (this is where the shared history state advances), and then
-// config replays running the L1-resident tile against their own
-// power-of-2 tables, two configs per loop so their table-access
-// dependency chains overlap. Replaying from one packed word keeps the
+// scratch (this is where the shared history state advances; the key is
+// masked to the widest config, whose mask covers every narrower one),
+// and then config replays running the L1-resident tile against their own
+// power-of-2 tables. Gshare and bimodal replay a tile through one loop,
+// replayTables, two configs per pass so their table-access dependency
+// chains overlap. Replaying from one packed word keeps the
 // per-config work at one sequential load amortized across the pair
 // plus one table read-modify-write: slot mask, counter load, one
 // sweepStep lookup yielding both the trained counter and the
@@ -66,6 +63,18 @@ import (
 // grid has no fused kernel. Fused grids construct the predictors fresh
 // (initial state, not a view of the fused state), so a run uses either
 // the fused kernel or the returned configs, never both.
+//
+// Every grid splits into independent contiguous sub-grids, the unit of
+// config-sharded parallel sweeps: configs of one grid share no counter
+// state, so per-config correct counts compose exactly — running
+// Shard(0,k) and Shard(k,n) over the same record stream produces, config
+// for config, the counts the whole grid would. Shard returns the
+// sub-grid covering configs [lo, hi) in grid order (0 <= lo < hi <=
+// config count, panicking otherwise). A fused grid's shard is a freshly
+// initialized fused grid over the parameter subset — shard a grid before
+// replaying any records through it. PredictorGrid is the exception: its
+// configs ARE the held instances, so its shards are views sharing those
+// instances, and composition holds because shard ranges are disjoint.
 type SweepGrid interface {
 	// GridName names the grid (family and span) for results and metrics.
 	GridName() string
@@ -74,6 +83,8 @@ type SweepGrid interface {
 	// Configs returns the per-config independent predictors, in grid
 	// order.
 	Configs() []Predictor
+	// Shard returns the sub-grid over configs [lo, hi).
+	Shard(lo, hi int) SweepGrid
 }
 
 // SweepKernel is a SweepGrid with a fused columnar kernel: one call
@@ -115,25 +126,6 @@ func CountsBranches(g SweepGrid) bool {
 	return false
 }
 
-// SweepSharder is a SweepGrid that can split itself into independent
-// contiguous sub-grids, the unit of config-sharded parallel sweeps:
-// configs of one grid share no counter state, so per-config correct
-// counts compose exactly — running Shard(0,k) and Shard(k,n) over the
-// same record stream produces, config for config, the counts the whole
-// grid would.
-//
-// Shard returns the sub-grid covering configs [lo, hi) of the receiver
-// in grid order (0 <= lo < hi <= config count, panicking otherwise).
-// For the fused parameter grids the sub-grid is a freshly initialized
-// instance over the parameter subset — shard a grid before replaying
-// any records through it. PredictorGrid is the exception: its configs
-// ARE the held instances, so its shards are views sharing those
-// instances, and composition holds because shard ranges are disjoint.
-type SweepSharder interface {
-	SweepGrid
-	Shard(lo, hi int) SweepGrid
-}
-
 // checkShardRange validates a Shard call against the config count.
 func checkShardRange(lo, hi, n int) {
 	if lo < 0 || hi > n || lo >= hi {
@@ -163,19 +155,6 @@ var sweepStep = func() [256]uint8 {
 	}
 	return lut
 }()
-
-// sweepScratch is the tile-sized staging a fused grid replays configs
-// from: the shared pass packs one key|outcome word per record,
-// key<<1|t, with the key pre-masked to the grid's widest config (every
-// config's mask is a subset, so narrower configs read the same bits
-// they would from the unmasked value). Allocated once at construction.
-type sweepScratch struct {
-	kt []uint32
-}
-
-func newSweepScratch() sweepScratch {
-	return sweepScratch{kt: make([]uint32, sweepTile)}
-}
 
 // extendPcx grows a cached per-ID word-aligned-address column to cover
 // addrs, computing entries only for newly interned IDs. The allocation
@@ -209,7 +188,7 @@ type GshareSweep struct {
 	kmax    uint32       // widest config's index mask
 	history uint32       // shared unmasked global history
 	pcx     []uint32     // cached per-ID address bits
-	scratch sweepScratch
+	kt      []uint32     // tile staging: key<<1 | outcome, key masked to kmax
 }
 
 // NewGshareSweep returns a fused grid of gshare configs, one per entry
@@ -229,10 +208,10 @@ func NewGshareSweep(historyBits []uint) *GshareSweep {
 		kmax |= 1<<b - 1
 	}
 	return &GshareSweep{
-		bits:    append([]uint(nil), historyBits...),
-		phts:    phts,
-		kmax:    kmax,
-		scratch: newSweepScratch(),
+		bits: append([]uint(nil), historyBits...),
+		phts: phts,
+		kmax: kmax,
+		kt:   make([]uint32, sweepTile),
 	}
 }
 
@@ -259,7 +238,7 @@ func (g *GshareSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the history
+// Shard implements SweepGrid: a fresh fused grid over the history
 // lengths [lo, hi).
 func (g *GshareSweep) Shard(lo, hi int) SweepGrid {
 	checkShardRange(lo, hi, len(g.bits))
@@ -294,7 +273,7 @@ func (g *GshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32
 	kmax := g.kmax
 	taken := blk.Taken
 	ids := blk.IDs
-	kt := g.scratch.kt
+	kt := g.kt
 	h := g.history
 	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
 		hi := min(lo+sweepTile, blk.Hi)
@@ -313,40 +292,7 @@ func (g *GshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32
 			}
 			continue
 		}
-		c := 0
-		for ; c+2 <= len(phts); c += 2 {
-			t0, t1 := phts[c], phts[c+1]
-			m0 := uint32(len(t0) - 1)
-			m1 := uint32(len(t1) - 1)
-			var n0, n1 int32
-			for _, v := range kk {
-				t := Counter2(v & 1)
-				k := v >> 1
-				s0 := k & m0
-				x0 := sweepStep[t0[s0]<<1|t]
-				n0 += int32(x0 & 1)
-				t0[s0] = Counter2(x0 >> 1)
-				s1 := k & m1
-				x1 := sweepStep[t1[s1]<<1|t]
-				n1 += int32(x1 & 1)
-				t1[s1] = Counter2(x1 >> 1)
-			}
-			correct[c] += n0
-			correct[c+1] += n1
-		}
-		for ; c < len(phts); c++ {
-			tbl := phts[c]
-			m := uint32(len(tbl) - 1)
-			n := int32(0)
-			for _, v := range kk {
-				t := Counter2(v & 1)
-				s := (v >> 1) & m
-				x := sweepStep[tbl[s]<<1|t]
-				n += int32(x & 1)
-				tbl[s] = Counter2(x >> 1)
-			}
-			correct[c] += n
-		}
+		replayTables(kk, phts, correct)
 	}
 	g.history = h
 }
@@ -372,14 +318,58 @@ func replayBranches(kk []uint32, tids []int32, tbl []Counter2, perID []int32) in
 	return n
 }
 
+// replayTables replays every config's power-of-2 table over a staged
+// key|outcome tile, adding config c's correct predictions to correct[c].
+// Configs run two per pass so their table-access dependency chains
+// overlap.
+//
+//bplint:hot
+func replayTables(kk []uint32, tbls [][]Counter2, correct []int32) {
+	correct = correct[:len(tbls)]
+	c := 0
+	for ; c+2 <= len(tbls); c += 2 {
+		t0, t1 := tbls[c], tbls[c+1]
+		m0 := uint32(len(t0) - 1)
+		m1 := uint32(len(t1) - 1)
+		var n0, n1 int32
+		for _, v := range kk {
+			t := Counter2(v & 1)
+			k := v >> 1
+			s0 := k & m0
+			x0 := sweepStep[t0[s0]<<1|t]
+			n0 += int32(x0 & 1)
+			t0[s0] = Counter2(x0 >> 1)
+			s1 := k & m1
+			x1 := sweepStep[t1[s1]<<1|t]
+			n1 += int32(x1 & 1)
+			t1[s1] = Counter2(x1 >> 1)
+		}
+		correct[c] += n0
+		correct[c+1] += n1
+	}
+	for ; c < len(tbls); c++ {
+		tbl := tbls[c]
+		m := uint32(len(tbl) - 1)
+		n := int32(0)
+		for _, v := range kk {
+			t := Counter2(v & 1)
+			s := (v >> 1) & m
+			x := sweepStep[tbl[s]<<1|t]
+			n += int32(x & 1)
+			tbl[s] = Counter2(x >> 1)
+		}
+		correct[c] += n
+	}
+}
+
 // BimodalSweep is the fused bimodal grid: one config per table size,
 // sharing the dense-ID walk and per-ID address bits.
 type BimodalSweep struct {
-	bits    []uint
-	tbls    [][]Counter2
-	kmax    uint32
-	pcx     []uint32
-	scratch sweepScratch
+	bits []uint
+	tbls [][]Counter2
+	kmax uint32
+	pcx  []uint32
+	kt   []uint32 // tile staging: key<<1 | outcome, key masked to kmax
 }
 
 // NewBimodalSweep returns a fused grid of bimodal configs, one per
@@ -399,10 +389,10 @@ func NewBimodalSweep(tableBits []uint) *BimodalSweep {
 		kmax |= 1<<b - 1
 	}
 	return &BimodalSweep{
-		bits:    append([]uint(nil), tableBits...),
-		tbls:    tbls,
-		kmax:    kmax,
-		scratch: newSweepScratch(),
+		bits: append([]uint(nil), tableBits...),
+		tbls: tbls,
+		kmax: kmax,
+		kt:   make([]uint32, sweepTile),
 	}
 }
 
@@ -429,8 +419,8 @@ func (g *BimodalSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the table
-// sizes [lo, hi).
+// Shard implements SweepGrid: a fresh fused grid over the table sizes
+// [lo, hi).
 func (g *BimodalSweep) Shard(lo, hi int) SweepGrid {
 	checkShardRange(lo, hi, len(g.bits))
 	return NewBimodalSweep(g.bits[lo:hi])
@@ -447,7 +437,7 @@ func (g *BimodalSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	kmax := g.kmax
 	taken := blk.Taken
 	ids := blk.IDs
-	kt := g.scratch.kt
+	kt := g.kt
 	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
 		hi := min(lo+sweepTile, blk.Hi)
 		kk := kt[:hi-lo]
@@ -457,378 +447,7 @@ func (g *BimodalSweep) SweepBlock(blk KernelBlock, correct []int32) {
 			kk[i] = (pcx[ids[j]]&kmax)<<1 | uint32(t)
 			j++
 		}
-		c := 0
-		for ; c+2 <= len(tbls); c += 2 {
-			t0, t1 := tbls[c], tbls[c+1]
-			m0 := uint32(len(t0) - 1)
-			m1 := uint32(len(t1) - 1)
-			var n0, n1 int32
-			for _, v := range kk {
-				t := Counter2(v & 1)
-				k := v >> 1
-				s0 := k & m0
-				x0 := sweepStep[t0[s0]<<1|t]
-				n0 += int32(x0 & 1)
-				t0[s0] = Counter2(x0 >> 1)
-				s1 := k & m1
-				x1 := sweepStep[t1[s1]<<1|t]
-				n1 += int32(x1 & 1)
-				t1[s1] = Counter2(x1 >> 1)
-			}
-			correct[c] += n0
-			correct[c+1] += n1
-		}
-		for ; c < len(tbls); c++ {
-			tbl := tbls[c]
-			m := uint32(len(tbl) - 1)
-			n := int32(0)
-			for _, v := range kk {
-				t := Counter2(v & 1)
-				s := (v >> 1) & m
-				x := sweepStep[tbl[s]<<1|t]
-				n += int32(x & 1)
-				tbl[s] = Counter2(x >> 1)
-			}
-			correct[c] += n
-		}
-	}
-}
-
-// GAsGeom is one GAs sweep configuration: the global history length and
-// the PHT-select address width (NewGAs's two parameters).
-type GAsGeom struct {
-	HistBits uint
-	AddrBits uint
-}
-
-// GAsSweep is the fused GAs grid: one config per table geometry, all
-// sharing one unmasked global history register; each config's selected
-// PHT bank folds out of the shared per-ID address column in its replay
-// loop.
-type GAsSweep struct {
-	geoms   []GAsGeom
-	hmasks  []uint32     // per-config history mask
-	amasks  []uint32     // per-config PHT-select mask
-	hbits   []uint       // per-config bank shift (history bits)
-	phts    [][]Counter2 // one power-of-2 flat PHT bank per config
-	kmax    uint32       // widest config's history mask
-	history uint32
-	pcx     []uint32
-	scratch sweepScratch
-}
-
-// NewGAsSweep returns a fused grid of GAs configs, one per geometry
-// (each within NewGAs's hist [1,24] / addr [0,12] ranges), in argument
-// order.
-func NewGAsSweep(geoms []GAsGeom) *GAsSweep {
-	if len(geoms) == 0 {
-		panic("bp: GAs sweep needs at least one config")
-	}
-	hmasks := make([]uint32, len(geoms))
-	amasks := make([]uint32, len(geoms))
-	hbits := make([]uint, len(geoms))
-	phts := make([][]Counter2, len(geoms))
-	kmax := uint32(0)
-	for c, geo := range geoms {
-		if geo.HistBits == 0 || geo.HistBits > 24 {
-			panic(fmt.Sprintf("bp: GAs history bits %d out of range [1,24]", geo.HistBits))
-		}
-		if geo.AddrBits > 12 {
-			panic(fmt.Sprintf("bp: GAs address bits %d out of range [0,12]", geo.AddrBits))
-		}
-		hmasks[c] = 1<<geo.HistBits - 1
-		amasks[c] = 1<<geo.AddrBits - 1
-		hbits[c] = geo.HistBits
-		phts[c] = make([]Counter2, 1<<(geo.HistBits+geo.AddrBits))
-		kmax |= hmasks[c]
-	}
-	return &GAsSweep{
-		geoms:   append([]GAsGeom(nil), geoms...),
-		hmasks:  hmasks,
-		amasks:  amasks,
-		hbits:   hbits,
-		phts:    phts,
-		kmax:    kmax,
-		scratch: newSweepScratch(),
-	}
-}
-
-// GridName implements SweepGrid.
-func (g *GAsSweep) GridName() string {
-	return fmt.Sprintf("gas-geom(%d configs)", len(g.geoms))
-}
-
-// ConfigNames implements SweepGrid; names match NewGAs's.
-func (g *GAsSweep) ConfigNames() []string {
-	out := make([]string, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = fmt.Sprintf("GAs(%d,%d)", geo.HistBits, geo.AddrBits)
-	}
-	return out
-}
-
-// Configs implements SweepGrid.
-func (g *GAsSweep) Configs() []Predictor {
-	out := make([]Predictor, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = NewGAs(geo.HistBits, geo.AddrBits)
-	}
-	return out
-}
-
-// Shard implements SweepSharder: a fresh fused grid over the geometries
-// [lo, hi).
-func (g *GAsSweep) Shard(lo, hi int) SweepGrid {
-	checkShardRange(lo, hi, len(g.geoms))
-	return NewGAsSweep(g.geoms[lo:hi])
-}
-
-// SweepBlock implements SweepKernel. The staged key is the masked
-// global history; each config's replay folds its bank base out of the
-// shared address column ((pcx & addrMask) << histBits, disjoint from
-// the masked history bits, so | assembles the flat-bank slot — one
-// pcx load per record shared by the pair) and the final len-1 mask is
-// a semantic no-op that proves the slot in range.
-//
-//bplint:hot
-func (g *GAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
-	g.pcx = extendPcx(g.pcx, blk.Addrs)
-	pcx := g.pcx
-	phts := g.phts
-	hmasks := g.hmasks
-	amasks := g.amasks
-	hbits := g.hbits
-	correct = correct[:len(phts)]
-	kmax := g.kmax
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.scratch.kt
-	h := g.history
-	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
-		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := taken[j>>6] >> (uint(j) & 63) & 1
-			kk[i] = (h&kmax)<<1 | uint32(t)
-			h = h<<1 | uint32(t)
-			j++
-		}
-		c := 0
-		for ; c+2 <= len(phts); c += 2 {
-			t0, t1 := phts[c], phts[c+1]
-			l0 := uint32(len(t0) - 1)
-			l1 := uint32(len(t1) - 1)
-			h0, a0, b0 := hmasks[c], amasks[c], hbits[c]
-			h1, a1, b1 := hmasks[c+1], amasks[c+1], hbits[c+1]
-			var n0, n1 int32
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				hk := v >> 1
-				x := pcx[tids[i]]
-				s0 := ((x&a0)<<b0 | hk&h0) & l0
-				x0 := sweepStep[t0[s0]<<1|t]
-				n0 += int32(x0 & 1)
-				t0[s0] = Counter2(x0 >> 1)
-				s1 := ((x&a1)<<b1 | hk&h1) & l1
-				x1 := sweepStep[t1[s1]<<1|t]
-				n1 += int32(x1 & 1)
-				t1[s1] = Counter2(x1 >> 1)
-			}
-			correct[c] += n0
-			correct[c+1] += n1
-		}
-		for ; c < len(phts); c++ {
-			tbl := phts[c]
-			lm := uint32(len(tbl) - 1)
-			hm, am, sh := hmasks[c], amasks[c], hbits[c]
-			n := int32(0)
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				s := ((pcx[tids[i]]&am)<<sh | (v>>1)&hm) & lm
-				x := sweepStep[tbl[s]<<1|t]
-				n += int32(x & 1)
-				tbl[s] = Counter2(x >> 1)
-			}
-			correct[c] += n
-		}
-	}
-	g.history = h
-}
-
-// PAsGeom is one PAs sweep configuration: the local history length and
-// the PHT-select address width. The BHT size is a property of the whole
-// grid (NewPAsSweep's bhtBits): sharing one table of history registers
-// requires every config to alias addresses onto registers identically.
-type PAsGeom struct {
-	HistBits uint
-	PHTBits  uint
-}
-
-// PAsSweep is the fused PAs grid: every config shares one BHT of
-// unmasked per-address history registers (each config's masked local
-// history is the shared register's low bits); bank bases fold out of
-// the shared address column as in GAs.
-type PAsSweep struct {
-	bhtBits uint
-	geoms   []PAsGeom
-	hmasks  []uint32
-	pmasks  []uint32
-	hbits   []uint
-	phts    [][]Counter2
-	kmax    uint32
-	bht     []uint32 // shared unmasked per-address local histories
-	pcx     []uint32
-	scratch sweepScratch
-}
-
-// NewPAsSweep returns a fused grid of PAs configs at a fixed BHT size
-// (bhtBits within NewPAs's [1,24] range), one config per geometry (hist
-// [1,24], pht [0,12]), in argument order.
-func NewPAsSweep(bhtBits uint, geoms []PAsGeom) *PAsSweep {
-	if bhtBits == 0 || bhtBits > 24 {
-		panic(fmt.Sprintf("bp: PAs BHT bits %d out of range [1,24]", bhtBits))
-	}
-	if len(geoms) == 0 {
-		panic("bp: PAs sweep needs at least one config")
-	}
-	hmasks := make([]uint32, len(geoms))
-	pmasks := make([]uint32, len(geoms))
-	hbits := make([]uint, len(geoms))
-	phts := make([][]Counter2, len(geoms))
-	kmax := uint32(0)
-	for c, geo := range geoms {
-		if geo.HistBits == 0 || geo.HistBits > 24 {
-			panic(fmt.Sprintf("bp: PAs history bits %d out of range [1,24]", geo.HistBits))
-		}
-		if geo.PHTBits > 12 {
-			panic(fmt.Sprintf("bp: PAs PHT-select bits %d out of range [0,12]", geo.PHTBits))
-		}
-		hmasks[c] = 1<<geo.HistBits - 1
-		pmasks[c] = 1<<geo.PHTBits - 1
-		hbits[c] = geo.HistBits
-		phts[c] = make([]Counter2, 1<<(geo.HistBits+geo.PHTBits))
-		kmax |= hmasks[c]
-	}
-	return &PAsSweep{
-		bhtBits: bhtBits,
-		geoms:   append([]PAsGeom(nil), geoms...),
-		hmasks:  hmasks,
-		pmasks:  pmasks,
-		hbits:   hbits,
-		phts:    phts,
-		kmax:    kmax,
-		bht:     make([]uint32, 1<<bhtBits),
-		pcx:     nil,
-		scratch: newSweepScratch(),
-	}
-}
-
-// GridName implements SweepGrid.
-func (g *PAsSweep) GridName() string {
-	return fmt.Sprintf("pas-geom(%d configs, bht %d)", len(g.geoms), g.bhtBits)
-}
-
-// ConfigNames implements SweepGrid; names match NewPAs's.
-func (g *PAsSweep) ConfigNames() []string {
-	out := make([]string, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = fmt.Sprintf("PAs(%d,%d,%d)", geo.HistBits, g.bhtBits, geo.PHTBits)
-	}
-	return out
-}
-
-// Configs implements SweepGrid.
-func (g *PAsSweep) Configs() []Predictor {
-	out := make([]Predictor, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = NewPAs(geo.HistBits, g.bhtBits, geo.PHTBits)
-	}
-	return out
-}
-
-// Shard implements SweepSharder: a fresh fused grid over the geometries
-// [lo, hi) at the same BHT size (each shard owns a private BHT, which is
-// exact: the registers are stream-determined, so every shard's BHT holds
-// identical values).
-func (g *PAsSweep) Shard(lo, hi int) SweepGrid {
-	checkShardRange(lo, hi, len(g.geoms))
-	return NewPAsSweep(g.bhtBits, g.geoms[lo:hi])
-}
-
-// SweepBlock implements SweepKernel. The shared pass fetches each
-// record's history register once, stages its pre-update value as the
-// key (every config trains its counter with the history as it stood
-// before the branch, the scalar PAs order), and shifts the register;
-// config replays then never touch the BHT.
-//
-//bplint:hot
-func (g *PAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
-	g.pcx = extendPcx(g.pcx, blk.Addrs)
-	pcx := g.pcx
-	phts := g.phts
-	hmasks := g.hmasks
-	pmasks := g.pmasks
-	hbits := g.hbits
-	correct = correct[:len(phts)]
-	kmax := g.kmax
-	bht := g.bht
-	bmask := uint32(len(bht) - 1)
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.scratch.kt
-	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
-		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := taken[j>>6] >> (uint(j) & 63) & 1
-			bi := pcx[tids[i]] & bmask
-			bh := bht[bi]
-			kk[i] = (bh&kmax)<<1 | uint32(t)
-			bht[bi] = bh<<1 | uint32(t)
-			j++
-		}
-		c := 0
-		for ; c+2 <= len(phts); c += 2 {
-			t0, t1 := phts[c], phts[c+1]
-			l0 := uint32(len(t0) - 1)
-			l1 := uint32(len(t1) - 1)
-			h0, p0, b0 := hmasks[c], pmasks[c], hbits[c]
-			h1, p1, b1 := hmasks[c+1], pmasks[c+1], hbits[c+1]
-			var n0, n1 int32
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				bh := v >> 1
-				x := pcx[tids[i]]
-				s0 := ((x&p0)<<b0 | bh&h0) & l0
-				x0 := sweepStep[t0[s0]<<1|t]
-				n0 += int32(x0 & 1)
-				t0[s0] = Counter2(x0 >> 1)
-				s1 := ((x&p1)<<b1 | bh&h1) & l1
-				x1 := sweepStep[t1[s1]<<1|t]
-				n1 += int32(x1 & 1)
-				t1[s1] = Counter2(x1 >> 1)
-			}
-			correct[c] += n0
-			correct[c+1] += n1
-		}
-		for ; c < len(phts); c++ {
-			tbl := phts[c]
-			lm := uint32(len(tbl) - 1)
-			hm, pm, sh := hmasks[c], pmasks[c], hbits[c]
-			n := int32(0)
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				s := ((pcx[tids[i]]&pm)<<sh | (v>>1)&hm) & lm
-				x := sweepStep[tbl[s]<<1|t]
-				n += int32(x & 1)
-				tbl[s] = Counter2(x >> 1)
-			}
-			correct[c] += n
-		}
+		replayTables(kk, tbls, correct)
 	}
 }
 
@@ -868,7 +487,7 @@ func (g *PredictorGrid) ConfigNames() []string {
 // Configs implements SweepGrid.
 func (g *PredictorGrid) Configs() []Predictor { return g.preds }
 
-// Shard implements SweepSharder as a view over the held instances
+// Shard implements SweepGrid as a view over the held instances
 // [lo, hi) — NOT a fresh copy, because the instances are the configs
 // (see NewPredictorGrid). Sharded execution stays exact as long as each
 // instance is replayed by exactly one shard, which disjoint ranges
@@ -882,15 +501,7 @@ func (g *PredictorGrid) Shard(lo, hi int) SweepGrid {
 }
 
 var (
-	_ SweepKernel       = (*GshareSweep)(nil)
 	_ BranchSweepKernel = (*GshareSweep)(nil)
 	_ SweepKernel       = (*BimodalSweep)(nil)
-	_ SweepKernel       = (*GAsSweep)(nil)
-	_ SweepKernel       = (*PAsSweep)(nil)
 	_ SweepGrid         = (*PredictorGrid)(nil)
-	_ SweepSharder      = (*GshareSweep)(nil)
-	_ SweepSharder      = (*BimodalSweep)(nil)
-	_ SweepSharder      = (*GAsSweep)(nil)
-	_ SweepSharder      = (*PAsSweep)(nil)
-	_ SweepSharder      = (*PredictorGrid)(nil)
 )

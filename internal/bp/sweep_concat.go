@@ -83,36 +83,18 @@ func (g *ConcatSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branc
 	}
 }
 
-// Shard implements SweepSharder. The sub-range is assembled from shards
-// of the overlapped parts; a part that cannot produce a fused shard for
-// its overlap (it is not a SweepSharder, or its shard is not a kernel)
-// degrades the whole sub-range to an independent PredictorGrid so the
-// result still composes exactly — the scheduler's fallback accounting
-// makes that visible.
+// Shard implements SweepGrid: the sub-range is assembled from shards of
+// the overlapped parts. A part's shard must itself be a SweepKernel (every
+// fused grid's is); anything else is a programming error and panics.
 func (g *ConcatSweep) Shard(lo, hi int) SweepGrid {
-	total := g.offs[len(g.parts)]
-	checkShardRange(lo, hi, total)
+	checkShardRange(lo, hi, g.offs[len(g.parts)])
 	var parts []SweepKernel
 	for i, p := range g.parts {
 		plo, phi := g.offs[i], g.offs[i+1]
 		if phi <= lo || plo >= hi {
 			continue
 		}
-		slo, shi := max(lo, plo)-plo, min(hi, phi)-plo
-		sharder, ok := p.(SweepSharder)
-		if !ok {
-			parts = nil
-			break
-		}
-		sub, ok := sharder.Shard(slo, shi).(SweepKernel)
-		if !ok {
-			parts = nil
-			break
-		}
-		parts = append(parts, sub)
-	}
-	if parts == nil {
-		return NewPredictorGrid(fmt.Sprintf("%s[%d:%d)", g.name, lo, hi), g.Configs()[lo:hi])
+		parts = append(parts, p.Shard(max(lo, plo)-plo, min(hi, phi)-plo).(SweepKernel))
 	}
 	if len(parts) == 1 {
 		return parts[0]
@@ -120,8 +102,4 @@ func (g *ConcatSweep) Shard(lo, hi int) SweepGrid {
 	return NewConcatSweep(fmt.Sprintf("%s[%d:%d)", g.name, lo, hi), parts...)
 }
 
-var (
-	_ SweepKernel       = (*ConcatSweep)(nil)
-	_ BranchSweepKernel = (*ConcatSweep)(nil)
-	_ SweepSharder      = (*ConcatSweep)(nil)
-)
+var _ BranchSweepKernel = (*ConcatSweep)(nil)

@@ -34,7 +34,7 @@ type HybridSweep struct {
 	kmax        uint32
 	history     uint32
 	pcx         []uint32
-	scratch     sweepScratch
+	kt          []uint32 // tile staging: key<<2 | bimodal prediction<<1 | outcome
 }
 
 // NewHybridSweep returns a fused grid of hybrid(gshare(b), bimodal,
@@ -80,7 +80,7 @@ func NewHybridSweep(gshareBits []uint, bimodalBits, chooserBits uint) *HybridSwe
 		bimodalBits: bimodalBits,
 		chooserBits: chooserBits,
 		kmax:        kmax,
-		scratch:     newSweepScratch(),
+		kt:          make([]uint32, sweepTile),
 	}
 }
 
@@ -109,7 +109,7 @@ func (g *HybridSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the gshare
+// Shard implements SweepGrid: a fresh fused grid over the gshare
 // history lengths [lo, hi) (each shard owns a private bimodal table,
 // which is exact: the bimodal component is stream-determined).
 func (g *HybridSweep) Shard(lo, hi int) SweepGrid {
@@ -133,7 +133,7 @@ func (g *HybridSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	kmax := g.kmax
 	taken := blk.Taken
 	ids := blk.IDs
-	kt := g.scratch.kt
+	kt := g.kt
 	h := g.history
 	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
 		hi := min(lo+sweepTile, blk.Hi)
@@ -176,7 +176,4 @@ func (g *HybridSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	g.history = h
 }
 
-var (
-	_ SweepKernel  = (*HybridSweep)(nil)
-	_ SweepSharder = (*HybridSweep)(nil)
-)
+var _ SweepKernel = (*HybridSweep)(nil)

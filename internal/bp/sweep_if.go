@@ -22,8 +22,13 @@ import (
 //     the real PAs there is no aliasing to preserve and the register
 //     file is exact for every config simultaneously.
 //
-// The staged word is 64-bit (unmasked 32-bit history plus the outcome
-// bit); the per-ID key prefix addr<<32 is a cached column like pcx.
+// Both grids run one staged replay: a shared pass stages each tile's
+// records as 64-bit words (unmasked 32-bit history plus the outcome
+// bit; stageGlobal or stageLocal), and every config replays the tile
+// through its counter map (replayMap, or replayMapBranches when counting
+// per branch); the per-ID key prefix addr<<32 is a cached column like
+// pcx. The IFGshare and IFPAs kernels (kernel.go) are one-config grids
+// of this replay over the predictor's own map and registers.
 // Steady-state blocks allocate only what the semantics require — map
 // growth for never-seen (address, history) pairs — the staging scratch
 // and derived columns are allocated once and reused, which
@@ -38,6 +43,96 @@ func extendKeyHi(keyHi []uint64, addrs []trace.Addr) []uint64 {
 		keyHi[id] = uint64(addrs[id]) << 32
 	}
 	return keyHi
+}
+
+// stageGlobal stages records [j, j+len(kk)) of the taken bitset as
+// history<<1 | outcome words, h being the global register before the
+// first of them, and returns the register advanced past the last.
+//
+//bplint:hot
+func stageGlobal(kk []uint64, taken []uint64, j int, h uint32) uint32 {
+	for i := range kk {
+		t := taken[j>>6] >> (uint(j) & 63) & 1
+		kk[i] = uint64(h)<<1 | t
+		h = h<<1 | uint32(t)
+		j++
+	}
+	return h
+}
+
+// stageLocal stages records [j, j+len(kk)) of the taken bitset, whose
+// dense IDs are tids, as history<<1 | outcome words from the per-ID
+// registers hist, advancing each record's register past it (every
+// config trains with the history as it stood before the branch).
+//
+//bplint:hot
+func stageLocal(kk []uint64, taken []uint64, tids []int32, j int, hist []uint32) {
+	tids = tids[:len(kk)]
+	for i := range kk {
+		t := taken[j>>6] >> (uint(j) & 63) & 1
+		id := tids[i]
+		lh := hist[id]
+		kk[i] = uint64(lh)<<1 | t
+		hist[id] = lh<<1 | uint32(t)
+		j++
+	}
+}
+
+// replayMaps replays a staged tile whose records have dense IDs tids
+// through every config's counter map (config c keyed by its history
+// mask hmasks[c]), adding config c's correct predictions to correct[c]
+// and, when branches is non-nil, to branches[c][id].
+//
+//bplint:hot
+func replayMaps(kk []uint64, tids []int32, keyHi []uint64, counters []map[uint64]Counter2, hmasks []uint64, correct []int32, branches [][]int32) {
+	correct = correct[:len(counters)]
+	for c, tbl := range counters {
+		if branches != nil {
+			correct[c] += replayMapBranches(kk, tids, keyHi, tbl, hmasks[c], branches[c]) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+			continue
+		}
+		correct[c] += replayMap(kk, tids, keyHi, tbl, hmasks[c]) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+	}
+}
+
+// replayMap replays one interference-free config's counter map over a
+// staged history|outcome tile whose records have dense IDs tids and
+// returns its correct predictions.
+//
+//bplint:hot
+func replayMap(kk []uint64, tids []int32, keyHi []uint64, tbl map[uint64]Counter2, m uint64) int32 {
+	tids = tids[:len(kk)]
+	n := int32(0)
+	for i, v := range kk {
+		t := Counter2(v & 1)
+		k := keyHi[tids[i]] | (v>>1)&m
+		cnt := tbl[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+		x := sweepStep[cnt<<1|t]
+		n += int32(x & 1)
+		tbl[k] = Counter2(x >> 1) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+	}
+	return n
+}
+
+// replayMapBranches is replayMap that also adds each correct prediction
+// to perID[id].
+//
+//bplint:hot
+func replayMapBranches(kk []uint64, tids []int32, keyHi []uint64, tbl map[uint64]Counter2, m uint64, perID []int32) int32 {
+	tids = tids[:len(kk)]
+	n := int32(0)
+	for i, v := range kk {
+		t := Counter2(v & 1)
+		id := tids[i]
+		k := keyHi[id] | (v>>1)&m
+		cnt := tbl[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+		x := sweepStep[cnt<<1|t]
+		ok := int32(x & 1)
+		n += ok
+		perID[id] += ok
+		tbl[k] = Counter2(x >> 1) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
+	}
+	return n
 }
 
 // IFGshareSweep is the fused interference-free gshare grid: one config
@@ -99,17 +194,14 @@ func (g *IFGshareSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the history
+// Shard implements SweepGrid: a fresh fused grid over the history
 // lengths [lo, hi).
 func (g *IFGshareSweep) Shard(lo, hi int) SweepGrid {
 	checkShardRange(lo, hi, len(g.bits))
 	return NewIFGshareSweep(g.bits[lo:hi])
 }
 
-// SweepBlock implements SweepKernel. The shared pass stages the
-// unmasked history and outcome per record and advances the register;
-// each config's replay is the scalar loop minus the history update, one
-// map read-modify-write per record through the sweepStep LUT.
+// SweepBlock implements SweepKernel.
 func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	g.sweep(blk, correct, nil)
 }
@@ -119,74 +211,21 @@ func (g *IFGshareSweep) SweepBlockBranches(blk KernelBlock, correct []int32, bra
 	g.sweep(blk, correct, branches)
 }
 
-// sweep is SweepBlock, and with non-nil branches SweepBlockBranches; the
-// per-branch replay is chosen once per tile and config.
+// sweep is SweepBlock, and with non-nil branches SweepBlockBranches: per
+// tile, stageGlobal advances the shared register, then replayMaps runs
+// every config.
 //
 //bplint:hot
 func (g *IFGshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
-	keyHi := g.keyHi
-	counters := g.counters
-	hmasks := g.hmasks
-	correct = correct[:len(counters)]
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.kt
 	h := g.history
 	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
 		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := taken[j>>6] >> (uint(j) & 63) & 1
-			kk[i] = uint64(h)<<1 | t
-			h = h<<1 | uint32(t)
-			j++
-		}
-		for c := range counters {
-			tbl := counters[c]
-			m := hmasks[c]
-			if branches != nil {
-				correct[c] += replayMapBranches(kk, tids, keyHi, tbl, m, branches[c]) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-				continue
-			}
-			n := int32(0)
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				k := keyHi[tids[i]] | (v>>1)&m
-				cnt := tbl[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-				x := sweepStep[cnt<<1|t]
-				n += int32(x & 1)
-				tbl[k] = Counter2(x >> 1) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-			}
-			correct[c] += n
-		}
+		kk := g.kt[:hi-lo]
+		h = stageGlobal(kk, blk.Taken, lo, h)
+		replayMaps(kk, blk.IDs[lo:hi], g.keyHi, g.counters, g.hmasks, correct, branches) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
 	}
 	g.history = h
-}
-
-// replayMapBranches replays one interference-free config's counter map
-// over a staged history|outcome tile whose records have dense IDs tids,
-// adding each correct prediction to perID[id] as well as to the
-// returned count.
-//
-//bplint:hot
-func replayMapBranches(kk []uint64, tids []int32, keyHi []uint64, tbl map[uint64]Counter2, m uint64, perID []int32) int32 {
-	tids = tids[:len(kk)]
-	n := int32(0)
-	for i, v := range kk {
-		t := Counter2(v & 1)
-		id := tids[i]
-		k := keyHi[id] | (v>>1)&m
-		cnt := tbl[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-		x := sweepStep[cnt<<1|t]
-		ok := int32(x & 1)
-		n += ok
-		perID[id] += ok
-		tbl[k] = Counter2(x >> 1) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-	}
-	return n
 }
 
 // IFPAsSweep is the fused interference-free PAs grid: one config per
@@ -248,7 +287,7 @@ func (g *IFPAsSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the history
+// Shard implements SweepGrid: a fresh fused grid over the history
 // lengths [lo, hi) (each shard owns a private register file, which is
 // exact: the registers are stream-determined).
 func (g *IFPAsSweep) Shard(lo, hi int) SweepGrid {
@@ -256,57 +295,30 @@ func (g *IFPAsSweep) Shard(lo, hi int) SweepGrid {
 	return NewIFPAsSweep(g.bits[lo:hi])
 }
 
-// SweepBlock implements SweepKernel. The shared pass fetches each
-// record's register once, stages its pre-update value (every config
-// trains with the history as it stood before the branch, the scalar
-// IF-PAs order), and shifts the register.
+// SweepBlock implements SweepKernel.
+func (g *IFPAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
+	g.sweep(blk, correct, nil)
+}
+
+// sweep is SweepBlock, and with non-nil branches (only IFPAs's
+// one-config kernel passes them) it also counts per branch: per tile,
+// stageLocal advances the shared registers, then replayMaps runs every
+// config.
 //
 //bplint:hot
-func (g *IFPAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
+func (g *IFPAsSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
 	g.hist = growColumn(g.hist, len(blk.Addrs))
-	keyHi := g.keyHi
-	hist := g.hist
-	counters := g.counters
-	hmasks := g.hmasks
-	correct = correct[:len(counters)]
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.kt
 	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
 		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := taken[j>>6] >> (uint(j) & 63) & 1
-			id := tids[i]
-			lh := hist[id]
-			kk[i] = uint64(lh)<<1 | t
-			hist[id] = lh<<1 | uint32(t)
-			j++
-		}
-		for c := range counters {
-			tbl := counters[c]
-			m := hmasks[c]
-			n := int32(0)
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				k := keyHi[tids[i]] | (v>>1)&m
-				cnt := tbl[k] //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-				x := sweepStep[cnt<<1|t]
-				n += int32(x & 1)
-				tbl[k] = Counter2(x >> 1) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
-			}
-			correct[c] += n
-		}
+		tids := blk.IDs[lo:hi]
+		kk := g.kt[:len(tids)]
+		stageLocal(kk, blk.Taken, tids, lo, g.hist)
+		replayMaps(kk, tids, g.keyHi, g.counters, g.hmasks, correct, branches) //bplint:ignore kernel-purity interference-free tables are maps by design: unbounded per-(address,history) state has no dense index
 	}
 }
 
 var (
-	_ SweepKernel       = (*IFGshareSweep)(nil)
 	_ BranchSweepKernel = (*IFGshareSweep)(nil)
 	_ SweepKernel       = (*IFPAsSweep)(nil)
-	_ SweepSharder      = (*IFGshareSweep)(nil)
-	_ SweepSharder      = (*IFPAsSweep)(nil)
 )

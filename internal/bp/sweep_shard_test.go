@@ -1,4 +1,4 @@
-// Shard-composition suite for the SweepSharder contract: a grid's
+// Shard-composition suite for the SweepGrid.Shard contract: a grid's
 // configs share no counter state, so replaying the trace through the
 // shards of any contiguous partition must reproduce, per config, the
 // exact counts of the unsharded replay — the invariant the sim
@@ -6,7 +6,6 @@
 package bp_test
 
 import (
-	"fmt"
 	"testing"
 
 	"branchcorr/internal/bp"
@@ -45,7 +44,7 @@ func TestSweepShardComposition(t *testing.T) {
 		for _, k := range []int{1, 2, 3, n} {
 			for _, r := range shardRanges(n, k) {
 				lo, hi := r[0], r[1]
-				sub := mk().(bp.SweepSharder).Shard(lo, hi)
+				sub := mk().Shard(lo, hi)
 				kernel, ok := sub.(bp.SweepKernel)
 				if !ok {
 					t.Fatalf("%s: shard [%d,%d) is not a fused kernel", family, lo, hi)
@@ -70,7 +69,7 @@ func TestSweepShardComposition(t *testing.T) {
 }
 
 // TestSweepShardRangeValidation pins the loud failure on malformed
-// ranges for every sharder.
+// ranges for every grid.
 func TestSweepShardRangeValidation(t *testing.T) {
 	for family, mk := range allSweepGrids() {
 		n := len(mk().ConfigNames())
@@ -83,7 +82,7 @@ func TestSweepShardRangeValidation(t *testing.T) {
 						t.Error("Shard did not panic")
 					}
 				}()
-				mk().(bp.SweepSharder).Shard(r[0], r[1])
+				mk().Shard(r[0], r[1])
 			})
 		}
 	}
@@ -106,40 +105,5 @@ func TestPredictorGridShardSharesInstances(t *testing.T) {
 	}
 	if _, ok := sub.(bp.SweepKernel); ok {
 		t.Error("PredictorGrid shard must not claim a fused kernel")
-	}
-}
-
-// kernelOnly hides a fused grid's Shard method, modelling a future
-// SweepKernel that has not implemented SweepSharder.
-type kernelOnly struct{ bp.SweepKernel }
-
-// TestConcatSweepShardDegradation pins ConcatSweep's fallback: a
-// sub-range overlapping a non-shardable part degrades — whole — to a
-// PredictorGrid over the matching Configs slice (still exact, just
-// unfused), while ranges within shardable parts stay fused.
-func TestConcatSweepShardDegradation(t *testing.T) {
-	g := bp.NewConcatSweep("deg",
-		bp.NewGshareSweep([]uint{4, 6}),
-		kernelOnly{bp.NewBimodalSweep([]uint{5, 7})},
-	)
-	names := g.ConfigNames()
-
-	// Overlapping the kernel-only part: degraded, names preserved.
-	sub := g.Shard(1, 3)
-	if _, ok := sub.(bp.SweepKernel); ok {
-		t.Error("shard overlapping a non-sharder part must not be fused")
-	}
-	if got := sub.ConfigNames(); fmt.Sprint(got) != fmt.Sprint(names[1:3]) {
-		t.Errorf("degraded shard names %v, want %v", got, names[1:3])
-	}
-
-	// Entirely within the sharder part: fused (the single part is
-	// returned directly).
-	sub = g.Shard(0, 2)
-	if _, ok := sub.(bp.SweepKernel); !ok {
-		t.Error("shard within the sharder part must stay fused")
-	}
-	if got := sub.ConfigNames(); fmt.Sprint(got) != fmt.Sprint(names[0:2]) {
-		t.Errorf("fused shard names %v, want %v", got, names[0:2])
 	}
 }

@@ -15,8 +15,7 @@ import (
 
 // sweepGrids enumerates one freshly built grid per fused family, shaped
 // to stress the sharing tricks: tiny tables that alias hard, mixed
-// geometries (including 0-bit bank selects), and config orders that are
-// not monotone in table size.
+// geometries, and config orders that are not monotone in table size.
 func sweepGrids() map[string]func() bp.SweepKernel {
 	return map[string]func() bp.SweepKernel{
 		"gshare": func() bp.SweepKernel {
@@ -24,22 +23,6 @@ func sweepGrids() map[string]func() bp.SweepKernel {
 		},
 		"bimodal": func() bp.SweepKernel {
 			return bp.NewBimodalSweep([]uint{12, 1, 3, 6, 8, 10})
-		},
-		"gas": func() bp.SweepKernel {
-			return bp.NewGAsSweep([]bp.GAsGeom{
-				{HistBits: 1, AddrBits: 0}, {HistBits: 4, AddrBits: 2},
-				{HistBits: 6, AddrBits: 4}, {HistBits: 8, AddrBits: 0},
-				{HistBits: 10, AddrBits: 6}, {HistBits: 12, AddrBits: 2},
-			})
-		},
-		// 4-bit BHT: the 60 random sites alias ~4 per register, so the
-		// shared-unmasked-history trick is exercised under heavy aliasing.
-		"pas": func() bp.SweepKernel {
-			return bp.NewPAsSweep(4, []bp.PAsGeom{
-				{HistBits: 1, PHTBits: 0}, {HistBits: 3, PHTBits: 2},
-				{HistBits: 6, PHTBits: 0}, {HistBits: 8, PHTBits: 4},
-				{HistBits: 12, PHTBits: 2},
-			})
 		},
 		// Tiny chooser and bimodal tables so both alias across the gshare
 		// column sweep; non-monotone gshare sizes.
@@ -117,15 +100,15 @@ func sweepTotals(g bp.SweepKernel, pt *trace.Packed, chunk int) []int32 {
 
 // TestSweepScalarConformance pins every fused sweep family bit-identical,
 // per config, to its independent scalar configs, at several block
-// layouts (including single-record blocks, word-straddling chunks, and
-// one full-range call).
+// layouts (including single-record blocks, word-straddling chunks, a
+// chunk one past the sweep tile, and one full-range call).
 func TestSweepScalarConformance(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		tr := kernelRandomTrace(seed, 25_000)
 		pt := tr.Packed()
 		for family, mk := range allSweepGrids() {
 			want := scalarSweepTotals(mk(), tr)
-			for _, chunk := range []int{1, 63, 64, 65, 1000, tr.Len()} {
+			for _, chunk := range []int{1, 63, 64, 65, 1000, 2049, tr.Len()} {
 				got := sweepTotals(mk(), pt, chunk)
 				for c := range want {
 					if got[c] != want[c] {
@@ -192,13 +175,6 @@ func TestSweepValidation(t *testing.T) {
 		"gshare over":      func() { bp.NewGshareSweep([]uint{27}) },
 		"bimodal empty":    func() { bp.NewBimodalSweep(nil) },
 		"bimodal over":     func() { bp.NewBimodalSweep([]uint{31}) },
-		"gas empty":        func() { bp.NewGAsSweep(nil) },
-		"gas zero hist":    func() { bp.NewGAsSweep([]bp.GAsGeom{{HistBits: 0, AddrBits: 2}}) },
-		"gas addr over":    func() { bp.NewGAsSweep([]bp.GAsGeom{{HistBits: 4, AddrBits: 13}}) },
-		"pas zero bht":     func() { bp.NewPAsSweep(0, []bp.PAsGeom{{HistBits: 4}}) },
-		"pas empty":        func() { bp.NewPAsSweep(8, nil) },
-		"pas hist over":    func() { bp.NewPAsSweep(8, []bp.PAsGeom{{HistBits: 25}}) },
-		"pas pht over":     func() { bp.NewPAsSweep(8, []bp.PAsGeom{{HistBits: 4, PHTBits: 13}}) },
 		"predictors empty": func() { bp.NewPredictorGrid("none", nil) },
 		"hybrid empty":     func() { bp.NewHybridSweep(nil, 8, 8) },
 		"hybrid gshare over": func() {

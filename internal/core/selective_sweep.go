@@ -145,7 +145,7 @@ func (g *SelectiveSweep) Configs() []bp.Predictor {
 	return out
 }
 
-// Shard implements bp.SweepSharder: a fresh fused grid over the configs
+// Shard implements bp.SweepGrid: a fresh fused grid over the configs
 // [lo, hi) (each shard owns a private window, which is exact: the window
 // contents are stream-determined).
 func (g *SelectiveSweep) Shard(lo, hi int) bp.SweepGrid {
@@ -412,7 +412,4 @@ func (g *SelectiveSweep) patterns(i int, br *selBranch, pat []uint8) {
 	}
 }
 
-var (
-	_ bp.BranchSweepKernel = (*SelectiveSweep)(nil)
-	_ bp.SweepSharder      = (*SelectiveSweep)(nil)
-)
+var _ bp.BranchSweepKernel = (*SelectiveSweep)(nil)

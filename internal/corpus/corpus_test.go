@@ -260,10 +260,10 @@ func TestDecodeHugeClaimsBounded(t *testing.T) {
 	u32(formatVersion)
 	u32(1)
 	b.WriteByte('h')
-	u64(1 << 62)  // records
-	u64(1 << 61)  // branches
-	u32(1 << 20)  // chunk length
-	u32(1 << 31)  // chunk count (fails consistency anyway; belt and braces)
+	u64(1 << 62) // records
+	u64(1 << 61) // branches
+	u32(1 << 20) // chunk length
+	u32(1 << 31) // chunk count (fails consistency anyway; belt and braces)
 	if _, _, err := Decode(bytes.NewReader(b.Bytes())); err == nil {
 		t.Fatal("decoder accepted exabyte-scale header on a 41-byte input")
 	}

@@ -41,8 +41,9 @@ func PublishExpvar(r *Registry) {
 // pprof under /debug/pprof/, and the registry's deterministic snapshot
 // under /metrics.
 type DebugServer struct {
-	ln  net.Listener
-	srv *http.Server
+	ln   net.Listener
+	srv  *http.Server
+	done chan struct{} // closed once Serve has returned
 }
 
 // ServeDebug starts a debug HTTP server on addr (e.g. "localhost:6060";
@@ -66,8 +67,9 @@ func ServeDebug(addr string, r *Registry) (*DebugServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
+	ds := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}, done: make(chan struct{})}
 	go func() {
+		defer close(ds.done)
 		// Serve returns ErrServerClosed (or a listener error) once Close
 		// tears the listener down; there is no caller left to hand it to.
 		_ = ds.srv.Serve(ln)
@@ -78,5 +80,10 @@ func ServeDebug(addr string, r *Registry) (*DebugServer, error) {
 // Addr returns the address the server is listening on.
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
-// Close stops the server and releases the listener.
-func (d *DebugServer) Close() error { return d.srv.Close() }
+// Close stops the server, releases the listener, and returns once the
+// serving goroutine has exited.
+func (d *DebugServer) Close() error {
+	err := d.srv.Close()
+	<-d.done
+	return err
+}

@@ -55,6 +55,23 @@ func TestDebugServerCloseWhileServing(t *testing.T) {
 	}
 }
 
+// TestDebugServerCloseJoinsServe pins that Close waits for the serving
+// goroutine: by the time it returns, Serve has returned too.
+func TestDebugServerCloseJoinsServe(t *testing.T) {
+	ds, err := ServeDebug("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case <-ds.done:
+	default:
+		t.Fatal("Close returned before Serve did")
+	}
+}
+
 // TestDebugServerDoubleClose pins that Close is safe to call twice (the
 // second call reports the server already closed rather than panicking).
 func TestDebugServerDoubleClose(t *testing.T) {

@@ -196,7 +196,7 @@ func TestPerBranchSweepEngines(t *testing.T) {
 			t.Errorf("global grid: %s = %d, want 1", c, got)
 		}
 	}
-	if got := count(reg, "sim.sweep.shards.degraded") + count(reg, "sim.sweep.perbranch.fallback.global"); got != 0 {
+	if got := count(reg, "sim.sweep.perbranch.fallback.global"); got != 0 {
 		t.Errorf("global grid left the fused path (%d)", got)
 	}
 

@@ -123,7 +123,7 @@ type Options struct {
 	// predictors are independent, the block is read-only). In
 	// SimulateSweep and SimulateSweepBlocks it bounds
 	// config shards: the grid splits into up to Parallel contiguous
-	// sub-grids (bp.SweepSharder), each replaying on its own core, and
+	// sub-grids (bp.SweepGrid.Shard), each replaying on its own core, and
 	// the per-config counts compose exactly. 0 or 1 runs sequentially;
 	// negative selects runtime.GOMAXPROCS(0). Results are bit-identical
 	// at every setting.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
 	"branchcorr/internal/trace"
@@ -19,7 +17,7 @@ import (
 // differ only in their block source.
 //
 // On top of fusion sits config sharding (Options.Parallel > 1): the
-// grid splits into contiguous sub-grids (bp.SweepSharder), one runner
+// grid splits into contiguous sub-grids (bp.SweepGrid.Shard), one runner
 // cell per shard per block, each replaying the identical record stream
 // against its own fresh state. Configs of one grid share no counter
 // state, so each shard's per-config counts land in a disjoint slice of
@@ -121,22 +119,15 @@ func sweepShards(opts Options, ncfg int) int {
 // sweepShard is one scheduled slice of a sharded sweep: the sub-grid
 // covering configs [lo, hi) of the parent, in grid order.
 type sweepShard struct {
-	lo, hi   int
-	grid     bp.SweepGrid
-	degraded bool // parent would fuse but this shard cannot
+	lo, hi int
+	grid   bp.SweepGrid
 }
 
 // planShards partitions the grid's ncfg configs into n balanced
-// contiguous shards. Grids implementing bp.SweepSharder produce fused
-// sub-grids; any other grid degrades to independent per-config
-// simulation via bp.PredictorGrid over a slice of Configs() — exact
-// either way, but the degraded shards are counted so a silently slow
-// sweep is visible in the metrics (parentFused is the parent's
-// effective engine: degradation is only meaningful when the parent
-// would have fused).
-func planShards(grid bp.SweepGrid, opts Options, ncfg, n int, parentFused bool) []sweepShard {
-	sharder, _ := grid.(bp.SweepSharder)
-	var cfgs []bp.Predictor // lazily materialized for non-sharder grids
+// contiguous shards, each the grid's own Shard over its range (a fused
+// grid's shards are fused grids, so every shard runs on the parent's
+// engine).
+func planShards(grid bp.SweepGrid, ncfg, n int) []sweepShard {
 	shards := make([]sweepShard, 0, n)
 	base, rem := ncfg/n, ncfg%n
 	lo := 0
@@ -145,39 +136,10 @@ func planShards(grid bp.SweepGrid, opts Options, ncfg, n int, parentFused bool) 
 		if i < rem {
 			hi++
 		}
-		var sub bp.SweepGrid
-		if sharder != nil {
-			sub = sharder.Shard(lo, hi)
-		} else {
-			if cfgs == nil {
-				cfgs = grid.Configs()
-			}
-			sub = bp.NewPredictorGrid(fmt.Sprintf("%s[%d:%d)", grid.GridName(), lo, hi), cfgs[lo:hi])
-		}
-		subFused, _ := sweepEngine(sub, opts)
-		shards = append(shards, sweepShard{lo: lo, hi: hi, grid: sub, degraded: parentFused && !subFused})
+		shards = append(shards, sweepShard{lo: lo, hi: hi, grid: grid.Shard(lo, hi)})
 		lo = hi
 	}
 	return shards
-}
-
-// shardAccount reports the shard-scheduling counters:
-// sim.sweep.runs.sharded (sharded calls), sim.sweep.shards (cells
-// scheduled), and sim.sweep.shards.degraded (shards that fell off the
-// fused path their parent grid would have taken). All three depend only
-// on (grid, options), never on scheduling.
-func shardAccount(reg *obs.Registry, shards []sweepShard) {
-	reg.Counter("sim.sweep.runs.sharded").Inc()
-	reg.Counter("sim.sweep.shards").Add(int64(len(shards)))
-	deg := 0
-	for _, sh := range shards {
-		if sh.degraded {
-			deg++
-		}
-	}
-	if deg > 0 {
-		reg.Counter("sim.sweep.shards.degraded").Add(int64(deg))
-	}
 }
 
 // SimulateSweep drives an entire config grid over the trace in one call
@@ -200,8 +162,9 @@ func shardAccount(reg *obs.Registry, shards []sweepShard) {
 // obs.Default()): sim.sweep.runs.{fused,fallback} and per-grid
 // sim.sweep.{fused,fallback}.<grid>, plus sim.sweep.configs,
 // sim.sweep.records, and sim.sweep.predictions (configs × records);
-// sharded calls add sim.sweep.runs.sharded, sim.sweep.shards, and
-// sim.sweep.shards.degraded.
+// sharded calls add sim.sweep.runs.sharded and sim.sweep.shards (cells
+// scheduled), which depend only on (grid, options), never on
+// scheduling.
 //
 // opts.PerBranch adds SweepOutcome.Results: each config's correct
 // predictions per static branch, counted by the fused kernel when
@@ -295,9 +258,9 @@ func newSweepers(grid bp.SweepGrid, opts Options, correct []int64, branches [][]
 	if n <= 1 {
 		return []*blockSweeper{newBlockSweeper(grid, opts, correct, branches)}
 	}
-	fused, _ := sweepEngine(grid, opts)
-	shards := planShards(grid, opts, len(correct), n, fused)
-	shardAccount(reg, shards)
+	shards := planShards(grid, len(correct), n)
+	reg.Counter("sim.sweep.runs.sharded").Inc()
+	reg.Counter("sim.sweep.shards").Add(int64(len(shards)))
 	sweepers := make([]*blockSweeper, len(shards))
 	for i, sh := range shards {
 		var sub [][]int32

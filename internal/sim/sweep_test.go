@@ -25,16 +25,6 @@ func sweepTestGrids() map[string]func() bp.SweepGrid {
 		"bimodal-fused": func() bp.SweepGrid {
 			return bp.NewBimodalSweep([]uint{1, 4, 8, 12})
 		},
-		"gas-fused": func() bp.SweepGrid {
-			return bp.NewGAsSweep([]bp.GAsGeom{
-				{HistBits: 2, AddrBits: 0}, {HistBits: 6, AddrBits: 3}, {HistBits: 10, AddrBits: 5},
-			})
-		},
-		"pas-fused": func() bp.SweepGrid {
-			return bp.NewPAsSweep(5, []bp.PAsGeom{
-				{HistBits: 2, PHTBits: 0}, {HistBits: 6, PHTBits: 3}, {HistBits: 10, PHTBits: 1},
-			})
-		},
 		"mixed-fallback": func() bp.SweepGrid {
 			return bp.NewPredictorGrid("mixed", []bp.Predictor{
 				bp.NewGshare(9),  // kernel-backed
