@@ -720,10 +720,8 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 // oracle itself is slow there — each branch's candidate table holds
 // thousands of refs — so the level stays short.)
 //
-// The window=16 pair prices the streamed oracle: impl=memory is one
-// window-16 Oracle run over the packed trace, impl=streamed the same
-// run through OracleBlocks over default-size chunks, which takes no
-// path-signature memo and so walks every record.
+// The window=16 level, impl=memory, is one window-16 Oracle run over the
+// packed trace.
 func BenchmarkOracleWindows(b *testing.B) {
 	for _, n := range []int{200_000, 1_000_000} {
 		tr := benchTraceN(b, "gcc", n)
@@ -746,15 +744,6 @@ func BenchmarkOracleWindows(b *testing.B) {
 	b.Run("len=200000/window=16/impl=memory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.Oracle(pt, opts)
-		}
-		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
-	})
-	b.Run("len=200000/window=16/impl=streamed", func(b *testing.B) {
-		open := func() (trace.BlockSource, error) { return pt.Blocks(trace.DefaultBlockLen), nil }
-		for i := 0; i < b.N; i++ {
-			if _, err := core.OracleBlocks(open, opts); err != nil {
-				b.Fatal(err)
-			}
 		}
 		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 	})

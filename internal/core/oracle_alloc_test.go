@@ -8,19 +8,7 @@
 // //bplint:ignore directives in oracle_kernel.go.
 package core
 
-import (
-	"testing"
-
-	"branchcorr/internal/trace"
-)
-
-// newPackedEmitter points a fresh emitter at a packed view's full columns.
-func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
-	e := newOracleEmitter(windows)
-	e.setColumns(wholeBlock(pt))
-	e.growScratch(pt.NumBranches())
-	return e
-}
+import "testing"
 
 // TestOracleEmitterAllocs pins oracleEmitter.emit at zero allocations:
 // the key buffer is preallocated to the 2-refs-per-entry worst case, so
@@ -45,35 +33,30 @@ func TestOracleEmitterAllocs(t *testing.T) {
 // dynamic count (as newBeamMatcher sizes them), replaying the stream
 // over reset planes allocates nothing per record — for one window and
 // for the shared multi-window walk, with the profile pass's signature
-// classes and with every record walking.
+// classes.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
 	for _, windows := range [][]int{{8}, {8, 12, 16, 20, 24, 28, 32}} {
 		cfg := OracleConfig{}.WithDefaults()
-		in := &oracleInput{whole: pt}
-		cands, addrs, err := profileWindows(in, windows, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, memo := range []*oracleMemo{in.memo, nil} {
-			pcs := sortedPCs(cands)
-			matchers, matcherOf := buildMatchers(pcs, cands, addrs)
-			em := newPackedEmitter(pt, windows)
-			collectRange(em, matchers, 0, pt.Len(), memo) // warm the emitter and memo scratch
-			allocs := testing.AllocsPerRun(3, func() {
-				for _, bm := range matcherOf {
-					for _, m := range bm.mats {
-						clear(m)
-					}
-					clear(bm.outs)
-					bm.n = 0
+		memo := newPackedMemo(pt, windows[len(windows)-1])
+		cands := profileWindows(pt, memo, windows, cfg)
+		pcs := sortedPCs(cands)
+		matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
+		em := newPackedEmitter(pt, windows)
+		collectTrace(em, matchers, memo) // warm the emitter and memo scratch
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, bm := range matcherOf {
+				for _, m := range bm.mats {
+					clear(m)
 				}
-				collectRange(em, matchers, 0, pt.Len(), memo)
-			})
-			if allocs != 0 {
-				t.Errorf("windows %v (memo %v): collectRange allocates %.1f per full replay, want 0", windows, memo != nil, allocs)
+				clear(bm.outs)
+				bm.n = 0
 			}
+			collectTrace(em, matchers, memo)
+		})
+		if allocs != 0 {
+			t.Errorf("windows %v: collectTrace allocates %.1f per full replay, want 0", windows, allocs)
 		}
 	}
 }

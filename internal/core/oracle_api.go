@@ -8,12 +8,12 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's public API, mirroring sim.Simulate: two
-// options-based calls — Oracle for in-memory inputs and OracleBlocks for
-// bounded-memory streams — each running the full pipeline or one stage
-// of it. OracleWindows is Oracle's full stage over several window
-// lengths at once. All three differ only in their input (see
-// oracle_blocks.go) and share one stage switch, runOracle.
+// This file is the oracle's public API: Oracle runs the full pipeline or
+// one stage of it over an in-memory trace, and OracleWindows runs the
+// full stage over several window lengths at once. Both share one stage
+// switch, runOracle, whose passes each walk the whole packed trace once
+// (oracle_kernel.go). A trace that arrives as a stream (an upload, a
+// corpus entry) is decoded whole before the oracle sees it.
 
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and
@@ -57,7 +57,7 @@ func (s OracleStage) String() string {
 	return fmt.Sprintf("OracleStage(%d)", int(s))
 }
 
-// OracleOptions configures one Oracle or OracleBlocks run. The zero
+// OracleOptions configures one Oracle or OracleWindows run. The zero
 // value runs the full pipeline with OracleConfig defaults.
 type OracleOptions struct {
 	// OracleConfig carries the algorithmic knobs (WindowLen, TopK,
@@ -78,10 +78,9 @@ type OracleOptions struct {
 // stage-selected configuration and returns the Selections. StageFull
 // and StageSelect fill Selections.BySize; StageProfile fills
 // Selections.Candidates. The work runs on the columnar kernels; results
-// are bit-identical at every ScoreParallel and identical to the
-// streaming path (OracleBlocks) on the same records.
+// are bit-identical to the reference oracle and at every ScoreParallel.
 func Oracle(src Source, opts OracleOptions) *Selections {
-	return oracleMemory(src, []int{opts.WithDefaults().WindowLen}, opts)[0]
+	return runOracle(src.Packed(), []int{opts.WithDefaults().WindowLen}, opts)[0]
 }
 
 // OracleWindows runs the full oracle (StageFull) at every listed window
@@ -107,81 +106,43 @@ func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections 
 	if len(windows) == 0 {
 		return nil
 	}
-	return oracleMemory(src, windows, opts)
-}
-
-// OracleBlocks is Oracle over a streaming trace.BlockSource, in memory
-// bounded by the chunk size rather than the trace length, bit-identical
-// to Oracle on the equivalent in-memory trace. open must yield an
-// identical record stream on every call (e.g. re-open the same corpus
-// entry or trace file), because StageFull and StageSelect open it
-// twice: the profile pass, or for StageSelect a first read of the
-// complete intern table, must see the dense IDs the collection pass
-// sees. StageProfile opens it once.
-func OracleBlocks(open func() (trace.BlockSource, error), opts OracleOptions) (*Selections, error) {
-	sels, err := runOracle(&oracleInput{open: open}, []int{opts.WithDefaults().WindowLen}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sels[0], nil
-}
-
-// oracleMemory runs the oracle over an in-memory source, handed over as
-// one zero-copy block. An in-memory input cannot fail.
-func oracleMemory(src Source, windows []int, opts OracleOptions) []*Selections {
-	sels, err := runOracle(&oracleInput{whole: src.Packed()}, windows, opts)
-	if err != nil {
-		panic("core: in-memory oracle input failed: " + err.Error())
-	}
-	return sels
+	return runOracle(src.Packed(), windows, opts)
 }
 
 // runOracle is the oracle's one stage switch: it runs opts.Stage over
-// the input at every listed window length and returns one Selections per
-// entry of windows, in argument order (repeats share one result).
-// StageSelect scores opts.Candidates at every window, after a first pass
-// that only reads the input's complete intern table (free in memory, one
-// extra pass over a stream).
-func runOracle(in *oracleInput, windows []int, opts OracleOptions) ([]*Selections, error) {
+// the packed trace at every listed window length and returns one
+// Selections per entry of windows, in argument order (repeats share one
+// result). Every stage first classifies the trace by path signature at
+// the largest window (pathmemo.go); the profile and collection passes
+// share those classes. StageSelect scores opts.Candidates at every
+// window.
+func runOracle(pt *trace.Packed, windows []int, opts OracleOptions) []*Selections {
 	cfg := opts.WithDefaults()
 	distinct := slices.Clone(windows)
 	slices.Sort(distinct)
 	distinct = slices.Compact(distinct)
 	checkWindows(distinct)
 	reg := obs.Or(cfg.Obs)
+	if opts.Stage == StageFull {
+		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
+		defer reg.StartSpan("core.oracle.build").End()
+	}
+	memo := newPackedMemo(pt, distinct[len(distinct)-1])
 
 	var sels []*Selections
 	switch opts.Stage {
 	case StageProfile:
-		cands, _, err := profileWindows(in, distinct, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range cands {
+		for _, c := range profileWindows(pt, memo, distinct, cfg) {
 			sels = append(sels, &Selections{Candidates: c})
 		}
 	case StageSelect:
-		addrs, err := in.pass(reg, newOracleEmitter(distinct), func(int, int, []trace.Addr) {})
-		if err != nil {
-			return nil, err
-		}
 		cands := make([]map[trace.Addr]*Candidates, len(distinct))
 		for w := range cands {
 			cands[w] = opts.Candidates
 		}
-		if sels, err = selectWindows(in, distinct, cands, addrs, cfg); err != nil {
-			return nil, err
-		}
+		sels = selectWindows(pt, memo, distinct, cands, cfg)
 	case StageFull:
-		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
-		defer reg.StartSpan("core.oracle.build").End()
-		cands, addrs, err := profileWindows(in, distinct, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if sels, err = selectWindows(in, distinct, cands, addrs, cfg); err != nil {
-			return nil, err
-		}
+		sels = selectWindows(pt, memo, distinct, profileWindows(pt, memo, distinct, cfg), cfg)
 	default:
 		panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 	}
@@ -190,5 +151,5 @@ func runOracle(in *oracleInput, windows []int, opts OracleOptions) ([]*Selection
 		w, _ := slices.BinarySearch(distinct, n)
 		out[i] = sels[w]
 	}
-	return out, nil
+	return out
 }

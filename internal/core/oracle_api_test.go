@@ -1,15 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
 	"branchcorr/internal/trace"
 )
 
-// The Oracle/OracleBlocks entry points are pinned stage by stage to the
+// The Oracle entry point is pinned stage by stage to the
 // reference oracle (the executable specification), through both Source
 // forms: a *trace.Trace and its *trace.Packed view.
 
@@ -60,53 +58,26 @@ func TestOracleStagedPipelineMatchesFull(t *testing.T) {
 	mustEqualSelections(t, got, want)
 }
 
-// TestOracleBlocksMatchesBlocksWrappers pins every OracleBlocks stage
-// over a decoded BTR1 stream to the same stage of the in-memory Oracle.
-func TestOracleBlocksMatchesBlocksWrappers(t *testing.T) {
+// TestOracleStagesMatchDecodedEntry pins every stage over a trace
+// decoded from a chunked corpus entry to the same stage of the in-memory
+// Oracle over the original trace.
+func TestOracleStagesMatchDecodedEntry(t *testing.T) {
 	for _, tr := range differentialTraces() {
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		open := func() (trace.BlockSource, error) {
-			return trace.ReadBlocks(bytes.NewReader(buf.Bytes()), 64)
-		}
+		decoded := chunkedPacked(t, trace.Pack(tr), 64)
 		cfg := OracleConfig{WindowLen: 16}
 
 		want := Oracle(tr, OracleOptions{OracleConfig: cfg})
-		got, err := OracleBlocks(open, OracleOptions{OracleConfig: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualSelections(t, got, want)
+		mustEqualSelections(t, Oracle(decoded, OracleOptions{OracleConfig: cfg}), want)
 
-		prof, err := OracleBlocks(open, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
-		if err != nil {
-			t.Fatal(err)
-		}
+		prof := Oracle(decoded, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
 		mustEqualCandidates(t, prof.Candidates, Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates)
 
-		sel, err := OracleBlocks(open, OracleOptions{
+		sel := Oracle(decoded, OracleOptions{
 			OracleConfig: cfg,
 			Stage:        StageSelect,
 			Candidates:   prof.Candidates,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		mustEqualSelections(t, sel, want)
-	}
-}
-
-func TestOracleBlocksPropagatesOpenError(t *testing.T) {
-	errFailedOpen := errors.New("open failed")
-	openErr := func() (trace.BlockSource, error) {
-		return nil, errFailedOpen
-	}
-	for _, stage := range []OracleStage{StageFull, StageProfile, StageSelect} {
-		if _, err := OracleBlocks(openErr, OracleOptions{Stage: stage}); err != errFailedOpen {
-			t.Errorf("stage %v: got %v, want errFailedOpen", stage, err)
-		}
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's columnar hot path: the per-block profile
-// and collection steps the block driver (oracle_blocks.go) runs, and the
-// passes around them. It computes exactly what oracle_reference.go
+// This file is the oracle's columnar hot path: the whole-trace profile
+// and collection passes. It computes exactly what oracle_reference.go
 // computes — differential tests enforce bit-identical Candidates and
 // Selections — but over packed (SoA, dense-ID) trace columns, with
 // three structural changes:
@@ -50,9 +49,8 @@ import (
 // class's outcome counts in one go, and the collection pass sets the
 // class's plane bits in every instance it holds. Only the first n
 // records, one-record classes and records the memo declined (budget or
-// bypass) walk on their own, in record order. Only an in-memory run has
-// a memo, classified over its one whole-trace block; a streamed run's
-// blocks come with none, so there every record walks.
+// bypass) walk on their own, in record order. The classes are computed
+// once per oracle run, over the whole trace, and both passes share them.
 //
 // Net: 3 trace passes -> 2 for any number of windows, one emitter walk
 // per distinct signature, no per-candidate allocations, no closures in
@@ -141,10 +139,9 @@ type emitScratch struct {
 // emission's index is below ends[w], and absent otherwise.
 //
 // The emitter works over raw packed columns, not a *trace.Packed: the
-// oracle passes and SelectiveSweep re-point it at their carried
-// [carry | block] column view per block (for an in-memory oracle run,
-// the whole trace's own columns) and grow the scratch as the intern
-// table grows. Every path runs the identical emit loop.
+// oracle passes point it at the whole trace's columns, and
+// SelectiveSweep at each kernel block's full columns. Every path runs
+// the identical emit loop.
 type oracleEmitter struct {
 	windows []int // ascending distinct window lengths; the walk covers the last
 
@@ -237,10 +234,19 @@ func newOracleEmitter(windows []int) *oracleEmitter {
 	}
 }
 
-// setColumns re-points the emitter at a column view. Epoch stamps stay
+// newPackedEmitter returns an emitter over a packed trace's columns,
+// its scratch sized to the trace's intern table.
+func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
+	e := newOracleEmitter(windows)
+	e.setColumns(pt.IDs(), pt.TakenWords(), pt.BackwardWords())
+	e.growScratch(pt.NumBranches())
+	return e
+}
+
+// setColumns re-points the emitter at a column triple. Epoch stamps stay
 // valid across calls: scratch state is per-emit, never per-column.
-func (e *oracleEmitter) setColumns(cols trace.Block) {
-	e.ids, e.taken, e.back = cols.IDs, cols.Taken, cols.Back
+func (e *oracleEmitter) setColumns(ids []int32, taken, back []uint64) {
+	e.ids, e.taken, e.back = ids, taken, back
 }
 
 // growScratch extends the per-ID scratch to cover nb dense IDs; existing
@@ -482,14 +488,14 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 	return score + max(p.total[0]-presentT, p.total[1]-presentN)
 }
 
-// profileWindows is oracle pass 1 over the input for every window in
-// windows (strictly ascending) at once: one stream at the largest
-// window, flat per-branch candidate tables with per-window buckets, no
-// closures and no per-candidate allocations. Result w is bit-identical
-// to a one-window pass at windows[w] and to ReferenceProfileCandidates.
-// It also returns the input's complete intern table. An in-memory input
-// is walked by path-signature class, and the collection pass over it
-// reuses the classes, so no record is hashed twice.
+// profileWindows is oracle pass 1 over the packed trace for every
+// window in windows (strictly ascending) at once: one walk at the
+// largest window, flat per-branch candidate tables with per-window
+// buckets, no closures and no per-candidate allocations. Result w is
+// bit-identical to a one-window pass at windows[w] and to
+// ReferenceProfileCandidates. Records are walked by memo's
+// path-signature class, and the collection pass reuses the classes, so
+// no record is hashed twice.
 //
 // Exactness rests on table occupancy: a smaller window's table is a
 // subset of the largest window's at every point of the stream, so when
@@ -499,43 +505,30 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 // Those passes reuse the signature classes: positions with equal
 // signatures at the largest window have equal signatures at any smaller
 // one.
-func profileWindows(in *oracleInput, windows []int, cfg OracleConfig) ([]map[trace.Addr]*Candidates, []trace.Addr, error) {
+func profileWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.profile").End()
-	memo := in.memoAt(windows[len(windows)-1])
-	if memo != nil {
-		defer memo.flush(reg)
+	defer memo.flush(reg)
+	profile := func(windows []int) []kernelProfile {
+		pf := newProfiler(pt, windows, cfg)
+		pf.profileTrace(memo)
+		if n := pf.rerunPruned(memo); n > 0 {
+			reg.Counter("core.oracle.memo.reruns").Add(int64(n))
+		}
+		return pf.profiles
 	}
-	profile := func(windows []int) ([]kernelProfile, []trace.Addr, error) {
-		pf := newProfiler(newOracleEmitter(windows), cfg)
-		addrs, err := in.pass(reg, pf.em, func(lo, hi int, addrs []trace.Addr) {
-			pf.grow(addrs)
-			pf.profileRange(lo, hi, memo)
-			if memo != nil {
-				if n := pf.rerunPruned(lo, hi, memo); n > 0 {
-					reg.Counter("core.oracle.memo.reruns").Add(int64(n))
-				}
-			}
-		})
-		return pf.profiles, addrs, err
-	}
-	profiles, addrs, err := profile(windows)
-	if err != nil {
-		return nil, nil, err
-	}
+	addrs := pt.Addrs()
+	profiles := profile(windows)
 	last := len(windows) - 1
 	if last == 0 || !pruned(profiles) {
-		return assembleCandidates(profiles, addrs, cfg, len(windows), 0), addrs, nil
+		return assembleCandidates(profiles, addrs, cfg, len(windows), 0)
 	}
 	out := assembleCandidates(profiles, addrs, cfg, len(windows), last)
 	reg.Counter("core.oracle.windows.fallbacks").Add(int64(last))
 	for w := 0; w < last; w++ {
-		if profiles, _, err = profile(windows[w : w+1]); err != nil {
-			return nil, nil, err
-		}
-		out[w] = assembleCandidates(profiles, addrs, cfg, 1, 0)[0]
+		out[w] = assembleCandidates(profile(windows[w:w+1]), addrs, cfg, 1, 0)[0]
 	}
-	return out, addrs, nil
+	return out
 }
 
 // pruned reports whether any branch's candidate table fired a watermark
@@ -605,7 +598,6 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 // oracleMemo is one packed trace's path-signature classes (see
 // pathmemo.go), shared by the profile and collection passes over it,
 // with the passes' per-class scratch and the memo counters they feed.
-// Streamed oracle runs take no memo: every record walks.
 type oracleMemo struct {
 	pathMemo
 	class []int32 // class of each position; -1 = per-record walk
@@ -664,56 +656,41 @@ type profiler struct {
 	allowOcc, allowBack bool
 }
 
-func newProfiler(em *oracleEmitter, cfg OracleConfig) *profiler {
+func newProfiler(pt *trace.Packed, windows []int, cfg OracleConfig) *profiler {
 	return &profiler{
-		em:            em,
+		em:            newPackedEmitter(pt, windows),
+		profiles:      newProfiles(pt.NumBranches(), len(windows)),
+		addrs:         pt.Addrs(),
 		maxCandidates: cfg.MaxCandidates,
 		allowOcc:      cfg.schemeAllowed(Occurrence),
 		allowBack:     cfg.schemeAllowed(BackwardCount),
 	}
 }
 
-// grow extends the per-branch tables to the intern table so far.
-func (pf *profiler) grow(addrs []trace.Addr) {
-	pf.addrs = addrs
-	if n := len(addrs) - len(pf.profiles); n > 0 {
-		pf.profiles = append(pf.profiles, newProfiles(n, len(pf.em.windows))...)
-	}
-}
-
-// profileRange is pass 1 over emitter column positions [lo, hi). Every
-// record's outcome lands in its branch's totals. A record the memo
-// classified only counts toward its class's taken instances; the rest
-// walk on the spot. Then each class walks once, at its representative,
-// with its instances by outcome. Counts are sums, so the order only
-// matters to the watermark prune (see rerunPruned). An in-memory run
-// steps it once over the whole trace, with the memo that classified
-// exactly [lo, hi); a streamed run steps it once per block with lo at
-// the carry boundary and a nil memo: every record walks.
+// profileTrace is pass 1 over every record of the trace. Every record's
+// outcome lands in its branch's totals. A record the memo classified
+// only counts toward its class's taken instances; the rest walk on the
+// spot. Then each class walks once, at its representative, with its
+// instances by outcome. Counts are sums, so the order only matters to
+// the watermark prune (see rerunPruned).
 //
 //bplint:hot
-func (pf *profiler) profileRange(lo, hi int, memo *oracleMemo) {
+func (pf *profiler) profileTrace(memo *oracleMemo) {
 	ids := pf.em.ids
 	profiles := pf.profiles
-	var class, reps, counts, taken []int32
-	if memo != nil {
-		class, reps, counts = memo.class[lo:hi], memo.reps, memo.counts
-		taken = slices.Grow(memo.aux[:0], len(reps))[:len(reps)]
-		memo.aux = taken
-		clear(taken)
-	}
-	for i := lo; i < hi; i++ {
-		id := ids[i]
+	class, reps, counts := memo.class, memo.reps, memo.counts
+	taken := slices.Grow(memo.aux[:0], len(reps))[:len(reps)]
+	memo.aux = taken
+	clear(taken)
+	for i, id := range ids {
 		out := 1
 		if pf.em.taken1(i) {
 			out = 0
 		}
 		profiles[id].total[out]++
-		if class != nil {
-			if c := class[i-lo]; c >= 0 {
-				taken[c] += int32(1 - out)
-				continue
-			}
+		if c := class[i]; c >= 0 {
+			taken[c] += int32(1 - out)
+			continue
 		}
 		var wt [2]uint32
 		wt[out] = 1
@@ -733,9 +710,9 @@ func (pf *profiler) profileRange(lo, hi int, memo *oracleMemo) {
 // order exactly when it fires in record order — both happen iff the
 // branch's distinct-key count exceeds 2×MaxCandidates — but which
 // candidates survive depends on the order. Each such table is rebuilt
-// by the per-record walk over the branch's records in [lo, hi), the
-// range memo classified. It returns the number of tables rebuilt.
-func (pf *profiler) rerunPruned(lo, hi int, memo *oracleMemo) int {
+// by the per-record walk over the branch's records. It returns the
+// number of tables rebuilt.
+func (pf *profiler) rerunPruned(memo *oracleMemo) int {
 	ids := pf.em.ids
 	var redo []bool
 	n := 0
@@ -754,8 +731,8 @@ func (pf *profiler) rerunPruned(lo, hi int, memo *oracleMemo) int {
 	if n == 0 {
 		return 0
 	}
-	for i := lo; i < hi; i++ {
-		if redo[ids[i]] {
+	for i, id := range ids {
+		if redo[id] {
 			wt := [2]uint32{0, 1}
 			if pf.em.taken1(i) {
 				wt = [2]uint32{1, 0}
@@ -898,8 +875,8 @@ type branchSelection struct {
 }
 
 // selectWindows is oracle passes 2+3 for every window in windows
-// (strictly ascending, cands aligned with it) over the input, whose
-// complete intern table is addrs. With each branch's TopK candidates
+// (strictly ascending, cands aligned with it) over the packed trace.
+// With each branch's TopK candidates
 // fixed, it scores the exact joint distribution of every candidate
 // *pair* with the branch outcome (so purely interacting correlations —
 // e.g. branch X = Y AND Z of figure 1c, where neither Y nor Z alone
@@ -914,38 +891,29 @@ type branchSelection struct {
 // scoring stage. For every dynamic instance of a branch with a
 // non-empty beam in some window it resolves the window-max emissions
 // against the union of the branch's beams — once per path-signature
-// class on an in-memory input — and sets each window's bit planes; the
+// class of memo — and sets each window's bit planes; the
 // exact pair/triple joint distributions are then recovered per window
 // and branch with popcount kernels and scored in parallel across the
 // internal/runner pool (cfg.ScoreParallel workers, identical output at
-// any level).
-func selectWindows(in *oracleInput, windows []int, cands []map[trace.Addr]*Candidates, addrs []trace.Addr, cfg OracleConfig) ([]*Selections, error) {
+// any level). The memo's arrays are released once collection is done.
+func selectWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.select").End()
 
 	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, addrs)
+	matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
 
 	// Collection stream: one pass over the trace, one set of plane bits
 	// per dynamic instance.
-	memo := in.memoAt(windows[len(windows)-1])
-	em := newOracleEmitter(windows)
-	em.growScratch(len(addrs)) // beams may name IDs a streamed block has not interned yet
-	if _, err := in.pass(reg, em, func(lo, hi int, _ []trace.Addr) {
-		collectRange(em, matchers, lo, hi, memo)
-	}); err != nil {
-		return nil, err
-	}
-	if memo != nil {
-		memo.flush(reg)
-		memo.release()
-	}
+	collectTrace(newPackedEmitter(pt, windows), matchers, memo)
+	memo.flush(reg)
+	memo.release()
 
 	out := make([]*Selections, len(windows))
 	for w := range windows {
 		out[w] = scoreSelections(pcs, cands[w], matcherOf, w, cfg)
 	}
-	return out, nil
+	return out
 }
 
 // sortedPCs returns the canonical branch order: the candidate maps' keys,
@@ -1056,33 +1024,29 @@ func (bm *beamMatcher) apply(ops []planeOp, t int) {
 	}
 }
 
-// collectRange is the folded pass-2/3 loop over emitter column
-// positions [lo, hi): every dynamic instance of a branch with a beam
-// gets its instance index and outcome bit, and its plane bits from the
-// walk of its window. A record the memo classified is filed under its
-// class; the rest walk on the spot. Then each class walks once, at its
+// collectTrace is the folded pass-2/3 loop over every record of the
+// trace: every dynamic instance of a branch with a beam gets its
+// instance index and outcome bit, and its plane bits from the walk of
+// its window. A record the memo classified is filed under its class;
+// the rest walk on the spot. Then each class walks once, at its
 // representative, and sets the same bits for every instance filed under
 // it — the bits depend only on the signature, so the planes are
-// identical to the per-record walk's. As in profileRange, memo must
-// have classified exactly [lo, hi), or be nil: every record walks.
+// identical to the per-record walk's.
 //
 //bplint:hot
-func collectRange(em *oracleEmitter, matchers []*beamMatcher, lo, hi int, memo *oracleMemo) {
+func collectTrace(em *oracleEmitter, matchers []*beamMatcher, memo *oracleMemo) {
 	ids := em.ids
-	var class, counts, next, insts []int32
-	if memo != nil {
-		class, counts = memo.class[lo:hi], memo.counts
-		next = slices.Grow(memo.aux[:0], len(counts))[:len(counts)]
-		total := int32(0)
-		for c, n := range counts {
-			next[c] = total
-			total += n
-		}
-		insts = slices.Grow(memo.insts[:0], int(total))[:total]
-		memo.aux, memo.insts = next, insts
+	class, counts := memo.class, memo.counts
+	next := slices.Grow(memo.aux[:0], len(counts))[:len(counts)]
+	total := int32(0)
+	for c, n := range counts {
+		next[c] = total
+		total += n
 	}
-	for i := lo; i < hi; i++ {
-		bm := matchers[ids[i]]
+	insts := slices.Grow(memo.insts[:0], int(total))[:total]
+	memo.aux, memo.insts = next, insts
+	for i, id := range ids {
+		bm := matchers[id]
 		if bm == nil {
 			continue
 		}
@@ -1094,17 +1058,12 @@ func collectRange(em *oracleEmitter, matchers []*beamMatcher, lo, hi int, memo *
 		if em.taken1(i) {
 			bm.outs[t>>6] |= uint64(1) << (uint(t) & 63) //bplint:ignore bce-hoist bm is selected per record; its outcome bitset cannot hoist above the record loop
 		}
-		if class != nil {
-			if c := class[i-lo]; c >= 0 {
-				insts[next[c]] = int32(t)
-				next[c]++
-				continue
-			}
+		if c := class[i]; c >= 0 {
+			insts[next[c]] = int32(t)
+			next[c]++
+			continue
 		}
 		bm.apply(collectWalk(em, bm, i), t) //bplint:ignore kernel-purity the walk's op scratch grows to the largest walk once, then is reused
-	}
-	if memo == nil {
-		return
 	}
 	start := int32(0)
 	for c, rep := range memo.reps {

@@ -53,7 +53,7 @@ const (
 // pathMemo classifies the records of one column range by path
 // signature. Representatives are positions in the columns the memo was
 // reset over, so those columns must outlive every use of the classes:
-// the packed trace for in-memory oracle runs, a kernel block's columns
+// the packed trace for oracle runs, a kernel block's full columns
 // for the sweep.
 //
 // Memory is bounded per record of the range: at most one class per two

@@ -15,9 +15,8 @@ import (
 // Exactness tests for the path-signature memo (pathmemo.go). Every
 // consumer must produce what the per-record walk produces, so each test
 // is a differential against a memo-free result: the reference oracle,
-// per-window Oracle runs, scalar selective replays, or a streamed oracle
-// run (which takes no memo: every record walks). Most run
-// with the hash seam collapsed, so every lookup collides and only the
+// per-window Oracle runs, or scalar selective replays. Most run with the
+// hash seam collapsed, so every lookup collides and only the
 // exact signature comparison keeps distinct windows apart.
 
 // collideHashes makes every path signature hash to zero until the test
@@ -192,9 +191,10 @@ func oracleSweepConfigs(tr *trace.Trace, windows []int) []SelectiveConfig {
 	return cfgs
 }
 
-// checkSweepStreams fails unless the fused sweep over tr matches the
-// scalar replays in memory and streamed at every chunk size.
-func checkSweepStreams(t *testing.T, tr *trace.Trace, cfgs []SelectiveConfig, chunks []int) {
+// checkSweepRanges fails unless the fused sweep over tr matches the
+// scalar replays in memory and as SweepBlock calls over consecutive
+// [Lo, Hi) ranges of every chunk size, one memo per call.
+func checkSweepRanges(t *testing.T, tr *trace.Trace, cfgs []SelectiveConfig, chunks []int) {
 	t.Helper()
 	want := scalarSelective(tr, cfgs)
 	check := func(how string, got []int64) {
@@ -208,55 +208,49 @@ func checkSweepStreams(t *testing.T, tr *trace.Trace, cfgs []SelectiveConfig, ch
 	check("in-memory", sim.SimulateSweep(tr, NewSelectiveSweep("sel", cfgs), sim.Options{}).Correct)
 	pt := tr.Packed()
 	for _, chunk := range chunks {
-		out, err := sim.SimulateSweepBlocks(pt.Blocks(chunk), NewSelectiveSweep("sel", cfgs), sim.Options{})
-		if err != nil {
-			t.Fatal(err)
+		got := make([]int64, len(cfgs))
+		for c, n := range selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, chunk) {
+			got[c] = int64(n)
 		}
-		check(fmt.Sprintf("chunk=%d", chunk), out.Correct)
+		check(fmt.Sprintf("chunk=%d", chunk), got)
 	}
 }
 
 // TestPathMemoSelectiveSweep pins the sweep's cached per-class pattern
 // indices, under colliding hashes, to scalar replays: in memory (one
-// block, one memo) and streamed at chunk sizes around the largest
-// window, where block-scoped memos leave each chunk's first records to
-// their own walks.
+// block, one memo) and over ranges at chunk sizes around the largest
+// window, where each range's memo starts empty and its records look
+// back across the range boundary.
 func TestPathMemoSelectiveSweep(t *testing.T) {
 	collideHashes(t)
 	t.Run("sel-sweep", func(t *testing.T) {
 		tr := selSweepTrace(1_500)
-		checkSweepStreams(t, tr, selSweepConfigs(), []int{1, 31, 32, 33, 4097})
+		checkSweepRanges(t, tr, selSweepConfigs(), []int{1, 31, 32, 33, 4097})
 	})
 	t.Run("gcc", func(t *testing.T) {
 		tr := workloadTrace(t, "gcc", 6_000)
-		checkSweepStreams(t, tr, oracleSweepConfigs(tr, []int{8, 16, 32}), []int{1, 31, 32, 33, 4097})
+		checkSweepRanges(t, tr, oracleSweepConfigs(tr, []int{8, 16, 32}), []int{1, 31, 32, 33, 4097})
 	})
 }
 
-// TestPathMemoOracleBlocks pins the in-memory oracle, whose profile and
-// collection walk once per class, to the streamed oracle, which walks
-// every record, at chunk sizes 1, n−1, n, n+1 and 4097, under colliding
-// hashes, including a MaxCandidates small enough that tables prune.
-func TestPathMemoOracleBlocks(t *testing.T) {
+// TestPathMemoOracleDecoded pins the oracle, whose profile and
+// collection walk once per class, to the reference oracle, which walks
+// every record, under colliding hashes and including a MaxCandidates
+// small enough that tables prune. The trace is decoded from corpus
+// entries stored at chunk sizes 1, n−1, n, n+1 and 4097.
+func TestPathMemoOracleDecoded(t *testing.T) {
 	collideHashes(t)
 	tr := workloadTrace(t, "gcc", 6_000)
 	pt := tr.Packed()
 	for _, cfg := range []OracleConfig{{WindowLen: 16}, {WindowLen: 32, MaxCandidates: 12}} {
 		n := cfg.WindowLen
-		want := Oracle(pt, OracleOptions{OracleConfig: cfg})
-		wantCands := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+		want := ReferenceBuildSelective(tr, cfg)
+		wantCands := ReferenceProfileCandidates(tr, cfg)
 		for _, chunk := range []int{1, n - 1, n, n + 1, 4097} {
 			t.Run(fmt.Sprintf("n=%d/max=%d/chunk=%d", n, cfg.MaxCandidates, chunk), func(t *testing.T) {
-				cands, err := streamProfile(pt.Blocks(chunk), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustEqualCandidates(t, cands, wantCands)
-				got, err := OracleBlocks(func() (trace.BlockSource, error) { return pt.Blocks(chunk), nil }, OracleOptions{OracleConfig: cfg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustEqualSelections(t, got, want)
+				decoded := chunkedPacked(t, pt, chunk)
+				mustEqualCandidates(t, Oracle(decoded, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates, wantCands)
+				mustEqualSelections(t, Oracle(decoded, OracleOptions{OracleConfig: cfg}), want)
 			})
 		}
 	}
@@ -264,9 +258,9 @@ func TestPathMemoOracleBlocks(t *testing.T) {
 
 // TestPathMemoHighEntropy covers traces where signatures almost never
 // repeat, which drive the memo's bypass: about 50k records over 2000
-// sites. The in-memory oracle (memo, then bypass) must match the
-// streamed oracle (every record walks), and the
-// sweep must match its scalar replays.
+// sites. The oracle (memo, then bypass) must match the reference
+// oracle (every record walks), and the sweep must match its scalar
+// replays.
 func TestPathMemoHighEntropy(t *testing.T) {
 	n, sites := 50_000, 2000
 	if testing.Short() {
@@ -285,15 +279,12 @@ func TestPathMemoHighEntropy(t *testing.T) {
 	}
 
 	cfg := OracleConfig{WindowLen: 16}
-	want, err := OracleBlocks(func() (trace.BlockSource, error) { return pt.Blocks(1), nil }, OracleOptions{OracleConfig: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := ReferenceBuildSelective(tr, cfg)
 	mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg}), want)
 
 	cfgs := []SelectiveConfig{
 		{Name: "sel3(16)", Window: 16, Assign: want.BySize[3]},
 		{Name: "sel2(32)", Window: 32, Assign: want.BySize[2]},
 	}
-	checkSweepStreams(t, tr, cfgs, []int{4097})
+	checkSweepRanges(t, tr, cfgs, []int{4097})
 }

@@ -30,11 +30,11 @@ type SelectiveConfig struct {
 // n steps of a walk at the largest config window are exactly the walk a
 // dedicated n-entry window would produce. The sweep therefore resolves
 // tags with the oracle's columnar emitter (oracleEmitter) at the largest
-// window over a carried column window of the last maxWindow records,
-// with each config reading the prefix of emissions its own window
-// covers. Per dense ID the configs' refs fold into one union of packed
-// ref keys (a refKeySet), and the walk is focused on the union's PCs, so
-// each emission resolves once however many configs name it.
+// window over the block's full columns, with each config reading the
+// prefix of emissions its own window covers. Per dense ID the configs'
+// refs fold into one union of packed ref keys (a refKeySet), and the
+// walk is focused on the union's PCs, so each emission resolves once
+// however many configs name it.
 //
 // The walk runs once per distinct path signature, not once per record:
 // a record's resolved pattern-table indices depend only on its branch
@@ -49,22 +49,20 @@ type SelectiveConfig struct {
 // records through NewSelectiveMode(cfg...): the resolved pattern trains
 // the same counter the scalar Predict/Update pair would, against the
 // records that precede it in the stream — the scalar ordering (Update
-// pushes after training). Blocks may be full columns with a [Lo, Hi)
-// range or chunk-only columns (Lo = 0) under a growing intern table; a
-// ref naming a PC not yet interned is absent until the PC appears. The
-// memo is scoped to one SweepBlock call, within which the intern table
-// and every branch's key union are fixed.
+// pushes after training). Every block must carry the trace's full
+// columns, with [Lo, Hi) the range to replay, so each record's look-back
+// reads the records before Lo in place; and every block must carry the
+// trace's complete intern table, the same on every call, which the
+// first call interns. sim.SimulateSweep hands over the whole trace as
+// one such block. The memo is scoped to one SweepBlock call.
 type SelectiveSweep struct {
 	gridName string
 	cfgs     []SelectiveConfig
 	bucket   []int // per config: index of its window in the emitter's windows
 	em       *oracleEmitter
-	col      columnWindow
 
-	branches []selBranch            // per dense ID
-	idOf     map[trace.Addr]int32   // interned PCs seen so far
-	waiting  map[trace.Addr][]int32 // uninterned ref PC -> consumer IDs
-	states   []State                // [config × MaxSelectiveRefs] resolution scratch
+	branches []selBranch // per dense ID, nil until the first block
+	states   []State     // [config × MaxSelectiveRefs] resolution scratch
 
 	memo pathMemo // the current block's path-signature classes
 	pats []uint8  // [class × config]: the class's pattern-table index per config
@@ -78,11 +76,6 @@ type selBranch struct {
 	nrefs  []uint8         // per config: assigned ref count
 	tables [][]bp.Counter2 // per config: pow3-sized pattern counters
 }
-
-// selSweepChunk bounds the records copied into the carried column
-// window per step, so resident columns stay maxWindow + selSweepChunk
-// records whatever the block size.
-const selSweepChunk = 4096
 
 // NewSelectiveSweep returns a fused grid over cfgs in argument order.
 // Every config needs a positive window length and at most
@@ -110,15 +103,11 @@ func NewSelectiveSweep(gridName string, cfgs []SelectiveConfig) *SelectiveSweep 
 	for c, cfg := range cfgs {
 		bucket[c], _ = slices.BinarySearch(windows, cfg.Window)
 	}
-	maxWin := windows[len(windows)-1]
 	return &SelectiveSweep{
 		gridName: gridName,
 		cfgs:     append([]SelectiveConfig(nil), cfgs...),
 		bucket:   bucket,
 		em:       newOracleEmitter(windows),
-		col:      columnWindow{n: maxWin},
-		idOf:     make(map[trace.Addr]int32),
-		waiting:  make(map[trace.Addr][]int32),
 		states:   make([]State, len(cfgs)*MaxSelectiveRefs),
 		pat:      make([]uint8, len(cfgs)),
 	}
@@ -159,56 +148,48 @@ func checkSelShardRange(lo, hi, n int) {
 	}
 }
 
-// extend interns the block's new dense IDs: each gets its per-config
-// ref counts and pow3-sized tables (pre-created here so the replay loop
-// never allocates, with append's amortized growth) and its union key
-// set. Consumers whose refs name a PC that only now appears re-resolve
-// their keys.
-func (g *SelectiveSweep) extend(addrs []trace.Addr) {
-	old := len(g.branches)
-	if len(addrs) <= old {
+// intern sets up every dense ID of the trace's intern table on the
+// first block: each gets its per-config ref counts and pow3-sized tables
+// (pre-created here so the replay loop never allocates) and its union
+// key set. Later blocks must carry the same table.
+func (g *SelectiveSweep) intern(addrs []trace.Addr) {
+	if g.branches != nil {
+		if len(addrs) != len(g.branches) {
+			panic(fmt.Sprintf("core: selective sweep block carries %d branches, first block %d", len(addrs), len(g.branches)))
+		}
 		return
 	}
-	g.branches = slices.Grow(g.branches, len(addrs)-old)[:len(addrs)]
-	for id := old; id < len(addrs); id++ {
-		g.idOf[addrs[id]] = int32(id)
+	idOf := make(map[trace.Addr]int32, len(addrs))
+	for id, a := range addrs {
+		idOf[a] = int32(id)
 	}
-	for id := old; id < len(addrs); id++ {
+	g.branches = make([]selBranch, len(addrs))
+	for id, a := range addrs {
 		br := &g.branches[id]
 		br.nrefs = make([]uint8, len(g.cfgs))
 		br.tables = make([][]bp.Counter2, len(g.cfgs))
 		for c, cfg := range g.cfgs {
-			n := len(cfg.Assign[addrs[id]])
+			n := len(cfg.Assign[a])
 			br.nrefs[c] = uint8(n)
 			br.tables[c] = make([]bp.Counter2, pow3[n])
 		}
-		g.resolveKeys(int32(id), addrs, true)
-	}
-	for id := old; id < len(addrs); id++ {
-		for _, consumer := range g.waiting[addrs[id]] {
-			g.resolveKeys(consumer, addrs, false)
-		}
-		delete(g.waiting, addrs[id])
+		g.resolveKeys(br, a, idOf)
 	}
 	g.em.growScratch(len(addrs))
 }
 
-// resolveKeys rebuilds branch id's union of packed ref keys from the PCs
-// interned so far. On the first resolution (register) the branch also
-// waits on every PC its refs name that is not interned yet.
-func (g *SelectiveSweep) resolveKeys(id int32, addrs []trace.Addr, register bool) {
+// resolveKeys builds the union of packed ref keys of br, the branch at
+// pc; a ref naming a PC absent from the trace is never resolved.
+func (g *SelectiveSweep) resolveKeys(br *selBranch, pc trace.Addr, idOf map[trace.Addr]int32) {
 	type keyRef struct {
 		key  uint64
 		c, i int
 	}
 	var pairs []keyRef
 	for c, cfg := range g.cfgs {
-		for i, r := range cfg.Assign[addrs[id]] {
-			rid, ok := g.idOf[r.PC]
+		for i, r := range cfg.Assign[pc] {
+			rid, ok := idOf[r.PC]
 			if !ok {
-				if register && !slices.Contains(g.waiting[r.PC], id) {
-					g.waiting[r.PC] = append(g.waiting[r.PC], id)
-				}
 				continue
 			}
 			if key, ok := refKeyOf(rid, r); ok {
@@ -217,8 +198,6 @@ func (g *SelectiveSweep) resolveKeys(id int32, addrs []trace.Addr, register bool
 		}
 	}
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a].key < pairs[b].key })
-	br := &g.branches[id]
-	br.refsOf = br.refsOf[:0]
 	ncfg := len(g.cfgs)
 	var keys []uint64
 	for i, p := range pairs {
@@ -233,12 +212,11 @@ func (g *SelectiveSweep) resolveKeys(id int32, addrs []trace.Addr, register bool
 	br.set = newRefKeySet(keys)
 }
 
-// SweepBlock implements bp.SweepKernel. The block's records stream
-// through the carried column window in selSweepChunk steps, classified
-// by a path-signature memo scoped to the block: its representatives are
-// positions in the block's own columns, so a record whose window
-// reaches back before the block's first column (a chunk-only block's
-// first maxWindow records) walks on its own.
+// SweepBlock implements bp.SweepKernel. The block's records [Lo, Hi)
+// replay over its full columns, classified by a path-signature memo
+// scoped to the call: its representatives are positions in those
+// columns, and a record's window reads the records before it in place,
+// before Lo too.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	g.sweep(blk, correct, nil)
 }
@@ -250,33 +228,26 @@ func (g *SelectiveSweep) SweepBlockBranches(blk bp.KernelBlock, correct []int32,
 }
 
 // sweep is SweepBlock, and with non-nil perID SweepBlockBranches; the
-// replay loop is chosen once per selSweepChunk step.
+// replay loop is chosen once per block.
 func (g *SelectiveSweep) sweep(blk bp.KernelBlock, correct []int32, perID [][]int32) {
-	g.extend(blk.Addrs)
+	g.intern(blk.Addrs)
 	correct = correct[:len(g.cfgs)]
-	g.memo.reset(blk.IDs, blk.Taken, blk.Back, g.col.n, blk.Lo, blk.Hi)
+	g.memo.reset(blk.IDs, blk.Taken, blk.Back, g.em.windows[len(g.em.windows)-1], blk.Lo, blk.Hi)
 	g.pats = g.pats[:0]
-	cols := trace.Block{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back}
-	for lo := blk.Lo; lo < blk.Hi; lo += selSweepChunk {
-		hi := min(lo+selSweepChunk, blk.Hi)
-		base := g.col.extendRange(cols, lo, hi)
-		g.em.setColumns(g.col.view)
-		if perID != nil {
-			g.sweepRangeBranches(base, base+hi-lo, lo-base, correct, perID)
-		} else {
-			g.sweepRange(base, base+hi-lo, lo-base, correct)
-		}
-		g.col.retire(base + hi - lo)
+	g.em.setColumns(blk.IDs, blk.Taken, blk.Back)
+	if perID != nil {
+		g.sweepRangeBranches(blk.Lo, blk.Hi, correct, perID)
+	} else {
+		g.sweepRange(blk.Lo, blk.Hi, correct)
 	}
 }
 
-// sweepRange replays column positions [lo, hi), block position i+shift
-// for column position i: each record's per-config pattern-table indices
-// come from patternsAt, then every config trains its pattern counter,
-// in record order.
+// sweepRange replays column positions [lo, hi): each record's
+// per-config pattern-table indices come from patternsAt, then every
+// config trains its pattern counter, in record order.
 //
 //bplint:hot
-func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
+func (g *SelectiveSweep) sweepRange(lo, hi int, correct []int32) {
 	em := g.em
 	ids := em.ids
 	branches := g.branches
@@ -284,7 +255,7 @@ func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
 	for i := lo; i < hi; i++ {
 		br := &branches[ids[i]]
 		taken := em.taken1(i)
-		pat := g.patternsAt(i, shift, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
+		pat := g.patternsAt(i, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
 			idx := pat[c]
@@ -301,7 +272,7 @@ func (g *SelectiveSweep) sweepRange(lo, hi, shift int, correct []int32) {
 // prediction of config c to perID[c][id], id being the record's dense ID.
 //
 //bplint:hot
-func (g *SelectiveSweep) sweepRangeBranches(lo, hi, shift int, correct []int32, perID [][]int32) {
+func (g *SelectiveSweep) sweepRangeBranches(lo, hi int, correct []int32, perID [][]int32) {
 	em := g.em
 	ids := em.ids
 	branches := g.branches
@@ -311,7 +282,7 @@ func (g *SelectiveSweep) sweepRangeBranches(lo, hi, shift int, correct []int32, 
 		id := ids[i]
 		br := &branches[id]
 		taken := em.taken1(i)
-		pat := g.patternsAt(i, shift, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
+		pat := g.patternsAt(i, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
 			idx := pat[c]
@@ -329,9 +300,9 @@ func (g *SelectiveSweep) sweepRangeBranches(lo, hi, shift int, correct []int32, 
 // They come from the record's signature class, resolved by one walk at
 // the class's first record and cached, or, for an unclassified record,
 // from a walk of its own.
-func (g *SelectiveSweep) patternsAt(i, shift int, br *selBranch) []uint8 {
+func (g *SelectiveSweep) patternsAt(i int, br *selBranch) []uint8 {
 	ncfg := len(g.cfgs)
-	switch c, fresh := g.memo.classify(i + shift); {
+	switch c, fresh := g.memo.classify(i); {
 	case fresh:
 		g.pats = extend(g.pats, ncfg)
 		pat := g.pats[int(c)*ncfg:]

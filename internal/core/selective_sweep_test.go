@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"branchcorr/internal/bp"
@@ -14,8 +13,8 @@ import (
 // a cross-iteration correlation over a taken backward loop branch
 // (0x210 copies the previous iteration's 0x100), aliasing noise, and
 // variable-length iteration bodies. Branch 0x400 first executes in the
-// last quarter of the iterations, so a streamed replay interns it
-// chunks after 0x200, whose "late" config refs name it.
+// last quarter of the iterations, long after 0x200, whose "late" config
+// refs name it.
 func selSweepTrace(iters int) *trace.Trace {
 	tr := trace.New("sel-sweep", 0)
 	rng := lcg(21)
@@ -83,12 +82,12 @@ func selSweepTotals(g *SelectiveSweep, pt *trace.Packed, chunk int) []int32 {
 
 // TestSelectiveSweepScalarConformance pins the fused selective grid
 // bit-identical, per config, to independent scalar Selective replays,
-// across chunk sizes including single-record and word-straddling ones —
-// both as [Lo, Hi) ranges over the full packed columns and streamed
-// through sim.SimulateSweepBlocks from an on-disk encoding, whose blocks
-// carry chunk-only columns under an intern table that grows as new PCs
-// appear (0x400 is interned chunks after its consumer 0x200; 0x500 never
-// appears at all), and one config names a ref twice.
+// driven as SweepBlock calls over consecutive [Lo, Hi) ranges of the
+// full packed columns. The chunk sizes cover single-record and
+// word-straddling ranges, ranges around the grid's largest window (32)
+// whose records look back across one or more range boundaries, and one
+// record past 4096. 0x400 first appears long after its consumer 0x200,
+// 0x500 never appears at all, and one config names a ref twice.
 func TestSelectiveSweepScalarConformance(t *testing.T) {
 	tr := selSweepTrace(4000)
 	pt := trace.Pack(tr)
@@ -103,28 +102,12 @@ func TestSelectiveSweepScalarConformance(t *testing.T) {
 			p.Update(r)
 		}
 	}
-	var enc bytes.Buffer
-	if err := tr.Write(&enc); err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 63, 64, 65, 1000, tr.Len()} {
+	for _, chunk := range []int{1, 31, 32, 33, 63, 64, 65, 1000, 4097, tr.Len()} {
 		got := selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, chunk)
-		src, err := trace.ReadBlocks(bytes.NewReader(enc.Bytes()), chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := sim.SimulateSweepBlocks(src, NewSelectiveSweep("sel", cfgs), sim.Options{})
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
 		for c := range want {
 			if got[c] != want[c] {
 				t.Errorf("chunk=%d config %s: %d correct (fused) vs %d (scalar)",
 					chunk, cfgs[c].Name, got[c], want[c])
-			}
-			if streamed.Correct[c] != int64(want[c]) {
-				t.Errorf("chunk=%d config %s: %d correct (streamed) vs %d (scalar)",
-					chunk, cfgs[c].Name, streamed.Correct[c], want[c])
 			}
 		}
 	}
@@ -192,8 +175,8 @@ func TestSelectiveSweepConfigNames(t *testing.T) {
 }
 
 // TestSelectiveSweepAllocs pins steady-state SweepBlock at zero
-// allocations: refs and tables are dense per-ID columns pre-created on
-// extension, and the shared ring's resolution walk reuses the window's
+// allocations: refs and tables are dense per-ID columns pre-created when
+// the first block interns the trace, and the emitter walk reuses its
 // scratch.
 func TestSelectiveSweepAllocs(t *testing.T) {
 	tr := selSweepTrace(3000)
@@ -201,7 +184,7 @@ func TestSelectiveSweepAllocs(t *testing.T) {
 	g := NewSelectiveSweep("sel", selSweepConfigs())
 	correct := make([]int32, len(g.ConfigNames()))
 	full := selBlockOf(pt, 0, pt.Len())
-	g.SweepBlock(full, correct) // warm-up extends the per-ID columns
+	g.SweepBlock(full, correct) // warm-up interns the per-ID columns
 	for name, blk := range map[string]bp.KernelBlock{"full": full, "mid": selBlockOf(pt, pt.Len()/4, pt.Len()/2)} {
 		if n := testing.AllocsPerRun(10, func() { g.SweepBlock(blk, correct) }); n != 0 {
 			t.Errorf("%.1f allocs per steady-state SweepBlock (%s range), want 0", n, name)
@@ -209,30 +192,30 @@ func TestSelectiveSweepAllocs(t *testing.T) {
 	}
 }
 
-// TestSelectiveSweepInternGrowth streams a trace whose sites appear one
-// at a time, so nearly every one-record block interns a new ID: the
-// per-ID state must grow amortized, never doubling per block.
+// TestSelectiveSweepInternGrowth runs a trace whose sites appear one at
+// a time through sim.SimulateSweep: the grid interns the complete table
+// once, so its per-ID state is sized exactly, and a later block with a
+// different intern table is refused.
 func TestSelectiveSweepInternGrowth(t *testing.T) {
 	tr := trace.New("intern-growth", 0)
 	for i := 0; i < 400; i++ {
 		tr.Append(rec(trace.Addr(0x1000+4*i), i%3 == 0))
 		tr.Append(rec(0x100, i%2 == 0))
 	}
-	var enc bytes.Buffer
-	if err := tr.Write(&enc); err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.ReadBlocks(bytes.NewReader(enc.Bytes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := NewSelectiveSweep("sel", []SelectiveConfig{{Name: "sel", Window: 8, Assign: Assignment{0x100: {Ref{0x1004, Occurrence, 0}}}}})
-	if _, err := sim.SimulateSweepBlocks(src, g, sim.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(g.branches); n != 401 || cap(g.branches) > 4*n {
+	sim.SimulateSweep(tr, g, sim.Options{})
+	if n := len(g.branches); n != 401 || cap(g.branches) != n {
 		t.Errorf("%d branches held in capacity %d", n, cap(g.branches))
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a block with a different intern table did not panic")
+		}
+	}()
+	pt := tr.Packed()
+	blk := selBlockOf(pt, 0, pt.Len())
+	blk.Addrs = blk.Addrs[:100]
+	g.SweepBlock(blk, make([]int32, 1))
 }
 
 // TestSelectiveSweepValidation pins the loud constructor failures.

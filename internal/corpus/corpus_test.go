@@ -130,10 +130,10 @@ func TestGetTraceCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestOpenBlocksStreams: the streamed chunks reconstruct the stored
-// records exactly and drive the streaming simulator to the in-memory
-// result.
-func TestOpenBlocksStreams(t *testing.T) {
+// TestReaderStreamsStoredEntry: a stored entry read through NewReader streams
+// its chunks as a trace.BlockSource that reconstructs the stored records
+// exactly and drives the streaming simulator to the in-memory result.
+func TestReaderStreamsStoredEntry(t *testing.T) {
 	st, err := Open(t.TempDir(), obs.New())
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,12 @@ func TestOpenBlocksStreams(t *testing.T) {
 	if err := st.PutPacked(key, tr.Packed()); err != nil {
 		t.Fatal(err)
 	}
-	src, err := st.OpenBlocks(key)
+	f, err := os.Open(st.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src, err := NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,15 @@ func TestReportByteIdentityKernelVsReference(t *testing.T) {
 }
 
 // TestPackedMemoizedPerTrace pins that the suite packs each trace exactly
-// once even when many oracle windows and exhibits consume it.
+// once even when oracle builds consume it: the trace's Packed memo hands
+// the oracle the same view before and after a build.
 func TestPackedMemoizedPerTrace(t *testing.T) {
 	s := testSuite(t)
 	tr := s.Traces()[0]
-	p1 := s.packedFor(tr)
-	p2 := s.packedFor(tr)
-	if p1 != p2 {
-		t.Error("packedFor returned distinct views for the same trace")
+	p1 := tr.Packed()
+	s.selsFor(tr)
+	if p2 := tr.Packed(); p1 != p2 {
+		t.Error("an oracle build left a distinct packed view for the same trace")
 	}
 	if p1.Len() != tr.Len() {
 		t.Errorf("packed view length %d, trace length %d", p1.Len(), tr.Len())

@@ -240,7 +240,7 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 	}
 	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf}
 	s.oracleBuild = func(tr *trace.Trace, ocfg core.OracleConfig, windows []int) []*core.Selections {
-		return core.OracleWindows(s.packedFor(tr), windows, core.OracleOptions{OracleConfig: ocfg})
+		return core.OracleWindows(tr, windows, core.OracleOptions{OracleConfig: ocfg})
 	}
 	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
 		return sim.Simulate(tr, predictors, sim.Options{Observer: cfg.Obs}).Results
@@ -303,15 +303,6 @@ func (s *Suite) newIFGshare() bp.Predictor {
 }
 func (s *Suite) newPAs() bp.Predictor {
 	return bp.NewPAs(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.PAsPHTBits)
-}
-
-// packedFor returns the trace's memoized columnar view. The memo lives
-// on the trace itself (trace.Trace.Packed), so every oracle pass and
-// every sim fast-path run over the trace — inside or outside the suite —
-// shares one Packed: interning and bitset construction are paid once per
-// trace, not once per consumer.
-func (s *Suite) packedFor(tr *trace.Trace) *trace.Packed {
-	return tr.Packed()
 }
 
 // selsFor computes (once) the oracle's selective-history ref choices for

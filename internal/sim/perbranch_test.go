@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,15 +16,13 @@ import (
 // Differential suite for per-branch sweeps (Options.PerBranch): every
 // config's Result — totals and the whole per-branch map — must DeepEqual
 // an independent ForceReference Simulate run of that config, for the
-// fused per-branch kernels and the per-config fallback alike, in memory
-// and streamed from an encoding whose intern table grows chunk by chunk,
+// fused per-branch kernels and the per-config fallback alike,
 // sequential and config-sharded. The package is external so the grids
 // can come from internal/core, which imports sim.
 
 // perBranchTrace builds a seeded trace over many sites that come into
-// play gradually: site s first executes around record s·n/sites, so a
-// streamed replay interns late sites chunks after the records of the
-// early sites whose refs name them. Two in three sites copy (or invert)
+// play gradually: site s first executes around record s·n/sites, long
+// after the records of the early sites whose refs name it. Two in three sites copy (or invert)
 // the latest outcome of an earlier site, giving the oracle real
 // correlations to select; the rest follow their own bias.
 func perBranchTrace(seed int64, n, sites int) *trace.Trace {
@@ -64,8 +61,8 @@ func perBranchTrace(seed int64, n, sites int) *trace.Trace {
 }
 
 // lateAssignment names, for every site, refs to sites that first execute
-// after it (and one PC that never executes), so streamed sweeps resolve
-// refs whose PCs are interned only in later chunks.
+// after it (and one PC that never executes), so sweeps resolve refs
+// whose PCs first appear late in the trace, or never.
 func lateAssignment(tr *trace.Trace, seed int64) [core.MaxSelectiveRefs + 1]core.Assignment {
 	rng := rand.New(rand.NewSource(seed))
 	var order []trace.Addr
@@ -153,26 +150,11 @@ func TestPerBranchSweepMatchesReference(t *testing.T) {
 		"global-late-refs": func() bp.SweepGrid { return globalGrid(lateAssignment(tr, 9)) },
 		"bimodal-fallback": func() bp.SweepGrid { return bp.NewBimodalSweep([]uint{3, 8, 12}) },
 	}
-	var enc bytes.Buffer
-	if err := tr.Write(&enc); err != nil {
-		t.Fatal(err)
-	}
 	for name, mk := range grids {
 		want := referenceResults(tr, mk())
 		for _, par := range []int{1, 2} {
 			opts := sim.Options{PerBranch: true, Parallel: par, Observer: obs.New()}
 			samePerBranch(t, fmt.Sprintf("%s/in-memory/parallel=%d", name, par), sim.SimulateSweep(tr, mk(), opts), want)
-			for _, chunk := range []int{1, 31, 4097} {
-				src, err := trace.ReadBlocks(bytes.NewReader(enc.Bytes()), chunk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, err := sim.SimulateSweepBlocks(src, mk(), opts)
-				if err != nil {
-					t.Fatalf("%s chunk=%d: %v", name, chunk, err)
-				}
-				samePerBranch(t, fmt.Sprintf("%s/streamed/chunk=%d/parallel=%d", name, chunk, par), out, want)
-			}
 		}
 	}
 }

@@ -6,11 +6,12 @@
 // correct counts across predictors.
 //
 // The package has two kinds of entry point — Simulate for per-branch
-// Results (and Timelines), SimulateSweep for whole config grids — each
-// with a streaming twin (SimulateBlocks, SimulateSweepBlocks) that reads
-// a trace.BlockSource in bounded memory. The in-memory calls feed the
-// trace's memoized Packed view to the same per-block step as one
-// zero-copy block, so each pair is one driver with two block sources.
+// Results (and Timelines), SimulateSweep for whole config grids — and
+// Simulate has a streaming twin, SimulateBlocks, that reads a
+// trace.BlockSource in bounded memory (bpsim -stream). Simulate feeds
+// the trace's memoized Packed view to SimulateBlocks' per-block step as
+// one zero-copy block, so the pair is one driver with two block sources.
+// SimulateSweep takes in-memory traces only.
 // There are two execution engines with pinned-identical results:
 //
 //   - the reference loop (Options.ForceReference) — one Predict/Update
@@ -121,12 +122,11 @@ type Options struct {
 	// the runner pool. In Simulate and SimulateBlocks it bounds
 	// concurrent predictor runs (one cell per predictor per block;
 	// predictors are independent, the block is read-only). In
-	// SimulateSweep and SimulateSweepBlocks it bounds
-	// config shards: the grid splits into up to Parallel contiguous
-	// sub-grids (bp.SweepGrid.Shard), each replaying on its own core, and
-	// the per-config counts compose exactly. 0 or 1 runs sequentially;
-	// negative selects runtime.GOMAXPROCS(0). Results are bit-identical
-	// at every setting.
+	// SimulateSweep it bounds config shards: the grid splits into up to
+	// Parallel contiguous sub-grids (bp.SweepGrid.Shard), each replaying
+	// on its own core, and the per-config counts compose exactly. 0 or 1
+	// runs sequentially; negative selects runtime.GOMAXPROCS(0). Results
+	// are bit-identical at every setting.
 	Parallel int
 	// BucketSize, when positive, additionally records each predictor's
 	// accuracy per bucket of this many dynamic branches (Outcome.Timelines).
@@ -135,12 +135,11 @@ type Options struct {
 	// loop, bypassing the columnar kernels — the differential tests'
 	// baseline engine.
 	ForceReference bool
-	// PerBranch makes SimulateSweep and SimulateSweepBlocks account
-	// every config per static branch as well: SweepOutcome.Results then
-	// holds one Result per config, shaped as Simulate's. Fused grids
-	// count per branch when bp.CountsBranches holds; any other grid
-	// runs per config. Simulate always accounts per branch and ignores
-	// it.
+	// PerBranch makes SimulateSweep account every config per static
+	// branch as well: SweepOutcome.Results then holds one Result per
+	// config, shaped as Simulate's. Fused grids count per branch when
+	// bp.CountsBranches holds; any other grid runs per config. Simulate
+	// and SimulateBlocks always account per branch and ignore it.
 	PerBranch bool
 	// Observer receives the engine-engagement counters; nil selects
 	// obs.Default().

@@ -100,7 +100,7 @@ func TestSimulateEngagementCounters(t *testing.T) {
 	// In-memory calls never report the streaming-only entries.
 	SimulateSweep(tr, bp.NewGshareSweep([]uint{4, 8}), Options{Observer: reg})
 	for name := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "sim.stream.") || name == "sim.sweep.blocks" {
+		if strings.HasPrefix(name, "sim.stream.") {
 			t.Errorf("in-memory run reported streaming counter %s", name)
 		}
 	}

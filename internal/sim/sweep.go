@@ -12,13 +12,12 @@ import (
 // packed columns; grids without one fall back to per-config simulation
 // inside the same call, each config on its own best engine. The
 // differential tests pin both engines bit-identical, per config, to
-// independent Simulate runs. As with Simulate, the in-memory and
-// streamed entry points share one per-block step (blockSweeper) and
-// differ only in their block source.
+// independent Simulate runs. A sweep replays the trace's packed columns
+// as one whole-trace block through a blockSweeper per config shard.
 //
 // On top of fusion sits config sharding (Options.Parallel > 1): the
 // grid splits into contiguous sub-grids (bp.SweepGrid.Shard), one runner
-// cell per shard per block, each replaying the identical record stream
+// cell per shard, each replaying the identical record stream
 // against its own fresh state. Configs of one grid share no counter
 // state, so each shard's per-config counts land in a disjoint slice of
 // the output vector and the composed result is byte-identical to the
@@ -178,58 +177,19 @@ func SimulateSweep(t *trace.Trace, grid bp.SweepGrid, opts Options) *SweepOutcom
 	pt := t.Packed()
 	out := newSweepOutcome(grid, t.Name())
 	branches := newBranchCounts(opts, len(out.Configs))
-	sweepStep(newSweepers(grid, opts, out.Correct, branches, reg), wholeBlock(pt), pt.Addrs())
+	sweepers := newSweepers(grid, opts, out.Correct, branches, reg)
+	// One runner cell per shard, all holding a worker at once; a single
+	// sweeper runs in place.
+	fanOut("sweep-shard", len(sweepers), len(sweepers), func(i int) { sweepers[i].step(wholeBlock(pt), pt.Addrs()) })
 	out.Total = pt.Len()
 	out.sweepResults(branches, pt.Addrs(), pt.Counts())
 	sweepAccount(reg, grid, opts, out)
 	return out
 }
 
-// SimulateSweepBlocks is SimulateSweep over a streaming block source:
-// the whole grid advances through one bounded-memory pass, one chunk
-// resident at a time, so figure-scale sweeps run in O(chunk) memory
-// straight from corpus.OpenBlocks streams. Each chunk replays through
-// the same per-block step SimulateSweep uses; with opts.Parallel > 1
-// the grid shards as in SimulateSweep and every shard finishes a chunk
-// before the next one loads (the source reuses its buffers). Results
-// are bit-identical to SimulateSweep over the equivalent in-memory trace
-// at any chunk size and any Parallel setting, pinned by the streamed
-// sweep differential tests.
-//
-// On top of SimulateSweep's counters the pass reports sim.sweep.blocks
-// and the peak-resident-chunk gauge sim.stream.peak_block_bytes.
-func SimulateSweepBlocks(src trace.BlockSource, grid bp.SweepGrid, opts Options) (*SweepOutcome, error) {
-	reg := obs.Or(opts.Observer)
-	defer reg.StartSpan("sim.simulate_sweep_blocks").End()
-	out := newSweepOutcome(grid, src.Name())
-	branches := newBranchCounts(opts, len(out.Configs))
-	sweepers := newSweepers(grid, opts, out.Correct, branches, reg)
-	var counts []int32 // per dense ID dynamic occurrence count, per-branch calls only
-	for {
-		blk, ok := src.Next()
-		if !ok {
-			break
-		}
-		addrs := src.Addrs()
-		reg.Counter("sim.sweep.blocks").Inc()
-		reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
-		if branches != nil {
-			counts = countIDs(counts, blk, len(addrs))
-		}
-		sweepStep(sweepers, blk, addrs)
-		out.Total += blk.Len()
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	out.sweepResults(branches, src.Addrs(), counts)
-	sweepAccount(reg, grid, opts, out)
-	return out, nil
-}
-
 // newBranchCounts allocates a per-branch call's per-config per-dense-ID
-// correct counts: one slice per config, grown as blocks intern new
-// branches. It returns nil for totals-only calls.
+// correct counts: one slice per config, sized by the sweeper to the
+// intern table. It returns nil for totals-only calls.
 func newBranchCounts(opts Options, ncfg int) [][]int32 {
 	if !opts.PerBranch {
 		return nil
@@ -272,20 +232,12 @@ func newSweepers(grid bp.SweepGrid, opts Options, correct []int64, branches [][]
 	return sweepers
 }
 
-// sweepStep replays one block through every shard's sweeper: in place
-// for a single sweeper, else one runner cell per shard, all holding a
-// worker at once. It returns once every shard has consumed the block.
-func sweepStep(sweepers []*blockSweeper, blk trace.Block, addrs []trace.Addr) {
-	fanOut("sweep-shard", len(sweepers), len(sweepers), func(i int) { sweepers[i].step(blk, addrs) })
-}
-
 // blockSweeper is the per-block step of one grid (or config shard),
-// adding each config's per-block correct counts into its int64 vector
-// (so stream length is unbounded). It resolves the grid's engine once —
-// fused kernel, or per-config predictors each on its own best engine.
-// Per-branch calls also add each config's per-dense-ID counts into its
-// caller-owned slice of branches, which step grows with the intern
-// table.
+// adding each config's correct counts into its int64 vector. It
+// resolves the grid's engine once — fused kernel, or per-config
+// predictors each on its own best engine. Per-branch calls also add
+// each config's per-dense-ID counts into its caller-owned slice of
+// branches, which step sizes to the intern table.
 type blockSweeper struct {
 	kernel   bp.SweepKernel
 	preds    []bp.Predictor
@@ -312,9 +264,7 @@ func newBlockSweeper(grid bp.SweepGrid, opts Options, correct []int64, branches 
 	return s
 }
 
-// step replays one block through every config. The block and addrs
-// views are only valid for the duration of the call (sources reuse
-// their buffers).
+// step replays one block through every config.
 func (s *blockSweeper) step(blk trace.Block, addrs []trace.Addr) {
 	kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: 0, Hi: blk.Len()}
 	for c := range s.branches {

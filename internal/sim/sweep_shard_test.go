@@ -5,14 +5,13 @@ import (
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
-	"branchcorr/internal/trace"
 )
 
 // Differential suite for the config-sharded sweep scheduler: at every
-// Parallel setting, SimulateSweep and SimulateSweepBlocks must produce
-// byte-identical outcomes to the sequential engine, for every grid
-// family — fused and fallback alike. Run under -race these tests also
-// pin the per-block barrier's soundness.
+// Parallel setting, SimulateSweep must produce byte-identical outcomes
+// to the sequential engine, for every grid family — fused and fallback
+// alike. Run under -race these tests also pin the shard cells'
+// soundness.
 
 // shardTestGrids extends the engine grids with the shapes specific to
 // the sharded scheduler: the hybrid and IF grids and a heterogeneous
@@ -50,31 +49,6 @@ func TestSimulateSweepShardedMatchesSequential(t *testing.T) {
 			ref := SimulateSweep(tr, mk(), Options{ForceReference: true, Parallel: par})
 			sameSweep(t, name+"/reference", ref, base.Correct, base.Total)
 		}
-	}
-}
-
-// TestSimulateSweepBlocksShardedMatchesSequential pins the streaming
-// scheduler — per-chunk shard cells and barrier, reused source buffers —
-// byte-identical to the sequential streaming pass at every chunk size
-// and shard count.
-func TestSimulateSweepBlocksShardedMatchesSequential(t *testing.T) {
-	tr := randomTrace(61, 30_000)
-	for name, mk := range shardTestGrids() {
-		base := SimulateSweep(tr, mk(), Options{})
-		for _, chunk := range []int{64, 1000, trace.DefaultBlockLen} {
-			for _, par := range []int{2, 3, -1} {
-				out, err := SimulateSweepBlocks(tr.Packed().Blocks(chunk), mk(), Options{Parallel: par})
-				if err != nil {
-					t.Fatalf("%s chunk=%d parallel=%d: %v", name, chunk, par, err)
-				}
-				sameSweep(t, name+"/stream-sharded", out, base.Correct, base.Total)
-			}
-		}
-		ref, err := SimulateSweepBlocks(tr.Packed().Blocks(1000), mk(), Options{ForceReference: true, Parallel: 2})
-		if err != nil {
-			t.Fatalf("%s reference: %v", name, err)
-		}
-		sameSweep(t, name+"/stream-sharded-reference", ref, base.Correct, base.Total)
 	}
 }
 
