@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -215,13 +216,26 @@ func TestFixedKWrongPeriodMisses(t *testing.T) {
 	}
 }
 
-func TestFixedKSweepFindsBestPeriod(t *testing.T) {
-	s := NewFixedKSweep()
-	pat := []bool{true, false, true, true, false} // period 5
-	for i := 0; i < 500; i++ {
-		s.Observe(rec(0x40, pat[i%5]))
+// packOutcomes packs an outcome sequence into the per-branch stream
+// shape FixedKCounts and ClassScorer read: bit i of the words is
+// outcome i, zero past the last.
+func packOutcomes(outs []bool) []uint64 {
+	words := make([]uint64, (len(outs)+63)/64)
+	for i, o := range outs {
+		if o {
+			words[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
-	best := s.BestPerBranch()[0x40]
+	return words
+}
+
+func TestBestFixedKFindsBestPeriod(t *testing.T) {
+	pat := []bool{true, false, true, true, false} // period 5
+	outs := make([]bool, 500)
+	for i := range outs {
+		outs[i] = pat[i%5]
+	}
+	best := BestFixedK(packOutcomes(outs), len(outs))
 	if best.K%5 != 0 {
 		t.Errorf("best period = %d, want a multiple of 5", best.K)
 	}
@@ -235,29 +249,50 @@ func TestFixedKSweepFindsBestPeriod(t *testing.T) {
 	}
 }
 
-// Property: for any outcome sequence, the sweep's per-k correct count for
-// k=1 must equal a direct simulation of NewFixedK(1).
-func TestFixedKSweepMatchesFixedK(t *testing.T) {
-	f := func(outs []bool) bool {
-		if len(outs) == 0 {
-			return true
-		}
-		s := NewFixedKSweep()
-		p := NewFixedK(1)
-		direct := 0
-		for _, o := range outs {
-			r := rec(0x40, o)
-			if p.Predict(r) == o {
-				direct++
+// Property: for any outcome sequence, FixedKCounts' count for every
+// period k equals a direct simulation of NewFixedK(k), and BestFixedK
+// picks the highest count with ties to the lowest k. Lengths cover the
+// word boundaries and streams shorter than k.
+func TestFixedKCountsMatchesFixedK(t *testing.T) {
+	check := func(outs []bool) bool {
+		got := FixedKCounts(packOutcomes(outs), len(outs))
+		want := BestFixed{Correct: -1, Total: len(outs)}
+		for k := 1; k <= MaxFixedPeriod; k++ {
+			p := NewFixedK(k)
+			direct := 0
+			for _, o := range outs {
+				r := rec(0x40, o)
+				if p.Predict(r) == o {
+					direct++
+				}
+				p.Update(r)
 			}
-			p.Update(r)
-			s.Observe(r)
+			if got[k-1] != direct {
+				t.Logf("m=%d k=%d: FixedKCounts %d, FixedK %d", len(outs), k, got[k-1], direct)
+				return false
+			}
+			if direct > want.Correct {
+				want.Correct, want.K = direct, k
+			}
 		}
-		// k=1 correct count is stored at index 0.
-		return s.correct[0x40][0] == direct
+		if len(outs) > 0 && BestFixedK(packOutcomes(outs), len(outs)) != want {
+			t.Logf("m=%d: BestFixedK %+v, want %+v", len(outs), BestFixedK(packOutcomes(outs), len(outs)), want)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 300} {
+		outs := make([]bool, m)
+		for i := range outs {
+			outs[i] = rng.Intn(4) != 0
+		}
+		if !check(outs) {
+			t.Errorf("m=%d: counts differ from the FixedK predictors", m)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"branchcorr/internal/trace"
 )
@@ -83,70 +84,68 @@ func (p *FixedK) Update(r trace.Record) {
 
 var _ Predictor = (*FixedK)(nil)
 
-// FixedKSweep evaluates all MaxFixedPeriod fixed-k predictors over a trace
-// simultaneously and records per-branch correct counts for every k. The
-// paper uses the best of the 32 variants per branch as the fixed-length
-// pattern prediction accuracy; BestPerBranch extracts exactly that.
-type FixedKSweep struct {
-	rings   map[trace.Addr]*outcomeRing
-	correct map[trace.Addr]*[MaxFixedPeriod]int
-	total   map[trace.Addr]int
-}
-
-// NewFixedKSweep returns an empty sweep evaluator.
-func NewFixedKSweep() *FixedKSweep {
-	return &FixedKSweep{
-		rings:   make(map[trace.Addr]*outcomeRing),
-		correct: make(map[trace.Addr]*[MaxFixedPeriod]int),
-		total:   make(map[trace.Addr]int),
+// FixedKCounts returns the correct predictions of every fixed-k
+// predictor (k = 1..MaxFixedPeriod, at index k-1) over one branch's
+// outcome stream: bit i of words is the branch's i'th outcome b_i, m
+// outcomes in all, zero past the last. It is FixedK's per-branch count
+// in closed form, with no per-record state:
+//
+//	correct_k = [b_0 = 1] + #{1 <= i < min(k, m) : b_i = b_{i-1}}
+//	                      + #{k <= i < m : b_i = b_{i-k}}
+//
+// The first two terms are the warm-up (taken, then the last outcome);
+// the third is a shifted-XNOR popcount over the stream, O(m/64) words
+// per period.
+func FixedKCounts(words []uint64, m int) (c [MaxFixedPeriod]int) {
+	if m == 0 {
+		return c
 	}
-}
-
-// Observe feeds one branch outcome: it scores what each of the 32
-// predictors would have predicted, then records the outcome.
-func (s *FixedKSweep) Observe(r trace.Record) {
-	ring, ok := s.rings[r.PC]
-	if !ok {
-		ring = &outcomeRing{}
-		s.rings[r.PC] = ring
-		s.correct[r.PC] = &[MaxFixedPeriod]int{}
+	nw := (m + 63) / 64
+	words = words[:nw]
+	last := ^uint64(0) // the outcome bits of the final word
+	if r := uint(m) & 63; r != 0 {
+		last = 1<<r - 1
 	}
-	corr := s.correct[r.PC]
-	s.total[r.PC]++
-	last := true
-	if ring.n > 0 {
-		last, _ = ring.kAgo(1)
-	}
-	for k := 1; k <= MaxFixedPeriod; k++ {
-		pred := last
-		if out, ok := ring.kAgo(k); ok {
-			pred = out
+	var prev uint64
+	for w, cur := range words {
+		valid := ^uint64(0)
+		if w == nw-1 {
+			valid = last
 		}
-		if pred == r.Taken {
-			corr[k-1]++
-		}
-	}
-	ring.push(r.Taken)
-}
-
-// BestPerBranch returns, for each branch, the highest correct-prediction
-// count over all periods k (and the winning k, 1-based).
-func (s *FixedKSweep) BestPerBranch() map[trace.Addr]BestFixed {
-	out := make(map[trace.Addr]BestFixed, len(s.correct))
-	for pc, corr := range s.correct {
-		best, bestK := -1, 0
-		for k := 0; k < MaxFixedPeriod; k++ {
-			if corr[k] > best {
-				best = corr[k]
-				bestK = k + 1
+		for k := uint(1); k <= MaxFixedPeriod; k++ {
+			same := ^(cur ^ (cur<<k | prev>>(64-k))) & valid
+			if w == 0 {
+				same &^= 1<<k - 1 // i < k has no outcome k ago
 			}
+			c[k-1] += bits.OnesCount64(same)
 		}
-		out[pc] = BestFixed{Correct: best, K: bestK, Total: s.total[pc]}
+		prev = cur
 	}
-	return out
+	w0 := words[0]
+	first := int(w0 & 1)
+	repeats := ^(w0 ^ w0<<1) // bit i >= 1: b_i = b_{i-1}
+	for k := 1; k <= MaxFixedPeriod; k++ {
+		warm := uint(min(k, m))
+		c[k-1] += first + bits.OnesCount64(repeats&(1<<warm-1)&^1)
+	}
+	return c
 }
 
-// BestFixed is the per-branch result of a FixedKSweep.
+// BestFixedK returns the best fixed-k predictor for one branch's outcome
+// stream (as FixedKCounts takes it): the highest correct count over all
+// periods, ties keeping the lowest k. The paper uses the best of the 32
+// variants per branch as the fixed-length pattern prediction accuracy.
+func BestFixedK(words []uint64, m int) BestFixed {
+	best := BestFixed{Correct: -1, Total: m}
+	for k, c := range FixedKCounts(words, m) {
+		if c > best.Correct {
+			best.Correct, best.K = c, k+1
+		}
+	}
+	return best
+}
+
+// BestFixed is one branch's best fixed-length-pattern predictor.
 type BestFixed struct {
 	Correct int // correct predictions of the best period
 	K       int // the best period (1-based)

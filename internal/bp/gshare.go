@@ -131,10 +131,10 @@ func (p *GAs) Update(r trace.Record) {
 // IFGshare is the interference-free gshare of the paper: conceptually one
 // private PHT per static branch, indexed by the global history register.
 // The paper notes such a predictor is "prohibitively large" in hardware;
-// here the (branch, history) → counter mapping is a lazily populated map,
-// which is semantically identical.
+// here the (branch, history) → counter mapping is a lazily populated
+// flat table (ifTable), which is semantically identical.
 type IFGshare struct {
-	counters map[uint64]Counter2
+	table    ifTable
 	history  uint32
 	histMask uint32
 	histBits uint
@@ -147,7 +147,7 @@ func NewIFGshare(historyBits uint) *IFGshare {
 		panic(fmt.Sprintf("bp: IF-gshare history bits %d out of range [1,32]", historyBits))
 	}
 	return &IFGshare{
-		counters: make(map[uint64]Counter2),
+		table:    newIFTable(),
 		histMask: uint32(uint64(1)<<historyBits - 1),
 		histBits: historyBits,
 	}
@@ -162,13 +162,13 @@ func (p *IFGshare) key(pc trace.Addr) uint64 {
 
 // Predict implements Predictor.
 func (p *IFGshare) Predict(r trace.Record) bool {
-	return p.counters[p.key(r.PC)].Taken()
+	return p.table.counter(p.key(r.PC)).Taken()
 }
 
 // Update implements Predictor.
 func (p *IFGshare) Update(r trace.Record) {
 	k := p.key(r.PC)
-	p.counters[k] = p.counters[k].Next(r.Taken)
+	p.table.set(k, p.table.counter(k).Next(r.Taken))
 	p.history = (p.history << 1) & p.histMask
 	if r.Taken {
 		p.history |= 1

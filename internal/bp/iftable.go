@@ -1,0 +1,141 @@
+package bp
+
+import "math/bits"
+
+// ifTable is the interference-free predictors' counter store: a flat
+// open-addressed (linear-probe) table from a 64-bit key — address<<32 |
+// history for IF-gshare and IF-PAs, the bare history for one branch in
+// the per-branch classification pass — to a 2-bit counter, with
+// Fibonacci hashing into a power-of-two slot array (the oracle candidate
+// table's idiom). Memory is O(distinct keys): the table doubles at 3/4
+// load and never holds a dense 2^h array per branch. An absent key reads
+// as StronglyNotTaken, the counter's zero value.
+//
+// The replay loops insert without a load check. Before replaying n
+// records they call reserve(n), the table's one amortized grow path, so
+// every insertion of the replay fits under the 3/4 load bound and each
+// probe chain ends at an empty slot.
+type ifTable struct {
+	slots []ifSlot // power-of-two sized
+	shift uint     // 64 - log2(len(slots)), for Fibonacci hashing
+	n     int      // occupied slots
+}
+
+// ifSlot is one table entry. c holds the counter with ifLive set, so
+// the zero slot is empty and its counter bits read StronglyNotTaken.
+type ifSlot struct {
+	key uint64
+	c   Counter2
+}
+
+const (
+	ifLive          Counter2 = 4
+	ifTableMinSlots          = 16
+)
+
+// newIFTable returns an empty table of the minimum size.
+func newIFTable() ifTable {
+	var t ifTable
+	t.reset(0)
+	return t
+}
+
+// slotsFor is the power-of-two slot count that holds n keys under the
+// 3/4 load bound, at least min.
+func slotsFor(n, min int) int {
+	size := min
+	for 4*n >= 3*size {
+		size *= 2
+	}
+	return size
+}
+
+// find returns the index of key's slot, or of the empty slot that ends
+// its probe chain.
+func (t *ifTable) find(key uint64) int {
+	slots := t.slots
+	mask := len(slots) - 1
+	h := int((key * 0x9E3779B97F4A7C15) >> t.shift)
+	for {
+		s := &slots[h&mask]
+		if s.c == 0 || s.key == key {
+			return h & mask
+		}
+		h++
+	}
+}
+
+// counter returns key's counter.
+func (t *ifTable) counter(key uint64) Counter2 {
+	return t.slots[t.find(key)].c &^ ifLive
+}
+
+// set stores c as key's counter, inserting the key if it is absent.
+func (t *ifTable) set(key uint64, c Counter2) {
+	t.reserve(1)
+	i := t.find(key)
+	t.n += int(t.slots[i].c>>2 ^ 1)
+	t.slots[i] = ifSlot{key, c | ifLive}
+}
+
+// reserve grows the table so that n more insertions keep it under 3/4
+// load. Growth doubles, so each distinct key costs amortized O(1).
+func (t *ifTable) reserve(n int) {
+	size := slotsFor(t.n+n, len(t.slots))
+	if size == len(t.slots) {
+		return
+	}
+	old := t.slots
+	slots := make([]ifSlot, size)
+	t.slots = slots
+	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.c != 0 {
+			slots[t.find(s.key)] = s
+		}
+	}
+}
+
+// reset empties the table and sizes it for n insertions, reusing the
+// backing array when it is large enough: clearing costs O(n), not the
+// table's largest size, so one table serves many branches in turn.
+func (t *ifTable) reset(n int) {
+	size := slotsFor(n, ifTableMinSlots)
+	if cap(t.slots) >= size {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	} else {
+		t.slots = make([]ifSlot, size)
+	}
+	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	t.n = 0
+}
+
+// replayIFTable replays one interference-free config's table over a
+// staged history<<1|outcome tile whose records have dense IDs tids (key
+// keyHi[id] | history&m) and returns its correct predictions; with a
+// non-nil perID it also adds each correct prediction to perID[id]. The
+// caller has reserved room for len(kk) insertions.
+//
+//bplint:hot
+func replayIFTable(kk []uint64, tids []int32, keyHi []uint64, t *ifTable, m uint64, perID []int32) int32 {
+	tids = tids[:len(kk)]
+	slots := t.slots
+	fresh := 0
+	n := int32(0)
+	for i, v := range kk {
+		id := tids[i]
+		k := keyHi[id] | (v>>1)&m
+		s := &slots[t.find(k)]
+		x := sweepStep[(s.c&3)<<1|Counter2(v&1)]
+		ok := int32(x & 1)
+		n += ok
+		if perID != nil {
+			perID[id] += ok
+		}
+		fresh += int(s.c>>2 ^ 1)
+		*s = ifSlot{k, Counter2(x>>1) | ifLive}
+	}
+	t.n += fresh
+	return n
+}

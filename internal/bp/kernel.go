@@ -17,8 +17,8 @@ import "branchcorr/internal/trace"
 // loops here; for gshare and bimodal these measure no slower than a
 // 1-config fused sweep (the impl=sweep1 benchmark rows). The
 // interference-free predictors (IFGshare, IFPAs) are instead one-config
-// grids of their sweep_if.go staged replay over the predictor's own map
-// and registers, so their map loop is written once.
+// grids of their sweep_if.go staged replay over the predictor's own
+// table and registers, so their table loop is written once.
 
 // KernelBlock is the columnar input one kernel call consumes: the dense-ID and
 // outcome columns of a trace.Packed plus the record range [Lo, Hi) to
@@ -264,42 +264,42 @@ func (p *IdealStatic) SimulateBlock(blk KernelBlock, correct []int32) int {
 }
 
 // SimulateBlock implements KernelPredictor as a one-config IFGshareSweep
-// over the predictor's own counter map and history register: the map
-// stays a map (that is the point of the variant: unbounded per-branch
-// state), and the sweep's staged replay reads each record's counter once
-// where the scalar Predict and Update read it twice. The staging buffer
-// is sized to the block, up to one tile, so short streamed chunks stay
-// cheap.
+// over the predictor's own table and history register: the sweep's
+// staged replay reads each record's counter once where the scalar
+// Predict and Update read it twice. The staging buffer is sized to the
+// block, up to one tile, so short streamed chunks stay cheap.
 func (p *IFGshare) SimulateBlock(blk KernelBlock, correct []int32) int {
 	g := IFGshareSweep{
-		hmasks:   []uint64{uint64(p.histMask)},
-		counters: []map[uint64]Counter2{p.counters},
-		history:  p.history,
-		kt:       make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
+		hmasks:  []uint64{uint64(p.histMask)},
+		tables:  []ifTable{p.table},
+		history: p.history,
+		kt:      make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}
 	var total [1]int32
 	g.sweep(blk, total[:], [][]int32{correct})
+	p.table = g.tables[0]
 	p.history = g.history & p.histMask
 	return int(total[0])
 }
 
 // SimulateBlock implements KernelPredictor as a one-config IFPAsSweep
-// over the predictor's own counter map, with its per-branch history
-// registers loaded into the sweep's dense per-ID file for the duration of
-// the block and written back at the end.
+// over the predictor's own table, with its per-branch history registers
+// loaded into the sweep's dense per-ID file for the duration of the
+// block and written back at the end.
 func (p *IFPAs) SimulateBlock(blk KernelBlock, correct []int32) int {
 	hist := make([]uint32, len(blk.Addrs))
 	for id, a := range blk.Addrs {
 		hist[id] = p.hist[a] //bplint:ignore kernel-purity history registers load once per static branch into a dense slice, not per record
 	}
 	g := IFPAsSweep{
-		hmasks:   []uint64{uint64(p.histMask)},
-		counters: []map[uint64]Counter2{p.counters},
-		hist:     hist,
-		kt:       make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
+		hmasks: []uint64{uint64(p.histMask)},
+		tables: []ifTable{p.table},
+		hist:   hist,
+		kt:     make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}
 	var total [1]int32
 	g.sweep(blk, total[:], [][]int32{correct})
+	p.table = g.tables[0]
 	for id, a := range blk.Addrs {
 		p.hist[a] = hist[id] & p.histMask //bplint:ignore kernel-purity per-branch history writeback runs once per static branch at block end
 	}

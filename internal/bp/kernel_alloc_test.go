@@ -6,11 +6,10 @@
 // never per-record state — so the per-call count must not move when the
 // simulated range quadruples. The interference-free family (ifgshare,
 // ifpas) is deliberately absent: its kernels are one-config sweeps whose
-// counter tables are maps keyed by (address, history) — that unbounded
-// state is the point of the variant — so map growth allocates
-// data-dependently; the kernel-purity findings those accesses would
-// raise are suppressed with justified //bplint:ignore directives on the
-// shared map replay in sweep_if.go instead, and sweep_alloc_test.go
+// tables grow with the (address, history) pairs they meet — that
+// unbounded state is the point of the variant — so growth allocates
+// data-dependently; the table's one amortized grow path carries the
+// justified //bplint:ignore in sweep_if.go, and sweep_alloc_test.go
 // bounds the replay's steady-state allocations.
 package bp_test
 

@@ -39,9 +39,28 @@ func (p *Loop) Name() string { return "loop" }
 // Predict implements Predictor.
 func (p *Loop) Predict(r trace.Record) bool {
 	s, ok := p.state[r.PC]
-	if !ok || !s.haveDir {
-		// Cold branch: fall back to the static loop heuristic.
+	if !ok {
 		return r.Backward
+	}
+	return s.predict(r.Backward)
+}
+
+// Update implements Predictor.
+func (p *Loop) Update(r trace.Record) {
+	s, ok := p.state[r.PC]
+	if !ok {
+		s = &loopState{}
+		p.state[r.PC] = s
+	}
+	s.update(r.Taken)
+}
+
+// predict is the loop predictor's guess for the branch's next outcome;
+// back is the branch's backward bit, which only a cold branch reads.
+func (s *loopState) predict(back bool) bool {
+	if !s.haveDir {
+		// Cold branch: fall back to the static loop heuristic.
+		return back
 	}
 	if !s.haveN {
 		// A run is in progress but we have never seen it end; keep
@@ -54,20 +73,15 @@ func (p *Loop) Predict(r trace.Record) bool {
 	return !s.dir
 }
 
-// Update implements Predictor.
-func (p *Loop) Update(r trace.Record) {
-	s, ok := p.state[r.PC]
-	if !ok {
-		s = &loopState{}
-		p.state[r.PC] = s
-	}
+// update trains the state with the branch's resolved outcome.
+func (s *loopState) update(taken bool) {
 	if !s.haveDir {
-		s.dir = r.Taken
+		s.dir = taken
 		s.haveDir = true
 		s.cur = 1
 		return
 	}
-	if r.Taken == s.dir {
+	if taken == s.dir {
 		if s.cur < MaxRun {
 			s.cur++
 		}
@@ -137,18 +151,13 @@ func NewBlock() *Block {
 // Name implements Predictor.
 func (p *Block) Name() string { return "block" }
 
-// Predict implements Predictor: continue the current run until it reaches
-// its previously observed length, then switch direction.
+// Predict implements Predictor.
 func (p *Block) Predict(r trace.Record) bool {
 	s, ok := p.state[r.PC]
-	if !ok || !s.started {
+	if !ok {
 		return r.Backward
 	}
-	i := dirIdx(s.curDir)
-	if !s.haveRun[i] || s.cur < s.runLen[i] {
-		return s.curDir
-	}
-	return !s.curDir
+	return s.predict(r.Backward)
 }
 
 // Update implements Predictor.
@@ -158,13 +167,34 @@ func (p *Block) Update(r trace.Record) {
 		s = &blockState{}
 		p.state[r.PC] = s
 	}
+	s.update(r.Taken)
+}
+
+var _ Predictor = (*Block)(nil)
+
+// predict continues the current run until it reaches its previously
+// observed length, then switches direction; back is the branch's
+// backward bit, which only a cold branch reads.
+func (s *blockState) predict(back bool) bool {
+	if !s.started {
+		return back
+	}
+	i := dirIdx(s.curDir)
+	if !s.haveRun[i] || s.cur < s.runLen[i] {
+		return s.curDir
+	}
+	return !s.curDir
+}
+
+// update trains the state with the branch's resolved outcome.
+func (s *blockState) update(taken bool) {
 	if !s.started {
 		s.started = true
-		s.curDir = r.Taken
+		s.curDir = taken
 		s.cur = 1
 		return
 	}
-	if r.Taken == s.curDir {
+	if taken == s.curDir {
 		if s.cur < MaxRun {
 			s.cur++
 		}
@@ -174,8 +204,6 @@ func (p *Block) Update(r trace.Record) {
 	i := dirIdx(s.curDir)
 	s.runLen[i] = s.cur
 	s.haveRun[i] = true
-	s.curDir = r.Taken
+	s.curDir = taken
 	s.cur = 1
 }
-
-var _ Predictor = (*Block)(nil)

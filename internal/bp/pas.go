@@ -85,7 +85,7 @@ func (p *PAs) Update(r trace.Record) {
 // predictability class.
 type IFPAs struct {
 	hist     map[trace.Addr]uint32
-	counters map[uint64]Counter2
+	table    ifTable
 	histMask uint32
 	histBits uint
 }
@@ -98,14 +98,18 @@ func NewIFPAs(historyBits uint) *IFPAs {
 	}
 	return &IFPAs{
 		hist:     make(map[trace.Addr]uint32),
-		counters: make(map[uint64]Counter2),
+		table:    newIFTable(),
 		histMask: uint32(uint64(1)<<historyBits - 1),
 		histBits: historyBits,
 	}
 }
 
 // Name implements Predictor.
-func (p *IFPAs) Name() string { return fmt.Sprintf("IF-PAs(%d)", p.histBits) }
+func (p *IFPAs) Name() string { return ifPAsName(p.histBits) }
+
+// ifPAsName names the IF-PAs configuration with historyBits of local
+// history.
+func ifPAsName(historyBits uint) string { return fmt.Sprintf("IF-PAs(%d)", historyBits) }
 
 func (p *IFPAs) key(pc trace.Addr) uint64 {
 	return uint64(pc)<<32 | uint64(p.hist[pc]&p.histMask)
@@ -113,13 +117,13 @@ func (p *IFPAs) key(pc trace.Addr) uint64 {
 
 // Predict implements Predictor.
 func (p *IFPAs) Predict(r trace.Record) bool {
-	return p.counters[p.key(r.PC)].Taken()
+	return p.table.counter(p.key(r.PC)).Taken()
 }
 
 // Update implements Predictor.
 func (p *IFPAs) Update(r trace.Record) {
 	k := p.key(r.PC)
-	p.counters[k] = p.counters[k].Next(r.Taken)
+	p.table.set(k, p.table.counter(k).Next(r.Taken))
 	h := (p.hist[r.PC] << 1) & p.histMask
 	if r.Taken {
 		h |= 1

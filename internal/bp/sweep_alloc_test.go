@@ -33,18 +33,19 @@ func TestSweepBlockAllocs(t *testing.T) {
 	}
 }
 
-// TestSweepBlockAllocsMapGrids bounds the interference-free families,
-// whose tables are maps: the per-record path must not allocate, but a
-// replayed block starts from a different history register than the last
-// replay, so its first few records can key previously unseen map
-// entries (at most historyBits per config per replay). The gate is
-// therefore a small constant per whole-block call — anything
-// per-record would cost tens of thousands.
-func TestSweepBlockAllocsMapGrids(t *testing.T) {
+// TestSweepBlockAllocsIFGrids bounds the interference-free families,
+// whose tables grow with the (address, history) pairs they meet: the
+// per-record path must not allocate, but a replayed block starts from a
+// different history register than the last replay, so its first few
+// records can key previously unseen pairs (at most historyBits per
+// config per replay), and a table that crosses its load bound doubles.
+// The gate is therefore a small constant per whole-block call —
+// anything per-record would cost tens of thousands.
+func TestSweepBlockAllocsIFGrids(t *testing.T) {
 	tr := kernelRandomTrace(7, 20_000)
 	pt := tr.Packed()
 	full := blockOf(pt, 0, pt.Len())
-	for family, mk := range mapSweepGrids() {
+	for family, mk := range ifSweepGrids() {
 		g := mk()
 		correct := make([]int32, len(g.ConfigNames()))
 		// Warm-up: grows the per-ID key columns and populates the steady

@@ -41,11 +41,11 @@ func sweepGrids() map[string]func() bp.SweepKernel {
 	}
 }
 
-// mapSweepGrids enumerates the interference-free families separately:
-// their tables are maps (unbounded per-(address, history) state), so
+// ifSweepGrids enumerates the interference-free families separately:
+// their tables grow with unbounded per-(address, history) state, so
 // they are conformance-tested with everything else but carry a bounded
 // — not zero — steady-state allocation gate.
-func mapSweepGrids() map[string]func() bp.SweepKernel {
+func ifSweepGrids() map[string]func() bp.SweepKernel {
 	return map[string]func() bp.SweepKernel{
 		"if-gshare": func() bp.SweepKernel {
 			return bp.NewIFGshareSweep([]uint{1, 4, 8, 12, 16})
@@ -59,7 +59,7 @@ func mapSweepGrids() map[string]func() bp.SweepKernel {
 // allSweepGrids merges every fused family for the conformance suites.
 func allSweepGrids() map[string]func() bp.SweepKernel {
 	all := sweepGrids()
-	for name, mk := range mapSweepGrids() {
+	for name, mk := range ifSweepGrids() {
 		all[name] = mk
 	}
 	return all

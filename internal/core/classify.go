@@ -113,9 +113,9 @@ type ClassifyConfig struct {
 	// HighBias is the bias threshold reported for unclassified branches
 	// (default 0.99, the paper's ">99% biased").
 	HighBias float64
-	// Obs receives the classification's simulation counters and spans;
-	// nil selects obs.Default(). The service threads a per-request
-	// registry through here.
+	// Obs receives the classification's span and counters; nil selects
+	// obs.Default(). The service threads a per-request registry through
+	// here.
 	Obs *obs.Registry
 }
 
@@ -133,30 +133,56 @@ func (c ClassifyConfig) WithDefaults() ClassifyConfig {
 
 // ClassifyPerAddress runs all section 4.1 class predictors over the trace
 // and assigns every static branch to a per-address predictability class,
-// reproducing the method behind Figure 6.
+// reproducing the method behind Figure 6. Every class predictor keeps
+// only per-branch state, so the run is one pass per branch over the
+// trace's per-branch view (trace.Packed.Branches): bp.ClassScorer counts
+// the ideal static, loop, block, IF-PAs and all fixed-k predictors from
+// the branch's own outcome stream. The Results equal whole-trace runs of
+// the predictors. The pass records span core.classify and counters
+// core.classify.records and core.classify.branches into cfg.Obs.
 func ClassifyPerAddress(t *trace.Trace, cfg ClassifyConfig) *PAClassification {
 	cfg = cfg.WithDefaults()
-	stats := trace.Summarize(t)
-	results := sim.Simulate(t, []bp.Predictor{
-		bp.NewIdealStatic(stats),
-		bp.NewLoop(),
-		bp.NewBlock(),
-		bp.NewIFPAs(cfg.IFPAsHistoryBits),
-	}, sim.Options{Observer: cfg.Obs}).Results
-	sweep := bp.NewFixedKSweep()
-	for _, r := range t.Records() {
-		sweep.Observe(r)
+	reg := obs.Or(cfg.Obs)
+	defer reg.StartSpan("core.classify").End()
+	pt := t.Packed()
+	streams := pt.Branches()
+	addrs, counts := pt.Addrs(), pt.Counts()
+	sc := bp.NewClassScorer(cfg.IFPAsHistoryBits)
+	var correct [4][]int32 // per predictor, per dense ID
+	for i := range correct {
+		correct[i] = make([]int32, len(addrs))
 	}
+	sites := make([]trace.SiteStats, len(addrs))
 	p := &PAClassification{
-		Class:  make(map[trace.Addr]PAClass, len(stats.Sites)),
-		Total:  t.Len(),
-		Static: results[0],
-		Loop:   results[1],
-		Block:  results[2],
-		IFPAs:  results[3],
-		Fixed:  sweep.BestPerBranch(),
+		Class: make(map[trace.Addr]PAClass, len(addrs)),
+		Total: pt.Len(),
+		Fixed: make(map[trace.Addr]bp.BestFixed, len(addrs)),
 	}
-	for pc, site := range stats.Sites {
+	for id, pc := range addrs {
+		words, m := streams.Outcomes(int32(id))
+		c := sc.Score(words, m, streams.Backward(int32(id)))
+		for i, n := range c.Correct {
+			correct[i][id] = int32(n)
+		}
+		p.Fixed[pc] = c.Fixed
+		sites[id] = trace.SiteStats{PC: pc, Count: m, Taken: c.Taken}
+	}
+	var rs [4]*sim.Result
+	for i, name := range sc.Names() {
+		rs[i] = sim.BranchResult(name, t.Name(), addrs, correct[i], counts)
+	}
+	p.Static, p.Loop, p.Block, p.IFPAs = rs[0], rs[1], rs[2], rs[3]
+	p.assign(sites, cfg.HighBias)
+	reg.Counter("core.classify.records").Add(int64(pt.Len()))
+	reg.Counter("core.classify.branches").Add(int64(len(addrs)))
+	return p
+}
+
+// assign classifies every site from the per-class results in p and
+// accounts the class weights.
+func (p *PAClassification) assign(sites []trace.SiteStats, highBias float64) {
+	for _, site := range sites {
+		pc := site.PC
 		static := p.Static.Branch(pc).Correct
 		loop := p.Loop.Branch(pc).Correct
 		rep := p.RepeatingCorrect(pc)
@@ -172,14 +198,13 @@ func ClassifyPerAddress(t *trace.Trace, cfg ClassifyConfig) *PAClassification {
 		}
 		if static >= best {
 			class = ClassStatic
-			if site.Bias() > cfg.HighBias {
+			if site.Bias() > highBias {
 				p.StaticHighBias += site.Count
 			}
 		}
 		p.Class[pc] = class
 		p.DynWeight[class] += site.Count
 	}
-	return p
 }
 
 // Category is a section 5 best-predictor category.

@@ -365,7 +365,7 @@ func (s *Suite) classFor(tr *trace.Trace) *core.PAClassification {
 	return s.classes.get(tr.Name(), func() *core.PAClassification {
 		s.obs.Counter("suite.memo.classes.misses").Inc()
 		s.log("%s: per-address classification", tr.Name())
-		return core.ClassifyPerAddress(tr, core.ClassifyConfig{IFPAsHistoryBits: s.cfg.IFPAsBits})
+		return core.ClassifyPerAddress(tr, core.ClassifyConfig{IFPAsHistoryBits: s.cfg.IFPAsBits, Obs: s.cfg.Obs})
 	})
 }
 

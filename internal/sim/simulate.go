@@ -114,7 +114,6 @@ type simulator struct {
 	bucket  int                // timeline bucket size; <= 0 records none
 	tl      *Timeline
 	correct []int32 // per dense ID
-	hits    int     // correct predictions so far
 	open    int     // correct predictions in the open bucket
 	pos     int     // records replayed so far
 }
@@ -158,7 +157,6 @@ func (s *simulator) step(blk trace.Block, addrs []trace.Addr) {
 		} else {
 			c = referenceSegment(s.p, blk, addrs, lo, hi, s.correct)
 		}
-		s.hits += c
 		s.open += c
 		if s.bucket > 0 && (s.pos+hi)%s.bucket == 0 {
 			s.closeBucket(s.bucket)
@@ -180,21 +178,21 @@ func (s *simulator) result(traceName string, addrs []trace.Addr, counts []int32)
 	if s.bucket > 0 && s.pos%s.bucket != 0 {
 		s.closeBucket(s.pos % s.bucket)
 	}
-	return branchResult(s.p.Name(), traceName, addrs, s.correct, counts, s.hits, s.pos), s.tl
+	return BranchResult(s.p.Name(), traceName, addrs, s.correct, counts), s.tl
 }
 
-// branchResult assembles the map-shaped Result the rest of the repo
+// BranchResult assembles the map-shaped Result the rest of the repo
 // consumes from flat per-dense-ID counts: correct[id] and counts[id] are
-// dense ID id's correct predictions and dynamic occurrences. Every ID
-// occurs at least once, so the map's key set is exactly the set of
-// executed branches.
-func branchResult(predictor, traceName string, addrs []trace.Addr, correct, counts []int32, hits, total int) *Result {
+// dense ID id's correct predictions and dynamic occurrences, and the
+// totals are their sums. Every ID occurs at least once, so the map's
+// key set is exactly the set of executed branches.
+func BranchResult(predictor, traceName string, addrs []trace.Addr, correct, counts []int32) *Result {
 	r := newResult(predictor, traceName)
 	for id, a := range addrs {
 		r.PerBranch[a] = &BranchAcc{Correct: int(correct[id]), Total: int(counts[id])}
+		r.Correct += int(correct[id])
+		r.Total += int(counts[id])
 	}
-	r.Correct = hits
-	r.Total = total
 	return r
 }
 

@@ -206,7 +206,7 @@ func (o *SweepOutcome) sweepResults(branches [][]int32, addrs []trace.Addr, coun
 	}
 	o.Results = make([]*Result, len(o.Configs))
 	for c, name := range o.Configs {
-		o.Results[c] = branchResult(name, o.Trace, addrs, branches[c], counts, int(o.Correct[c]), o.Total)
+		o.Results[c] = BranchResult(name, o.Trace, addrs, branches[c], counts)
 	}
 }
 
