@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race shuffle cover lint lint-fix lint-sarif baseline bench bench-oracle bench-sim bench-sweep bench-service fuzz
+.PHONY: check build vet test race shuffle cover lint lint-sarif baseline bench bench-oracle bench-sim bench-sweep bench-service fuzz
 
 # check is the full gate CI runs: compile, vet, race-enabled tests, and
 # the repo's own static-analysis suite (cmd/bplint).
@@ -28,11 +28,6 @@ cover:
 # list; only findings beyond lint/baseline.json fail.
 lint:
 	$(GO) run ./cmd/bplint -baseline lint/baseline.json ./...
-
-# lint-fix applies every mechanical suggested fix (stale-ignore
-# deletions) in place, then reports what remains.
-lint-fix:
-	$(GO) run ./cmd/bplint -baseline lint/baseline.json -fix ./...
 
 # lint-sarif emits the machine-readable report CI uploads as an artifact.
 lint-sarif:
@@ -67,9 +62,11 @@ bench:
 # oracle benchmarks (reference vs kernel at 100k and 1M branches, and
 # the Figure 5 per-window loop vs one shared OracleWindows pass at 200k
 # and 1M plus the Figure 5 selective sweep, and the shared pass and sweep
-# on a high-entropy random trace) piped through cmd/benchjson
-# into BENCH_oracle.json. The 1M speedup pairs are the acceptance
-# numbers for the kernels (>= 2x).
+# on two high-entropy random traces, rand2000 and rand16) piped through
+# cmd/benchjson into BENCH_oracle.json. The 1M speedup pairs are the
+# acceptance numbers for the kernels (>= 2x). Rows named .../at=parent
+# are a parent commit's run of the same benchmarks, its lines renamed
+# before the pipe, kept next to the rows a change was measured against.
 bench-oracle:
 	$(GO) test -run '^$$' -bench '(PackedTraceBuild|OracleProfile|OracleJoint|OracleWindows)' \
 		-benchtime 3x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_oracle.json

@@ -676,8 +676,8 @@ func BenchmarkOracleProfile(b *testing.B) {
 
 // BenchmarkOracleJoint measures oracle passes 2+3 (pair/triple subset
 // scoring) from a fixed candidate beam: the reference's two jointPass
-// trace streams against the kernel's single collection stream plus
-// bit-sliced popcount scoring.
+// trace streams against the kernel's single collection stream into
+// per-branch state histograms plus scoring over their entries.
 func BenchmarkOracleJoint(b *testing.B) {
 	cfg := core.OracleConfig{WindowLen: 16}
 	for _, n := range benchOracleLengths {
@@ -720,6 +720,12 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 // oracle itself is slow there — each branch's candidate table holds
 // thousands of refs — so the level stays short.)
 //
+// The trace=rand16 level is the state histograms' worst case: 200k
+// random branches over 16 sites, so each branch's window holds most of
+// the 16 sites with random outcomes, the path memo bypasses, and most
+// instances resolve their beam to a state vector no other instance
+// shares.
+//
 // The window=16 level, impl=memory, is one window-16 Oracle run over the
 // packed trace.
 func BenchmarkOracleWindows(b *testing.B) {
@@ -737,6 +743,7 @@ func BenchmarkOracleWindows(b *testing.B) {
 		benchOracleShared(b, fmt.Sprintf("len=%d", n), tr)
 	}
 	benchOracleShared(b, "len=50000/trace=rand2000", benchRandomTrace(50_000, 2000))
+	benchOracleShared(b, "len=200000/trace=rand16", benchRandomTrace(200_000, 16))
 
 	tr := benchTraceN(b, "gcc", 200_000)
 	pt := tr.Packed()

@@ -10,7 +10,6 @@
 //	bplint -rules det-time,det-rand ./...
 //	bplint -list                      # describe every rule
 //	bplint -format sarif ./...        # machine-readable output
-//	bplint -fix ./...                 # apply suggested fixes, report the rest
 //	bplint -baseline lint/baseline.json ./...
 //	bplint -baseline lint/baseline.json -update-baseline ./...
 //
@@ -44,7 +43,6 @@ func main() {
 		list     = flag.Bool("list", false, "list rules and exit")
 		format   = flag.String("format", "text", "output format: text, json, or sarif")
 		parallel = flag.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
-		fix      = flag.Bool("fix", false, "apply suggested fixes in place, then re-check")
 		baseline = flag.String("baseline", "", "baseline file grandfathering known findings")
 		update   = flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings")
 	)
@@ -65,48 +63,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	run := func() ([]lint.Finding, error) {
-		pkgs, err := lint.Load(root)
-		if err != nil {
-			return nil, err
-		}
-		pkgs, err = filterPackages(pkgs, root, flag.Args())
-		if err != nil {
-			return nil, err
-		}
-		return lint.RunParallel(pkgs, selected, lint.RunOptions{Parallel: *parallel}), nil
-	}
-
-	findings, err := run()
+	pkgs, err := lint.Load(root)
 	if err != nil {
 		fatal(err)
 	}
-
-	if *fix {
-		changed, err := lint.ApplyFixes(findings)
-		if err != nil {
-			fatal(err)
-		}
-		for _, file := range changed {
-			fmt.Fprintf(os.Stderr, "bplint: fixed %s\n", relTo(root, file))
-		}
-		// Fixes invalidate positions and may unlock further fixes (or
-		// have been skipped as overlapping); re-analyze until quiescent.
-		for rounds := 0; len(changed) > 0 && rounds < 8; rounds++ {
-			if findings, err = run(); err != nil {
-				fatal(err)
-			}
-			if changed, err = lint.ApplyFixes(findings); err != nil {
-				fatal(err)
-			}
-			for _, file := range changed {
-				fmt.Fprintf(os.Stderr, "bplint: fixed %s\n", relTo(root, file))
-			}
-		}
-		if findings, err = run(); err != nil {
-			fatal(err)
-		}
+	pkgs, err = filterPackages(pkgs, root, flag.Args())
+	if err != nil {
+		fatal(err)
 	}
+	findings := lint.RunParallel(pkgs, selected, lint.RunOptions{Parallel: *parallel})
 
 	if *update {
 		if *baseline == "" {
@@ -213,14 +178,6 @@ func filterPackages(pkgs []*lint.Package, root string, patterns []string) ([]*li
 		}
 	}
 	return out, nil
-}
-
-// relTo shortens an absolute path to the module root when possible.
-func relTo(root, file string) string {
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
-	}
-	return file
 }
 
 func fatal(err error) {

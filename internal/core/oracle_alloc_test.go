@@ -3,8 +3,8 @@
 // //bplint:hot-annotated stream functions. The per-record machinery —
 // window emission and beam-state collection — must be allocation-free
 // once its epoch scratch and key buffer exist; only the amortized miss
-// paths (candidate-table growth, watermark prunes) and the once-per-
-// branch scoring setup may allocate, and those carry justified
+// paths (candidate-table and histogram growth, watermark prunes) and the
+// once-per-branch scoring setup may allocate, and those carry justified
 // //bplint:ignore directives in oracle_kernel.go.
 package core
 
@@ -29,11 +29,10 @@ func TestOracleEmitterAllocs(t *testing.T) {
 }
 
 // TestCollectStreamAllocs pins the pass-2/3 collection loop's steady
-// state: with every branch's instance planes preallocated to its
-// dynamic count (as newBeamMatcher sizes them), replaying the stream
-// over reset planes allocates nothing per record — for one window and
-// for the shared multi-window walk, with the profile pass's signature
-// classes.
+// state: once every branch's state histograms hold their vectors,
+// replaying the stream over emptied histograms (same slot arrays, same
+// capacity) allocates nothing per record — for one window and for the
+// shared multi-window walk, with the signature classes.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
@@ -44,14 +43,16 @@ func TestCollectStreamAllocs(t *testing.T) {
 		pcs := sortedPCs(cands)
 		matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
 		em := newPackedEmitter(pt, windows)
-		collectTrace(em, matchers, memo) // warm the emitter and memo scratch
+		collectTrace(em, matchers, memo) // warm the emitter and the histograms
 		allocs := testing.AllocsPerRun(3, func() {
 			for _, bm := range matcherOf {
-				for _, m := range bm.mats {
-					clear(m)
+				for w := range bm.hists {
+					h := &bm.hists[w]
+					for s := range h.slots {
+						h.slots[s] = -1
+					}
+					h.keys, h.cnts = h.keys[:0], h.cnts[:0]
 				}
-				clear(bm.outs)
-				bm.n = 0
 			}
 			collectTrace(em, matchers, memo)
 		})

@@ -245,3 +245,116 @@ func TestPruneBiasRegression(t *testing.T) {
 		mustEqualCandidates(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates, ReferenceProfileCandidates(tr, cfg))
 	}
 }
+
+// sharedVectorTrace builds a trace whose branch X (0x80) has many path
+// classes at window 32 that resolve to one window-8 state vector with
+// different outcome mixes, next to many records the path memo declines.
+// Each iteration runs Y (0x10, random), eleven fillers (0x20..0x48;
+// fixed directions except the random F9 at 0x44, which sits inside X's
+// window 8) and X. In a plain iteration X copies Y, flipped one time in
+// eight: Y lies outside window 8, so classes that differ only in Y
+// share X's window-8 vector but not its outcomes. One iteration in
+// six first runs a burst of three random noise branches, whose path
+// signatures almost never repeat, and there X copies F9 instead, so
+// the declined records carry a correlation of their own.
+func sharedVectorTrace(n int) *trace.Trace {
+	tr := trace.New("shared-vectors", 0)
+	rng := diffRng(77)
+	for tr.Len() < n {
+		burst := rng.next()%6 == 0
+		if burst {
+			for k := 0; k < 3; k++ {
+				tr.Append(rec(trace.Addr(0x1000+4*(rng.next()%64)), rng.bit()))
+			}
+		}
+		y := rng.bit()
+		tr.Append(rec(0x10, y))
+		var f9 bool
+		for j := 0; j < 11; j++ {
+			taken := j%3 == 0
+			if j == 9 {
+				f9 = rng.bit()
+				taken = f9
+			}
+			tr.Append(rec(trace.Addr(0x20+4*j), taken))
+		}
+		x := y != (rng.next()%8 == 0)
+		if burst {
+			x = f9
+		}
+		tr.Append(rec(0x80, x))
+	}
+	return tr
+}
+
+// TestOracleSelectSharedStateVectors pins the collection pass's
+// state-vector histograms against the reference where they merge work:
+// distinct path classes of one branch that resolve to the same state
+// vector with different outcome mixes must add their counts to one
+// entry, and the records the memo declined must add theirs one by one.
+// The trace is first checked to have both features, then the shared
+// two-window pass is compared with ReferenceSelectRefs at TopK 1, 16
+// and 32.
+func TestOracleSelectSharedStateVectors(t *testing.T) {
+	tr := sharedVectorTrace(8_000)
+	pt := tr.Packed()
+	windows := []int{8, 32}
+	const x = trace.Addr(0x80)
+
+	memo := newPackedMemo(pt, windows[1])
+	cands := profileWindows(pt, memo, windows, OracleConfig{}.WithDefaults())
+	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt.Addrs())
+	bm := matcherOf[x]
+	if bm == nil {
+		t.Fatal("branch X has no beam")
+	}
+	em := newPackedEmitter(pt, windows)
+	type mix struct{ n, taken int32 }
+	byVec := map[uint64][]mix{}
+	for c, rep := range memo.reps {
+		if n := memo.counts[c]; n > 0 && pt.Addrs()[pt.IDs()[rep]] == x {
+			vec := collectWalk(em, bm, int(rep))[0]
+			byVec[vec] = append(byVec[vec], mix{n, memo.classTaken[c]})
+		}
+	}
+	shared := false
+	for _, mixes := range byVec {
+		for _, m := range mixes[1:] {
+			shared = shared || m.taken*mixes[0].n != mixes[0].taken*m.n
+		}
+	}
+	if !shared {
+		t.Fatalf("no two classes of X share a window-8 vector with different outcome mixes: %v", byVec)
+	}
+	declined, instances := 0, 0
+	for i, id := range pt.IDs() {
+		if pt.Addrs()[id] == x {
+			instances++
+			if memo.class[i] < 0 {
+				declined++
+			}
+		}
+	}
+	if declined*10 < instances {
+		t.Fatalf("X has %d declined records of %d, want at least a tenth", declined, instances)
+	}
+	walks := 0
+	for _, mixes := range byVec {
+		walks += len(mixes)
+	}
+	collectTrace(em, matchers, memo)
+	if entries := len(bm.hists[0].keys); entries >= walks {
+		t.Errorf("X's window-8 histogram holds %d entries for %d class walks and %d declined records, want fewer than the class walks",
+			entries, walks, declined)
+	}
+
+	for _, topK := range []int{1, 16, 32} {
+		got := OracleWindows(tr, windows, OracleOptions{OracleConfig: OracleConfig{TopK: topK}})
+		for w, n := range windows {
+			t.Run(fmt.Sprintf("topk=%d/w=%d", topK, n), func(t *testing.T) {
+				cfg := OracleConfig{WindowLen: n, TopK: topK}
+				mustEqualSelections(t, got[w], ReferenceSelectRefs(tr, ReferenceProfileCandidates(tr, cfg), cfg))
+			})
+		}
+	}
+}

@@ -25,11 +25,12 @@ import (
 //     become open-addressed flat candidate tables keyed by packed ref
 //     keys (candTable);
 //   - the reference's pass 2 (all pairs) and pass 3 (triple extensions)
-//     trace streams fold into ONE stream that records each dynamic
-//     instance's candidate states into per-branch bit-sliced
-//     taken/not-taken planes; pairs and triples are then scored
-//     off-trace with popcount kernels, embarrassingly parallel per
-//     branch through the internal/runner worker pool.
+//     trace streams fold into ONE stream that tallies each branch's
+//     joint (beam-state vector, outcome) distribution into a small
+//     per-window histogram (stateHist): the paper's §3.4 pattern table,
+//     with counts in place of counters. Pairs and triples are then
+//     scored off-trace by summing over its entries, embarrassingly
+//     parallel per branch through the internal/runner worker pool.
 //
 // Every pass also serves several window lengths at once. Both tagging
 // schemes resolve an entry's tag from strictly more-recent entries, so
@@ -38,7 +39,7 @@ import (
 // smaller window's emissions end. Profile counts are bucketed by the
 // smallest window that saw them (window-n statistics are prefix sums),
 // and the collection stream resolves each branch's union of per-window
-// beams once per record. A one-window run is the same code with one
+// beams once per walk. A one-window run is the same code with one
 // bucket.
 //
 // Both passes also walk once per distinct path signature, not once per
@@ -46,11 +47,12 @@ import (
 // the previous n (id, taken, backward) entries, so records are first
 // classified by that signature (pathmemo.go) and each class of repeated
 // signatures walks once, at its first record: the profile pass adds the
-// class's outcome counts in one go, and the collection pass sets the
-// class's plane bits in every instance it holds. Only the first n
+// class's outcome counts in one go, and the collection pass adds them
+// to the histogram entry of the class's state vectors. Only the first n
 // records, one-record classes and records the memo declined (budget or
-// bypass) walk on their own, in record order. The classes are computed
-// once per oracle run, over the whole trace, and both passes share them.
+// bypass) walk on their own, in record order. The classes and their
+// outcome counts are computed once per oracle run, over the whole trace,
+// and both passes share them.
 //
 // Net: 3 trace passes -> 2 for any number of windows, one emitter walk
 // per distinct signature, no per-candidate allocations, no closures in
@@ -153,9 +155,9 @@ type oracleEmitter struct {
 	gen     uint64        // current emit generation
 	seg     uint64        // current backward-segment stamp
 
-	keys []uint64  // emitted packed ref keys | direction bit, Visit order
-	ends []int     // ends[w]: window windows[w]'s emissions are keys[:ends[w]]
-	ops  []planeOp // collection scratch: the last collectWalk's plane writes
+	keys []uint64 // emitted packed ref keys | direction bit, Visit order
+	ends []int    // ends[w]: window windows[w]'s emissions are keys[:ends[w]]
+	vecs []uint64 // collection scratch: the last collectWalk's state vector per window
 
 	mark uint64 // current focus stamp
 }
@@ -231,6 +233,7 @@ func newOracleEmitter(windows []int) *oracleEmitter {
 		windows: append([]int(nil), windows...),
 		keys:    make([]uint64, 0, 2*n),
 		ends:    make([]int, len(windows)),
+		vecs:    make([]uint64, len(windows)),
 	}
 }
 
@@ -337,33 +340,29 @@ func (e *oracleEmitter) emit(i int, focused bool) {
 	}
 }
 
-// candTable is an open-addressed (linear-probe) candidate table: slots
-// hold indices into the dense keys/cnts columns, so probing touches one
-// flat int32 array and stats updates touch one flat counter row — no
-// pointers, no per-candidate allocation. Each candidate's row holds one
-// joint distribution per window bucket, cnts[bucket*4 + state*2 +
-// outcome] (state/outcome 0 = taken, 1 = not-taken), where bucket b
-// counts the emissions whose smallest covering window is the b-th. It
-// reproduces the reference's mid-stream watermark prune (see
-// OracleConfig.MaxCandidates) bit for bit for the largest window.
-type candTable struct {
-	slots  []int32 // index into keys, -1 = empty; power-of-two sized
-	shift  uint    // 64 - log2(len(slots)), for fibonacci hashing
-	keys   []uint64
-	cnts   []uint32 // stride counters per candidate
-	stride int      // 4 × window buckets
-	prunes int      // watermark prunes fired (summed into core.oracle.prune.events)
+// keyIndex is an open-addressed (linear-probe) index over a dense key
+// column: slots hold indices into keys, so probing touches one flat
+// int32 array, and the tables built on it keep their counters in flat
+// rows aligned with keys — no pointers, no per-entry allocation.
+type keyIndex struct {
+	slots []int32 // index into keys, -1 = empty; power-of-two sized
+	shift uint    // 64 - log2(len(slots)), for fibonacci hashing
+	keys  []uint64
 }
 
-const candTableInitSlots = 16
+const keyIndexInitSlots = 16
+
+// init sizes the slot array up front, so hot loops that hand-inline the
+// hit path (probe + increment) never check for a nil table.
+func (x *keyIndex) init() { x.rebuild(keyIndexInitSlots) }
 
 // probe returns the slot holding key, or the first empty slot of its
 // probe chain.
-func (t *candTable) probe(key uint64) int {
-	slots := t.slots
-	keys := t.keys
+func (x *keyIndex) probe(key uint64) int {
+	slots := x.slots
+	keys := x.keys
 	mask := uint64(len(slots) - 1)
-	h := (key * 0x9E3779B97F4A7C15) >> t.shift
+	h := (key * 0x9E3779B97F4A7C15) >> x.shift
 	for {
 		s := slots[h]
 		if s < 0 || keys[s] == key {
@@ -373,15 +372,47 @@ func (t *candTable) probe(key uint64) int {
 	}
 }
 
-// init sizes the slot array up front for the given number of window
-// buckets; the counting loop hand-inlines the hit path (probe +
-// increment), so it never checks for a nil table.
-func (t *candTable) init(buckets int) {
-	t.slots = make([]int32, candTableInitSlots)
-	for i := range t.slots {
-		t.slots[i] = -1
+// push appends key at the empty slot h that probe returned for it, and
+// doubles the slot array at 3/4 load.
+func (x *keyIndex) push(h int, key uint64) {
+	x.keys = append(x.keys, key)
+	x.slots[h] = int32(len(x.keys) - 1)
+	if 4*len(x.keys) >= 3*len(x.slots) {
+		x.rebuild(2 * len(x.slots))
 	}
-	t.shift = 64 - uint(bits.TrailingZeros(candTableInitSlots))
+}
+
+// rebuild re-inserts every key into a fresh slot array of the given
+// power-of-two size.
+func (x *keyIndex) rebuild(size int) {
+	slots := make([]int32, size)
+	for i := range slots {
+		slots[i] = -1
+	}
+	x.slots = slots
+	x.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	for i, key := range x.keys {
+		slots[x.probe(key)] = int32(i)
+	}
+}
+
+// candTable is pass 1's per-branch candidate table: a keyIndex over
+// packed ref keys. Each candidate's row holds one joint distribution per
+// window bucket, cnts[bucket*4 + state*2 + outcome] (state/outcome 0 =
+// taken, 1 = not-taken), where bucket b counts the emissions whose
+// smallest covering window is the b-th. It reproduces the reference's
+// mid-stream watermark prune (see OracleConfig.MaxCandidates) bit for
+// bit for the largest window.
+type candTable struct {
+	keyIndex
+	cnts   []uint32 // stride counters per candidate
+	stride int      // 4 × window buckets
+	prunes int      // watermark prunes fired (summed into core.oracle.prune.events)
+}
+
+// init readies the table for the given number of window buckets.
+func (t *candTable) init(buckets int) {
+	t.keyIndex.init()
 	t.stride = 4 * buckets
 }
 
@@ -405,15 +436,11 @@ func (t *candTable) insert(h int, key uint64, cell int, wt [2]uint32, maxCandida
 		t.prune(maxCandidates, addrs)
 		h = t.probe(key) // table rebuilt: find the new insert slot
 	}
-	t.keys = append(t.keys, key)
 	n := len(t.cnts)
 	t.cnts = slices.Grow(t.cnts, t.stride)[:n+t.stride]
 	clear(t.cnts[n:])
 	t.cnts[n+cell], t.cnts[n+cell+1] = wt[0], wt[1]
-	t.slots[h] = int32(len(t.keys) - 1)
-	if 4*len(t.keys) >= 3*len(t.slots) {
-		t.rebuild(2 * len(t.slots))
-	}
+	t.push(h, key)
 }
 
 // prune keeps only the maxKeep candidates with the highest presence
@@ -446,20 +473,6 @@ func (t *candTable) prune(maxKeep int, addrs []trace.Addr) {
 	}
 	t.keys, t.cnts = keys, cnts
 	t.rebuild(len(t.slots))
-}
-
-// rebuild re-inserts every candidate into a fresh slot array of the
-// given power-of-two size.
-func (t *candTable) rebuild(size int) {
-	slots := make([]int32, size)
-	for i := range slots {
-		slots[i] = -1
-	}
-	t.slots = slots
-	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
-	for i, key := range t.keys {
-		slots[t.probe(key)] = int32(i)
-	}
 }
 
 // kernelProfile is the pass-1 state for one static branch (dense-ID
@@ -596,21 +609,21 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 }
 
 // oracleMemo is one packed trace's path-signature classes (see
-// pathmemo.go), shared by the profile and collection passes over it,
-// with the passes' per-class scratch and the memo counters they feed.
+// pathmemo.go) and their outcome counts, shared by the profile and
+// collection passes over it, with the memo counters they feed.
 type oracleMemo struct {
 	pathMemo
-	class []int32 // class of each position; -1 = per-record walk
-	aux   []int32 // per class: taken instances (profile), then next free slot in insts (collection)
-	insts []int32 // collection: instance indices grouped by class
-	walks int64   // walks made once for a whole class
-	hits  int64   // records a class walk served without walking
+	class      []int32 // class of each position; -1 = per-record walk
+	classTaken []int32 // per class: instances that resolved taken
+	walks      int64   // walks made once for a whole class
+	hits       int64   // records a class walk served without walking
 }
 
 // newPackedMemo classifies every record of a packed trace by its
-// signature at window n. A class of one record saves no walk, so that
-// record is unclassified again (and its class's count zeroed): it walks
-// on the spot, in record order.
+// signature at window n and counts each class's taken instances. A
+// class of one record saves no walk, so that record is unclassified
+// again (and its class's count zeroed): it walks on the spot, in record
+// order.
 func newPackedMemo(pt *trace.Packed, n int) *oracleMemo {
 	m := &oracleMemo{}
 	m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n, 0, pt.Len())
@@ -618,11 +631,18 @@ func newPackedMemo(pt *trace.Packed, n int) *oracleMemo {
 	for i := range m.class {
 		m.class[i], _ = m.classify(i)
 	}
+	m.classTaken = make([]int32, len(m.reps))
+	taken := pt.TakenWords()
 	for i, c := range m.class {
-		if c >= 0 && m.counts[c] == 1 {
+		if c < 0 {
+			continue
+		}
+		if m.counts[c] == 1 {
 			m.class[i] = -1
 			m.counts[c] = 0
+			continue
 		}
+		m.classTaken[c] += int32(taken[i>>6] >> (uint(i) & 63) & 1)
 	}
 	m.tags, m.slots = nil, nil // the trace is classified; no lookup follows
 	return m
@@ -631,7 +651,7 @@ func newPackedMemo(pt *trace.Packed, n int) *oracleMemo {
 // release drops the memo's per-record and per-class arrays once the
 // collection pass is done with them, so scoring runs without them live.
 func (m *oracleMemo) release() {
-	m.class, m.aux, m.insts = nil, nil, nil
+	m.class, m.classTaken = nil, nil
 	m.reps, m.counts = nil, nil
 }
 
@@ -669,27 +689,23 @@ func newProfiler(pt *trace.Packed, windows []int, cfg OracleConfig) *profiler {
 
 // profileTrace is pass 1 over every record of the trace. Every record's
 // outcome lands in its branch's totals. A record the memo classified
-// only counts toward its class's taken instances; the rest walk on the
-// spot. Then each class walks once, at its representative, with its
-// instances by outcome. Counts are sums, so the order only matters to
-// the watermark prune (see rerunPruned).
+// is counted by its class; the rest walk on the spot. Then each class
+// walks once, at its representative, with its instances by outcome.
+// Counts are sums, so the order only matters to the watermark prune
+// (see rerunPruned).
 //
 //bplint:hot
 func (pf *profiler) profileTrace(memo *oracleMemo) {
 	ids := pf.em.ids
 	profiles := pf.profiles
-	class, reps, counts := memo.class, memo.reps, memo.counts
-	taken := slices.Grow(memo.aux[:0], len(reps))[:len(reps)]
-	memo.aux = taken
-	clear(taken)
+	class, reps, counts, taken := memo.class, memo.reps, memo.counts, memo.classTaken
 	for i, id := range ids {
 		out := 1
 		if pf.em.taken1(i) {
 			out = 0
 		}
 		profiles[id].total[out]++
-		if c := class[i]; c >= 0 {
-			taken[c] += int32(1 - out)
+		if class[i] >= 0 {
 			continue
 		}
 		var wt [2]uint32
@@ -783,34 +799,30 @@ func (pf *profiler) walk(i int, wt [2]uint32) {
 	}
 }
 
-// beamMatcher resolves emitted ref keys for one static branch against
-// the union of its per-window beams, and holds each window's instance
-// matrix: for every dynamic instance t and beam slot, bit t of the
-// slot's taken plane or not-taken plane is set when the candidate was in
-// that state (neither bit: StateAbsent). The outcome bitset is shared by
-// every window — each sees the same instances.
-type beamMatcher struct {
-	set   refKeySet // union of the windows' packed beam keys
-	slots []int8    // [key index × windows + w]: the key's slot in beam w, -1 if absent
-	mats  [][]uint64
-	outs  []uint64 // bit t = instance t resolved taken
-	words int      // words per plane
-	n     int      // instances collected
-}
+// A state vector packs one dynamic instance's states for one window's
+// beam, two bits per beam slot (slot s at bits 2s and 2s+1): zero while
+// the candidate is absent from the window, stateVecTaken or
+// stateVecNotTaken when it is present. maxTopK slots fill one uint64.
+const (
+	stateVecTaken    = 1
+	stateVecNotTaken = 2
+)
 
-// plane returns window w's bit plane for beam slot and state (0 =
-// taken, 1 = not-taken).
-func (bm *beamMatcher) plane(w, slot, state int) []uint64 {
-	off := (2*slot + state) * bm.words
-	return bm.mats[w][off : off+bm.words]
+// beamMatcher resolves emitted ref keys for one static branch against
+// the union of its per-window beams, and holds each window's state
+// histogram.
+type beamMatcher struct {
+	set   refKeySet   // union of the windows' packed beam keys
+	slots []int8      // [key index × windows + w]: the key's slot in beam w, -1 if absent
+	hists []stateHist // per window; an empty beam's histogram has no slot array
 }
 
 // newBeamMatcher builds a matcher over one branch's per-window beams
-// (beams[w] may be empty) for total dynamic instances. idOf maps each PC
-// of the trace's intern table to its dense ID.
-func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, total int) *beamMatcher {
+// (beams[w] may be empty). idOf maps each PC of the trace's intern
+// table to its dense ID.
+func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref) *beamMatcher {
 	nw := len(beams)
-	bm := &beamMatcher{words: (total + 63) / 64, mats: make([][]uint64, nw)}
+	bm := &beamMatcher{hists: make([]stateHist, nw)}
 	type keySlot struct {
 		key     uint64
 		w, slot int
@@ -818,7 +830,7 @@ func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, total int) *beamMa
 	var pairs []keySlot
 	for w, refs := range beams {
 		if len(refs) > 0 {
-			bm.mats[w] = make([]uint64, 2*len(refs)*bm.words)
+			bm.hists[w].init()
 		}
 		for slot, r := range refs {
 			rid, ok := idOf[r.PC]
@@ -845,27 +857,43 @@ func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, total int) *beamMa
 		bm.slots[(len(keys)-1)*nw+p.w] = int8(p.slot)
 	}
 	bm.set = newRefKeySet(keys)
-	bm.outs = make([]uint64, bm.words)
 	return bm
 }
 
-// grow doubles the instance capacity — only reached when a caller's
-// Candidates under-report a branch's dynamic count.
-func (bm *beamMatcher) grow() {
-	old, words := bm.words, 2*bm.words+1
-	mats := bm.mats
-	for w, m := range mats {
-		if m == nil {
-			continue
+// add counts wt (instances by outcome) under each window's state
+// vector vecs[w].
+func (bm *beamMatcher) add(vecs []uint64, wt [2]uint32) {
+	hists := bm.hists
+	for w := range hists {
+		if h := &hists[w]; h.slots != nil {
+			h.add(vecs[w], wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
 		}
-		grown := make([]uint64, len(m)/old*words) //bplint:ignore kernel-purity growth path for under-reported instance counts only
-		for p := 0; p < len(m)/old; p++ {
-			copy(grown[p*words:], m[p*old:(p+1)*old])
-		}
-		mats[w] = grown
 	}
-	bm.outs = append(bm.outs, make([]uint64, words-bm.words)...)
-	bm.words = words
+}
+
+// stateHist is one branch's joint (state vector, outcome) distribution
+// over one window's beam — the paper's §3.4 pattern table, with counts
+// in place of counters: a keyIndex over the vectors the branch's
+// instances resolved to, each with its instances by outcome. All
+// instances of a path-signature class resolve to one vector, so a
+// k-candidate beam's histogram holds at most min(3^k, classes +
+// declined records) entries.
+type stateHist struct {
+	keyIndex
+	cnts [][2]uint32 // aligned with keys: instances by outcome (0 = taken, 1 = not-taken)
+}
+
+// add counts wt (instances by outcome) under vec.
+func (h *stateHist) add(vec uint64, wt [2]uint32) {
+	s := h.probe(vec)
+	if e := h.slots[s]; e >= 0 {
+		c := &h.cnts[e]
+		c[0] += wt[0]
+		c[1] += wt[1]
+		return
+	}
+	h.cnts = append(h.cnts, wt)
+	h.push(s, vec)
 }
 
 // branchSelection is one branch's scored selections, written into a
@@ -888,14 +916,16 @@ type branchSelection struct {
 // Result w is bit-identical to ReferenceSelectRefs at windows[w].
 //
 // The passes fold into a single collection stream plus an off-trace
-// scoring stage. For every dynamic instance of a branch with a
-// non-empty beam in some window it resolves the window-max emissions
-// against the union of the branch's beams — once per path-signature
-// class of memo — and sets each window's bit planes; the
-// exact pair/triple joint distributions are then recovered per window
-// and branch with popcount kernels and scored in parallel across the
+// scoring stage. Once per path-signature class of memo (and once per
+// record the memo declined) of a branch with a non-empty beam in some
+// window, it resolves the window-max emissions against the union of the
+// branch's beams into one state vector per window, and adds the class's
+// outcome counts to that vector's histogram entry. The exact pair and
+// triple joint distributions are then summed per window and branch from
+// the histogram entries and scored in parallel across the
 // internal/runner pool (cfg.ScoreParallel workers, identical output at
 // any level). The memo's arrays are released once collection is done.
+// core.oracle.select.patterns counts the histogram entries.
 func selectWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.select").End()
@@ -903,11 +933,18 @@ func selectWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cands []ma
 	pcs := sortedPCs(cands)
 	matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
 
-	// Collection stream: one pass over the trace, one set of plane bits
-	// per dynamic instance.
+	// Collection stream: one walk per class or declined record, one
+	// histogram count per window.
 	collectTrace(newPackedEmitter(pt, windows), matchers, memo)
 	memo.flush(reg)
 	memo.release()
+	entries := int64(0)
+	for _, bm := range matcherOf {
+		for w := range bm.hists {
+			entries += int64(len(bm.hists[w].keys))
+		}
+	}
+	reg.Counter("core.oracle.select.patterns").Add(entries)
 
 	out := make([]*Selections, len(windows))
 	for w := range windows {
@@ -947,19 +984,18 @@ func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, addrs [
 	matcherOf := make(map[trace.Addr]*beamMatcher, len(pcs))
 	beams := make([][]Ref, len(cands))
 	for _, pc := range pcs {
-		total, any := 0, false
+		any := false
 		for w, m := range cands {
 			beams[w] = nil
 			if c := m[pc]; c != nil {
 				beams[w] = c.Refs
-				total = max(total, c.Total)
 				any = any || len(c.Refs) > 0
 			}
 		}
 		if !any {
 			continue
 		}
-		bm := newBeamMatcher(idOf, beams, total)
+		bm := newBeamMatcher(idOf, beams)
 		matcherOf[pc] = bm
 		if rid, ok := idOf[pc]; ok {
 			matchers[rid] = bm
@@ -979,12 +1015,12 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 		if c == nil || len(c.Refs) == 0 {
 			continue
 		}
-		i, bm, refs := i, matcherOf[pc], c.Refs
+		i, h, refs := i, &matcherOf[pc].hists[w], c.Refs
 		cells = append(cells, runner.Cell{
 			Exhibit:  "oracle-score",
 			Workload: fmt.Sprintf("0x%x", uint32(pc)),
 			Run: func(context.Context) error {
-				results[i] = scoreBranch(refs, bm, w)
+				results[i] = scoreBranch(refs, h)
 				return nil
 			},
 		})
@@ -1010,91 +1046,53 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 	return sel
 }
 
-// A planeOp is one bit-plane write of a collection walk: window w's
-// plane word at offset off (plus the instance's word) gets the
-// instance's bit.
-type planeOp struct{ w, off int32 }
-
-// apply sets instance t's bit at every plane op.
-func (bm *beamMatcher) apply(ops []planeOp, t int) {
-	word, bit := t>>6, uint64(1)<<(uint(t)&63)
-	mats := bm.mats
-	for _, op := range ops {
-		mats[op.w][int(op.off)+word] |= bit
-	}
-}
-
-// collectTrace is the folded pass-2/3 loop over every record of the
-// trace: every dynamic instance of a branch with a beam gets its
-// instance index and outcome bit, and its plane bits from the walk of
-// its window. A record the memo classified is filed under its class;
-// the rest walk on the spot. Then each class walks once, at its
-// representative, and sets the same bits for every instance filed under
-// it — the bits depend only on the signature, so the planes are
-// identical to the per-record walk's.
+// collectTrace is the folded pass-2/3 loop over the trace: each record
+// the memo declined walks on its own and adds itself to its branch's
+// histograms; then each class walks once, at its representative, and
+// adds all its instances by outcome. The vectors depend only on the
+// signature, so the histograms are identical to a per-record walk's.
 //
 //bplint:hot
 func collectTrace(em *oracleEmitter, matchers []*beamMatcher, memo *oracleMemo) {
 	ids := em.ids
-	class, counts := memo.class, memo.counts
-	next := slices.Grow(memo.aux[:0], len(counts))[:len(counts)]
-	total := int32(0)
-	for c, n := range counts {
-		next[c] = total
-		total += n
-	}
-	insts := slices.Grow(memo.insts[:0], int(total))[:total]
-	memo.aux, memo.insts = next, insts
-	for i, id := range ids {
-		bm := matchers[id]
-		if bm == nil {
+	for i, c := range memo.class {
+		if c >= 0 {
 			continue
 		}
-		t := bm.n
-		bm.n++
-		if t>>6 >= bm.words {
-			bm.grow() //bplint:ignore kernel-purity reached only when caller-supplied Candidates under-report the instance count
+		if bm := matchers[ids[i]]; bm != nil {
+			wt := [2]uint32{0, 1}
+			if em.taken1(i) {
+				wt = [2]uint32{1, 0}
+			}
+			bm.add(collectWalk(em, bm, i), wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
 		}
-		if em.taken1(i) {
-			bm.outs[t>>6] |= uint64(1) << (uint(t) & 63) //bplint:ignore bce-hoist bm is selected per record; its outcome bitset cannot hoist above the record loop
-		}
-		if c := class[i]; c >= 0 {
-			insts[next[c]] = int32(t)
-			next[c]++
-			continue
-		}
-		bm.apply(collectWalk(em, bm, i), t) //bplint:ignore kernel-purity the walk's op scratch grows to the largest walk once, then is reused
 	}
-	start := int32(0)
+	counts, taken := memo.counts, memo.classTaken
 	for c, rep := range memo.reps {
 		n := counts[c]
 		if bm := matchers[ids[rep]]; bm != nil && n > 0 {
-			ops := collectWalk(em, bm, int(rep)) //bplint:ignore kernel-purity the walk's op scratch grows to the largest walk once, then is reused
-			for _, t := range insts[start : start+n] {
-				bm.apply(ops, int(t))
-			}
+			bm.add(collectWalk(em, bm, int(rep)), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
 			memo.walks++
 			memo.hits += int64(n - 1)
 		}
-		start += n
 	}
 }
 
 // collectWalk is the collection's one emission loop: it resolves
 // position i's walk against the union of bm's beams and returns the
-// plane writes it implies — for each resolved key, its state's plane in
-// every window whose prefix holds the emission — in the emitter's
-// scratch. Each key occurs at most once per walk, so the walk stops
-// once every union key has resolved. The matcher changes every call, so
-// its headers cannot hoist.
+// state vector of every window — each resolved key's state in the slot
+// it holds in each window whose prefix holds the emission — in the
+// emitter's scratch. Each key occurs at most once per walk, so the walk
+// stops once every union key has resolved. The matcher changes every
+// call, so its headers cannot hoist.
 //
 //bplint:hot
-func collectWalk(em *oracleEmitter, bm *beamMatcher, i int) []planeOp {
+func collectWalk(em *oracleEmitter, bm *beamMatcher, i int) []uint64 {
 	em.focus(&bm.set)
 	em.emit(i, true)
-	ops := em.ops[:0]
-	nw := len(em.windows)
-	words := bm.words
+	vecs := em.vecs
+	clear(vecs)
+	nw := len(vecs)
 	remaining := len(bm.set.keys)
 	start := 0
 walk:
@@ -1104,13 +1102,13 @@ walk:
 			if ki < 0 {
 				continue
 			}
-			state := 0
-			if key&refKeyTakenBit == 0 {
-				state = 1
+			state := uint64(stateVecNotTaken)
+			if key&refKeyTakenBit != 0 {
+				state = stateVecTaken
 			}
 			for w := b; w < nw; w++ {
-				if slot := int(bm.slots[ki*nw+w]); slot >= 0 { //bplint:ignore bce-hoist bm changes every call; its slot array cannot hoist
-					ops = append(ops, planeOp{int32(w), int32((2*slot + state) * words)}) //bplint:ignore kernel-purity the scratch grows to the largest walk once, then is reused
+				if slot := bm.slots[ki*nw+w]; slot >= 0 { //bplint:ignore bce-hoist bm changes every call; its slot array cannot hoist
+					vecs[w] |= state << (2 * uint(slot))
 				}
 			}
 			remaining--
@@ -1120,200 +1118,71 @@ walk:
 		}
 		start = end
 	}
-	em.ops = ops
-	return ops
+	return vecs
 }
 
-// jointCount is one joint pattern's instance count and how many of
-// those instances resolved taken.
-type jointCount struct{ tot, taken uint32 }
-
-func (j jointCount) minus(a, b jointCount) jointCount {
-	return jointCount{j.tot - a.tot - b.tot, j.taken - a.taken - b.taken}
-}
-
-// score is the statically-filled-PHT correct count of the pattern:
-// max(taken, not-taken).
-func (j jointCount) score() uint32 { return max(j.taken, j.tot-j.taken) }
-
-// countPlane tallies the instances set in plane a, split by outcome.
-func countPlane(a, outT []uint64) jointCount {
-	var c jointCount
-	for w, aw := range a {
-		c.tot += uint32(bits.OnesCount64(aw))
-		c.taken += uint32(bits.OnesCount64(aw & outT[w]))
+// score is subsetScore for the candidates at beam slots a, b and c
+// (c < 0: the pair a, b alone): each entry's instances land in the
+// joint pattern of those slots' 2-bit states. A shift past the vector
+// reads the missing third slot as absent, so a pair fills 9 of the 64
+// patterns.
+func (h *stateHist) score(a, b, c int) uint32 {
+	sa, sb, sc := 2*uint(a), 2*uint(b), uint(64)
+	if c >= 0 {
+		sc = 2 * uint(c)
 	}
-	return c
-}
-
-// countAnd tallies the instances set in both a and b, split by outcome.
-func countAnd(a, b, outT []uint64) jointCount {
-	var c jointCount
-	for w, aw := range a {
-		x := aw & b[w]
-		c.tot += uint32(bits.OnesCount64(x))
-		c.taken += uint32(bits.OnesCount64(x & outT[w]))
+	var flat [64 * 2]uint32
+	cnts := h.cnts[:len(h.keys)]
+	for e, vec := range h.keys {
+		i := 2 * ((vec>>sa&3)<<4 | (vec>>sb&3)<<2 | vec>>sc&3)
+		flat[i] += cnts[e][0]
+		flat[i+1] += cnts[e][1]
 	}
-	return c
-}
-
-// planeScorer recovers one branch's subset scores for one window from
-// its taken/not-taken planes. Absent-state patterns are never
-// materialized as planes: each is a marginal minus its present-state
-// patterns, so a pair costs four plane intersections, not nine.
-type planeScorer struct {
-	bm   *beamMatcher
-	w    int
-	outT []uint64
-	marg [maxTopK][NumStates]jointCount // per-slot single-candidate patterns
-}
-
-func newPlaneScorer(bm *beamMatcher, w, k int) *planeScorer {
-	s := &planeScorer{bm: bm, w: w, outT: bm.outs}
-	all := jointCount{uint32(bm.n), countPlane(bm.outs, bm.outs).taken}
-	for slot := 0; slot < k; slot++ {
-		m := &s.marg[slot]
-		m[StateTaken] = countPlane(bm.plane(w, slot, 0), s.outT)
-		m[StateNotTaken] = countPlane(bm.plane(w, slot, 1), s.outT)
-		m[StateAbsent] = all.minus(m[StateTaken], m[StateNotTaken])
-	}
-	return s
-}
-
-// singleScore is subsetScore for a one-candidate subset.
-func (s *planeScorer) singleScore(a int) uint32 {
-	score := uint32(0)
-	for _, j := range s.marg[a] {
-		score += j.score()
-	}
-	return score
-}
-
-// pairScore is subsetScore for a two-candidate subset: the four
-// present-state patterns by plane intersection, the five absent-state
-// ones by subtraction from the marginals.
-func (s *planeScorer) pairScore(a, b int) uint32 {
-	var j [NumStates][NumStates]jointCount
-	for sa := 0; sa < 2; sa++ {
-		for sb := 0; sb < 2; sb++ {
-			j[sa][sb] = countAnd(s.bm.plane(s.w, a, sa), s.bm.plane(s.w, b, sb), s.outT)
-		}
-	}
-	for st := 0; st < 2; st++ {
-		j[st][StateAbsent] = s.marg[a][st].minus(j[st][0], j[st][1])
-		j[StateAbsent][st] = s.marg[b][st].minus(j[0][st], j[1][st])
-	}
-	j[StateAbsent][StateAbsent] = s.marg[a][StateAbsent].minus(j[StateAbsent][0], j[StateAbsent][1])
-	score := uint32(0)
-	for sa := range j {
-		for _, c := range j[sa] {
-			score += c.score()
-		}
-	}
-	return score
-}
-
-// pairPatterns materializes the nine joint-pattern masks of the pair
-// (a, b), pattern sa*3+sb, with the absent state as the complement of
-// the two present planes within the branch's instance count.
-func (s *planeScorer) pairPatterns(a, b int) *[9][]uint64 {
-	bm := s.bm
-	words := bm.words
-	flat := make([]uint64, 9*words)
-	var pm [9][]uint64
-	for p := range pm {
-		pm[p] = flat[p*words : (p+1)*words]
-	}
-	at, an := bm.plane(s.w, a, 0), bm.plane(s.w, a, 1)
-	bt, bn := bm.plane(s.w, b, 0), bm.plane(s.w, b, 1)
-	for x := 0; x < words; x++ {
-		valid := ^uint64(0)
-		if rest := bm.n - 64*x; rest < 64 {
-			valid = uint64(1)<<uint(max(rest, 0)) - 1
-		}
-		as := [NumStates]uint64{at[x], an[x], valid &^ (at[x] | an[x])}
-		bs := [NumStates]uint64{bt[x], bn[x], valid &^ (bt[x] | bn[x])}
-		for sa := 0; sa < NumStates; sa++ {
-			for sb := 0; sb < NumStates; sb++ {
-				pm[sa*3+sb][x] = as[sa] & bs[sb]
-			}
-		}
-	}
-	return &pm
-}
-
-// tripleScore is subsetScore for the best pair's nine pattern masks
-// extended by candidate c (27 joint patterns, the absent third by
-// subtraction).
-func (s *planeScorer) tripleScore(pm *[9][]uint64, pmMarg *[9]jointCount, c int) uint32 {
-	ct, cn := s.bm.plane(s.w, c, 0), s.bm.plane(s.w, c, 1)
-	score := uint32(0)
-	for p := range pm {
-		jt := countAnd(pm[p], ct, s.outT)
-		jn := countAnd(pm[p], cn, s.outT)
-		score += jt.score() + jn.score() + pmMarg[p].minus(jt, jn).score()
-	}
-	return score
+	return subsetScore(flat[:])
 }
 
 // scoreBranch recovers the reference's pass-2/pass-3 subset search for
-// one branch's window-w beam from its instance planes: exact best pair
-// by exhaustive popcount scoring (lexicographic enumeration, strict
+// one branch's window beam from its state histogram: the exact best
+// pair by exhaustive scoring (lexicographic enumeration, strict
 // improvement — the same tie-breaks as the reference), then the best
-// greedy triple extension of that pair.
+// greedy triple extension of that pair. Size 1 is pass 1's top
+// candidate, so a one-candidate beam scores nothing.
 //
 //bplint:hot
-func scoreBranch(refs []Ref, bm *beamMatcher, w int) branchSelection {
+func scoreBranch(refs []Ref, h *stateHist) branchSelection {
+	out := branchSelection{size1: []Ref{refs[0]}, size2: []Ref{refs[0]}}
+	out.size3 = out.size2
 	k := len(refs)
-	s := newPlaneScorer(bm, w, k)
-
+	if k == 1 {
+		return out
+	}
 	var bestI, bestJ int
 	var bestScore uint32
-	if k == 1 {
-		bestI, bestJ = 0, -1
-		bestScore = s.singleScore(0)
-	} else {
-		first := true
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				if sc := s.pairScore(i, j); first || sc > bestScore {
-					bestI, bestJ, bestScore = i, j, sc
-					first = false
-				}
+	first := true
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if sc := h.score(i, j, -1); first || sc > bestScore {
+				bestI, bestJ, bestScore = i, j, sc
+				first = false
 			}
 		}
 	}
-
-	var out branchSelection
-	out.size1 = []Ref{refs[0]}
-	if bestJ < 0 {
-		out.size2 = []Ref{refs[0]}
-	} else {
-		out.size2 = []Ref{refs[bestI], refs[bestJ]}
-	}
+	out.size2 = []Ref{refs[bestI], refs[bestJ]}
 	out.size3 = out.size2
 
-	if bestJ >= 0 && k > 2 {
-		pm := s.pairPatterns(bestI, bestJ)
-		var pmMarg [9]jointCount
-		for p := range pm {
-			pmMarg[p] = countPlane(pm[p], s.outT)
+	triBest, ext := bestScore, -1
+	for e := 0; e < k; e++ {
+		if e == bestI || e == bestJ {
+			continue
 		}
-		triBest := bestScore
-		ext := -1
-		for e := 0; e < k; e++ {
-			if e == bestI || e == bestJ {
-				continue
-			}
-			if sc := s.tripleScore(pm, &pmMarg, e); sc > triBest {
-				triBest, ext = sc, e
-			}
+		if sc := h.score(bestI, bestJ, e); sc > triBest {
+			triBest, ext = sc, e
 		}
-		if ext >= 0 {
-			tri := []int{bestI, bestJ, ext}
-			sort.Ints(tri)
-			out.size3 = []Ref{refs[tri[0]], refs[tri[1]], refs[tri[2]]}
-		}
+	}
+	if ext >= 0 {
+		tri := []int{bestI, bestJ, ext}
+		sort.Ints(tri)
+		out.size3 = []Ref{refs[tri[0]], refs[tri[1]], refs[tri[2]]}
 	}
 	return out
 }

@@ -195,10 +195,11 @@ func BenchmarkOracleWindowsSmall(b *testing.B) {
 	}
 }
 
-// TestOracleStageSelectUnderreportedTotal pins that instance planes
-// sized from a caller's Candidates grow when the beam's Total
-// under-reports the branch's dynamic count: scoring never reads Total,
-// so the selections must match those of the true beam.
+// TestOracleStageSelectUnderreportedTotal pins that selection never
+// reads a caller's Candidates.Total: the state histograms have no
+// instance capacity to size from it, so a beam whose Total
+// under-reports the branch's dynamic count must select exactly what
+// the true beam does.
 func TestOracleStageSelectUnderreportedTotal(t *testing.T) {
 	tr := randomTrace(13, 3_000, 12)
 	cands := Oracle(tr, OracleOptions{Stage: StageProfile}).Candidates

@@ -60,11 +60,11 @@ const (
 // records (pathMemoMinClasses for a shorter range), each costing its
 // hash tag, representative and record count plus at most 8/3 hash slots
 // (the table doubles past 3/4 load) — at most 23 bytes per class, so
-// under 12 bytes per record. The oracle's consumers add a class column
-// and an instance list (4 bytes per record each) and 4 bytes per class,
-// under 22 bytes per record in all; they drop the tags and slots once
-// the range is classified and the rest once the collection pass is
-// done. The sweep adds one byte per config per class.
+// under 12 bytes per record. The oracle adds a class column (4 bytes
+// per record) and a taken count per class (4 bytes), under 18 bytes per
+// record in all; it drops the tags and slots once the range is
+// classified and the rest once the collection pass is done. The sweep
+// adds one byte per config per class.
 type pathMemo struct {
 	n           int // signature window: the walk's largest window
 	ids         []int32

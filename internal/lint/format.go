@@ -33,11 +33,10 @@ func WriteText(w io.Writer, findings []Finding, root string) error {
 
 // jsonFinding is the -format json record shape.
 type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Rule    string `json:"rule"`
-	Msg     string `json:"msg"`
-	Fixable bool   `json:"fixable,omitempty"`
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Rule string `json:"rule"`
+	Msg  string `json:"msg"`
 }
 
 // WriteJSON emits the findings as a JSON array (deterministic order and
@@ -46,11 +45,10 @@ func WriteJSON(w io.Writer, findings []Finding, root string) error {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, jsonFinding{
-			File:    relPath(root, f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Rule:    f.Rule,
-			Msg:     f.Msg,
-			Fixable: f.Fix != nil,
+			File: relPath(root, f.Pos.Filename),
+			Line: f.Pos.Line,
+			Rule: f.Rule,
+			Msg:  f.Msg,
 		})
 	}
 	enc := json.NewEncoder(w)

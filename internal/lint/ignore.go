@@ -9,12 +9,11 @@ import (
 // — which of its ids actually suppressed a finding. The ignore-reason
 // rule reads the latter to flag stale directives.
 type directive struct {
-	file     string
-	line     int
-	off, end int // byte range of the comment, for the delete-stale fix
-	ids      []string
-	reason   string
-	used     map[string]bool
+	file   string
+	line   int
+	ids    []string
+	reason string
+	used   map[string]bool
 }
 
 // ignoreIndex records every ignore directive of the analyzed packages,
@@ -41,8 +40,6 @@ func buildIgnoreIndex(pkgs []*Package) *ignoreIndex {
 					d := &directive{
 						file:   pos.Filename,
 						line:   pos.Line,
-						off:    pos.Offset,
-						end:    pkg.Fset.Position(c.End()).Offset,
 						ids:    ids,
 						reason: reason,
 						used:   make(map[string]bool),

@@ -9,8 +9,8 @@ import (
 // ignoreReasonRule (ignore-reason) keeps the suppression escape hatch
 // honest: every //bplint:ignore directive must carry a justification
 // after its rule-id list, and a directive that no longer suppresses any
-// finding is stale and must be deleted (stale directives get a
-// mechanical delete fix). Staleness is judged against the rules actually
+// finding is stale and must be deleted. Staleness is judged against the
+// rules actually
 // selected for the run, so `-rules det-time` never declares an io-print
 // ignore stale; the blanket "all" form is only judged under the full
 // rule set.
@@ -18,7 +18,7 @@ type ignoreReasonRule struct{}
 
 func (ignoreReasonRule) ID() string { return "ignore-reason" }
 func (ignoreReasonRule) Doc() string {
-	return "every //bplint:ignore needs a justification; stale ignores are errors (auto-deletable)"
+	return "every //bplint:ignore needs a justification; stale ignores are errors"
 }
 
 // Check is unused: ignore-reason runs after the suppression pass inside
@@ -35,7 +35,7 @@ func checkIgnoreReasons(idx *ignoreIndex, selected []Rule, fullSet bool) []Findi
 	}
 	var out []Finding
 	for _, d := range idx.all {
-		pos := token.Position{Filename: d.file, Line: d.line, Offset: d.off}
+		pos := token.Position{Filename: d.file, Line: d.line}
 		if d.reason == "" {
 			out = append(out, Finding{
 				Pos:  pos,
@@ -44,7 +44,6 @@ func checkIgnoreReasons(idx *ignoreIndex, selected []Rule, fullSet bool) []Findi
 			})
 		}
 		var stale []string
-		anyJudged := false
 		for _, id := range d.ids {
 			if id == "all" {
 				if !fullSet {
@@ -53,7 +52,6 @@ func checkIgnoreReasons(idx *ignoreIndex, selected []Rule, fullSet bool) []Findi
 			} else if !selectedIDs[id] {
 				continue
 			}
-			anyJudged = true
 			if !d.used[id] {
 				stale = append(stale, id)
 			}
@@ -61,18 +59,12 @@ func checkIgnoreReasons(idx *ignoreIndex, selected []Rule, fullSet bool) []Findi
 		if len(stale) == 0 {
 			continue
 		}
-		f := Finding{
+		out = append(out, Finding{
 			Pos:  pos,
 			Rule: "ignore-reason",
 			Msg: fmt.Sprintf("stale ignore: %s no longer suppresses anything here; delete it",
 				strings.Join(stale, ",")),
-		}
-		// Only delete the whole directive when none of its judged ids
-		// still earns its keep.
-		if anyJudged && len(stale) == len(d.ids) {
-			f.Fix = &Fix{File: d.file, Edits: []Edit{{Off: d.off, End: d.end, New: ""}}}
-		}
-		out = append(out, f)
+		})
 	}
 	return out
 }

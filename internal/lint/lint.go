@@ -36,8 +36,6 @@ type Finding struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
-	// Fix, when non-nil, is a mechanical repair bplint -fix can apply.
-	Fix *Fix `json:"-"`
 }
 
 // String renders the finding in the canonical "file:line: [rule] msg"
