@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race shuffle cover lint lint-sarif baseline bench bench-oracle bench-sim bench-sweep bench-service fuzz
+.PHONY: check build vet test race shuffle cover lint lint-sarif bench bench-oracle bench-sim bench-sweep bench-service fuzz
 
 # check is the full gate CI runs: compile, vet, race-enabled tests, and
 # the repo's own static-analysis suite (cmd/bplint).
@@ -24,20 +24,13 @@ shuffle:
 cover:
 	$(GO) test -cover ./...
 
-# lint runs the full analyzer suite against the committed grandfather
-# list; only findings beyond lint/baseline.json fail.
+# lint runs the full analyzer suite; any finding fails.
 lint:
-	$(GO) run ./cmd/bplint -baseline lint/baseline.json ./...
+	$(GO) run ./cmd/bplint ./...
 
 # lint-sarif emits the machine-readable report CI uploads as an artifact.
 lint-sarif:
-	$(GO) run ./cmd/bplint -baseline lint/baseline.json -format sarif ./... > bplint.sarif || true
-
-# baseline regenerates lint/baseline.json from the current tree. Run it
-# only when deliberately grandfathering new debt or after burning
-# baselined findings down.
-baseline:
-	$(GO) run ./cmd/bplint -baseline lint/baseline.json -update-baseline ./...
+	$(GO) run ./cmd/bplint -format sarif ./... > bplint.sarif || true
 
 # fuzz runs every native fuzz target for FUZZTIME each (CI's fuzz-smoke
 # job uses 30s). Plain `go test` already replays the committed seed

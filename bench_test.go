@@ -728,6 +728,11 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 //
 // The window=16 level, impl=memory, is one window-16 Oracle run over the
 // packed trace.
+//
+// The step= levels, on gcc at 200k and on rand16, are what a full report
+// computes per trace for Figures 4 and 5 (benchFig5Step): step=fused is
+// the one-classification step, step=split the earlier path of two
+// oracle builds and four classifications.
 func BenchmarkOracleWindows(b *testing.B) {
 	for _, n := range []int{200_000, 1_000_000} {
 		tr := benchTraceN(b, "gcc", n)
@@ -743,7 +748,10 @@ func BenchmarkOracleWindows(b *testing.B) {
 		benchOracleShared(b, fmt.Sprintf("len=%d", n), tr)
 	}
 	benchOracleShared(b, "len=50000/trace=rand2000", benchRandomTrace(50_000, 2000))
-	benchOracleShared(b, "len=200000/trace=rand16", benchRandomTrace(200_000, 16))
+	rand16 := benchRandomTrace(200_000, 16)
+	benchOracleShared(b, "len=200000/trace=rand16", rand16)
+	benchFig5Step(b, "len=200000", benchTraceN(b, "gcc", 200_000))
+	benchFig5Step(b, "len=200000/trace=rand16", rand16)
 
 	tr := benchTraceN(b, "gcc", 200_000)
 	pt := tr.Packed()
@@ -776,6 +784,44 @@ func benchOracleShared(b *testing.B, prefix string, tr *trace.Trace) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sim.SimulateSweep(tr, core.NewSelectiveSweep("fig5", cfgs), sim.Options{})
+		}
+		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+	})
+}
+
+// benchFig5Step runs BenchmarkOracleWindows' per-trace step levels over
+// tr: the oracle selections of every Figure 5 window, Figure 5's
+// selective sweep, and the per-branch window-16 grid Figures 4 and 8,
+// Table 2 and in-path read. step=fused classifies the trace once, at
+// window 32, and runs one OracleWindows call and both sweeps over those
+// classes. step=split is the path before it: a window-16 Oracle run and
+// a six-window OracleWindows call, each classifying the trace itself,
+// and two sweeps that classify it again.
+func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
+	windows := []int{8, 12, 16, 20, 24, 28, 32}
+	fig5 := func(sels []*core.Selections) []core.SelectiveConfig {
+		cfgs := make([]core.SelectiveConfig, len(windows))
+		for i, w := range windows {
+			cfgs[i] = core.SelectiveConfig{Name: fmt.Sprintf("sel3(%d)", w), Window: w, Assign: sels[i].BySize[3]}
+		}
+		return cfgs
+	}
+	b.Run(prefix+"/step=fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pc := core.ClassifyPaths(tr, 32, nil)
+			sels := core.OracleWindows(pc, windows, core.OracleOptions{})
+			sim.SimulateSweep(tr, core.NewSelectiveSweepOver(pc, "fig5", fig5(sels)), sim.Options{})
+			sim.SimulateSweep(tr, benchGlobalGrid(pc, sels[2]), sim.Options{PerBranch: true})
+		}
+		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+	})
+	b.Run(prefix+"/step=split", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sel16 := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
+			others := core.OracleWindows(tr, benchFig5Windows, core.OracleOptions{})
+			sels := append(append(others[:2:2], sel16), others[2:]...)
+			sim.SimulateSweep(tr, core.NewSelectiveSweep("fig5", fig5(sels)), sim.Options{})
+			sim.SimulateSweep(tr, benchGlobalGrid(nil, sel16), sim.Options{PerBranch: true})
 		}
 		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 	})
@@ -970,15 +1016,16 @@ func BenchmarkSimSweep(b *testing.B) {
 // benchGlobalGrid is the per-branch grid the report's global-correlation
 // exhibits share (Figures 4 and 8, Table 2, in-path): 1-, 2- and 3-ref
 // oracle-selected selective predictors, the 3-ref one in presence mode,
-// IF-gshare(16) and gshare(16).
-func benchGlobalGrid(sels *core.Selections) bp.SweepGrid {
+// IF-gshare(16) and gshare(16). The selective grid reads the path
+// classes pc, or classifies the trace itself when pc is nil.
+func benchGlobalGrid(pc *core.PathClasses, sels *core.Selections) bp.SweepGrid {
 	var cfgs []core.SelectiveConfig
 	for k := 1; k <= core.MaxSelectiveRefs; k++ {
 		cfgs = append(cfgs, core.SelectiveConfig{Name: fmt.Sprintf("IF %d-branch selective(16)", k), Window: 16, Assign: sels.BySize[k]})
 	}
 	cfgs = append(cfgs, core.SelectiveConfig{Name: "presence 3-branch selective(16)", Window: 16, Assign: sels.BySize[3], Mode: core.ModePresence})
 	return bp.NewConcatSweep("global-perbranch",
-		core.NewSelectiveSweep("global-selective", cfgs),
+		core.NewSelectiveSweepOver(pc, "global-selective", cfgs),
 		bp.NewIFGshareSweep([]uint{16}),
 		bp.NewGshareSweep([]uint{16}),
 	)
@@ -1000,7 +1047,7 @@ func benchSimSweepPerBranch(b *testing.B) {
 			if sels == nil {
 				sels = core.Oracle(tr.Packed(), core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
 			}
-			return benchGlobalGrid(sels)
+			return benchGlobalGrid(nil, sels)
 		}
 		report := func(b *testing.B) {
 			ncfg := len(mk().ConfigNames())

@@ -10,18 +10,11 @@
 //	bplint -rules det-time,det-rand ./...
 //	bplint -list                      # describe every rule
 //	bplint -format sarif ./...        # machine-readable output
-//	bplint -baseline lint/baseline.json ./...
-//	bplint -baseline lint/baseline.json -update-baseline ./...
 //
 // Analysis runs across a worker pool (-parallel, default GOMAXPROCS);
 // output is byte-identical at every parallelism level.
 //
-// With -baseline, grandfathered findings are reported but don't fail the
-// run; new findings do, as do baseline entries that no longer occur
-// (burned-down debt — regenerate with -update-baseline).
-//
-// Exit status: 0 clean, 1 findings (or stale baseline), 2 usage or load
-// error. Findings print as "file:line: [rule-id] message" and can be
+// Exit status: 0 clean, 1 findings, 2 usage or load error. Findings print as "file:line: [rule-id] message" and can be
 // suppressed with a "//bplint:ignore rule-id reason" comment on or above
 // the offending line; the ignore-reason rule rejects unjustified or
 // stale suppressions.
@@ -43,8 +36,6 @@ func main() {
 		list     = flag.Bool("list", false, "list rules and exit")
 		format   = flag.String("format", "text", "output format: text, json, or sarif")
 		parallel = flag.Int("parallel", 0, "analysis worker count (0 = GOMAXPROCS)")
-		baseline = flag.String("baseline", "", "baseline file grandfathering known findings")
-		update   = flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings")
 	)
 	flag.Parse()
 
@@ -73,34 +64,13 @@ func main() {
 	}
 	findings := lint.RunParallel(pkgs, selected, lint.RunOptions{Parallel: *parallel})
 
-	if *update {
-		if *baseline == "" {
-			fatal(fmt.Errorf("-update-baseline requires -baseline"))
-		}
-		if err := lint.NewBaseline(findings, root).Save(*baseline); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "bplint: baseline %s updated (%d finding(s))\n", *baseline, len(findings))
-		return
-	}
-
-	report := findings
-	var stale []lint.BaselineEntry
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		report, stale = base.Diff(findings, root)
-	}
-
 	switch *format {
 	case "text":
-		err = lint.WriteText(os.Stdout, report, root)
+		err = lint.WriteText(os.Stdout, findings, root)
 	case "json":
-		err = lint.WriteJSON(os.Stdout, report, root)
+		err = lint.WriteJSON(os.Stdout, findings, root)
 	case "sarif":
-		err = lint.WriteSARIF(os.Stdout, report, selected, root)
+		err = lint.WriteSARIF(os.Stdout, findings, selected, root)
 	default:
 		fatal(fmt.Errorf("unknown -format %q (text, json, sarif)", *format))
 	}
@@ -108,17 +78,8 @@ func main() {
 		fatal(err)
 	}
 
-	failed := false
-	if len(report) > 0 {
-		fmt.Fprintf(os.Stderr, "bplint: %d finding(s)\n", len(report))
-		failed = true
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "bplint: stale baseline entry %s [%s] %s — regenerate with -update-baseline\n",
-			e.File, e.Rule, e.Msg)
-		failed = true
-	}
-	if failed {
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "bplint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

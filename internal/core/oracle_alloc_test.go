@@ -8,7 +8,11 @@
 // //bplint:ignore directives in oracle_kernel.go.
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"branchcorr/internal/obs"
+)
 
 // TestOracleEmitterAllocs pins oracleEmitter.emit at zero allocations:
 // the key buffer is preallocated to the 2-refs-per-entry worst case, so
@@ -38,12 +42,13 @@ func TestCollectStreamAllocs(t *testing.T) {
 	pt := tr.Packed()
 	for _, windows := range [][]int{{8}, {8, 12, 16, 20, 24, 28, 32}} {
 		cfg := OracleConfig{}.WithDefaults()
-		memo := newPackedMemo(pt, windows[len(windows)-1])
-		cands := profileWindows(pt, memo, windows, cfg)
+		pc := ClassifyPaths(pt, windows[len(windows)-1], obs.New())
+		cands := profileWindows(pt, pc, windows, cfg)
 		pcs := sortedPCs(cands)
 		matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
 		em := newPackedEmitter(pt, windows)
-		collectTrace(em, matchers, memo) // warm the emitter and the histograms
+		var st memoStats
+		collectTrace(em, matchers, pc, &st) // warm the emitter and the histograms
 		allocs := testing.AllocsPerRun(3, func() {
 			for _, bm := range matcherOf {
 				for w := range bm.hists {
@@ -54,7 +59,7 @@ func TestCollectStreamAllocs(t *testing.T) {
 					h.keys, h.cnts = h.keys[:0], h.cnts[:0]
 				}
 			}
-			collectTrace(em, matchers, memo)
+			collectTrace(em, matchers, pc, &st)
 		})
 		if allocs != 0 {
 			t.Errorf("windows %v: collectTrace allocates %.1f per full replay, want 0", windows, allocs)

@@ -18,7 +18,9 @@ import (
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and
 // *trace.Packed (which returns itself) satisfy it, so callers holding
-// either hand it to Oracle directly with no packing boilerplate.
+// either hand it to Oracle directly with no packing boilerplate. So does
+// *PathClasses, whose path-signature classes the oracle then reads
+// instead of classifying the trace itself.
 type Source interface {
 	Packed() *trace.Packed
 }
@@ -79,8 +81,10 @@ type OracleOptions struct {
 // and StageSelect fill Selections.BySize; StageProfile fills
 // Selections.Candidates. The work runs on the columnar kernels; results
 // are bit-identical to the reference oracle and at every ScoreParallel.
+// A *PathClasses source whose window is at least WindowLen lends its
+// classes; any other source is classified first (core.paths.classify.*).
 func Oracle(src Source, opts OracleOptions) *Selections {
-	return runOracle(src.Packed(), []int{opts.WithDefaults().WindowLen}, opts)[0]
+	return runOracle(src, []int{opts.WithDefaults().WindowLen}, opts)[0]
 }
 
 // OracleWindows runs the full oracle (StageFull) at every listed window
@@ -98,7 +102,8 @@ func Oracle(src Source, opts OracleOptions) *Selections {
 // are re-profiled with one-window passes, counted in
 // core.oracle.windows.fallbacks. core.oracle.builds gains one per
 // window delivered, and the candidate and prune counters report what
-// per-window Oracle calls would.
+// per-window Oracle calls would. A *PathClasses source whose window is
+// at least the largest listed lends its classes to both walks.
 func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections {
 	if opts.Stage != StageFull {
 		panic(fmt.Sprintf("core: OracleWindows runs stage %v only, got %v", StageFull, opts.Stage))
@@ -106,17 +111,18 @@ func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections 
 	if len(windows) == 0 {
 		return nil
 	}
-	return runOracle(src.Packed(), windows, opts)
+	return runOracle(src, windows, opts)
 }
 
 // runOracle is the oracle's one stage switch: it runs opts.Stage over
-// the packed trace at every listed window length and returns one
+// src's packed trace at every listed window length and returns one
 // Selections per entry of windows, in argument order (repeats share one
-// result). Every stage first classifies the trace by path signature at
-// the largest window (pathmemo.go); the profile and collection passes
-// share those classes. StageSelect scores opts.Candidates at every
-// window.
-func runOracle(pt *trace.Packed, windows []int, opts OracleOptions) []*Selections {
+// result). The profile and collection passes walk by path-signature
+// class (pathmemo.go): src's own classes when it is a *PathClasses at a
+// window no shorter than the largest listed, otherwise a classification
+// of the trace at the largest window. StageSelect scores
+// opts.Candidates at every window.
+func runOracle(src Source, windows []int, opts OracleOptions) []*Selections {
 	cfg := opts.WithDefaults()
 	distinct := slices.Clone(windows)
 	slices.Sort(distinct)
@@ -127,12 +133,16 @@ func runOracle(pt *trace.Packed, windows []int, opts OracleOptions) []*Selection
 		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
 		defer reg.StartSpan("core.oracle.build").End()
 	}
-	memo := newPackedMemo(pt, distinct[len(distinct)-1])
+	pt := src.Packed()
+	pc, ok := src.(*PathClasses)
+	if n := distinct[len(distinct)-1]; !ok || pc.n < n {
+		pc = ClassifyPaths(pt, n, reg)
+	}
 
 	var sels []*Selections
 	switch opts.Stage {
 	case StageProfile:
-		for _, c := range profileWindows(pt, memo, distinct, cfg) {
+		for _, c := range profileWindows(pt, pc, distinct, cfg) {
 			sels = append(sels, &Selections{Candidates: c})
 		}
 	case StageSelect:
@@ -140,9 +150,9 @@ func runOracle(pt *trace.Packed, windows []int, opts OracleOptions) []*Selection
 		for w := range cands {
 			cands[w] = opts.Candidates
 		}
-		sels = selectWindows(pt, memo, distinct, cands, cfg)
+		sels = selectWindows(pt, pc, distinct, cands, cfg)
 	case StageFull:
-		sels = selectWindows(pt, memo, distinct, profileWindows(pt, memo, distinct, cfg), cfg)
+		sels = selectWindows(pt, pc, distinct, profileWindows(pt, pc, distinct, cfg), cfg)
 	default:
 		panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"branchcorr/internal/obs"
 	"branchcorr/internal/trace"
 )
 
@@ -301,8 +302,8 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	windows := []int{8, 32}
 	const x = trace.Addr(0x80)
 
-	memo := newPackedMemo(pt, windows[1])
-	cands := profileWindows(pt, memo, windows, OracleConfig{}.WithDefaults())
+	pc := ClassifyPaths(pt, windows[1], obs.New())
+	cands := profileWindows(pt, pc, windows, OracleConfig{}.WithDefaults())
 	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt.Addrs())
 	bm := matcherOf[x]
 	if bm == nil {
@@ -311,10 +312,10 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	em := newPackedEmitter(pt, windows)
 	type mix struct{ n, taken int32 }
 	byVec := map[uint64][]mix{}
-	for c, rep := range memo.reps {
-		if n := memo.counts[c]; n > 0 && pt.Addrs()[pt.IDs()[rep]] == x {
+	for c, rep := range pc.reps {
+		if n := pc.counts[c]; n > 0 && pt.Addrs()[pt.IDs()[rep]] == x {
 			vec := collectWalk(em, bm, int(rep))[0]
-			byVec[vec] = append(byVec[vec], mix{n, memo.classTaken[c]})
+			byVec[vec] = append(byVec[vec], mix{n, pc.taken[c]})
 		}
 	}
 	shared := false
@@ -330,7 +331,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	for i, id := range pt.IDs() {
 		if pt.Addrs()[id] == x {
 			instances++
-			if memo.class[i] < 0 {
+			if pc.class[i] < 0 {
 				declined++
 			}
 		}
@@ -342,7 +343,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	for _, mixes := range byVec {
 		walks += len(mixes)
 	}
-	collectTrace(em, matchers, memo)
+	collectTrace(em, matchers, pc, &memoStats{})
 	if entries := len(bm.hists[0].keys); entries >= walks {
 		t.Errorf("X's window-8 histogram holds %d entries for %d class walks and %d declined records, want fewer than the class walks",
 			entries, walks, declined)

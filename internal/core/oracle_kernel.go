@@ -506,9 +506,9 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 // largest window, flat per-branch candidate tables with per-window
 // buckets, no closures and no per-candidate allocations. Result w is
 // bit-identical to a one-window pass at windows[w] and to
-// ReferenceProfileCandidates. Records are walked by memo's
-// path-signature class, and the collection pass reuses the classes, so
-// no record is hashed twice.
+// ReferenceProfileCandidates. Records are walked by pc's path-signature
+// class, and the collection pass reuses the classes, so no record is
+// hashed twice.
 //
 // Exactness rests on table occupancy: a smaller window's table is a
 // subset of the largest window's at every point of the stream, so when
@@ -518,14 +518,15 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 // Those passes reuse the signature classes: positions with equal
 // signatures at the largest window have equal signatures at any smaller
 // one.
-func profileWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
+func profileWindows(pt *trace.Packed, pc *PathClasses, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.profile").End()
-	defer memo.flush(reg)
+	var st memoStats
+	defer st.flush(reg)
 	profile := func(windows []int) []kernelProfile {
 		pf := newProfiler(pt, windows, cfg)
-		pf.profileTrace(memo)
-		if n := pf.rerunPruned(memo); n > 0 {
+		pf.profileTrace(pc, &st)
+		if n := pf.rerunPruned(pc); n > 0 {
 			reg.Counter("core.oracle.memo.reruns").Add(int64(n))
 		}
 		return pf.profiles
@@ -608,61 +609,20 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 	return result
 }
 
-// oracleMemo is one packed trace's path-signature classes (see
-// pathmemo.go) and their outcome counts, shared by the profile and
-// collection passes over it, with the memo counters they feed.
-type oracleMemo struct {
-	pathMemo
-	class      []int32 // class of each position; -1 = per-record walk
-	classTaken []int32 // per class: instances that resolved taken
-	walks      int64   // walks made once for a whole class
-	hits       int64   // records a class walk served without walking
+// memoStats counts what the class walks of one oracle run saved.
+type memoStats struct {
+	walks int64 // walks made once for a whole class
+	hits  int64 // records a class walk served without walking
 }
 
-// newPackedMemo classifies every record of a packed trace by its
-// signature at window n and counts each class's taken instances. A
-// class of one record saves no walk, so that record is unclassified
-// again (and its class's count zeroed): it walks on the spot, in record
-// order.
-func newPackedMemo(pt *trace.Packed, n int) *oracleMemo {
-	m := &oracleMemo{}
-	m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n, 0, pt.Len())
-	m.class = make([]int32, pt.Len())
-	for i := range m.class {
-		m.class[i], _ = m.classify(i)
-	}
-	m.classTaken = make([]int32, len(m.reps))
-	taken := pt.TakenWords()
-	for i, c := range m.class {
-		if c < 0 {
-			continue
-		}
-		if m.counts[c] == 1 {
-			m.class[i] = -1
-			m.counts[c] = 0
-			continue
-		}
-		m.classTaken[c] += int32(taken[i>>6] >> (uint(i) & 63) & 1)
-	}
-	m.tags, m.slots = nil, nil // the trace is classified; no lookup follows
-	return m
-}
-
-// release drops the memo's per-record and per-class arrays once the
-// collection pass is done with them, so scoring runs without them live.
-func (m *oracleMemo) release() {
-	m.class, m.classTaken = nil, nil
-	m.reps, m.counts = nil, nil
-}
-
-// flush adds the memo counters gathered since the last flush to reg:
+// flush adds the counts gathered since the last flush to reg:
 // core.oracle.memo.walks counts class walks, core.oracle.memo.hits the
 // records they served beyond their representatives. Both depend only on
-// the trace and the config.
-func (m *oracleMemo) flush(reg *obs.Registry) {
-	reg.Counter("core.oracle.memo.walks").Add(m.walks)
-	reg.Counter("core.oracle.memo.hits").Add(m.hits)
-	m.walks, m.hits = 0, 0
+// the trace, the config and the classes' window.
+func (st *memoStats) flush(reg *obs.Registry) {
+	reg.Counter("core.oracle.memo.walks").Add(st.walks)
+	reg.Counter("core.oracle.memo.hits").Add(st.hits)
+	*st = memoStats{}
 }
 
 // profiler is pass 1's walk context: the emitter, the per-branch tables
@@ -695,10 +655,10 @@ func newProfiler(pt *trace.Packed, windows []int, cfg OracleConfig) *profiler {
 // (see rerunPruned).
 //
 //bplint:hot
-func (pf *profiler) profileTrace(memo *oracleMemo) {
+func (pf *profiler) profileTrace(pc *PathClasses, st *memoStats) {
 	ids := pf.em.ids
 	profiles := pf.profiles
-	class, reps, counts, taken := memo.class, memo.reps, memo.counts, memo.classTaken
+	class, reps, counts, taken := pc.class, pc.reps, pc.counts, pc.taken
 	for i, id := range ids {
 		out := 1
 		if pf.em.taken1(i) {
@@ -715,8 +675,8 @@ func (pf *profiler) profileTrace(memo *oracleMemo) {
 	for c, n := range counts {
 		if n > 0 {
 			pf.walk(int(reps[c]), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
-			memo.walks++
-			memo.hits += int64(n - 1)
+			st.walks++
+			st.hits += int64(n - 1)
 		}
 	}
 }
@@ -728,12 +688,12 @@ func (pf *profiler) profileTrace(memo *oracleMemo) {
 // candidates survive depends on the order. Each such table is rebuilt
 // by the per-record walk over the branch's records. It returns the
 // number of tables rebuilt.
-func (pf *profiler) rerunPruned(memo *oracleMemo) int {
+func (pf *profiler) rerunPruned(pc *PathClasses) int {
 	ids := pf.em.ids
 	var redo []bool
 	n := 0
-	for c, count := range memo.counts {
-		id := ids[memo.reps[c]]
+	for c, count := range pc.counts {
+		id := ids[pc.reps[c]]
 		if tab := &pf.profiles[id].tab; count > 0 && tab.prunes > 0 && (redo == nil || !redo[id]) {
 			if redo == nil {
 				redo = make([]bool, len(pf.profiles))
@@ -916,17 +876,16 @@ type branchSelection struct {
 // Result w is bit-identical to ReferenceSelectRefs at windows[w].
 //
 // The passes fold into a single collection stream plus an off-trace
-// scoring stage. Once per path-signature class of memo (and once per
-// record the memo declined) of a branch with a non-empty beam in some
+// scoring stage. Once per path-signature class of pc (and once per
+// record the classification declined) of a branch with a non-empty beam in some
 // window, it resolves the window-max emissions against the union of the
 // branch's beams into one state vector per window, and adds the class's
 // outcome counts to that vector's histogram entry. The exact pair and
 // triple joint distributions are then summed per window and branch from
 // the histogram entries and scored in parallel across the
 // internal/runner pool (cfg.ScoreParallel workers, identical output at
-// any level). The memo's arrays are released once collection is done.
-// core.oracle.select.patterns counts the histogram entries.
-func selectWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
+// any level). core.oracle.select.patterns counts the histogram entries.
+func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.select").End()
 
@@ -935,9 +894,9 @@ func selectWindows(pt *trace.Packed, memo *oracleMemo, windows []int, cands []ma
 
 	// Collection stream: one walk per class or declined record, one
 	// histogram count per window.
-	collectTrace(newPackedEmitter(pt, windows), matchers, memo)
-	memo.flush(reg)
-	memo.release()
+	var st memoStats
+	collectTrace(newPackedEmitter(pt, windows), matchers, pc, &st)
+	st.flush(reg)
 	entries := int64(0)
 	for _, bm := range matcherOf {
 		for w := range bm.hists {
@@ -1047,15 +1006,15 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 }
 
 // collectTrace is the folded pass-2/3 loop over the trace: each record
-// the memo declined walks on its own and adds itself to its branch's
+// pc left unclassified walks on its own and adds itself to its branch's
 // histograms; then each class walks once, at its representative, and
 // adds all its instances by outcome. The vectors depend only on the
 // signature, so the histograms are identical to a per-record walk's.
 //
 //bplint:hot
-func collectTrace(em *oracleEmitter, matchers []*beamMatcher, memo *oracleMemo) {
+func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, st *memoStats) {
 	ids := em.ids
-	for i, c := range memo.class {
+	for i, c := range pc.class {
 		if c >= 0 {
 			continue
 		}
@@ -1067,13 +1026,13 @@ func collectTrace(em *oracleEmitter, matchers []*beamMatcher, memo *oracleMemo) 
 			bm.add(collectWalk(em, bm, i), wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
 		}
 	}
-	counts, taken := memo.counts, memo.classTaken
-	for c, rep := range memo.reps {
+	counts, taken := pc.counts, pc.taken
+	for c, rep := range pc.reps {
 		n := counts[c]
 		if bm := matchers[ids[rep]]; bm != nil && n > 0 {
 			bm.add(collectWalk(em, bm, int(rep)), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
-			memo.walks++
-			memo.hits += int64(n - 1)
+			st.walks++
+			st.hits += int64(n - 1)
 		}
 	}
 }

@@ -33,8 +33,9 @@ func perWindowOracle(src Source, windows []int, cfg OracleConfig) []*Selections 
 // checkOracleWindows runs OracleWindows and the per-window loop into
 // fresh registries and fails unless every window's selections and the
 // deterministic counter snapshots agree. The counters allowed to differ
-// are the path-signature memo's (core.oracle.memo.*: the shared pass
-// classifies once, at the largest window) and
+// are the path-signature memo's and classification's (core.oracle.memo.*
+// and core.paths.classify.*: the shared pass classifies once, at the
+// largest window, where the loop classifies once per window) and
 // core.oracle.windows.fallbacks, which must read wantFallbacks (and be
 // absent when zero, so snapshots without prunes are unchanged).
 // With reference set, each window is also checked against
@@ -66,9 +67,12 @@ func checkOracleWindows(t *testing.T, tr *trace.Trace, cfg OracleConfig, wantFal
 		t.Errorf("core.oracle.windows.fallbacks = %d (registered %v), want %d", fallbacks, touched, wantFallbacks)
 	}
 	delete(gs.Counters, "core.oracle.windows.fallbacks")
+	if g, l := gs.Counters["core.paths.classify.passes"], ls.Counters["core.paths.classify.passes"]; g != 1 || l != int64(len(fig5Windows)) {
+		t.Errorf("core.paths.classify.passes = %d shared and %d per window, want 1 and %d", g, l, len(fig5Windows))
+	}
 	for _, snap := range []map[string]int64{gs.Counters, ls.Counters} {
 		for name := range snap {
-			if strings.HasPrefix(name, "core.oracle.memo.") {
+			if strings.HasPrefix(name, "core.oracle.memo.") || strings.HasPrefix(name, "core.paths.classify.") {
 				delete(snap, name)
 			}
 		}

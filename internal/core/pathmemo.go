@@ -1,20 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
+
+	"branchcorr/internal/obs"
+	"branchcorr/internal/trace"
 )
 
-// This file is the path-signature memo behind the oracle's profile and
-// collection passes and the fused selective sweep. What the columnar
-// emitter produces for record i depends only on the record's branch and
-// the n (id, taken, backward) entries before it, n being the walk's
-// largest window. Branch streams tend to reuse a small set of such
-// (branch, path) contexts — the synthetic workloads heavily — so most
-// records repeat a signature an earlier record already had: the memo
-// maps each record to the first
-// position with its signature (its class's representative), and the
-// consumers walk once per class instead of once per record.
+// This file is the path-signature classification behind the oracle's
+// profile and collection passes and the fused selective sweep. What the
+// columnar emitter produces for record i depends only on the record's
+// branch and the n (id, taken, backward) entries before it, n being the
+// walk's largest window. Branch streams tend to reuse a small set of
+// such (branch, path) contexts — the synthetic workloads heavily — so
+// most records repeat a signature an earlier record already had: one
+// pass maps each record to the first position with its signature (its
+// class's representative), and the consumers walk once per class instead
+// of once per record. The pass's result (PathClasses) is shared: one
+// pass at the largest window serves every consumer of the trace.
 //
 // A signature is ids[i-n..i] plus the taken and backward bits of
 // [i-n, i). It is hashed with a polynomial rolling hash over the packed
@@ -50,23 +55,108 @@ const (
 	pathMemoMinClasses = 64
 )
 
-// pathMemo classifies the records of one column range by path
-// signature. Representatives are positions in the columns the memo was
-// reset over, so those columns must outlive every use of the classes:
-// the packed trace for oracle runs, a kernel block's full columns
-// for the sweep.
+// PathClasses is the records of one column range classified by path
+// signature at window N: each classified record's class, and per class
+// its representative (first) position, its record count and how many
+// of its records resolved taken. A class of one record saves no walk,
+// so its record is unclassified again (class -1, count 0) and walks on
+// its own, like the first N records and every record the memo declined.
 //
-// Memory is bounded per record of the range: at most one class per two
-// records (pathMemoMinClasses for a shorter range), each costing its
-// hash tag, representative and record count plus at most 8/3 hash slots
-// (the table doubles past 3/4 load) — at most 23 bytes per class, so
-// under 12 bytes per record. The oracle adds a class column (4 bytes
-// per record) and a taken count per class (4 bytes), under 18 bytes per
-// record in all; it drops the tags and slots once the range is
-// classified and the rest once the collection pass is done. The sweep
-// adds one byte per config per class.
+// One value serves every consumer that walks at a window no longer than
+// N: positions with equal signatures at N have equal signatures at any
+// smaller window. ClassifyPaths builds it for a whole packed trace, and
+// the oracle (passed as its Source) and a SelectiveSweep built over it
+// both read it; neither writes it, so concurrent readers are safe. It is
+// a pure function of the columns, held only as long as its holders hold
+// it: nothing in the package caches it.
+//
+// Memory is bounded per record of the range: the class column (4 bytes
+// per record) plus at most one class per two records (pathMemoMinClasses
+// for a shorter range), each with its representative, count and taken
+// count (12 bytes), so at most 10 bytes per record once classified.
+// While the range is classified, each class also holds its hash tag and
+// at most 8/3 four-byte hash slots (the table doubles past 3/4 load),
+// under 18 bytes per record in all; ClassifyPaths drops them on return.
+// A sweep adds one byte per config per class.
+type PathClasses struct {
+	pt    *trace.Packed // the classified trace; nil for a kernel block's range
+	ids   []int32       // the dense-ID column the positions index
+	n, lo int           // signature window and first position of the range
+
+	class  []int32 // class of position lo+k at k; -1 = per-record walk
+	reps   []int32 // per class: representative (first) position
+	counts []int32 // per class: records classified into it; 0 = unclassified again
+	taken  []int32 // per class: records that resolved taken
+}
+
+var _ Source = (*PathClasses)(nil)
+
+// ClassifyPaths classifies every record of src by its path signature at
+// window n (one pass over the trace) and counts the pass into reg
+// (nil selects obs.Default()): core.paths.classify.passes gains one and
+// core.paths.classify.records the records classified. Hand the result to
+// OracleWindows or Oracle as their Source, and to NewSelectiveSweepOver,
+// to share one pass between them.
+func ClassifyPaths(src Source, n int, reg *obs.Registry) *PathClasses {
+	if n <= 0 {
+		panic(fmt.Sprintf("core: path classification window %d must be positive", n))
+	}
+	pt := src.Packed()
+	pc := &PathClasses{pt: pt}
+	pc.classify(&pathMemo{}, pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n, 0, pt.Len())
+	reg = obs.Or(reg)
+	reg.Counter("core.paths.classify.passes").Inc()
+	reg.Counter("core.paths.classify.records").Add(int64(pt.Len()))
+	return pc
+}
+
+// Packed implements Source: the classified trace.
+func (pc *PathClasses) Packed() *trace.Packed { return pc.pt }
+
+// classify is the one classification pass: it classifies positions
+// [lo, hi) of the columns by signature at window n through m, reusing
+// pc's and m's buffers, then unclassifies one-record classes and counts
+// each class's taken records.
+func (pc *PathClasses) classify(m *pathMemo, ids []int32, taken, back []uint64, n, lo, hi int) {
+	m.reset(ids, taken, back, n, lo, hi)
+	class := resize(pc.class, hi-lo)
+	for k := range class {
+		class[k] = m.classify(lo + k)
+	}
+	counts := m.counts
+	ctaken := resize(pc.taken, len(counts))
+	clear(ctaken)
+	for k, c := range class {
+		if c < 0 {
+			continue
+		}
+		if counts[c] == 1 {
+			class[k] = -1
+			counts[c] = 0
+			continue
+		}
+		p := lo + k
+		ctaken[c] += int32(taken[p>>6] >> (uint(p) & 63) & 1)
+	}
+	pc.ids, pc.n, pc.lo = ids, n, lo
+	pc.class, pc.reps, pc.counts, pc.taken = class, m.reps, counts, ctaken
+}
+
+// resize returns s with length n, reusing its capacity when it suffices.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// pathMemo is the classification pass's hash table over the signatures
+// of one column range; PathClasses.classify drives it. Representatives
+// are positions in the columns the memo was reset over. Its buffers are
+// reused across resets, so a sweep that classifies each block it is
+// handed allocates only when a block needs more than any earlier one.
 type pathMemo struct {
-	n           int // signature window: the walk's largest window
+	n           int // signature window
 	ids         []int32
 	taken, back []uint64
 
@@ -176,15 +266,14 @@ func (m *pathMemo) same(i, r int) bool {
 }
 
 // classify returns position i's class, or -1 when the record must take
-// the per-record walk; fresh reports that i founded its class (it is the
-// representative). Positions must be classified in order from the reset's
-// lo.
+// the per-record walk. Positions must be classified in order from the
+// reset's lo.
 //
 //bplint:hot
-func (m *pathMemo) classify(i int) (class int32, fresh bool) {
+func (m *pathMemo) classify(i int) int32 {
 	n := m.n
 	if i < n {
-		return -1, false
+		return -1
 	}
 	h := ((m.roll ^ uint64(uint32(m.ids[i]))*pathRollBase) * pathMix) & pathHashMask
 	m.roll = m.roll*pathRollBase + pathEntry(m.ids, m.taken, m.back, i) - m.powN*pathEntry(m.ids, m.taken, m.back, i-n)
@@ -206,12 +295,12 @@ func (m *pathMemo) classify(i int) (class int32, fresh bool) {
 		if tags[c] == tag && m.same(i, int(reps[c])) {
 			m.epochHits++
 			counts[c]++
-			return c, false
+			return c
 		}
 		k = (k + 1) & mask
 	}
 	if !m.inserting || len(m.reps) >= m.limit {
-		return -1, false
+		return -1
 	}
 	c := int32(len(m.reps))
 	m.tags, m.reps, m.counts = extend(m.tags, 1), extend(m.reps, 1), extend(m.counts, 1)
@@ -220,7 +309,7 @@ func (m *pathMemo) classify(i int) (class int32, fresh bool) {
 	if 4*len(m.reps) > 3*len(slots) {
 		m.resize(2 * len(slots))
 	}
-	return c, true
+	return c
 }
 
 // extend returns s lengthened by n elements (one class's worth),

@@ -73,7 +73,7 @@ func TestPathMemoClassify(t *testing.T) {
 					sigs := map[int32]string{}
 					hits := 0
 					for i := lo; i < pt.Len(); i++ {
-						c, fresh := m.classify(i)
+						c := m.classify(i)
 						if c < 0 {
 							if i >= n && m.inserting && len(m.reps) < m.limit {
 								t.Fatalf("position %d unclassified while the memo inserts", i)
@@ -85,8 +85,9 @@ func TestPathMemoClassify(t *testing.T) {
 						}
 						sig := signatureOf(pt, i, n)
 						rep := int(m.reps[c])
-						if fresh != (rep == i) || rep > i || signatureOf(pt, rep, n) != sig {
-							t.Fatalf("position %d: class %d (fresh %v) has representative %d", i, c, fresh, rep)
+						_, known := sigs[c]
+						if known == (rep == i) || rep > i || signatureOf(pt, rep, n) != sig {
+							t.Fatalf("position %d: class %d (seen before: %v) has representative %d", i, c, known, rep)
 						}
 						if prev, ok := classOf[sig]; ok && prev != c {
 							t.Fatalf("position %d: signature in classes %d and %d", i, prev, c)
@@ -95,7 +96,7 @@ func TestPathMemoClassify(t *testing.T) {
 							t.Fatalf("position %d: class %d holds two signatures", i, c)
 						}
 						classOf[sig], sigs[c] = c, sig
-						if !fresh {
+						if known {
 							hits++
 						}
 					}
@@ -287,4 +288,89 @@ func TestPathMemoHighEntropy(t *testing.T) {
 		{Name: "sel2(32)", Window: 32, Assign: want.BySize[2]},
 	}
 	checkSweepRanges(t, tr, cfgs, []int{4097})
+}
+
+// lcgTrace is a trace of n records over sites branch sites with
+// pseudo-random outcomes, in the shape of the root benchmarks' random
+// traces: with few sites, a record's window-16 signature almost never
+// repeats, so the classification's bypass engages.
+func lcgTrace(n, sites int) *trace.Trace {
+	tr := trace.New(fmt.Sprintf("lcg%d", sites), n)
+	x := uint32(1)
+	next := func() uint32 {
+		x = x*1664525 + 1013904223
+		return x
+	}
+	for i := 0; i < n; i++ {
+		site := (next() >> 8) % uint32(sites)
+		tr.Append(trace.Record{PC: trace.Addr(0x1000 + 4*site), Taken: next()&0x40000 != 0, Backward: site%4 == 0})
+	}
+	return tr
+}
+
+// TestPathClassesSharedGrid pins the per-branch bundle's window-16
+// selective grid (oracle-chosen 1-, 2- and 3-ref histories and the
+// presence-mode 3-ref one) over shared path classes to per-record
+// NewSelectiveMode replays: over classes at window 32, as Figure 5's
+// step shares them, over its own window-16 classes, and classifying
+// itself, sequential and config-sharded. The oracle reading the
+// window-32 classes must select what it selects over its own. One trace
+// drives the classification's bypass, the other leaves one-record
+// classes that walk on their own next to repeated ones.
+func TestPathClassesSharedGrid(t *testing.T) {
+	for _, tc := range []struct {
+		tr     *trace.Trace
+		bypass bool
+	}{
+		{lcgTrace(30_000, 16), true},
+		{workloadTrace(t, "gcc", 20_000), false},
+	} {
+		t.Run(tc.tr.Name(), func(t *testing.T) {
+			tr := tc.tr
+			pc32, pc16 := ClassifyPaths(tr, 32, obs.New()), ClassifyPaths(tr, 16, obs.New())
+			classified, singletons, repeated := 0, 0, 0
+			for _, c := range pc32.class {
+				if c >= 0 {
+					classified++
+				}
+			}
+			for _, n := range pc32.counts {
+				if n == 0 {
+					singletons++
+				} else {
+					repeated++
+				}
+			}
+			if tc.bypass && classified*10 > tr.Len() {
+				t.Fatalf("%d of %d records classified at window 32; the bypass did not engage", classified, tr.Len())
+			}
+			if !tc.bypass && (singletons == 0 || repeated == 0) {
+				t.Fatalf("%d one-record and %d repeated classes at window 32, want both", singletons, repeated)
+			}
+
+			cfg := OracleConfig{WindowLen: 16}
+			sels := Oracle(tr, OracleOptions{OracleConfig: cfg})
+			mustEqualSelections(t, Oracle(pc32, OracleOptions{OracleConfig: cfg}), sels)
+			var cfgs []SelectiveConfig
+			for k := 1; k <= MaxSelectiveRefs; k++ {
+				cfgs = append(cfgs, SelectiveConfig{Name: fmt.Sprintf("sel%d(16)", k), Window: 16, Assign: sels.BySize[k]})
+			}
+			cfgs = append(cfgs, SelectiveConfig{Name: "presence3(16)", Window: 16, Assign: sels.BySize[3], Mode: ModePresence})
+			want := scalarSelective(tr, cfgs)
+			for _, classes := range []struct {
+				name string
+				pc   *PathClasses
+			}{{"shared32", pc32}, {"shared16", pc16}, {"own", nil}} {
+				for _, parallel := range []int{1, 2} {
+					got := sim.SimulateSweep(tr, NewSelectiveSweepOver(classes.pc, "sel", cfgs), sim.Options{Parallel: parallel}).Correct
+					for c := range want {
+						if got[c] != want[c] {
+							t.Errorf("%s parallel=%d config %s: %d correct (fused) vs %d (scalar)",
+								classes.name, parallel, cfgs[c].Name, got[c], want[c])
+						}
+					}
+				}
+			}
+		})
+	}
 }

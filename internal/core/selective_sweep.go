@@ -38,12 +38,21 @@ type SelectiveConfig struct {
 //
 // The walk runs once per distinct path signature, not once per record:
 // a record's resolved pattern-table indices depend only on its branch
-// and the maxWindow entries before it, so a block-scoped path-signature
-// memo (pathmemo.go) caches each signature's per-config indices at its
-// first record and later records with that signature reuse them. The
-// counter train/predict step still runs for every record, in order.
-// Per config: the pattern-counter tables, held as dense per-ID columns
-// so the per-record replay does no map access.
+// and the maxWindow entries before it, so the records are classified by
+// path signature (PathClasses, pathmemo.go), each class's per-config
+// indices are resolved by one walk at its representative before the
+// replay, and every record of the class reads them. Records left
+// unclassified walk on their own during the replay. The counter
+// train/predict step runs for every record, in order. Per config: the
+// pattern-counter tables, held as dense per-ID columns so the
+// per-record replay does no map access.
+//
+// The classes are the caller's when the sweep is built over them
+// (NewSelectiveSweepOver): shared with an oracle run over the same
+// trace, read by every block and every config shard, never written, and
+// held only as long as the sweep is. A sweep built without classes
+// classifies each block it is handed, through the same pass, into
+// buffers it reuses from block to block.
 //
 // SweepBlock is observationally identical, per config, to replaying the
 // records through NewSelectiveMode(cfg...): the resolved pattern trains
@@ -54,7 +63,7 @@ type SelectiveConfig struct {
 // reads the records before Lo in place; and every block must carry the
 // trace's complete intern table, the same on every call, which the
 // first call interns. sim.SimulateSweep hands over the whole trace as
-// one such block. The memo is scoped to one SweepBlock call.
+// one such block.
 type SelectiveSweep struct {
 	gridName string
 	cfgs     []SelectiveConfig
@@ -64,9 +73,11 @@ type SelectiveSweep struct {
 	branches []selBranch // per dense ID, nil until the first block
 	states   []State     // [config × MaxSelectiveRefs] resolution scratch
 
-	memo pathMemo // the current block's path-signature classes
-	pats []uint8  // [class × config]: the class's pattern-table index per config
-	pat  []uint8  // per config: an unclassified record's pattern-table index
+	shared *PathClasses // the caller's classes, or nil
+	own    PathClasses  // the current block's classes when shared is nil
+	memo   pathMemo     // own's classification scratch
+	pats   []uint8      // [class × config]: the class's pattern-table index per config
+	pat    []uint8      // per config: an unclassified record's pattern-table index
 }
 
 // selBranch is one dense ID's fused-grid state.
@@ -81,6 +92,15 @@ type selBranch struct {
 // Every config needs a positive window length and at most
 // MaxSelectiveRefs refs per branch.
 func NewSelectiveSweep(gridName string, cfgs []SelectiveConfig) *SelectiveSweep {
+	return NewSelectiveSweepOver(nil, gridName, cfgs)
+}
+
+// NewSelectiveSweepOver is NewSelectiveSweep over the path classes pc of
+// a trace: the sweep reads them instead of classifying each block
+// itself, and a nil pc leaves it classifying. pc's window must be at
+// least the grid's largest config window, and every block must carry
+// the columns of pc's trace; a sweep handed any other block panics.
+func NewSelectiveSweepOver(pc *PathClasses, gridName string, cfgs []SelectiveConfig) *SelectiveSweep {
 	if len(cfgs) == 0 {
 		panic("core: selective sweep needs at least one config")
 	}
@@ -103,12 +123,16 @@ func NewSelectiveSweep(gridName string, cfgs []SelectiveConfig) *SelectiveSweep 
 	for c, cfg := range cfgs {
 		bucket[c], _ = slices.BinarySearch(windows, cfg.Window)
 	}
+	if pc != nil && pc.n < windows[len(windows)-1] {
+		panic(fmt.Sprintf("core: selective sweep over path classes at window %d has a config window %d", pc.n, windows[len(windows)-1]))
+	}
 	return &SelectiveSweep{
 		gridName: gridName,
 		cfgs:     append([]SelectiveConfig(nil), cfgs...),
 		bucket:   bucket,
 		em:       newOracleEmitter(windows),
 		states:   make([]State, len(cfgs)*MaxSelectiveRefs),
+		shared:   pc,
 		pat:      make([]uint8, len(cfgs)),
 	}
 }
@@ -136,10 +160,11 @@ func (g *SelectiveSweep) Configs() []bp.Predictor {
 
 // Shard implements bp.SweepGrid: a fresh fused grid over the configs
 // [lo, hi) (each shard owns a private window, which is exact: the window
-// contents are stream-determined).
+// contents are stream-determined). Shards read the grid's shared path
+// classes, if any.
 func (g *SelectiveSweep) Shard(lo, hi int) bp.SweepGrid {
 	checkSelShardRange(lo, hi, len(g.cfgs))
-	return NewSelectiveSweep(g.gridName, g.cfgs[lo:hi])
+	return NewSelectiveSweepOver(g.shared, g.gridName, g.cfgs[lo:hi])
 }
 
 func checkSelShardRange(lo, hi, n int) {
@@ -213,10 +238,9 @@ func (g *SelectiveSweep) resolveKeys(br *selBranch, pc trace.Addr, idOf map[trac
 }
 
 // SweepBlock implements bp.SweepKernel. The block's records [Lo, Hi)
-// replay over its full columns, classified by a path-signature memo
-// scoped to the call: its representatives are positions in those
-// columns, and a record's window reads the records before it in place,
-// before Lo too.
+// replay over its full columns, by path-signature class: the shared
+// classes, or the block's own. A record's window reads the records
+// before it in place, before Lo too.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	g.sweep(blk, correct, nil)
 }
@@ -227,35 +251,78 @@ func (g *SelectiveSweep) SweepBlockBranches(blk bp.KernelBlock, correct []int32,
 	g.sweep(blk, correct, branches)
 }
 
-// sweep is SweepBlock, and with non-nil perID SweepBlockBranches; the
-// replay loop is chosen once per block.
+// sweep is SweepBlock, and with non-nil perID SweepBlockBranches: it
+// resolves every class's pattern-table indices, then runs the replay
+// loop chosen once per block.
 func (g *SelectiveSweep) sweep(blk bp.KernelBlock, correct []int32, perID [][]int32) {
 	g.intern(blk.Addrs)
 	correct = correct[:len(g.cfgs)]
-	g.memo.reset(blk.IDs, blk.Taken, blk.Back, g.em.windows[len(g.em.windows)-1], blk.Lo, blk.Hi)
-	g.pats = g.pats[:0]
+	pc := g.classesFor(blk)
+	g.pats = resize(g.pats, len(pc.reps)*len(g.cfgs))
 	g.em.setColumns(blk.IDs, blk.Taken, blk.Back)
+	g.resolveClasses(pc)
+	class := pc.class[blk.Lo-pc.lo : blk.Hi-pc.lo]
 	if perID != nil {
-		g.sweepRangeBranches(blk.Lo, blk.Hi, correct, perID)
+		g.sweepRangeBranches(blk.Lo, class, correct, perID)
 	} else {
-		g.sweepRange(blk.Lo, blk.Hi, correct)
+		g.sweepRange(blk.Lo, class, correct)
 	}
 }
 
-// sweepRange replays column positions [lo, hi): each record's
-// per-config pattern-table indices come from patternsAt, then every
-// config trains its pattern counter, in record order.
+// classesFor returns the path classes that cover blk: the shared ones,
+// which must index blk's columns, or the block range's own.
+func (g *SelectiveSweep) classesFor(blk bp.KernelBlock) *PathClasses {
+	pc := g.shared
+	if pc == nil {
+		g.own.classify(&g.memo, blk.IDs, blk.Taken, blk.Back, g.em.windows[len(g.em.windows)-1], blk.Lo, blk.Hi)
+		return &g.own
+	}
+	if len(pc.ids) != len(blk.IDs) || len(blk.IDs) > 0 && &pc.ids[0] != &blk.IDs[0] ||
+		blk.Lo < pc.lo || blk.Hi > pc.lo+len(pc.class) {
+		panic(fmt.Sprintf("core: selective sweep %q handed a block its path classes do not cover", g.gridName))
+	}
+	return pc
+}
+
+// resolveClasses fills every live class's per-config pattern-table
+// indices with one walk at its representative.
 //
 //bplint:hot
-func (g *SelectiveSweep) sweepRange(lo, hi int, correct []int32) {
+func (g *SelectiveSweep) resolveClasses(pc *PathClasses) {
+	ids := g.em.ids
+	branches := g.branches
+	pats := g.pats
+	counts := pc.counts
+	ncfg := len(g.cfgs)
+	for c, rep := range pc.reps {
+		if counts[c] > 0 {
+			g.patterns(int(rep), &branches[ids[rep]], pats[c*ncfg:(c+1)*ncfg])
+		}
+	}
+}
+
+// sweepRange replays column positions lo, lo+1, ... (class[k] being
+// position lo+k's class): each record's per-config pattern-table indices
+// come from its class, or from a walk of its own, then every config
+// trains its pattern counter, in record order.
+//
+//bplint:hot
+func (g *SelectiveSweep) sweepRange(lo int, class []int32, correct []int32) {
 	em := g.em
 	ids := em.ids
 	branches := g.branches
+	pats := g.pats
 	ncfg := len(g.cfgs)
-	for i := lo; i < hi; i++ {
+	for k, cl := range class {
+		i := lo + k
 		br := &branches[ids[i]]
 		taken := em.taken1(i)
-		pat := g.patternsAt(i, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
+		pat := g.pat
+		if cl >= 0 {
+			pat = pats[int(cl)*ncfg:]
+		} else {
+			g.patterns(i, br, pat)
+		}
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
 			idx := pat[c]
@@ -272,17 +339,24 @@ func (g *SelectiveSweep) sweepRange(lo, hi int, correct []int32) {
 // prediction of config c to perID[c][id], id being the record's dense ID.
 //
 //bplint:hot
-func (g *SelectiveSweep) sweepRangeBranches(lo, hi int, correct []int32, perID [][]int32) {
+func (g *SelectiveSweep) sweepRangeBranches(lo int, class []int32, correct []int32, perID [][]int32) {
 	em := g.em
 	ids := em.ids
 	branches := g.branches
+	pats := g.pats
 	ncfg := len(g.cfgs)
 	perID = perID[:ncfg]
-	for i := lo; i < hi; i++ {
+	for k, cl := range class {
+		i := lo + k
 		id := ids[i]
 		br := &branches[id]
 		taken := em.taken1(i)
-		pat := g.patternsAt(i, br) //bplint:ignore kernel-purity classes and their pattern cache grow on the memo's miss path only, within its class budget
+		pat := g.pat
+		if cl >= 0 {
+			pat = pats[int(cl)*ncfg:]
+		} else {
+			g.patterns(i, br, pat)
+		}
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
 			idx := pat[c]
@@ -293,26 +367,6 @@ func (g *SelectiveSweep) sweepRangeBranches(lo, hi int, correct []int32, perID [
 			}
 			tbl[idx] = cnt.Next(taken)
 		}
-	}
-}
-
-// patternsAt returns column position i's pattern-table index per config.
-// They come from the record's signature class, resolved by one walk at
-// the class's first record and cached, or, for an unclassified record,
-// from a walk of its own.
-func (g *SelectiveSweep) patternsAt(i int, br *selBranch) []uint8 {
-	ncfg := len(g.cfgs)
-	switch c, fresh := g.memo.classify(i); {
-	case fresh:
-		g.pats = extend(g.pats, ncfg)
-		pat := g.pats[int(c)*ncfg:]
-		g.patterns(i, br, pat)
-		return pat
-	case c >= 0:
-		return g.pats[int(c)*ncfg:]
-	default:
-		g.patterns(i, br, g.pat)
-		return g.pat
 	}
 }
 

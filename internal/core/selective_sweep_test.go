@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"branchcorr/internal/bp"
+	"branchcorr/internal/obs"
 	"branchcorr/internal/sim"
 	"branchcorr/internal/trace"
 )
@@ -230,6 +231,14 @@ func TestSelectiveSweepValidation(t *testing.T) {
 		},
 		"bad shard": func() {
 			NewSelectiveSweep("g", selSweepConfigs()).Shard(3, 2)
+		},
+		"classes below a config window": func() {
+			NewSelectiveSweepOver(ClassifyPaths(selSweepTrace(50), 16, obs.New()), "g", selSweepConfigs())
+		},
+		"classes of another trace": func() {
+			pc := ClassifyPaths(selSweepTrace(50), 32, obs.New())
+			pt := selSweepTrace(50).Packed()
+			NewSelectiveSweepOver(pc, "g", selSweepConfigs()).SweepBlock(selBlockOf(pt, 0, pt.Len()), make([]int32, 6))
 		},
 	}
 	for name, build := range cases {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"branchcorr/internal/core"
 	"branchcorr/internal/sim"
@@ -94,52 +95,17 @@ func (s *Suite) Figure5() *Figure5Result {
 	return res
 }
 
-// figure5Cell sweeps every configured window for one benchmark: one
-// shared oracle pass selects for every non-default window (a window-n
-// walk is the first n steps of the largest window's walk; the default
-// window reuses the shared bundle's selections), then a single sweep
-// call simulates every window's selective predictor over one trace
-// walk. The context is consulted before each of the two stages, so an
+// figure5Cell returns one benchmark's Figure 5 row from its per-trace
+// step (fig5For): one shared oracle pass selects for every window (a
+// window-n walk is the first n steps of the largest window's walk),
+// then a single sweep call simulates every window's selective predictor
+// over one trace walk. The context is consulted before the step, so an
 // aborted pool skips the rest of the suite's most expensive exhibit.
 func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) []float64 {
-	windows := s.cfg.Fig5Windows
-	accs := make([]float64, len(windows))
 	if ctx.Err() != nil {
-		return accs
+		return make([]float64, len(s.cfg.Fig5Windows))
 	}
-	var others []int
-	for _, n := range windows {
-		if n != s.cfg.Oracle.WindowLen {
-			others = append(others, n)
-		}
-	}
-	var shared []*core.Selections
-	if len(others) > 0 {
-		s.log("%s: oracle selection (windows %v)", tr.Name(), others)
-		shared = s.oracleBuild(tr, s.cfg.Oracle, others)
-	}
-	cfgs := make([]core.SelectiveConfig, len(windows))
-	for i, n := range windows {
-		var sels *core.Selections
-		if n == s.cfg.Oracle.WindowLen {
-			sels = s.selsFor(tr) // reuse the shared selection
-		} else {
-			sels, shared = shared[0], shared[1:]
-		}
-		cfgs[i] = core.SelectiveConfig{
-			Name:   fmt.Sprintf("IF 3-branch selective(%d)", n),
-			Window: n,
-			Assign: sels.BySize[3],
-		}
-	}
-	if ctx.Err() != nil {
-		return accs
-	}
-	out := s.simSweep(tr, core.NewSelectiveSweep("fig5-selective-windows", cfgs), false)
-	for c := range cfgs {
-		accs[c] = out.Accuracy(c)
-	}
-	return accs
+	return slices.Clone(s.fig5For(tr).acc)
 }
 
 // Render formats the sweep as a line chart plus a value table.

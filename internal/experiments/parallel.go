@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"branchcorr/internal/runner"
@@ -23,6 +24,10 @@ func ExhibitOrder() []string {
 		"extra",    // user-spec'd predictors (Config.ExtraSpecs; skipped when empty)
 	}
 }
+
+// globalExhibits are the exhibits that read the per-branch bundle
+// (globalFor), and so the oracle's selections at the configured window.
+var globalExhibits = []string{"fig4", "table2", "fig8", "inpath"}
 
 // normalizeExhibits validates the requested exhibit names and returns
 // them deduplicated in canonical order; nil or empty requests everything.
@@ -66,6 +71,12 @@ func (s *Suite) BuildReport(ctx context.Context, exhibits []string, opts runner.
 	}
 	report := s.NewReport()
 	var cells []runner.Cell
+	// With Figure 5 requested next to an exhibit that reads the
+	// per-branch bundle, the bundle's oracle build, classification and
+	// sweep fold into Figure 5's per-trace step, run by whichever cell
+	// reaches the trace first.
+	s.foldFig5.Store(slices.Contains(want, "fig5") &&
+		slices.ContainsFunc(globalExhibits, func(e string) bool { return slices.Contains(want, e) }))
 
 	// cell appends one per-workload cell that stores its row via set.
 	cell := func(exhibit, workload string, run func(ctx context.Context) error) {

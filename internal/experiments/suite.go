@@ -9,7 +9,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/core"
@@ -138,6 +140,14 @@ type globalBundle struct {
 	g        *sim.Result
 }
 
+// fig5Bundle is what one trace's fused oracle-and-Figure-5 step keeps:
+// Figure 5's accuracy row and, when the step covered the configured
+// oracle window, the per-branch bundle.
+type fig5Bundle struct {
+	acc    []float64
+	global *globalBundle
+}
+
 // baseBundle holds the baseline predictor runs shared by the section 4
 // and 5 exhibits.
 type baseBundle struct {
@@ -185,18 +195,27 @@ type Suite struct {
 	obs     *obs.Registry
 	traces  []*trace.Trace
 	sels    memo[*core.Selections]
+	fig5    memo[*fig5Bundle]
 	global  memo[*globalBundle]
 	classes memo[*core.PAClassification]
 	base    memo[*baseBundle]
 	log     func(format string, args ...any)
 
+	// foldFig5 is set while a report that requests Figure 5 and an
+	// exhibit reading the per-branch bundle runs: the bundle's oracle
+	// build, classification and sweep then fold into Figure 5's
+	// per-trace step.
+	foldFig5 atomic.Bool
+
 	// oracleBuild runs the full oracle pipeline for one trace/config at
 	// each listed window length (cfg.WindowLen is ignored), returning
-	// the selections in window order. It defaults to one shared
-	// core.OracleWindows pass over the memoized packed view; differential
-	// tests swap in a per-window core.ReferenceBuildSelective loop to
-	// prove report bytes are implementation-independent.
-	oracleBuild func(tr *trace.Trace, cfg core.OracleConfig, windows []int) []*core.Selections
+	// the selections in window order; pc, when non-nil, is the trace's
+	// path classes at a window no shorter than the largest listed. It
+	// defaults to one shared core.OracleWindows pass over pc, or over
+	// the memoized packed view; differential tests swap in a per-window
+	// core.ReferenceBuildSelective loop to prove report bytes are
+	// implementation-independent.
+	oracleBuild func(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int) []*core.Selections
 
 	// simRun drives a batch of predictors over a trace. It defaults to
 	// sim.Simulate (with the suite's registry), whose columnar fast path
@@ -239,7 +258,10 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 		}
 	}
 	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf}
-	s.oracleBuild = func(tr *trace.Trace, ocfg core.OracleConfig, windows []int) []*core.Selections {
+	s.oracleBuild = func(tr *trace.Trace, pc *core.PathClasses, ocfg core.OracleConfig, windows []int) []*core.Selections {
+		if pc != nil {
+			return core.OracleWindows(pc, windows, core.OracleOptions{OracleConfig: ocfg})
+		}
 		return core.OracleWindows(tr, windows, core.OracleOptions{OracleConfig: ocfg})
 	}
 	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
@@ -306,57 +328,127 @@ func (s *Suite) newPAs() bp.Predictor {
 }
 
 // selsFor computes (once) the oracle's selective-history ref choices for
-// a trace at the configured window. The per-branch bundle (globalFor)
-// and Figure 5's default window both start here, so a report that needs
-// both pays for one oracle pass.
+// a trace at the configured window, for the per-branch bundle
+// (globalFor) and Figure 5's step when the window's build is not folded
+// into that step.
 func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
 	s.obs.Counter("suite.memo.sels.calls").Inc()
 	return s.sels.get(tr.Name(), func() *core.Selections {
 		s.obs.Counter("suite.memo.sels.misses").Inc()
 		s.log("%s: oracle selection (window %d)", tr.Name(), s.cfg.Oracle.WindowLen)
-		return s.oracleBuild(tr, s.cfg.Oracle, []int{s.cfg.Oracle.WindowLen})[0]
+		return s.oracleBuild(tr, nil, s.cfg.Oracle, []int{s.cfg.Oracle.WindowLen})[0]
+	})
+}
+
+// fig5For runs (once) a trace's fused oracle-and-Figure-5 step: one
+// path classification at the largest window, one oracle build over the
+// Figure 5 windows on those classes, and one selective sweep over every
+// window's 3-ref assignment on the same classes. While foldFig5 is set,
+// the build covers the configured oracle window too, and the step runs
+// the per-branch bundle's sweep (globalSweep) on the same classes; it
+// keeps Figure 5's row and that bundle, and the classes and the
+// selections become garbage when it returns. Otherwise the configured
+// window's selections come from selsFor, whose build an earlier report
+// on the suite may already have made.
+func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
+	s.obs.Counter("suite.memo.fig5.calls").Inc()
+	return s.fig5.get(tr.Name(), func() *fig5Bundle {
+		s.obs.Counter("suite.memo.fig5.misses").Inc()
+		fold, own := s.foldFig5.Load(), s.cfg.Oracle.WindowLen
+		windows := slices.Clone(s.cfg.Fig5Windows)
+		if fold {
+			windows = append(windows, own)
+		} else {
+			windows = slices.DeleteFunc(windows, func(n int) bool { return n == own })
+		}
+		slices.Sort(windows)
+		windows = slices.Compact(windows)
+		n := slices.Max(s.cfg.Fig5Windows)
+		if fold {
+			n = max(n, own)
+		}
+		pc := core.ClassifyPaths(tr, n, s.obs)
+		var sels []*core.Selections
+		if len(windows) > 0 {
+			s.log("%s: oracle selection (windows %v)", tr.Name(), windows)
+			sels = s.oracleBuild(tr, pc, s.cfg.Oracle, windows)
+		}
+		selsAt := func(n int) *core.Selections {
+			if w, ok := slices.BinarySearch(windows, n); ok {
+				return sels[w]
+			}
+			return s.selsFor(tr)
+		}
+		cfgs := make([]core.SelectiveConfig, len(s.cfg.Fig5Windows))
+		for i, n := range s.cfg.Fig5Windows {
+			cfgs[i] = core.SelectiveConfig{
+				Name:   fmt.Sprintf("IF 3-branch selective(%d)", n),
+				Window: n,
+				Assign: selsAt(n).BySize[3],
+			}
+		}
+		out := s.simSweep(tr, core.NewSelectiveSweepOver(pc, "fig5-selective-windows", cfgs), false)
+		b := &fig5Bundle{acc: make([]float64, len(cfgs))}
+		for c := range cfgs {
+			b.acc[c] = out.Accuracy(c)
+		}
+		if fold {
+			b.global = s.globalSweep(tr, selsAt(own), pc)
+		}
+		return b
 	})
 }
 
 // globalFor computes (once) the per-branch results Figures 4 and 8,
 // Table 2 and the in-path exhibit share, for a trace at the configured
-// oracle window. All six predictors run as one per-branch fused sweep:
-// the three oracle-selected selective predictors and the presence-mode
-// 3-ref one share one selective grid (one emitter walk per path
-// signature), and the IF-gshare and gshare ride the same pass.
-// Concurrent callers for the same trace block on one computation and
-// share its bundle.
+// oracle window. A report that also requests Figure 5 takes them from
+// Figure 5's per-trace step; otherwise the window's own oracle build
+// (selsFor) and path classification feed globalSweep. Concurrent callers
+// for the same trace block on one computation and share its bundle.
 func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 	s.obs.Counter("suite.memo.global.calls").Inc()
 	return s.global.get(tr.Name(), func() *globalBundle {
 		s.obs.Counter("suite.memo.global.misses").Inc()
-		sels := s.selsFor(tr)
-		n := s.cfg.Oracle.WindowLen
-		cfgs := make([]core.SelectiveConfig, 0, core.MaxSelectiveRefs+1)
-		for k := 1; k <= core.MaxSelectiveRefs; k++ {
-			cfgs = append(cfgs, core.SelectiveConfig{
-				Name:   fmt.Sprintf("IF %d-branch selective(%d)", k, n),
-				Window: n,
-				Assign: sels.BySize[k],
-			})
+		if s.foldFig5.Load() {
+			if b := s.fig5For(tr).global; b != nil {
+				return b
+			}
 		}
-		cfgs = append(cfgs, core.SelectiveConfig{
-			Name:   fmt.Sprintf("presence 3-branch selective(%d)", n),
-			Window: n,
-			Assign: sels.BySize[3],
-			Mode:   core.ModePresence,
-		})
-		grid := bp.NewConcatSweep("global-correlation",
-			core.NewSelectiveSweep("global-selective", cfgs),
-			bp.NewIFGshareSweep([]uint{s.cfg.GshareBits}),
-			bp.NewGshareSweep([]uint{s.cfg.GshareBits}),
-		)
-		s.log("%s: simulating selective + gshare predictors", tr.Name())
-		rs := s.simSweep(tr, grid, true).Results
-		b := &globalBundle{presence: rs[3], ifg: rs[4], g: rs[5]}
-		b.sel[1], b.sel[2], b.sel[3] = rs[0], rs[1], rs[2]
-		return b
+		return s.globalSweep(tr, s.selsFor(tr), core.ClassifyPaths(tr, s.cfg.Oracle.WindowLen, s.obs))
 	})
+}
+
+// globalSweep runs the per-branch bundle's six predictors as one
+// per-branch fused sweep over the path classes pc: the three
+// oracle-selected selective predictors and the presence-mode 3-ref one
+// share one selective grid (one emitter walk per path signature), and
+// the IF-gshare and gshare ride the same pass.
+func (s *Suite) globalSweep(tr *trace.Trace, sels *core.Selections, pc *core.PathClasses) *globalBundle {
+	n := s.cfg.Oracle.WindowLen
+	cfgs := make([]core.SelectiveConfig, 0, core.MaxSelectiveRefs+1)
+	for k := 1; k <= core.MaxSelectiveRefs; k++ {
+		cfgs = append(cfgs, core.SelectiveConfig{
+			Name:   fmt.Sprintf("IF %d-branch selective(%d)", k, n),
+			Window: n,
+			Assign: sels.BySize[k],
+		})
+	}
+	cfgs = append(cfgs, core.SelectiveConfig{
+		Name:   fmt.Sprintf("presence 3-branch selective(%d)", n),
+		Window: n,
+		Assign: sels.BySize[3],
+		Mode:   core.ModePresence,
+	})
+	grid := bp.NewConcatSweep("global-correlation",
+		core.NewSelectiveSweepOver(pc, "global-selective", cfgs),
+		bp.NewIFGshareSweep([]uint{s.cfg.GshareBits}),
+		bp.NewGshareSweep([]uint{s.cfg.GshareBits}),
+	)
+	s.log("%s: simulating selective + gshare predictors", tr.Name())
+	rs := s.simSweep(tr, grid, true).Results
+	b := &globalBundle{presence: rs[3], ifg: rs[4], g: rs[5]}
+	b.sel[1], b.sel[2], b.sel[3] = rs[0], rs[1], rs[2]
+	return b
 }
 
 // classFor computes (once) the per-address classification of a trace.

@@ -174,11 +174,8 @@ func TestRuleIDsUnique(t *testing.T) {
 }
 
 // TestRepoIsClean dogfoods the suite over the module itself: the tree
-// must stay free of findings beyond the committed lint/baseline.json
-// grandfather list (fix the code, add a justified //bplint:ignore, or —
-// for deliberate debt — baseline it; never let findings accumulate
-// silently). Stale baseline entries fail too: burned-down debt must be
-// removed by regenerating the baseline.
+// must stay free of findings (fix the code or add a justified
+// //bplint:ignore; never let findings accumulate silently).
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; skipped with -short")
@@ -191,16 +188,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(module root): %v", err)
 	}
-	findings := Run(pkgs, AllRules())
-	base, err := LoadBaseline(filepath.Join(root, "lint", "baseline.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	news, stale := base.Diff(findings, root)
-	for _, f := range news {
-		t.Errorf("new finding: %s", f)
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry: %s [%s] %s — regenerate lint/baseline.json", e.File, e.Rule, e.Msg)
+	for _, f := range Run(pkgs, AllRules()) {
+		t.Errorf("finding: %s", f)
 	}
 }
