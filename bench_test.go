@@ -852,12 +852,16 @@ func benchRandomTrace(n, sites int) *trace.Trace {
 // impl=ref / impl=kernel pair at each length is the speedup
 // BENCH_sim.json records; gshare and bimodal at len=1000000 are the
 // acceptance numbers. The ifgshare and ifpas kernels are one-config
-// sweeps (kernel.go). For gshare and bimodal an impl=sweep1 row runs
+// sweeps (kernel.go). The hybrid and tournament kernels run their
+// components' kernel loops per tile and one chooser loop over the hit
+// columns (kernel_chooser.go); hybrid is the hybrids exhibit's McFarling
+// configuration. For gshare and bimodal an impl=sweep1 row runs
 // the same config as a 1-config fused sweep — per branch for gshare,
 // totals for bimodal, whose grid has no per-branch form: the standing
 // evidence that their dedicated kernels beat the staged replay.
 func BenchmarkSimPredictor(b *testing.B) {
-	specs := []string{"bimodal:14", "gshare:16", "gas:12,4", "pas:12,10,6", "ifgshare:16", "ifpas:16"}
+	specs := []string{"bimodal:14", "gshare:16", "gas:12,4", "pas:12,10,6", "ifgshare:16", "ifpas:16",
+		"hybrid:(gshare:16),(pas:12,10,6),12", "tournament:12,10,16,12"}
 	sweep1 := map[string]struct {
 		grid func() bp.SweepGrid
 		opts sim.Options

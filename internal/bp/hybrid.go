@@ -18,13 +18,14 @@ type Hybrid struct {
 	chooser    []Counter2
 	chooseMask uint32
 	bits       uint
+	tiles      chooserTiles // SimulateBlock staging
 }
 
 // NewHybrid combines predictors a and b under a 2^chooserBits-entry
-// chooser. Chooser values >= 2 select a, < 2 select b; the zero value
-// starts neutral toward b, so NewHybrid initializes entries to
-// WeaklyTaken's counterpart boundary (1) to avoid a cold-start bias toward
-// either component taking long to correct.
+// chooser. Chooser values >= 2 select a, < 2 select b. Entries start at
+// WeaklyNotTaken (1): selecting b, but one step from selecting a, so
+// one record on which only a is right makes its entry select a. The
+// zero value (StronglyNotTaken) would instead strongly prefer b.
 func NewHybrid(a, b Predictor, chooserBits uint) *Hybrid {
 	if chooserBits == 0 || chooserBits > 26 {
 		panic(fmt.Sprintf("bp: hybrid chooser bits %d out of range [1,26]", chooserBits))

@@ -7,18 +7,23 @@ import "branchcorr/internal/trace"
 // specification; a KernelPredictor additionally knows how to replay a
 // whole block of a packed trace through the identical state transition
 // without an interface call, a Record struct load, or a map lookup per
-// dynamic branch. The sim package dispatches to SimulateBlock when every
-// predictor in a run implements it; the bp conformance suite
+// dynamic branch. The sim package dispatches each predictor that
+// implements it to SimulateBlock; the bp conformance suite
 // (kernel_test.go) pins each kernel bit-identical to its scalar
 // counterpart, including across interleaved scalar/kernel calls.
 //
 // Each family has at most one fast path. The dense-table families
 // (bimodal, gshare, GAs, PAs) and the static predictors have their own
 // loops here; for gshare and bimodal these measure no slower than a
-// 1-config fused sweep (the impl=sweep1 benchmark rows). The
-// interference-free predictors (IFGshare, IFPAs) are instead one-config
-// grids of their sweep_if.go staged replay over the predictor's own
-// table and registers, so their table loop is written once.
+// 1-config fused sweep (the impl=sweep1 benchmark rows). The dense-table
+// loops also emit an optional per-record hit column (columnLoop in
+// kernel_chooser.go) from the same loop, which is how the combining
+// predictors (Hybrid, Tournament) run: their kernels replay each
+// component's loop over a tile into a column, then run one chooser loop
+// over the two columns. The interference-free predictors (IFGshare,
+// IFPAs) are instead one-config grids of their sweep_if.go staged
+// replay over the predictor's own table and registers, so their table
+// loop is written once.
 
 // KernelBlock is the columnar input one kernel call consumes: the dense-ID and
 // outcome columns of a trace.Packed plus the record range [Lo, Hi) to
@@ -79,126 +84,224 @@ func pcxOf(addrs []trace.Addr) []uint32 {
 
 // SimulateBlock implements KernelPredictor.
 //
-// The hot-path kernels (bimodal, gshare, GAs, PAs) share one inner-loop
-// shape tuned for the Go compiler: table and mask hoisted into locals
-// with the mask recomputed as len-1 so the prove pass drops the bounds
-// check on the counter access, the record index carried alongside a
-// range over the ID column, and the correctness test folded into a
+// The hot-path kernels (bimodal, gshare, GAs, PAs) share one shape,
+// tuned for the Go compiler. replayWords walks the range one 64-bit
+// outcome word at a time and hands each word's records to the family's
+// word loop in a call of its own, so the per-record loop keeps its
+// locals in registers rather than sharing them with the walk. Inside
+// the word loop, table and mask are hoisted into locals with the mask
+// recomputed as len-1 so the prove pass drops the bounds check on the
+// counter access, outcomes and correctness bits shift through
+// registers by constant amounts, and the correctness test is a
 // branch-free 0/1 increment (accuracy-dependent branches are the one
 // data-dependent branch the loop would otherwise carry).
 func (p *Bimodal) SimulateBlock(blk KernelBlock, correct []int32) int {
-	tbl := p.table
-	mask := uint32(len(tbl) - 1)
+	return p.loop(blk).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+func (p *Bimodal) columns(blk KernelBlock) columnLoop { return p.loop(blk) }
+
+// bimodalLoop is Bimodal's kernel loop resolved for one block: the
+// masked counter slot of every dense ID.
+type bimodalLoop struct {
+	p    *Bimodal
+	blk  KernelBlock
+	slot []uint32
+}
+
+func (p *Bimodal) loop(blk KernelBlock) bimodalLoop {
+	mask := uint32(len(p.table) - 1)
 	slot := pcxOf(blk.Addrs)
 	for id := range slot {
 		slot[id] &= mask
 	}
-	taken := blk.Taken
-	total := 0
-	j := blk.Lo
-	for _, id := range blk.IDs[blk.Lo:blk.Hi] {
-		t := taken[j>>6] >> (uint(j) & 63) & 1
-		j++
-		s := slot[id] & mask
-		c := tbl[s]
-		ok := int32(uint64(c>>1) ^ t ^ 1)
-		correct[id] += ok
-		total += int(ok)
-		tbl[s] = counterNext[t][c&3]
+	return bimodalLoop{p: p, blk: blk, slot: slot}
+}
+
+func (l bimodalLoop) run(lo, hi int, correct []int32, hits []uint64) int {
+	return replayWords(l.blk, lo, hi, correct, hits, l.word)
+}
+
+//bplint:hot
+func (l bimodalLoop) word(_ int, ids []int32, tw uint64, correct []int32) uint64 {
+	tbl := l.p.table
+	mask := uint32(len(tbl) - 1)
+	slot := l.slot
+	hw := uint64(0)
+	for _, id := range ids {
+		t := tw & 1
+		tw >>= 1
+		x := slot[id] & mask
+		c := tbl[x]
+		ok := uint64(c>>1) ^ t ^ 1
+		hw = hw>>1 | ok<<63
+		correct[id] += int32(ok)
+		tbl[x] = counterNext[t][c&3]
 	}
-	return total
+	return hw
 }
 
 // SimulateBlock implements KernelPredictor.
 func (p *Gshare) SimulateBlock(blk KernelBlock, correct []int32) int {
-	pcx := pcxOf(blk.Addrs)
+	return p.loop(blk).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+func (p *Gshare) columns(blk KernelBlock) columnLoop { return p.loop(blk) }
+
+// gshareLoop is Gshare's kernel loop resolved for one block: every
+// dense ID's word-aligned address bits.
+type gshareLoop struct {
+	p   *Gshare
+	blk KernelBlock
+	pcx []uint32
+}
+
+func (p *Gshare) loop(blk KernelBlock) gshareLoop {
+	return gshareLoop{p: p, blk: blk, pcx: pcxOf(blk.Addrs)}
+}
+
+func (l gshareLoop) run(lo, hi int, correct []int32, hits []uint64) int {
+	return replayWords(l.blk, lo, hi, correct, hits, l.word)
+}
+
+//bplint:hot
+func (l gshareLoop) word(_ int, ids []int32, tw uint64, correct []int32) uint64 {
+	p := l.p
+	pcx := l.pcx
 	pht := p.pht
 	mask := uint32(len(pht) - 1)
 	hmask := p.histMask
-	taken := blk.Taken
 	h := p.history
-	total := 0
-	j := blk.Lo
-	for _, id := range blk.IDs[blk.Lo:blk.Hi] {
-		t := taken[j>>6] >> (uint(j) & 63) & 1
-		j++
+	hw := uint64(0)
+	for _, id := range ids {
+		t := tw & 1
+		tw >>= 1
 		slot := (pcx[id] ^ h) & mask
 		c := pht[slot]
-		ok := int32(uint64(c>>1) ^ t ^ 1)
-		correct[id] += ok
-		total += int(ok)
+		ok := uint64(c>>1) ^ t ^ 1
+		hw = hw>>1 | ok<<63
+		correct[id] += int32(ok)
 		pht[slot] = counterNext[t][c&3]
 		h = (h<<1 | uint32(t)) & hmask
 	}
 	p.history = h
-	return total
+	return hw
 }
 
 // SimulateBlock implements KernelPredictor.
 func (p *GAs) SimulateBlock(blk KernelBlock, correct []int32) int {
-	// Resolve each ID's PHT once; the inner loop then indexes the
-	// selected table by global history with no per-record bank select.
+	return p.loop(blk).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+func (p *GAs) columns(blk KernelBlock) columnLoop { return p.loop(blk) }
+
+// gasLoop is GAs's kernel loop resolved for one block: each ID's PHT,
+// so the word loop indexes the selected table by global history with
+// no per-record bank select.
+type gasLoop struct {
+	p      *GAs
+	blk    KernelBlock
+	tables [][]Counter2
+}
+
+func (p *GAs) loop(blk KernelBlock) gasLoop {
 	tables := make([][]Counter2, len(blk.Addrs))
 	pcx := pcxOf(blk.Addrs)
 	phts := p.phts
 	for id := range tables {
 		tables[id] = phts[pcx[id]&p.addrMask]
 	}
+	return gasLoop{p: p, blk: blk, tables: tables}
+}
+
+func (l gasLoop) run(lo, hi int, correct []int32, hits []uint64) int {
+	return replayWords(l.blk, lo, hi, correct, hits, l.word)
+}
+
+//bplint:hot
+func (l gasLoop) word(_ int, ids []int32, tw uint64, correct []int32) uint64 {
+	p := l.p
+	tables := l.tables
 	hmask := p.histMask
-	taken := blk.Taken
 	h := p.history
-	total := 0
-	j := blk.Lo
-	for _, id := range blk.IDs[blk.Lo:blk.Hi] {
-		t := taken[j>>6] >> (uint(j) & 63) & 1
-		j++
+	hw := uint64(0)
+	for _, id := range ids {
+		t := tw & 1
+		tw >>= 1
 		tbl := tables[id]
 		slot := (h & hmask) & uint32(len(tbl)-1)
 		c := tbl[slot]
-		ok := int32(uint64(c>>1) ^ t ^ 1)
-		correct[id] += ok
-		total += int(ok)
+		ok := uint64(c>>1) ^ t ^ 1
+		hw = hw>>1 | ok<<63
+		correct[id] += int32(ok)
 		tbl[slot] = counterNext[t][c&3]
 		h = (h<<1 | uint32(t)) & hmask
 	}
 	p.history = h
-	return total
+	return hw
 }
 
 // SimulateBlock implements KernelPredictor.
 func (p *PAs) SimulateBlock(blk KernelBlock, correct []int32) int {
-	// Per-ID BHT slot and PHT bank are static properties of the address;
-	// resolve both once. Distinct IDs may alias the same BHT slot or
-	// bank, so all state reads/writes still go through the shared tables.
-	pcx := pcxOf(blk.Addrs)
-	bhtIdx := make([]uint32, len(blk.Addrs))
-	tables := make([][]Counter2, len(blk.Addrs))
+	return p.loop(blk).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+func (p *PAs) columns(blk KernelBlock) columnLoop { return p.loop(blk) }
+
+// pasLoop is PAs's kernel loop resolved for one block: each ID's BHT
+// slot and PHT bank, static properties of the address kept side by side
+// so the word loop loads one slot per record. Distinct IDs may alias
+// the same BHT slot or bank, so all state reads/writes still go through
+// the shared tables.
+type pasLoop struct {
+	p     *PAs
+	blk   KernelBlock
+	slots []pasSlot
+}
+
+// pasSlot is one dense ID's resolved PAs geometry.
+type pasSlot struct {
+	pht []Counter2 // PHT bank
+	bhi uint32     // BHT slot
+}
+
+func (p *PAs) loop(blk KernelBlock) pasLoop {
+	slots := make([]pasSlot, len(blk.Addrs))
 	phts := p.phts
-	for id := range pcx {
-		bhtIdx[id] = pcx[id] & p.bhtMask
-		tables[id] = phts[pcx[id]&p.phtMask]
+	for id, a := range blk.Addrs {
+		x := uint32(a) >> 2
+		slots[id] = pasSlot{pht: phts[x&p.phtMask], bhi: x & p.bhtMask}
 	}
-	bht := p.bht
+	return pasLoop{p: p, blk: blk, slots: slots}
+}
+
+func (l pasLoop) run(lo, hi int, correct []int32, hits []uint64) int {
+	return replayWords(l.blk, lo, hi, correct, hits, l.word)
+}
+
+//bplint:hot
+func (l pasLoop) word(_ int, ids []int32, tw uint64, correct []int32) uint64 {
+	slots := l.slots
+	bht := l.p.bht
 	bmask := uint32(len(bht) - 1)
-	hmask := p.histMask
-	taken := blk.Taken
-	total := 0
-	j := blk.Lo
-	for _, id := range blk.IDs[blk.Lo:blk.Hi] {
-		t := taken[j>>6] >> (uint(j) & 63) & 1
-		j++
-		bi := bhtIdx[id] & bmask
+	hmask := l.p.histMask
+	hw := uint64(0)
+	for _, id := range ids {
+		t := tw & 1
+		tw >>= 1
+		sl := &slots[id]
+		bi := sl.bhi & bmask
 		bh := bht[bi]
-		tbl := tables[id]
+		tbl := sl.pht
 		hist := (bh & hmask) & uint32(len(tbl)-1)
 		c := tbl[hist]
-		ok := int32(uint64(c>>1) ^ t ^ 1)
-		correct[id] += ok
-		total += int(ok)
+		ok := uint64(c>>1) ^ t ^ 1
+		hw = hw>>1 | ok<<63
+		correct[id] += int32(ok)
 		tbl[hist] = counterNext[t][c&3]
 		bht[bi] = (bh<<1)&hmask | uint32(t)
 	}
-	return total
+	return hw
 }
 
 // SimulateBlock implements KernelPredictor.

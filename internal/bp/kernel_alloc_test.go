@@ -34,8 +34,14 @@ func TestKernelSimulateBlockAllocs(t *testing.T) {
 		{"bimodal:12", 1},   // pcxOf slot slice
 		{"gshare:14", 1},    // pcxOf
 		{"gas:12,4", 2},     // pcxOf + per-ID PHT bank resolve
-		{"pas:10,8,4", 3},   // pcxOf + per-ID BHT slots + PHT banks
+		{"pas:10,8,4", 1},   // per-ID BHT slot + PHT bank resolve
 		{"ideal-static", 1}, // per-ID predicted-direction resolve
+		// The combining predictors: each component's per-block resolve
+		// plus its boxed column loop (gshare 2, PAs 2), and the chooser's
+		// loop, with the hybrid's per-ID chooser index. The tile loop and
+		// the staging held on the predictor allocate nothing per tile.
+		{"hybrid:(gshare:12),(pas:10,8,4),8", 6},
+		{"tournament:10,8,12,8", 5},
 	}
 	correct := make([]int32, pt.NumBranches())
 	for _, f := range families {

@@ -152,9 +152,9 @@ func TestKernelScalarConformance(t *testing.T) {
 		})
 	}
 	// bimodal, gshare, gas, pas, ifgshare, ifpas, taken, not-taken,
-	// btfnt, ideal-static.
-	if kernelSpecs < 10 {
-		t.Errorf("only %d registered specs have batched kernels; the hot set requires at least 10", kernelSpecs)
+	// btfnt, ideal-static, tournament, hybrid.
+	if kernelSpecs < 12 {
+		t.Errorf("only %d registered specs have batched kernels; the hot set requires at least 12", kernelSpecs)
 	}
 }
 
@@ -168,8 +168,15 @@ func TestKernelScalarInterleaving(t *testing.T) {
 	tr := kernelRandomTrace(7, 20_000)
 	pt := tr.Packed()
 	stats := trace.Summarize(tr)
-	// ifgshare:32 runs the full-width history mask.
-	specs := []string{"bimodal:10", "gshare:12", "gas:10,3", "pas:10,8,3", "ifgshare:12", "ifgshare:32", "ifpas:12"}
+	// ifgshare:32 runs the full-width history mask. The combining
+	// predictors cover components with no column kernel (loop and btfnt,
+	// through their scalar pairs; btfnt reads the backward bits), a
+	// kernel-backed component without a column loop (ifpas), and a
+	// hybrid nested inside a hybrid.
+	specs := []string{"bimodal:10", "gshare:12", "gas:10,3", "pas:10,8,3", "ifgshare:12", "ifgshare:32", "ifpas:12",
+		"tournament:10,10,12,12", "hybrid:(gshare:12),(pas:10,8,3),10", "hybrid:(loop),(gshare:12),8",
+		"hybrid:(btfnt),(gas:10,3),7", "hybrid:(ifpas:8),(bimodal:10),6",
+		"hybrid:(hybrid:(gas:10,3),(bimodal:10),8),(tournament:8,8,10,4),9"}
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {

@@ -123,10 +123,13 @@ type Tournament struct {
 	history uint32
 	mask    uint32
 	bits    uint
+	tiles   chooserTiles // SimulateBlock staging
 }
 
 // NewTournament returns a tournament predictor with the given component
-// geometries and a 2^chooserBits-entry history-indexed chooser.
+// geometries and a 2^chooserBits-entry history-indexed chooser. Chooser
+// entries start at zero (StronglyNotTaken): strongly selecting the
+// local component, two steps from selecting the global one.
 func NewTournament(localHist, localBHT uint, globalHist, chooserBits uint) *Tournament {
 	if chooserBits == 0 || chooserBits > 26 {
 		panic(fmt.Sprintf("bp: tournament chooser bits %d out of range [1,26]", chooserBits))

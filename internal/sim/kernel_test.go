@@ -10,10 +10,14 @@ import (
 )
 
 // kernelSpecs are the registered specs whose predictors carry batched
-// kernels — the hot set the columnar fast path covers.
+// kernels — the hot set the columnar fast path covers. The combining
+// predictors include one over a component with no kernel (loop) and one
+// nested hybrid.
 var kernelSpecs = []string{
 	"bimodal:12", "gshare:12", "gas:10,3", "pas:10,9,3",
 	"ifgshare:12", "ifpas:12", "taken", "not-taken", "btfnt", "ideal-static",
+	"tournament:10,10,12,12", "hybrid:(gshare:12),(pas:10,9,3),10", "hybrid:(loop),(gshare:12),8",
+	"hybrid:(hybrid:(bimodal:10),(gas:10,3),8),(pas:10,9,3),9",
 }
 
 // mkSpec parses one predictor spec against the trace's statistics.
@@ -79,12 +83,19 @@ func TestRunMixedBatchFallsBack(t *testing.T) {
 // a bucketed Simulate twice — once with kernel-backed predictors (columnar
 // bucket replay) and once with the kernels stripped (reference loop) —
 // and asserts bit-identical bucket accuracies,
-// including the partial final bucket.
+// including the partial final bucket. The hybrid's kernel works in
+// 2048-record tiles, so buckets of 64 and 1000 cut its tiles mid-way.
 func TestRunTimelinePackedMatchesReference(t *testing.T) {
 	tr := randomTrace(13, 20_500) // not a multiple of the bucket: partial tail
+	specs := []string{"gshare:12", "bimodal:12", "pas:10,9,3", "hybrid:(gshare:12),(pas:10,9,3),10"}
 	for _, bucket := range []int{1000, 64, 20_500, 50_000} {
-		fast := Simulate(tr, []bp.Predictor{mkSpec(t, "gshare:12", tr), mkSpec(t, "bimodal:12", tr), mkSpec(t, "pas:10,9,3", tr)}, Options{BucketSize: bucket}).Timelines
-		ref := Simulate(tr, []bp.Predictor{scalarOnly{mkSpec(t, "gshare:12", tr)}, scalarOnly{mkSpec(t, "bimodal:12", tr)}, scalarOnly{mkSpec(t, "pas:10,9,3", tr)}}, Options{BucketSize: bucket}).Timelines
+		var preds, scalar []bp.Predictor
+		for _, spec := range specs {
+			preds = append(preds, mkSpec(t, spec, tr))
+			scalar = append(scalar, scalarOnly{mkSpec(t, spec, tr)})
+		}
+		fast := Simulate(tr, preds, Options{BucketSize: bucket}).Timelines
+		ref := Simulate(tr, scalar, Options{BucketSize: bucket}).Timelines
 		for i := range fast {
 			if fast[i].Predictor != ref[i].Predictor || fast[i].Bucket != ref[i].Bucket {
 				t.Fatalf("bucket=%d: labels %q/%d vs %q/%d", bucket,
