@@ -22,9 +22,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"branchcorr/internal/experiments"
@@ -76,16 +78,16 @@ func main() {
 	flag.Var(&specs, "p", "extra predictor spec to evaluate across all workloads (repeatable; see bpsim -specs)")
 	flag.Parse()
 	o.specs = specs
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// run is the whole program behind the flag parse; returning instead of
-// exiting lets the profile and metrics writers run (and flush) on every
-// path.
-func run(o options) (err error) {
+// run is the whole program behind the flag parse, writing the report to
+// stdout; returning instead of exiting lets the profile and metrics
+// writers run (and flush) on every path.
+func run(o options, stdout io.Writer) (err error) {
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (all options are flags)", flag.Arg(0))
 	}
@@ -159,20 +161,22 @@ func run(o options) (err error) {
 	}
 	cfg = suite.Config() // pick up the suite's defaults (fig9 benchmarks etc.)
 
-	want, err := wantExhibits(o.exhibits)
-	if err != nil {
-		return err
+	var names []string // nil: every exhibit
+	if o.exhibits != "all" && o.exhibits != "" {
+		names = strings.Split(o.exhibits, ",")
 	}
 	// fig9 needs gcc and perl unless overridden alongside -workloads.
-	if want["fig9"] && o.wls != "" && !suite.Fig9Available() {
-		fmt.Fprintf(os.Stderr, "experiments: skipping fig9 (needs %s in -workloads)\n",
-			strings.Join(cfg.Fig9Benchmarks, " and "))
-		delete(want, "fig9")
-	}
-	var names []string
-	for _, e := range experiments.ExhibitOrder() {
-		if want[e] {
-			names = append(names, e)
+	isFig9 := func(e string) bool { return strings.TrimSpace(e) == "fig9" }
+	if o.wls != "" && !suite.Fig9Available() {
+		if names == nil {
+			names = experiments.ExhibitOrder()
+		}
+		if slices.ContainsFunc(names, isFig9) {
+			fmt.Fprintf(os.Stderr, "experiments: skipping fig9 (needs %s in -workloads)\n",
+				strings.Join(cfg.Fig9Benchmarks, " and "))
+			if names = slices.DeleteFunc(names, isFig9); len(names) == 0 {
+				return nil
+			}
 		}
 	}
 
@@ -181,15 +185,10 @@ func run(o options) (err error) {
 		return err
 	}
 	if o.asJSON {
-		return report.WriteJSON(os.Stdout)
+		return report.WriteJSON(stdout)
 	}
-	for _, e := range names {
-		if out, ok := report.RenderExhibit(e); ok {
-			logf("%s done", e)
-			fmt.Println(out)
-		}
-	}
-	return nil
+	_, err = io.WriteString(stdout, report.Render())
+	return err
 }
 
 // writeMemProfile snapshots the allocation profile after a final GC, so
@@ -205,28 +204,4 @@ func writeMemProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// wantExhibits parses the -exhibits flag into a set of canonical names;
-// "all" (or empty) selects every exhibit, unknown names error.
-func wantExhibits(spec string) (map[string]bool, error) {
-	want := map[string]bool{}
-	if spec == "all" || spec == "" {
-		for _, e := range experiments.ExhibitOrder() {
-			want[e] = true
-		}
-		return want, nil
-	}
-	known := map[string]bool{}
-	for _, e := range experiments.ExhibitOrder() {
-		known[e] = true
-	}
-	for _, e := range strings.Split(spec, ",") {
-		e = strings.TrimSpace(e)
-		if !known[e] {
-			return nil, fmt.Errorf("unknown exhibit %q (have %s)", e, strings.Join(experiments.ExhibitOrder(), ","))
-		}
-		want[e] = true
-	}
-	return want, nil
 }

@@ -1,37 +1,88 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"branchcorr/internal/experiments"
+	"branchcorr/internal/runner"
 )
 
-func TestWantExhibitsAll(t *testing.T) {
-	for _, spec := range []string{"all", ""} {
-		want, err := wantExhibits(spec)
-		if err != nil {
-			t.Fatalf("%q: %v", spec, err)
-		}
-		if len(want) != len(experiments.ExhibitOrder()) {
-			t.Errorf("%q selected %d exhibits", spec, len(want))
-		}
-	}
+// runOptions is a small, quiet, sequential run over gcc and perl (the
+// Figure 9 pair), with one extra predictor so every exhibit is present.
+func runOptions(exhibits string) options {
+	return options{n: 5_000, wls: "gcc,perl", exhibits: exhibits, parallel: 1, quiet: true, specs: []string{"bimodal:10"}}
 }
 
-func TestWantExhibitsSubset(t *testing.T) {
-	want, err := wantExhibits("fig4, table2")
+// wantReport builds the exhibits on a suite configured as runOptions
+// configures the command.
+func wantReport(t *testing.T, exhibits []string) *experiments.Report {
+	t.Helper()
+	o := runOptions("")
+	s, err := experiments.NewSuite(experiments.Config{Length: o.n, Workloads: strings.Split(o.wls, ","), ExtraSpecs: o.specs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 2 || !want["fig4"] || !want["table2"] {
-		t.Errorf("want = %v", want)
+	r, err := s.BuildReport(context.Background(), exhibits, runner.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestRunAllExhibits(t *testing.T) {
+	var out strings.Builder
+	if err := run(runOptions("all"), &out); err != nil {
+		t.Fatal(err)
+	}
+	want := wantReport(t, nil)
+	for _, e := range experiments.ExhibitOrder() {
+		if text, ok := want.RenderExhibit(e); !ok || !strings.Contains(out.String(), text) {
+			t.Errorf("-exhibits all did not render %s", e)
+		}
+	}
+	if out.String() != want.Render() {
+		t.Error("-exhibits all output differs from the full report's rendering")
 	}
 }
 
-func TestWantExhibitsUnknown(t *testing.T) {
-	if _, err := wantExhibits("fig4,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("err = %v, want unknown-exhibit error naming bogus", err)
+func TestRunExhibitSubset(t *testing.T) {
+	var out strings.Builder
+	if err := run(runOptions("table2, fig4,table2"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := wantReport(t, []string{"fig4", "table2"}).Render(); out.String() != want {
+		t.Errorf("-exhibits table2,fig4 output:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+func TestRunUnknownExhibit(t *testing.T) {
+	var out strings.Builder
+	err := run(runOptions("fig4,bogus"), &out)
+	if err == nil || !strings.Contains(err.Error(), `unknown exhibit "bogus"`) {
+		t.Errorf("err = %v, want an unknown-exhibit error naming bogus", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("failed run wrote %d bytes of report", out.Len())
+	}
+}
+
+// TestRunSkipsFig9 checks that a -workloads subset without perl drops
+// fig9 from the report instead of failing it, and that a run asking for
+// fig9 alone then prints nothing.
+func TestRunSkipsFig9(t *testing.T) {
+	for exhibits, wantTable1 := range map[string]bool{"fig9": false, "table1,fig9": true} {
+		o := runOptions(exhibits)
+		o.wls = "gcc,compress"
+		var out strings.Builder
+		if err := run(o, &out); err != nil {
+			t.Fatalf("-exhibits %s: %v", exhibits, err)
+		}
+		got := out.String()
+		if strings.Contains(got, "Figure 9") || strings.Contains(got, "Table 1.") != wantTable1 || (got == "") == wantTable1 {
+			t.Errorf("-exhibits %s printed:\n%s", exhibits, got)
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,43 +63,6 @@ func TestBuildReportByteIdentity(t *testing.T) {
 	}
 }
 
-// TestBuildReportMatchesSequentialMethods pins the parallel cells to the
-// sequential exhibit methods: the same suite must produce identical rows
-// either way (the memoized bundles are shared, so equality is exact).
-func TestBuildReportMatchesSequentialMethods(t *testing.T) {
-	s := testSuite(t)
-	report, err := s.BuildReport(context.Background(), []string{"table1", "fig4", "table2", "fig6", "hybrids"}, runner.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := report.Table1.Rows, s.Table1().Rows; len(got) != len(want) {
-		t.Fatalf("table1 rows: %d vs %d", len(got), len(want))
-	}
-	for i, row := range report.Table1.Rows {
-		if row != s.Table1().Rows[i] {
-			t.Errorf("table1 row %d differs: %+v", i, row)
-		}
-	}
-	for i, row := range report.Figure4.Rows {
-		if row != s.Figure4().Rows[i] {
-			t.Errorf("fig4 row %d differs: %+v", i, row)
-		}
-	}
-	for i, row := range report.Table2.Rows {
-		if row != s.Table2().Rows[i] {
-			t.Errorf("table2 row %d differs: %+v", i, row)
-		}
-	}
-	for i, row := range report.Hybrids.Rows {
-		if row != s.Hybrids().Rows[i] {
-			t.Errorf("hybrids row %d differs: %+v", i, row)
-		}
-	}
-	if report.Figure5 != nil || report.Figure9 != nil {
-		t.Error("unrequested exhibits were computed")
-	}
-}
-
 func TestBuildReportUnknownExhibit(t *testing.T) {
 	s := testSuite(t)
 	if _, err := s.BuildReport(context.Background(), []string{"fig4", "nope"}, runner.Options{}); err == nil {
@@ -132,21 +98,89 @@ func TestBuildReportCancelledContext(t *testing.T) {
 	}
 }
 
-func TestExhibitOrderCoversReport(t *testing.T) {
-	// Every canonical exhibit must render once a full report is built —
-	// catches an exhibit added to the order but not wired into
-	// BuildReport/RenderExhibit.
+// TestBuildReportExhibitTable checks the exhibit table against Report:
+// every exhibit field is set by exactly one entry and rendered by that
+// entry alone, a full report renders every entry, and the JSON keys stay
+// those of the committed report format.
+func TestBuildReportExhibitTable(t *testing.T) {
 	s := testSuite(t)
-	report, err := s.BuildReport(context.Background(), nil, runner.Options{Parallel: 4})
+	rt := reflect.TypeOf(Report{})
+	fieldOf := map[string]string{} // exhibit name -> Report field it sets
+	setBy := map[string][]string{} // Report field -> exhibits setting it
+	for _, e := range exhibits {
+		r := &Report{}
+		e.plan(s, r)
+		rv := reflect.ValueOf(r).Elem()
+		var set []string
+		for f := range rt.NumField() {
+			if fv := rv.Field(f); fv.Kind() == reflect.Pointer && !fv.IsNil() {
+				set = append(set, rt.Field(f).Name)
+			}
+		}
+		if len(set) != 1 {
+			t.Errorf("exhibit %s sets Report fields %v, want exactly one", e.name, set)
+			continue
+		}
+		fieldOf[e.name] = set[0]
+		setBy[set[0]] = append(setBy[set[0]], e.name)
+	}
+	for f := range rt.NumField() {
+		if field := rt.Field(f); field.Type.Kind() == reflect.Pointer && len(setBy[field.Name]) != 1 {
+			t.Errorf("Report.%s is set by exhibits %v, want exactly one", field.Name, setBy[field.Name])
+		}
+	}
+
+	full, err := s.BuildReport(context.Background(), nil, runner.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ExhibitOrder() {
-		if _, ok := report.RenderExhibit(e); !ok {
-			t.Errorf("exhibit %s missing from full report", e)
+	var text strings.Builder
+	for _, e := range exhibits {
+		out, ok := full.RenderExhibit(e.name)
+		if !ok {
+			t.Errorf("exhibit %s missing from full report", e.name)
+		}
+		text.WriteString(out + "\n")
+		// A report holding only e's field renders e and nothing else.
+		only := &Report{}
+		field := fieldOf[e.name]
+		reflect.ValueOf(only).Elem().FieldByName(field).Set(reflect.ValueOf(full).Elem().FieldByName(field))
+		for _, other := range exhibits {
+			if _, ok := other.render(only); ok != (other.name == e.name) {
+				t.Errorf("report holding only Report.%s: exhibit %s renders = %v", field, other.name, ok)
+			}
 		}
 	}
-	if _, ok := report.RenderExhibit("bogus"); ok {
+	if full.Render() != text.String() {
+		t.Error("Render differs from the exhibits rendered one by one in table order")
+	}
+	if _, ok := full.RenderExhibit("bogus"); ok {
 		t.Error("bogus exhibit rendered")
+	}
+
+	var buf strings.Builder
+	if err := full.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(buf.String()))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"config", "table1", "figure4", "figure5", "table2", "figure6", "table3",
+		"figure7", "figure8", "figure9", "inpath", "ceiling", "hybrids", "training", "sweeps", "extra"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("JSON keys = %v, want %v", keys, want)
 	}
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"branchcorr/internal/core"
+	"branchcorr/internal/obs"
+	"branchcorr/internal/runner"
 )
 
 // testSuite builds one small shared suite (50k branches, two easy and two
@@ -29,6 +32,16 @@ func testSuite(t *testing.T) *Suite {
 	return s
 }
 
+// testReport builds the named exhibits on the shared test suite.
+func testReport(t *testing.T, names ...string) *Report {
+	t.Helper()
+	r, err := testSuite(t).BuildReport(context.Background(), names, runner.Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestNewSuiteUnknownWorkload(t *testing.T) {
 	if _, err := NewSuite(Config{Workloads: []string{"bogus"}}, nil); err == nil {
 		t.Error("unknown workload should fail")
@@ -49,8 +62,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	s := testSuite(t)
-	r := s.Table1()
+	r := testReport(t, "table1").Table1
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -69,8 +81,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure4Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Figure4()
+	r := testReport(t, "fig4").Figure4
 	for _, row := range r.Rows {
 		// Selective accuracy must not fall with more refs (oracle
 		// selection is monotone in the profile metric; the adaptive
@@ -95,8 +106,7 @@ func TestFigure4Properties(t *testing.T) {
 }
 
 func TestFigure5Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Figure5()
+	r := testReport(t, "fig5").Figure5
 	if len(r.Windows) != 2 || len(r.Acc) != 4 {
 		t.Fatalf("shape: %v x %d", r.Windows, len(r.Acc))
 	}
@@ -118,8 +128,7 @@ func TestFigure5Properties(t *testing.T) {
 }
 
 func TestTable2Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Table2()
+	r := testReport(t, "table2").Table2
 	for _, row := range r.Rows {
 		// A max-combiner can never lose to its base predictor.
 		if row.GshareCorr < row.Gshare {
@@ -138,8 +147,7 @@ func TestTable2Properties(t *testing.T) {
 }
 
 func TestFigure6Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Figure6()
+	r := testReport(t, "fig6").Figure6
 	for _, row := range r.Rows {
 		sum := 0.0
 		for _, f := range row.Frac {
@@ -164,8 +172,7 @@ func TestFigure6Properties(t *testing.T) {
 }
 
 func TestTable3Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Table3()
+	r := testReport(t, "table3").Table3
 	for _, row := range r.Rows {
 		// The loop combiner uses the loop predictor exactly where the
 		// classification says it is the best per-address predictor, so
@@ -184,8 +191,8 @@ func TestTable3Properties(t *testing.T) {
 }
 
 func TestFigure7And8Properties(t *testing.T) {
-	s := testSuite(t)
-	for _, r := range []*SplitResult{s.Figure7(), s.Figure8()} {
+	report := testReport(t, "fig7", "fig8")
+	for _, r := range []*SplitResult{report.Figure7, report.Figure8} {
 		for _, row := range r.Rows {
 			sum := row.Frac[0] + row.Frac[1] + row.Frac[2]
 			if sum < 0.999 || sum > 1.001 {
@@ -205,8 +212,8 @@ func TestFigure8StaticSmallerThanFigure7(t *testing.T) {
 	// The paper's central section 5 point: the predictability classes
 	// (Figure 8) shrink the static-best share relative to the real
 	// predictors (Figure 7) — stronger predictors claim more branches.
-	s := testSuite(t)
-	f7, f8 := s.Figure7(), s.Figure8()
+	report := testReport(t, "fig7", "fig8")
+	f7, f8 := report.Figure7, report.Figure8
 	for i := range f7.Rows {
 		if f8.Rows[i].Frac[core.CatStatic] > f7.Rows[i].Frac[core.CatStatic]+0.02 {
 			t.Errorf("%s: Figure 8 static share (%.3f) exceeds Figure 7's (%.3f)",
@@ -216,11 +223,7 @@ func TestFigure8StaticSmallerThanFigure7(t *testing.T) {
 }
 
 func TestFigure9Properties(t *testing.T) {
-	s := testSuite(t)
-	r, err := s.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testReport(t, "fig9").Figure9
 	if len(r.Diff) != 2 {
 		t.Fatalf("curves: %d", len(r.Diff))
 	}
@@ -246,14 +249,13 @@ func TestFigure9UnknownBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Figure9(); err == nil {
+	if _, err := s.BuildReport(context.Background(), []string{"fig9"}, runner.Options{}); err == nil {
 		t.Error("figure 9 with missing benchmark should fail")
 	}
 }
 
 func TestInPathProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.InPath()
+	r := testReport(t, "inpath").InPath
 	for _, row := range r.Rows {
 		// Direction mode subsumes presence information; presence should
 		// sit between static and direction up to adaptive noise.
@@ -271,8 +273,7 @@ func TestInPathProperties(t *testing.T) {
 }
 
 func TestHybridsProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Hybrids()
+	r := testReport(t, "hybrids").Hybrids
 	for _, row := range r.Rows {
 		// The ideal per-branch combiner dominates both components and
 		// both real hybrids by construction.
@@ -299,8 +300,7 @@ func TestHybridsProperties(t *testing.T) {
 }
 
 func TestCeilingProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Ceiling()
+	r := testReport(t, "ceiling").Ceiling
 	if r.HistoryBits != 12 || len(r.Rows) != 4 {
 		t.Fatalf("shape: bits=%d rows=%d", r.HistoryBits, len(r.Rows))
 	}
@@ -326,8 +326,7 @@ func TestCeilingProperties(t *testing.T) {
 }
 
 func TestTrainingProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Training()
+	r := testReport(t, "training").Training
 	for _, row := range r.Rows {
 		// Warm accuracy must be at least cold accuracy for the
 		// high-state predictors (training only helps), within noise.
@@ -352,25 +351,8 @@ func TestTrainingProperties(t *testing.T) {
 	}
 }
 
-func TestTimelineFor(t *testing.T) {
-	s := testSuite(t)
-	out, err := s.TimelineFor("gcc", 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Accuracy over time") || !strings.Contains(out, "gshare") {
-		t.Errorf("timeline render:\n%s", out)
-	}
-	if _, err := s.TimelineFor("nope", 1000); err == nil {
-		t.Error("unknown benchmark should fail")
-	}
-}
-
 func TestReportJSON(t *testing.T) {
-	s := testSuite(t)
-	report := s.NewReport()
-	report.Table1 = s.Table1()
-	report.Table2 = s.Table2()
+	report := testReport(t, "table1", "table2")
 	var buf strings.Builder
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -386,13 +368,25 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
+// TestSuiteCaching checks the per-branch bundle is computed once per
+// trace: a second Figure 4 report on the same suite must hit the memo for
+// every trace.
 func TestSuiteCaching(t *testing.T) {
-	// globalFor must compute once per trace: run Figure4 twice and check
-	// pointer identity through the public results.
-	s := testSuite(t)
-	a := s.Figure4()
-	b := s.Figure4()
-	if a.Rows[0].Gshare != b.Rows[0].Gshare {
-		t.Error("cached results differ")
+	reg := obs.New()
+	s, err := NewSuite(Config{Length: 5_000, Workloads: []string{"gcc", "go"}, Obs: reg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := s.BuildReport(context.Background(), []string{"fig4"}, runner.Options{Parallel: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := int64(len(s.Traces()))
+	if got := reg.Counter("suite.memo.global.misses").Value(); got != n {
+		t.Errorf("suite.memo.global.misses = %d, want %d (one per trace)", got, n)
+	}
+	if got := reg.Counter("suite.memo.global.calls").Value(); got != 2*n {
+		t.Errorf("suite.memo.global.calls = %d, want %d (one per trace per report)", got, 2*n)
 	}
 }

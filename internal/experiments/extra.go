@@ -17,27 +17,6 @@ type ExtraResult struct {
 	Acc        [][]float64 `json:"acc"` // [benchmark][spec], fraction in [0,1]
 }
 
-// Extra evaluates the configured extra specs over every workload.
-func (s *Suite) Extra() (*ExtraResult, error) {
-	res := s.newExtraResult()
-	for i, tr := range s.traces {
-		row, err := s.extraCell(tr)
-		if err != nil {
-			return nil, err
-		}
-		res.Acc[i] = row
-	}
-	return res, nil
-}
-
-func (s *Suite) newExtraResult() *ExtraResult {
-	return &ExtraResult{
-		Specs:      s.cfg.ExtraSpecs,
-		Benchmarks: s.Names(),
-		Acc:        make([][]float64, len(s.traces)),
-	}
-}
-
 // extraCell parses and runs the extra specs on one benchmark. Specs
 // parse per trace with the full profiling Env, so context-hungry specs
 // (ideal-static, profiled-gshare) work per workload.

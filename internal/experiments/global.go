@@ -26,15 +26,6 @@ type Figure4Result struct {
 	Rows []Figure4Row
 }
 
-// Figure4 runs the selective-history comparison over all traces.
-func (s *Suite) Figure4() *Figure4Result {
-	res := &Figure4Result{Rows: make([]Figure4Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.figure4Cell(tr)
-	}
-	return res
-}
-
 // figure4Cell computes one benchmark's Figure 4 row from the per-branch
 // bundle's totals: the selective predictors, the IF-gshare and the
 // gshare all ran in globalFor's one fused pass.
@@ -77,22 +68,6 @@ type Figure5Result struct {
 	Benchmarks []string
 	// Acc[bi][wi] is benchmark bi's accuracy at window Windows[wi].
 	Acc [][]float64
-}
-
-// Figure5 sweeps the history window length for the 3-branch selective
-// predictor. Each window length has its own oracle selection (the
-// candidate set depends on the window); one shared oracle pass serves
-// every window of a benchmark.
-func (s *Suite) Figure5() *Figure5Result {
-	res := &Figure5Result{
-		Windows:    s.cfg.Fig5Windows,
-		Benchmarks: s.Names(),
-		Acc:        make([][]float64, len(s.traces)),
-	}
-	for i, tr := range s.traces {
-		res.Acc[i] = s.figure5Cell(context.Background(), tr)
-	}
-	return res
 }
 
 // figure5Cell returns one benchmark's Figure 5 row from its per-trace
@@ -152,16 +127,8 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// Table2 builds the hypothetical "gshare w/ Corr" combiners.
-func (s *Suite) Table2() *Table2Result {
-	res := &Table2Result{Rows: make([]Table2Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.table2Cell(tr)
-	}
-	return res
-}
-
-// table2Cell computes one benchmark's Table 2 row.
+// table2Cell computes one benchmark's Table 2 row from the hypothetical
+// "gshare w/ Corr" combiners.
 func (s *Suite) table2Cell(tr *trace.Trace) Table2Row {
 	b := s.globalFor(tr)
 	gCorr := sim.CombineMax("gshare w/ Corr", b.g, b.sel[1])

@@ -33,16 +33,6 @@ type HybridsResult struct {
 	Rows []HybridRow
 }
 
-// Hybrids measures both real hybrid organizations against their
-// components and the per-branch ideal combination.
-func (s *Suite) Hybrids() *HybridsResult {
-	res := &HybridsResult{Rows: make([]HybridRow, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.hybridsCell(tr)
-	}
-	return res
-}
-
 // hybridsCell measures the hybrid organizations on one benchmark.
 func (s *Suite) hybridsCell(tr *trace.Trace) HybridRow {
 	s.log("%s: hybrid organizations", tr.Name())

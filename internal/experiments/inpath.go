@@ -28,16 +28,6 @@ type InPathResult struct {
 	Rows []InPathRow
 }
 
-// InPath runs the decomposition using each branch's oracle-selected
-// 3-ref set under both selective modes.
-func (s *Suite) InPath() *InPathResult {
-	res := &InPathResult{Rows: make([]InPathRow, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.inPathCell(tr)
-	}
-	return res
-}
-
 // inPathCell decomposes one benchmark's selective-history accuracy. Both
 // selective modes ran over the same oracle assignment in globalFor's
 // per-branch pass.

@@ -1,10 +1,11 @@
 // Package experiments reproduces every table and figure of Evers, Patel,
-// Chappell & Patt (ISCA 1998): one driver per exhibit, all running over
-// the synthetic SPECint95 stand-in traces. Drivers share a Suite so that
-// expensive intermediates (oracle selections, classifications, baseline
-// predictor runs) are computed once per trace and reused across exhibits,
-// exactly as the paper's own experiments share one simulation
-// infrastructure.
+// Chappell & Patt (ISCA 1998) over the synthetic SPECint95 stand-in
+// traces. One exhibit table (exhibits.go) lists every exhibit by name;
+// Suite.BuildReport schedules the requested ones as (exhibit × workload)
+// cells over one Suite, so expensive intermediates (oracle selections,
+// classifications, baseline predictor runs) are computed once per trace
+// and reused across exhibits, exactly as the paper's own experiments
+// share one simulation infrastructure.
 package experiments
 
 import (
@@ -187,9 +188,11 @@ func (m *memo[T]) get(key string, compute func() T) T {
 }
 
 // Suite generates the workload traces once and computes shared
-// intermediates lazily. Shared intermediates are memoized behind
-// sync.Once keys, so exhibit methods (and the per-workload report cells
-// BuildReport schedules) are safe to call concurrently.
+// intermediates lazily. Exhibits are computed only through BuildReport,
+// which names them from the exhibit table; shared intermediates are
+// memoized behind sync.Once keys, so the per-workload report cells it
+// schedules run safely in parallel, and a later report on the same
+// suite reuses what an earlier one computed.
 type Suite struct {
 	cfg     Config
 	obs     *obs.Registry

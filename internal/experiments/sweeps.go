@@ -23,19 +23,6 @@ type SweepsResult struct {
 	Acc [][]float64
 }
 
-// Sweeps runs the fused gshare history sweep over all traces.
-func (s *Suite) Sweeps() *SweepsResult {
-	res := &SweepsResult{
-		Bits:       s.cfg.SweepGshareBits,
-		Benchmarks: s.Names(),
-		Acc:        make([][]float64, len(s.traces)),
-	}
-	for i, tr := range s.traces {
-		res.Acc[i] = s.sweepsCell(tr)
-	}
-	return res
-}
-
 // sweepsCell computes one benchmark's accuracy curve. Each cell builds
 // its own grid instance: a sweep grid carries per-config predictor
 // state bound to one trace walk, exactly like a predictor instance.

@@ -24,15 +24,6 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// Table1 summarizes the benchmark traces.
-func (s *Suite) Table1() *Table1Result {
-	res := &Table1Result{Rows: make([]Table1Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.table1Cell(tr)
-	}
-	return res
-}
-
 // table1Cell computes one benchmark's Table 1 row.
 func (s *Suite) table1Cell(tr *trace.Trace) Table1Row {
 	w, _ := workloads.ByName(tr.Name())
