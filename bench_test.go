@@ -696,8 +696,12 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 //
 // The step= levels, on gcc at 200k and on rand16, are what a full report
 // computes per trace for Figures 4 and 5 (benchFig5Step): step=fused is
-// the one-classification step, step=split the earlier path of two
-// oracle builds and four classifications.
+// the one-classification step whose sweeps replay the oracle
+// collection's state vectors, step=split the earlier path of two oracle
+// builds and four classifications with sweeps that walk. step=fused
+// also reports the state vectors' bytes per record (vec-B/record);
+// rand16, where nearly every record is declined and walks on its own,
+// is their worst case.
 func BenchmarkOracleWindows(b *testing.B) {
 	for _, n := range []int{200_000, 1_000_000} {
 		tr := benchTraceN(b, "gcc", n)
@@ -758,10 +762,11 @@ func benchOracleShared(b *testing.B, prefix string, tr *trace.Trace) {
 // tr: the oracle selections of every Figure 5 window, Figure 5's
 // selective sweep, and the per-branch window-16 grid Figures 4 and 8,
 // Table 2 and in-path read. step=fused classifies the trace once, at
-// window 32, and runs one OracleWindows call and both sweeps over those
-// classes. step=split is the path before it: a window-16 Oracle run and
-// a six-window OracleWindows call, each classifying the trace itself,
-// and two sweeps that classify it again.
+// window 32, and runs one OracleStates call over those classes and both
+// sweeps over its state vectors. step=split is an earlier path: a
+// window-16 Oracle run and a six-window OracleWindows call, each
+// classifying the trace itself, and two sweeps that classify it again
+// and walk.
 func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 	windows := []int{8, 12, 16, 20, 24, 28, 32}
 	fig5 := func(sels []*core.Selections) []core.SelectiveConfig {
@@ -772,13 +777,16 @@ func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 		return cfgs
 	}
 	b.Run(prefix+"/step=fused", func(b *testing.B) {
+		vecBytes := 0
 		for i := 0; i < b.N; i++ {
 			pc := core.ClassifyPaths(tr, 32, nil)
-			sels := core.OracleWindows(pc, windows, core.OracleOptions{})
-			sim.SimulateSweep(tr, core.NewSelectiveSweepOver(pc, "fig5", fig5(sels)), sim.Options{})
-			sim.SimulateSweep(tr, benchGlobalGrid(pc, sels[2]), sim.Options{PerBranch: true})
+			sels, st := core.OracleStates(pc, windows, nil, core.OracleOptions{})
+			sim.SimulateSweep(tr, core.NewSelectiveSweepStates(st, "fig5", fig5(sels)), sim.Options{})
+			sim.SimulateSweep(tr, benchGlobalGrid(st, sels[2]), sim.Options{PerBranch: true})
+			vecBytes = st.VectorBytes()
 		}
 		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+		b.ReportMetric(float64(vecBytes)/float64(tr.Len()), "vec-B/record")
 	})
 	b.Run(prefix+"/step=split", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -985,38 +993,46 @@ func BenchmarkSimSweep(b *testing.B) {
 // benchGlobalGrid is the per-branch grid the report's global-correlation
 // exhibits share (Figures 4 and 8, Table 2, in-path): 1-, 2- and 3-ref
 // oracle-selected selective predictors, the 3-ref one in presence mode,
-// IF-gshare(16) and gshare(16). The selective grid reads the path
-// classes pc, or classifies the trace itself when pc is nil.
-func benchGlobalGrid(pc *core.PathClasses, sels *core.Selections) bp.SweepGrid {
+// IF-gshare(16) and gshare(16). The selective grid replays the state
+// vectors st resolved for sels, or walks and classifies the trace
+// itself when st is nil.
+func benchGlobalGrid(st *core.BeamStates, sels *core.Selections) bp.SweepGrid {
 	var cfgs []core.SelectiveConfig
 	for k := 1; k <= core.MaxSelectiveRefs; k++ {
 		cfgs = append(cfgs, core.SelectiveConfig{Name: fmt.Sprintf("IF %d-branch selective(16)", k), Window: 16, Assign: sels.BySize[k]})
 	}
 	cfgs = append(cfgs, core.SelectiveConfig{Name: "presence 3-branch selective(16)", Window: 16, Assign: sels.BySize[3], Mode: core.ModePresence})
+	selective := core.NewSelectiveSweep("global-selective", cfgs)
+	if st != nil {
+		selective = core.NewSelectiveSweepStates(st, "global-selective", cfgs)
+	}
 	return bp.NewConcatSweep("global-perbranch",
-		core.NewSelectiveSweepOver(pc, "global-selective", cfgs),
+		selective,
 		bp.NewIFGshareSweep([]uint{16}),
 		bp.NewGshareSweep([]uint{16}),
 	)
 }
 
 // benchSimSweepPerBranch adds BenchmarkSimSweep's per-branch rows, the
-// global grid at each length: impl=fused is one sim.SimulateSweep with Options.PerBranch (the
-// report's path), impl=reference is per-config sim.Simulate runs, where
-// the selective configs have no single-predictor kernel and take the
-// scalar reference loop (the path the report took before the fused
-// per-branch sweep). The oracle selections are built once per length,
-// outside the timer, and only when a row runs. The metric is aggregate
-// predicted branches/s (configs × branches / wall).
+// global grid at each length: impl=fused is one sim.SimulateSweep with
+// Options.PerBranch whose selective grid replays the window-16 oracle
+// call's state vectors (the report's path), impl=reference is
+// per-config sim.Simulate runs, where the selective configs have no
+// single-predictor kernel and take the scalar reference loop (the path
+// the report took before the fused per-branch sweep). The oracle
+// selections and states are built once per length, outside the timer,
+// and only when a row runs. The metric is aggregate predicted
+// branches/s (configs × branches / wall).
 func benchSimSweepPerBranch(b *testing.B) {
 	for _, n := range benchOracleLengths {
 		tr := benchTraceN(b, "gcc", n)
-		var sels *core.Selections
+		var sels []*core.Selections
+		var st *core.BeamStates
 		mk := func() bp.SweepGrid {
 			if sels == nil {
-				sels = core.Oracle(tr.Packed(), core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
+				sels, st = core.OracleStates(core.ClassifyPaths(tr, 16, nil), []int{16}, nil, core.OracleOptions{})
 			}
-			return benchGlobalGrid(nil, sels)
+			return benchGlobalGrid(st, sels[0])
 		}
 		report := func(b *testing.B) {
 			ncfg := len(mk().ConfigNames())

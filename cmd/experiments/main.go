@@ -78,18 +78,26 @@ func main() {
 	flag.Var(&specs, "p", "extra predictor spec to evaluate across all workloads (repeatable; see bpsim -specs)")
 	flag.Parse()
 	o.specs = specs
-	if err := run(o, os.Stdout); err != nil {
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
 // run is the whole program behind the flag parse, writing the report to
-// stdout; returning instead of exiting lets the profile and metrics
-// writers run (and flush) on every path.
-func run(o options, stdout io.Writer) (err error) {
+// stdout and progress to stderr; returning instead of exiting lets the
+// profile and metrics writers run (and flush) on every path.
+func run(o options, stdout, stderr io.Writer) (err error) {
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (all options are flags)", flag.Arg(0))
+	}
+	var names []string // nil: every exhibit
+	if o.exhibits != "all" && o.exhibits != "" {
+		names = strings.Split(o.exhibits, ",")
+	}
+	// Validate the request before any trace is generated.
+	if err := experiments.CheckExhibits(names); err != nil {
+		return err
 	}
 
 	if o.cpuprofile != "" {
@@ -128,7 +136,7 @@ func run(o options, stdout io.Writer) (err error) {
 		if derr != nil {
 			return derr
 		}
-		fmt.Fprintf(os.Stderr, "experiments: debug server on http://%s/ (expvar, pprof, /metrics)\n", ds.Addr())
+		_, _ = fmt.Fprintf(stderr, "experiments: debug server on http://%s/ (expvar, pprof, /metrics)\n", ds.Addr())
 		defer func() {
 			if cerr := ds.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -152,7 +160,7 @@ func run(o options, stdout io.Writer) (err error) {
 	// module-wide by bplint's det-time rule.
 	logf := func(format string, args ...any) {
 		if !o.quiet {
-			fmt.Fprintf(os.Stderr, "experiments: %s\n", fmt.Sprintf(format, args...))
+			_, _ = fmt.Fprintf(stderr, "experiments: %s\n", fmt.Sprintf(format, args...))
 		}
 	}
 	suite, err := experiments.NewSuite(cfg, logf)
@@ -161,10 +169,6 @@ func run(o options, stdout io.Writer) (err error) {
 	}
 	cfg = suite.Config() // pick up the suite's defaults (fig9 benchmarks etc.)
 
-	var names []string // nil: every exhibit
-	if o.exhibits != "all" && o.exhibits != "" {
-		names = strings.Split(o.exhibits, ",")
-	}
 	// fig9 needs gcc and perl unless overridden alongside -workloads.
 	isFig9 := func(e string) bool { return strings.TrimSpace(e) == "fig9" }
 	if o.wls != "" && !suite.Fig9Available() {
@@ -172,7 +176,7 @@ func run(o options, stdout io.Writer) (err error) {
 			names = experiments.ExhibitOrder()
 		}
 		if slices.ContainsFunc(names, isFig9) {
-			fmt.Fprintf(os.Stderr, "experiments: skipping fig9 (needs %s in -workloads)\n",
+			_, _ = fmt.Fprintf(stderr, "experiments: skipping fig9 (needs %s in -workloads)\n",
 				strings.Join(cfg.Fig9Benchmarks, " and "))
 			if names = slices.DeleteFunc(names, isFig9); len(names) == 0 {
 				return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func wantReport(t *testing.T, exhibits []string) *experiments.Report {
 
 func TestRunAllExhibits(t *testing.T) {
 	var out strings.Builder
-	if err := run(runOptions("all"), &out); err != nil {
+	if err := run(runOptions("all"), &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	want := wantReport(t, nil)
@@ -49,7 +50,7 @@ func TestRunAllExhibits(t *testing.T) {
 
 func TestRunExhibitSubset(t *testing.T) {
 	var out strings.Builder
-	if err := run(runOptions("table2, fig4,table2"), &out); err != nil {
+	if err := run(runOptions("table2, fig4,table2"), &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if want := wantReport(t, []string{"fig4", "table2"}).Render(); out.String() != want {
@@ -57,14 +58,22 @@ func TestRunExhibitSubset(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExhibit checks that a misspelt exhibit name fails with
+// an error naming it, before the run generates any trace: with progress
+// logging on, nothing reaches stderr.
 func TestRunUnknownExhibit(t *testing.T) {
-	var out strings.Builder
-	err := run(runOptions("fig4,bogus"), &out)
+	var out, progress strings.Builder
+	o := runOptions("fig4,bogus")
+	o.quiet = false
+	err := run(o, &out, &progress)
 	if err == nil || !strings.Contains(err.Error(), `unknown exhibit "bogus"`) {
 		t.Errorf("err = %v, want an unknown-exhibit error naming bogus", err)
 	}
 	if out.Len() != 0 {
 		t.Errorf("failed run wrote %d bytes of report", out.Len())
+	}
+	if strings.Contains(progress.String(), "generating") {
+		t.Errorf("failed run generated traces first:\n%s", progress.String())
 	}
 }
 
@@ -76,7 +85,7 @@ func TestRunSkipsFig9(t *testing.T) {
 		o := runOptions(exhibits)
 		o.wls = "gcc,compress"
 		var out strings.Builder
-		if err := run(o, &out); err != nil {
+		if err := run(o, &out, io.Discard); err != nil {
 			t.Fatalf("-exhibits %s: %v", exhibits, err)
 		}
 		got := out.String()

@@ -36,7 +36,8 @@ func TestOracleEmitterAllocs(t *testing.T) {
 // state: once every branch's state histograms hold their vectors,
 // replaying the stream over emptied histograms (same slot arrays, same
 // capacity) allocates nothing per record — for one window and for the
-// shared multi-window walk, with the signature classes.
+// shared multi-window walk, with the signature classes, and keeping
+// every walk's state vectors in BeamStates sized up front.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
@@ -45,10 +46,11 @@ func TestCollectStreamAllocs(t *testing.T) {
 		pc := ClassifyPaths(pt, windows[len(windows)-1], obs.New())
 		cands := profileWindows(pt, pc, windows, cfg)
 		pcs := sortedPCs(cands)
-		matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
+		matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs(), nil)
 		em := newPackedEmitter(pt, windows)
 		var st memoStats
-		collectTrace(em, matchers, pc, &st) // warm the emitter and the histograms
+		states := newBeamStates(pc, windows, matchers)
+		collectTrace(em, matchers, pc, &st, states) // warm the emitter and the histograms
 		allocs := testing.AllocsPerRun(3, func() {
 			for _, bm := range matcherOf {
 				for w := range bm.hists {
@@ -59,7 +61,7 @@ func TestCollectStreamAllocs(t *testing.T) {
 					h.keys, h.cnts = h.keys[:0], h.cnts[:0]
 				}
 			}
-			collectTrace(em, matchers, pc, &st)
+			collectTrace(em, matchers, pc, &st, states)
 		})
 		if allocs != 0 {
 			t.Errorf("windows %v: collectTrace allocates %.1f per full replay, want 0", windows, allocs)

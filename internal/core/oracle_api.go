@@ -150,9 +150,9 @@ func runOracle(src Source, windows []int, opts OracleOptions) []*Selections {
 		for w := range cands {
 			cands[w] = opts.Candidates
 		}
-		sels = selectWindows(pt, pc, distinct, cands, cfg)
+		sels, _ = selectWindows(pt, pc, distinct, cands, nil, false, cfg)
 	case StageFull:
-		sels = selectWindows(pt, pc, distinct, profileWindows(pt, pc, distinct, cfg), cfg)
+		sels, _ = selectWindows(pt, pc, distinct, profileWindows(pt, pc, distinct, cfg), nil, false, cfg)
 	default:
 		panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 	}
@@ -163,3 +163,139 @@ func runOracle(src Source, windows []int, opts OracleOptions) []*Selections {
 	}
 	return out
 }
+
+// OracleStates is OracleWindows over the path classes pc that also
+// returns what its collection pass resolved: the state vectors of every
+// walk (BeamStates), which NewSelectiveSweepStates replays instead of
+// walking the trace again. The selections come back in argument order,
+// bit-identical to OracleWindows'; core.oracle.builds gains one per
+// entry of windows.
+//
+// held lists selections the caller already holds, keyed by window
+// length, at windows it does not ask to build: the collection resolves
+// each one's refs (the union of its 1- to 3-ref assignments per branch)
+// as an unscored column, so the states serve sweeps at that window too,
+// without a profile or a score for it. With windows empty the call is
+// the collection alone. pc's window must cover every built and held
+// window, and no held window may also be built.
+func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, opts OracleOptions) ([]*Selections, *BeamStates) {
+	if opts.Stage != StageFull {
+		panic(fmt.Sprintf("core: OracleStates runs stage %v only, got %v", StageFull, opts.Stage))
+	}
+	cfg := opts.WithDefaults()
+	distinct := slices.Clone(windows)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	cols := slices.Clone(distinct)
+	for n := range held {
+		cols = append(cols, n)
+	}
+	slices.Sort(cols)
+	checkWindows(cols)
+	if n := cols[len(cols)-1]; pc.n < n {
+		panic(fmt.Sprintf("core: oracle states over path classes at window %d need window %d", pc.n, n))
+	}
+	reg := obs.Or(cfg.Obs)
+	pt := pc.Packed()
+	var built []map[trace.Addr]*Candidates
+	if len(distinct) > 0 {
+		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
+		defer reg.StartSpan("core.oracle.build").End()
+		built = profileWindows(pt, pc, distinct, cfg)
+	}
+	cands := make([]map[trace.Addr]*Candidates, len(cols))
+	scored := make([]bool, len(cols))
+	for w, n := range cols {
+		if sel, ok := held[n]; ok {
+			cands[w] = heldBeams(sel)
+			continue
+		}
+		b, _ := slices.BinarySearch(distinct, n)
+		cands[w], scored[w] = built[b], true
+	}
+	sels, states := selectWindows(pt, pc, cols, cands, scored, true, cfg)
+	out := make([]*Selections, len(windows))
+	for i, n := range windows {
+		w, _ := slices.BinarySearch(cols, n)
+		out[i] = sels[w]
+	}
+	return out, states
+}
+
+// heldBeams turns held selections into one beam per branch: the
+// distinct refs of its 1-, 2- and 3-ref assignments, in that order.
+func heldBeams(sel *Selections) map[trace.Addr]*Candidates {
+	out := make(map[trace.Addr]*Candidates)
+	for k := 1; k <= MaxSelectiveRefs; k++ {
+		for pc, refs := range sel.BySize[k] {
+			if len(refs) > MaxSelectiveRefs {
+				panic(fmt.Sprintf("core: branch 0x%x holds %d refs, max %d", uint32(pc), len(refs), MaxSelectiveRefs))
+			}
+			c := out[pc]
+			if c == nil {
+				c = &Candidates{}
+				out[pc] = c
+			}
+			for _, r := range refs {
+				if !slices.Contains(c.Refs, r) {
+					c.Refs = append(c.Refs, r)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// BeamStates is what one collection pass resolved (OracleStates), kept
+// for the selective sweeps that replay the same trace
+// (NewSelectiveSweepStates). The collection walks once per path class
+// of its classes and once per record the classification declined, for
+// every branch with a beam; each walk resolves the branch's beam at
+// every window into one state vector per window (two bits per beam
+// slot: absent, taken, not-taken). A sweep config whose refs all sit in
+// their branch's beam at the config's window therefore reads its
+// pattern-table index from those bits, with no walk of its own.
+//
+// The vectors are stored in walk order, with no index: the records'
+// in position order, then the classes' in class order, each skipping
+// the branches without a beam; a reader keeps a cursor into each. That
+// costs 8 bytes per window per walk, and nothing else: 15.5 bytes per
+// record (3.1 MB) on the 200k-record gcc trace at Figure 5's seven
+// windows, and 56 bytes per record when every record is declined. The value is
+// read-only once built, so concurrent sweeps may share it.
+type BeamStates struct {
+	pc      *PathClasses
+	windows []int     // ascending: every built and held window
+	beams   [][][]Ref // per dense ID: per window, the beam in slot order; nil without a beam at any window
+	recs    []uint64  // [declined record × window], position order
+	classes []uint64  // [walked class × window], class order
+}
+
+// newBeamStates sizes the states for one collection over pc: one
+// vector per window for every walk collectTrace makes.
+func newBeamStates(pc *PathClasses, windows []int, matchers []*beamMatcher) *BeamStates {
+	st := &BeamStates{pc: pc, windows: windows, beams: make([][][]Ref, len(matchers))}
+	for id, bm := range matchers {
+		if bm != nil {
+			st.beams[id] = bm.beams
+		}
+	}
+	ids := pc.ids
+	recs, classes := 0, 0
+	for k, c := range pc.class {
+		if c < 0 && matchers[ids[pc.lo+k]] != nil {
+			recs++
+		}
+	}
+	for c, rep := range pc.reps {
+		if pc.counts[c] > 0 && matchers[ids[rep]] != nil {
+			classes++
+		}
+	}
+	st.recs = make([]uint64, 0, recs*len(windows))
+	st.classes = make([]uint64, 0, classes*len(windows))
+	return st
+}
+
+// VectorBytes is the memory the state vectors hold.
+func (st *BeamStates) VectorBytes() int { return 8 * (len(st.recs) + len(st.classes)) }

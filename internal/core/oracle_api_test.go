@@ -103,3 +103,45 @@ func TestOracleUnknownStagePanics(t *testing.T) {
 	}()
 	Oracle(trace.New("x", 0), OracleOptions{Stage: OracleStage(42)})
 }
+
+// TestOracleStatesMatchesOracleWindows pins OracleStates' selections to
+// OracleWindows' over the same windows, in argument order, with and
+// without a held column (which must change no built window), and its
+// loud failures: a stage other than StageFull, a window both built and
+// held, and classes shorter than a window.
+func TestOracleStatesMatchesOracleWindows(t *testing.T) {
+	windows := []int{32, 8, 16}
+	for _, tr := range differentialTraces() {
+		pc := ClassifyPaths(tr, 32, nil)
+		want := OracleWindows(tr, windows, OracleOptions{})
+		held := map[int]*Selections{12: want[2]}
+		for _, h := range []map[int]*Selections{nil, held} {
+			got, st := OracleStates(pc, windows, h, OracleOptions{})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s held=%v: OracleStates selections differ from OracleWindows", tr.Name(), h != nil)
+			}
+			cols := []int{8, 16, 32}
+			if h != nil {
+				cols = []int{8, 12, 16, 32}
+			}
+			if !reflect.DeepEqual(st.windows, cols) {
+				t.Errorf("%s held=%v: states cover windows %v, want %v", tr.Name(), h != nil, st.windows, cols)
+			}
+		}
+	}
+	pc := ClassifyPaths(differentialTraces()[0], 16, nil)
+	for name, call := range map[string]func(){
+		"stage":             func() { OracleStates(pc, []int{8}, nil, OracleOptions{Stage: StageProfile}) },
+		"built and held":    func() { OracleStates(pc, []int{8}, map[int]*Selections{8: {}}, OracleOptions{}) },
+		"classes too short": func() { OracleStates(pc, []int{32}, nil, OracleOptions{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("did not panic")
+				}
+			}()
+			call()
+		})
+	}
+}

@@ -304,7 +304,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 
 	pc := ClassifyPaths(pt, windows[1], obs.New())
 	cands := profileWindows(pt, pc, windows, OracleConfig{}.WithDefaults())
-	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt.Addrs())
+	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt.Addrs(), nil)
 	bm := matcherOf[x]
 	if bm == nil {
 		t.Fatal("branch X has no beam")
@@ -343,7 +343,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	for _, mixes := range byVec {
 		walks += len(mixes)
 	}
-	collectTrace(em, matchers, pc, &memoStats{})
+	collectTrace(em, matchers, pc, &memoStats{}, nil)
 	if entries := len(bm.hists[0].keys); entries >= walks {
 		t.Errorf("X's window-8 histogram holds %d entries for %d class walks and %d declined records, want fewer than the class walks",
 			entries, walks, declined)

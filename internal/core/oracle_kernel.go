@@ -769,27 +769,29 @@ const (
 )
 
 // beamMatcher resolves emitted ref keys for one static branch against
-// the union of its per-window beams, and holds each window's state
-// histogram.
+// the union of its per-window beams, and holds each scored window's
+// state histogram.
 type beamMatcher struct {
 	set   refKeySet   // union of the windows' packed beam keys
 	slots []int8      // [key index × windows + w]: the key's slot in beam w, -1 if absent
-	hists []stateHist // per window; an empty beam's histogram has no slot array
+	beams [][]Ref     // per window: the beam, in slot order
+	hists []stateHist // per window; an empty or unscored beam's histogram has no slot array
 }
 
 // newBeamMatcher builds a matcher over one branch's per-window beams
-// (beams[w] may be empty). idOf maps each PC of the trace's intern
-// table to its dense ID.
-func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref) *beamMatcher {
+// (beams[w] may be empty; the matcher keeps the slice). idOf maps each
+// PC of the trace's intern table to its dense ID. Window w gets a
+// histogram only when scored is nil or scored[w] holds.
+func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, scored []bool) *beamMatcher {
 	nw := len(beams)
-	bm := &beamMatcher{hists: make([]stateHist, nw)}
+	bm := &beamMatcher{beams: beams, hists: make([]stateHist, nw)}
 	type keySlot struct {
 		key     uint64
 		w, slot int
 	}
 	var pairs []keySlot
 	for w, refs := range beams {
-		if len(refs) > 0 {
+		if len(refs) > 0 && (scored == nil || scored[w]) {
 			bm.hists[w].init()
 		}
 		for slot, r := range refs {
@@ -885,17 +887,27 @@ type branchSelection struct {
 // the histogram entries and scored in parallel across the
 // internal/runner pool (cfg.ScoreParallel workers, identical output at
 // any level). core.oracle.select.patterns counts the histogram entries.
-func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
+//
+// A window with scored[w] false (scored nil: every window is scored) is
+// a held column: its beam is resolved like any other, but it gets no
+// histogram and no scoring, and its result entry is nil. With keep set,
+// the collection's state vectors are returned as BeamStates; otherwise
+// the states are nil and the vectors are never stored.
+func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map[trace.Addr]*Candidates, scored []bool, keep bool, cfg OracleConfig) ([]*Selections, *BeamStates) {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.select").End()
 
 	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs())
+	matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs(), scored)
 
 	// Collection stream: one walk per class or declined record, one
 	// histogram count per window.
 	var st memoStats
-	collectTrace(newPackedEmitter(pt, windows), matchers, pc, &st)
+	var states *BeamStates
+	if keep {
+		states = newBeamStates(pc, windows, matchers)
+	}
+	collectTrace(newPackedEmitter(pt, windows), matchers, pc, &st, states)
 	st.flush(reg)
 	entries := int64(0)
 	for _, bm := range matcherOf {
@@ -907,9 +919,11 @@ func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map
 
 	out := make([]*Selections, len(windows))
 	for w := range windows {
-		out[w] = scoreSelections(pcs, cands[w], matcherOf, w, cfg)
+		if scored == nil || scored[w] {
+			out[w] = scoreSelections(pcs, cands[w], matcherOf, w, cfg)
+		}
 	}
-	return out
+	return out, states
 }
 
 // sortedPCs returns the canonical branch order: the candidate maps' keys,
@@ -933,28 +947,28 @@ func sortedPCs(cands []map[trace.Addr]*Candidates) []trace.Addr {
 // buildMatchers constructs one beam matcher per branch with a non-empty
 // beam in any window, both dense-ID indexed (for the collection loop)
 // and keyed by PC (for the scoring stage). addrs is the trace's
-// complete intern table.
-func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, addrs []trace.Addr) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
+// complete intern table; scored is newBeamMatcher's.
+func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, addrs []trace.Addr, scored []bool) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
 	idOf := make(map[trace.Addr]int32, len(addrs))
 	for id, a := range addrs {
 		idOf[a] = int32(id)
 	}
 	matchers := make([]*beamMatcher, len(addrs))
 	matcherOf := make(map[trace.Addr]*beamMatcher, len(pcs))
-	beams := make([][]Ref, len(cands))
 	for _, pc := range pcs {
-		any := false
+		var beams [][]Ref
 		for w, m := range cands {
-			beams[w] = nil
-			if c := m[pc]; c != nil {
+			if c := m[pc]; c != nil && len(c.Refs) > 0 {
+				if beams == nil {
+					beams = make([][]Ref, len(cands))
+				}
 				beams[w] = c.Refs
-				any = any || len(c.Refs) > 0
 			}
 		}
-		if !any {
+		if beams == nil {
 			continue
 		}
-		bm := newBeamMatcher(idOf, beams)
+		bm := newBeamMatcher(idOf, beams, scored)
 		matcherOf[pc] = bm
 		if rid, ok := idOf[pc]; ok {
 			matchers[rid] = bm
@@ -1010,10 +1024,16 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 // histograms; then each class walks once, at its representative, and
 // adds all its instances by outcome. The vectors depend only on the
 // signature, so the histograms are identical to a per-record walk's.
+// A non-nil keep receives every walk's vectors, in walk order (the
+// order BeamStates documents).
 //
 //bplint:hot
-func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, st *memoStats) {
+func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, st *memoStats, keep *BeamStates) {
 	ids := em.ids
+	var recs, classes []uint64
+	if keep != nil {
+		recs, classes = keep.recs[:0], keep.classes[:0]
+	}
 	for i, c := range pc.class {
 		if c >= 0 {
 			continue
@@ -1023,17 +1043,28 @@ func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, s
 			if em.taken1(i) {
 				wt = [2]uint32{1, 0}
 			}
-			bm.add(collectWalk(em, bm, i), wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+			vecs := collectWalk(em, bm, i)
+			bm.add(vecs, wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+			if keep != nil {
+				recs = append(recs, vecs...) //bplint:ignore kernel-purity newBeamStates sized the buffer to the walks, so the append never grows it
+			}
 		}
 	}
 	counts, taken := pc.counts, pc.taken
 	for c, rep := range pc.reps {
 		n := counts[c]
 		if bm := matchers[ids[rep]]; bm != nil && n > 0 {
-			bm.add(collectWalk(em, bm, int(rep)), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+			vecs := collectWalk(em, bm, int(rep))
+			bm.add(vecs, [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+			if keep != nil {
+				classes = append(classes, vecs...) //bplint:ignore kernel-purity newBeamStates sized the buffer to the walks, so the append never grows it
+			}
 			st.walks++
 			st.hits += int64(n - 1)
 		}
+	}
+	if keep != nil {
+		keep.recs, keep.classes = recs, classes
 	}
 }
 

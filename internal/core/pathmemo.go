@@ -65,8 +65,9 @@ const (
 // One value serves every consumer that walks at a window no longer than
 // N: positions with equal signatures at N have equal signatures at any
 // smaller window. ClassifyPaths builds it for a whole packed trace, and
-// the oracle (passed as its Source) and a SelectiveSweep built over it
-// both read it; neither writes it, so concurrent readers are safe. It is
+// the oracle (passed as its Source, or to OracleStates) and a
+// SelectiveSweep built over the oracle's states both read it; neither
+// writes it, so concurrent readers are safe. It is
 // a pure function of the columns, held only as long as its holders hold
 // it: nothing in the package caches it.
 //
@@ -95,8 +96,9 @@ var _ Source = (*PathClasses)(nil)
 // window n (one pass over the trace) and counts the pass into reg
 // (nil selects obs.Default()): core.paths.classify.passes gains one and
 // core.paths.classify.records the records classified. Hand the result to
-// OracleWindows or Oracle as their Source, and to NewSelectiveSweepOver,
-// to share one pass between them.
+// OracleWindows or Oracle as their Source, or to OracleStates, whose
+// states NewSelectiveSweepStates replays, to share one pass between
+// them.
 func ClassifyPaths(src Source, n int, reg *obs.Registry) *PathClasses {
 	if n <= 0 {
 		panic(fmt.Sprintf("core: path classification window %d must be positive", n))
@@ -172,6 +174,10 @@ type pathMemo struct {
 	inserting bool   // bypass state: new signatures become classes
 
 	epochLookups, epochHits int
+
+	// prevRep is the representative of the class the previous position
+	// joined (itself, for a new class), or -1 when it was not classified.
+	prevRep int
 }
 
 // pathEntry packs column position p's (id, taken, backward) triple into
@@ -191,6 +197,7 @@ func (m *pathMemo) reset(ids []int32, taken, back []uint64, n, lo, hi int) {
 	m.limit = max((hi-lo)/2, pathMemoMinClasses)
 	m.inserting = true
 	m.epochLookups, m.epochHits = 0, 0
+	m.prevRep = -1
 	m.powN = 1
 	for k := 0; k < n; k++ {
 		m.powN *= pathRollBase
@@ -265,13 +272,27 @@ func (m *pathMemo) same(i, r int) bool {
 	return bitsEqual(m.taken, i-n, r-n, n) && bitsEqual(m.back, i-n, r-n, n)
 }
 
+// chained is same(i, r) for a representative r whose predecessor r-1
+// has position i-1's signature: the signatures of i and r then share
+// everything but ids[i] against ids[r] and the taken and backward bits
+// of i-1 against r-1.
+func (m *pathMemo) chained(i, r int) bool {
+	return m.ids[i] == m.ids[r] &&
+		bitsAt(m.taken, i-1, 1) == bitsAt(m.taken, r-1, 1) &&
+		bitsAt(m.back, i-1, 1) == bitsAt(m.back, r-1, 1)
+}
+
 // classify returns position i's class, or -1 when the record must take
 // the per-record walk. Positions must be classified in order from the
-// reset's lo.
+// reset's lo. A candidate whose representative follows the previous
+// position's is compared by chained, not same: runs of records that
+// repeat an earlier run pay one full comparison, at the run's start.
 //
 //bplint:hot
 func (m *pathMemo) classify(i int) int32 {
 	n := m.n
+	prev := m.prevRep
+	m.prevRep = -1
 	if i < n {
 		return -1
 	}
@@ -292,9 +313,11 @@ func (m *pathMemo) classify(i int) int32 {
 		if c < 0 {
 			break
 		}
-		if tags[c] == tag && m.same(i, int(reps[c])) {
+		// Representatives are at least n >= 1, so prev = -1 never chains.
+		if r := int(reps[c]); tags[c] == tag && (r == prev+1 && m.chained(i, r) || r != prev+1 && m.same(i, r)) {
 			m.epochHits++
 			counts[c]++
+			m.prevRep = r
 			return c
 		}
 		k = (k + 1) & mask
@@ -305,6 +328,7 @@ func (m *pathMemo) classify(i int) int32 {
 	c := int32(len(m.reps))
 	m.tags, m.reps, m.counts = extend(m.tags, 1), extend(m.reps, 1), extend(m.counts, 1)
 	m.tags[c], m.reps[c], m.counts[c] = tag, int32(i), 1
+	m.prevRep = i
 	slots[k] = c
 	if 4*len(m.reps) > 3*len(slots) {
 		m.resize(2 * len(slots))

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,12 +313,17 @@ func lcgTrace(n, sites int) *trace.Trace {
 // TestPathClassesSharedGrid pins the per-branch bundle's window-16
 // selective grid (oracle-chosen 1-, 2- and 3-ref histories and the
 // presence-mode 3-ref one) over shared path classes to per-record
-// NewSelectiveMode replays: over classes at window 32, as Figure 5's
-// step shares them, over its own window-16 classes, and classifying
-// itself, sequential and config-sharded. The oracle reading the
-// window-32 classes must select what it selects over its own. One trace
-// drives the classification's bypass, the other leaves one-record
-// classes that walk on their own next to repeated ones.
+// NewSelectiveMode replays, sequential and config-sharded. The grid also
+// runs two window-8 configs (3 refs, and presence) over a held
+// assignment in which one branch names a PC absent from the trace. It
+// replays the state vectors of an OracleStates call, which builds
+// window 16 and holds the window-8 assignment, over classes at window
+// 32, as Figure 5's step shares them, and over the window's own
+// classes: the call must select what Oracle selects, and the replay must
+// match the scalar runs without a walk. The walking sweep, classifying
+// itself, must match them too and count its walks. One trace drives the
+// classification's bypass, the other leaves one-record classes that
+// walk on their own next to repeated ones.
 func TestPathClassesSharedGrid(t *testing.T) {
 	for _, tc := range []struct {
 		tr     *trace.Trace
@@ -356,21 +363,74 @@ func TestPathClassesSharedGrid(t *testing.T) {
 				cfgs = append(cfgs, SelectiveConfig{Name: fmt.Sprintf("sel%d(16)", k), Window: 16, Assign: sels.BySize[k]})
 			}
 			cfgs = append(cfgs, SelectiveConfig{Name: "presence3(16)", Window: 16, Assign: sels.BySize[3], Mode: ModePresence})
+			held := absentRefSelections(t, tr, sels)
+			cfgs = append(cfgs,
+				SelectiveConfig{Name: "held3(8)", Window: 8, Assign: held.BySize[3]},
+				SelectiveConfig{Name: "held-presence3(8)", Window: 8, Assign: held.BySize[3], Mode: ModePresence})
 			want := scalarSelective(tr, cfgs)
-			for _, classes := range []struct {
-				name string
-				pc   *PathClasses
-			}{{"shared32", pc32}, {"shared16", pc16}, {"own", nil}} {
+			check := func(name string, grid *SelectiveSweep) {
+				t.Helper()
 				for _, parallel := range []int{1, 2} {
-					got := sim.SimulateSweep(tr, NewSelectiveSweepOver(classes.pc, "sel", cfgs), sim.Options{Parallel: parallel}).Correct
+					got := sim.SimulateSweep(tr, grid, sim.Options{Parallel: parallel}).Correct
 					for c := range want {
 						if got[c] != want[c] {
 							t.Errorf("%s parallel=%d config %s: %d correct (fused) vs %d (scalar)",
-								classes.name, parallel, cfgs[c].Name, got[c], want[c])
+								name, parallel, cfgs[c].Name, got[c], want[c])
 						}
 					}
 				}
 			}
+			walks := obs.Default().Counter("core.selective.sweep.walks")
+			for _, classes := range []struct {
+				name string
+				pc   *PathClasses
+			}{{"shared32", pc32}, {"shared16", pc16}} {
+				built, st := OracleStates(classes.pc, []int{16}, map[int]*Selections{8: held}, OracleOptions{OracleConfig: cfg})
+				mustEqualSelections(t, built[0], sels)
+				before := walks.Value()
+				check(classes.name, NewSelectiveSweepStates(st, "sel", cfgs))
+				if n := walks.Value() - before; n != 0 {
+					t.Errorf("%s: %d sweep walks, want 0", classes.name, n)
+				}
+			}
+			before := walks.Value()
+			check("own", NewSelectiveSweep("sel", cfgs))
+			if walks.Value() == before {
+				t.Error("the walking sweep counted no walks")
+			}
 		})
 	}
+}
+
+// absentRefSelections returns sels with the first assigned branch's
+// 3-ref history ending in a ref to a PC the trace never executes, so
+// every instance resolves it absent.
+func absentRefSelections(t *testing.T, tr *trace.Trace, sels *Selections) *Selections {
+	t.Helper()
+	const absent = trace.Addr(0xdead0000)
+	for _, a := range tr.Packed().Addrs() {
+		if a == absent {
+			t.Fatalf("the trace executes the absent PC 0x%x", uint32(absent))
+		}
+	}
+	var first trace.Addr
+	found := false
+	for pc := range sels.BySize[3] {
+		if !found || pc < first {
+			first, found = pc, true
+		}
+	}
+	if !found {
+		t.Fatal("the oracle assigned no branch")
+	}
+	out := &Selections{}
+	for k := 1; k <= MaxSelectiveRefs; k++ {
+		out.BySize[k] = maps.Clone(sels.BySize[k])
+	}
+	refs := slices.Clone(sels.BySize[3][first])
+	if len(refs) == MaxSelectiveRefs {
+		refs = refs[:MaxSelectiveRefs-1]
+	}
+	out.BySize[3][first] = append(refs, Ref{PC: absent, Scheme: Occurrence})
+	return out
 }

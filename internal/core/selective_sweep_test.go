@@ -81,14 +81,90 @@ func selSweepTotals(g *SelectiveSweep, pt *trace.Packed, chunk int) []int32 {
 	return correct
 }
 
+// selSweepStates returns the state vectors of a collection over pt's
+// window-32 classes that holds each config's assignment at the config's
+// window (the conformance grid's windows are distinct).
+func selSweepStates(pt *trace.Packed, cfgs []SelectiveConfig) *BeamStates {
+	return selSweepStatesOver(ClassifyPaths(pt, 32, obs.New()), cfgs)
+}
+
+// selSweepStatesOver is selSweepStates over the classes pc.
+func selSweepStatesOver(pc *PathClasses, cfgs []SelectiveConfig) *BeamStates {
+	held := make(map[int]*Selections, len(cfgs))
+	for _, cfg := range cfgs {
+		held[cfg.Window] = &Selections{BySize: [MaxSelectiveRefs + 1]Assignment{MaxSelectiveRefs: cfg.Assign}}
+	}
+	_, st := OracleStates(pc, nil, held, OracleOptions{})
+	return st
+}
+
+// TestSelectiveSweepStatesMatchWalk pins the states path's pattern-table
+// indices to the walk's, record by record: each record's indices over
+// the states (its class's, or the next declined-record vectors) must
+// equal a walk at the record, for blocks at Lo 0 and past it, so the
+// declined-record cursor also starts mid-list. Accuracy alone cannot
+// see every fault here: a consistent relabeling of the states (taken
+// read as not-taken and back) permutes each pattern table and predicts
+// exactly as before. The conformance grid runs over held columns,
+// gcc's oracle selections over built ones.
+func TestSelectiveSweepStatesMatchWalk(t *testing.T) {
+	sel := selSweepTrace(2000).Packed()
+	selPC := ClassifyPaths(sel, 32, obs.New())
+	gcc := workloadTrace(t, "gcc", 6_000)
+	gccPC := ClassifyPaths(gcc, 32, obs.New())
+	windows := []int{8, 16, 32}
+	_, gccStates := OracleStates(gccPC, windows, nil, OracleOptions{})
+	for _, tc := range []struct {
+		name string
+		st   *BeamStates
+		cfgs []SelectiveConfig
+	}{
+		{"sel-sweep", selSweepStatesOver(selPC, selSweepConfigs()), selSweepConfigs()},
+		{"gcc", gccStates, oracleSweepConfigs(gcc, windows)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkStatesMatchWalk(t, tc.st, tc.cfgs) })
+	}
+}
+
+// checkStatesMatchWalk is TestSelectiveSweepStatesMatchWalk over the
+// states st and the grid cfgs.
+func checkStatesMatchWalk(t *testing.T, st *BeamStates, cfgs []SelectiveConfig) {
+	t.Helper()
+	pc := st.pc
+	pt := pc.Packed()
+	ncfg := len(cfgs)
+	for _, lo := range []int{0, 1, 777, pt.Len() / 2} {
+		blk := selBlockOf(pt, lo, pt.Len())
+		walk, states := NewSelectiveSweep("sel", cfgs), NewSelectiveSweepStates(st, "sel", cfgs)
+		walk.prepare(blk)
+		states.prepare(blk)
+		want, got := make([]uint8, ncfg), make([]uint8, ncfg)
+		for i := lo; i < pt.Len(); i++ {
+			id := pt.IDs()[i]
+			walk.patterns(i, &walk.branches[id], want)
+			if c := pc.class[i]; c >= 0 {
+				copy(got, states.pats[int(c)*ncfg:])
+			} else {
+				states.recordPatterns(i, &states.branches[id], got)
+			}
+			for k := range cfgs {
+				if got[k] != want[k] {
+					t.Fatalf("lo=%d record %d config %s: pattern %d (states) vs %d (walk)", lo, i, cfgs[k].Name, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
 // TestSelectiveSweepScalarConformance pins the fused selective grid
 // bit-identical, per config, to independent scalar Selective replays,
 // driven as SweepBlock calls over consecutive [Lo, Hi) ranges of the
-// full packed columns. The chunk sizes cover single-record and
-// word-straddling ranges, ranges around the grid's largest window (32)
-// whose records look back across one or more range boundaries, and one
-// record past 4096. 0x400 first appears long after its consumer 0x200,
-// 0x500 never appears at all, and one config names a ref twice.
+// full packed columns, walking and replaying a collection's state
+// vectors. The chunk sizes cover single-record and word-straddling
+// ranges, ranges around the grid's largest window (32) whose records
+// look back across one or more range boundaries, and one record past
+// 4096. 0x400 first appears long after its consumer 0x200, 0x500 never
+// appears at all, and one config names a ref twice.
 func TestSelectiveSweepScalarConformance(t *testing.T) {
 	tr := selSweepTrace(4000)
 	pt := trace.Pack(tr)
@@ -103,12 +179,18 @@ func TestSelectiveSweepScalarConformance(t *testing.T) {
 			p.Update(r)
 		}
 	}
+	st := selSweepStates(pt, cfgs)
 	for _, chunk := range []int{1, 31, 32, 33, 63, 64, 65, 1000, 4097, tr.Len()} {
-		got := selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, chunk)
-		for c := range want {
-			if got[c] != want[c] {
-				t.Errorf("chunk=%d config %s: %d correct (fused) vs %d (scalar)",
-					chunk, cfgs[c].Name, got[c], want[c])
+		for name, g := range map[string]*SelectiveSweep{
+			"walk":   NewSelectiveSweep("sel", cfgs),
+			"states": NewSelectiveSweepStates(st, "sel", cfgs),
+		} {
+			got := selSweepTotals(g, pt, chunk)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Errorf("%s chunk=%d config %s: %d correct (fused) vs %d (scalar)",
+						name, chunk, cfgs[c].Name, got[c], want[c])
+				}
 			}
 		}
 	}
@@ -147,13 +229,19 @@ func TestSelectiveSweepShardComposition(t *testing.T) {
 func TestSelectiveSweepShardedSimulate(t *testing.T) {
 	tr := selSweepTrace(3000)
 	cfgs := selSweepConfigs()
+	st := selSweepStates(tr.Packed(), cfgs)
 	base := sim.SimulateSweep(tr, NewSelectiveSweep("sel", cfgs), sim.Options{})
 	for _, par := range []int{2, 3, -1} {
-		out := sim.SimulateSweep(tr, NewSelectiveSweep("sel", cfgs), sim.Options{Parallel: par})
-		for c := range base.Correct {
-			if out.Correct[c] != base.Correct[c] {
-				t.Errorf("parallel=%d config %s: %d correct, want %d",
-					par, base.Configs[c], out.Correct[c], base.Correct[c])
+		for name, g := range map[string]*SelectiveSweep{
+			"walk":   NewSelectiveSweep("sel", cfgs),
+			"states": NewSelectiveSweepStates(st, "sel", cfgs),
+		} {
+			out := sim.SimulateSweep(tr, g, sim.Options{Parallel: par})
+			for c := range base.Correct {
+				if out.Correct[c] != base.Correct[c] {
+					t.Errorf("%s parallel=%d config %s: %d correct, want %d",
+						name, par, base.Configs[c], out.Correct[c], base.Correct[c])
+				}
 			}
 		}
 	}
@@ -182,13 +270,19 @@ func TestSelectiveSweepConfigNames(t *testing.T) {
 func TestSelectiveSweepAllocs(t *testing.T) {
 	tr := selSweepTrace(3000)
 	pt := trace.Pack(tr)
-	g := NewSelectiveSweep("sel", selSweepConfigs())
-	correct := make([]int32, len(g.ConfigNames()))
-	full := selBlockOf(pt, 0, pt.Len())
-	g.SweepBlock(full, correct) // warm-up interns the per-ID columns
-	for name, blk := range map[string]bp.KernelBlock{"full": full, "mid": selBlockOf(pt, pt.Len()/4, pt.Len()/2)} {
-		if n := testing.AllocsPerRun(10, func() { g.SweepBlock(blk, correct) }); n != 0 {
-			t.Errorf("%.1f allocs per steady-state SweepBlock (%s range), want 0", n, name)
+	cfgs := selSweepConfigs()
+	st := selSweepStates(pt, cfgs)
+	for gname, g := range map[string]*SelectiveSweep{
+		"walk":   NewSelectiveSweep("sel", cfgs),
+		"states": NewSelectiveSweepStates(st, "sel", cfgs),
+	} {
+		correct := make([]int32, len(g.ConfigNames()))
+		full := selBlockOf(pt, 0, pt.Len())
+		g.SweepBlock(full, correct) // warm-up interns the per-ID columns
+		for name, blk := range map[string]bp.KernelBlock{"full": full, "mid": selBlockOf(pt, pt.Len()/4, pt.Len()/2)} {
+			if n := testing.AllocsPerRun(10, func() { g.SweepBlock(blk, correct) }); n != 0 {
+				t.Errorf("%s: %.1f allocs per steady-state SweepBlock (%s range), want 0", gname, n, name)
+			}
 		}
 	}
 }
@@ -233,12 +327,19 @@ func TestSelectiveSweepValidation(t *testing.T) {
 			NewSelectiveSweep("g", selSweepConfigs()).Shard(3, 2)
 		},
 		"classes below a config window": func() {
-			NewSelectiveSweepOver(ClassifyPaths(selSweepTrace(50), 16, obs.New()), "g", selSweepConfigs())
+			cfgs := selSweepConfigs()
+			NewSelectiveSweepStates(selSweepStatesOver(ClassifyPaths(selSweepTrace(50), 16, obs.New()), cfgs[:1]), "g", cfgs)
 		},
 		"classes of another trace": func() {
-			pc := ClassifyPaths(selSweepTrace(50), 32, obs.New())
+			cfgs := selSweepConfigs()
+			st := selSweepStates(selSweepTrace(50).Packed(), cfgs)
 			pt := selSweepTrace(50).Packed()
-			NewSelectiveSweepOver(pc, "g", selSweepConfigs()).SweepBlock(selBlockOf(pt, 0, pt.Len()), make([]int32, 6))
+			NewSelectiveSweepStates(st, "g", cfgs).SweepBlock(selBlockOf(pt, 0, pt.Len()), make([]int32, 6))
+		},
+		"ref outside its beam": func() {
+			cfgs := selSweepConfigs()
+			st := selSweepStates(selSweepTrace(50).Packed(), cfgs)
+			NewSelectiveSweepStates(st, "g", []SelectiveConfig{{Name: "x", Window: cfgs[0].Window, Assign: cfgs[1].Assign}})
 		},
 	}
 	for name, build := range cases {

@@ -184,6 +184,15 @@ func ExhibitOrder() []string {
 	return names
 }
 
+// CheckExhibits validates requested exhibit names as BuildReport does,
+// without a suite: it returns BuildReport's error for the first name the
+// exhibit table lacks, and nil for a nil or empty request. A command
+// calls it before generating traces, so a misspelt name fails at once.
+func CheckExhibits(names []string) error {
+	_, err := selectExhibits(names)
+	return err
+}
+
 // selectExhibits validates the requested exhibit names and returns their
 // table entries deduplicated in report order; nil or empty requests
 // everything.

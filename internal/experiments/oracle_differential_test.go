@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // reportSeams are the engine seams a differential report build swaps
 // in; nil fields keep the suite's defaults.
 type reportSeams struct {
-	oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int) []*core.Selections
+	oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int, map[int]*core.Selections) ([]*core.Selections, *core.BeamStates)
 	sweep  func(*trace.Trace, bp.SweepGrid, bool) *sim.SweepOutcome
 }
 
@@ -52,21 +53,30 @@ func buildReportsWith(t *testing.T, cfg Config, parallel int, seams reportSeams,
 // buildReportWith builds a full golden-config report with the given
 // oracle pipeline implementation and returns its JSON and rendered-text
 // bytes.
-func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int) []*core.Selections) (string, string) {
+func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int, map[int]*core.Selections) ([]*core.Selections, *core.BeamStates)) (string, string) {
 	t.Helper()
 	return buildReportsWith(t, goldenConfig(), parallel, reportSeams{oracle: oracle}, nil)
 }
 
 // referenceOracleWindows is the suite's oracle hook on the reference
-// implementation: one ReferenceBuildSelective run per window, ignoring
-// the path classes.
-func referenceOracleWindows(tr *trace.Trace, _ *core.PathClasses, cfg core.OracleConfig, windows []int) []*core.Selections {
+// implementation: one ReferenceBuildSelective run per window. The state
+// vectors a fused sweep replays come from a collection alone
+// (core.OracleStates with no window to build) that holds the reference
+// selections and the held ones, so no kernel selection reaches the
+// report.
+func referenceOracleWindows(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int, held map[int]*core.Selections) ([]*core.Selections, *core.BeamStates) {
 	out := make([]*core.Selections, len(windows))
+	all := maps.Clone(held)
+	if all == nil {
+		all = make(map[int]*core.Selections, len(windows))
+	}
 	for i, n := range windows {
 		cfg.WindowLen = n
 		out[i] = core.ReferenceBuildSelective(tr, cfg)
+		all[n] = out[i]
 	}
-	return out
+	_, st := core.OracleStates(pc, nil, all, core.OracleOptions{OracleConfig: cfg})
+	return out, st
 }
 
 // TestReportByteIdentityKernelVsReference is the end-to-end guarantee of
@@ -93,19 +103,19 @@ func TestReportByteIdentityKernelVsReference(t *testing.T) {
 // window's oracle build into Figure 5's per-trace step, which happens
 // only when a report requests Figure 5 next to an exhibit that reads the
 // window's selections. Reports of {fig4}, {fig5}, {fig4, fig5} and every
-// exhibit, and {fig4} then {fig5} on one suite, built on the kernels and
-// shared path classes at parallel 1 and 8, must be byte-identical to the
-// same reports built on the reference oracle and the reference sweep
-// engine. Figure 5 sweeps windows 8, 16 and 32, so its step classifies
-// at 32 where the per-branch sweep classifies at 16 without the fold, as
-// in the default config. The kernel runs must also classify and build
-// as the fold promises: without it, the window-16 build and the
-// per-branch sweep classify once each, and Figure 5's step classifies
-// once more for its other windows; with it, each trace is classified
-// once and gets one oracle call, whose classes Figure 5's sweep and the
-// per-branch sweep read too. Every run delivers each window's
-// selections once per trace: a later report reuses the window-16 build
-// of an earlier one.
+// exhibit, and {fig4} then {fig5} on one suite, built on the kernels,
+// must be byte-identical to the same reports built on the reference
+// oracle and the reference sweep engine, at parallel 1 and 8. Figure 5
+// sweeps windows 8, 16 and 32, so its step classifies at 32 where the
+// per-branch sweep classifies at 16 without the fold, as in the default
+// config. The kernel runs must also classify and build as promised:
+// each step classifies its trace once and makes one oracle call, whose
+// state vectors its sweeps replay (the per-branch bundle's presence-mode
+// config among them) without a walk of their own. With the fold each
+// trace gets one step; without it, Figure 5's step and the per-branch
+// bundle's are separate, and a later step holds the window-16 selections
+// an earlier one built instead of building them again, so every run
+// delivers each window's selections once per trace.
 func TestReportFig5FoldKernelVsReference(t *testing.T) {
 	base := goldenConfig()
 	base.Fig5Windows = []int{8, 16, 32}
@@ -117,11 +127,11 @@ func TestReportFig5FoldKernelVsReference(t *testing.T) {
 		calls   int64 // core.OracleWindows calls per trace
 		builds  int64 // core.oracle.builds per trace
 	}{
-		{"fig4", [][]string{{"fig4"}}, 2, 1, 1},
-		{"fig5", [][]string{{"fig5"}}, 2, 2, 3},
+		{"fig4", [][]string{{"fig4"}}, 1, 1, 1},
+		{"fig5", [][]string{{"fig5"}}, 1, 1, 3},
 		{"fig4+fig5", [][]string{{"fig4", "fig5"}}, 1, 1, 3},
 		{"all", [][]string{nil}, 1, 1, 3},
-		{"fig4-then-fig5", [][]string{{"fig4"}, {"fig5"}}, 3, 2, 3},
+		{"fig4-then-fig5", [][]string{{"fig4"}, {"fig5"}}, 2, 2, 3},
 	}
 	ref := reportSeams{oracle: referenceOracleWindows, sweep: referenceSweep}
 	for _, tc := range cases {
@@ -131,6 +141,7 @@ func TestReportFig5FoldKernelVsReference(t *testing.T) {
 				reg := obs.New()
 				cfg := base
 				cfg.Obs = reg
+				walks := obs.Default().Counter("core.selective.sweep.walks").Value()
 				kJSON, kText := buildReportsWith(t, cfg, parallel, reportSeams{}, tc.reports...)
 				if kJSON != refJSON || kText != refText {
 					t.Errorf("parallel=%d: kernel report differs from reference (JSON %d vs %d bytes)",
@@ -145,6 +156,9 @@ func TestReportFig5FoldKernelVsReference(t *testing.T) {
 				if got := reg.Counter("core.oracle.builds").Value(); got != tc.builds*ntraces {
 					t.Errorf("parallel=%d: %d oracle builds, want %d per trace", parallel, got, tc.builds)
 				}
+				if got := obs.Default().Counter("core.selective.sweep.walks").Value() - walks; got != 0 {
+					t.Errorf("parallel=%d: %d selective sweep walks, want 0", parallel, got)
+				}
 			}
 		})
 	}
@@ -157,7 +171,7 @@ func TestPackedMemoizedPerTrace(t *testing.T) {
 	s := testSuite(t)
 	tr := s.Traces()[0]
 	p1 := tr.Packed()
-	s.selsFor(tr)
+	s.globalFor(tr)
 	if p2 := tr.Packed(); p1 != p2 {
 		t.Error("an oracle build left a distinct packed view for the same trace")
 	}

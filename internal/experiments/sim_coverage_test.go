@@ -41,3 +41,44 @@ func TestReportSimKernelCoverage(t *testing.T) {
 		t.Error("sim.runs.fastpath = 0: the report simulated nothing, so the check above proves nothing")
 	}
 }
+
+// TestReportSelectiveSweepWalks pins that the report's selective sweeps
+// replay the oracle collection's state vectors: a report over every
+// exhibit (Figure 5's step folds the per-branch bundle's), then each
+// exhibit in a report of its own on a fresh suite (the per-branch
+// bundle and Figure 5 step apart, the later one holding the window-16
+// selections of the earlier), makes zero walks. Walking sweeps count
+// their walks in obs.Default(), whatever registry the suite reports to.
+func TestReportSelectiveSweepWalks(t *testing.T) {
+	cfg := Config{Length: 5_000, Workloads: []string{"gcc", "perl"}, Fig5Windows: []int{8, 16, 24}}
+	walks := obs.Default().Counter("core.selective.sweep.walks")
+	for _, reports := range [][][]string{{ExhibitOrder()}, exhibitByExhibit()} {
+		reg := obs.New()
+		cfg.Obs = reg
+		s, err := NewSuite(cfg, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := walks.Value()
+		for _, exhibits := range reports {
+			if _, err := s.BuildReport(context.Background(), exhibits, runner.Options{Parallel: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := walks.Value() - before; n != 0 {
+			t.Errorf("%d reports: %d selective sweep walks, want 0", len(reports), n)
+		}
+		if reg.Counter("sim.sweep.fused.fig5-selective-windows").Value() == 0 || reg.Counter("sim.sweep.fused.global-correlation").Value() == 0 {
+			t.Errorf("%d reports ran no fused selective sweep, so the check above proves nothing", len(reports))
+		}
+	}
+}
+
+// exhibitByExhibit is every exhibit, one report each, in report order.
+func exhibitByExhibit() [][]string {
+	var out [][]string
+	for _, e := range ExhibitOrder() {
+		out = append(out, []string{e})
+	}
+	return out
+}

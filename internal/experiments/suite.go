@@ -197,12 +197,16 @@ type Suite struct {
 	cfg     Config
 	obs     *obs.Registry
 	traces  []*trace.Trace
-	sels    memo[*core.Selections]
 	fig5    memo[*fig5Bundle]
 	global  memo[*globalBundle]
 	classes memo[*core.PAClassification]
 	base    memo[*baseBundle]
 	log     func(format string, args ...any)
+
+	// sels holds each trace's selections at the configured oracle
+	// window once a step has built them (selectOver).
+	selsMu sync.Mutex
+	sels   map[string]*core.Selections
 
 	// foldFig5 is set while a report that requests Figure 5 and an
 	// exhibit reading the per-branch bundle runs: the bundle's oracle
@@ -211,14 +215,15 @@ type Suite struct {
 	foldFig5 atomic.Bool
 
 	// oracleBuild runs the full oracle pipeline for one trace/config at
-	// each listed window length (cfg.WindowLen is ignored), returning
-	// the selections in window order; pc, when non-nil, is the trace's
-	// path classes at a window no shorter than the largest listed. It
-	// defaults to one shared core.OracleWindows pass over pc, or over
-	// the memoized packed view; differential tests swap in a per-window
+	// each listed window length (cfg.WindowLen is ignored) over pc, the
+	// trace's path classes at a window no shorter than any listed or
+	// held, returning the selections in window order and the state
+	// vectors of every built and held window (held as in
+	// core.OracleStates). It defaults to one core.OracleStates call;
+	// differential tests swap in a per-window
 	// core.ReferenceBuildSelective loop to prove report bytes are
 	// implementation-independent.
-	oracleBuild func(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int) []*core.Selections
+	oracleBuild func(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int, held map[int]*core.Selections) ([]*core.Selections, *core.BeamStates)
 
 	// simRun drives a batch of predictors over a trace. It defaults to
 	// sim.Simulate (with the suite's registry), whose columnar fast path
@@ -260,12 +265,9 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 			inner(format, args...)
 		}
 	}
-	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf}
-	s.oracleBuild = func(tr *trace.Trace, pc *core.PathClasses, ocfg core.OracleConfig, windows []int) []*core.Selections {
-		if pc != nil {
-			return core.OracleWindows(pc, windows, core.OracleOptions{OracleConfig: ocfg})
-		}
-		return core.OracleWindows(tr, windows, core.OracleOptions{OracleConfig: ocfg})
+	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf, sels: make(map[string]*core.Selections)}
+	s.oracleBuild = func(_ *trace.Trace, pc *core.PathClasses, ocfg core.OracleConfig, windows []int, held map[int]*core.Selections) ([]*core.Selections, *core.BeamStates) {
+		return core.OracleStates(pc, windows, held, core.OracleOptions{OracleConfig: ocfg})
 	}
 	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
 		return sim.Simulate(tr, predictors, sim.Options{Observer: cfg.Obs}).Results
@@ -330,29 +332,55 @@ func (s *Suite) newPAs() bp.Predictor {
 	return bp.NewPAs(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.PAsPHTBits)
 }
 
-// selsFor computes (once) the oracle's selective-history ref choices for
-// a trace at the configured window, for the per-branch bundle
-// (globalFor) and Figure 5's step when the window's build is not folded
-// into that step.
-func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
-	s.obs.Counter("suite.memo.sels.calls").Inc()
-	return s.sels.get(tr.Name(), func() *core.Selections {
-		s.obs.Counter("suite.memo.sels.misses").Inc()
-		s.log("%s: oracle selection (window %d)", tr.Name(), s.cfg.Oracle.WindowLen)
-		return s.oracleBuild(tr, nil, s.cfg.Oracle, []int{s.cfg.Oracle.WindowLen})[0]
-	})
+// selectOver runs the trace's oracle over its path classes pc at every
+// window of windows (ascending), in one call whose collection also
+// resolves the state vectors the step's sweeps replay. The configured
+// window's selections are kept per trace: a step that needs them after
+// another step built them holds them, so the call resolves their refs
+// without building the window again, and a step that builds them keeps
+// them for later steps.
+func (s *Suite) selectOver(tr *trace.Trace, pc *core.PathClasses, windows []int) (map[int]*core.Selections, *core.BeamStates) {
+	own := s.cfg.Oracle.WindowLen
+	out := make(map[int]*core.Selections, len(windows))
+	var held map[int]*core.Selections
+	build := windows
+	if slices.Contains(windows, own) {
+		s.obs.Counter("suite.memo.sels.calls").Inc()
+		s.selsMu.Lock()
+		sel := s.sels[tr.Name()]
+		s.selsMu.Unlock()
+		if sel != nil {
+			held = map[int]*core.Selections{own: sel}
+			out[own] = sel
+			build = slices.DeleteFunc(slices.Clone(windows), func(n int) bool { return n == own })
+		} else {
+			s.obs.Counter("suite.memo.sels.misses").Inc()
+		}
+	}
+	if len(build) > 0 {
+		s.log("%s: oracle selection (windows %v)", tr.Name(), build)
+	}
+	sels, st := s.oracleBuild(tr, pc, s.cfg.Oracle, build, held)
+	for i, n := range build {
+		out[n] = sels[i]
+		if n == own {
+			s.selsMu.Lock()
+			s.sels[tr.Name()] = sels[i]
+			s.selsMu.Unlock()
+		}
+	}
+	return out, st
 }
 
 // fig5For runs (once) a trace's fused oracle-and-Figure-5 step: one
-// path classification at the largest window, one oracle build over the
-// Figure 5 windows on those classes, and one selective sweep over every
-// window's 3-ref assignment on the same classes. While foldFig5 is set,
-// the build covers the configured oracle window too, and the step runs
-// the per-branch bundle's sweep (globalSweep) on the same classes; it
-// keeps Figure 5's row and that bundle, and the classes and the
-// selections become garbage when it returns. Otherwise the configured
-// window's selections come from selsFor, whose build an earlier report
-// on the suite may already have made.
+// path classification at the largest window, one oracle call over the
+// Figure 5 windows on those classes (selectOver), and one selective
+// sweep over every window's 3-ref assignment that replays the call's
+// state vectors. While foldFig5 is set, the call covers the configured
+// oracle window too, and the step runs the per-branch bundle's sweep
+// (globalSweep) on the same states; it keeps Figure 5's row and that
+// bundle, and the classes and the states become garbage when it
+// returns.
 func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
 	s.obs.Counter("suite.memo.fig5.calls").Inc()
 	return s.fig5.get(tr.Name(), func() *fig5Bundle {
@@ -361,42 +389,26 @@ func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
 		windows := slices.Clone(s.cfg.Fig5Windows)
 		if fold {
 			windows = append(windows, own)
-		} else {
-			windows = slices.DeleteFunc(windows, func(n int) bool { return n == own })
 		}
 		slices.Sort(windows)
 		windows = slices.Compact(windows)
-		n := slices.Max(s.cfg.Fig5Windows)
-		if fold {
-			n = max(n, own)
-		}
-		pc := core.ClassifyPaths(tr, n, s.obs)
-		var sels []*core.Selections
-		if len(windows) > 0 {
-			s.log("%s: oracle selection (windows %v)", tr.Name(), windows)
-			sels = s.oracleBuild(tr, pc, s.cfg.Oracle, windows)
-		}
-		selsAt := func(n int) *core.Selections {
-			if w, ok := slices.BinarySearch(windows, n); ok {
-				return sels[w]
-			}
-			return s.selsFor(tr)
-		}
+		pc := core.ClassifyPaths(tr, windows[len(windows)-1], s.obs)
+		sels, st := s.selectOver(tr, pc, windows)
 		cfgs := make([]core.SelectiveConfig, len(s.cfg.Fig5Windows))
 		for i, n := range s.cfg.Fig5Windows {
 			cfgs[i] = core.SelectiveConfig{
 				Name:   fmt.Sprintf("IF 3-branch selective(%d)", n),
 				Window: n,
-				Assign: selsAt(n).BySize[3],
+				Assign: sels[n].BySize[3],
 			}
 		}
-		out := s.simSweep(tr, core.NewSelectiveSweepOver(pc, "fig5-selective-windows", cfgs), false)
+		out := s.simSweep(tr, core.NewSelectiveSweepStates(st, "fig5-selective-windows", cfgs), false)
 		b := &fig5Bundle{acc: make([]float64, len(cfgs))}
 		for c := range cfgs {
 			b.acc[c] = out.Accuracy(c)
 		}
 		if fold {
-			b.global = s.globalSweep(tr, selsAt(own), pc)
+			b.global = s.globalSweep(tr, sels[own], st)
 		}
 		return b
 	})
@@ -405,9 +417,11 @@ func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
 // globalFor computes (once) the per-branch results Figures 4 and 8,
 // Table 2 and the in-path exhibit share, for a trace at the configured
 // oracle window. A report that also requests Figure 5 takes them from
-// Figure 5's per-trace step; otherwise the window's own oracle build
-// (selsFor) and path classification feed globalSweep. Concurrent callers
-// for the same trace block on one computation and share its bundle.
+// Figure 5's per-trace step; otherwise one path classification at the
+// window feeds both the window's oracle call (selectOver) and
+// globalSweep, which replays that call's state vectors. Concurrent
+// callers for the same trace block on one computation and share its
+// bundle.
 func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 	s.obs.Counter("suite.memo.global.calls").Inc()
 	return s.global.get(tr.Name(), func() *globalBundle {
@@ -417,16 +431,18 @@ func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 				return b
 			}
 		}
-		return s.globalSweep(tr, s.selsFor(tr), core.ClassifyPaths(tr, s.cfg.Oracle.WindowLen, s.obs))
+		own := s.cfg.Oracle.WindowLen
+		sels, st := s.selectOver(tr, core.ClassifyPaths(tr, own, s.obs), []int{own})
+		return s.globalSweep(tr, sels[own], st)
 	})
 }
 
 // globalSweep runs the per-branch bundle's six predictors as one
-// per-branch fused sweep over the path classes pc: the three
-// oracle-selected selective predictors and the presence-mode 3-ref one
-// share one selective grid (one emitter walk per path signature), and
-// the IF-gshare and gshare ride the same pass.
-func (s *Suite) globalSweep(tr *trace.Trace, sels *core.Selections, pc *core.PathClasses) *globalBundle {
+// per-branch fused sweep: the three oracle-selected selective
+// predictors and the presence-mode 3-ref one share one selective grid,
+// which replays the state vectors st resolved for sels, and the
+// IF-gshare and gshare ride the same pass.
+func (s *Suite) globalSweep(tr *trace.Trace, sels *core.Selections, st *core.BeamStates) *globalBundle {
 	n := s.cfg.Oracle.WindowLen
 	cfgs := make([]core.SelectiveConfig, 0, core.MaxSelectiveRefs+1)
 	for k := 1; k <= core.MaxSelectiveRefs; k++ {
@@ -443,7 +459,7 @@ func (s *Suite) globalSweep(tr *trace.Trace, sels *core.Selections, pc *core.Pat
 		Mode:   core.ModePresence,
 	})
 	grid := bp.NewConcatSweep("global-correlation",
-		core.NewSelectiveSweepOver(pc, "global-selective", cfgs),
+		core.NewSelectiveSweepStates(st, "global-selective", cfgs),
 		bp.NewIFGshareSweep([]uint{s.cfg.GshareBits}),
 		bp.NewGshareSweep([]uint{s.cfg.GshareBits}),
 	)
