@@ -701,7 +701,9 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 // builds and four classifications with sweeps that walk. step=fused
 // also reports the state vectors' bytes per record (vec-B/record);
 // rand16, where nearly every record is declined and walks on its own,
-// is their worst case.
+// is their worst case. Its par= level is the oracle's ScoreParallel:
+// par=1 walks serially, par=2 shards the profile and collection walks
+// by static branch across two workers.
 func BenchmarkOracleWindows(b *testing.B) {
 	for _, n := range []int{200_000, 1_000_000} {
 		tr := benchTraceN(b, "gcc", n)
@@ -776,18 +778,21 @@ func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 		}
 		return cfgs
 	}
-	b.Run(prefix+"/step=fused", func(b *testing.B) {
-		vecBytes := 0
-		for i := 0; i < b.N; i++ {
-			pc := core.ClassifyPaths(tr, 32, nil)
-			sels, st := core.OracleStates(pc, windows, nil, core.OracleOptions{})
-			sim.SimulateSweep(tr, core.NewSelectiveSweepStates(st, "fig5", fig5(sels)), sim.Options{})
-			sim.SimulateSweep(tr, benchGlobalGrid(st, sels[2]), sim.Options{PerBranch: true})
-			vecBytes = st.VectorBytes()
-		}
-		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
-		b.ReportMetric(float64(vecBytes)/float64(tr.Len()), "vec-B/record")
-	})
+	for _, par := range []int{1, 2} {
+		opts := core.OracleOptions{OracleConfig: core.OracleConfig{ScoreParallel: par}}
+		b.Run(fmt.Sprintf("%s/step=fused/par=%d", prefix, par), func(b *testing.B) {
+			vecBytes := 0
+			for i := 0; i < b.N; i++ {
+				pc := core.ClassifyPaths(tr, 32, nil)
+				sels, st := core.OracleStates(pc, windows, nil, opts)
+				sim.SimulateSweep(tr, core.NewSelectiveSweepStates(st, "fig5", fig5(sels)), sim.Options{})
+				sim.SimulateSweep(tr, benchGlobalGrid(st, sels[2]), sim.Options{PerBranch: true})
+				vecBytes = st.VectorBytes()
+			}
+			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+			b.ReportMetric(float64(vecBytes)/float64(tr.Len()), "vec-B/record")
+		})
+	}
 	b.Run(prefix+"/step=split", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sel16 := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})

@@ -292,8 +292,8 @@ func newBeamStates(pc *PathClasses, windows []int, matchers []*beamMatcher) *Bea
 			classes++
 		}
 	}
-	st.recs = make([]uint64, 0, recs*len(windows))
-	st.classes = make([]uint64, 0, classes*len(windows))
+	st.recs = make([]uint64, recs*len(windows))
+	st.classes = make([]uint64, classes*len(windows))
 	return st
 }
 

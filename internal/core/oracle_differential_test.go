@@ -343,7 +343,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	for _, mixes := range byVec {
 		walks += len(mixes)
 	}
-	collectTrace(em, matchers, pc, &memoStats{}, nil)
+	collectTrace(em, matchers, pc, shard{}, &memoStats{}, nil)
 	if entries := len(bm.hists[0].keys); entries >= walks {
 		t.Errorf("X's window-8 histogram holds %d entries for %d class walks and %d declined records, want fewer than the class walks",
 			entries, walks, declined)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 
 	"branchcorr/internal/obs"
 	"branchcorr/internal/runner"
@@ -53,6 +55,13 @@ import (
 // bypass) walk on their own, in record order. The classes and their
 // outcome counts are computed once per oracle run, over the whole trace,
 // and both passes share them.
+//
+// Each walk writes only its own branch's state: the profile walk its
+// candidate table, the collection walk its matcher's histograms. Both
+// passes therefore run on shards of the static branches
+// (branchShards), each shard with its own emitter and each branch's
+// walks in their serial order, on the cfg.ScoreParallel workers that
+// scoring uses; the shards need no merge.
 //
 // Net: 3 trace passes -> 2 for any number of windows, one emitter walk
 // per distinct signature, no per-candidate allocations, no closures in
@@ -508,7 +517,9 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 // bit-identical to a one-window pass at windows[w] and to
 // ReferenceProfileCandidates. Records are walked by pc's path-signature
 // class, and the collection pass reuses the classes, so no record is
-// hashed twice.
+// hashed twice. The walks run on the shards of the branches
+// (branchShards), cfg.ScoreParallel workers at most; the outcome
+// totals are counted first, serially.
 //
 // Exactness rests on table occupancy: a smaller window's table is a
 // subset of the largest window's at every point of the stream, so when
@@ -521,16 +532,8 @@ func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
 func profileWindows(pt *trace.Packed, pc *PathClasses, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
 	reg := obs.Or(cfg.Obs)
 	defer reg.StartSpan("core.oracle.profile").End()
-	var st memoStats
-	defer st.flush(reg)
-	profile := func(windows []int) []kernelProfile {
-		pf := newProfiler(pt, windows, cfg)
-		pf.profileTrace(pc, &st)
-		if n := pf.rerunPruned(pc); n > 0 {
-			reg.Counter("core.oracle.memo.reruns").Add(int64(n))
-		}
-		return pf.profiles
-	}
+	sh := planShards(pc, oracleWorkers(cfg), nil)
+	profile := func(windows []int) []kernelProfile { return profileShards(pt, pc, windows, cfg, sh) }
 	addrs := pt.Addrs()
 	profiles := profile(windows)
 	last := len(windows) - 1
@@ -543,6 +546,142 @@ func profileWindows(pt *trace.Packed, pc *PathClasses, windows []int, cfg Oracle
 		out[w] = assembleCandidates(profile(windows[w:w+1]), addrs, cfg, 1, 0)[0]
 	}
 	return out
+}
+
+// profileShards is one pass-1 run over pc at windows on sh's shards,
+// each with its own emitter. It returns every branch's profile and
+// counts the shards' class walks and table reruns into cfg.Obs.
+func profileShards(pt *trace.Packed, pc *PathClasses, windows []int, cfg OracleConfig, sh branchShards) []kernelProfile {
+	profiles := newProfiles(pt.NumBranches(), len(windows))
+	countOutcomes(pt.IDs(), pt.TakenWords(), profiles)
+	stats := make([]memoStats, sh.n)
+	reruns := make([]int, sh.n)
+	sh.run(func(sd shard) {
+		pf := newProfiler(pt, profiles, windows, cfg, sd)
+		pf.profileTrace(pc, &stats[sd.s])
+		reruns[sd.s] = pf.rerunPruned(pc)
+	})
+	reg := obs.Or(cfg.Obs)
+	n := 0
+	for s := range stats {
+		stats[s].flush(reg)
+		n += reruns[s]
+	}
+	if n > 0 {
+		reg.Counter("core.oracle.memo.reruns").Add(int64(n))
+	}
+	return profiles
+}
+
+// oracleWorkers is the worker budget cfg.ScoreParallel gives the
+// oracle's profile, collection and scoring stages: GOMAXPROCS when it
+// is 0.
+func oracleWorkers(cfg OracleConfig) int {
+	if cfg.ScoreParallel > 0 {
+		return cfg.ScoreParallel
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// branchShards partitions a trace's dense branch IDs across the workers
+// of one oracle pass. A branch's walks — its declined records in
+// position order, then its classes in class order — all run on its
+// shard, so each branch sees exactly the walk sequence of a serial pass
+// and writes only its own candidate table, matcher and histograms: the
+// shards need no merge, and watermark prunes, reruns and window
+// fallbacks are those of the serial pass. One shard (of nil) is the
+// serial pass, run inline.
+type branchShards struct {
+	n  int
+	of []int32 // per dense ID: its shard, -1 = no walks; nil when n is 1
+}
+
+// shard is one shard of a branchShards: the branches its walks cover.
+// The zero shard covers every branch.
+type shard struct {
+	of []int32 // the plan's assignment; nil: every branch
+	s  int32
+}
+
+// has reports whether the shard walks dense branch ID id.
+func (sd shard) has(id int32) bool { return sd.of == nil || sd.of[id] == sd.s }
+
+// planShards splits the branches that walk over pc into at most par
+// shards. A branch walks once per record of it the classification
+// declined and once per class of it; with live non-nil, only branches
+// with a live matcher walk (the collection skips branches without a
+// beam). The shards are balanced by walk count: largest branch first,
+// each onto the least-loaded shard. With par 1, or fewer than two
+// branches that walk, the plan is one shard and costs no scan.
+func planShards(pc *PathClasses, par int, live []*beamMatcher) branchShards {
+	if par <= 1 {
+		return branchShards{n: 1}
+	}
+	ids := pc.ids
+	walks := make([]int, pc.pt.NumBranches())
+	for k, c := range pc.class {
+		if c < 0 {
+			walks[ids[pc.lo+k]]++
+		}
+	}
+	for c, rep := range pc.reps {
+		if pc.counts[c] > 0 {
+			walks[ids[rep]]++
+		}
+	}
+	var order []int32
+	for id, n := range walks {
+		if n > 0 && (live == nil || live[id] != nil) {
+			order = append(order, int32(id))
+		}
+	}
+	n := min(par, len(order))
+	if n <= 1 {
+		return branchShards{n: 1}
+	}
+	// Stable: equal walk counts keep ascending ID order.
+	sort.SliceStable(order, func(a, b int) bool { return walks[order[a]] > walks[order[b]] })
+	sh := branchShards{n: n, of: make([]int32, len(walks))}
+	for id := range sh.of {
+		sh.of[id] = -1
+	}
+	load := make([]int, n)
+	for _, id := range order {
+		s := 0
+		for k := 1; k < n; k++ {
+			if load[k] < load[s] {
+				s = k
+			}
+		}
+		sh.of[id] = int32(s)
+		load[s] += walks[id]
+	}
+	return sh
+}
+
+// run calls walk once per shard: inline for one shard, otherwise as one
+// internal/runner cell per shard on as many workers.
+func (sh branchShards) run(walk func(sd shard)) {
+	if sh.n == 1 {
+		walk(shard{})
+		return
+	}
+	cells := make([]runner.Cell, sh.n)
+	for s := range cells {
+		sd := shard{of: sh.of, s: int32(s)}
+		cells[s] = runner.Cell{
+			Exhibit:  "oracle-shard",
+			Workload: strconv.Itoa(s),
+			Run: func(context.Context) error {
+				walk(sd)
+				return nil
+			},
+		}
+	}
+	if err := runner.Run(context.Background(), cells, runner.Options{Parallel: sh.n}); err != nil {
+		// Cells are infallible and the context is never cancelled.
+		panic("core: oracle shard pool failed: " + err.Error())
+	}
 }
 
 // pruned reports whether any branch's candidate table fired a watermark
@@ -625,21 +764,24 @@ func (st *memoStats) flush(reg *obs.Registry) {
 	*st = memoStats{}
 }
 
-// profiler is pass 1's walk context: the emitter, the per-branch tables
-// it counts into, the intern table their prunes order keys by, and the
-// config's scheme filter and prune watermark.
+// profiler is pass 1's walk context on one shard: its own emitter, the
+// per-branch tables it counts into (shared by every shard; a shard
+// writes only its own branches'), the intern table their prunes order
+// keys by, and the config's scheme filter and prune watermark.
 type profiler struct {
 	em                  *oracleEmitter
 	profiles            []kernelProfile
+	sd                  shard
 	addrs               []trace.Addr
 	maxCandidates       int
 	allowOcc, allowBack bool
 }
 
-func newProfiler(pt *trace.Packed, windows []int, cfg OracleConfig) *profiler {
+func newProfiler(pt *trace.Packed, profiles []kernelProfile, windows []int, cfg OracleConfig, sd shard) *profiler {
 	return &profiler{
 		em:            newPackedEmitter(pt, windows),
-		profiles:      newProfiles(pt.NumBranches(), len(windows)),
+		profiles:      profiles,
+		sd:            sd,
 		addrs:         pt.Addrs(),
 		maxCandidates: cfg.MaxCandidates,
 		allowOcc:      cfg.schemeAllowed(Occurrence),
@@ -647,9 +789,17 @@ func newProfiler(pt *trace.Packed, windows []int, cfg OracleConfig) *profiler {
 	}
 }
 
-// profileTrace is pass 1 over every record of the trace. Every record's
-// outcome lands in its branch's totals. A record the memo classified
-// is counted by its class; the rest walk on the spot. Then each class
+// countOutcomes adds every record's outcome to its branch's totals.
+//
+//bplint:hot
+func countOutcomes(ids []int32, taken []uint64, profiles []kernelProfile) {
+	for i, id := range ids {
+		profiles[id].total[taken[i>>6]>>(uint(i)&63)&1^1]++
+	}
+}
+
+// profileTrace is pass 1's walks for the shard's branches. A record the
+// memo declined walks on its own, in record order; then each class
 // walks once, at its representative, with its instances by outcome.
 // Counts are sums, so the order only matters to the watermark prune
 // (see rerunPruned).
@@ -657,23 +807,20 @@ func newProfiler(pt *trace.Packed, windows []int, cfg OracleConfig) *profiler {
 //bplint:hot
 func (pf *profiler) profileTrace(pc *PathClasses, st *memoStats) {
 	ids := pf.em.ids
-	profiles := pf.profiles
+	sd := pf.sd
 	class, reps, counts, taken := pc.class, pc.reps, pc.counts, pc.taken
-	for i, id := range ids {
-		out := 1
-		if pf.em.taken1(i) {
-			out = 0
-		}
-		profiles[id].total[out]++
-		if class[i] >= 0 {
+	for i, c := range class {
+		if c >= 0 || !sd.has(ids[i]) {
 			continue
 		}
-		var wt [2]uint32
-		wt[out] = 1
+		wt := [2]uint32{0, 1}
+		if pf.em.taken1(i) {
+			wt = [2]uint32{1, 0}
+		}
 		pf.walk(i, wt) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
 	}
 	for c, n := range counts {
-		if n > 0 {
+		if n > 0 && sd.has(ids[reps[c]]) {
 			pf.walk(int(reps[c]), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
 			st.walks++
 			st.hits += int64(n - 1)
@@ -681,10 +828,10 @@ func (pf *profiler) profileTrace(pc *PathClasses, st *memoStats) {
 	}
 }
 
-// rerunPruned restores record order for every branch whose table
-// pruned after taking class walks. A watermark prune fires in class
-// order exactly when it fires in record order — both happen iff the
-// branch's distinct-key count exceeds 2×MaxCandidates — but which
+// rerunPruned restores record order for every branch of the shard whose
+// table pruned after taking class walks. A watermark prune fires in
+// class order exactly when it fires in record order — both happen iff
+// the branch's distinct-key count exceeds 2×MaxCandidates — but which
 // candidates survive depends on the order. Each such table is rebuilt
 // by the per-record walk over the branch's records. It returns the
 // number of tables rebuilt.
@@ -694,7 +841,10 @@ func (pf *profiler) rerunPruned(pc *PathClasses) int {
 	n := 0
 	for c, count := range pc.counts {
 		id := ids[pc.reps[c]]
-		if tab := &pf.profiles[id].tab; count > 0 && tab.prunes > 0 && (redo == nil || !redo[id]) {
+		if count == 0 || !pf.sd.has(id) {
+			continue // another shard's tables are not this shard's to read
+		}
+		if tab := &pf.profiles[id].tab; tab.prunes > 0 && (redo == nil || !redo[id]) {
 			if redo == nil {
 				redo = make([]bool, len(pf.profiles))
 			}
@@ -886,7 +1036,8 @@ type branchSelection struct {
 // triple joint distributions are then summed per window and branch from
 // the histogram entries and scored in parallel across the
 // internal/runner pool (cfg.ScoreParallel workers, identical output at
-// any level). core.oracle.select.patterns counts the histogram entries.
+// any level); the collection walks run on the same budget, sharded by
+// branch. core.oracle.select.patterns counts the histogram entries.
 //
 // A window with scored[w] false (scored nil: every window is scored) is
 // a held column: its beam is resolved like any other, but it gets no
@@ -902,13 +1053,11 @@ func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map
 
 	// Collection stream: one walk per class or declined record, one
 	// histogram count per window.
-	var st memoStats
 	var states *BeamStates
 	if keep {
 		states = newBeamStates(pc, windows, matchers)
 	}
-	collectTrace(newPackedEmitter(pt, windows), matchers, pc, &st, states)
-	st.flush(reg)
+	collectShards(pt, pc, windows, matchers, planShards(pc, oracleWorkers(cfg), matchers), states, reg)
 	entries := int64(0)
 	for _, bm := range matcherOf {
 		for w := range bm.hists {
@@ -1019,52 +1168,84 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 	return sel
 }
 
-// collectTrace is the folded pass-2/3 loop over the trace: each record
-// pc left unclassified walks on its own and adds itself to its branch's
-// histograms; then each class walks once, at its representative, and
-// adds all its instances by outcome. The vectors depend only on the
-// signature, so the histograms are identical to a per-record walk's.
-// A non-nil keep receives every walk's vectors, in walk order (the
-// order BeamStates documents).
+// collectShards runs the collection over pc on sh's shards, each with
+// its own emitter, and counts the shards' class walks into reg. keep is
+// collectTrace's.
+func collectShards(pt *trace.Packed, pc *PathClasses, windows []int, matchers []*beamMatcher, sh branchShards, keep *BeamStates, reg *obs.Registry) {
+	stats := make([]memoStats, sh.n)
+	sh.run(func(sd shard) {
+		collectTrace(newPackedEmitter(pt, windows), matchers, pc, sd, &stats[sd.s], keep)
+	})
+	for s := range stats {
+		stats[s].flush(reg)
+	}
+}
+
+// collectTrace is the folded pass-2/3 loop over the walks of the
+// shard's branches: each record pc left unclassified walks on its own
+// and adds itself to its branch's histograms; then each class walks
+// once, at its representative, and adds all its instances by outcome.
+// The vectors depend only on the signature, so the histograms are
+// identical to a per-record walk's. A non-nil keep receives every
+// walk's vectors at the walk's place in the order BeamStates documents;
+// the places count every shard's walks, so the shards fill disjoint
+// parts of one buffer.
 //
 //bplint:hot
-func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, st *memoStats, keep *BeamStates) {
+func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, sd shard, st *memoStats, keep *BeamStates) {
 	ids := em.ids
+	nw := len(em.vecs)
 	var recs, classes []uint64
 	if keep != nil {
-		recs, classes = keep.recs[:0], keep.classes[:0]
+		recs, classes = keep.recs, keep.classes
 	}
+	at := 0 // the end of the current walk's vectors, counting every shard's walks
 	for i, c := range pc.class {
 		if c >= 0 {
 			continue
 		}
-		if bm := matchers[ids[i]]; bm != nil {
-			wt := [2]uint32{0, 1}
-			if em.taken1(i) {
-				wt = [2]uint32{1, 0}
-			}
-			vecs := collectWalk(em, bm, i)
-			bm.add(vecs, wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
-			if keep != nil {
-				recs = append(recs, vecs...) //bplint:ignore kernel-purity newBeamStates sized the buffer to the walks, so the append never grows it
-			}
+		id := ids[i]
+		bm := matchers[id]
+		if bm == nil {
+			continue
+		}
+		at += nw
+		if !sd.has(id) {
+			continue
+		}
+		wt := [2]uint32{0, 1}
+		if em.taken1(i) {
+			wt = [2]uint32{1, 0}
+		}
+		vecs := collectWalk(em, bm, i)
+		bm.add(vecs, wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+		if keep != nil {
+			copy(recs[at-nw:at], vecs)
 		}
 	}
 	counts, taken := pc.counts, pc.taken
+	at = 0
 	for c, rep := range pc.reps {
 		n := counts[c]
-		if bm := matchers[ids[rep]]; bm != nil && n > 0 {
-			vecs := collectWalk(em, bm, int(rep))
-			bm.add(vecs, [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
-			if keep != nil {
-				classes = append(classes, vecs...) //bplint:ignore kernel-purity newBeamStates sized the buffer to the walks, so the append never grows it
-			}
-			st.walks++
-			st.hits += int64(n - 1)
+		if n == 0 {
+			continue
 		}
-	}
-	if keep != nil {
-		keep.recs, keep.classes = recs, classes
+		id := ids[rep]
+		bm := matchers[id]
+		if bm == nil {
+			continue
+		}
+		at += nw
+		if !sd.has(id) {
+			continue
+		}
+		vecs := collectWalk(em, bm, int(rep))
+		bm.add(vecs, [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+		if keep != nil {
+			copy(classes[at-nw:at], vecs)
+		}
+		st.walks++
+		st.hits += int64(n - 1)
 	}
 }
 

@@ -115,7 +115,10 @@ func TestReportByteIdentityKernelVsReference(t *testing.T) {
 // trace gets one step; without it, Figure 5's step and the per-branch
 // bundle's are separate, and a later step holds the window-16 selections
 // an earlier one built instead of building them again, so every run
-// delivers each window's selections once per trace.
+// delivers each window's selections once per trace. A full report after
+// {fig4} on one suite neither folds nor sweeps the per-branch grid
+// again: {fig4} computed the bundle, so the run keeps one
+// global-correlation sweep per trace.
 func TestReportFig5FoldKernelVsReference(t *testing.T) {
 	base := goldenConfig()
 	base.Fig5Windows = []int{8, 16, 32}
@@ -126,12 +129,14 @@ func TestReportFig5FoldKernelVsReference(t *testing.T) {
 		passes  int64 // core.paths.classify.passes per trace
 		calls   int64 // core.OracleWindows calls per trace
 		builds  int64 // core.oracle.builds per trace
+		globals int64 // per-branch grid sweeps (sim.sweep.fused.global-correlation) per trace
 	}{
-		{"fig4", [][]string{{"fig4"}}, 1, 1, 1},
-		{"fig5", [][]string{{"fig5"}}, 1, 1, 3},
-		{"fig4+fig5", [][]string{{"fig4", "fig5"}}, 1, 1, 3},
-		{"all", [][]string{nil}, 1, 1, 3},
-		{"fig4-then-fig5", [][]string{{"fig4"}, {"fig5"}}, 2, 2, 3},
+		{"fig4", [][]string{{"fig4"}}, 1, 1, 1, 1},
+		{"fig5", [][]string{{"fig5"}}, 1, 1, 3, 0},
+		{"fig4+fig5", [][]string{{"fig4", "fig5"}}, 1, 1, 3, 1},
+		{"all", [][]string{nil}, 1, 1, 3, 1},
+		{"fig4-then-fig5", [][]string{{"fig4"}, {"fig5"}}, 2, 2, 3, 1},
+		{"fig4-then-all", [][]string{{"fig4"}, nil}, 2, 2, 3, 1},
 	}
 	ref := reportSeams{oracle: referenceOracleWindows, sweep: referenceSweep}
 	for _, tc := range cases {
@@ -155,6 +160,9 @@ func TestReportFig5FoldKernelVsReference(t *testing.T) {
 				}
 				if got := reg.Counter("core.oracle.builds").Value(); got != tc.builds*ntraces {
 					t.Errorf("parallel=%d: %d oracle builds, want %d per trace", parallel, got, tc.builds)
+				}
+				if got := reg.Counter("sim.sweep.fused.global-correlation").Value(); got != tc.globals*ntraces {
+					t.Errorf("parallel=%d: %d per-branch grid sweeps, want %d per trace", parallel, got, tc.globals)
 				}
 				if got := obs.Default().Counter("core.selective.sweep.walks").Value() - walks; got != 0 {
 					t.Errorf("parallel=%d: %d selective sweep walks, want 0", parallel, got)

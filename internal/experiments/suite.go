@@ -169,6 +169,7 @@ type memo[T any] struct {
 type memoEntry[T any] struct {
 	once sync.Once
 	val  T
+	done atomic.Bool // val is computed
 }
 
 // get returns the memoized value for key, computing it at most once.
@@ -183,8 +184,20 @@ func (m *memo[T]) get(key string, compute func() T) T {
 		m.m[key] = e
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.val = compute() })
+	e.once.Do(func() {
+		e.val = compute()
+		e.done.Store(true)
+	})
 	return e.val
+}
+
+// done reports, without blocking, whether key's value is computed: a
+// computation still running, its own caller's included, reads false.
+func (m *memo[T]) done(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.m[key]
+	return e != nil && e.done.Load()
 }
 
 // Suite generates the workload traces once and computes shared
@@ -376,16 +389,16 @@ func (s *Suite) selectOver(tr *trace.Trace, pc *core.PathClasses, windows []int)
 // path classification at the largest window, one oracle call over the
 // Figure 5 windows on those classes (selectOver), and one selective
 // sweep over every window's 3-ref assignment that replays the call's
-// state vectors. While foldFig5 is set, the call covers the configured
-// oracle window too, and the step runs the per-branch bundle's sweep
-// (globalSweep) on the same states; it keeps Figure 5's row and that
-// bundle, and the classes and the states become garbage when it
-// returns.
+// state vectors. While foldFig5 is set and no earlier report has
+// computed the trace's per-branch bundle, the call covers the configured
+// oracle window too, and the step runs the bundle's sweep (globalSweep)
+// on the same states; it keeps Figure 5's row and that bundle, and the
+// classes and the states become garbage when it returns.
 func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
 	s.obs.Counter("suite.memo.fig5.calls").Inc()
 	return s.fig5.get(tr.Name(), func() *fig5Bundle {
 		s.obs.Counter("suite.memo.fig5.misses").Inc()
-		fold, own := s.foldFig5.Load(), s.cfg.Oracle.WindowLen
+		fold, own := s.foldFig5.Load() && !s.global.done(tr.Name()), s.cfg.Oracle.WindowLen
 		windows := slices.Clone(s.cfg.Fig5Windows)
 		if fold {
 			windows = append(windows, own)
