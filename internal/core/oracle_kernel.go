@@ -77,6 +77,7 @@ import (
 const (
 	refKeySchemeBit = 1 << 5
 	refKeyTagMask   = refKeySchemeBit - 1
+	refKeyLow       = refKeySchemeBit | refKeyTagMask // (scheme, tag): a key's bit in its ID's refKeySet bitmap
 	refKeyIDShift   = 6
 	refKeyTakenBit  = uint64(1) << 63
 )
@@ -119,17 +120,19 @@ func keyRefLess(a, b uint64, addrs []trace.Addr) bool {
 	if aa != ab {
 		return aa < ab
 	}
-	return a&(refKeySchemeBit|refKeyTagMask) < b&(refKeySchemeBit|refKeyTagMask)
+	return a&refKeyLow < b&refKeyLow
 }
 
 // emitScratch is one dense branch ID's per-window bookkeeping, packed
 // into a single cache-line-friendly struct so each window entry touches
-// one array element instead of three.
+// one array element instead of three. bits and group are the ID's share
+// of the focused refKeySet, copied in by focus: bits is zero for every
+// ID outside the set, so a focused emit needs no stamp to skip them.
 type emitScratch struct {
 	occGen uint64 // emit-generation stamp: occCnt is valid when it matches
 	segGen uint64 // backward-segment stamp for per-segment dedup
-	mark   uint64 // focus stamp: the ID belongs to the focused refKeySet
-	group  int32  // the ID's key group in the focused set, when marked
+	bits   uint64 // the focused set's (scheme, tag) bitmap for the ID (refKeySet.bits)
+	group  int32  // index in the focused set of the ID's first key
 	occCnt uint8  // occurrence count within the current emit
 }
 
@@ -168,18 +171,24 @@ type oracleEmitter struct {
 	ends []int    // ends[w]: window windows[w]'s emissions are keys[:ends[w]]
 	vecs []uint64 // collection scratch: the last collectWalk's state vector per window
 
-	mark uint64 // current focus stamp
+	focused []int32 // the focused set's IDs: the scratch entries whose bits are set
 }
 
 // refKeySet is a sorted set of packed ref keys grouped by dense ID — a
-// branch's union of beam or config keys. Resolving a walk against it
-// goes through the emitter: focus stamps the set's member IDs into the
-// per-ID scratch, a focused emit skips every other ID's instances, and
-// find scans only the emitted key's own ID group (a handful of keys).
+// branch's union of beam or config keys. Each ID's group also carries a
+// bitmap of the (scheme, tag) pairs it holds: bit key&refKeyLow, so
+// occurrence tag o is bit o and backward tag b is bit 32|b. Keys within
+// a group ascend in that same low-bit order, so a member's index is its
+// group's start plus the number of lower bits set in the bitmap.
+// Resolving a walk against the set goes through the emitter: focus
+// copies the set's bitmaps and group starts into the per-ID scratch, a
+// focused emit appends only the instances whose exact bit is set, and
+// find resolves each of them in O(1).
 type refKeySet struct {
 	keys  []uint64
-	rids  []int32 // distinct dense IDs of keys, ascending
-	start []int32 // rids[g]'s keys are keys[start[g]:start[g+1]]
+	rids  []int32  // distinct dense IDs of keys, ascending
+	start []int32  // rids[g]'s keys begin at keys[start[g]]
+	bits  []uint64 // rids[g]'s (scheme, tag) bitmap
 }
 
 // newRefKeySet groups sorted distinct keys by dense ID.
@@ -189,34 +198,36 @@ func newRefKeySet(keys []uint64) refKeySet {
 		if rid := int32(key >> refKeyIDShift); i == 0 || rid != s.rids[len(s.rids)-1] {
 			s.rids = append(s.rids, rid)
 			s.start = append(s.start, int32(i))
+			s.bits = append(s.bits, 0)
 		}
+		s.bits[len(s.bits)-1] |= 1 << (key & refKeyLow)
 	}
-	s.start = append(s.start, int32(len(keys)))
 	return s
 }
 
 // focus makes s the set the next focused emits and finds resolve
-// against.
+// against: it clears the previous set's bitmaps from the scratch and
+// copies in s's. It costs O(IDs of both sets) and allocates nothing.
 func (e *oracleEmitter) focus(s *refKeySet) {
-	e.mark++
 	scratch := e.scratch
+	for _, rid := range e.focused {
+		scratch[rid].bits = 0
+	}
+	masks, starts := s.bits, s.start
 	for g, rid := range s.rids {
 		sc := &scratch[rid]
-		sc.mark, sc.group = e.mark, int32(g)
+		sc.bits, sc.group = masks[g], starts[g]
 	}
+	e.focused = s.rids
 }
 
-// find returns the index in the focused set s of key, a focused
-// emission with its direction bit cleared, or -1.
-func (e *oracleEmitter) find(s *refKeySet, key uint64) int {
-	g := e.scratch[key>>refKeyIDShift].group
-	start, keys := s.start, s.keys
-	for ki := start[g]; ki < start[g+1]; ki++ {
-		if keys[ki] == key {
-			return int(ki)
-		}
-	}
-	return -1
+// find returns the index in the focused set of key, a focused emission
+// with its direction bit cleared: its group's start plus the members of
+// its group below it in the bitmap. A focused emit emits only members,
+// so there is no miss case.
+func (e *oracleEmitter) find(key uint64) int {
+	sc := &e.scratch[key>>refKeyIDShift]
+	return int(sc.group) + bits.OnesCount64(sc.bits&(1<<(key&refKeyLow)-1))
 }
 
 // checkWindows panics unless windows is a non-empty, strictly ascending
@@ -290,9 +301,11 @@ func (e *oracleEmitter) back1(p int) bool {
 // segment, and both counters saturate exactly like the reference's uint8
 // arithmetic. Each window boundary only closes a segment of the one
 // walk, so the per-entry work is independent of the window count. A
-// focused emit appends only the instances of IDs in the focused set;
-// tag bookkeeping still covers every entry, so the emitted keys are
-// exactly the unfocused emission filtered to those IDs.
+// focused emit appends an instance only if its exact (scheme, tag) bit
+// is set in its ID's focused bitmap; tag bookkeeping still covers every
+// entry, so the emitted keys are exactly the unfocused emission filtered
+// to the focused set's keys. An unfocused emit reads every bitmap as all
+// ones.
 //
 //bplint:hot
 func (e *oracleEmitter) emit(i int, focused bool) {
@@ -303,6 +316,10 @@ func (e *oracleEmitter) emit(i int, focused bool) {
 	ids := e.ids
 	scratch := e.scratch
 	ends := e.ends
+	all := ^uint64(0) // OR-ed into each bitmap: all ones unless focused
+	if focused {
+		all = 0
+	}
 	p := i - 1
 	for w, n := range e.windows {
 		stop := i - n
@@ -317,12 +334,12 @@ func (e *oracleEmitter) emit(i int, focused bool) {
 				tb = refKeyTakenBit
 			}
 			sc := &scratch[rid]
-			want := !focused || sc.mark == e.mark
+			want := sc.bits | all
 			var o uint8
 			if sc.occGen == e.gen {
 				o = sc.occCnt
 			}
-			if o <= MaxTag && want {
+			if o <= MaxTag && want>>o&1 != 0 {
 				e.keys = append(e.keys, refKeyOcc(rid, o)|tb)
 			}
 			if sc.occGen != e.gen {
@@ -336,7 +353,7 @@ func (e *oracleEmitter) emit(i int, focused bool) {
 				// than once with an identical tag; emit only the most recent
 				// instance, matching States resolution.
 				sc.segGen = e.seg
-				if want {
+				if want>>(refKeySchemeBit|backs)&1 != 0 {
 					e.keys = append(e.keys, refKeyBack(rid, backs)|tb)
 				}
 			}
@@ -700,20 +717,22 @@ func pruned(profiles []kernelProfile) bool {
 // entries of the result stay nil). Window w's counts are the prefix sums
 // of buckets 0..w, and a candidate with zero window-w presence is not in
 // window w's table, exactly as a one-window pass would never have
-// inserted it.
+// inserted it. Each window ranks its candidates with a beamRanker,
+// reused from branch to branch.
 func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg OracleConfig, nw, from int) []map[trace.Addr]*Candidates {
 	reg := obs.Or(cfg.Obs)
 	result := make([]map[trace.Addr]*Candidates, nw)
+	rankers := make([]beamRanker, nw)
 	for w := from; w < nw; w++ {
 		result[w] = make(map[trace.Addr]*Candidates, len(profiles))
+		rankers[w] = newBeamRanker(addrs, cfg.TopK)
 	}
-	scratch := make([][]scoredRef, nw)
 	var prunes, occupancy int64
 	for id := range profiles {
 		p := &profiles[id]
 		prunes += int64(p.tab.prunes)
-		for w := range scratch {
-			scratch[w] = scratch[w][:0]
+		for w := from; w < nw; w++ {
+			rankers[w].reset()
 		}
 		for ci, key := range p.tab.keys {
 			row := p.tab.cnts[ci*p.tab.stride : (ci+1)*p.tab.stride]
@@ -726,18 +745,15 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 				if w < from || pres == 0 {
 					continue
 				}
-				scratch[w] = append(scratch[w], scoredRef{
-					ref:      decodeRefKey(key, addrs),
-					score:    p.profileScore(&cnt),
-					presence: pres,
-				})
+				rankers[w].add(rankEntry{key: key, score: p.profileScore(&cnt), presence: pres})
 			}
 		}
 		total := int(p.total[0] + p.total[1])
 		for w := from; w < nw; w++ {
-			occupancy += int64(len(scratch[w]))
-			reg.Gauge("core.oracle.candidates.peak").Max(int64(len(scratch[w])))
-			result[w][addrs[id]] = rankCandidates(scratch[w], total, cfg.TopK)
+			n := int64(rankers[w].n)
+			occupancy += n
+			reg.Gauge("core.oracle.candidates.peak").Max(n)
+			result[w][addrs[id]] = rankers[w].candidates(total)
 		}
 	}
 	// Candidate occupancy and prune pressure depend only on (trace,
@@ -746,6 +762,126 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 	reg.Counter("core.oracle.prune.events").Add(prunes)
 	reg.Counter("core.oracle.candidates").Add(occupancy)
 	return result
+}
+
+// rankEntry is one profiled candidate offered to a beamRanker: its
+// packed ref key and the statistics rankCandidates orders by.
+type rankEntry struct {
+	key      uint64
+	score    uint32
+	presence uint32
+}
+
+// scoreBefore is rankCandidates' first order: score descending, then
+// ref ascending.
+func scoreBefore(a, b *rankEntry, addrs []trace.Addr) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return keyRefLess(a.key, b.key, addrs)
+}
+
+// presenceBefore is rankCandidates' second order: presence descending,
+// then tag ascending, then ref ascending.
+func presenceBefore(a, b *rankEntry, addrs []trace.Addr) bool {
+	if a.presence != b.presence {
+		return a.presence > b.presence
+	}
+	if at, bt := a.key&refKeyTagMask, b.key&refKeyTagMask; at != bt {
+		return at < bt
+	}
+	return keyRefLess(a.key, b.key, addrs)
+}
+
+// beamRanker computes rankCandidates' beam for one branch and window by
+// bounded selection instead of two full sorts: as candidates are
+// offered, it keeps the best ⌈topK/2⌉ by score and the best topK by
+// presence in two short ordered lists. Once all are in, with k =
+// min(topK, candidates), the beam is the first ⌈k/2⌉ by score, then the
+// first k−⌈k/2⌉ by presence that are not among those: at most ⌈k/2⌉ of
+// the presence list's first k are, so it holds enough. Both orders are
+// strict total orders over distinct keys, so the beam equals
+// rankCandidates' exactly; only the winners' keys are decoded.
+type beamRanker struct {
+	addrs   []trace.Addr
+	topK    int
+	n       int         // candidates offered since the last reset
+	byScore []rankEntry // the best ⌈topK/2⌉ so far by scoreBefore
+	byPres  []rankEntry // the best topK so far by presenceBefore
+}
+
+func newBeamRanker(addrs []trace.Addr, topK int) beamRanker {
+	topK = max(topK, 0)
+	return beamRanker{
+		addrs:   addrs,
+		topK:    topK,
+		byScore: make([]rankEntry, 0, (topK+1)/2),
+		byPres:  make([]rankEntry, 0, topK),
+	}
+}
+
+// reset empties the ranker for the next branch, keeping its lists.
+func (r *beamRanker) reset() {
+	r.n, r.byScore, r.byPres = 0, r.byScore[:0], r.byPres[:0]
+}
+
+// add offers one candidate. Keys must be distinct since the last reset.
+func (r *beamRanker) add(e rankEntry) {
+	r.n++
+	r.byScore = offer(r.byScore, (r.topK+1)/2, &e, scoreBefore, r.addrs)
+	r.byPres = offer(r.byPres, r.topK, &e, presenceBefore, r.addrs)
+}
+
+// offer inserts e into l, ordered by before and holding at most bound
+// entries, and returns the list. A full list rejects an entry that does
+// not beat its last in one comparison.
+func offer(l []rankEntry, bound int, e *rankEntry, before func(a, b *rankEntry, addrs []trace.Addr) bool, addrs []trace.Addr) []rankEntry {
+	i := len(l)
+	if i == bound {
+		if i == 0 || !before(e, &l[i-1], addrs) {
+			return l
+		}
+		i-- // the last entry drops out
+	} else {
+		l = l[:i+1]
+	}
+	for ; i > 0 && before(e, &l[i-1], addrs); i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = *e
+	return l
+}
+
+// candidates returns the beam of the candidates offered since the last
+// reset, with total as its branch's execution count: rankCandidates'
+// result over the same candidates.
+func (r *beamRanker) candidates(total int) *Candidates {
+	c := &Candidates{Total: total}
+	k := min(r.topK, r.n)
+	if k == 0 {
+		return c
+	}
+	half := (k + 1) / 2
+	c.Refs, c.Scores = make([]Ref, 0, k), make([]uint32, 0, k)
+	first := r.byScore[:half]
+	for _, e := range first {
+		c.Refs = append(c.Refs, decodeRefKey(e.key, r.addrs))
+		c.Scores = append(c.Scores, e.score)
+	}
+rest:
+	for _, e := range r.byPres {
+		if len(c.Refs) == k {
+			break
+		}
+		for _, f := range first {
+			if f.key == e.key {
+				continue rest
+			}
+		}
+		c.Refs = append(c.Refs, decodeRefKey(e.key, r.addrs))
+		c.Scores = append(c.Scores, e.score)
+	}
+	return c
 }
 
 // memoStats counts what the class walks of one oracle run saved.
@@ -1253,9 +1389,10 @@ func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, s
 // position i's walk against the union of bm's beams and returns the
 // state vector of every window — each resolved key's state in the slot
 // it holds in each window whose prefix holds the emission — in the
-// emitter's scratch. Each key occurs at most once per walk, so the walk
-// stops once every union key has resolved. The matcher changes every
-// call, so its headers cannot hoist.
+// emitter's scratch. The focused emit yields only union keys, so every
+// emission resolves, through find, to its key's index. Each key occurs
+// at most once per walk, so the walk stops once every union key has
+// resolved. The matcher changes every call, so its headers cannot hoist.
 //
 //bplint:hot
 func collectWalk(em *oracleEmitter, bm *beamMatcher, i int) []uint64 {
@@ -1269,10 +1406,7 @@ func collectWalk(em *oracleEmitter, bm *beamMatcher, i int) []uint64 {
 walk:
 	for b, end := range em.ends {
 		for _, key := range em.keys[start:end] {
-			ki := em.find(&bm.set, key&^refKeyTakenBit)
-			if ki < 0 {
-				continue
-			}
+			ki := em.find(key &^ refKeyTakenBit)
 			state := uint64(stateVecNotTaken)
 			if key&refKeyTakenBit != 0 {
 				state = stateVecTaken

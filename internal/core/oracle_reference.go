@@ -145,8 +145,9 @@ type scoredRef struct {
 // in its window (section 3.6.2: "the most correlated branches are close
 // together"), so nearby ever-present refs are the right tie-break.
 //
-// Both the reference and kernel implementations feed this ranking; it
-// runs once per static branch, off the per-record hot path.
+// The reference profile feeds this ranking; the kernels compute the same
+// beam by bounded selection (beamRanker in oracle_kernel.go), and
+// TestBeamRankerMatchesRankCandidates holds the two equal.
 func rankCandidates(all []scoredRef, total, topK int) *Candidates {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].score != all[j].score {

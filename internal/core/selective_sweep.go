@@ -54,8 +54,9 @@ type SelectiveConfig struct {
 //     anywhere: the oracle's columnar emitter (oracleEmitter) walks at
 //     the largest window over the block's full columns. Per dense ID
 //     the configs' refs fold into one union of packed ref keys (a
-//     refKeySet), and the walk is focused on the union's PCs, so each
-//     emission resolves once however many configs name it. The sweep
+//     refKeySet), and the walk is focused on the union's keys, so it
+//     emits only those and each emission resolves once, in O(1),
+//     however many configs name it. The sweep
 //     counts its walks in obs.Default()'s core.selective.sweep.walks.
 //
 // A sweep over states reads the collection's classes: shared with the
@@ -575,10 +576,7 @@ func (g *SelectiveSweep) patterns(i int, br *selBranch, pat []uint8) {
 	walk:
 		for b, end := range em.ends {
 			for _, key := range em.keys[start:end] {
-				ki := em.find(&br.set, key&^refKeyTakenBit)
-				if ki < 0 {
-					continue
-				}
+				ki := em.find(key &^ refKeyTakenBit)
 				s := StateNotTaken
 				if key&refKeyTakenBit != 0 {
 					s = StateTaken
