@@ -673,7 +673,9 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 // gcc trace at 200k and 1M branches: the per-window loop (one full
 // Oracle run per window) against one core.OracleWindows call sharing
 // both trace walks across the six windows, plus the Figure 5 fused
-// selective sweep over all seven windows' selections. branches/s is
+// selective sweep over all seven windows' selections (sweep=fig5: a
+// NewSelectiveSweep, so each run classifies the trace, runs the sweep's
+// held-only collection and replays it). branches/s is
 // trace branches per wall second (windows or configs not multiplied
 // in), so the loop/shared pair at each length is the shared pass's
 // speedup directly.
@@ -698,7 +700,8 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 // computes per trace for Figures 4 and 5 (benchFig5Step): step=fused is
 // the one-classification step whose sweeps replay the oracle
 // collection's state vectors, step=split the earlier path of two oracle
-// builds and four classifications with sweeps that walk. step=fused
+// builds and four classifications, with sweeps that run collections of
+// their own. step=fused
 // also reports the state vectors' bytes per record (vec-B/record);
 // rand16, where nearly every record is declined and walks on its own,
 // is their worst case. Its par= level is the oracle's ScoreParallel:
@@ -767,8 +770,8 @@ func benchOracleShared(b *testing.B, prefix string, tr *trace.Trace) {
 // window 32, and runs one OracleStates call over those classes and both
 // sweeps over its state vectors. step=split is an earlier path: a
 // window-16 Oracle run and a six-window OracleWindows call, each
-// classifying the trace itself, and two sweeps that classify it again
-// and walk.
+// classifying the trace itself, and two NewSelectiveSweep sweeps that
+// classify it again and run their own collections.
 func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 	windows := []int{8, 12, 16, 20, 24, 28, 32}
 	fig5 := func(sels []*core.Selections) []core.SelectiveConfig {
@@ -999,8 +1002,8 @@ func BenchmarkSimSweep(b *testing.B) {
 // exhibits share (Figures 4 and 8, Table 2, in-path): 1-, 2- and 3-ref
 // oracle-selected selective predictors, the 3-ref one in presence mode,
 // IF-gshare(16) and gshare(16). The selective grid replays the state
-// vectors st resolved for sels, or walks and classifies the trace
-// itself when st is nil.
+// vectors st resolved for sels, or classifies the trace and runs its
+// own collection when st is nil.
 func benchGlobalGrid(st *core.BeamStates, sels *core.Selections) bp.SweepGrid {
 	var cfgs []core.SelectiveConfig
 	for k := 1; k <= core.MaxSelectiveRefs; k++ {

@@ -188,6 +188,9 @@ func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, opts
 	distinct = slices.Compact(distinct)
 	cols := slices.Clone(distinct)
 	for n := range held {
+		if _, built := slices.BinarySearch(distinct, n); built {
+			panic(fmt.Sprintf("core: oracle states window %d is both built and held", n))
+		}
 		cols = append(cols, n)
 	}
 	slices.Sort(cols)
@@ -207,7 +210,9 @@ func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, opts
 	scored := make([]bool, len(cols))
 	for w, n := range cols {
 		if sel, ok := held[n]; ok {
-			cands[w] = heldBeams(sel)
+			cands[w] = heldBeams(n, sel.BySize[1:], func(a int) string {
+				return fmt.Sprintf("held %d-ref selection", a+1)
+			})
 			continue
 		}
 		b, _ := slices.BinarySearch(distinct, n)
@@ -222,14 +227,20 @@ func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, opts
 	return out, states
 }
 
-// heldBeams turns held selections into one beam per branch: the
-// distinct refs of its 1-, 2- and 3-ref assignments, in that order.
-func heldBeams(sel *Selections) map[trace.Addr]*Candidates {
+// heldBeams folds the assignments at one window into one beam per
+// branch, as the collection resolves a held column: the distinct refs
+// the assignments give the branch, in assignment order, then ref order.
+// It backs OracleStates' held selections (their 1-, 2- and 3-ref
+// assignments) and NewSelectiveSweep's configs. An assignment giving a
+// branch more than MaxSelectiveRefs refs panics, and so does a union
+// past a state vector's maxTopK slots; what(a) names assignment a in
+// the message.
+func heldBeams(window int, assigns []Assignment, what func(a int) string) map[trace.Addr]*Candidates {
 	out := make(map[trace.Addr]*Candidates)
-	for k := 1; k <= MaxSelectiveRefs; k++ {
-		for pc, refs := range sel.BySize[k] {
+	for a, assign := range assigns {
+		for pc, refs := range assign {
 			if len(refs) > MaxSelectiveRefs {
-				panic(fmt.Sprintf("core: branch 0x%x holds %d refs, max %d", uint32(pc), len(refs), MaxSelectiveRefs))
+				panic(fmt.Sprintf("core: %s: branch 0x%x assigned %d refs, max %d", what(a), uint32(pc), len(refs), MaxSelectiveRefs))
 			}
 			c := out[pc]
 			if c == nil {
@@ -240,6 +251,10 @@ func heldBeams(sel *Selections) map[trace.Addr]*Candidates {
 				if !slices.Contains(c.Refs, r) {
 					c.Refs = append(c.Refs, r)
 				}
+			}
+			if len(c.Refs) > maxTopK {
+				panic(fmt.Sprintf("core: %s: branch 0x%x has %d distinct refs at window %d, past a state vector's %d slots",
+					what(a), uint32(pc), len(c.Refs), window, maxTopK))
 			}
 		}
 	}
@@ -283,7 +298,7 @@ func newBeamStates(pc *PathClasses, windows []int, matchers []*beamMatcher) *Bea
 	ids := pc.ids
 	recs, classes := 0, 0
 	for k, c := range pc.class {
-		if c < 0 && matchers[ids[pc.lo+k]] != nil {
+		if c < 0 && matchers[ids[k]] != nil {
 			recs++
 		}
 	}

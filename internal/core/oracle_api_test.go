@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchcorr/internal/trace"
@@ -107,8 +109,9 @@ func TestOracleUnknownStagePanics(t *testing.T) {
 // TestOracleStatesMatchesOracleWindows pins OracleStates' selections to
 // OracleWindows' over the same windows, in argument order, with and
 // without a held column (which must change no built window), and its
-// loud failures: a stage other than StageFull, a window both built and
-// held, and classes shorter than a window.
+// loud failures, each with a message of its own: a stage other than
+// StageFull, a window both built and held, and classes shorter than a
+// window.
 func TestOracleStatesMatchesOracleWindows(t *testing.T) {
 	windows := []int{32, 8, 16}
 	for _, tr := range differentialTraces() {
@@ -130,18 +133,25 @@ func TestOracleStatesMatchesOracleWindows(t *testing.T) {
 		}
 	}
 	pc := ClassifyPaths(differentialTraces()[0], 16, nil)
-	for name, call := range map[string]func(){
-		"stage":             func() { OracleStates(pc, []int{8}, nil, OracleOptions{Stage: StageProfile}) },
-		"built and held":    func() { OracleStates(pc, []int{8}, map[int]*Selections{8: {}}, OracleOptions{}) },
-		"classes too short": func() { OracleStates(pc, []int{32}, nil, OracleOptions{}) },
+	for name, tc := range map[string]struct {
+		call func()
+		want string
+	}{
+		"stage":             {func() { OracleStates(pc, []int{8}, nil, OracleOptions{Stage: StageProfile}) }, "runs stage full only"},
+		"built and held":    {func() { OracleStates(pc, []int{8}, map[int]*Selections{8: {}}, OracleOptions{}) }, "window 8 is both built and held"},
+		"classes too short": {func() { OracleStates(pc, []int{32}, nil, OracleOptions{}) }, "need window 32"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Error("did not panic")
+				r := recover()
+				if r == nil {
+					t.Fatal("did not panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q does not say %q", msg, tc.want)
 				}
 			}()
-			call()
+			tc.call()
 		})
 	}
 }

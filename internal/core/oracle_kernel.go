@@ -152,14 +152,13 @@ type emitScratch struct {
 // segment — so a ref's state in window w is its emission if that
 // emission's index is below ends[w], and absent otherwise.
 //
-// The emitter works over raw packed columns, not a *trace.Packed: the
-// oracle passes point it at the whole trace's columns, and
-// SelectiveSweep at each kernel block's full columns. Every path runs
+// The emitter reads a packed trace's columns; every oracle pass (and
+// through the collection's state vectors every selective sweep) runs
 // the identical emit loop.
 type oracleEmitter struct {
 	windows []int // ascending distinct window lengths; the walk covers the last
 
-	ids   []int32  // dense-ID column currently in view
+	ids   []int32  // dense-ID column
 	taken []uint64 // taken bitset, bit i = column record i
 	back  []uint64 // backward bitset
 
@@ -175,7 +174,7 @@ type oracleEmitter struct {
 }
 
 // refKeySet is a sorted set of packed ref keys grouped by dense ID — a
-// branch's union of beam or config keys. Each ID's group also carries a
+// branch's union of beam keys. Each ID's group also carries a
 // bitmap of the (scheme, tag) pairs it holds: bit key&refKeyLow, so
 // occurrence tag o is bit o and backward tag b is bit 32|b. Keys within
 // a group ascend in that same low-bit order, so a member's index is its
@@ -246,42 +245,21 @@ func checkWindows(windows []int) {
 	}
 }
 
-func newOracleEmitter(windows []int) *oracleEmitter {
+// newPackedEmitter returns an emitter over a packed trace's columns at
+// the given windows, its per-ID scratch sized to the trace's intern
+// table.
+func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
 	checkWindows(windows)
-	n := windows[len(windows)-1]
 	return &oracleEmitter{
 		windows: append([]int(nil), windows...),
-		keys:    make([]uint64, 0, 2*n),
+		ids:     pt.IDs(),
+		taken:   pt.TakenWords(),
+		back:    pt.BackwardWords(),
+		scratch: make([]emitScratch, pt.NumBranches()),
+		keys:    make([]uint64, 0, 2*windows[len(windows)-1]),
 		ends:    make([]int, len(windows)),
 		vecs:    make([]uint64, len(windows)),
 	}
-}
-
-// newPackedEmitter returns an emitter over a packed trace's columns,
-// its scratch sized to the trace's intern table.
-func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
-	e := newOracleEmitter(windows)
-	e.setColumns(pt.IDs(), pt.TakenWords(), pt.BackwardWords())
-	e.growScratch(pt.NumBranches())
-	return e
-}
-
-// setColumns re-points the emitter at a column triple. Epoch stamps stay
-// valid across calls: scratch state is per-emit, never per-column.
-func (e *oracleEmitter) setColumns(ids []int32, taken, back []uint64) {
-	e.ids, e.taken, e.back = ids, taken, back
-}
-
-// growScratch extends the per-ID scratch to cover nb dense IDs; existing
-// stamps are preserved (they only compare against the current emit
-// generation, and zero never matches a positive generation).
-func (e *oracleEmitter) growScratch(nb int) {
-	if nb <= len(e.scratch) {
-		return
-	}
-	grown := make([]emitScratch, nb)
-	copy(grown, e.scratch)
-	e.scratch = grown
 }
 
 // taken1 reports column record p's direction.
@@ -638,7 +616,7 @@ func planShards(pc *PathClasses, par int, live []*beamMatcher) branchShards {
 	walks := make([]int, pc.pt.NumBranches())
 	for k, c := range pc.class {
 		if c < 0 {
-			walks[ids[pc.lo+k]]++
+			walks[ids[k]]++
 		}
 	}
 	for c, rep := range pc.reps {

@@ -57,7 +57,7 @@ func walkCounts(pc *PathClasses) (declined, classes []int) {
 	classes = make([]int, pc.pt.NumBranches())
 	for k, c := range pc.class {
 		if c < 0 {
-			declined[pc.ids[pc.lo+k]]++
+			declined[pc.ids[k]]++
 		}
 	}
 	for c, rep := range pc.reps {

@@ -10,15 +10,15 @@ import (
 )
 
 // This file is the path-signature classification behind the oracle's
-// profile and collection passes and the fused selective sweep. What the
-// columnar emitter produces for record i depends only on the record's
-// branch and the n (id, taken, backward) entries before it, n being the
-// walk's largest window. Branch streams tend to reuse a small set of
-// such (branch, path) contexts — the synthetic workloads heavily — so
-// most records repeat a signature an earlier record already had: one
-// pass maps each record to the first position with its signature (its
-// class's representative), and the consumers walk once per class instead
-// of once per record. The pass's result (PathClasses) is shared: one
+// profile and collection passes, whose state vectors the fused
+// selective sweep replays. What the columnar emitter produces for
+// record i depends only on the record's branch and the n (id, taken,
+// backward) entries before it, n being the walk's largest window.
+// Branch streams tend to reuse a small set of such (branch, path)
+// contexts — the synthetic workloads heavily — so most records repeat a
+// signature an earlier record already had: one pass maps each record to
+// the first position with its signature (its class's representative),
+// and the consumers walk once per class instead of once per record. The pass's result (PathClasses) is shared: one
 // pass at the largest window serves every consumer of the trace.
 //
 // A signature is ids[i-n..i] plus the taken and backward bits of
@@ -55,7 +55,7 @@ const (
 	pathMemoMinClasses = 64
 )
 
-// PathClasses is the records of one column range classified by path
+// PathClasses is the records of a packed trace classified by path
 // signature at window N: each classified record's class, and per class
 // its representative (first) position, its record count and how many
 // of its records resolved taken. A class of one record saves no walk,
@@ -64,27 +64,26 @@ const (
 //
 // One value serves every consumer that walks at a window no longer than
 // N: positions with equal signatures at N have equal signatures at any
-// smaller window. ClassifyPaths builds it for a whole packed trace, and
-// the oracle (passed as its Source, or to OracleStates) and a
-// SelectiveSweep built over the oracle's states both read it; neither
-// writes it, so concurrent readers are safe. It is
-// a pure function of the columns, held only as long as its holders hold
-// it: nothing in the package caches it.
+// smaller window. ClassifyPaths builds it, and the oracle (passed as its
+// Source, or to OracleStates) and a SelectiveSweep over the oracle's
+// states both read it; neither writes it, so concurrent readers are
+// safe. It is a pure function of the columns, held only as long as its
+// holders hold it: nothing in the package caches it.
 //
-// Memory is bounded per record of the range: the class column (4 bytes
-// per record) plus at most one class per two records (pathMemoMinClasses
-// for a shorter range), each with its representative, count and taken
-// count (12 bytes), so at most 10 bytes per record once classified.
-// While the range is classified, each class also holds its hash tag and
+// Memory is bounded per record: the class column (4 bytes per record)
+// plus at most one class per two records (pathMemoMinClasses for a
+// shorter trace), each with its representative, count and taken count
+// (12 bytes), so at most 10 bytes per record once classified. While the
+// trace is classified, each class also holds its hash tag and
 // at most 8/3 four-byte hash slots (the table doubles past 3/4 load),
 // under 18 bytes per record in all; ClassifyPaths drops them on return.
 // A sweep adds one byte per config per class.
 type PathClasses struct {
-	pt    *trace.Packed // the classified trace; nil for a kernel block's range
-	ids   []int32       // the dense-ID column the positions index
-	n, lo int           // signature window and first position of the range
+	pt  *trace.Packed // the classified trace
+	ids []int32       // its dense-ID column, which the positions index
+	n   int           // signature window
 
-	class  []int32 // class of position lo+k at k; -1 = per-record walk
+	class  []int32 // per position: its class; -1 = per-record walk
 	reps   []int32 // per class: representative (first) position
 	counts []int32 // per class: records classified into it; 0 = unclassified again
 	taken  []int32 // per class: records that resolved taken
@@ -105,7 +104,7 @@ func ClassifyPaths(src Source, n int, reg *obs.Registry) *PathClasses {
 	}
 	pt := src.Packed()
 	pc := &PathClasses{pt: pt}
-	pc.classify(&pathMemo{}, pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n, 0, pt.Len())
+	pc.classify(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n)
 	reg = obs.Or(reg)
 	reg.Counter("core.paths.classify.passes").Inc()
 	reg.Counter("core.paths.classify.records").Add(int64(pt.Len()))
@@ -115,48 +114,36 @@ func ClassifyPaths(src Source, n int, reg *obs.Registry) *PathClasses {
 // Packed implements Source: the classified trace.
 func (pc *PathClasses) Packed() *trace.Packed { return pc.pt }
 
-// classify is the one classification pass: it classifies positions
-// [lo, hi) of the columns by signature at window n through m, reusing
-// pc's and m's buffers, then unclassifies one-record classes and counts
-// each class's taken records.
-func (pc *PathClasses) classify(m *pathMemo, ids []int32, taken, back []uint64, n, lo, hi int) {
-	m.reset(ids, taken, back, n, lo, hi)
-	class := resize(pc.class, hi-lo)
-	for k := range class {
-		class[k] = m.classify(lo + k)
+// classify is the one classification pass: it classifies every
+// position of the columns by signature at window n, then unclassifies
+// one-record classes and counts each class's taken records.
+func (pc *PathClasses) classify(ids []int32, taken, back []uint64, n int) {
+	var m pathMemo
+	m.reset(ids, taken, back, n)
+	class := make([]int32, len(ids))
+	for i := range class {
+		class[i] = m.classify(i)
 	}
 	counts := m.counts
-	ctaken := resize(pc.taken, len(counts))
-	clear(ctaken)
-	for k, c := range class {
+	ctaken := make([]int32, len(counts))
+	for i, c := range class {
 		if c < 0 {
 			continue
 		}
 		if counts[c] == 1 {
-			class[k] = -1
+			class[i] = -1
 			counts[c] = 0
 			continue
 		}
-		p := lo + k
-		ctaken[c] += int32(taken[p>>6] >> (uint(p) & 63) & 1)
+		ctaken[c] += int32(taken[i>>6] >> (uint(i) & 63) & 1)
 	}
-	pc.ids, pc.n, pc.lo = ids, n, lo
+	pc.ids, pc.n = ids, n
 	pc.class, pc.reps, pc.counts, pc.taken = class, m.reps, counts, ctaken
 }
 
-// resize returns s with length n, reusing its capacity when it suffices.
-func resize[E any](s []E, n int) []E {
-	if cap(s) < n {
-		return make([]E, n)
-	}
-	return s[:n]
-}
-
 // pathMemo is the classification pass's hash table over the signatures
-// of one column range; PathClasses.classify drives it. Representatives
-// are positions in the columns the memo was reset over. Its buffers are
-// reused across resets, so a sweep that classifies each block it is
-// handed allocates only when a block needs more than any earlier one.
+// of a column triple; PathClasses.classify drives it. Representatives
+// are positions in the columns the memo was reset over.
 type pathMemo struct {
 	n           int // signature window
 	ids         []int32
@@ -187,14 +174,12 @@ func pathEntry(ids []int32, taken, back []uint64, p int) uint64 {
 	return (v + 1) * pathMix
 }
 
-// reset points the memo at a column triple and prepares it to classify
-// positions lo, lo+1, ..., hi-1 in that order, as signatures over window
-// n. Buffers are reused, so a memo reset per block allocates only when a
-// block needs more than any earlier one.
-func (m *pathMemo) reset(ids []int32, taken, back []uint64, n, lo, hi int) {
+// reset points a zero memo at a column triple and prepares it to
+// classify every position, from 0 in order, as signatures over window
+// n.
+func (m *pathMemo) reset(ids []int32, taken, back []uint64, n int) {
 	m.n, m.ids, m.taken, m.back = n, ids, taken, back
-	m.tags, m.reps, m.counts = m.tags[:0], m.reps[:0], m.counts[:0]
-	m.limit = max((hi-lo)/2, pathMemoMinClasses)
+	m.limit = max(len(ids)/2, pathMemoMinClasses)
 	m.inserting = true
 	m.epochLookups, m.epochHits = 0, 0
 	m.prevRep = -1
@@ -203,8 +188,8 @@ func (m *pathMemo) reset(ids []int32, taken, back []uint64, n, lo, hi int) {
 		m.powN *= pathRollBase
 	}
 	m.roll = 0
-	if start := max(lo, n); start < hi {
-		for p := start - n; p < start; p++ {
+	if n < len(ids) {
+		for p := 0; p < n; p++ {
 			m.roll = m.roll*pathRollBase + pathEntry(ids, taken, back, p)
 		}
 	}
@@ -212,14 +197,9 @@ func (m *pathMemo) reset(ids []int32, taken, back []uint64, n, lo, hi int) {
 }
 
 // resize re-buckets every class into a cleared slot array of the given
-// power-of-two size, reusing the old array's capacity when it suffices.
+// power-of-two size.
 func (m *pathMemo) resize(size int) {
-	slots := m.slots
-	if cap(slots) >= size {
-		slots = slots[:size]
-	} else {
-		slots = make([]int32, size)
-	}
+	slots := make([]int32, size)
 	for k := range slots {
 		slots[k] = -1
 	}
@@ -283,10 +263,10 @@ func (m *pathMemo) chained(i, r int) bool {
 }
 
 // classify returns position i's class, or -1 when the record must take
-// the per-record walk. Positions must be classified in order from the
-// reset's lo. A candidate whose representative follows the previous
-// position's is compared by chained, not same: runs of records that
-// repeat an earlier run pay one full comparison, at the run's start.
+// the per-record walk. Positions must be classified in order from 0. A
+// candidate whose representative follows the previous position's is
+// compared by chained, not same: runs of records that repeat an earlier
+// run pay one full comparison, at the run's start.
 //
 //bplint:hot
 func (m *pathMemo) classify(i int) int32 {

@@ -69,12 +69,11 @@ func TestPathMemoClassify(t *testing.T) {
 						collideHashes(t)
 					}
 					var m pathMemo
-					lo := 5
-					m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n, lo, pt.Len())
+					m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), n)
 					classOf := map[string]int32{}
 					sigs := map[int32]string{}
 					hits := 0
-					for i := lo; i < pt.Len(); i++ {
+					for i := 0; i < pt.Len(); i++ {
 						c := m.classify(i)
 						if c < 0 {
 							if i >= n && m.inserting && len(m.reps) < m.limit {
@@ -194,9 +193,10 @@ func oracleSweepConfigs(tr *trace.Trace, windows []int) []SelectiveConfig {
 	return cfgs
 }
 
-// checkSweepRanges fails unless the fused sweep over tr matches the
+// checkSweepRanges fails unless NewSelectiveSweep over tr matches the
 // scalar replays in memory and as SweepBlock calls over consecutive
-// [Lo, Hi) ranges of every chunk size, one memo per call.
+// [Lo, Hi) ranges of every chunk size, whose first call classifies the
+// whole trace and runs the sweep's collection.
 func checkSweepRanges(t *testing.T, tr *trace.Trace, cfgs []SelectiveConfig, chunks []int) {
 	t.Helper()
 	want := scalarSelective(tr, cfgs)
@@ -219,11 +219,10 @@ func checkSweepRanges(t *testing.T, tr *trace.Trace, cfgs []SelectiveConfig, chu
 	}
 }
 
-// TestPathMemoSelectiveSweep pins the sweep's cached per-class pattern
+// TestPathMemoSelectiveSweep pins the sweep's per-class pattern
 // indices, under colliding hashes, to scalar replays: in memory (one
-// block, one memo) and over ranges at chunk sizes around the largest
-// window, where each range's memo starts empty and its records look
-// back across the range boundary.
+// block) and over ranges at chunk sizes around the largest window,
+// whose records look back across the range boundary.
 func TestPathMemoSelectiveSweep(t *testing.T) {
 	collideHashes(t)
 	t.Run("sel-sweep", func(t *testing.T) {
@@ -273,7 +272,7 @@ func TestPathMemoHighEntropy(t *testing.T) {
 	pt := tr.Packed()
 
 	var m pathMemo
-	m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), 16, 0, pt.Len())
+	m.reset(pt.IDs(), pt.TakenWords(), pt.BackwardWords(), 16)
 	for i := 0; i < pt.Len(); i++ {
 		m.classify(i)
 	}
@@ -320,8 +319,8 @@ func lcgTrace(n, sites int) *trace.Trace {
 // window 16 and holds the window-8 assignment, over classes at window
 // 32, as Figure 5's step shares them, and over the window's own
 // classes: the call must select what Oracle selects, and the replay must
-// match the scalar runs without a walk. The walking sweep, classifying
-// itself, must match them too and count its walks. One trace drives the
+// match the scalar runs without a walk. NewSelectiveSweep, running its
+// own collection, must match them too and count that collection's walks. One trace drives the
 // classification's bypass, the other leaves one-record classes that
 // walk on their own next to repeated ones.
 func TestPathClassesSharedGrid(t *testing.T) {

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
-	"sort"
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
@@ -24,7 +22,7 @@ type SelectiveConfig struct {
 }
 
 // SelectiveSweep is the fused grid over a set of selective-history
-// configurations: one walk of the packed columns drives every config.
+// configurations: one replay of the packed columns drives every config.
 //
 // What is shared is the history window itself. Both tagging schemes
 // resolve an entry's tag from strictly more-recent entries, so the first
@@ -33,122 +31,133 @@ type SelectiveConfig struct {
 // index per config therefore follows from one resolution of the refs'
 // states at the largest window, each config reading the prefix its own
 // window covers, and it depends only on the record's branch and the
-// records before it: the records are classified by path signature
-// (PathClasses, pathmemo.go), each class's per-config indices are
-// resolved once before the replay, and every record of the class reads
-// them. Records left unclassified resolve on their own during the
-// replay. The counter train/predict step runs for every record, in
-// order. Per config: the pattern-counter tables, held as dense per-ID
-// columns so the per-record replay does no map access.
+// records before it.
+//
+// The resolution is an oracle collection's: its state vectors
+// (BeamStates) hold, for every branch with a beam, the beam's states at
+// every window, once per path-signature class (PathClasses, pathmemo.go)
+// and once per record the classification declined. A config's index is
+// a few bit extractions from the vector at its window, at its refs'
+// beam slots, read in the collection's walk order: each class's
+// per-config indices are read once, every record of the class reads
+// them, and a declined record reads the next stored vectors. The
+// counter train/predict step runs for every record, in order. Per
+// config: the pattern-counter tables, held as dense per-ID columns so
+// the per-record replay does no map access.
 //
 // The states come from one of two places:
 //
-//   - An oracle collection's state vectors (NewSelectiveSweepStates):
-//     the collection already resolved every branch's beam at every
-//     window, once per class and once per declined record, and every
-//     ref the oracle selects sits in a beam slot. A config's index is a
-//     few bit extractions from the vector at its window, at its refs'
-//     slots, read in the collection's walk order; the sweep walks
-//     nothing. The report's sweeps all run this way.
-//   - A walk of their own (NewSelectiveSweep), for assignments from
-//     anywhere: the oracle's columnar emitter (oracleEmitter) walks at
-//     the largest window over the block's full columns. Per dense ID
-//     the configs' refs fold into one union of packed ref keys (a
-//     refKeySet), and the walk is focused on the union's keys, so it
-//     emits only those and each emission resolves once, in O(1),
-//     however many configs name it. The sweep
-//     counts its walks in obs.Default()'s core.selective.sweep.walks.
+//   - An oracle run (NewSelectiveSweepStates): OracleStates resolves
+//     every branch's beam at every window, and every ref the oracle
+//     selects, or was handed as held, sits in a beam slot. The report's
+//     sweeps all run this way, sharing the run's classes.
+//   - The sweep's own collection (NewSelectiveSweep), for assignments
+//     from anywhere: per window, each branch's union of the configs'
+//     refs is one held beam, and the first block classifies its trace
+//     at the largest window and runs the held-only collection
+//     OracleStates runs, counted into a registry of its own. The sweep
+//     counts the collection's walks in obs.Default()'s
+//     core.selective.sweep.walks; from then on it replays like a sweep
+//     over states.
 //
-// A sweep over states reads the collection's classes: shared with the
-// oracle run over the same trace, read by every block and every config
-// shard, never written, and held only as long as the sweep is. A
-// walking sweep classifies each block it is handed, through the same
-// pass, into buffers it reuses from block to block.
+// The classes are read by every block and every config shard, never
+// written, and held only as long as the sweep is.
 //
 // SweepBlock is observationally identical, per config, to replaying the
 // records through NewSelectiveMode(cfg...): the resolved pattern trains
 // the same counter the scalar Predict/Update pair would, against the
 // records that precede it in the stream — the scalar ordering (Update
 // pushes after training). Every block must carry the trace's full
-// columns, with [Lo, Hi) the range to replay, so each record's look-back
-// reads the records before Lo in place; and every block must carry the
-// trace's complete intern table, the same on every call, which the
-// first call interns. sim.SimulateSweep hands over the whole trace as
-// one such block.
+// columns, the same slices on every call, with [Lo, Hi) the range to
+// replay, so each record's look-back reads the records before Lo in
+// place; and every block must carry the trace's complete intern table.
+// sim.SimulateSweep hands over the whole trace as one such block.
 type SelectiveSweep struct {
 	gridName string
 	cfgs     []SelectiveConfig
-	bucket   []int // per config: index of its window in the walk's or the states' windows
+	bucket   []int // per config: index of its window in the states' windows
 
-	branches []selBranch // per dense ID, nil until the first block (states: built up front)
+	branches []selBranch // per dense ID, nil until the states are set
 	ids      []int32     // the current block's dense-ID column
 	taken    []uint64    // the current block's taken bitset
 
-	shared *PathClasses // the states' classes, or nil
-	own    PathClasses  // the current block's classes when shared is nil
-	memo   pathMemo     // own's classification scratch
-	pats   []uint8      // [class × config]: the class's pattern-table index per config
-	pat    []uint8      // per config: an unclassified record's pattern-table index
+	pats []uint8 // [class × config]: the class's pattern-table index per config
+	pat  []uint8 // per config: a declined record's pattern-table index
 
-	// The walk: nil em over states.
-	em     *oracleEmitter
-	states []State // [config × MaxSelectiveRefs] resolution scratch
-	walks  int64   // walks since the last flush
+	// The held-only collection of a NewSelectiveSweep, run on its first
+	// block: nil once the states are set.
+	windows []int                        // the configs' distinct windows, ascending
+	held    []map[trace.Addr]*Candidates // per window: each branch's union of the configs' refs
 
-	// The states: nil on the walk.
-	beams   *BeamStates
-	recNext int // the next declined record's vectors, in vectors of len(beams.windows)
+	beams   *BeamStates // nil until the states are set
+	recNext int         // the next declined record's vectors, in vectors of len(beams.windows)
 }
 
 // selBranch is one dense ID's fused-grid state.
 type selBranch struct {
-	set    refKeySet       // walk: union of the configs' interned packed ref keys
-	refsOf []uint8         // walk: [key × configs + c]: bitmask of config c's refs naming the key
-	beam   bool            // states: the collection walked the branch (it has a beam)
-	shifts []uint8         // states: [c × MaxSelectiveRefs + k]: bit offset of config c's k-th ref's beam slot
+	beam   bool            // the collection walked the branch (it has a beam)
+	shifts []uint8         // [c × MaxSelectiveRefs + k]: bit offset of config c's k-th ref's beam slot
 	nrefs  []uint8         // per config: assigned ref count
 	tables [][]bp.Counter2 // per config: pow3-sized pattern counters
 }
 
 // NewSelectiveSweep returns a fused grid over cfgs in argument order
-// that walks: it resolves any assignment. Every config needs a positive
-// window length and at most MaxSelectiveRefs refs per branch.
+// that resolves its own states: it accepts any assignment. Every config
+// needs a positive window length and at most MaxSelectiveRefs refs per
+// branch, and the configs at one window may name at most 32 distinct
+// refs of one branch, the slots of a state vector.
 func NewSelectiveSweep(gridName string, cfgs []SelectiveConfig) *SelectiveSweep {
 	g, windows := newSelectiveSweep(gridName, cfgs)
-	for c, cfg := range cfgs {
-		g.bucket[c], _ = slices.BinarySearch(windows, cfg.Window)
+	g.windows = windows
+	g.held = make([]map[trace.Addr]*Candidates, len(windows))
+	for w, n := range windows {
+		var assigns []Assignment
+		var names []string
+		for _, cfg := range cfgs {
+			if cfg.Window == n {
+				assigns = append(assigns, cfg.Assign)
+				names = append(names, cfg.Name)
+			}
+		}
+		g.held[w] = heldBeams(n, assigns, func(a int) string {
+			return fmt.Sprintf("selective sweep config %q", names[a])
+		})
 	}
-	g.em = newOracleEmitter(windows)
-	g.states = make([]State, len(cfgs)*MaxSelectiveRefs)
 	return g
 }
 
 // NewSelectiveSweepStates is a selective sweep that replays an oracle
-// collection's state vectors instead of walking: it reads st's path
-// classes, and every block must carry the columns of their trace; a
-// sweep handed any other block panics. Every config's window must be
-// one of the windows st resolved, built or held, and every ref a config
-// assigns a branch of the trace must sit in that branch's beam at the
-// config's window — true of the selections OracleStates returns and of
-// the selections it held. A config naming any other ref panics here,
-// before any replay.
+// collection's state vectors: it reads st's path classes, and every
+// block must carry the columns of their trace; a sweep handed any other
+// block panics. Every config's window must be one of the windows st
+// resolved, built or held, and every ref a config assigns a branch of
+// the trace must sit in that branch's beam at the config's window —
+// true of the selections OracleStates returns and of the selections it
+// held. A config naming any other ref panics here, before any replay.
 func NewSelectiveSweepStates(st *BeamStates, gridName string, cfgs []SelectiveConfig) *SelectiveSweep {
 	g, _ := newSelectiveSweep(gridName, cfgs)
-	for c, cfg := range cfgs {
+	g.setStates(st)
+	return g
+}
+
+// setStates points the sweep at st: it sets every config's window
+// bucket and every dense ID's ref slots and pattern tables (pre-created
+// here so the replay loop never allocates).
+func (g *SelectiveSweep) setStates(st *BeamStates) {
+	for c, cfg := range g.cfgs {
 		w, ok := slices.BinarySearch(st.windows, cfg.Window)
 		if !ok {
 			panic(fmt.Sprintf("core: selective sweep config %q window %d has no state vectors (windows %v)", cfg.Name, cfg.Window, st.windows))
 		}
 		g.bucket[c] = w
 	}
-	g.shared, g.beams = st.pc, st
 	addrs := st.pc.pt.Addrs()
-	g.branches = make([]selBranch, len(addrs))
+	branches := make([]selBranch, len(addrs))
 	for id, a := range addrs {
 		br := g.newBranch(a)
 		br.beam = st.beams[id] != nil
-		br.shifts = make([]uint8, len(cfgs)*MaxSelectiveRefs)
-		for c, cfg := range cfgs {
+		br.shifts = make([]uint8, len(g.cfgs)*MaxSelectiveRefs)
+		for c, cfg := range g.cfgs {
 			for k, r := range cfg.Assign[a] {
 				slot := -1
 				if br.beam {
@@ -160,9 +169,10 @@ func NewSelectiveSweepStates(st *BeamStates, gridName string, cfgs []SelectiveCo
 				br.shifts[c*MaxSelectiveRefs+k] = uint8(2 * slot)
 			}
 		}
-		g.branches[id] = br
+		branches[id] = br
 	}
-	return g
+	g.branches, g.beams = branches, st
+	g.windows, g.held = nil, nil
 }
 
 // newSelectiveSweep validates cfgs and returns a sweep over them with
@@ -217,9 +227,10 @@ func (g *SelectiveSweep) Configs() []bp.Predictor {
 }
 
 // Shard implements bp.SweepGrid: a fresh fused grid over the configs
-// [lo, hi) (each shard owns a private window, which is exact: the window
-// contents are stream-determined). Shards read the grid's states, if
-// any.
+// [lo, hi) (each shard owns private pattern tables, which is exact: a
+// record's patterns are stream-determined). Shards of a sweep with
+// states read them; shards of a NewSelectiveSweep that has not yet
+// replayed a block each run their own collection on their first block.
 func (g *SelectiveSweep) Shard(lo, hi int) bp.SweepGrid {
 	checkSelShardRange(lo, hi, len(g.cfgs))
 	if g.beams != nil {
@@ -234,31 +245,6 @@ func checkSelShardRange(lo, hi, n int) {
 	}
 }
 
-// intern sets up every dense ID of the trace's intern table on the
-// first block: each gets its per-config ref counts and pow3-sized tables
-// (pre-created here so the replay loop never allocates) and its union
-// key set. Later blocks must carry the same table; so must every block
-// of a sweep over states, which set up its branches when it was built.
-func (g *SelectiveSweep) intern(addrs []trace.Addr) {
-	if g.branches != nil {
-		if len(addrs) != len(g.branches) {
-			panic(fmt.Sprintf("core: selective sweep block carries %d branches, first block %d", len(addrs), len(g.branches)))
-		}
-		return
-	}
-	idOf := make(map[trace.Addr]int32, len(addrs))
-	for id, a := range addrs {
-		idOf[a] = int32(id)
-	}
-	g.branches = make([]selBranch, len(addrs))
-	for id, a := range addrs {
-		br := g.newBranch(a)
-		g.resolveKeys(&br, a, idOf)
-		g.branches[id] = br
-	}
-	g.em.growScratch(len(addrs))
-}
-
 // newBranch returns the branch at pc's per-config ref counts and
 // pattern tables.
 func (g *SelectiveSweep) newBranch(pc trace.Addr) selBranch {
@@ -271,44 +257,28 @@ func (g *SelectiveSweep) newBranch(pc trace.Addr) selBranch {
 	return br
 }
 
-// resolveKeys builds the union of packed ref keys of br, the branch at
-// pc; a ref naming a PC absent from the trace is never resolved.
-func (g *SelectiveSweep) resolveKeys(br *selBranch, pc trace.Addr, idOf map[trace.Addr]int32) {
-	type keyRef struct {
-		key  uint64
-		c, i int
+// resolve runs a NewSelectiveSweep's collection over the trace whose
+// full columns blk carries, shared, not copied: one classification at
+// the largest window and OracleStates' held-only collection of the
+// configs' unions, on one worker (the sweep is one; sim shards
+// configs), with their counters kept out of the caller's registries.
+// The sweep then replays the collection's states, and counts its walks
+// in obs.Default()'s core.selective.sweep.walks.
+func (g *SelectiveSweep) resolve(blk bp.KernelBlock) {
+	pt, err := trace.AssemblePacked(g.gridName, blk.Addrs, blk.IDs, blk.Taken, blk.Back)
+	if err != nil {
+		panic(fmt.Sprintf("core: selective sweep %q: %v", g.gridName, err))
 	}
-	var pairs []keyRef
-	for c, cfg := range g.cfgs {
-		for i, r := range cfg.Assign[pc] {
-			rid, ok := idOf[r.PC]
-			if !ok {
-				continue
-			}
-			if key, ok := refKeyOf(rid, r); ok {
-				pairs = append(pairs, keyRef{key, c, i})
-			}
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].key < pairs[b].key })
-	ncfg := len(g.cfgs)
-	var keys []uint64
-	for i, p := range pairs {
-		if i == 0 || p.key != pairs[i-1].key {
-			keys = append(keys, p.key)
-			for c := 0; c < ncfg; c++ {
-				br.refsOf = append(br.refsOf, 0)
-			}
-		}
-		br.refsOf[(len(keys)-1)*ncfg+p.c] |= 1 << uint(p.i)
-	}
-	br.set = newRefKeySet(keys)
+	reg := obs.New()
+	pc := ClassifyPaths(pt, g.windows[len(g.windows)-1], reg)
+	_, st := selectWindows(pt, pc, g.windows, g.held, make([]bool, len(g.windows)), true, OracleConfig{ScoreParallel: 1, Obs: reg})
+	obs.Default().Counter("core.selective.sweep.walks").Add(int64((len(st.recs) + len(st.classes)) / len(st.windows)))
+	g.setStates(st)
 }
 
 // SweepBlock implements bp.SweepKernel. The block's records [Lo, Hi)
-// replay over its full columns, by path-signature class: the states'
-// classes, or the block's own. A record's window reads the records
-// before it in place, before Lo too.
+// replay over its full columns, by path-signature class. A record's
+// window reads the records before it in place, before Lo too.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	g.sweep(blk, correct, nil)
 }
@@ -320,77 +290,45 @@ func (g *SelectiveSweep) SweepBlockBranches(blk bp.KernelBlock, correct []int32,
 }
 
 // sweep is SweepBlock, and with non-nil perID SweepBlockBranches: it
-// resolves every class's pattern-table indices, then runs the replay
-// loop chosen once per block.
+// readies the block, then runs the replay loop chosen once per block.
 func (g *SelectiveSweep) sweep(blk bp.KernelBlock, correct []int32, perID [][]int32) {
 	correct = correct[:len(g.cfgs)]
-	pc := g.prepare(blk)
-	class := pc.class[blk.Lo-pc.lo : blk.Hi-pc.lo]
+	class := g.prepare(blk).class[blk.Lo:blk.Hi]
 	if perID != nil {
 		g.sweepRangeBranches(blk.Lo, class, correct, perID)
 	} else {
 		g.sweepRange(blk.Lo, class, correct)
 	}
-	if g.em != nil {
-		obs.Default().Counter("core.selective.sweep.walks").Add(g.walks)
-		g.walks = 0
-	}
 }
 
-// prepare readies blk's replay: it interns the trace on the first
-// block, points the sweep at blk's columns, fills every class's
-// pattern-table indices and, over states, sets the declined-record
-// cursor to blk.Lo. It returns the classes that cover blk.
+// prepare readies blk's replay: a NewSelectiveSweep's first block runs
+// its collection, the first block reads every class's pattern-table
+// indices, and every block points the sweep at blk's columns, which
+// must be the ones the states' classes index, and sets the
+// declined-record cursor to blk.Lo. It returns the classes.
 func (g *SelectiveSweep) prepare(blk bp.KernelBlock) *PathClasses {
-	g.intern(blk.Addrs)
-	pc := g.classesFor(blk)
-	g.ids, g.taken = blk.IDs, blk.Taken
-	g.pats = resize(g.pats, len(pc.reps)*len(g.cfgs))
-	if g.beams != nil {
-		g.readClasses(pc)
-		g.recNext = g.recordsBefore(pc, blk.Lo)
-	} else {
-		g.em.setColumns(blk.IDs, blk.Taken, blk.Back)
-		g.resolveClasses(pc)
+	if g.beams == nil {
+		g.resolve(blk)
 	}
-	return pc
-}
-
-// classesFor returns the path classes that cover blk: the states' ones,
-// which must index blk's columns, or the block range's own.
-func (g *SelectiveSweep) classesFor(blk bp.KernelBlock) *PathClasses {
-	pc := g.shared
-	if pc == nil {
-		g.own.classify(&g.memo, blk.IDs, blk.Taken, blk.Back, g.em.windows[len(g.em.windows)-1], blk.Lo, blk.Hi)
-		return &g.own
+	if len(blk.Addrs) != len(g.branches) {
+		panic(fmt.Sprintf("core: selective sweep block carries %d branches, its states %d", len(blk.Addrs), len(g.branches)))
 	}
-	if len(pc.ids) != len(blk.IDs) || len(blk.IDs) > 0 && &pc.ids[0] != &blk.IDs[0] ||
-		blk.Lo < pc.lo || blk.Hi > pc.lo+len(pc.class) {
+	pc := g.beams.pc
+	if len(pc.ids) != len(blk.IDs) || len(blk.IDs) > 0 && &pc.ids[0] != &blk.IDs[0] {
 		panic(fmt.Sprintf("core: selective sweep %q handed a block its path classes do not cover", g.gridName))
 	}
+	g.ids, g.taken = blk.IDs, blk.Taken
+	if g.pats == nil {
+		g.pats = make([]uint8, len(pc.reps)*len(g.cfgs))
+		g.readClasses(pc)
+	}
+	g.recNext = g.recordsBefore(pc, blk.Lo)
 	return pc
 }
 
-// resolveClasses fills every live class's per-config pattern-table
-// indices with one walk at its representative.
-//
-//bplint:hot
-func (g *SelectiveSweep) resolveClasses(pc *PathClasses) {
-	ids := g.ids
-	branches := g.branches
-	pats := g.pats
-	counts := pc.counts
-	ncfg := len(g.cfgs)
-	for c, rep := range pc.reps {
-		if counts[c] > 0 {
-			g.patterns(int(rep), &branches[ids[rep]], pats[c*ncfg:(c+1)*ncfg])
-		}
-	}
-}
-
-// readClasses is resolveClasses over the states: each live class of a
-// branch with a beam reads the next class vectors, in class order, as
-// the collection stored them.
+// readClasses fills every live class's per-config pattern-table
+// indices: each live class of a branch with a beam reads the next class
+// vectors, in class order, as the collection stored them.
 //
 //bplint:hot
 func (g *SelectiveSweep) readClasses(pc *PathClasses) {
@@ -421,22 +359,18 @@ func (g *SelectiveSweep) readClasses(pc *PathClasses) {
 // record at or after lo in the stored record vectors.
 func (g *SelectiveSweep) recordsBefore(pc *PathClasses, lo int) int {
 	n := 0
-	for k, c := range pc.class[:lo-pc.lo] {
-		if c < 0 && g.branches[g.ids[pc.lo+k]].beam {
+	for k, c := range pc.class[:lo] {
+		if c < 0 && g.branches[g.ids[k]].beam {
 			n++
 		}
 	}
 	return n
 }
 
-// recordPatterns fills pat with the pattern-table indices of column
-// position i, a record its class does not cover: the next stored
-// record vectors over states, a walk of its own otherwise.
-func (g *SelectiveSweep) recordPatterns(i int, br *selBranch, pat []uint8) {
-	if g.em != nil {
-		g.patterns(i, br, pat)
-		return
-	}
+// recordPatterns fills pat with the pattern-table indices of a record
+// its class does not cover, of branch br: the next stored record
+// vectors.
+func (g *SelectiveSweep) recordPatterns(br *selBranch, pat []uint8) {
 	var vec []uint64
 	if br.beam {
 		nw := len(g.beams.windows)
@@ -448,8 +382,8 @@ func (g *SelectiveSweep) recordPatterns(i int, br *selBranch, pat []uint8) {
 
 // sweepRange replays column positions lo, lo+1, ... (class[k] being
 // position lo+k's class): each record's per-config pattern-table indices
-// come from its class, or are resolved for it alone, then every config
-// trains its pattern counter, in record order.
+// come from its class, or from the next declined-record vectors, then
+// every config trains its pattern counter, in record order.
 //
 //bplint:hot
 func (g *SelectiveSweep) sweepRange(lo int, class []int32, correct []int32) {
@@ -465,7 +399,7 @@ func (g *SelectiveSweep) sweepRange(lo int, class []int32, correct []int32) {
 		if cl >= 0 {
 			pat = pats[int(cl)*ncfg:]
 		} else {
-			g.recordPatterns(i, br, pat)
+			g.recordPatterns(br, pat)
 		}
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
@@ -498,7 +432,7 @@ func (g *SelectiveSweep) sweepRangeBranches(lo int, class []int32, correct []int
 		if cl >= 0 {
 			pat = pats[int(cl)*ncfg:]
 		} else {
-			g.recordPatterns(i, br, pat)
+			g.recordPatterns(br, pat)
 		}
 		for c := 0; c < ncfg; c++ {
 			tbl := br.tables[c] //bplint:ignore bce-hoist br is selected per record; its per-config tables cannot hoist above the record loop
@@ -517,10 +451,10 @@ func (g *SelectiveSweep) sweepRangeBranches(lo int, class []int32, correct []int
 // stateVecTaken and stateVecNotTaken) to the selective pattern's State.
 var vecStates = [4]State{StateAbsent, StateTaken, StateNotTaken, StateAbsent}
 
-// vectorPatterns is the states' counterpart of patterns: pat[c]
-// receives config c's pattern-table index, read from vec (one state
-// vector per window of the states; nil for a branch without a beam,
-// which no config assigns refs) at config c's window and refs' slots.
+// vectorPatterns is the sweep's one pattern loop: pat[c] receives
+// config c's pattern-table index, read from vec (one state vector per
+// window of the states; nil for a branch without a beam, which no
+// config assigns refs) at config c's window and refs' slots.
 //
 //bplint:hot
 func (g *SelectiveSweep) vectorPatterns(br *selBranch, vec []uint64, pat []uint8) {
@@ -546,71 +480,6 @@ func (g *SelectiveSweep) vectorPatterns(br *selBranch, vec []uint64, pat []uint8
 		} else {
 			for k := n - 1; k >= 0; k-- {
 				idx = idx*NumStates + int(vecStates[v>>sh[k]&3])
-			}
-		}
-		pat[c] = uint8(idx)
-	}
-}
-
-// patterns is the sweep's one emission loop: one emitter walk at column
-// position i resolves every config's refs (config c reads the emissions
-// of its own window's prefix), and pat[c] receives config c's
-// pattern-table index.
-//
-//bplint:hot
-func (g *SelectiveSweep) patterns(i int, br *selBranch, pat []uint8) {
-	g.walks++
-	em := g.em
-	cfgs := g.cfgs
-	bucket := g.bucket
-	ncfg := len(bucket)
-	st := g.states
-	refsOf, nrefs := br.refsOf, br.nrefs
-	for j := range st {
-		st[j] = StateAbsent
-	}
-	if remaining := len(br.set.keys); remaining > 0 {
-		em.focus(&br.set)
-		em.emit(i, true)
-		start := 0
-	walk:
-		for b, end := range em.ends {
-			for _, key := range em.keys[start:end] {
-				ki := em.find(key &^ refKeyTakenBit)
-				s := StateNotTaken
-				if key&refKeyTakenBit != 0 {
-					s = StateTaken
-				}
-				for c := 0; c < ncfg; c++ {
-					if bucket[c] < b {
-						continue // the emission lies beyond config c's window
-					}
-					for m := refsOf[ki*ncfg+c]; m != 0; m &= m - 1 {
-						st[c*MaxSelectiveRefs+bits.TrailingZeros8(m)] = s
-					}
-				}
-				remaining--
-				if remaining == 0 {
-					break walk
-				}
-			}
-			start = end
-		}
-	}
-	for c := 0; c < ncfg; c++ {
-		n := int(nrefs[c])
-		cst := st[c*MaxSelectiveRefs : c*MaxSelectiveRefs+n]
-		idx := 0
-		if cfgs[c].Mode == ModePresence {
-			for k := n - 1; k >= 0; k-- {
-				idx <<= 1
-				if cst[k] != StateAbsent {
-					idx |= 1
-				}
-			}
-		} else {
-			for k := n - 1; k >= 0; k-- {
-				idx = idx*NumStates + int(cst[k])
 			}
 		}
 		pat[c] = uint8(idx)

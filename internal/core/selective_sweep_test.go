@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"branchcorr/internal/bp"
@@ -81,76 +83,96 @@ func selSweepTotals(g *SelectiveSweep, pt *trace.Packed, chunk int) []int32 {
 	return correct
 }
 
-// selSweepStates returns the state vectors of a collection over pt's
-// window-32 classes that holds each config's assignment at the config's
-// window (the conformance grid's windows are distinct).
+// selFig4Configs is a Figure 4-shaped grid over tr: the window-16
+// oracle's 1-, 2- and 3-ref assignments and its 3-ref one in presence
+// mode, all at window 16, which the sweep folds into one held beam per
+// branch, plus its 3-ref one at window 24.
+func selFig4Configs(tr *trace.Trace) []SelectiveConfig {
+	sels := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}})
+	var cfgs []SelectiveConfig
+	for k := 1; k <= MaxSelectiveRefs; k++ {
+		cfgs = append(cfgs, SelectiveConfig{Name: fmt.Sprintf("sel%d(16)", k), Window: 16, Assign: sels.BySize[k]})
+	}
+	return append(cfgs,
+		SelectiveConfig{Name: "presence3(16)", Window: 16, Assign: sels.BySize[3], Mode: ModePresence},
+		SelectiveConfig{Name: "sel3(24)", Window: 24, Assign: sels.BySize[3]})
+}
+
+// selSweepStates returns the state vectors of NewSelectiveSweep's
+// held-only collection of cfgs over pt's window-32 classes.
 func selSweepStates(pt *trace.Packed, cfgs []SelectiveConfig) *BeamStates {
 	return selSweepStatesOver(ClassifyPaths(pt, 32, obs.New()), cfgs)
 }
 
-// selSweepStatesOver is selSweepStates over the classes pc.
+// selSweepStatesOver is selSweepStates over the classes pc: the
+// collection NewSelectiveSweep runs on its first block, over each
+// window's union of the configs' refs as the sweep folds them.
 func selSweepStatesOver(pc *PathClasses, cfgs []SelectiveConfig) *BeamStates {
-	held := make(map[int]*Selections, len(cfgs))
-	for _, cfg := range cfgs {
-		held[cfg.Window] = &Selections{BySize: [MaxSelectiveRefs + 1]Assignment{MaxSelectiveRefs: cfg.Assign}}
-	}
-	_, st := OracleStates(pc, nil, held, OracleOptions{})
+	g := NewSelectiveSweep("sel", cfgs)
+	_, st := selectWindows(pc.pt, pc, g.windows, g.held, make([]bool, len(g.windows)), true, OracleConfig{})
 	return st
 }
 
-// TestSelectiveSweepStatesMatchWalk pins the states path's pattern-table
-// indices to the walk's, record by record: each record's indices over
-// the states (its class's, or the next declined-record vectors) must
-// equal a walk at the record, for blocks at Lo 0 and past it, so the
+// TestSelectiveSweepStatesMatchScalar pins the sweep's pattern-table
+// indices to the scalar spec's, record by record: each record's indices
+// over the states (its class's, or the next declined-record vectors)
+// must equal the index a NewSelectiveMode replay of the same records
+// reads before its Update, for blocks at Lo 0 and past it, so the
 // declined-record cursor also starts mid-list. Accuracy alone cannot
 // see every fault here: a consistent relabeling of the states (taken
 // read as not-taken and back) permutes each pattern table and predicts
-// exactly as before. The conformance grid runs over held columns,
-// gcc's oracle selections over built ones.
-func TestSelectiveSweepStatesMatchWalk(t *testing.T) {
-	sel := selSweepTrace(2000).Packed()
-	selPC := ClassifyPaths(sel, 32, obs.New())
+// exactly as before. The conformance grid and the Figure 4-shaped grid
+// run over held columns, gcc's oracle selections over built ones.
+func TestSelectiveSweepStatesMatchScalar(t *testing.T) {
+	sel := selSweepTrace(2000)
 	gcc := workloadTrace(t, "gcc", 6_000)
-	gccPC := ClassifyPaths(gcc, 32, obs.New())
 	windows := []int{8, 16, 32}
-	_, gccStates := OracleStates(gccPC, windows, nil, OracleOptions{})
+	_, gccStates := OracleStates(ClassifyPaths(gcc, 32, obs.New()), windows, nil, OracleOptions{})
+	fig4 := selFig4Configs(sel)
 	for _, tc := range []struct {
 		name string
+		tr   *trace.Trace
 		st   *BeamStates
 		cfgs []SelectiveConfig
 	}{
-		{"sel-sweep", selSweepStatesOver(selPC, selSweepConfigs()), selSweepConfigs()},
-		{"gcc", gccStates, oracleSweepConfigs(gcc, windows)},
+		{"sel-sweep", sel, selSweepStates(sel.Packed(), selSweepConfigs()), selSweepConfigs()},
+		{"fig4", sel, selSweepStates(sel.Packed(), fig4), fig4},
+		{"gcc", gcc, gccStates, oracleSweepConfigs(gcc, windows)},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkStatesMatchWalk(t, tc.st, tc.cfgs) })
+		t.Run(tc.name, func(t *testing.T) { checkStatesMatchScalar(t, tc.tr, tc.st, tc.cfgs) })
 	}
 }
 
-// checkStatesMatchWalk is TestSelectiveSweepStatesMatchWalk over the
-// states st and the grid cfgs.
-func checkStatesMatchWalk(t *testing.T, st *BeamStates, cfgs []SelectiveConfig) {
+// checkStatesMatchScalar is TestSelectiveSweepStatesMatchScalar over
+// the trace tr, its states st and the grid cfgs.
+func checkStatesMatchScalar(t *testing.T, tr *trace.Trace, st *BeamStates, cfgs []SelectiveConfig) {
 	t.Helper()
 	pc := st.pc
 	pt := pc.Packed()
+	recs := tr.Records()
 	ncfg := len(cfgs)
 	for _, lo := range []int{0, 1, 777, pt.Len() / 2} {
-		blk := selBlockOf(pt, lo, pt.Len())
-		walk, states := NewSelectiveSweep("sel", cfgs), NewSelectiveSweepStates(st, "sel", cfgs)
-		walk.prepare(blk)
-		states.prepare(blk)
-		want, got := make([]uint8, ncfg), make([]uint8, ncfg)
-		for i := lo; i < pt.Len(); i++ {
-			id := pt.IDs()[i]
-			walk.patterns(i, &walk.branches[id], want)
-			if c := pc.class[i]; c >= 0 {
-				copy(got, states.pats[int(c)*ncfg:])
-			} else {
-				states.recordPatterns(i, &states.branches[id], got)
+		g := NewSelectiveSweepStates(st, "sel", cfgs)
+		g.prepare(selBlockOf(pt, lo, pt.Len()))
+		specs := make([]*Selective, ncfg)
+		for c, cfg := range cfgs {
+			specs[c] = NewSelectiveMode(cfg.Name, cfg.Window, cfg.Assign, cfg.Mode)
+			for _, r := range recs[:lo] {
+				specs[c].Update(r)
 			}
-			for k := range cfgs {
-				if got[k] != want[k] {
-					t.Fatalf("lo=%d record %d config %s: pattern %d (states) vs %d (walk)", lo, i, cfgs[k].Name, got[k], want[k])
+		}
+		got := make([]uint8, ncfg)
+		for i := lo; i < pt.Len(); i++ {
+			if c := pc.class[i]; c >= 0 {
+				copy(got, g.pats[int(c)*ncfg:])
+			} else {
+				g.recordPatterns(&g.branches[pt.IDs()[i]], got)
+			}
+			for c, spec := range specs {
+				if _, want := spec.patternIndex(recs[i].PC); int(got[c]) != want {
+					t.Fatalf("lo=%d record %d config %s: pattern %d (states) vs %d (scalar)", lo, i, cfgs[c].Name, got[c], want)
 				}
+				spec.Update(recs[i])
 			}
 		}
 	}
@@ -164,32 +186,25 @@ func checkStatesMatchWalk(t *testing.T, st *BeamStates, cfgs []SelectiveConfig) 
 // ranges, ranges around the grid's largest window (32) whose records
 // look back across one or more range boundaries, and one record past
 // 4096. 0x400 first appears long after its consumer 0x200, 0x500 never
-// appears at all, and one config names a ref twice.
+// appears at all, and one config names a ref twice. The Figure 4-shaped
+// grid puts four configs at one window.
 func TestSelectiveSweepScalarConformance(t *testing.T) {
 	tr := selSweepTrace(4000)
 	pt := trace.Pack(tr)
-	cfgs := selSweepConfigs()
-	want := make([]int32, len(cfgs))
-	for c, cfg := range cfgs {
-		p := NewSelectiveMode(cfg.Name, cfg.Window, cfg.Assign, cfg.Mode)
-		for _, r := range tr.Records() {
-			if p.Predict(r) == r.Taken {
-				want[c]++
-			}
-			p.Update(r)
-		}
-	}
-	st := selSweepStates(pt, cfgs)
-	for _, chunk := range []int{1, 31, 32, 33, 63, 64, 65, 1000, 4097, tr.Len()} {
-		for name, g := range map[string]*SelectiveSweep{
-			"walk":   NewSelectiveSweep("sel", cfgs),
-			"states": NewSelectiveSweepStates(st, "sel", cfgs),
-		} {
-			got := selSweepTotals(g, pt, chunk)
-			for c := range want {
-				if got[c] != want[c] {
-					t.Errorf("%s chunk=%d config %s: %d correct (fused) vs %d (scalar)",
-						name, chunk, cfgs[c].Name, got[c], want[c])
+	for gname, cfgs := range map[string][]SelectiveConfig{"conformance": selSweepConfigs(), "fig4": selFig4Configs(tr)} {
+		want := scalarSelective(tr, cfgs)
+		st := selSweepStates(pt, cfgs)
+		for _, chunk := range []int{1, 31, 32, 33, 63, 64, 65, 1000, 4097, tr.Len()} {
+			for name, g := range map[string]*SelectiveSweep{
+				"own":    NewSelectiveSweep("sel", cfgs),
+				"states": NewSelectiveSweepStates(st, "sel", cfgs),
+			} {
+				got := selSweepTotals(g, pt, chunk)
+				for c := range want {
+					if int64(got[c]) != want[c] {
+						t.Errorf("%s %s chunk=%d config %s: %d correct (fused) vs %d (scalar)",
+							gname, name, chunk, cfgs[c].Name, got[c], want[c])
+					}
 				}
 			}
 		}
@@ -225,22 +240,37 @@ func TestSelectiveSweepShardComposition(t *testing.T) {
 
 // TestSelectiveSweepShardedSimulate drives the grid through the sim
 // scheduler at several shard counts: the Figure 4/5 integration path —
-// outcomes must be byte-identical to the sequential engine.
+// outcomes must be byte-identical to the sequential engine and to the
+// scalar replays. A resolved sweep's shards share its states; the
+// shards of one that has replayed nothing each run their own
+// collection.
 func TestSelectiveSweepShardedSimulate(t *testing.T) {
 	tr := selSweepTrace(3000)
-	cfgs := selSweepConfigs()
-	st := selSweepStates(tr.Packed(), cfgs)
-	base := sim.SimulateSweep(tr, NewSelectiveSweep("sel", cfgs), sim.Options{})
-	for _, par := range []int{2, 3, -1} {
-		for name, g := range map[string]*SelectiveSweep{
-			"walk":   NewSelectiveSweep("sel", cfgs),
-			"states": NewSelectiveSweepStates(st, "sel", cfgs),
-		} {
-			out := sim.SimulateSweep(tr, g, sim.Options{Parallel: par})
-			for c := range base.Correct {
-				if out.Correct[c] != base.Correct[c] {
-					t.Errorf("%s parallel=%d config %s: %d correct, want %d",
-						name, par, base.Configs[c], out.Correct[c], base.Correct[c])
+	for gname, cfgs := range map[string][]SelectiveConfig{"conformance": selSweepConfigs(), "fig4": selFig4Configs(tr)} {
+		st := selSweepStates(tr.Packed(), cfgs)
+		resolved := NewSelectiveSweep("sel", cfgs)
+		base := sim.SimulateSweep(tr, resolved, sim.Options{})
+		want := scalarSelective(tr, cfgs)
+		for c := range want {
+			if base.Correct[c] != want[c] {
+				t.Errorf("%s config %s: %d correct, want %d (scalar)", gname, base.Configs[c], base.Correct[c], want[c])
+			}
+		}
+		for _, par := range []int{2, 3, -1} {
+			for name, g := range map[string]*SelectiveSweep{
+				"own":      NewSelectiveSweep("sel", cfgs),
+				"resolved": NewSelectiveSweep("sel", cfgs),
+				"states":   NewSelectiveSweepStates(st, "sel", cfgs),
+			} {
+				if name == "resolved" {
+					g.prepare(selBlockOf(tr.Packed(), 0, tr.Len()))
+				}
+				out := sim.SimulateSweep(tr, g, sim.Options{Parallel: par})
+				for c := range base.Correct {
+					if out.Correct[c] != base.Correct[c] {
+						t.Errorf("%s %s parallel=%d config %s: %d correct, want %d",
+							gname, name, par, base.Configs[c], out.Correct[c], base.Correct[c])
+					}
 				}
 			}
 		}
@@ -264,21 +294,22 @@ func TestSelectiveSweepConfigNames(t *testing.T) {
 }
 
 // TestSelectiveSweepAllocs pins steady-state SweepBlock at zero
-// allocations: refs and tables are dense per-ID columns pre-created when
-// the first block interns the trace, and the emitter walk reuses its
-// scratch.
+// allocations for both constructors: ref slots and tables are dense
+// per-ID columns pre-created when the states are set (for
+// NewSelectiveSweep, by the first block's collection), and every class's
+// pattern-table indices are read once, on the first block.
 func TestSelectiveSweepAllocs(t *testing.T) {
 	tr := selSweepTrace(3000)
 	pt := trace.Pack(tr)
 	cfgs := selSweepConfigs()
 	st := selSweepStates(pt, cfgs)
 	for gname, g := range map[string]*SelectiveSweep{
-		"walk":   NewSelectiveSweep("sel", cfgs),
+		"own":    NewSelectiveSweep("sel", cfgs),
 		"states": NewSelectiveSweepStates(st, "sel", cfgs),
 	} {
 		correct := make([]int32, len(g.ConfigNames()))
 		full := selBlockOf(pt, 0, pt.Len())
-		g.SweepBlock(full, correct) // warm-up interns the per-ID columns
+		g.SweepBlock(full, correct) // warm-up: the collection and the class patterns
 		for name, blk := range map[string]bp.KernelBlock{"full": full, "mid": selBlockOf(pt, pt.Len()/4, pt.Len()/2)} {
 			if n := testing.AllocsPerRun(10, func() { g.SweepBlock(blk, correct) }); n != 0 {
 				t.Errorf("%s: %.1f allocs per steady-state SweepBlock (%s range), want 0", gname, n, name)
@@ -288,8 +319,8 @@ func TestSelectiveSweepAllocs(t *testing.T) {
 }
 
 // TestSelectiveSweepInternGrowth runs a trace whose sites appear one at
-// a time through sim.SimulateSweep: the grid interns the complete table
-// once, so its per-ID state is sized exactly, and a later block with a
+// a time through sim.SimulateSweep: the grid sizes its per-ID state
+// once, exactly, to the complete intern table, and a later block with a
 // different intern table is refused.
 func TestSelectiveSweepInternGrowth(t *testing.T) {
 	tr := trace.New("intern-growth", 0)
@@ -313,43 +344,64 @@ func TestSelectiveSweepInternGrowth(t *testing.T) {
 	g.SweepBlock(blk, make([]int32, 1))
 }
 
-// TestSelectiveSweepValidation pins the loud constructor failures.
+// TestSelectiveSweepValidation pins the loud constructor failures, each
+// with the words its message must carry.
 func TestSelectiveSweepValidation(t *testing.T) {
-	cases := map[string]func(){
-		"empty":       func() { NewSelectiveSweep("g", nil) },
-		"zero window": func() { NewSelectiveSweep("g", []SelectiveConfig{{Name: "x", Window: 0}}) },
-		"over refs": func() {
+	// 33 configs at window 8, each naming its own ref of branch 0x10:
+	// one past the 32 slots of a state vector.
+	wide := make([]SelectiveConfig, maxTopK+1)
+	for k := range wide {
+		r := Ref{0x20, Occurrence, uint8(k)}
+		if k == maxTopK {
+			r = Ref{0x20, BackwardCount, 0}
+		}
+		wide[k] = SelectiveConfig{Name: fmt.Sprintf("ref%d", k), Window: 8, Assign: Assignment{0x10: {r}}}
+	}
+	cases := map[string]struct {
+		build func()
+		want  []string
+	}{
+		"empty":       {func() { NewSelectiveSweep("g", nil) }, nil},
+		"zero window": {func() { NewSelectiveSweep("g", []SelectiveConfig{{Name: "x", Window: 0}}) }, nil},
+		"over refs": {func() {
 			NewSelectiveSweep("g", []SelectiveConfig{{
 				Name: "x", Window: 8, Assign: Assignment{0x10: make([]Ref, 4)},
 			}})
-		},
-		"bad shard": func() {
+		}, nil},
+		"union past the beam": {func() { NewSelectiveSweep("g", wide) }, []string{`config "ref32"`, "branch 0x10", "window 8", "32 slots"}},
+		"bad shard": {func() {
 			NewSelectiveSweep("g", selSweepConfigs()).Shard(3, 2)
-		},
-		"classes below a config window": func() {
+		}, nil},
+		"classes below a config window": {func() {
 			cfgs := selSweepConfigs()
 			NewSelectiveSweepStates(selSweepStatesOver(ClassifyPaths(selSweepTrace(50), 16, obs.New()), cfgs[:1]), "g", cfgs)
-		},
-		"classes of another trace": func() {
+		}, nil},
+		"classes of another trace": {func() {
 			cfgs := selSweepConfigs()
 			st := selSweepStates(selSweepTrace(50).Packed(), cfgs)
 			pt := selSweepTrace(50).Packed()
 			NewSelectiveSweepStates(st, "g", cfgs).SweepBlock(selBlockOf(pt, 0, pt.Len()), make([]int32, 6))
-		},
-		"ref outside its beam": func() {
+		}, nil},
+		"ref outside its beam": {func() {
 			cfgs := selSweepConfigs()
 			st := selSweepStates(selSweepTrace(50).Packed(), cfgs)
 			NewSelectiveSweepStates(st, "g", []SelectiveConfig{{Name: "x", Window: cfgs[0].Window, Assign: cfgs[1].Assign}})
-		},
+		}, nil},
 	}
-	for name, build := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Error("did not panic")
+				r := recover()
+				if r == nil {
+					t.Fatal("did not panic")
+				}
+				for _, w := range tc.want {
+					if msg := fmt.Sprint(r); !strings.Contains(msg, w) {
+						t.Errorf("panic %q does not name %q", msg, w)
+					}
 				}
 			}()
-			build()
+			tc.build()
 		})
 	}
 }

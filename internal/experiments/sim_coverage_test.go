@@ -47,8 +47,10 @@ func TestReportSimKernelCoverage(t *testing.T) {
 // exhibit (Figure 5's step folds the per-branch bundle's), then each
 // exhibit in a report of its own on a fresh suite (the per-branch
 // bundle and Figure 5 step apart, the later one holding the window-16
-// selections of the earlier), makes zero walks. Walking sweeps count
-// their walks in obs.Default(), whatever registry the suite reports to.
+// selections of the earlier), makes zero walks. A sweep that runs a
+// collection of its own (core.NewSelectiveSweep) counts that
+// collection's walks in obs.Default(), whatever registry the suite
+// reports to.
 func TestReportSelectiveSweepWalks(t *testing.T) {
 	cfg := Config{Length: 5_000, Workloads: []string{"gcc", "perl"}, Fig5Windows: []int{8, 16, 24}}
 	walks := obs.Default().Counter("core.selective.sweep.walks")
