@@ -671,8 +671,9 @@ var benchFig5Windows = []int{8, 12, 20, 24, 28, 32}
 
 // BenchmarkOracleWindows measures the Figure 5 oracle workload on the
 // gcc trace at 200k and 1M branches: the per-window loop (one full
-// Oracle run per window) against one core.OracleWindows call sharing
-// both trace walks across the six windows, plus the Figure 5 fused
+// Oracle run per window) against the shared pass (benchOracleShared):
+// one classification at window 32 and one core.OracleStates call
+// sharing both trace walks across the six windows, plus the Figure 5 fused
 // selective sweep over all seven windows' selections (sweep=fig5: a
 // NewSelectiveSweep, so each run classifies the trace, runs the sweep's
 // held-only collection and replays it). branches/s is
@@ -744,13 +745,13 @@ func benchOracleShared(b *testing.B, prefix string, tr *trace.Trace) {
 	pt := tr.Packed()
 	b.Run(prefix+"/impl=shared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.OracleWindows(pt, benchFig5Windows, core.OracleOptions{})
+			core.OracleStates(core.ClassifyPaths(pt, 32, nil), benchFig5Windows, nil, core.OracleConfig{})
 		}
 		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 	})
 	b.Run(prefix+"/sweep=fig5", func(b *testing.B) {
 		windows := []int{8, 12, 16, 20, 24, 28, 32}
-		sels := core.OracleWindows(pt, windows, core.OracleOptions{})
+		sels, _ := core.OracleStates(core.ClassifyPaths(pt, 32, nil), windows, nil, core.OracleConfig{})
 		cfgs := make([]core.SelectiveConfig, len(windows))
 		for i, w := range windows {
 			cfgs[i] = core.SelectiveConfig{Name: fmt.Sprintf("sel3(%d)", w), Window: w, Assign: sels[i].BySize[3]}
@@ -769,9 +770,9 @@ func benchOracleShared(b *testing.B, prefix string, tr *trace.Trace) {
 // Table 2 and in-path read. step=fused classifies the trace once, at
 // window 32, and runs one OracleStates call over those classes and both
 // sweeps over its state vectors. step=split is an earlier path: a
-// window-16 Oracle run and a six-window OracleWindows call, each
-// classifying the trace itself, and two NewSelectiveSweep sweeps that
-// classify it again and run their own collections.
+// window-16 Oracle run and a six-window OracleStates call, each over a
+// classification of its own, and two NewSelectiveSweep sweeps that
+// classify the trace again and run their own collections.
 func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 	windows := []int{8, 12, 16, 20, 24, 28, 32}
 	fig5 := func(sels []*core.Selections) []core.SelectiveConfig {
@@ -782,12 +783,12 @@ func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 		return cfgs
 	}
 	for _, par := range []int{1, 2} {
-		opts := core.OracleOptions{OracleConfig: core.OracleConfig{ScoreParallel: par}}
+		cfg := core.OracleConfig{ScoreParallel: par}
 		b.Run(fmt.Sprintf("%s/step=fused/par=%d", prefix, par), func(b *testing.B) {
 			vecBytes := 0
 			for i := 0; i < b.N; i++ {
 				pc := core.ClassifyPaths(tr, 32, nil)
-				sels, st := core.OracleStates(pc, windows, nil, opts)
+				sels, st := core.OracleStates(pc, windows, nil, cfg)
 				sim.SimulateSweep(tr, core.NewSelectiveSweepStates(st, "fig5", fig5(sels)), sim.Options{})
 				sim.SimulateSweep(tr, benchGlobalGrid(st, sels[2]), sim.Options{PerBranch: true})
 				vecBytes = st.VectorBytes()
@@ -799,7 +800,7 @@ func benchFig5Step(b *testing.B, prefix string, tr *trace.Trace) {
 	b.Run(prefix+"/step=split", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sel16 := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
-			others := core.OracleWindows(tr, benchFig5Windows, core.OracleOptions{})
+			others, _ := core.OracleStates(core.ClassifyPaths(tr, 32, nil), benchFig5Windows, nil, core.OracleConfig{})
 			sels := append(append(others[:2:2], sel16), others[2:]...)
 			sim.SimulateSweep(tr, core.NewSelectiveSweep("fig5", fig5(sels)), sim.Options{})
 			sim.SimulateSweep(tr, benchGlobalGrid(nil, sel16), sim.Options{PerBranch: true})
@@ -1038,7 +1039,7 @@ func benchSimSweepPerBranch(b *testing.B) {
 		var st *core.BeamStates
 		mk := func() bp.SweepGrid {
 			if sels == nil {
-				sels, st = core.OracleStates(core.ClassifyPaths(tr, 16, nil), []int{16}, nil, core.OracleOptions{})
+				sels, st = core.OracleStates(core.ClassifyPaths(tr, 16, nil), []int{16}, nil, core.OracleConfig{})
 			}
 			return benchGlobalGrid(st, sels[0])
 		}

@@ -46,7 +46,7 @@ func TestCollectStreamAllocs(t *testing.T) {
 		pc := ClassifyPaths(pt, windows[len(windows)-1], obs.New())
 		cands := profileWindows(pt, pc, windows, cfg)
 		pcs := sortedPCs(cands)
-		matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs(), nil)
+		matchers, matcherOf := buildMatchers(pcs, cands, pt, nil)
 		em := newPackedEmitter(pt, windows)
 		var st memoStats
 		states := newBeamStates(pc, windows, matchers)
@@ -83,7 +83,7 @@ func TestCollectShardsAllocs(t *testing.T) {
 		reg := obs.New()
 		pc := ClassifyPaths(pt, windows[len(windows)-1], reg)
 		cands := profileWindows(pt, pc, windows, cfg)
-		matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt.Addrs(), nil)
+		matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt, nil)
 		sh := planShards(pc, 2, matchers)
 		if sh.n != 2 {
 			t.Fatalf("%d records: %d shards, want 2", n, sh.n)

@@ -8,12 +8,14 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's public API: Oracle runs the full pipeline or
-// one stage of it over an in-memory trace, and OracleWindows runs the
-// full stage over several window lengths at once. Both share one stage
-// switch, runOracle, whose passes each walk the whole packed trace once
-// (oracle_kernel.go). A trace that arrives as a stream (an upload, a
-// corpus entry) is decoded whole before the oracle sees it.
+// This file is the oracle's public API, with two entry points: Oracle
+// runs the full pipeline or one stage of it at one window length over an
+// in-memory source, and OracleStates runs the full pipeline at several
+// window lengths at once over a trace's path classes, keeping the state
+// vectors its collection resolved. The passes of both walk the packed
+// trace by path class (oracle_kernel.go). A trace that arrives as a
+// stream (an upload, a corpus entry) is decoded whole before the oracle
+// sees it.
 
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and
@@ -59,8 +61,8 @@ func (s OracleStage) String() string {
 	return fmt.Sprintf("OracleStage(%d)", int(s))
 }
 
-// OracleOptions configures one Oracle or OracleWindows run. The zero
-// value runs the full pipeline with OracleConfig defaults.
+// OracleOptions configures one Oracle run. The zero value runs the full
+// pipeline with OracleConfig defaults.
 type OracleOptions struct {
 	// OracleConfig carries the algorithmic knobs (WindowLen, TopK,
 	// MaxCandidates, Schemes, ScoreParallel, Obs), embedded so callers
@@ -76,100 +78,64 @@ type OracleOptions struct {
 	Candidates map[trace.Addr]*Candidates
 }
 
-// Oracle runs the correlation oracle over an in-memory source in the
-// stage-selected configuration and returns the Selections. StageFull
-// and StageSelect fill Selections.BySize; StageProfile fills
-// Selections.Candidates. The work runs on the columnar kernels; results
-// are bit-identical to the reference oracle and at every ScoreParallel.
-// A *PathClasses source whose window is at least WindowLen lends its
-// classes; any other source is classified first (core.paths.classify.*).
+// Oracle runs the correlation oracle over an in-memory source at one
+// window length in the stage-selected configuration and returns the
+// Selections. StageFull and StageSelect fill Selections.BySize;
+// StageProfile fills Selections.Candidates. The profile and collection
+// passes walk by path-signature class (pathmemo.go) on the columnar
+// kernels; results are bit-identical to the reference oracle and at
+// every ScoreParallel. A *PathClasses source whose window is at least
+// WindowLen lends its classes; any other source is classified first
+// (core.paths.classify.*).
 func Oracle(src Source, opts OracleOptions) *Selections {
-	return runOracle(src, []int{opts.WithDefaults().WindowLen}, opts)[0]
-}
-
-// OracleWindows runs the full oracle (StageFull) at every listed window
-// length and returns one Selections per entry of windows, in argument
-// order; each is bit-identical to Oracle with that WindowLen, and
-// repeated lengths share one result. opts.WindowLen is ignored.
-//
-// All windows share the two trace walks. Both tagging schemes resolve a
-// tag only from more-recent entries, so a window-n walk is exactly the
-// first n steps of the walk at the largest window: the profile pass
-// buckets its joint counts by the smallest window that saw them (window
-// n's statistics are prefix sums), and the collection pass resolves
-// each branch's union of per-window beams once per record. A watermark
-// prune makes the smaller windows inexact; if one fires, those windows
-// are re-profiled with one-window passes, counted in
-// core.oracle.windows.fallbacks. core.oracle.builds gains one per
-// window delivered, and the candidate and prune counters report what
-// per-window Oracle calls would. A *PathClasses source whose window is
-// at least the largest listed lends its classes to both walks.
-func OracleWindows(src Source, windows []int, opts OracleOptions) []*Selections {
-	if opts.Stage != StageFull {
-		panic(fmt.Sprintf("core: OracleWindows runs stage %v only, got %v", StageFull, opts.Stage))
-	}
-	if len(windows) == 0 {
-		return nil
-	}
-	return runOracle(src, windows, opts)
-}
-
-// runOracle is the oracle's one stage switch: it runs opts.Stage over
-// src's packed trace at every listed window length and returns one
-// Selections per entry of windows, in argument order (repeats share one
-// result). The profile and collection passes walk by path-signature
-// class (pathmemo.go): src's own classes when it is a *PathClasses at a
-// window no shorter than the largest listed, otherwise a classification
-// of the trace at the largest window. StageSelect scores
-// opts.Candidates at every window.
-func runOracle(src Source, windows []int, opts OracleOptions) []*Selections {
 	cfg := opts.WithDefaults()
-	distinct := slices.Clone(windows)
-	slices.Sort(distinct)
-	distinct = slices.Compact(distinct)
-	checkWindows(distinct)
+	windows := []int{cfg.WindowLen}
+	checkWindows(windows)
 	reg := obs.Or(cfg.Obs)
 	if opts.Stage == StageFull {
-		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
+		reg.Counter("core.oracle.builds").Inc()
 		defer reg.StartSpan("core.oracle.build").End()
 	}
 	pt := src.Packed()
 	pc, ok := src.(*PathClasses)
-	if n := distinct[len(distinct)-1]; !ok || pc.n < n {
-		pc = ClassifyPaths(pt, n, reg)
+	if !ok || pc.n < cfg.WindowLen {
+		pc = ClassifyPaths(pt, cfg.WindowLen, reg)
 	}
 
-	var sels []*Selections
+	var cands map[trace.Addr]*Candidates
 	switch opts.Stage {
 	case StageProfile:
-		for _, c := range profileWindows(pt, pc, distinct, cfg) {
-			sels = append(sels, &Selections{Candidates: c})
-		}
+		return &Selections{Candidates: profileWindows(pt, pc, windows, cfg)[0]}
 	case StageSelect:
-		cands := make([]map[trace.Addr]*Candidates, len(distinct))
-		for w := range cands {
-			cands[w] = opts.Candidates
-		}
-		sels, _ = selectWindows(pt, pc, distinct, cands, nil, false, cfg)
+		cands = opts.Candidates
 	case StageFull:
-		sels, _ = selectWindows(pt, pc, distinct, profileWindows(pt, pc, distinct, cfg), nil, false, cfg)
+		cands = profileWindows(pt, pc, windows, cfg)[0]
 	default:
 		panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 	}
-	out := make([]*Selections, len(windows))
-	for i, n := range windows {
-		w, _ := slices.BinarySearch(distinct, n)
-		out[i] = sels[w]
-	}
-	return out
+	sels, _ := selectWindows(pt, pc, windows, []map[trace.Addr]*Candidates{cands}, nil, false, cfg)
+	return sels[0]
 }
 
-// OracleStates is OracleWindows over the path classes pc that also
-// returns what its collection pass resolved: the state vectors of every
-// walk (BeamStates), which NewSelectiveSweepStates replays instead of
-// walking the trace again. The selections come back in argument order,
-// bit-identical to OracleWindows'; core.oracle.builds gains one per
-// entry of windows.
+// OracleStates runs the full oracle over the path classes pc at every
+// listed window length, and returns one Selections per entry of
+// windows, in argument order (repeated lengths share one result), with
+// what its collection pass resolved: the state vectors of every walk
+// (BeamStates), which NewSelectiveSweepStates replays instead of
+// walking the trace again. Each Selections is bit-identical to Oracle
+// with that WindowLen; cfg.WindowLen is ignored. core.oracle.builds
+// gains one per entry of windows, and the candidate and prune counters
+// report what per-window Oracle calls would.
+//
+// All windows share the two walks. Both tagging schemes resolve a tag
+// only from more-recent entries, so a window-n walk is exactly the
+// first n steps of the walk at the largest window: the profile pass
+// buckets its joint counts by the smallest window that saw them (window
+// n's statistics are prefix sums), and the collection pass resolves
+// each branch's union of per-window beams once per walk. A watermark
+// prune makes the smaller windows inexact; if one fires, those windows
+// are re-profiled with one-window passes, counted in
+// core.oracle.windows.fallbacks.
 //
 // held lists selections the caller already holds, keyed by window
 // length, at windows it does not ask to build: the collection resolves
@@ -178,11 +144,8 @@ func runOracle(src Source, windows []int, opts OracleOptions) []*Selections {
 // without a profile or a score for it. With windows empty the call is
 // the collection alone. pc's window must cover every built and held
 // window, and no held window may also be built.
-func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, opts OracleOptions) ([]*Selections, *BeamStates) {
-	if opts.Stage != StageFull {
-		panic(fmt.Sprintf("core: OracleStates runs stage %v only, got %v", StageFull, opts.Stage))
-	}
-	cfg := opts.WithDefaults()
+func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, cfg OracleConfig) ([]*Selections, *BeamStates) {
+	cfg = cfg.WithDefaults()
 	distinct := slices.Clone(windows)
 	slices.Sort(distinct)
 	distinct = slices.Compact(distinct)

@@ -107,21 +107,20 @@ func TestOracleUnknownStagePanics(t *testing.T) {
 }
 
 // TestOracleStatesMatchesOracleWindows pins OracleStates' selections to
-// OracleWindows' over the same windows, in argument order, with and
-// without a held column (which must change no built window), and its
-// loud failures, each with a message of its own: a stage other than
-// StageFull, a window both built and held, and classes shorter than a
-// window.
+// per-window Oracle runs over the same windows, in argument order, with
+// and without a held column (which must change no built window), and
+// its loud failures, each with a message of its own: a window both
+// built and held, and classes shorter than a window.
 func TestOracleStatesMatchesOracleWindows(t *testing.T) {
 	windows := []int{32, 8, 16}
 	for _, tr := range differentialTraces() {
 		pc := ClassifyPaths(tr, 32, nil)
-		want := OracleWindows(tr, windows, OracleOptions{})
+		want := perWindowOracle(tr, windows, OracleConfig{})
 		held := map[int]*Selections{12: want[2]}
 		for _, h := range []map[int]*Selections{nil, held} {
-			got, st := OracleStates(pc, windows, h, OracleOptions{})
+			got, st := OracleStates(pc, windows, h, OracleConfig{})
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s held=%v: OracleStates selections differ from OracleWindows", tr.Name(), h != nil)
+				t.Errorf("%s held=%v: OracleStates selections differ from per-window Oracle runs", tr.Name(), h != nil)
 			}
 			cols := []int{8, 16, 32}
 			if h != nil {
@@ -137,9 +136,8 @@ func TestOracleStatesMatchesOracleWindows(t *testing.T) {
 		call func()
 		want string
 	}{
-		"stage":             {func() { OracleStates(pc, []int{8}, nil, OracleOptions{Stage: StageProfile}) }, "runs stage full only"},
-		"built and held":    {func() { OracleStates(pc, []int{8}, map[int]*Selections{8: {}}, OracleOptions{}) }, "window 8 is both built and held"},
-		"classes too short": {func() { OracleStates(pc, []int{32}, nil, OracleOptions{}) }, "need window 32"},
+		"built and held":    {func() { OracleStates(pc, []int{8}, map[int]*Selections{8: {}}, OracleConfig{}) }, "window 8 is both built and held"},
+		"classes too short": {func() { OracleStates(pc, []int{32}, nil, OracleConfig{}) }, "need window 32"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

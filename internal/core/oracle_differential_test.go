@@ -304,7 +304,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 
 	pc := ClassifyPaths(pt, windows[1], obs.New())
 	cands := profileWindows(pt, pc, windows, OracleConfig{}.WithDefaults())
-	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt.Addrs(), nil)
+	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt, nil)
 	bm := matcherOf[x]
 	if bm == nil {
 		t.Fatal("branch X has no beam")
@@ -350,7 +350,7 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	}
 
 	for _, topK := range []int{1, 16, 32} {
-		got := OracleWindows(tr, windows, OracleOptions{OracleConfig: OracleConfig{TopK: topK}})
+		got := sharedOracle(tr, windows, OracleConfig{TopK: topK})
 		for w, n := range windows {
 			t.Run(fmt.Sprintf("topk=%d/w=%d", topK, n), func(t *testing.T) {
 				cfg := OracleConfig{WindowLen: n, TopK: topK}

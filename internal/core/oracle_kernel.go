@@ -1036,17 +1036,18 @@ const (
 // the union of its per-window beams, and holds each scored window's
 // state histogram.
 type beamMatcher struct {
-	set   refKeySet   // union of the windows' packed beam keys
-	slots []int8      // [key index × windows + w]: the key's slot in beam w, -1 if absent
-	beams [][]Ref     // per window: the beam, in slot order
-	hists []stateHist // per window; an empty or unscored beam's histogram has no slot array
+	set    refKeySet   // union of the windows' packed beam keys
+	slots  []int8      // [key index × windows + w]: the key's slot in beam w, -1 if absent
+	beams  [][]Ref     // per window: the beam, in slot order
+	hists  []stateHist // per window; an empty or unscored beam's histogram has no slot array
+	scored bool        // some window's histogram has a slot array
 }
 
 // newBeamMatcher builds a matcher over one branch's per-window beams
-// (beams[w] may be empty; the matcher keeps the slice). idOf maps each
-// PC of the trace's intern table to its dense ID. Window w gets a
-// histogram only when scored is nil or scored[w] holds.
-func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, scored []bool) *beamMatcher {
+// (beams[w] may be empty; the matcher keeps the slice), resolving each
+// ref's PC to its dense ID in pt. Window w gets a histogram only when
+// scored is nil or scored[w] holds.
+func newBeamMatcher(pt *trace.Packed, beams [][]Ref, scored []bool) *beamMatcher {
 	nw := len(beams)
 	bm := &beamMatcher{beams: beams, hists: make([]stateHist, nw)}
 	type keySlot struct {
@@ -1057,9 +1058,10 @@ func newBeamMatcher(idOf map[trace.Addr]int32, beams [][]Ref, scored []bool) *be
 	for w, refs := range beams {
 		if len(refs) > 0 && (scored == nil || scored[w]) {
 			bm.hists[w].init()
+			bm.scored = true
 		}
 		for slot, r := range refs {
-			rid, ok := idOf[r.PC]
+			rid, ok := pt.IDOf(r.PC)
 			if !ok {
 				// A ref naming a PC absent from the trace can never be in any
 				// window: it stays StateAbsent, exactly like the reference's
@@ -1163,7 +1165,7 @@ func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map
 	defer reg.StartSpan("core.oracle.select").End()
 
 	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, pt.Addrs(), scored)
+	matchers, matcherOf := buildMatchers(pcs, cands, pt, scored)
 
 	// Collection stream: one walk per class or declined record, one
 	// histogram count per window.
@@ -1207,16 +1209,12 @@ func sortedPCs(cands []map[trace.Addr]*Candidates) []trace.Addr {
 	return pcs
 }
 
-// buildMatchers constructs one beam matcher per branch with a non-empty
-// beam in any window, both dense-ID indexed (for the collection loop)
-// and keyed by PC (for the scoring stage). addrs is the trace's
-// complete intern table; scored is newBeamMatcher's.
-func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, addrs []trace.Addr, scored []bool) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
-	idOf := make(map[trace.Addr]int32, len(addrs))
-	for id, a := range addrs {
-		idOf[a] = int32(id)
-	}
-	matchers := make([]*beamMatcher, len(addrs))
+// buildMatchers constructs one beam matcher per branch of pt with a
+// non-empty beam in any window, both dense-ID indexed (for the
+// collection loop) and keyed by PC (for the scoring stage); scored is
+// newBeamMatcher's.
+func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, pt *trace.Packed, scored []bool) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
+	matchers := make([]*beamMatcher, pt.NumBranches())
 	matcherOf := make(map[trace.Addr]*beamMatcher, len(pcs))
 	for _, pc := range pcs {
 		var beams [][]Ref
@@ -1231,9 +1229,9 @@ func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, addrs [
 		if beams == nil {
 			continue
 		}
-		bm := newBeamMatcher(idOf, beams, scored)
+		bm := newBeamMatcher(pt, beams, scored)
 		matcherOf[pc] = bm
-		if rid, ok := idOf[pc]; ok {
+		if rid, ok := pt.IDOf(pc); ok {
 			matchers[rid] = bm
 		}
 	}
@@ -1332,7 +1330,9 @@ func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, s
 			wt = [2]uint32{1, 0}
 		}
 		vecs := collectWalk(em, bm, i)
-		bm.add(vecs, wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+		if bm.scored {
+			bm.add(vecs, wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+		}
 		if keep != nil {
 			copy(recs[at-nw:at], vecs)
 		}
@@ -1354,7 +1354,9 @@ func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, s
 			continue
 		}
 		vecs := collectWalk(em, bm, int(rep))
-		bm.add(vecs, [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+		if bm.scored {
+			bm.add(vecs, [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
+		}
 		if keep != nil {
 			copy(classes[at-nw:at], vecs)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,15 +12,24 @@ import (
 	"branchcorr/internal/workloads"
 )
 
-// Differential tests for the shared multi-window oracle: OracleWindows
-// must deliver, for every window, exactly the Selections (and exactly
-// the engine counters) a per-window Oracle loop produces, and the
-// reference pipeline's selections at small n.
+// Differential tests for the shared multi-window oracle: OracleStates
+// over one classification at the largest window must deliver, for every
+// window, exactly the Selections (and exactly the engine counters) a
+// per-window Oracle loop produces, and the reference pipeline's
+// selections at small n.
 
 // fig5Windows is the Figure 5 history-length sweep.
 var fig5Windows = []int{8, 12, 16, 20, 24, 28, 32}
 
-// perWindowOracle is the loop OracleWindows replaces: one full Oracle
+// sharedOracle runs the shared multi-window pass as the report's oracle
+// step does: one classification of src at the largest window, counted
+// into cfg.Obs, and one OracleStates call over those classes.
+func sharedOracle(src Source, windows []int, cfg OracleConfig) []*Selections {
+	sels, _ := OracleStates(ClassifyPaths(src, slices.Max(windows), cfg.Obs), windows, nil, cfg)
+	return sels
+}
+
+// perWindowOracle is the loop the shared pass replaces: one full Oracle
 // run per window.
 func perWindowOracle(src Source, windows []int, cfg OracleConfig) []*Selections {
 	out := make([]*Selections, len(windows))
@@ -30,7 +40,7 @@ func perWindowOracle(src Source, windows []int, cfg OracleConfig) []*Selections 
 	return out
 }
 
-// checkOracleWindows runs OracleWindows and the per-window loop into
+// checkOracleWindows runs the shared pass and the per-window loop into
 // fresh registries and fails unless every window's selections and the
 // deterministic counter snapshots agree. The counters allowed to differ
 // are the path-signature memo's and classification's (core.oracle.memo.*
@@ -44,7 +54,7 @@ func checkOracleWindows(t *testing.T, tr *trace.Trace, cfg OracleConfig, wantFal
 	t.Helper()
 	shared, loop := obs.New(), obs.New()
 	cfg.Obs = shared
-	got := OracleWindows(tr, fig5Windows, OracleOptions{OracleConfig: cfg})
+	got := sharedOracle(tr, fig5Windows, cfg)
 	cfg.Obs = loop
 	want := perWindowOracle(tr, fig5Windows, cfg)
 	cfg.Obs = nil
@@ -150,24 +160,27 @@ func TestOracleWindowsVariants(t *testing.T) {
 	}
 }
 
-// TestOracleWindowsArgumentOrder pins the result alignment: windows in
-// any order, with repeats, map to the selections of their own length.
+// TestOracleWindowsArgumentOrder pins OracleStates' result alignment:
+// windows in any order, with repeats, map to the selections of their own
+// length. A call with no window to build (a held column alone) builds
+// nothing, and a non-positive window panics.
 func TestOracleWindowsArgumentOrder(t *testing.T) {
 	tr := randomTrace(5, 2_000, 16)
 	windows := []int{24, 8, 24, 12}
-	got := OracleWindows(tr, windows, OracleOptions{})
+	pc := ClassifyPaths(tr, 24, nil)
+	got, _ := OracleStates(pc, windows, nil, OracleConfig{})
 	for i, n := range windows {
 		mustEqualSelections(t, got[i], Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: n}}))
 	}
 	if got[0] != got[2] {
 		t.Error("repeated window lengths do not share one result")
 	}
-	if OracleWindows(tr, nil, OracleOptions{}) != nil {
+	reg := obs.New()
+	if sels, _ := OracleStates(pc, nil, map[int]*Selections{8: got[1]}, OracleConfig{Obs: reg}); len(sels) != 0 || reg.Counter("core.oracle.builds").Value() != 0 {
 		t.Error("no windows must build nothing")
 	}
 	for name, call := range map[string]func(){
-		"stage":  func() { OracleWindows(tr, windows, OracleOptions{Stage: StageProfile}) },
-		"window": func() { OracleWindows(tr, []int{8, 0}, OracleOptions{}) },
+		"window": func() { OracleStates(pc, []int{8, 0}, nil, OracleConfig{}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -181,8 +194,8 @@ func TestOracleWindowsArgumentOrder(t *testing.T) {
 }
 
 // BenchmarkOracleWindowsSmall is a quick in-package check of the shared
-// pass against the per-window loop; the recorded numbers come from the
-// root harness's BenchmarkOracleWindows.
+// pass (classification included) against the per-window loop; the
+// recorded numbers come from the root harness's BenchmarkOracleWindows.
 func BenchmarkOracleWindowsSmall(b *testing.B) {
 	tr := randomTrace(9, 50_000, 64)
 	pt := tr.Packed()
@@ -192,7 +205,7 @@ func BenchmarkOracleWindowsSmall(b *testing.B) {
 				if impl == "loop" {
 					perWindowOracle(pt, fig5Windows, OracleConfig{})
 				} else {
-					OracleWindows(pt, fig5Windows, OracleOptions{})
+					sharedOracle(pt, fig5Windows, OracleConfig{})
 				}
 			}
 		})

@@ -84,9 +84,9 @@ func walkShares(pc *PathClasses) []float64 {
 }
 
 // TestOracleShardInvariant pins the oracle's branch sharding: at
-// ScoreParallel 1, 2, 3 and 7, OracleStates and OracleWindows return the
-// same selections, the same state vectors and the same counters and
-// gauges, and the profile and collection passes leave every branch's
+// ScoreParallel 1, 2, 3 and 7, OracleStates returns the same selections,
+// the same state vectors and the same counters and gauges, and the
+// profile and collection passes leave every branch's
 // candidate table and state histograms exactly as the serial pass does,
 // entry order included — each branch sees the serial walk sequence.
 // The traces cover a MaxCandidates small enough to force watermark
@@ -142,20 +142,19 @@ func TestOracleShardInvariant(t *testing.T) {
 				t.Fatal("no branch walks both declined records and classes")
 			}
 			type run struct {
-				sels, wsels []*Selections
-				states      *BeamStates
-				counters    map[string]int64
-				gauges      map[string]int64
-				profiles    []kernelProfile
-				matchers    []*beamMatcher
+				sels     []*Selections
+				states   *BeamStates
+				counters map[string]int64
+				gauges   map[string]int64
+				profiles []kernelProfile
+				matchers []*beamMatcher
 			}
 			do := func(par int) run {
 				cfg := tc.cfg
 				cfg.ScoreParallel = par
 				cfg.Obs = obs.New()
 				var r run
-				r.sels, r.states = OracleStates(pc, tc.windows, nil, OracleOptions{OracleConfig: cfg})
-				r.wsels = OracleWindows(pc, tc.windows, OracleOptions{OracleConfig: cfg})
+				r.sels, r.states = OracleStates(pc, tc.windows, nil, cfg)
 				snap := cfg.Obs.Snapshot()
 				r.counters, r.gauges = snap.Counters, snap.Gauges
 
@@ -163,7 +162,7 @@ func TestOracleShardInvariant(t *testing.T) {
 				cfg.Obs = obs.New()
 				r.profiles = profileShards(pt, pc, tc.windows, cfg, planShards(pc, par, nil))
 				cands := profileWindows(pt, pc, tc.windows, cfg)
-				r.matchers, _ = buildMatchers(sortedPCs(cands), cands, pt.Addrs(), nil)
+				r.matchers, _ = buildMatchers(sortedPCs(cands), cands, pt, nil)
 				collectShards(pt, pc, tc.windows, r.matchers, planShards(pc, par, r.matchers), nil, cfg.Obs)
 				return r
 			}
@@ -177,7 +176,6 @@ func TestOracleShardInvariant(t *testing.T) {
 				}{
 					{"OracleStates selections", got.sels, base.sels},
 					{"state vectors", got.states, base.states},
-					{"OracleWindows selections", got.wsels, base.wsels},
 					{"counters", got.counters, base.counters},
 					{"gauges", got.gauges, base.gauges},
 					{"candidate tables", got.profiles, base.profiles},

@@ -95,9 +95,8 @@ var _ Source = (*PathClasses)(nil)
 // window n (one pass over the trace) and counts the pass into reg
 // (nil selects obs.Default()): core.paths.classify.passes gains one and
 // core.paths.classify.records the records classified. Hand the result to
-// OracleWindows or Oracle as their Source, or to OracleStates, whose
-// states NewSelectiveSweepStates replays, to share one pass between
-// them.
+// Oracle as its Source, or to OracleStates, whose states
+// NewSelectiveSweepStates replays, to share one pass between them.
 func ClassifyPaths(src Source, n int, reg *obs.Registry) *PathClasses {
 	if n <= 0 {
 		panic(fmt.Sprintf("core: path classification window %d must be positive", n))

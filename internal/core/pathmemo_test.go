@@ -125,7 +125,7 @@ func TestPathMemoOracleWindows(t *testing.T) {
 		t.Run(tr.Name(), func(t *testing.T) {
 			checkOracleWindows(t, tr, OracleConfig{}, 0, true)
 			reg := obs.New()
-			OracleWindows(tr, fig5Windows, OracleOptions{OracleConfig: OracleConfig{Obs: reg}})
+			sharedOracle(tr, fig5Windows, OracleConfig{Obs: reg})
 			if !strings.HasPrefix(tr.Name(), "rand-") && reg.Counter("core.oracle.memo.hits").Value() == 0 {
 				t.Error("the memo served no record; the test exercises nothing")
 			}
@@ -183,7 +183,7 @@ func scalarSelective(tr *trace.Trace, cfgs []SelectiveConfig) []int64 {
 // oracleSweepConfigs is a Figure 5-shaped grid over tr: each window's
 // oracle-chosen 3-ref assignment, in direction and presence modes.
 func oracleSweepConfigs(tr *trace.Trace, windows []int) []SelectiveConfig {
-	sels := OracleWindows(tr, windows, OracleOptions{})
+	sels := sharedOracle(tr, windows, OracleConfig{})
 	var cfgs []SelectiveConfig
 	for w, n := range windows {
 		for _, mode := range []Mode{ModeDirection, ModePresence} {
@@ -384,7 +384,7 @@ func TestPathClassesSharedGrid(t *testing.T) {
 				name string
 				pc   *PathClasses
 			}{{"shared32", pc32}, {"shared16", pc16}} {
-				built, st := OracleStates(classes.pc, []int{16}, map[int]*Selections{8: held}, OracleOptions{OracleConfig: cfg})
+				built, st := OracleStates(classes.pc, []int{16}, map[int]*Selections{8: held}, cfg)
 				mustEqualSelections(t, built[0], sels)
 				before := walks.Value()
 				check(classes.name, NewSelectiveSweepStates(st, "sel", cfgs))

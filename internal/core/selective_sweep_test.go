@@ -127,7 +127,7 @@ func TestSelectiveSweepStatesMatchScalar(t *testing.T) {
 	sel := selSweepTrace(2000)
 	gcc := workloadTrace(t, "gcc", 6_000)
 	windows := []int{8, 16, 32}
-	_, gccStates := OracleStates(ClassifyPaths(gcc, 32, obs.New()), windows, nil, OracleOptions{})
+	_, gccStates := OracleStates(ClassifyPaths(gcc, 32, obs.New()), windows, nil, OracleConfig{})
 	fig4 := selFig4Configs(sel)
 	for _, tc := range []struct {
 		name string

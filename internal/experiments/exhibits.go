@@ -15,10 +15,6 @@ import (
 // that fill it, and how the field renders.
 type exhibit struct {
 	name string
-	// global marks the exhibits that read the per-branch bundle
-	// (globalFor), and so the oracle's selections at the configured
-	// window.
-	global bool
 	// plan sets the exhibit's Report field on r to an empty result and
 	// returns the cells that fill it, one per workload, each writing a
 	// pre-assigned slot.
@@ -54,12 +50,6 @@ func define[T any, P interface {
 	}
 }
 
-// readsGlobal marks e as reading the per-branch bundle.
-func readsGlobal(e exhibit) exhibit {
-	e.global = true
-	return e
-}
-
 // exhibits is the exhibit table in report order: the paper's tables and
 // figures first, then the extensions. ExhibitOrder, name validation,
 // BuildReport's cells and Report.Render all read it, and rendering in
@@ -70,10 +60,10 @@ var exhibits = []exhibit{
 		res := &Table1Result{Rows: make([]Table1Row, len(s.traces))}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = s.table1Cell(tr) })
 	}),
-	readsGlobal(define("fig4", func(r *Report) **Figure4Result { return &r.Figure4 }, func(s *Suite) (*Figure4Result, []runner.Cell) {
+	define("fig4", func(r *Report) **Figure4Result { return &r.Figure4 }, func(s *Suite) (*Figure4Result, []runner.Cell) {
 		res := &Figure4Result{Rows: make([]Figure4Row, len(s.traces))}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = s.figure4Cell(tr) })
-	})),
+	}),
 	define("fig5", func(r *Report) **Figure5Result { return &r.Figure5 }, func(s *Suite) (*Figure5Result, []runner.Cell) {
 		res := &Figure5Result{Windows: s.cfg.Fig5Windows, Benchmarks: s.Names(), Acc: make([][]float64, len(s.traces))}
 		return res, cellsOver(s.Names(), func(ctx context.Context, i int) error {
@@ -81,10 +71,10 @@ var exhibits = []exhibit{
 			return ctx.Err()
 		})
 	}),
-	readsGlobal(define("table2", func(r *Report) **Table2Result { return &r.Table2 }, func(s *Suite) (*Table2Result, []runner.Cell) {
+	define("table2", func(r *Report) **Table2Result { return &r.Table2 }, func(s *Suite) (*Table2Result, []runner.Cell) {
 		res := &Table2Result{Rows: make([]Table2Row, len(s.traces))}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = s.table2Cell(tr) })
-	})),
+	}),
 	define("fig6", func(r *Report) **Figure6Result { return &r.Figure6 }, func(s *Suite) (*Figure6Result, []runner.Cell) {
 		res := &Figure6Result{Rows: make([]Figure6Row, len(s.traces))}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = s.figure6Cell(tr) })
@@ -101,14 +91,14 @@ var exhibits = []exhibit{
 		}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = splitCell(tr, s.figure7Split) })
 	}),
-	readsGlobal(define("fig8", func(r *Report) **SplitResult { return &r.Figure8 }, func(s *Suite) (*SplitResult, []runner.Cell) {
+	define("fig8", func(r *Report) **SplitResult { return &r.Figure8 }, func(s *Suite) (*SplitResult, []runner.Cell) {
 		res := &SplitResult{
 			Title:  "Figure 8. Branches best predicted by global correlation, per-address classes, and ideal static",
 			Labels: [3]string{"Ideal Static Best", "Global Best", "Per-Address Best"},
 			Rows:   make([]SplitRow, len(s.traces)),
 		}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = splitCell(tr, s.figure8Split) })
-	})),
+	}),
 	define("fig9", func(r *Report) **Figure9Result { return &r.Figure9 }, func(s *Suite) (*Figure9Result, []runner.Cell) {
 		names := s.cfg.Fig9Benchmarks
 		res := &Figure9Result{Percentiles: s.cfg.Fig9Percentiles, Benchmarks: names, Diff: make([][]float64, len(names))}
@@ -118,10 +108,10 @@ var exhibits = []exhibit{
 		})
 	}),
 	// Extension: in-path vs direction correlation decomposition.
-	readsGlobal(define("inpath", func(r *Report) **InPathResult { return &r.InPath }, func(s *Suite) (*InPathResult, []runner.Cell) {
+	define("inpath", func(r *Report) **InPathResult { return &r.InPath }, func(s *Suite) (*InPathResult, []runner.Cell) {
 		res := &InPathResult{Rows: make([]InPathRow, len(s.traces))}
 		return res, s.traceCells(func(i int, tr *trace.Trace) { res.Rows[i] = s.inPathCell(tr) })
-	})),
+	}),
 	// Extension: achieved accuracy vs entropy ceilings.
 	define("ceiling", func(r *Report) **CeilingResult { return &r.Ceiling }, func(s *Suite) (*CeilingResult, []runner.Cell) {
 		res := &CeilingResult{HistoryBits: ceilingHistoryBits, Rows: make([]CeilingRow, len(s.traces))}
@@ -224,13 +214,6 @@ func (s *Suite) BuildReport(ctx context.Context, names []string, opts runner.Opt
 	if err != nil {
 		return nil, err
 	}
-	// With Figure 5 requested next to an exhibit that reads the
-	// per-branch bundle, the bundle's oracle build, classification and
-	// sweep fold into Figure 5's per-trace step, run by whichever cell
-	// reaches the trace first.
-	s.foldFig5.Store(slices.ContainsFunc(want, func(e exhibit) bool { return e.name == "fig5" }) &&
-		slices.ContainsFunc(want, func(e exhibit) bool { return e.global }))
-
 	report := s.NewReport()
 	var cells []runner.Cell
 	for _, e := range want {

@@ -28,9 +28,10 @@ type Figure4Result struct {
 
 // figure4Cell computes one benchmark's Figure 4 row from the per-branch
 // bundle's totals: the selective predictors, the IF-gshare and the
-// gshare all ran in globalFor's one fused pass.
+// gshare all ran in the oracle step's one per-branch fused pass
+// (stepFor).
 func (s *Suite) figure4Cell(tr *trace.Trace) Figure4Row {
-	b := s.globalFor(tr)
+	b := s.stepFor(tr).global
 	row := Figure4Row{
 		Benchmark: tr.Name(),
 		IFGshare:  b.ifg.Accuracy(),
@@ -70,8 +71,8 @@ type Figure5Result struct {
 	Acc [][]float64
 }
 
-// figure5Cell returns one benchmark's Figure 5 row from its per-trace
-// step (fig5For): one shared oracle pass selects for every window (a
+// figure5Cell returns one benchmark's Figure 5 row from its oracle step
+// (stepFor): one shared oracle pass selects for every window (a
 // window-n walk is the first n steps of the largest window's walk),
 // then a single sweep call simulates every window's selective predictor
 // over one trace walk. The context is consulted before the step, so an
@@ -80,7 +81,7 @@ func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) []float64 {
 	if ctx.Err() != nil {
 		return make([]float64, len(s.cfg.Fig5Windows))
 	}
-	return slices.Clone(s.fig5For(tr).acc)
+	return slices.Clone(s.stepFor(tr).fig5)
 }
 
 // Render formats the sweep as a line chart plus a value table.
@@ -130,7 +131,7 @@ type Table2Result struct {
 // table2Cell computes one benchmark's Table 2 row from the hypothetical
 // "gshare w/ Corr" combiners.
 func (s *Suite) table2Cell(tr *trace.Trace) Table2Row {
-	b := s.globalFor(tr)
+	b := s.stepFor(tr).global
 	gCorr := sim.CombineMax("gshare w/ Corr", b.g, b.sel[1])
 	ifCorr := sim.CombineMax("IF gshare w/ Corr", b.ifg, b.sel[1])
 	row := Table2Row{

@@ -53,7 +53,7 @@ func (s *Suite) figure7Split(tr *trace.Trace) *core.CategorySplit {
 // gshare and the 3-branch selective history, per-address is the best of
 // the section 4.1 class predictors.
 func (s *Suite) figure8Split(tr *trace.Trace) *core.CategorySplit {
-	g := s.globalFor(tr)
+	g := s.stepFor(tr).global
 	cl := s.classFor(tr)
 	stats := trace.Summarize(tr)
 	return core.SplitBest(stats, cl.Static,

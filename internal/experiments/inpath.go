@@ -29,10 +29,10 @@ type InPathResult struct {
 }
 
 // inPathCell decomposes one benchmark's selective-history accuracy. Both
-// selective modes ran over the same oracle assignment in globalFor's
-// per-branch pass.
+// selective modes ran over the same oracle assignment in the oracle
+// step's per-branch pass (stepFor).
 func (s *Suite) inPathCell(tr *trace.Trace) InPathRow {
-	g := s.globalFor(tr)
+	g := s.stepFor(tr).global
 	return InPathRow{
 		Benchmark: tr.Name(),
 		Direction: g.sel[3].Accuracy(),

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"maps"
 	"strings"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // reportSeams are the engine seams a differential report build swaps
 // in; nil fields keep the suite's defaults.
 type reportSeams struct {
-	oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int, map[int]*core.Selections) ([]*core.Selections, *core.BeamStates)
+	oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int) ([]*core.Selections, *core.BeamStates)
 	sweep  func(*trace.Trace, bp.SweepGrid, bool) *sim.SweepOutcome
 }
 
@@ -53,7 +52,7 @@ func buildReportsWith(t *testing.T, cfg Config, parallel int, seams reportSeams,
 // buildReportWith builds a full golden-config report with the given
 // oracle pipeline implementation and returns its JSON and rendered-text
 // bytes.
-func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int, map[int]*core.Selections) ([]*core.Selections, *core.BeamStates)) (string, string) {
+func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, *core.PathClasses, core.OracleConfig, []int) ([]*core.Selections, *core.BeamStates)) (string, string) {
 	t.Helper()
 	return buildReportsWith(t, goldenConfig(), parallel, reportSeams{oracle: oracle}, nil)
 }
@@ -62,20 +61,16 @@ func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, *core
 // implementation: one ReferenceBuildSelective run per window. The state
 // vectors a fused sweep replays come from a collection alone
 // (core.OracleStates with no window to build) that holds the reference
-// selections and the held ones, so no kernel selection reaches the
-// report.
-func referenceOracleWindows(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int, held map[int]*core.Selections) ([]*core.Selections, *core.BeamStates) {
+// selections, so no kernel selection reaches the report.
+func referenceOracleWindows(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int) ([]*core.Selections, *core.BeamStates) {
 	out := make([]*core.Selections, len(windows))
-	all := maps.Clone(held)
-	if all == nil {
-		all = make(map[int]*core.Selections, len(windows))
-	}
+	held := make(map[int]*core.Selections, len(windows))
 	for i, n := range windows {
 		cfg.WindowLen = n
 		out[i] = core.ReferenceBuildSelective(tr, cfg)
-		all[n] = out[i]
+		held[n] = out[i]
 	}
-	_, st := core.OracleStates(pc, nil, all, core.OracleOptions{OracleConfig: cfg})
+	_, st := core.OracleStates(pc, nil, held, cfg)
 	return out, st
 }
 
@@ -99,52 +94,51 @@ func TestReportByteIdentityKernelVsReference(t *testing.T) {
 	}
 }
 
-// TestReportFig5FoldKernelVsReference covers the fold of the configured
-// window's oracle build into Figure 5's per-trace step, which happens
-// only when a report requests Figure 5 next to an exhibit that reads the
-// window's selections. Reports of {fig4}, {fig5}, {fig4, fig5} and every
-// exhibit, and {fig4} then {fig5} on one suite, built on the kernels,
-// must be byte-identical to the same reports built on the reference
-// oracle and the reference sweep engine, at parallel 1 and 8. Figure 5
-// sweeps windows 8, 16 and 32, so its step classifies at 32 where the
-// per-branch sweep classifies at 16 without the fold, as in the default
-// config. The kernel runs must also classify and build as promised:
-// each step classifies its trace once and makes one oracle call, whose
-// state vectors its sweeps replay (the per-branch bundle's presence-mode
-// config among them) without a walk of their own. With the fold each
-// trace gets one step; without it, Figure 5's step and the per-branch
-// bundle's are separate, and a later step holds the window-16 selections
-// an earlier one built instead of building them again, so every run
-// delivers each window's selections once per trace. A full report after
-// {fig4} on one suite neither folds nor sweeps the per-branch grid
-// again: {fig4} computed the bundle, so the run keeps one
-// global-correlation sweep per trace.
+// TestReportFig5FoldKernelVsReference is the one-step contract: every
+// report sequence that reads the oracle gives each trace one oracle
+// step, shared by Figure 5 and the per-branch bundle (Figures 4 and 8,
+// Table 2, in-path), whichever exhibits the sequence requests and in
+// whatever order. Per trace, a sequence makes one path classification,
+// one oracle call building every window of the Figure 5 windows and
+// the configured oracle window (16), one Figure 5 sweep and one
+// per-branch sweep, both replaying the call's state vectors with no
+// walk of their own. The sequences are {fig4}, {fig5}, {fig4, fig5},
+// every exhibit, {fig4} then {fig5}, {fig4} then every exhibit, and
+// every exhibit in a report of its own in turn, on one suite; built on
+// the kernels, each must be byte-identical to the same sequence built
+// on the reference oracle and the reference sweep engine, at parallel 1
+// and 8. Figure 5 sweeps windows 8, 16 and 32, and, in the union
+// cases, 8 and 24, which omit the oracle window: the step then builds
+// it as well, and classifies at 24.
 func TestReportFig5FoldKernelVsReference(t *testing.T) {
 	base := goldenConfig()
 	base.Fig5Windows = []int{8, 16, 32}
+	union := base
+	union.Fig5Windows = []int{8, 24}
 	ntraces := int64(len(base.Workloads))
 	cases := []struct {
 		name    string
+		cfg     Config
 		reports [][]string
-		passes  int64 // core.paths.classify.passes per trace
-		calls   int64 // core.OracleWindows calls per trace
-		builds  int64 // core.oracle.builds per trace
-		globals int64 // per-branch grid sweeps (sim.sweep.fused.global-correlation) per trace
 	}{
-		{"fig4", [][]string{{"fig4"}}, 1, 1, 1, 1},
-		{"fig5", [][]string{{"fig5"}}, 1, 1, 3, 0},
-		{"fig4+fig5", [][]string{{"fig4", "fig5"}}, 1, 1, 3, 1},
-		{"all", [][]string{nil}, 1, 1, 3, 1},
-		{"fig4-then-fig5", [][]string{{"fig4"}, {"fig5"}}, 2, 2, 3, 1},
-		{"fig4-then-all", [][]string{{"fig4"}, nil}, 2, 2, 3, 1},
+		{"fig4", base, [][]string{{"fig4"}}},
+		{"fig5", base, [][]string{{"fig5"}}},
+		{"fig4+fig5", base, [][]string{{"fig4", "fig5"}}},
+		{"all", base, [][]string{nil}},
+		{"fig4-then-fig5", base, [][]string{{"fig4"}, {"fig5"}}},
+		{"fig4-then-all", base, [][]string{{"fig4"}, nil}},
+		{"each-alone", base, exhibitByExhibit()},
+		{"union/fig5", union, [][]string{{"fig5"}}},
+		{"union/fig4-then-all", union, [][]string{{"fig4"}, nil}},
 	}
 	ref := reportSeams{oracle: referenceOracleWindows, sweep: referenceSweep}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			refJSON, refText := buildReportsWith(t, base, 1, ref, tc.reports...)
+			builds := int64(3) // |Fig5Windows ∪ {16}| in both configs
+			refJSON, refText := buildReportsWith(t, tc.cfg, 1, ref, tc.reports...)
 			for _, parallel := range []int{1, 8} {
 				reg := obs.New()
-				cfg := base
+				cfg := tc.cfg
 				cfg.Obs = reg
 				walks := obs.Default().Counter("core.selective.sweep.walks").Value()
 				kJSON, kText := buildReportsWith(t, cfg, parallel, reportSeams{}, tc.reports...)
@@ -152,17 +146,20 @@ func TestReportFig5FoldKernelVsReference(t *testing.T) {
 					t.Errorf("parallel=%d: kernel report differs from reference (JSON %d vs %d bytes)",
 						parallel, len(kJSON), len(refJSON))
 				}
-				if got := reg.Counter("core.paths.classify.passes").Value(); got != tc.passes*ntraces {
-					t.Errorf("parallel=%d: %d classification passes, want %d per trace", parallel, got, tc.passes)
-				}
-				if got := reg.Snapshot().Histograms["core.oracle.build.ns"].Count; got != tc.calls*ntraces {
-					t.Errorf("parallel=%d: %d oracle calls, want %d per trace", parallel, got, tc.calls)
-				}
-				if got := reg.Counter("core.oracle.builds").Value(); got != tc.builds*ntraces {
-					t.Errorf("parallel=%d: %d oracle builds, want %d per trace", parallel, got, tc.builds)
-				}
-				if got := reg.Counter("sim.sweep.fused.global-correlation").Value(); got != tc.globals*ntraces {
-					t.Errorf("parallel=%d: %d per-branch grid sweeps, want %d per trace", parallel, got, tc.globals)
+				for _, c := range []struct {
+					what string
+					got  int64
+					want int64
+				}{
+					{"classification passes", reg.Counter("core.paths.classify.passes").Value(), 1},
+					{"oracle calls", reg.Snapshot().Histograms["core.oracle.build.ns"].Count, 1},
+					{"oracle builds", reg.Counter("core.oracle.builds").Value(), builds},
+					{"per-branch sweeps", reg.Counter("sim.sweep.fused.global-correlation").Value(), 1},
+					{"Figure 5 sweeps", reg.Counter("sim.sweep.fused.fig5-selective-windows").Value(), 1},
+				} {
+					if c.got != c.want*ntraces {
+						t.Errorf("parallel=%d: %d %s, want %d per trace", parallel, c.got, c.what, c.want)
+					}
 				}
 				if got := obs.Default().Counter("core.selective.sweep.walks").Value() - walks; got != 0 {
 					t.Errorf("parallel=%d: %d selective sweep walks, want 0", parallel, got)
@@ -179,7 +176,7 @@ func TestPackedMemoizedPerTrace(t *testing.T) {
 	s := testSuite(t)
 	tr := s.Traces()[0]
 	p1 := tr.Packed()
-	s.globalFor(tr)
+	s.stepFor(tr)
 	if p2 := tr.Packed(); p1 != p2 {
 		t.Error("an oracle build left a distinct packed view for the same trace")
 	}

@@ -44,10 +44,9 @@ func TestReportSimKernelCoverage(t *testing.T) {
 
 // TestReportSelectiveSweepWalks pins that the report's selective sweeps
 // replay the oracle collection's state vectors: a report over every
-// exhibit (Figure 5's step folds the per-branch bundle's), then each
-// exhibit in a report of its own on a fresh suite (the per-branch
-// bundle and Figure 5 step apart, the later one holding the window-16
-// selections of the earlier), makes zero walks. A sweep that runs a
+// exhibit, then each exhibit in a report of its own on a fresh suite
+// (the first exhibit that reads the oracle runs the trace's one oracle
+// step, both sweeps included), makes zero walks. A sweep that runs a
 // collection of its own (core.NewSelectiveSweep) counts that
 // collection's walks in obs.Default(), whatever registry the suite
 // reports to.

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/core"
@@ -141,11 +140,10 @@ type globalBundle struct {
 	g        *sim.Result
 }
 
-// fig5Bundle is what one trace's fused oracle-and-Figure-5 step keeps:
-// Figure 5's accuracy row and, when the step covered the configured
-// oracle window, the per-branch bundle.
-type fig5Bundle struct {
-	acc    []float64
+// oracleStep is what one trace's oracle step keeps: Figure 5's
+// accuracy row and the per-branch bundle.
+type oracleStep struct {
+	fig5   []float64
 	global *globalBundle
 }
 
@@ -169,7 +167,6 @@ type memo[T any] struct {
 type memoEntry[T any] struct {
 	once sync.Once
 	val  T
-	done atomic.Bool // val is computed
 }
 
 // get returns the memoized value for key, computing it at most once.
@@ -184,20 +181,8 @@ func (m *memo[T]) get(key string, compute func() T) T {
 		m.m[key] = e
 	}
 	m.mu.Unlock()
-	e.once.Do(func() {
-		e.val = compute()
-		e.done.Store(true)
-	})
+	e.once.Do(func() { e.val = compute() })
 	return e.val
-}
-
-// done reports, without blocking, whether key's value is computed: a
-// computation still running, its own caller's included, reads false.
-func (m *memo[T]) done(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.m[key]
-	return e != nil && e.done.Load()
 }
 
 // Suite generates the workload traces once and computes shared
@@ -210,33 +195,20 @@ type Suite struct {
 	cfg     Config
 	obs     *obs.Registry
 	traces  []*trace.Trace
-	fig5    memo[*fig5Bundle]
-	global  memo[*globalBundle]
+	step    memo[*oracleStep]
 	classes memo[*core.PAClassification]
 	base    memo[*baseBundle]
 	log     func(format string, args ...any)
 
-	// sels holds each trace's selections at the configured oracle
-	// window once a step has built them (selectOver).
-	selsMu sync.Mutex
-	sels   map[string]*core.Selections
-
-	// foldFig5 is set while a report that requests Figure 5 and an
-	// exhibit reading the per-branch bundle runs: the bundle's oracle
-	// build, classification and sweep then fold into Figure 5's
-	// per-trace step.
-	foldFig5 atomic.Bool
-
 	// oracleBuild runs the full oracle pipeline for one trace/config at
 	// each listed window length (cfg.WindowLen is ignored) over pc, the
-	// trace's path classes at a window no shorter than any listed or
-	// held, returning the selections in window order and the state
-	// vectors of every built and held window (held as in
-	// core.OracleStates). It defaults to one core.OracleStates call;
+	// trace's path classes at a window no shorter than any listed,
+	// returning the selections in window order and the state vectors of
+	// every window. It defaults to one core.OracleStates call;
 	// differential tests swap in a per-window
 	// core.ReferenceBuildSelective loop to prove report bytes are
 	// implementation-independent.
-	oracleBuild func(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int, held map[int]*core.Selections) ([]*core.Selections, *core.BeamStates)
+	oracleBuild func(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int) ([]*core.Selections, *core.BeamStates)
 
 	// simRun drives a batch of predictors over a trace. It defaults to
 	// sim.Simulate (with the suite's registry), whose columnar fast path
@@ -278,9 +250,9 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 			inner(format, args...)
 		}
 	}
-	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf, sels: make(map[string]*core.Selections)}
-	s.oracleBuild = func(_ *trace.Trace, pc *core.PathClasses, ocfg core.OracleConfig, windows []int, held map[int]*core.Selections) ([]*core.Selections, *core.BeamStates) {
-		return core.OracleStates(pc, windows, held, core.OracleOptions{OracleConfig: ocfg})
+	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf}
+	s.oracleBuild = func(_ *trace.Trace, pc *core.PathClasses, ocfg core.OracleConfig, windows []int) ([]*core.Selections, *core.BeamStates) {
+		return core.OracleStates(pc, windows, nil, ocfg)
 	}
 	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
 		return sim.Simulate(tr, predictors, sim.Options{Observer: cfg.Obs}).Results
@@ -345,68 +317,31 @@ func (s *Suite) newPAs() bp.Predictor {
 	return bp.NewPAs(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.PAsPHTBits)
 }
 
-// selectOver runs the trace's oracle over its path classes pc at every
-// window of windows (ascending), in one call whose collection also
-// resolves the state vectors the step's sweeps replay. The configured
-// window's selections are kept per trace: a step that needs them after
-// another step built them holds them, so the call resolves their refs
-// without building the window again, and a step that builds them keeps
-// them for later steps.
-func (s *Suite) selectOver(tr *trace.Trace, pc *core.PathClasses, windows []int) (map[int]*core.Selections, *core.BeamStates) {
-	own := s.cfg.Oracle.WindowLen
-	out := make(map[int]*core.Selections, len(windows))
-	var held map[int]*core.Selections
-	build := windows
-	if slices.Contains(windows, own) {
-		s.obs.Counter("suite.memo.sels.calls").Inc()
-		s.selsMu.Lock()
-		sel := s.sels[tr.Name()]
-		s.selsMu.Unlock()
-		if sel != nil {
-			held = map[int]*core.Selections{own: sel}
-			out[own] = sel
-			build = slices.DeleteFunc(slices.Clone(windows), func(n int) bool { return n == own })
-		} else {
-			s.obs.Counter("suite.memo.sels.misses").Inc()
-		}
-	}
-	if len(build) > 0 {
-		s.log("%s: oracle selection (windows %v)", tr.Name(), build)
-	}
-	sels, st := s.oracleBuild(tr, pc, s.cfg.Oracle, build, held)
-	for i, n := range build {
-		out[n] = sels[i]
-		if n == own {
-			s.selsMu.Lock()
-			s.sels[tr.Name()] = sels[i]
-			s.selsMu.Unlock()
-		}
-	}
-	return out, st
-}
-
-// fig5For runs (once) a trace's fused oracle-and-Figure-5 step: one
-// path classification at the largest window, one oracle call over the
-// Figure 5 windows on those classes (selectOver), and one selective
-// sweep over every window's 3-ref assignment that replays the call's
-// state vectors. While foldFig5 is set and no earlier report has
-// computed the trace's per-branch bundle, the call covers the configured
-// oracle window too, and the step runs the bundle's sweep (globalSweep)
-// on the same states; it keeps Figure 5's row and that bundle, and the
-// classes and the states become garbage when it returns.
-func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
-	s.obs.Counter("suite.memo.fig5.calls").Inc()
-	return s.fig5.get(tr.Name(), func() *fig5Bundle {
-		s.obs.Counter("suite.memo.fig5.misses").Inc()
-		fold, own := s.foldFig5.Load() && !s.global.done(tr.Name()), s.cfg.Oracle.WindowLen
-		windows := slices.Clone(s.cfg.Fig5Windows)
-		if fold {
-			windows = append(windows, own)
-		}
+// stepFor runs (once) a trace's oracle step, which every exhibit
+// reading the oracle shares: one path classification at the largest of
+// the Figure 5 windows and the configured oracle window, one oracle
+// call over all of those windows on those classes, and two sweeps that
+// replay the call's state vectors: Figure 5's selective sweep over
+// every Figure 5 window's 3-ref assignment, and the per-branch bundle's
+// (globalSweep) at the oracle window. It keeps Figure 5's row and that
+// bundle; the classes and the states become garbage when it returns.
+// Concurrent callers for the same trace block on one computation and
+// share its result.
+func (s *Suite) stepFor(tr *trace.Trace) *oracleStep {
+	s.obs.Counter("suite.memo.global.calls").Inc()
+	return s.step.get(tr.Name(), func() *oracleStep {
+		s.obs.Counter("suite.memo.global.misses").Inc()
+		own := s.cfg.Oracle.WindowLen
+		windows := append(slices.Clone(s.cfg.Fig5Windows), own)
 		slices.Sort(windows)
 		windows = slices.Compact(windows)
 		pc := core.ClassifyPaths(tr, windows[len(windows)-1], s.obs)
-		sels, st := s.selectOver(tr, pc, windows)
+		s.log("%s: oracle selection (windows %v)", tr.Name(), windows)
+		built, st := s.oracleBuild(tr, pc, s.cfg.Oracle, windows)
+		sels := make(map[int]*core.Selections, len(windows))
+		for i, n := range windows {
+			sels[n] = built[i]
+		}
 		cfgs := make([]core.SelectiveConfig, len(s.cfg.Fig5Windows))
 		for i, n := range s.cfg.Fig5Windows {
 			cfgs[i] = core.SelectiveConfig{
@@ -416,37 +351,11 @@ func (s *Suite) fig5For(tr *trace.Trace) *fig5Bundle {
 			}
 		}
 		out := s.simSweep(tr, core.NewSelectiveSweepStates(st, "fig5-selective-windows", cfgs), false)
-		b := &fig5Bundle{acc: make([]float64, len(cfgs))}
+		step := &oracleStep{fig5: make([]float64, len(cfgs)), global: s.globalSweep(tr, sels[own], st)}
 		for c := range cfgs {
-			b.acc[c] = out.Accuracy(c)
+			step.fig5[c] = out.Accuracy(c)
 		}
-		if fold {
-			b.global = s.globalSweep(tr, sels[own], st)
-		}
-		return b
-	})
-}
-
-// globalFor computes (once) the per-branch results Figures 4 and 8,
-// Table 2 and the in-path exhibit share, for a trace at the configured
-// oracle window. A report that also requests Figure 5 takes them from
-// Figure 5's per-trace step; otherwise one path classification at the
-// window feeds both the window's oracle call (selectOver) and
-// globalSweep, which replays that call's state vectors. Concurrent
-// callers for the same trace block on one computation and share its
-// bundle.
-func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
-	s.obs.Counter("suite.memo.global.calls").Inc()
-	return s.global.get(tr.Name(), func() *globalBundle {
-		s.obs.Counter("suite.memo.global.misses").Inc()
-		if s.foldFig5.Load() {
-			if b := s.fig5For(tr).global; b != nil {
-				return b
-			}
-		}
-		own := s.cfg.Oracle.WindowLen
-		sels, st := s.selectOver(tr, core.ClassifyPaths(tr, own, s.obs), []int{own})
-		return s.globalSweep(tr, sels[own], st)
+		return step
 	})
 }
 
