@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCorpusDecode' -fuzztime $(FUZZTIME) -run '^$$' ./internal/corpus/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime $(FUZZTIME) -run '^$$' ./internal/bp/
 	$(GO) test -fuzz 'FuzzDecodeRequest' -fuzztime $(FUZZTIME) -run '^$$' ./internal/api/v1/
+	$(GO) test -fuzz 'FuzzOracleStates' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 
 # bench smoke-runs every benchmark in the root harness — including the
 # 1M-branch kernel and sweep suites, which is why it pins -benchtime 1x

@@ -34,14 +34,14 @@ type OracleConfig struct {
 	// Schemes restricts tagging to a subset of schemes; empty means both
 	// (the paper's configuration). Used by the tag-scheme ablation.
 	Schemes []Scheme
-	// ScoreParallel is the number of workers for the oracle's three
-	// per-branch stages: the profile walks, the collection walks and the
-	// subset scoring of selection (the pair/triple kernels); 0 selects
-	// GOMAXPROCS. The walks run on shards of the static branches, each
-	// branch on one shard in its serial walk order, and scoring writes
-	// into pre-assigned per-branch slots, so the Selections, the state
-	// vectors and the counters are identical at every parallelism
-	// level. At 1 every stage runs on the calling goroutine.
+	// ScoreParallel is the number of workers for the oracle's
+	// branch-major pass; 0 selects GOMAXPROCS. The static branches are
+	// split into shards, and each shard profiles, ranks, resolves and
+	// scores its branches one at a time, each branch's walks in their
+	// serial order, writing into pre-assigned per-branch slots, so the
+	// Selections, the state vectors and the counters are identical at
+	// every parallelism level. At 1 the pass runs on the calling
+	// goroutine.
 	ScoreParallel int
 	// Obs receives the oracle's counters (candidate occupancy, prune
 	// events) and pass spans; nil selects obs.Default(). Counter values

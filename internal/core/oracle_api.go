@@ -12,8 +12,8 @@ import (
 // runs the full pipeline or one stage of it at one window length over an
 // in-memory source, and OracleStates runs the full pipeline at several
 // window lengths at once over a trace's path classes, keeping the state
-// vectors its collection resolved. The passes of both walk the packed
-// trace by path class (oracle_kernel.go). A trace that arrives as a
+// vectors its walks resolved. Both run one branch-major pass over the
+// packed trace by path class (oracle_kernel.go). A trace that arrives as a
 // stream (an upload, a corpus entry) is decoded whole before the oracle
 // sees it.
 
@@ -81,9 +81,8 @@ type OracleOptions struct {
 // Oracle runs the correlation oracle over an in-memory source at one
 // window length in the stage-selected configuration and returns the
 // Selections. StageFull and StageSelect fill Selections.BySize;
-// StageProfile fills Selections.Candidates. The profile and collection
-// passes walk by path-signature class (pathmemo.go) on the columnar
-// kernels; results are bit-identical to the reference oracle and at
+// StageProfile fills Selections.Candidates. The pass walks by
+// path-signature class (pathmemo.go) on the columnar kernels; results are bit-identical to the reference oracle and at
 // every ScoreParallel. A *PathClasses source whose window is at least
 // WindowLen lends its classes; any other source is classified first
 // (core.paths.classify.*).
@@ -102,40 +101,41 @@ func Oracle(src Source, opts OracleOptions) *Selections {
 		pc = ClassifyPaths(pt, cfg.WindowLen, reg)
 	}
 
-	var cands map[trace.Addr]*Candidates
+	job := &oracleJob{pc: pc, cfg: cfg, windows: windows, built: []bool{true}, scored: []bool{true}}
 	switch opts.Stage {
 	case StageProfile:
-		return &Selections{Candidates: profileWindows(pt, pc, windows, cfg)[0]}
+		job.scored[0], job.profileOnly = false, true
+		return &Selections{Candidates: job.run().cands[0]}
 	case StageSelect:
-		cands = opts.Candidates
+		job.built[0] = false
+		job.known = []map[trace.Addr]*Candidates{opts.Candidates}
 	case StageFull:
-		cands = profileWindows(pt, pc, windows, cfg)[0]
 	default:
 		panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 	}
-	sels, _ := selectWindows(pt, pc, windows, []map[trace.Addr]*Candidates{cands}, nil, false, cfg)
-	return sels[0]
+	return job.run().sels[0]
 }
 
 // OracleStates runs the full oracle over the path classes pc at every
 // listed window length, and returns one Selections per entry of
 // windows, in argument order (repeated lengths share one result), with
-// what its collection pass resolved: the state vectors of every walk
+// what its walks resolved: the state vectors of every walk
 // (BeamStates), which NewSelectiveSweepStates replays instead of
 // walking the trace again. Each Selections is bit-identical to Oracle
 // with that WindowLen; cfg.WindowLen is ignored. core.oracle.builds
 // gains one per entry of windows, and the candidate and prune counters
 // report what per-window Oracle calls would.
 //
-// All windows share the two walks. Both tagging schemes resolve a tag
-// only from more-recent entries, so a window-n walk is exactly the
-// first n steps of the walk at the largest window: the profile pass
-// buckets its joint counts by the smallest window that saw them (window
-// n's statistics are prefix sums), and the collection pass resolves
-// each branch's union of per-window beams once per walk. A watermark
-// prune makes the smaller windows inexact; if one fires, those windows
-// are re-profiled with one-window passes, counted in
-// core.oracle.windows.fallbacks.
+// All windows share each walk. Both tagging schemes resolve a tag only
+// from more-recent entries, so a window-n walk is exactly the first n
+// steps of the walk at the largest window: the profile buckets its
+// joint counts by the smallest window that saw them (window n's
+// statistics are prefix sums), and each walk resolves its branch's
+// union of per-window beams once. A watermark prune makes the smaller
+// windows inexact; if one fires in a branch's table, that branch's
+// smaller windows are re-profiled one window at a time, and
+// core.oracle.windows.fallbacks counts what one-window passes over the
+// whole trace would.
 //
 // held lists selections the caller already holds, keyed by window
 // length, at windows it does not ask to build: the collection resolves
@@ -162,32 +162,38 @@ func OracleStates(pc *PathClasses, windows []int, held map[int]*Selections, cfg 
 		panic(fmt.Sprintf("core: oracle states over path classes at window %d need window %d", pc.n, n))
 	}
 	reg := obs.Or(cfg.Obs)
-	pt := pc.Packed()
-	var built []map[trace.Addr]*Candidates
 	if len(distinct) > 0 {
 		reg.Counter("core.oracle.builds").Add(int64(len(windows)))
 		defer reg.StartSpan("core.oracle.build").End()
-		built = profileWindows(pt, pc, distinct, cfg)
 	}
-	cands := make([]map[trace.Addr]*Candidates, len(cols))
-	scored := make([]bool, len(cols))
+	job := &oracleJob{pc: pc, cfg: cfg, windows: cols, keep: true,
+		built: make([]bool, len(cols)), known: make([]map[trace.Addr]*Candidates, len(cols)), scored: make([]bool, len(cols))}
 	for w, n := range cols {
 		if sel, ok := held[n]; ok {
-			cands[w] = heldBeams(n, sel.BySize[1:], func(a int) string {
+			job.known[w] = heldBeams(n, sel.BySize[1:], func(a int) string {
 				return fmt.Sprintf("held %d-ref selection", a+1)
 			})
 			continue
 		}
-		b, _ := slices.BinarySearch(distinct, n)
-		cands[w], scored[w] = built[b], true
+		job.built[w], job.scored[w] = true, true
 	}
-	sels, states := selectWindows(pt, pc, cols, cands, scored, true, cfg)
+	res := job.run()
 	out := make([]*Selections, len(windows))
 	for i, n := range windows {
 		w, _ := slices.BinarySearch(cols, n)
-		out[i] = sels[w]
+		out[i] = res.sels[w]
 	}
-	return out, states
+	return out, res.states
+}
+
+// heldStates is the held-only collection: the state vectors of every
+// walk over pc against the given beams at each of windows (ascending),
+// with no profile and no scoring. NewSelectiveSweep resolves its configs
+// through it; OracleStates with no window to build runs the same job.
+func heldStates(pc *PathClasses, windows []int, beams []map[trace.Addr]*Candidates, cfg OracleConfig) *BeamStates {
+	job := &oracleJob{pc: pc, cfg: cfg.WithDefaults(), windows: windows, keep: true,
+		built: make([]bool, len(windows)), known: beams, scored: make([]bool, len(windows))}
+	return job.run().states
 }
 
 // heldBeams folds the assignments at one window into one beam per
@@ -247,32 +253,6 @@ type BeamStates struct {
 	beams   [][][]Ref // per dense ID: per window, the beam in slot order; nil without a beam at any window
 	recs    []uint64  // [declined record × window], position order
 	classes []uint64  // [walked class × window], class order
-}
-
-// newBeamStates sizes the states for one collection over pc: one
-// vector per window for every walk collectTrace makes.
-func newBeamStates(pc *PathClasses, windows []int, matchers []*beamMatcher) *BeamStates {
-	st := &BeamStates{pc: pc, windows: windows, beams: make([][][]Ref, len(matchers))}
-	for id, bm := range matchers {
-		if bm != nil {
-			st.beams[id] = bm.beams
-		}
-	}
-	ids := pc.ids
-	recs, classes := 0, 0
-	for k, c := range pc.class {
-		if c < 0 && matchers[ids[k]] != nil {
-			recs++
-		}
-	}
-	for c, rep := range pc.reps {
-		if pc.counts[c] > 0 && matchers[ids[rep]] != nil {
-			classes++
-		}
-	}
-	st.recs = make([]uint64, recs*len(windows))
-	st.classes = make([]uint64, classes*len(windows))
-	return st
 }
 
 // VectorBytes is the memory the state vectors hold.

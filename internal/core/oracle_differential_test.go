@@ -288,6 +288,24 @@ func sharedVectorTrace(n int) *trace.Trace {
 	return tr
 }
 
+// walkPlace is the place of a record walk (rank r among the declined
+// records) or a class walk (rank r among the live classes) among st's
+// stored vectors: the walks of branches without a beam are not stored.
+func walkPlace(st *BeamStates, r int, record bool) int32 {
+	x, ids := st.pc.walks(), st.pc.ids
+	n := int32(0)
+	for k := 0; k < r; k++ {
+		pos := x.recPos[k]
+		if !record {
+			pos = st.pc.reps[x.clsOf[k]]
+		}
+		if st.beams[ids[pos]] != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestOracleSelectSharedStateVectors pins the collection pass's
 // state-vector histograms against the reference where they merge work:
 // distinct path classes of one branch that resolve to the same state
@@ -303,19 +321,22 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	const x = trace.Addr(0x80)
 
 	pc := ClassifyPaths(pt, windows[1], obs.New())
-	cands := profileWindows(pt, pc, windows, OracleConfig{}.WithDefaults())
-	matchers, matcherOf := buildMatchers(sortedPCs(cands), cands, pt, nil)
-	bm := matcherOf[x]
-	if bm == nil {
-		t.Fatal("branch X has no beam")
-	}
-	em := newPackedEmitter(pt, windows)
+	_, st := OracleStates(pc, windows, nil, OracleConfig{})
+	xid, _ := pt.IDOf(x)
 	type mix struct{ n, taken int32 }
 	byVec := map[uint64][]mix{}
-	for c, rep := range pc.reps {
-		if n := pc.counts[c]; n > 0 && pt.Addrs()[pt.IDs()[rep]] == x {
-			vec := collectWalk(em, bm, int(rep))[0]
+	entries := map[uint64]bool{} // X's distinct window-8 vectors: its histogram's entries
+	walks := pc.walks()
+	for r, pos := range walks.recPos {
+		if pt.IDs()[pos] == xid {
+			entries[st.recs[int(walkPlace(st, r, true))*len(windows)]] = true
+		}
+	}
+	for r, c := range walks.clsOf {
+		if n := pc.counts[c]; pt.IDs()[pc.reps[c]] == xid {
+			vec := st.classes[int(walkPlace(st, r, false))*len(windows)]
 			byVec[vec] = append(byVec[vec], mix{n, pc.taken[c]})
+			entries[vec] = true
 		}
 	}
 	shared := false
@@ -339,14 +360,13 @@ func TestOracleSelectSharedStateVectors(t *testing.T) {
 	if declined*10 < instances {
 		t.Fatalf("X has %d declined records of %d, want at least a tenth", declined, instances)
 	}
-	walks := 0
+	classWalks := 0
 	for _, mixes := range byVec {
-		walks += len(mixes)
+		classWalks += len(mixes)
 	}
-	collectTrace(em, matchers, pc, shard{}, &memoStats{}, nil)
-	if entries := len(bm.hists[0].keys); entries >= walks {
+	if len(entries) >= classWalks {
 		t.Errorf("X's window-8 histogram holds %d entries for %d class walks and %d declined records, want fewer than the class walks",
-			entries, walks, declined)
+			len(entries), classWalks, declined)
 	}
 
 	for _, topK := range []int{1, 16, 32} {

@@ -14,11 +14,11 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's columnar hot path: the whole-trace profile
-// and collection passes. It computes exactly what oracle_reference.go
-// computes — differential tests enforce bit-identical Candidates and
-// Selections — but over packed (SoA, dense-ID) trace columns, with
-// three structural changes:
+// This file is the oracle's columnar hot path: one branch-major pass
+// over a trace's path classes. It computes exactly what
+// oracle_reference.go computes — differential tests enforce
+// bit-identical Candidates and Selections — but over packed (SoA,
+// dense-ID) trace columns, with three structural changes:
 //
 //   - window tag resolution is a flat backward scan over the dense-ID
 //     column with epoch-stamped occurrence/segment scratch arrays, not a
@@ -27,45 +27,55 @@ import (
 //     become open-addressed flat candidate tables keyed by packed ref
 //     keys (candTable);
 //   - the reference's pass 2 (all pairs) and pass 3 (triple extensions)
-//     trace streams fold into ONE stream that tallies each branch's
-//     joint (beam-state vector, outcome) distribution into a small
-//     per-window histogram (stateHist): the paper's §3.4 pattern table,
-//     with counts in place of counters. Pairs and triples are then
-//     scored off-trace by summing over its entries, embarrassingly
-//     parallel per branch through the internal/runner worker pool.
+//     trace streams become each branch's joint (beam-state vector,
+//     outcome) distribution in a small per-window histogram (stateHist):
+//     the paper's §3.4 pattern table, with counts in place of counters.
+//     Pairs and triples are then scored off-trace by summing over its
+//     entries.
 //
-// Every pass also serves several window lengths at once. Both tagging
+// Every walk also serves several window lengths at once. Both tagging
 // schemes resolve an entry's tag from strictly more-recent entries, so
 // the first n steps of a window-32 walk ARE the window-n walk: the
 // emitter walks once at the largest window and records where each
 // smaller window's emissions end. Profile counts are bucketed by the
 // smallest window that saw them (window-n statistics are prefix sums),
-// and the collection stream resolves each branch's union of per-window
-// beams once per walk. A one-window run is the same code with one
-// bucket.
+// and each walk resolves its branch's union of per-window beams into
+// one state vector per window. A one-window run is the same code with
+// one bucket.
 //
-// Both passes also walk once per distinct path signature, not once per
-// record. What a walk emits for record i depends only on its branch and
-// the previous n (id, taken, backward) entries, so records are first
+// The walks go once per distinct path signature, not once per record.
+// What a walk emits for record i depends only on its branch and the
+// previous n (id, taken, backward) entries, so records are first
 // classified by that signature (pathmemo.go) and each class of repeated
-// signatures walks once, at its first record: the profile pass adds the
-// class's outcome counts in one go, and the collection pass adds them
-// to the histogram entry of the class's state vectors. Only the first n
-// records, one-record classes and records the memo declined (budget or
-// bypass) walk on their own, in record order. The classes and their
-// outcome counts are computed once per oracle run, over the whole trace,
-// and both passes share them.
+// signatures walks once, at its first record, carrying the class's
+// outcome counts. Only the first n records, one-record classes and
+// records the memo declined (budget or bypass) walk on their own.
 //
-// Each walk writes only its own branch's state: the profile walk its
-// candidate table, the collection walk its matcher's histograms. Both
-// passes therefore run on shards of the static branches
-// (branchShards), each shard with its own emitter and each branch's
-// walks in their serial order, on the cfg.ScoreParallel workers that
-// scoring uses; the shards need no merge.
+// A walk writes only its own branch's state, so the pass is
+// branch-major: the static branches are split into shards
+// (branchShards) on the cfg.ScoreParallel workers, and each shard
+// finishes its branches one at a time (branchWorker.branch). For one
+// branch it
 //
-// Net: 3 trace passes -> 2 for any number of windows, one emitter walk
-// per distinct signature, no per-candidate allocations, no closures in
-// the per-record loop.
+//  1. profiles: runs the branch's walks — its declined records in
+//     position order, then its classes in class order (walkIndex) —
+//     into the shard's one candidate table, keeping each emission as a
+//     2-byte entry (candidate, window bucket, direction) with an offset
+//     per walk;
+//  2. ranks each built window's beam (beamRanker);
+//  3. resolves each walk's state vectors from its kept entries through
+//     a per-candidate slot table, into the branch's histograms and the
+//     walk's place in BeamStates;
+//  4. scores each scored window (scoreBranch);
+//  5. drops the kept entries and resets the table.
+//
+// So each walk is emitted once. A walk without kept entries resolves by
+// walking again against the branch's beam keys, through the same
+// resolve step: every walk of a branch whose table fired a watermark
+// prune, or whose beam includes refs the caller handed in (held
+// columns, StageSelect's candidates), and every walk after its branch
+// passed keptEntriesCap or a candidate index its 2-byte field cannot
+// hold. So do callers that know every beam before any walk.
 
 // A refKey packs a Ref against the trace's dense branch IDs:
 // bits [6..) dense ID, bit 5 scheme, bits [0..5) tag. For one PC the key
@@ -152,9 +162,9 @@ type emitScratch struct {
 // segment — so a ref's state in window w is its emission if that
 // emission's index is below ends[w], and absent otherwise.
 //
-// The emitter reads a packed trace's columns; every oracle pass (and
-// through the collection's state vectors every selective sweep) runs
-// the identical emit loop.
+// The emitter reads a packed trace's columns; every oracle walk (and
+// through the oracle's state vectors every selective sweep) runs the
+// identical emit loop.
 type oracleEmitter struct {
 	windows []int // ascending distinct window lengths; the walk covers the last
 
@@ -168,7 +178,6 @@ type oracleEmitter struct {
 
 	keys []uint64 // emitted packed ref keys | direction bit, Visit order
 	ends []int    // ends[w]: window windows[w]'s emissions are keys[:ends[w]]
-	vecs []uint64 // collection scratch: the last collectWalk's state vector per window
 
 	focused []int32 // the focused set's IDs: the scratch entries whose bits are set
 }
@@ -190,9 +199,10 @@ type refKeySet struct {
 	bits  []uint64 // rids[g]'s (scheme, tag) bitmap
 }
 
-// newRefKeySet groups sorted distinct keys by dense ID.
-func newRefKeySet(keys []uint64) refKeySet {
-	s := refKeySet{keys: keys}
+// reset makes s the set of sorted distinct keys, grouped by dense ID,
+// reusing its arrays.
+func (s *refKeySet) reset(keys []uint64) {
+	s.keys, s.rids, s.start, s.bits = keys, s.rids[:0], s.start[:0], s.bits[:0]
 	for i, key := range keys {
 		if rid := int32(key >> refKeyIDShift); i == 0 || rid != s.rids[len(s.rids)-1] {
 			s.rids = append(s.rids, rid)
@@ -201,12 +211,12 @@ func newRefKeySet(keys []uint64) refKeySet {
 		}
 		s.bits[len(s.bits)-1] |= 1 << (key & refKeyLow)
 	}
-	return s
 }
 
 // focus makes s the set the next focused emits and finds resolve
 // against: it clears the previous set's bitmaps from the scratch and
-// copies in s's. It costs O(IDs of both sets) and allocates nothing.
+// copies in s's. It costs O(IDs of both sets) and allocates only to
+// grow its list of the set's IDs.
 func (e *oracleEmitter) focus(s *refKeySet) {
 	scratch := e.scratch
 	for _, rid := range e.focused {
@@ -217,7 +227,7 @@ func (e *oracleEmitter) focus(s *refKeySet) {
 		sc := &scratch[rid]
 		sc.bits, sc.group = masks[g], starts[g]
 	}
-	e.focused = s.rids
+	e.focused = append(e.focused[:0], s.rids...) // s may be reset before the next focus
 }
 
 // find returns the index in the focused set of key, a focused emission
@@ -258,7 +268,6 @@ func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
 		scratch: make([]emitScratch, pt.NumBranches()),
 		keys:    make([]uint64, 0, 2*windows[len(windows)-1]),
 		ends:    make([]int, len(windows)),
-		vecs:    make([]uint64, len(windows)),
 	}
 }
 
@@ -270,6 +279,15 @@ func (e *oracleEmitter) taken1(p int) bool {
 // back1 reports whether column record p is a backward branch.
 func (e *oracleEmitter) back1(p int) bool {
 	return e.back[p>>6]>>(uint(p)&63)&1 != 0
+}
+
+// weight is record p's one instance by outcome: {1, 0} taken, {0, 1}
+// not taken.
+func (e *oracleEmitter) weight(p int) [2]uint32 {
+	if e.taken1(p) {
+		return [2]uint32{1, 0}
+	}
+	return [2]uint32{0, 1}
 }
 
 // emit fills e.keys with the tagged instances visible from trace
@@ -360,6 +378,14 @@ const keyIndexInitSlots = 16
 // hit path (probe + increment) never check for a nil table.
 func (x *keyIndex) init() { x.rebuild(keyIndexInitSlots) }
 
+// reset empties the index for reuse, keeping its arrays: the slot array
+// shrinks back to its initial size, so a small table after a large one
+// clears only its own slots.
+func (x *keyIndex) reset() {
+	x.keys = x.keys[:0]
+	x.rebuild(keyIndexInitSlots)
+}
+
 // probe returns the slot holding key, or the first empty slot of its
 // probe chain.
 func (x *keyIndex) probe(key uint64) int {
@@ -376,6 +402,11 @@ func (x *keyIndex) probe(key uint64) int {
 	}
 }
 
+// index returns key's index in keys, or -1 when it is absent.
+func (x *keyIndex) index(key uint64) int {
+	return int(x.slots[x.probe(key)])
+}
+
 // push appends key at the empty slot h that probe returned for it, and
 // doubles the slot array at 3/4 load.
 func (x *keyIndex) push(h int, key uint64) {
@@ -386,10 +417,14 @@ func (x *keyIndex) push(h int, key uint64) {
 	}
 }
 
-// rebuild re-inserts every key into a fresh slot array of the given
-// power-of-two size.
+// rebuild re-inserts every key into a cleared slot array of the given
+// power-of-two size, reusing the current array's capacity.
 func (x *keyIndex) rebuild(size int) {
-	slots := make([]int32, size)
+	slots := x.slots[:0]
+	if cap(slots) < size {
+		slots = make([]int32, size)
+	}
+	slots = slots[:size]
 	for i := range slots {
 		slots[i] = -1
 	}
@@ -400,13 +435,14 @@ func (x *keyIndex) rebuild(size int) {
 	}
 }
 
-// candTable is pass 1's per-branch candidate table: a keyIndex over
+// candTable is the profile's per-branch candidate table: a keyIndex over
 // packed ref keys. Each candidate's row holds one joint distribution per
 // window bucket, cnts[bucket*4 + state*2 + outcome] (state/outcome 0 =
 // taken, 1 = not-taken), where bucket b counts the emissions whose
 // smallest covering window is the b-th. It reproduces the reference's
 // mid-stream watermark prune (see OracleConfig.MaxCandidates) bit for
-// bit for the largest window.
+// bit for the largest window. A shard reuses one table from branch to
+// branch.
 type candTable struct {
 	keyIndex
 	cnts   []uint32 // stride counters per candidate
@@ -414,10 +450,13 @@ type candTable struct {
 	prunes int      // watermark prunes fired (summed into core.oracle.prune.events)
 }
 
-// init readies the table for the given number of window buckets.
-func (t *candTable) init(buckets int) {
-	t.keyIndex.init()
+// reset empties the table for a branch over the given number of window
+// buckets, keeping its arrays.
+func (t *candTable) reset(buckets int) {
+	t.keyIndex.reset()
+	t.cnts = t.cnts[:0]
 	t.stride = 4 * buckets
+	t.prunes = 0
 }
 
 // presence is candidate ci's instance count over every bucket: its
@@ -479,98 +518,17 @@ func (t *candTable) prune(maxKeep int, addrs []trace.Addr) {
 	t.rebuild(len(t.slots))
 }
 
-// kernelProfile is the pass-1 state for one static branch (dense-ID
-// indexed; ready once its table is initialized).
-type kernelProfile struct {
-	total [2]uint32 // outcome totals: [taken, not-taken]
-	tab   candTable
-}
-
-// newProfiles returns nb ready per-branch profiles over the given
-// number of window buckets.
-func newProfiles(nb, buckets int) []kernelProfile {
-	profiles := make([]kernelProfile, nb)
-	for id := range profiles {
-		profiles[id].tab.init(buckets)
-	}
-	return profiles
-}
-
 // profileScore mirrors branchProfile.profileScore over one window's
-// flat counts.
-func (p *kernelProfile) profileScore(cnt *[4]uint32) uint32 {
+// flat counts, total being the branch's outcome totals.
+func profileScore(total [2]uint32, cnt *[4]uint32) uint32 {
 	score := max(cnt[0], cnt[1]) + max(cnt[2], cnt[3])
 	presentT := cnt[0] + cnt[2]
 	presentN := cnt[1] + cnt[3]
-	return score + max(p.total[0]-presentT, p.total[1]-presentN)
-}
-
-// profileWindows is oracle pass 1 over the packed trace for every
-// window in windows (strictly ascending) at once: one walk at the
-// largest window, flat per-branch candidate tables with per-window
-// buckets, no closures and no per-candidate allocations. Result w is
-// bit-identical to a one-window pass at windows[w] and to
-// ReferenceProfileCandidates. Records are walked by pc's path-signature
-// class, and the collection pass reuses the classes, so no record is
-// hashed twice. The walks run on the shards of the branches
-// (branchShards), cfg.ScoreParallel workers at most; the outcome
-// totals are counted first, serially.
-//
-// Exactness rests on table occupancy: a smaller window's table is a
-// subset of the largest window's at every point of the stream, so when
-// the shared tables never prune, no one-window table would have pruned
-// either. When any table did prune, the smaller windows are recomputed
-// with one-window passes, each counted in core.oracle.windows.fallbacks.
-// Those passes reuse the signature classes: positions with equal
-// signatures at the largest window have equal signatures at any smaller
-// one.
-func profileWindows(pt *trace.Packed, pc *PathClasses, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
-	reg := obs.Or(cfg.Obs)
-	defer reg.StartSpan("core.oracle.profile").End()
-	sh := planShards(pc, oracleWorkers(cfg), nil)
-	profile := func(windows []int) []kernelProfile { return profileShards(pt, pc, windows, cfg, sh) }
-	addrs := pt.Addrs()
-	profiles := profile(windows)
-	last := len(windows) - 1
-	if last == 0 || !pruned(profiles) {
-		return assembleCandidates(profiles, addrs, cfg, len(windows), 0)
-	}
-	out := assembleCandidates(profiles, addrs, cfg, len(windows), last)
-	reg.Counter("core.oracle.windows.fallbacks").Add(int64(last))
-	for w := 0; w < last; w++ {
-		out[w] = assembleCandidates(profile(windows[w:w+1]), addrs, cfg, 1, 0)[0]
-	}
-	return out
-}
-
-// profileShards is one pass-1 run over pc at windows on sh's shards,
-// each with its own emitter. It returns every branch's profile and
-// counts the shards' class walks and table reruns into cfg.Obs.
-func profileShards(pt *trace.Packed, pc *PathClasses, windows []int, cfg OracleConfig, sh branchShards) []kernelProfile {
-	profiles := newProfiles(pt.NumBranches(), len(windows))
-	countOutcomes(pt.IDs(), pt.TakenWords(), profiles)
-	stats := make([]memoStats, sh.n)
-	reruns := make([]int, sh.n)
-	sh.run(func(sd shard) {
-		pf := newProfiler(pt, profiles, windows, cfg, sd)
-		pf.profileTrace(pc, &stats[sd.s])
-		reruns[sd.s] = pf.rerunPruned(pc)
-	})
-	reg := obs.Or(cfg.Obs)
-	n := 0
-	for s := range stats {
-		stats[s].flush(reg)
-		n += reruns[s]
-	}
-	if n > 0 {
-		reg.Counter("core.oracle.memo.reruns").Add(int64(n))
-	}
-	return profiles
+	return score + max(total[0]-presentT, total[1]-presentN)
 }
 
 // oracleWorkers is the worker budget cfg.ScoreParallel gives the
-// oracle's profile, collection and scoring stages: GOMAXPROCS when it
-// is 0.
+// oracle's branch shards: GOMAXPROCS when it is 0.
 func oracleWorkers(cfg OracleConfig) int {
 	if cfg.ScoreParallel > 0 {
 		return cfg.ScoreParallel
@@ -582,10 +540,9 @@ func oracleWorkers(cfg OracleConfig) int {
 // of one oracle pass. A branch's walks — its declined records in
 // position order, then its classes in class order — all run on its
 // shard, so each branch sees exactly the walk sequence of a serial pass
-// and writes only its own candidate table, matcher and histograms: the
-// shards need no merge, and watermark prunes, reruns and window
-// fallbacks are those of the serial pass. One shard (of nil) is the
-// serial pass, run inline.
+// and writes only its own results: the shards need no merge, and
+// watermark prunes, reruns and window fallbacks are those of the serial
+// pass. One shard (of nil) is the serial pass, run inline.
 type branchShards struct {
 	n  int
 	of []int32 // per dense ID: its shard, -1 = no walks; nil when n is 1
@@ -604,29 +561,18 @@ func (sd shard) has(id int32) bool { return sd.of == nil || sd.of[id] == sd.s }
 // planShards splits the branches that walk over pc into at most par
 // shards. A branch walks once per record of it the classification
 // declined and once per class of it; with live non-nil, only branches
-// with a live matcher walk (the collection skips branches without a
-// beam). The shards are balanced by walk count: largest branch first,
-// each onto the least-loaded shard. With par 1, or fewer than two
-// branches that walk, the plan is one shard and costs no scan.
-func planShards(pc *PathClasses, par int, live []*beamMatcher) branchShards {
+// with live[id] set walk. The shards are balanced by walk count:
+// largest branch first, each onto the least-loaded shard. With par 1,
+// or fewer than two branches that walk, the plan is one shard.
+func planShards(pc *PathClasses, par int, live []bool) branchShards {
 	if par <= 1 {
 		return branchShards{n: 1}
 	}
-	ids := pc.ids
-	walks := make([]int, pc.pt.NumBranches())
-	for k, c := range pc.class {
-		if c < 0 {
-			walks[ids[k]]++
-		}
-	}
-	for c, rep := range pc.reps {
-		if pc.counts[c] > 0 {
-			walks[ids[rep]]++
-		}
-	}
+	x := pc.walks()
+	nb := pc.pt.NumBranches()
 	var order []int32
-	for id, n := range walks {
-		if n > 0 && (live == nil || live[id] != nil) {
+	for id := 0; id < nb; id++ {
+		if x.numWalks(id) > 0 && (live == nil || live[id]) {
 			order = append(order, int32(id))
 		}
 	}
@@ -635,8 +581,8 @@ func planShards(pc *PathClasses, par int, live []*beamMatcher) branchShards {
 		return branchShards{n: 1}
 	}
 	// Stable: equal walk counts keep ascending ID order.
-	sort.SliceStable(order, func(a, b int) bool { return walks[order[a]] > walks[order[b]] })
-	sh := branchShards{n: n, of: make([]int32, len(walks))}
+	sort.SliceStable(order, func(a, b int) bool { return x.numWalks(int(order[a])) > x.numWalks(int(order[b])) })
+	sh := branchShards{n: n, of: make([]int32, nb)}
 	for id := range sh.of {
 		sh.of[id] = -1
 	}
@@ -649,7 +595,7 @@ func planShards(pc *PathClasses, par int, live []*beamMatcher) branchShards {
 			}
 		}
 		sh.of[id] = int32(s)
-		load[s] += walks[id]
+		load[s] += x.numWalks(int(id))
 	}
 	return sh
 }
@@ -677,69 +623,6 @@ func (sh branchShards) run(walk func(sd shard)) {
 		// Cells are infallible and the context is never cancelled.
 		panic("core: oracle shard pool failed: " + err.Error())
 	}
-}
-
-// pruned reports whether any branch's candidate table fired a watermark
-// prune.
-func pruned(profiles []kernelProfile) bool {
-	for id := range profiles {
-		if profiles[id].tab.prunes > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// assembleCandidates turns pass 1's per-branch candidate tables into one
-// ranked Candidates map per window bucket (nw buckets) from `from` on (earlier
-// entries of the result stay nil). Window w's counts are the prefix sums
-// of buckets 0..w, and a candidate with zero window-w presence is not in
-// window w's table, exactly as a one-window pass would never have
-// inserted it. Each window ranks its candidates with a beamRanker,
-// reused from branch to branch.
-func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg OracleConfig, nw, from int) []map[trace.Addr]*Candidates {
-	reg := obs.Or(cfg.Obs)
-	result := make([]map[trace.Addr]*Candidates, nw)
-	rankers := make([]beamRanker, nw)
-	for w := from; w < nw; w++ {
-		result[w] = make(map[trace.Addr]*Candidates, len(profiles))
-		rankers[w] = newBeamRanker(addrs, cfg.TopK)
-	}
-	var prunes, occupancy int64
-	for id := range profiles {
-		p := &profiles[id]
-		prunes += int64(p.tab.prunes)
-		for w := from; w < nw; w++ {
-			rankers[w].reset()
-		}
-		for ci, key := range p.tab.keys {
-			row := p.tab.cnts[ci*p.tab.stride : (ci+1)*p.tab.stride]
-			var cnt [4]uint32
-			for w := 0; w < nw; w++ {
-				for c := range cnt {
-					cnt[c] += row[4*w+c]
-				}
-				pres := cnt[0] + cnt[1] + cnt[2] + cnt[3]
-				if w < from || pres == 0 {
-					continue
-				}
-				rankers[w].add(rankEntry{key: key, score: p.profileScore(&cnt), presence: pres})
-			}
-		}
-		total := int(p.total[0] + p.total[1])
-		for w := from; w < nw; w++ {
-			n := int64(rankers[w].n)
-			occupancy += n
-			reg.Gauge("core.oracle.candidates.peak").Max(n)
-			result[w][addrs[id]] = rankers[w].candidates(total)
-		}
-	}
-	// Candidate occupancy and prune pressure depend only on (trace,
-	// config): the profiling stream is sequential, so the counters are
-	// deterministic and comparable across runs.
-	reg.Counter("core.oracle.prune.events").Add(prunes)
-	reg.Counter("core.oracle.candidates").Add(occupancy)
-	return result
 }
 
 // rankEntry is one profiled candidate offered to a beamRanker: its
@@ -786,6 +669,7 @@ type beamRanker struct {
 	n       int         // candidates offered since the last reset
 	byScore []rankEntry // the best ⌈topK/2⌉ so far by scoreBefore
 	byPres  []rankEntry // the best topK so far by presenceBefore
+	out     []rankEntry // beam's result buffer
 }
 
 func newBeamRanker(addrs []trace.Addr, topK int) beamRanker {
@@ -795,6 +679,7 @@ func newBeamRanker(addrs []trace.Addr, topK int) beamRanker {
 		topK:    topK,
 		byScore: make([]rankEntry, 0, (topK+1)/2),
 		byPres:  make([]rankEntry, 0, topK),
+		out:     make([]rankEntry, 0, topK),
 	}
 }
 
@@ -806,49 +691,51 @@ func (r *beamRanker) reset() {
 // add offers one candidate. Keys must be distinct since the last reset.
 func (r *beamRanker) add(e rankEntry) {
 	r.n++
-	r.byScore = offer(r.byScore, (r.topK+1)/2, &e, scoreBefore, r.addrs)
-	r.byPres = offer(r.byPres, r.topK, &e, presenceBefore, r.addrs)
+	r.byScore = offer(r.byScore, (r.topK+1)/2, &e, true, r.addrs)
+	r.byPres = offer(r.byPres, r.topK, &e, false, r.addrs)
 }
 
-// offer inserts e into l, ordered by before and holding at most bound
-// entries, and returns the list. A full list rejects an entry that does
-// not beat its last in one comparison.
-func offer(l []rankEntry, bound int, e *rankEntry, before func(a, b *rankEntry, addrs []trace.Addr) bool, addrs []trace.Addr) []rankEntry {
+// offer inserts e into l, ordered by scoreBefore (byScore) or
+// presenceBefore and holding at most bound entries, and returns the
+// list. A full list rejects an entry that does not beat its last in one
+// comparison. The order is a flag, not a function value, so e stays on
+// its caller's stack.
+func offer(l []rankEntry, bound int, e *rankEntry, byScore bool, addrs []trace.Addr) []rankEntry {
+	before := func(a, b *rankEntry) bool {
+		if byScore {
+			return scoreBefore(a, b, addrs)
+		}
+		return presenceBefore(a, b, addrs)
+	}
 	i := len(l)
 	if i == bound {
-		if i == 0 || !before(e, &l[i-1], addrs) {
+		if i == 0 || !before(e, &l[i-1]) {
 			return l
 		}
 		i-- // the last entry drops out
 	} else {
 		l = l[:i+1]
 	}
-	for ; i > 0 && before(e, &l[i-1], addrs); i-- {
+	for ; i > 0 && before(e, &l[i-1]); i-- {
 		l[i] = l[i-1]
 	}
 	l[i] = *e
 	return l
 }
 
-// candidates returns the beam of the candidates offered since the last
-// reset, with total as its branch's execution count: rankCandidates'
-// result over the same candidates.
-func (r *beamRanker) candidates(total int) *Candidates {
-	c := &Candidates{Total: total}
+// beam returns the beam of the candidates offered since the last reset,
+// in rankCandidates' order. The slice is reused by the next call.
+func (r *beamRanker) beam() []rankEntry {
+	out := r.out[:0]
 	k := min(r.topK, r.n)
 	if k == 0 {
-		return c
+		return out
 	}
-	half := (k + 1) / 2
-	c.Refs, c.Scores = make([]Ref, 0, k), make([]uint32, 0, k)
-	first := r.byScore[:half]
-	for _, e := range first {
-		c.Refs = append(c.Refs, decodeRefKey(e.key, r.addrs))
-		c.Scores = append(c.Scores, e.score)
-	}
+	first := r.byScore[:(k+1)/2]
+	out = append(out, first...)
 rest:
 	for _, e := range r.byPres {
-		if len(c.Refs) == k {
+		if len(out) == k {
 			break
 		}
 		for _, f := range first {
@@ -856,171 +743,26 @@ rest:
 				continue rest
 			}
 		}
-		c.Refs = append(c.Refs, decodeRefKey(e.key, r.addrs))
-		c.Scores = append(c.Scores, e.score)
+		out = append(out, e)
+	}
+	r.out = out
+	return out
+}
+
+// candidates returns the beam of the candidates offered since the last
+// reset, with total as its branch's execution count: rankCandidates'
+// result over the same candidates.
+func (r *beamRanker) candidates(total int) *Candidates {
+	c := &Candidates{Total: total}
+	beam := r.beam()
+	if len(beam) == 0 {
+		return c
+	}
+	c.Refs, c.Scores = make([]Ref, len(beam)), make([]uint32, len(beam))
+	for s, e := range beam {
+		c.Refs[s], c.Scores[s] = decodeRefKey(e.key, r.addrs), e.score
 	}
 	return c
-}
-
-// memoStats counts what the class walks of one oracle run saved.
-type memoStats struct {
-	walks int64 // walks made once for a whole class
-	hits  int64 // records a class walk served without walking
-}
-
-// flush adds the counts gathered since the last flush to reg:
-// core.oracle.memo.walks counts class walks, core.oracle.memo.hits the
-// records they served beyond their representatives. Both depend only on
-// the trace, the config and the classes' window.
-func (st *memoStats) flush(reg *obs.Registry) {
-	reg.Counter("core.oracle.memo.walks").Add(st.walks)
-	reg.Counter("core.oracle.memo.hits").Add(st.hits)
-	*st = memoStats{}
-}
-
-// profiler is pass 1's walk context on one shard: its own emitter, the
-// per-branch tables it counts into (shared by every shard; a shard
-// writes only its own branches'), the intern table their prunes order
-// keys by, and the config's scheme filter and prune watermark.
-type profiler struct {
-	em                  *oracleEmitter
-	profiles            []kernelProfile
-	sd                  shard
-	addrs               []trace.Addr
-	maxCandidates       int
-	allowOcc, allowBack bool
-}
-
-func newProfiler(pt *trace.Packed, profiles []kernelProfile, windows []int, cfg OracleConfig, sd shard) *profiler {
-	return &profiler{
-		em:            newPackedEmitter(pt, windows),
-		profiles:      profiles,
-		sd:            sd,
-		addrs:         pt.Addrs(),
-		maxCandidates: cfg.MaxCandidates,
-		allowOcc:      cfg.schemeAllowed(Occurrence),
-		allowBack:     cfg.schemeAllowed(BackwardCount),
-	}
-}
-
-// countOutcomes adds every record's outcome to its branch's totals.
-//
-//bplint:hot
-func countOutcomes(ids []int32, taken []uint64, profiles []kernelProfile) {
-	for i, id := range ids {
-		profiles[id].total[taken[i>>6]>>(uint(i)&63)&1^1]++
-	}
-}
-
-// profileTrace is pass 1's walks for the shard's branches. A record the
-// memo declined walks on its own, in record order; then each class
-// walks once, at its representative, with its instances by outcome.
-// Counts are sums, so the order only matters to the watermark prune
-// (see rerunPruned).
-//
-//bplint:hot
-func (pf *profiler) profileTrace(pc *PathClasses, st *memoStats) {
-	ids := pf.em.ids
-	sd := pf.sd
-	class, reps, counts, taken := pc.class, pc.reps, pc.counts, pc.taken
-	for i, c := range class {
-		if c >= 0 || !sd.has(ids[i]) {
-			continue
-		}
-		wt := [2]uint32{0, 1}
-		if pf.em.taken1(i) {
-			wt = [2]uint32{1, 0}
-		}
-		pf.walk(i, wt) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
-	}
-	for c, n := range counts {
-		if n > 0 && sd.has(ids[reps[c]]) {
-			pf.walk(int(reps[c]), [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity the walk allocates only on its table's insert miss path
-			st.walks++
-			st.hits += int64(n - 1)
-		}
-	}
-}
-
-// rerunPruned restores record order for every branch of the shard whose
-// table pruned after taking class walks. A watermark prune fires in
-// class order exactly when it fires in record order — both happen iff
-// the branch's distinct-key count exceeds 2×MaxCandidates — but which
-// candidates survive depends on the order. Each such table is rebuilt
-// by the per-record walk over the branch's records. It returns the
-// number of tables rebuilt.
-func (pf *profiler) rerunPruned(pc *PathClasses) int {
-	ids := pf.em.ids
-	var redo []bool
-	n := 0
-	for c, count := range pc.counts {
-		id := ids[pc.reps[c]]
-		if count == 0 || !pf.sd.has(id) {
-			continue // another shard's tables are not this shard's to read
-		}
-		if tab := &pf.profiles[id].tab; tab.prunes > 0 && (redo == nil || !redo[id]) {
-			if redo == nil {
-				redo = make([]bool, len(pf.profiles))
-			}
-			redo[id] = true
-			*tab = candTable{}
-			tab.init(len(pf.em.windows))
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	for i, id := range ids {
-		if redo[id] {
-			wt := [2]uint32{0, 1}
-			if pf.em.taken1(i) {
-				wt = [2]uint32{1, 0}
-			}
-			pf.walk(i, wt)
-		}
-	}
-	return n
-}
-
-// walk is pass 1's one emission loop: emit position i's window and
-// count wt (instances by outcome) for each emitted candidate into the
-// branch's flat table under its window bucket, hand-inlining the table
-// hit path.
-//
-//bplint:hot
-func (pf *profiler) walk(i int, wt [2]uint32) {
-	em := pf.em
-	em.emit(i, false)
-	tab := &pf.profiles[em.ids[i]].tab
-	allowOcc, allowBack := pf.allowOcc, pf.allowBack
-	start := 0
-	for b, end := range em.ends {
-		for _, key := range em.keys[start:end] {
-			if key&refKeySchemeBit != 0 {
-				if !allowBack {
-					continue
-				}
-			} else if !allowOcc {
-				continue
-			}
-			cell := 4 * b
-			if key&refKeyTakenBit == 0 {
-				cell += 2 // state = not-taken
-			}
-			key &^= refKeyTakenBit
-			// Hand-inlined table hit path; misses take the insert call.
-			h := tab.probe(key)
-			if s := tab.slots[h]; s >= 0 { //bplint:ignore bce-hoist insert may swap the slot array mid-loop; the header reload is the correctness contract
-				row := tab.cnts[int(s)*tab.stride+cell:]
-				row[0] += wt[0]
-				row[1] += wt[1]
-			} else {
-				tab.insert(h, key, cell, wt, pf.maxCandidates, pf.addrs) //bplint:ignore kernel-purity miss path only; growth is amortized and bounded by the watermark prune
-			}
-		}
-		start = end
-	}
 }
 
 // A state vector packs one dynamic instance's states for one window's
@@ -1032,73 +774,6 @@ const (
 	stateVecNotTaken = 2
 )
 
-// beamMatcher resolves emitted ref keys for one static branch against
-// the union of its per-window beams, and holds each scored window's
-// state histogram.
-type beamMatcher struct {
-	set    refKeySet   // union of the windows' packed beam keys
-	slots  []int8      // [key index × windows + w]: the key's slot in beam w, -1 if absent
-	beams  [][]Ref     // per window: the beam, in slot order
-	hists  []stateHist // per window; an empty or unscored beam's histogram has no slot array
-	scored bool        // some window's histogram has a slot array
-}
-
-// newBeamMatcher builds a matcher over one branch's per-window beams
-// (beams[w] may be empty; the matcher keeps the slice), resolving each
-// ref's PC to its dense ID in pt. Window w gets a histogram only when
-// scored is nil or scored[w] holds.
-func newBeamMatcher(pt *trace.Packed, beams [][]Ref, scored []bool) *beamMatcher {
-	nw := len(beams)
-	bm := &beamMatcher{beams: beams, hists: make([]stateHist, nw)}
-	type keySlot struct {
-		key     uint64
-		w, slot int
-	}
-	var pairs []keySlot
-	for w, refs := range beams {
-		if len(refs) > 0 && (scored == nil || scored[w]) {
-			bm.hists[w].init()
-			bm.scored = true
-		}
-		for slot, r := range refs {
-			rid, ok := pt.IDOf(r.PC)
-			if !ok {
-				// A ref naming a PC absent from the trace can never be in any
-				// window: it stays StateAbsent, exactly like the reference's
-				// States resolution.
-				continue
-			}
-			if key, ok := refKeyOf(rid, r); ok {
-				pairs = append(pairs, keySlot{key, w, slot})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-	var keys []uint64
-	for i, p := range pairs {
-		if i == 0 || p.key != pairs[i-1].key {
-			keys = append(keys, p.key)
-			for w := 0; w < nw; w++ {
-				bm.slots = append(bm.slots, -1)
-			}
-		}
-		bm.slots[(len(keys)-1)*nw+p.w] = int8(p.slot)
-	}
-	bm.set = newRefKeySet(keys)
-	return bm
-}
-
-// add counts wt (instances by outcome) under each window's state
-// vector vecs[w].
-func (bm *beamMatcher) add(vecs []uint64, wt [2]uint32) {
-	hists := bm.hists
-	for w := range hists {
-		if h := &hists[w]; h.slots != nil {
-			h.add(vecs[w], wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
-		}
-	}
-}
-
 // stateHist is one branch's joint (state vector, outcome) distribution
 // over one window's beam — the paper's §3.4 pattern table, with counts
 // in place of counters: a keyIndex over the vectors the branch's
@@ -1109,6 +784,12 @@ func (bm *beamMatcher) add(vecs []uint64, wt [2]uint32) {
 type stateHist struct {
 	keyIndex
 	cnts [][2]uint32 // aligned with keys: instances by outcome (0 = taken, 1 = not-taken)
+}
+
+// reset empties the histogram for the next branch, keeping its arrays.
+func (h *stateHist) reset() {
+	h.keyIndex.reset()
+	h.cnts = h.cnts[:0]
 }
 
 // add counts wt (instances by outcome) under vec.
@@ -1125,285 +806,891 @@ func (h *stateHist) add(vec uint64, wt [2]uint32) {
 }
 
 // branchSelection is one branch's scored selections, written into a
-// pre-assigned slot by the parallel scoring stage.
+// pre-assigned slot by its shard.
 type branchSelection struct {
 	size1, size2, size3 []Ref
 }
 
-// selectWindows is oracle passes 2+3 for every window in windows
-// (strictly ascending, cands aligned with it) over the packed trace.
-// With each branch's TopK candidates
-// fixed, it scores the exact joint distribution of every candidate
-// *pair* with the branch outcome (so purely interacting correlations —
-// e.g. branch X = Y AND Z of figure 1c, where neither Y nor Z alone
-// predicts X — are found as long as both components are in the beam),
-// picks the best pair, then greedily extends it with each remaining
-// candidate to choose the best triple. This approximates the paper's
-// oracle choice of "the 1, 2 or 3 most important branches" (section
-// 3.4); the approximation is exact for sizes 1 and 2 within the beam.
-// Result w is bit-identical to ReferenceSelectRefs at windows[w].
-//
-// The passes fold into a single collection stream plus an off-trace
-// scoring stage. Once per path-signature class of pc (and once per
-// record the classification declined) of a branch with a non-empty beam in some
-// window, it resolves the window-max emissions against the union of the
-// branch's beams into one state vector per window, and adds the class's
-// outcome counts to that vector's histogram entry. The exact pair and
-// triple joint distributions are then summed per window and branch from
-// the histogram entries and scored in parallel across the
-// internal/runner pool (cfg.ScoreParallel workers, identical output at
-// any level); the collection walks run on the same budget, sharded by
-// branch. core.oracle.select.patterns counts the histogram entries.
-//
-// A window with scored[w] false (scored nil: every window is scored) is
-// a held column: its beam is resolved like any other, but it gets no
-// histogram and no scoring, and its result entry is nil. With keep set,
-// the collection's state vectors are returned as BeamStates; otherwise
-// the states are nil and the vectors are never stored.
-func selectWindows(pt *trace.Packed, pc *PathClasses, windows []int, cands []map[trace.Addr]*Candidates, scored []bool, keep bool, cfg OracleConfig) ([]*Selections, *BeamStates) {
-	reg := obs.Or(cfg.Obs)
-	defer reg.StartSpan("core.oracle.select").End()
-
-	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, pt, scored)
-
-	// Collection stream: one walk per class or declined record, one
-	// histogram count per window.
-	var states *BeamStates
-	if keep {
-		states = newBeamStates(pc, windows, matchers)
-	}
-	collectShards(pt, pc, windows, matchers, planShards(pc, oracleWorkers(cfg), matchers), states, reg)
-	entries := int64(0)
-	for _, bm := range matcherOf {
-		for w := range bm.hists {
-			entries += int64(len(bm.hists[w].keys))
-		}
-	}
-	reg.Counter("core.oracle.select.patterns").Add(entries)
-
-	out := make([]*Selections, len(windows))
-	for w := range windows {
-		if scored == nil || scored[w] {
-			out[w] = scoreSelections(pcs, cands[w], matcherOf, w, cfg)
-		}
-	}
-	return out, states
+// An oracleJob is one oracle call over a trace's path classes: the
+// columns (window lengths) whose state vectors its walks resolve, which
+// of them it profiles and ranks (built) and which beams the caller
+// hands in (known), which it scores, and what it returns. Oracle,
+// OracleStates and NewSelectiveSweep's collection each describe their
+// call as one job.
+type oracleJob struct {
+	pc          *PathClasses
+	cfg         OracleConfig                 // defaults applied
+	windows     []int                        // every column, strictly ascending
+	built       []bool                       // per column: its beams are profiled and ranked here
+	known       []map[trace.Addr]*Candidates // per column not built: the caller's beams; nil entries hold none
+	scored      []bool                       // per column: its beams get histograms and Selections
+	profileOnly bool                         // StageProfile: rank the built columns, resolve nothing
+	keep        bool                         // return every walk's state vectors as BeamStates
 }
 
-// sortedPCs returns the canonical branch order: the candidate maps' keys,
-// sorted. Scoring cells are created in this order, so the Selections are
-// deterministic at any parallelism.
-func sortedPCs(cands []map[trace.Addr]*Candidates) []trace.Addr {
-	seen := make(map[trace.Addr]bool)
-	var pcs []trace.Addr
-	for _, m := range cands {
-		for pc := range m {
-			if !seen[pc] {
-				seen[pc] = true
-				pcs = append(pcs, pc)
-			}
-		}
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return pcs
+// oracleOut is what an oracleJob returns, per column.
+type oracleOut struct {
+	cands  []map[trace.Addr]*Candidates // profileOnly jobs: each built column's ranked candidates
+	sels   []*Selections                // each scored column's selections
+	states *BeamStates                  // keep jobs: the walks' state vectors
 }
 
-// buildMatchers constructs one beam matcher per branch of pt with a
-// non-empty beam in any window, both dense-ID indexed (for the
-// collection loop) and keyed by PC (for the scoring stage); scored is
-// newBeamMatcher's.
-func buildMatchers(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, pt *trace.Packed, scored []bool) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
-	matchers := make([]*beamMatcher, pt.NumBranches())
-	matcherOf := make(map[trace.Addr]*beamMatcher, len(pcs))
-	for _, pc := range pcs {
-		var beams [][]Ref
-		for w, m := range cands {
-			if c := m[pc]; c != nil && len(c.Refs) > 0 {
-				if beams == nil {
-					beams = make([][]Ref, len(cands))
-				}
-				beams[w] = c.Refs
-			}
-		}
-		if beams == nil {
-			continue
-		}
-		bm := newBeamMatcher(pt, beams, scored)
-		matcherOf[pc] = bm
-		if rid, ok := pt.IDOf(pc); ok {
-			matchers[rid] = bm
-		}
-	}
-	return matchers, matcherOf
+// keptEntriesCap bounds the entries one branch keeps from its profile
+// walks (2 bytes each, so 2 MB per shard): once they pass it, the
+// branch's later walks keep none and resolve by walking again against
+// its beam. A variable so tests can force that path.
+var keptEntriesCap = 1 << 20
+
+// maxOracleColumns bounds one call's windows, so that a resolve walk's
+// 4-byte entry (walkEntries) — 32 bits less a direction bit and the
+// bucket bits — holds the index of every beam key of a branch: up to
+// maxTopK per column. A kept entry has 2 bytes; a branch whose
+// candidates outgrow its field resolves by walking again.
+const maxOracleColumns = 1 << 12
+
+// oraclePlan is a job's derived per-call state, shared read-only by its
+// shards.
+type oraclePlan struct {
+	*oracleJob
+	pt        *trace.Packed
+	x         *walkIndex
+	addrs     []trace.Addr
+	nw        int
+	top       int       // the largest built column; -1 without one
+	knownByID [][][]Ref // per dense ID: per column, the caller's beam; nil without one
+	has       []bool    // per dense ID: some column gives it a non-empty beam
+	entBits   uint      // a kept entry's candidate field starts here (direction bit + bucket bits)
+	keepable  bool      // a 2-byte kept entry has room for a candidate field
+	recOff    []int32   // keep: per record rank, its vectors' place among the stored records
+	clsOff    []int32   // keep: per class rank, its vectors' place among the stored classes
+
+	sels   [][]branchSelection // per scored column: per dense ID
+	cands  [][]*Candidates     // profileOnly: per built column: per dense ID
+	states *BeamStates
 }
 
-// scoreSelections runs window w's off-trace scoring stage — per-branch,
-// embarrassingly parallel, pre-assigned result slots — and assembles its
-// Selections.
-func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcherOf map[trace.Addr]*beamMatcher, w int, cfg OracleConfig) *Selections {
-	results := make([]branchSelection, len(pcs))
-	cells := make([]runner.Cell, 0, len(pcs))
-	for i, pc := range pcs {
-		c := cands[pc]
-		if c == nil || len(c.Refs) == 0 {
-			continue
-		}
-		i, h, refs := i, &matcherOf[pc].hists[w], c.Refs
-		cells = append(cells, runner.Cell{
-			Exhibit:  "oracle-score",
-			Workload: fmt.Sprintf("0x%x", uint32(pc)),
-			Run: func(context.Context) error {
-				results[i] = scoreBranch(refs, h)
-				return nil
-			},
-		})
+// run executes the job: one branch-major pass on the shards of the
+// branches, then the assembly of its results and counters.
+func (j *oracleJob) run() oracleOut {
+	reg := obs.Or(j.cfg.Obs)
+	defer reg.StartSpan("core.oracle.pass").End()
+	if len(j.windows) > maxOracleColumns {
+		panic(fmt.Sprintf("core: oracle call over %d windows, max %d", len(j.windows), maxOracleColumns))
 	}
-	if err := runner.Run(context.Background(), cells, runner.Options{Parallel: cfg.ScoreParallel}); err != nil {
-		// Cells are infallible and the context is never cancelled.
-		panic("core: oracle scoring pool failed: " + err.Error())
+	checkWindows(j.windows)
+	pl := j.plan()
+	live := pl.has
+	if pl.top >= 0 {
+		live = nil // every branch is profiled
 	}
-
-	sel := &Selections{}
-	for k := 1; k <= MaxSelectiveRefs; k++ {
-		sel.BySize[k] = make(Assignment, len(cands))
-	}
-	for i, pc := range pcs {
-		r := &results[i]
-		if r.size1 == nil {
-			continue // empty beam: no assignment, like the reference
-		}
-		sel.BySize[1][pc] = r.size1
-		sel.BySize[2][pc] = r.size2
-		sel.BySize[3][pc] = r.size3
-	}
-	return sel
-}
-
-// collectShards runs the collection over pc on sh's shards, each with
-// its own emitter, and counts the shards' class walks into reg. keep is
-// collectTrace's.
-func collectShards(pt *trace.Packed, pc *PathClasses, windows []int, matchers []*beamMatcher, sh branchShards, keep *BeamStates, reg *obs.Registry) {
-	stats := make([]memoStats, sh.n)
+	sh := planShards(j.pc, oracleWorkers(j.cfg), live)
+	tallies := make([]oracleTally, sh.n)
 	sh.run(func(sd shard) {
-		collectTrace(newPackedEmitter(pt, windows), matchers, pc, sd, &stats[sd.s], keep)
+		var ids []int
+		for id := range pl.has {
+			if sd.has(int32(id)) && (live == nil || live[id]) && pl.x.numWalks(id) > 0 {
+				ids = append(ids, id)
+			}
+		}
+		w := newBranchWorker(pl, ids)
+		for _, id := range ids {
+			w.branch(id)
+		}
+		tallies[sd.s] = w.tally
 	})
-	for s := range stats {
-		stats[s].flush(reg)
+	var t oracleTally
+	for _, s := range tallies {
+		t.merge(&s)
+	}
+	t.flush(reg, pl)
+	return pl.assemble()
+}
+
+// plan derives the job's per-call state: the caller's beams by dense
+// ID, which branches have a beam, and the BeamStates layout.
+func (j *oracleJob) plan() *oraclePlan {
+	pt := j.pc.pt
+	nb := pt.NumBranches()
+	pl := &oraclePlan{oracleJob: j, pt: pt, x: j.pc.walks(), addrs: pt.Addrs(), nw: len(j.windows), top: -1}
+	pl.entBits = 1 + uint(bits.Len(uint(pl.nw-1)))
+	pl.keepable = pl.entBits < 16
+	for c, b := range j.built {
+		if b {
+			pl.top = c
+		}
+	}
+	pl.knownByID = make([][][]Ref, nb)
+	for c, m := range j.known {
+		for pc, cand := range m {
+			id, ok := pt.IDOf(pc)
+			if !ok || len(cand.Refs) == 0 {
+				continue
+			}
+			if pl.knownByID[id] == nil {
+				pl.knownByID[id] = make([][]Ref, pl.nw)
+			}
+			pl.knownByID[id][c] = cand.Refs
+		}
+	}
+	pl.has = make([]bool, nb)
+	for id := range pl.has {
+		pl.has[id] = pl.knownByID[id] != nil || pl.top >= 0 && pl.builtBeam(id)
+	}
+	for c := range j.windows {
+		if j.scored[c] {
+			if pl.sels == nil {
+				pl.sels = make([][]branchSelection, pl.nw)
+			}
+			pl.sels[c] = make([]branchSelection, nb)
+		}
+		if j.profileOnly && j.built[c] {
+			if pl.cands == nil {
+				pl.cands = make([][]*Candidates, pl.nw)
+			}
+			pl.cands[c] = make([]*Candidates, nb)
+		}
+	}
+	if j.keep {
+		pl.newBeamStates()
+	}
+	return pl
+}
+
+// builtBeam reports whether dense ID id gets a non-empty beam at some
+// built column. Any walk at a position past 0 emits the occurrence and
+// the backward ref of the record before it, within every window, so
+// the branch's table holds a candidate unless the config allows no
+// scheme or its one walk is the trace's first record; its beam is then
+// non-empty unless TopK is. The branch step checks the prediction.
+func (pl *oraclePlan) builtBeam(id int) bool {
+	x := pl.x
+	if pl.cfg.TopK < 1 || !pl.cfg.schemeAllowed(Occurrence) && !pl.cfg.schemeAllowed(BackwardCount) {
+		return false
+	}
+	recs := x.recs[x.recAt[id]:x.recAt[id+1]]
+	return x.clsAt[id+1] > x.clsAt[id] || len(recs) > 1 || len(recs) == 1 && x.recPos[recs[0]] != 0
+}
+
+// newBeamStates sizes the job's state vectors: one per column for every
+// walk of a branch with a beam, the records' in position order, then
+// the classes' in class order, and records each walk's place.
+func (pl *oraclePlan) newBeamStates() {
+	x, ids := pl.x, pl.pc.ids
+	st := &BeamStates{pc: pl.pc, windows: pl.windows, beams: make([][][]Ref, len(pl.has))}
+	var recs, classes int
+	pl.recOff, recs = beamPlaces(x.recPos, func(pos int32) bool { return pl.has[ids[pos]] })
+	pl.clsOff, classes = beamPlaces(x.clsOf, func(c int32) bool { return pl.has[ids[pl.pc.reps[c]]] })
+	st.recs = make([]uint64, recs*pl.nw)
+	st.classes = make([]uint64, classes*pl.nw)
+	pl.states = st
+}
+
+// beamPlaces returns each walk's place among the walks kept (those of
+// branches with a beam), the walks listed in rank order, and how many
+// are kept.
+func beamPlaces(walks []int32, kept func(int32) bool) ([]int32, int) {
+	places := make([]int32, len(walks))
+	n := int32(0)
+	for r, w := range walks {
+		places[r] = n
+		if kept(w) {
+			n++
+		}
+	}
+	return places, int(n)
+}
+
+// assemble turns the shards' per-branch results into the job's output.
+// A StageSelect branch whose PC is absent from the trace never walks;
+// it is scored over an empty histogram, as every instance it has.
+func (pl *oraclePlan) assemble() oracleOut {
+	out := oracleOut{states: pl.states}
+	if pl.cands != nil {
+		out.cands = make([]map[trace.Addr]*Candidates, pl.nw)
+		for c, byID := range pl.cands {
+			if byID == nil {
+				continue
+			}
+			m := make(map[trace.Addr]*Candidates, len(byID))
+			for id, cand := range byID {
+				if cand != nil {
+					m[pl.addrs[id]] = cand
+				}
+			}
+			out.cands[c] = m
+		}
+	}
+	if pl.sels == nil {
+		return out
+	}
+	out.sels = make([]*Selections, pl.nw)
+	for c, byID := range pl.sels {
+		if byID == nil {
+			continue
+		}
+		sel := &Selections{}
+		for k := 1; k <= MaxSelectiveRefs; k++ {
+			sel.BySize[k] = make(Assignment, len(byID))
+		}
+		put := func(pc trace.Addr, r *branchSelection) {
+			sel.BySize[1][pc] = r.size1
+			sel.BySize[2][pc] = r.size2
+			sel.BySize[3][pc] = r.size3
+		}
+		for id := range byID {
+			if r := &byID[id]; r.size1 != nil {
+				put(pl.addrs[id], r)
+			}
+		}
+		if pl.known == nil {
+			out.sels[c] = sel
+			continue
+		}
+		for pc, cand := range pl.known[c] {
+			if _, ok := pl.pt.IDOf(pc); !ok && len(cand.Refs) > 0 {
+				r := scoreBranch(cand.Refs, &stateHist{})
+				put(pc, &r)
+			}
+		}
+		out.sels[c] = sel
+	}
+	return out
+}
+
+// oracleTally is what one shard's branches add to the job's counters.
+type oracleTally struct {
+	ranked              bool  // some branch was ranked: the candidate gauge is set
+	occupancy, peak     int64 // candidates ranked over every built column; the largest branch-column count
+	prunes, reruns      int64
+	pruned              bool  // some branch's multi-column table pruned
+	profWalks, profHits int64 // the profile's class walks and the records they served beyond their representatives
+	collWalks, collHits int64 // the same for the branches with a beam
+	patterns            int64
+	retained            int // the most entries one branch kept
+}
+
+func (t *oracleTally) merge(s *oracleTally) {
+	t.ranked = t.ranked || s.ranked
+	t.occupancy += s.occupancy
+	t.peak = max(t.peak, s.peak)
+	t.prunes += s.prunes
+	t.reruns += s.reruns
+	t.pruned = t.pruned || s.pruned
+	t.profWalks += s.profWalks
+	t.profHits += s.profHits
+	t.collWalks += s.collWalks
+	t.collHits += s.collHits
+	t.patterns += s.patterns
+	t.retained = max(t.retained, s.retained)
+}
+
+// flush adds the job's counters to reg. They read what a profile pass
+// over every branch, one-window profile passes at every smaller built
+// column when any table pruned, and a collection pass over every branch
+// with a beam count:
+//
+//   - core.oracle.prune.events, core.oracle.candidates and the
+//     core.oracle.candidates.peak gauge count the ranked tables;
+//   - core.oracle.memo.walks and core.oracle.memo.hits count each
+//     pass's class walks and the records they served beyond their
+//     representatives — the profile's once per profile pass;
+//   - core.oracle.memo.reruns counts the tables rebuilt in record order
+//     (touched only when one is) and core.oracle.windows.fallbacks the
+//     one-window passes (touched only when one runs);
+//   - core.oracle.select.patterns counts the histogram entries, and the
+//     core.oracle.retained.peak_bytes gauge the most bytes of kept
+//     entries one branch held.
+//
+// Every figure is a sum or a maximum over branches, so none depends on
+// ScoreParallel.
+func (t *oracleTally) flush(reg *obs.Registry, pl *oraclePlan) {
+	walks, hits := t.collWalks, t.collHits
+	if pl.top >= 0 {
+		passes := int64(1)
+		if fallbacks := int64(pl.builtColumns() - 1); t.pruned && fallbacks > 0 {
+			reg.Counter("core.oracle.windows.fallbacks").Add(fallbacks)
+			passes += fallbacks
+		}
+		walks += passes * t.profWalks
+		hits += passes * t.profHits
+		if t.reruns > 0 {
+			reg.Counter("core.oracle.memo.reruns").Add(t.reruns)
+		}
+		reg.Counter("core.oracle.prune.events").Add(t.prunes)
+		reg.Counter("core.oracle.candidates").Add(t.occupancy)
+		if t.ranked {
+			reg.Gauge("core.oracle.candidates.peak").Max(t.peak)
+		}
+	}
+	reg.Counter("core.oracle.memo.walks").Add(walks)
+	reg.Counter("core.oracle.memo.hits").Add(hits)
+	if !pl.profileOnly {
+		reg.Counter("core.oracle.select.patterns").Add(t.patterns)
+		if pl.top >= 0 {
+			reg.Gauge("core.oracle.retained.peak_bytes").Max(2 * int64(t.retained))
+		}
 	}
 }
 
-// collectTrace is the folded pass-2/3 loop over the walks of the
-// shard's branches: each record pc left unclassified walks on its own
-// and adds itself to its branch's histograms; then each class walks
-// once, at its representative, and adds all its instances by outcome.
-// The vectors depend only on the signature, so the histograms are
-// identical to a per-record walk's. A non-nil keep receives every
-// walk's vectors at the walk's place in the order BeamStates documents;
-// the places count every shard's walks, so the shards fill disjoint
-// parts of one buffer.
+// builtColumns is the number of built columns.
+func (pl *oraclePlan) builtColumns() int {
+	n := 0
+	for _, b := range pl.built {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// branchWorker is one shard's walk context: its emitter, candidate
+// table, rankers, histograms and kept entries, reused from branch to
+// branch.
+type branchWorker struct {
+	pl                  *oraclePlan
+	em                  *oracleEmitter
+	tab                 candTable
+	allowOcc, allowBack bool
+
+	kept    keptEntries // the current branch's kept entries
+	keeping bool        // the branch's profile walks keep their entries
+
+	rankers  []beamRanker // per built column
+	beamKeys [][]uint64   // per column: the current branch's beam keys, in slot order
+	union    refKeySet    // a resolve walk's beam keys
+	unionIn  []uint64     // the beam keys' buffer, sorted into union
+	rowOf    []int32      // per table candidate: its union key, -1 = in no beam
+	rows     []int32      // the candidates rowOf maps, to reset it
+	ident    []int32      // ident[u] = u: a walked-again entry names its union key
+	slots    []int8       // [union key × column]: the key's slot in the column's beam, -1 = absent
+	walkEnts []uint32     // a resolve walk's entries
+	vecs     []uint64     // the current walk's state vector per column
+	hists    []stateHist  // per column
+	histCols []int        // the columns whose histograms the current branch counts
+
+	tally oracleTally
+}
+
+// newBranchWorker returns a worker for the branches ids, its kept
+// entries sized for the largest of them, so they never grow.
+func newBranchWorker(pl *oraclePlan, ids []int) *branchWorker {
+	w := &branchWorker{
+		pl:        pl,
+		em:        newPackedEmitter(pl.pt, pl.windows),
+		allowOcc:  pl.cfg.schemeAllowed(Occurrence),
+		allowBack: pl.cfg.schemeAllowed(BackwardCount),
+		rankers:   make([]beamRanker, pl.nw),
+		beamKeys:  make([][]uint64, pl.nw),
+		vecs:      make([]uint64, pl.nw),
+		hists:     make([]stateHist, pl.nw),
+	}
+	if pl.top >= 0 && pl.keepable && !pl.profileOnly {
+		// A walk keeps at most two entries per window entry, and the
+		// branch stops keeping once past keptEntriesCap.
+		maxWalk := 2 * pl.windows[pl.top]
+		n := 0
+		for _, id := range ids {
+			n = max(n, min(pl.x.numWalks(id)*maxWalk, keptEntriesCap+maxWalk))
+		}
+		w.kept.ents = make([]uint16, 0, n)
+	}
+	w.kept.release()
+	for c := range w.hists {
+		w.hists[c].init()
+		if pl.built[c] {
+			w.rankers[c] = newBeamRanker(pl.addrs, pl.cfg.TopK)
+		}
+	}
+	return w
+}
+
+// branch runs dense ID id's five steps: profile, rank, resolve, score,
+// drop.
+func (w *branchWorker) branch(id int) {
+	pl := w.pl
+	beams := make([][]Ref, pl.nw)
+	if pl.top >= 0 {
+		total := w.profile(id, !pl.profileOnly && pl.knownByID[id] == nil)
+		w.rank(id, total, beams)
+		if pl.profileOnly {
+			return
+		}
+	}
+	for c, refs := range pl.knownByID[id] {
+		if refs != nil {
+			beams[c] = refs
+		}
+	}
+	beamed := false
+	for _, refs := range beams {
+		beamed = beamed || len(refs) > 0
+	}
+	if beamed != pl.has[id] {
+		panic(fmt.Sprintf("core: oracle branch 0x%x: beam %v, planned %v", uint32(pl.addrs[id]), beamed, pl.has[id]))
+	}
+	if !beamed {
+		w.kept.release()
+		return
+	}
+	if pl.states != nil {
+		pl.states.beams[id] = beams
+	}
+	w.resolve(id, beams)
+	w.score(id, beams)
+	w.kept.release()
+}
+
+// recWalks and clsWalks are dense ID id's record and class ranks.
+func (pl *oraclePlan) recWalks(id int) []int32 { return pl.x.recs[pl.x.recAt[id]:pl.x.recAt[id+1]] }
+func (pl *oraclePlan) clsWalks(id int) []int32 { return pl.x.cls[pl.x.clsAt[id]:pl.x.clsAt[id+1]] }
+
+// classWeight is live class rank r's representative and its instances
+// by outcome.
+func (pl *oraclePlan) classWeight(r int32) (int, [2]uint32) {
+	pc := pl.pc
+	c := pl.x.clsOf[r]
+	return int(pc.reps[c]), [2]uint32{uint32(pc.taken[c]), uint32(pc.counts[c] - pc.taken[c])}
+}
+
+// profile is step 1: the branch's walks into the table at the buckets
+// of columns 0..top, keeping each walk's entries when keep is set. A
+// branch whose table pruned after taking class walks is rebuilt in
+// record order (see rerun). It returns the branch's outcome totals.
+func (w *branchWorker) profile(id int, keep bool) [2]uint32 {
+	pl := w.pl
+	w.tab.reset(pl.top + 1)
+	w.keeping = keep && pl.keepable
+	w.kept.release()
+	var total [2]uint32
+	for _, r := range pl.recWalks(id) {
+		i := int(pl.x.recPos[r])
+		wt := w.em.weight(i)
+		w.walk(i, wt, pl.top)
+		total[0] += wt[0]
+		total[1] += wt[1]
+	}
+	for _, r := range pl.clsWalks(id) {
+		rep, wt := pl.classWeight(r)
+		w.walk(rep, wt, pl.top)
+		total[0] += wt[0]
+		total[1] += wt[1]
+		w.tally.profWalks++
+		w.tally.profHits += int64(wt[0] + wt[1] - 1)
+	}
+	// A prune moved the table's candidates, and the rerun and fallbacks
+	// replace it, so the kept entries' indices no longer name them: a
+	// pruned branch resolves every walk by walking again.
+	w.tally.retained = max(w.tally.retained, w.kept.size())
+	if w.tab.prunes > 0 {
+		w.kept.release()
+	}
+	w.rerun(id, pl.top)
+	return total
+}
+
+// rerun restores record order for a branch whose table pruned after
+// taking class walks. A watermark prune fires in class order exactly
+// when it fires in record order — both happen iff the branch's
+// distinct-key count exceeds 2×MaxCandidates — but which candidates
+// survive depends on the order, so the table is rebuilt by the
+// per-record walk over every record of the branch, at the buckets of
+// columns 0..upto (folded into the table's buckets as walk folds them).
+// The table's final prunes count into core.oracle.prune.events.
+func (w *branchWorker) rerun(id, upto int) {
+	pl := w.pl
+	if w.tab.prunes > 0 && len(pl.clsWalks(id)) > 0 {
+		w.tab.reset(w.tab.stride / 4)
+		for _, p := range pl.x.positions(pl.pc, id) {
+			w.walk(int(p), w.em.weight(int(p)), upto)
+		}
+		w.tally.reruns++
+	}
+	w.tally.prunes += int64(w.tab.prunes)
+}
+
+// stopKeeping ends the branch's keeping when its table prunes, its
+// candidates outgrow the entries' field or its entries pass
+// keptEntriesCap: it keeps the walks kept so far and drops the current
+// walk's. The walks without entries resolve by walking again, and
+// profile drops the rest too if the table pruned.
+func (w *branchWorker) stopKeeping() {
+	w.tally.retained = max(w.tally.retained, w.kept.size())
+	w.keeping = false
+	w.kept.ents = w.kept.ents[:w.kept.offs[w.kept.walks()]]
+}
+
+// walk is the profile's one emission loop: emit position i's window
+// and count wt (instances by outcome) for each emitted candidate of
+// columns 0..upto into the table under its bucket — bucket b, or the
+// table's last when it has fewer (a one-window table folds columns
+// 0..upto into its one bucket) — hand-inlining the table hit path.
+// While the branch keeps entries, each emission is kept too.
 //
 //bplint:hot
-func collectTrace(em *oracleEmitter, matchers []*beamMatcher, pc *PathClasses, sd shard, st *memoStats, keep *BeamStates) {
-	ids := em.ids
-	nw := len(em.vecs)
+func (w *branchWorker) walk(i int, wt [2]uint32, upto int) {
+	em := w.em
+	em.emit(i, false)
+	tab := &w.tab
+	last := tab.stride/4 - 1
+	allowOcc, allowBack := w.allowOcc, w.allowBack
+	keep := w.keeping
+	shift := w.pl.entBits
+	maxCand := int32(1)<<(16-shift) - 1
+	ents := w.kept.ents
+	start := 0
+	for b, end := range em.ends[:upto+1] {
+		cell0 := 4 * min(b, last)
+		for _, key := range em.keys[start:end] {
+			if key&refKeySchemeBit != 0 {
+				if !allowBack {
+					continue
+				}
+			} else if !allowOcc {
+				continue
+			}
+			cell, bdir := cell0, uint16(b)<<1
+			if key&refKeyTakenBit == 0 {
+				cell, bdir = cell+2, bdir|1 // state = not-taken
+			}
+			key &^= refKeyTakenBit
+			// Hand-inlined table hit path; misses take the insert call.
+			h := tab.probe(key)
+			ci := tab.slots[h] //bplint:ignore bce-hoist insert may swap the slot array mid-loop; the header reload is the correctness contract
+			if ci >= 0 {
+				row := tab.cnts[int(ci)*tab.stride+cell:]
+				row[0] += wt[0]
+				row[1] += wt[1]
+			} else {
+				prunes := tab.prunes
+				tab.insert(h, key, cell, wt, w.pl.cfg.MaxCandidates, w.pl.addrs) //bplint:ignore kernel-purity miss path only; growth is amortized and bounded by the watermark prune
+				ci = int32(len(tab.keys) - 1)                                    //bplint:ignore bce-hoist insert just appended the key; its index is the new length
+				if keep && (tab.prunes != prunes || ci > maxCand) {
+					w.stopKeeping()
+					keep = false
+				}
+			}
+			if keep {
+				ents = append(ents, uint16(ci)<<shift|bdir) //bplint:ignore kernel-purity the entries grow amortized, up to keptEntriesCap, and are reused from branch to branch
+			}
+		}
+		start = end
+	}
+	if keep {
+		w.kept.ents = ents
+		if len(ents) > keptEntriesCap {
+			w.stopKeeping()
+			return
+		}
+		w.kept.offs = append(w.kept.offs, int32(len(ents)))
+	}
+}
+
+// keptEntries is one branch's kept entries: each emission of its first
+// walks as cand<<entBits | bucket<<1 | direction (1 = not taken), walk
+// w's at ents[offs[w]:offs[w+1]]. The shard reuses them from branch to
+// branch.
+type keptEntries struct {
+	ents []uint16
+	offs []int32
+}
+
+// size is the number of entries kept.
+func (k *keptEntries) size() int { return len(k.ents) }
+
+// walks is the number of walks whose entries are kept.
+func (k *keptEntries) walks() int { return len(k.offs) - 1 }
+
+// walk returns walk w's entries.
+func (k *keptEntries) walk(w int) []uint16 { return k.ents[k.offs[w]:k.offs[w+1]] }
+
+// release empties the entries.
+func (k *keptEntries) release() { k.ents, k.offs = k.ents[:0], append(k.offs[:0], 0) }
+
+// rank is step 2: each built column's beam from the table, into beams
+// and beamKeys (and the job's candidates when it only profiles). A
+// column's counts are the prefix sums of buckets 0..c, and a candidate
+// with zero presence there is not in its table, exactly as a one-window
+// pass would never have inserted it. When the table pruned, each
+// smaller built column is exact only from a one-window pass of its own
+// (fallback).
+func (w *branchWorker) rank(id int, total [2]uint32, beams [][]Ref) {
+	pl := w.pl
+	tab := &w.tab
+	pruned := tab.prunes > 0
+	w.tally.pruned = w.tally.pruned || pruned
+	for c := range w.rankers {
+		if pl.built[c] {
+			w.rankers[c].reset()
+		}
+	}
+	for ci, key := range tab.keys {
+		row := tab.cnts[ci*tab.stride : (ci+1)*tab.stride]
+		var cnt [4]uint32
+		for c := 0; c <= pl.top; c++ {
+			for k := range cnt {
+				cnt[k] += row[4*c+k]
+			}
+			if !pl.built[c] || pruned && c != pl.top {
+				continue
+			}
+			if pres := cnt[0] + cnt[1] + cnt[2] + cnt[3]; pres > 0 {
+				w.rankers[c].add(rankEntry{key: key, score: profileScore(total, &cnt), presence: pres})
+			}
+		}
+	}
+	w.take(id, pl.top, total, beams)
+	if !pruned {
+		for c := 0; c < pl.top; c++ {
+			if pl.built[c] {
+				w.take(id, c, total, beams)
+			}
+		}
+		return
+	}
+	for c := 0; c < pl.top; c++ {
+		if pl.built[c] {
+			w.fallback(id, c, total)
+			w.take(id, c, total, beams)
+		}
+	}
+}
+
+// fallback re-profiles the branch at column c alone — its walks in
+// class order into a one-bucket table, then the record-order rerun if
+// that table pruned — and offers the table to column c's ranker.
+func (w *branchWorker) fallback(id, c int, total [2]uint32) {
+	pl := w.pl
+	tab := &w.tab
+	tab.reset(1)
+	for _, r := range pl.recWalks(id) {
+		i := int(pl.x.recPos[r])
+		w.walk(i, w.em.weight(i), c)
+	}
+	for _, r := range pl.clsWalks(id) {
+		rep, wt := pl.classWeight(r)
+		w.walk(rep, wt, c)
+	}
+	w.rerun(id, c)
+	rk := &w.rankers[c]
+	rk.reset()
+	for ci, key := range tab.keys {
+		cnt := [4]uint32(tab.cnts[4*ci : 4*ci+4])
+		if pres := cnt[0] + cnt[1] + cnt[2] + cnt[3]; pres > 0 {
+			rk.add(rankEntry{key: key, score: profileScore(total, &cnt), presence: pres})
+		}
+	}
+}
+
+// take reads built column c's beam off its ranker into beams and
+// beamKeys, counting it into the candidate tallies.
+func (w *branchWorker) take(id, c int, total [2]uint32, beams [][]Ref) {
+	pl := w.pl
+	rk := &w.rankers[c]
+	n := int64(rk.n)
+	w.tally.ranked = true
+	w.tally.occupancy += n
+	w.tally.peak = max(w.tally.peak, n)
+	if pl.profileOnly {
+		pl.cands[c][id] = rk.candidates(int(total[0] + total[1]))
+		return
+	}
+	beam := rk.beam()
+	keys := w.beamKeys[c][:0]
+	var refs []Ref
+	if len(beam) > 0 {
+		refs = make([]Ref, len(beam))
+	}
+	for s, e := range beam {
+		refs[s] = decodeRefKey(e.key, pl.addrs)
+		keys = append(keys, e.key)
+	}
+	beams[c], w.beamKeys[c] = refs, keys
+}
+
+// resolve is step 3: every walk's state vector per column, added to the
+// scored columns' histograms and stored at the walk's place in the
+// job's BeamStates. The walks whose entries the profile kept resolve
+// them through their candidates' slots; the others walk again, keeping
+// one walk's entries against the beam keys (walkEntries). Both feed
+// resolveWalk.
+func (w *branchWorker) resolve(id int, beams [][]Ref) {
+	pl := w.pl
+	nw := pl.nw
+	w.focus(beams)
+	kept := w.kept.walks()
+	if kept > 0 {
+		for len(w.rowOf) < len(w.tab.keys) {
+			w.rowOf = append(w.rowOf, -1)
+		}
+		for c, keys := range w.beamKeys {
+			if !pl.built[c] {
+				continue
+			}
+			for _, key := range keys {
+				ci := w.tab.index(key)
+				w.rowOf[ci] = int32(w.em.find(key))
+				w.rows = append(w.rows, int32(ci))
+			}
+		}
+	}
+	hist := w.histCols[:0] // the columns whose histograms count
+	for c, refs := range beams {
+		if pl.scored[c] && len(refs) > 0 {
+			hist = append(hist, c)
+		}
+	}
+	w.histCols = hist
+	k := 0
+	walk := func(i int, wt [2]uint32, places []int32, r int32, dst []uint64) {
+		if k < kept {
+			resolveWalk(w.kept.walk(k), pl.entBits, w.rowOf, w.slots, w.vecs)
+		} else {
+			resolveWalk(w.walkEntries(i), pl.entBits, w.ident, w.slots, w.vecs)
+		}
+		k++
+		for _, c := range hist {
+			w.hists[c].add(w.vecs[c], wt)
+		}
+		if dst != nil {
+			copy(dst[int(places[r])*nw:], w.vecs)
+		}
+	}
 	var recs, classes []uint64
-	if keep != nil {
-		recs, classes = keep.recs, keep.classes
+	if st := pl.states; st != nil {
+		recs, classes = st.recs, st.classes
 	}
-	at := 0 // the end of the current walk's vectors, counting every shard's walks
-	for i, c := range pc.class {
-		if c >= 0 {
-			continue
+	for _, r := range pl.recWalks(id) {
+		i := int(pl.x.recPos[r])
+		walk(i, w.em.weight(i), pl.recOff, r, recs)
+	}
+	for _, r := range pl.clsWalks(id) {
+		rep, wt := pl.classWeight(r)
+		walk(rep, wt, pl.clsOff, r, classes)
+		w.tally.collWalks++
+		w.tally.collHits += int64(wt[0] + wt[1] - 1)
+	}
+	for _, ci := range w.rows {
+		w.rowOf[ci] = -1
+	}
+	w.rows = w.rows[:0]
+}
+
+// focus makes the union of beams' keys the emitter's focused set, and
+// lays out its slots: slots[u×column] is union key u's slot in the
+// column's beam, -1 when the beam lacks it. A ref naming a PC absent from the
+// trace, or a tag past MaxTag, is never in any window: it stays
+// StateAbsent, exactly like the reference's States resolution.
+func (w *branchWorker) focus(beams [][]Ref) {
+	pt, nw := w.pl.pt, w.pl.nw
+	key := func(r Ref) (uint64, bool) {
+		rid, ok := pt.IDOf(r.PC)
+		if !ok {
+			return 0, false
 		}
-		id := ids[i]
-		bm := matchers[id]
-		if bm == nil {
-			continue
-		}
-		at += nw
-		if !sd.has(id) {
-			continue
-		}
-		wt := [2]uint32{0, 1}
-		if em.taken1(i) {
-			wt = [2]uint32{1, 0}
-		}
-		vecs := collectWalk(em, bm, i)
-		if bm.scored {
-			bm.add(vecs, wt) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
-		}
-		if keep != nil {
-			copy(recs[at-nw:at], vecs)
+		return refKeyOf(rid, r)
+	}
+	keys := w.unionIn[:0]
+	for _, refs := range beams {
+		for _, r := range refs {
+			if k, ok := key(r); ok {
+				keys = append(keys, k)
+			}
 		}
 	}
-	counts, taken := pc.counts, pc.taken
-	at = 0
-	for c, rep := range pc.reps {
-		n := counts[c]
-		if n == 0 {
-			continue
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	w.unionIn = keys
+	w.union.reset(keys)
+	w.em.focus(&w.union)
+	w.slots = slices.Grow(w.slots[:0], len(keys)*nw)[:len(keys)*nw]
+	for i := range w.slots {
+		w.slots[i] = -1
+	}
+	for c, refs := range beams {
+		for s, r := range refs {
+			if k, ok := key(r); ok {
+				w.slots[w.em.find(k)*nw+c] = int8(s)
+			}
 		}
-		id := ids[rep]
-		bm := matchers[id]
-		if bm == nil {
-			continue
-		}
-		at += nw
-		if !sd.has(id) {
-			continue
-		}
-		vecs := collectWalk(em, bm, int(rep))
-		if bm.scored {
-			bm.add(vecs, [2]uint32{uint32(taken[c]), uint32(n - taken[c])}) //bplint:ignore kernel-purity a histogram allocates only when it meets a new state vector
-		}
-		if keep != nil {
-			copy(classes[at-nw:at], vecs)
-		}
-		st.walks++
-		st.hits += int64(n - 1)
+	}
+	for len(w.ident) < len(keys) {
+		w.ident = append(w.ident, int32(len(w.ident)))
 	}
 }
 
-// collectWalk is the collection's one emission loop: it resolves
-// position i's walk against the union of bm's beams and returns the
-// state vector of every window — each resolved key's state in the slot
-// it holds in each window whose prefix holds the emission — in the
-// emitter's scratch. The focused emit yields only union keys, so every
-// emission resolves, through find, to its key's index. Each key occurs
-// at most once per walk, so the walk stops once every union key has
-// resolved. The matcher changes every call, so its headers cannot hoist.
+// walkEntries emits position i's walk focused on the branch's beam keys
+// and returns its entries: one per emission, its field the key's index
+// in the focused set. Each key occurs at most once per walk, so the
+// entries end once every key has one.
 //
 //bplint:hot
-func collectWalk(em *oracleEmitter, bm *beamMatcher, i int) []uint64 {
-	em.focus(&bm.set)
+func (w *branchWorker) walkEntries(i int) []uint32 {
+	em := w.em
 	em.emit(i, true)
-	vecs := em.vecs
-	clear(vecs)
-	nw := len(vecs)
-	remaining := len(bm.set.keys)
+	shift := w.pl.entBits
+	ents := w.walkEnts[:0]
+	remaining := len(w.unionIn)
 	start := 0
 walk:
 	for b, end := range em.ends {
 		for _, key := range em.keys[start:end] {
-			ki := em.find(key &^ refKeyTakenBit)
-			state := uint64(stateVecNotTaken)
-			if key&refKeyTakenBit != 0 {
-				state = stateVecTaken
+			dir := uint32(0)
+			if key&refKeyTakenBit == 0 {
+				dir = 1
 			}
-			for w := b; w < nw; w++ {
-				if slot := bm.slots[ki*nw+w]; slot >= 0 { //bplint:ignore bce-hoist bm changes every call; its slot array cannot hoist
-					vecs[w] |= state << (2 * uint(slot))
-				}
-			}
-			remaining--
-			if remaining == 0 {
+			ents = append(ents, uint32(em.find(key&^refKeyTakenBit))<<shift|uint32(b)<<1|dir) //bplint:ignore kernel-purity one walk's entries, in a buffer reused from walk to walk
+			if remaining--; remaining == 0 {
 				break walk
 			}
 		}
 		start = end
 	}
-	return vecs
+	w.walkEnts = ents
+	return ents
+}
+
+// resolveWalk is the one resolve step: it fills vecs with one walk's
+// state vector per column from the walk's entries. An entry's field
+// (bits [shift..)) names a candidate, its bits [1..shift) the bucket of
+// the smallest column whose window holds the emission, and bit 0 its
+// direction (1 = not taken); rowOf maps every candidate to its row of
+// slots ([row × column]: its slot in the column's beam, -1 when
+// absent) — its union key — or to -1 when it is in no beam. The
+// emission sets the candidate's state in each column from its bucket
+// on that gives it a slot.
+//
+//bplint:hot
+func resolveWalk[E uint16 | uint32](ents []E, shift uint, rowOf []int32, slots []int8, vecs []uint64) {
+	clear(vecs)
+	nw := len(vecs)
+	bucketMask := E(1)<<(shift-1) - 1
+	for _, e := range ents {
+		row := rowOf[e>>shift]
+		if row < 0 {
+			continue
+		}
+		state := uint64(stateVecTaken) << (e & 1)
+		sl := slots[int(row)*nw : int(row+1)*nw]
+		for c := int(e >> 1 & bucketMask); c < nw; c++ {
+			if s := sl[c]; s >= 0 {
+				vecs[c] |= state << (2 * uint(s))
+			}
+		}
+	}
+}
+
+// score is step 4: each scored column's selections from its histogram,
+// then the histograms reset for the next branch.
+func (w *branchWorker) score(id int, beams [][]Ref) {
+	pl := w.pl
+	for c, refs := range beams {
+		h := &w.hists[c]
+		if pl.scored[c] && len(refs) > 0 {
+			pl.sels[c][id] = scoreBranch(refs, h)
+			w.tally.patterns += int64(len(h.keys))
+		}
+		h.reset()
+	}
 }
 
 // score is subsetScore for the candidates at beam slots a, b and c

@@ -36,7 +36,7 @@ func randomScoredRefs(rng *rand.Rand, addrs []trace.Addr, n, tags int) []scoredR
 // ranking with rankCandidates on random candidate sets with heavy ties
 // in score, presence and tag, for k in {1, 2, 3, 16, 32} and set sizes
 // of zero, below k, exactly k and far above k. One ranker per k is
-// reused across every set through reset, as assembleCandidates reuses
+// reused across every set through reset, as a shard's worker reuses
 // it across branches, and its dense IDs are assigned in shuffled address
 // order, so the ref tie-break must decode through the ID table.
 func TestBeamRankerMatchesRankCandidates(t *testing.T) {
@@ -133,7 +133,9 @@ func randomKeySet(rng *rand.Rand, nb int) refKeySet {
 		}
 	}
 	slices.Sort(keys)
-	return newRefKeySet(slices.Compact(keys))
+	var s refKeySet
+	s.reset(slices.Compact(keys))
+	return s
 }
 
 // TestFocusedEmitMatchesFilteredEmit checks the focused emitter against

@@ -84,11 +84,12 @@ func walkShares(pc *PathClasses) []float64 {
 }
 
 // TestOracleShardInvariant pins the oracle's branch sharding: at
-// ScoreParallel 1, 2, 3 and 7, OracleStates returns the same selections,
-// the same state vectors and the same counters and gauges, and the
-// profile and collection passes leave every branch's
-// candidate table and state histograms exactly as the serial pass does,
-// entry order included — each branch sees the serial walk sequence.
+// ScoreParallel 1, 2, 3, 7 and 8, OracleStates returns the same
+// selections, the same state vectors and the same counters and gauges —
+// the kept-entry peak (core.oracle.retained.peak_bytes) included, a
+// maximum over branches — and every window's StageProfile candidates
+// are those of the serial pass: each branch sees the serial walk
+// sequence.
 // The traces cover a MaxCandidates small enough to force watermark
 // prunes, class-order reruns and per-window fallbacks; one branch
 // carrying most walks; and fewer branches than workers. In each, some
@@ -146,8 +147,7 @@ func TestOracleShardInvariant(t *testing.T) {
 				states   *BeamStates
 				counters map[string]int64
 				gauges   map[string]int64
-				profiles []kernelProfile
-				matchers []*beamMatcher
+				cands    []map[trace.Addr]*Candidates
 			}
 			do := func(par int) run {
 				cfg := tc.cfg
@@ -157,18 +157,18 @@ func TestOracleShardInvariant(t *testing.T) {
 				r.sels, r.states = OracleStates(pc, tc.windows, nil, cfg)
 				snap := cfg.Obs.Snapshot()
 				r.counters, r.gauges = snap.Counters, snap.Gauges
-
-				cfg = cfg.WithDefaults()
-				cfg.Obs = obs.New()
-				r.profiles = profileShards(pt, pc, tc.windows, cfg, planShards(pc, par, nil))
-				cands := profileWindows(pt, pc, tc.windows, cfg)
-				r.matchers, _ = buildMatchers(sortedPCs(cands), cands, pt, nil)
-				collectShards(pt, pc, tc.windows, r.matchers, planShards(pc, par, r.matchers), nil, cfg.Obs)
+				for _, n := range tc.windows {
+					cfg.WindowLen = n
+					r.cands = append(r.cands, Oracle(pc, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates)
+				}
 				return r
 			}
 			base := do(1)
 			tc.check(t, pc, base.counters)
-			for _, par := range []int{2, 3, 7} {
+			if base.gauges["core.oracle.retained.peak_bytes"] <= 0 {
+				t.Errorf("core.oracle.retained.peak_bytes = %d, want the largest branch's kept entries", base.gauges["core.oracle.retained.peak_bytes"])
+			}
+			for _, par := range []int{2, 3, 7, 8} {
 				got := do(par)
 				for _, d := range []struct {
 					what      string
@@ -178,8 +178,8 @@ func TestOracleShardInvariant(t *testing.T) {
 					{"state vectors", got.states, base.states},
 					{"counters", got.counters, base.counters},
 					{"gauges", got.gauges, base.gauges},
-					{"candidate tables", got.profiles, base.profiles},
-					{"state histograms", got.matchers, base.matchers},
+					{"kept-entry peak", got.gauges["core.oracle.retained.peak_bytes"], base.gauges["core.oracle.retained.peak_bytes"]},
+					{"StageProfile candidates", got.cands, base.cands},
 				} {
 					if !reflect.DeepEqual(d.got, d.want) {
 						t.Errorf("ScoreParallel=%d: %s differ from the serial run", par, d.what)
@@ -222,4 +222,104 @@ func TestPlanShardsBalance(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestOracleKeptEntriesMatchWalks pins the two ways a walk resolves to
+// each other: from the entries its profile walk kept, and by walking
+// again against its branch's beam keys. With keptEntriesCap at 0 every
+// walk walks again, which is the baseline; at a small cap each branch
+// resolves its first walks from their entries and walks the rest again;
+// by default every walk of the small traces keeps. Every run must return
+// the baseline's selections, state vectors and counters (the kept-entry
+// peak aside), and at 0 no branch may hold more than one walk's entries.
+//
+// The cases with a small MaxCandidates, many windows or a single window
+// over very many keys stop a branch's keeping before its first prune —
+// at the cap, or when a candidate index outgrows the entries' field —
+// so the walks it kept before the prune must not resolve through the
+// pruned, rerun or fallback table.
+func TestOracleKeptEntriesMatchWalks(t *testing.T) {
+	many := []int{4, 8, 12, 16, 20, 24, 28, 30, 32} // 9 columns: a 2047-candidate field
+	for _, tc := range []struct {
+		name    string
+		tr      *trace.Trace
+		windows []int
+		maxCand int
+		topK    int
+		limits  []int
+	}{
+		{"", sharedVectorTrace(4_000), []int{8, 16, 32}, 0, 0, []int{300}},
+		{"", dominantTrace(6_000), []int{4, 16}, 0, 0, []int{300}},
+		{"", randomTrace(5, 5_000, 24), []int{8, 12, 16, 20, 24, 28, 32}, 0, 0, []int{300}},
+		{"cap-then-prune", sprawlTrace(6_000, 60, 4), []int{4, 8}, 24, 0, []int{40, 300}},
+		{"cap-then-prune-classes", sprawlTrace(6_000, 60, 2), []int{8}, 24, 0, []int{40, 300}},
+		{"field-then-prune", sprawlTrace(6_000, 2_100, 1), many, 1_030, 4, nil},
+		{"one-window-field-then-prune", sprawlTrace(86_000, 34_000, 1), []int{8}, 16_400, 4, nil},
+	} {
+		name := tc.name
+		if name == "" {
+			name = tc.tr.Name()
+		}
+		t.Run(name, func(t *testing.T) {
+			pc := ClassifyPaths(tc.tr, tc.windows[len(tc.windows)-1], obs.New())
+			type run struct {
+				sels     []*Selections
+				states   *BeamStates
+				counters map[string]int64
+				retained int64
+			}
+			do := func(limit int) run {
+				old := keptEntriesCap
+				keptEntriesCap = limit
+				defer func() { keptEntriesCap = old }()
+				reg := obs.New()
+				var r run
+				r.sels, r.states = OracleStates(pc, tc.windows, nil, OracleConfig{MaxCandidates: tc.maxCand, TopK: tc.topK, Obs: reg})
+				snap := reg.Snapshot()
+				r.counters, r.retained = snap.Counters, snap.Gauges["core.oracle.retained.peak_bytes"]
+				return r
+			}
+			base := do(0)
+			// A walk checks the cap once it has kept its entries, so a
+			// branch past it held one walk's at most: two per window entry.
+			if oneWalk := int64(2 * 2 * tc.windows[len(tc.windows)-1]); base.retained > oneWalk {
+				t.Errorf("keptEntriesCap=0: %d bytes kept, more than one walk's %d", base.retained, oneWalk)
+			}
+			if tc.maxCand > 0 && base.counters["core.oracle.prune.events"] == 0 {
+				t.Fatal("no table pruned")
+			}
+			for _, limit := range append(tc.limits, keptEntriesCap) {
+				got := do(limit)
+				if limit == keptEntriesCap && got.retained == 0 {
+					t.Error("no branch kept entries by default")
+				}
+				if !reflect.DeepEqual(got.sels, base.sels) || !reflect.DeepEqual(got.states, base.states) || !reflect.DeepEqual(got.counters, base.counters) {
+					t.Errorf("keptEntriesCap=%d: selections, state vectors or counters differ from walking every walk again", limit)
+				}
+			}
+		})
+	}
+}
+
+// sprawlTrace builds a trace in which branch 0x80 follows every other
+// branch record. For its first fifth the others are a two-branch loop,
+// so 0x80's first walks meet few distinct candidates; after that they
+// cycle through sites branches, so it gains new ones walk after walk.
+// Each other branch repeats for loop records, so with loop above 1
+// paths repeat and 0x80 has classes as well as declined records.
+func sprawlTrace(n, sites, loop int) *trace.Trace {
+	tr := trace.New(fmt.Sprintf("sprawl-%d-%d", sites, loop), 0)
+	rng := diffRng(71)
+	for i, drawn := 0, 0; tr.Len() < n; i++ {
+		pc := trace.Addr(0x1000 + 4*(i%2))
+		if tr.Len() >= n/5 {
+			pc = trace.Addr(0x1000 + 4*(drawn*7919%sites)) // sites is coprime to 7919
+			drawn++
+		}
+		for k := 0; k < loop && tr.Len() < n; k++ {
+			tr.Append(trace.Record{PC: pc, Taken: rng.bit()})
+			tr.Append(rec(0x80, rng.bit()))
+		}
+	}
+	return tr
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"branchcorr/internal/obs"
 	"branchcorr/internal/trace"
@@ -66,7 +67,8 @@ const (
 // N: positions with equal signatures at N have equal signatures at any
 // smaller window. ClassifyPaths builds it, and the oracle (passed as its
 // Source, or to OracleStates) and a SelectiveSweep over the oracle's
-// states both read it; neither writes it, so concurrent readers are
+// states both read it; neither writes it but for the walk index the
+// oracle builds once, under a sync.Once, so concurrent readers are
 // safe. It is a pure function of the columns, held only as long as its
 // holders hold it: nothing in the package caches it.
 //
@@ -77,7 +79,8 @@ const (
 // trace is classified, each class also holds its hash tag and
 // at most 8/3 four-byte hash slots (the table doubles past 3/4 load),
 // under 18 bytes per record in all; ClassifyPaths drops them on return.
-// A sweep adds one byte per config per class.
+// The oracle's walk index (walkIndex) adds 8 bytes per walk, and a
+// sweep one byte per config per class.
 type PathClasses struct {
 	pt  *trace.Packed // the classified trace
 	ids []int32       // its dense-ID column, which the positions index
@@ -87,6 +90,9 @@ type PathClasses struct {
 	reps   []int32 // per class: representative (first) position
 	counts []int32 // per class: records classified into it; 0 = unclassified again
 	taken  []int32 // per class: records that resolved taken
+
+	walksOnce sync.Once
+	walkIdx   *walkIndex // built on first use by walks
 }
 
 var _ Source = (*PathClasses)(nil)
@@ -112,6 +118,106 @@ func ClassifyPaths(src Source, n int, reg *obs.Registry) *PathClasses {
 
 // Packed implements Source: the classified trace.
 func (pc *PathClasses) Packed() *trace.Packed { return pc.pt }
+
+// walkIndex lists each dense ID's walks over a PathClasses — its
+// declined records in position order, then its live classes in class
+// order — so the oracle reaches one branch's walks without scanning the
+// class column. A walk is named by its rank: a declined record's among
+// all declined records in position order, a class's among all live
+// classes in class order. Those are the orders BeamStates stores
+// vectors in. It costs 8 bytes per walk plus 8 per dense ID.
+type walkIndex struct {
+	recPos []int32 // per record rank: the declined record's position
+	recs   []int32 // record ranks grouped by dense ID, ascending
+	recAt  []int32 // per dense ID + 1: its record ranks are recs[recAt[id]:recAt[id+1]]
+	clsOf  []int32 // per class rank: the live class
+	cls    []int32 // class ranks grouped by dense ID, ascending
+	clsAt  []int32 // per dense ID + 1: its class ranks are cls[clsAt[id]:clsAt[id+1]]
+
+	allOnce sync.Once
+	all     []int32 // every position grouped by dense ID, ascending; built on first use by positions
+	allAt   []int32
+}
+
+// walks returns pc's walk index, building it on first use; concurrent
+// callers share one build.
+func (pc *PathClasses) walks() *walkIndex {
+	pc.walksOnce.Do(func() {
+		nb := pc.pt.NumBranches()
+		x := &walkIndex{recAt: make([]int32, nb+1), clsAt: make([]int32, nb+1)}
+		for k, c := range pc.class {
+			if c < 0 {
+				x.recAt[pc.ids[k]+1]++
+			}
+		}
+		for c, n := range pc.counts {
+			if n > 0 {
+				x.clsAt[pc.ids[pc.reps[c]]+1]++
+			}
+		}
+		x.recPos = make([]int32, 0, sum(x.recAt))
+		x.clsOf = make([]int32, 0, sum(x.clsAt))
+		for k, c := range pc.class {
+			if c < 0 {
+				x.recPos = append(x.recPos, int32(k))
+			}
+		}
+		for c, n := range pc.counts {
+			if n > 0 {
+				x.clsOf = append(x.clsOf, int32(c))
+			}
+		}
+		x.recs = groupRanks(x.recAt, len(x.recPos), func(r int) int32 { return pc.ids[x.recPos[r]] })
+		x.cls = groupRanks(x.clsAt, len(x.clsOf), func(r int) int32 { return pc.ids[pc.reps[x.clsOf[r]]] })
+		pc.walkIdx = x
+	})
+	return pc.walkIdx
+}
+
+// sum is the sum of counts.
+func sum(counts []int32) int {
+	n := 0
+	for _, c := range counts {
+		n += int(c)
+	}
+	return n
+}
+
+// groupRanks turns at, holding each dense ID's count at at[id+1], into
+// group offsets, and returns the ranks 0..n-1 grouped by idOf(rank),
+// ascending within each group.
+func groupRanks(at []int32, n int, idOf func(r int) int32) []int32 {
+	for id := 1; id < len(at); id++ {
+		at[id] += at[id-1]
+	}
+	next := slices.Clone(at[:len(at)-1])
+	out := make([]int32, n)
+	for r := 0; r < n; r++ {
+		id := idOf(r)
+		out[next[id]] = int32(r)
+		next[id]++
+	}
+	return out
+}
+
+// numWalks is dense ID id's walk count.
+func (x *walkIndex) numWalks(id int) int {
+	return int(x.recAt[id+1] - x.recAt[id] + x.clsAt[id+1] - x.clsAt[id])
+}
+
+// positions returns every position of dense ID id, ascending: the
+// per-record walk a pruned candidate table is rebuilt by. The grouping
+// is built on first use and shared.
+func (x *walkIndex) positions(pc *PathClasses, id int) []int32 {
+	x.allOnce.Do(func() {
+		x.allAt = make([]int32, len(x.recAt))
+		for _, b := range pc.ids {
+			x.allAt[b+1]++
+		}
+		x.all = groupRanks(x.allAt, len(pc.ids), func(r int) int32 { return pc.ids[r] })
+	})
+	return x.all[x.allAt[id]:x.allAt[id+1]]
+}
 
 // classify is the one classification pass: it classifies every
 // position of the columns by signature at window n, then unclassifies

@@ -271,7 +271,7 @@ func (g *SelectiveSweep) resolve(blk bp.KernelBlock) {
 	}
 	reg := obs.New()
 	pc := ClassifyPaths(pt, g.windows[len(g.windows)-1], reg)
-	_, st := selectWindows(pt, pc, g.windows, g.held, make([]bool, len(g.windows)), true, OracleConfig{ScoreParallel: 1, Obs: reg})
+	st := heldStates(pc, g.windows, g.held, OracleConfig{ScoreParallel: 1, Obs: reg})
 	obs.Default().Counter("core.selective.sweep.walks").Add(int64((len(st.recs) + len(st.classes)) / len(st.windows)))
 	g.setStates(st)
 }

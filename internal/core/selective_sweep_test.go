@@ -109,8 +109,7 @@ func selSweepStates(pt *trace.Packed, cfgs []SelectiveConfig) *BeamStates {
 // window's union of the configs' refs as the sweep folds them.
 func selSweepStatesOver(pc *PathClasses, cfgs []SelectiveConfig) *BeamStates {
 	g := NewSelectiveSweep("sel", cfgs)
-	_, st := selectWindows(pc.pt, pc, g.windows, g.held, make([]bool, len(g.windows)), true, OracleConfig{})
-	return st
+	return heldStates(pc, g.windows, g.held, OracleConfig{})
 }
 
 // TestSelectiveSweepStatesMatchScalar pins the sweep's pattern-table
