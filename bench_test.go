@@ -513,7 +513,7 @@ func BenchmarkAblationModern(b *testing.B) {
 // (predict+update per branch) on a gcc-like trace.
 func BenchmarkPredictors(b *testing.B) {
 	tr := benchTrace(b, "gcc")
-	recs := tr.Records()
+	recs := benchRecords(tr)
 	cases := []struct {
 		name string
 		mk   func(st *trace.Stats) bp.Predictor
@@ -552,7 +552,7 @@ func BenchmarkPredictors(b *testing.B) {
 // throughput (window resolution dominates).
 func BenchmarkSelectivePredictor(b *testing.B) {
 	tr := benchTrace(b, "gcc")
-	recs := tr.Records()
+	recs := benchRecords(tr)
 	sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
 	p := core.NewSelective("sel3", 16, sels.BySize[3])
 	b.ResetTimer()
@@ -597,15 +597,28 @@ func benchTraceN(b *testing.B, name string, n int) *trace.Trace {
 	return tr
 }
 
-// BenchmarkPackedTraceBuild measures trace.Pack — the one-time cost of
-// the columnar view the oracle kernels amortize across passes.
+// benchRecords reads a trace's records back from its packed view, for
+// the benchmarks that replay whole records.
+func benchRecords(tr *trace.Trace) []trace.Record {
+	pt := tr.Packed()
+	recs := make([]trace.Record, pt.Len())
+	for i := range recs {
+		recs[i] = pt.Record(i)
+	}
+	return recs
+}
+
+// BenchmarkPackedTraceBuild measures the column build of a trace: one
+// Append per record, then the first Packed call, which interns the PCs
+// in place — the one-time cost of the columnar view every engine reads.
 func BenchmarkPackedTraceBuild(b *testing.B) {
 	for _, n := range benchOracleLengths {
 		tr := benchTraceN(b, "gcc", n)
+		recs := benchRecords(tr)
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
 			var pt *trace.Packed
 			for i := 0; i < b.N; i++ {
-				pt = trace.Pack(tr)
+				pt = trace.FromRecords(tr.Name(), recs).Packed()
 			}
 			if pt.Len() != tr.Len() {
 				b.Fatalf("packed %d of %d records", pt.Len(), tr.Len())
@@ -623,7 +636,7 @@ func BenchmarkOracleProfile(b *testing.B) {
 	cfg := core.OracleConfig{WindowLen: 16}
 	for _, n := range benchOracleLengths {
 		tr := benchTraceN(b, "gcc", n)
-		pt := trace.Pack(tr)
+		pt := tr.Packed()
 		b.Run(fmt.Sprintf("len=%d/impl=ref", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.ReferenceProfileCandidates(tr, cfg)
@@ -647,7 +660,7 @@ func BenchmarkOracleJoint(b *testing.B) {
 	cfg := core.OracleConfig{WindowLen: 16}
 	for _, n := range benchOracleLengths {
 		tr := benchTraceN(b, "gcc", n)
-		pt := trace.Pack(tr)
+		pt := tr.Packed()
 		cands := core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageProfile}).Candidates
 		b.Run(fmt.Sprintf("len=%d/impl=ref", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -305,7 +305,7 @@ func TestNewClassShares(t *testing.T) {
 // TestNewTraceInfo checks the trace descriptor.
 func TestNewTraceInfo(t *testing.T) {
 	tr := testTrace(t)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	info := NewTraceInfo("deadbeef", pt)
 	if info.Key != "deadbeef" || info.Name != tr.Name() ||
 		info.Branches != tr.Len() || info.Sites != pt.NumBranches() {

@@ -36,7 +36,9 @@ func replay(p bp.Predictor, tr *trace.Trace) (correct int, fingerprint uint64) {
 		prime64  = 1099511628211
 	)
 	fingerprint = offset64
-	for _, rec := range tr.Records() {
+	pt := tr.Packed()
+	for i := 0; i < pt.Len(); i++ {
+		rec := pt.Record(i)
 		pred := p.Predict(rec)
 		p.Update(rec)
 		bit := byte(0)

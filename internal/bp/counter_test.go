@@ -135,7 +135,9 @@ func TestIdealStaticIsStaticCeiling(t *testing.T) {
 	st := trace.Summarize(tr)
 	p := NewIdealStatic(st)
 	correct := 0
-	for _, r := range tr.Records() {
+	pt := tr.Packed()
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		if p.Predict(r) == r.Taken {
 			correct++
 		}

@@ -47,7 +47,9 @@ func kernelRandomTrace(seed int64, n int) *trace.Trace {
 func scalarCounts(p bp.Predictor, tr *trace.Trace, lo, hi int) (map[trace.Addr]int, int) {
 	perPC := make(map[trace.Addr]int)
 	total := 0
-	for _, rec := range tr.Records()[lo:hi] {
+	pt := tr.Packed()
+	for i := lo; i < hi; i++ {
+		rec := pt.Record(i)
 		pred := p.Predict(rec)
 		p.Update(rec)
 		if pred == rec.Taken {

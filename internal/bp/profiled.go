@@ -31,7 +31,9 @@ func NewProfiledGshare(t *trace.Trace, historyBits uint) *ProfiledGshare {
 	taken := make([]int32, 1<<historyBits)
 	total := make([]int32, 1<<historyBits)
 	history := uint32(0)
-	for _, r := range t.Records() {
+	p := t.Packed()
+	for i := 0; i < p.Len(); i++ {
+		r := p.Record(i)
 		idx := ((uint32(r.PC) >> 2) ^ history) & mask
 		total[idx]++
 		if r.Taken {

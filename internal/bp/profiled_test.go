@@ -19,7 +19,9 @@ func TestProfiledGshareSameSetMatchesAdaptive(t *testing.T) {
 	prof := NewProfiledGshare(tr, 10)
 	adap := NewGshare(10)
 	profCorrect, adapCorrect := 0, 0
-	for _, r := range tr.Records() {
+	pt := tr.Packed()
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		if prof.Predict(r) == r.Taken {
 			profCorrect++
 		}

@@ -18,7 +18,7 @@ import (
 // sees it.
 
 // Source is any in-memory input the oracle can run over. Both
-// *trace.Trace (whose Packed method memoizes the columnar view) and
+// *trace.Trace (whose Packed method returns its columnar view) and
 // *trace.Packed (which returns itself) satisfy it, so callers holding
 // either hand it to Oracle directly with no packing boilerplate. So does
 // *PathClasses, whose path-signature classes the oracle then reads

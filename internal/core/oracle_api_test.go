@@ -21,7 +21,7 @@ func TestOracleMatchesBuildSelective(t *testing.T) {
 			t.Errorf("%s: Oracle(trace) differs from ReferenceBuildSelective", tr.Name())
 		}
 		// A *trace.Packed is a Source in its own right.
-		if got := Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg}); !reflect.DeepEqual(got, want) {
+		if got := Oracle(tr.Packed(), OracleOptions{OracleConfig: cfg}); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Oracle(packed) differs from ReferenceBuildSelective", tr.Name())
 		}
 	}
@@ -44,7 +44,7 @@ func TestOracleStageSelectMatchesSelectRefs(t *testing.T) {
 		cfg := OracleConfig{WindowLen: 16}
 		cands := ReferenceProfileCandidates(tr, cfg)
 		want := ReferenceSelectRefs(tr, cands, cfg)
-		got := Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
+		got := Oracle(tr.Packed(), OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
 		mustEqualSelections(t, got, want)
 	}
 }
@@ -65,7 +65,7 @@ func TestOracleStagedPipelineMatchesFull(t *testing.T) {
 // Oracle over the original trace.
 func TestOracleStagesMatchDecodedEntry(t *testing.T) {
 	for _, tr := range differentialTraces() {
-		decoded := chunkedPacked(t, trace.Pack(tr), 64)
+		decoded := chunkedPacked(t, tr.Packed(), 64)
 		cfg := OracleConfig{WindowLen: 16}
 
 		want := Oracle(tr, OracleOptions{OracleConfig: cfg})

@@ -41,7 +41,7 @@ func chunkedPacked(t *testing.T, pt *trace.Packed, chunk int) *trace.Packed {
 
 func TestProfileCandidatesBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
-		pt := trace.Pack(tr)
+		pt := tr.Packed()
 		for _, w := range []int{8, 16, 32} {
 			cfg := OracleConfig{WindowLen: w}
 			want := ReferenceProfileCandidates(tr, cfg)
@@ -57,7 +57,7 @@ func TestProfileCandidatesBlocksMatchesPacked(t *testing.T) {
 
 func TestSelectRefsBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
-		pt := trace.Pack(tr)
+		pt := tr.Packed()
 		cfg := OracleConfig{WindowLen: 16}
 		cands := ReferenceProfileCandidates(tr, cfg)
 		want := ReferenceSelectRefs(tr, cands, cfg)
@@ -85,7 +85,7 @@ func TestBuildSelectiveBlocksFromDisk(t *testing.T) {
 		}
 		mustEqualSelections(t, Oracle(read, OracleOptions{OracleConfig: cfg}), want)
 		for _, chunk := range []int{1, 17, 256} {
-			mustEqualSelections(t, Oracle(chunkedPacked(t, trace.Pack(tr), chunk), OracleOptions{OracleConfig: cfg}), want)
+			mustEqualSelections(t, Oracle(chunkedPacked(t, tr.Packed(), chunk), OracleOptions{OracleConfig: cfg}), want)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestBuildSelectiveBlocksFromDisk(t *testing.T) {
 // memory and decoded from an empty corpus entry: the path-signature memo
 // classifies nothing, and no stage selects anything.
 func TestOracleEmptyTrace(t *testing.T) {
-	pt := trace.Pack(trace.New("empty", 0))
+	pt := trace.New("empty", 0).Packed()
 	for _, src := range []*trace.Packed{pt, chunkedPacked(t, pt, 8)} {
 		if cands := Oracle(src, OracleOptions{Stage: StageProfile}).Candidates; len(cands) != 0 {
 			t.Fatalf("empty profile: %d candidates", len(cands))
@@ -120,7 +120,7 @@ func TestStreamDifferentialPrunePressure(t *testing.T) {
 	cfg := OracleConfig{WindowLen: 32, MaxCandidates: 8}
 	want := ReferenceProfileCandidates(tr, cfg)
 	for _, chunk := range []int{1, 31, 33, 777} {
-		got := Oracle(chunkedPacked(t, trace.Pack(tr), chunk), OracleOptions{OracleConfig: cfg, Stage: StageProfile})
+		got := Oracle(chunkedPacked(t, tr.Packed(), chunk), OracleOptions{OracleConfig: cfg, Stage: StageProfile})
 		mustEqualCandidates(t, got.Candidates, want)
 	}
 }

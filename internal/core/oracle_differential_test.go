@@ -123,7 +123,7 @@ func TestKernelDifferentialWindows(t *testing.T) {
 		for _, w := range []int{8, 16, 32} {
 			t.Run(fmt.Sprintf("%s/w=%d", tr.Name(), w), func(t *testing.T) {
 				cfg := OracleConfig{WindowLen: w}
-				pt := trace.Pack(tr)
+				pt := tr.Packed()
 				gotC := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 				wantC := ReferenceProfileCandidates(tr, cfg)
 				mustEqualCandidates(t, gotC, wantC)
@@ -135,7 +135,7 @@ func TestKernelDifferentialWindows(t *testing.T) {
 
 func TestKernelDifferentialSchemes(t *testing.T) {
 	tr := randomTrace(7, 500, 10)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	for _, schemes := range [][]Scheme{
 		{Occurrence},
 		{BackwardCount},
@@ -154,7 +154,7 @@ func TestKernelDifferentialSchemes(t *testing.T) {
 func TestKernelDifferentialPrunePressure(t *testing.T) {
 	for _, maxCands := range []int{4, 8, 24} {
 		tr := randomTrace(uint32(maxCands), 800, 30)
-		pt := trace.Pack(tr)
+		pt := tr.Packed()
 		cfg := OracleConfig{WindowLen: 32, MaxCandidates: maxCands}
 		gotC := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 		wantC := ReferenceProfileCandidates(tr, cfg)
@@ -167,7 +167,7 @@ func TestKernelDifferentialPrunePressure(t *testing.T) {
 // invariant across scoring parallelism levels.
 func TestKernelScoreParallelInvariant(t *testing.T) {
 	tr := randomTrace(11, 600, 12)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	base := Oracle(pt, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: 1}})
 	for _, par := range []int{2, 8, 0} {
 		got := Oracle(pt, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: par}})
@@ -238,7 +238,7 @@ func TestPruneBiasRegression(t *testing.T) {
 	}
 
 	// Both implementations must agree on the biased result exactly.
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	for _, cfg := range []OracleConfig{
 		{WindowLen: 8},
 		{WindowLen: 8, MaxCandidates: 8},

@@ -210,7 +210,8 @@ func TestFocusedEmitTagLimits(t *testing.T) {
 	loop, _ := pt.IDOf(0x2000)
 	var occMax, backMax, occSat, backSat bool
 	backs := 0 // taken backward records in the window
-	for i, r := range tr.Records() {
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		em.emit(i, false)
 		for _, key := range em.keys {
 			if key&refKeyTagMask == MaxTag {
@@ -224,7 +225,7 @@ func TestFocusedEmitTagLimits(t *testing.T) {
 			backs++
 		}
 		if i >= window {
-			if old := tr.Records()[i-window]; old.Backward && old.Taken {
+			if old := pt.Record(i - window); old.Backward && old.Taken {
 				backs--
 			}
 		}

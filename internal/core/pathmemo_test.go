@@ -170,7 +170,9 @@ func scalarSelective(tr *trace.Trace, cfgs []SelectiveConfig) []int64 {
 	want := make([]int64, len(cfgs))
 	for c, cfg := range cfgs {
 		p := NewSelectiveMode(cfg.Name, cfg.Window, cfg.Assign, cfg.Mode)
-		for _, r := range tr.Records() {
+		pt := tr.Packed()
+		for i := 0; i < pt.Len(); i++ {
+			r := pt.Record(i)
 			if p.Predict(r) == r.Taken {
 				want[c]++
 			}

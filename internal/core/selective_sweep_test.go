@@ -148,7 +148,6 @@ func checkStatesMatchScalar(t *testing.T, tr *trace.Trace, st *BeamStates, cfgs 
 	t.Helper()
 	pc := st.pc
 	pt := pc.Packed()
-	recs := tr.Records()
 	ncfg := len(cfgs)
 	for _, lo := range []int{0, 1, 777, pt.Len() / 2} {
 		g := NewSelectiveSweepStates(st, "sel", cfgs)
@@ -156,8 +155,8 @@ func checkStatesMatchScalar(t *testing.T, tr *trace.Trace, st *BeamStates, cfgs 
 		specs := make([]*Selective, ncfg)
 		for c, cfg := range cfgs {
 			specs[c] = NewSelectiveMode(cfg.Name, cfg.Window, cfg.Assign, cfg.Mode)
-			for _, r := range recs[:lo] {
-				specs[c].Update(r)
+			for i := 0; i < lo; i++ {
+				specs[c].Update(pt.Record(i))
 			}
 		}
 		got := make([]uint8, ncfg)
@@ -168,10 +167,10 @@ func checkStatesMatchScalar(t *testing.T, tr *trace.Trace, st *BeamStates, cfgs 
 				g.recordPatterns(&g.branches[pt.IDs()[i]], got)
 			}
 			for c, spec := range specs {
-				if _, want := spec.patternIndex(recs[i].PC); int(got[c]) != want {
+				if _, want := spec.patternIndex(pt.Record(i).PC); int(got[c]) != want {
 					t.Fatalf("lo=%d record %d config %s: pattern %d (states) vs %d (scalar)", lo, i, cfgs[c].Name, got[c], want)
 				}
-				spec.Update(recs[i])
+				spec.Update(pt.Record(i))
 			}
 		}
 	}
@@ -189,7 +188,7 @@ func checkStatesMatchScalar(t *testing.T, tr *trace.Trace, st *BeamStates, cfgs 
 // grid puts four configs at one window.
 func TestSelectiveSweepScalarConformance(t *testing.T) {
 	tr := selSweepTrace(4000)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	for gname, cfgs := range map[string][]SelectiveConfig{"conformance": selSweepConfigs(), "fig4": selFig4Configs(tr)} {
 		want := scalarSelective(tr, cfgs)
 		st := selSweepStates(pt, cfgs)
@@ -215,7 +214,7 @@ func TestSelectiveSweepScalarConformance(t *testing.T) {
 // identical stream, so composition is exact).
 func TestSelectiveSweepShardComposition(t *testing.T) {
 	tr := selSweepTrace(3000)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	cfgs := selSweepConfigs()
 	want := selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, 1000)
 	names := NewSelectiveSweep("sel", cfgs).ConfigNames()
@@ -299,7 +298,7 @@ func TestSelectiveSweepConfigNames(t *testing.T) {
 // pattern-table indices are read once, on the first block.
 func TestSelectiveSweepAllocs(t *testing.T) {
 	tr := selSweepTrace(3000)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	cfgs := selSweepConfigs()
 	st := selSweepStates(pt, cfgs)
 	for gname, g := range map[string]*SelectiveSweep{
@@ -412,7 +411,7 @@ func TestSelectiveSweepValidation(t *testing.T) {
 // identical stream, at every step.
 func TestEmitterPrefixMatchesDedicatedWindow(t *testing.T) {
 	tr := selSweepTrace(600)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	refs := []Ref{
 		{0x100, Occurrence, 0}, {0x100, Occurrence, 2}, {0x200, Occurrence, 1},
 		{0x100, BackwardCount, 1}, {0x1F0, BackwardCount, 0}, {0x300, BackwardCount, 2},
@@ -432,7 +431,8 @@ func TestEmitterPrefixMatchesDedicatedWindow(t *testing.T) {
 		small[w] = NewWindow(n)
 	}
 	wantSt := make([]State, len(refs))
-	for i, r := range tr.Records() {
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		em.emit(i, false)
 		for w, n := range windows {
 			small[w].States(refs, wantSt)

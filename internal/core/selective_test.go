@@ -210,7 +210,9 @@ func TestSelectiveUpdateWithoutPredict(t *testing.T) {
 	assign := Assignment{0x200: {Ref{0x100, Occurrence, 0}}}
 	paired := NewSelective("paired", 16, assign)
 	solo := NewSelective("solo", 16, assign)
-	for _, r := range tr.Records() {
+	pt := tr.Packed()
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		paired.Predict(r)
 		paired.Update(r)
 		solo.Update(r) // no Predict call
@@ -218,7 +220,9 @@ func TestSelectiveUpdateWithoutPredict(t *testing.T) {
 	// Both predictors must end in identical trained state: compare
 	// predictions on a probe sweep.
 	probe := correlatedPair(200, 2)
-	for _, r := range probe.Records() {
+	probePt := probe.Packed()
+	for i := 0; i < probePt.Len(); i++ {
+		r := probePt.Record(i)
 		if paired.Predict(r) != solo.Predict(r) {
 			t.Fatalf("divergent state after training without Predict")
 		}

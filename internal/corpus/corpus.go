@@ -84,8 +84,9 @@ func (s *Store) LoadPacked(key string) (*trace.Packed, error) {
 	return pt, err
 }
 
-// LoadTrace decodes the entry for key into a trace whose Packed memo is
-// pre-seeded: a corpus hit skips both generation and the packing pass.
+// LoadTrace decodes the entry for key into a trace that wraps the
+// decoded columns (trace.FromPacked): a corpus hit skips both
+// generation and interning.
 func (s *Store) LoadTrace(key string) (*trace.Trace, error) {
 	pt, err := s.LoadPacked(key)
 	if err != nil {

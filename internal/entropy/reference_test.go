@@ -25,7 +25,9 @@ func referenceCeilings(t *trace.Trace, maxK int, k kind) *Result {
 	localHist := make(map[trace.Addr]uint32)
 	globalHist := uint32(0)
 	totals := make(map[trace.Addr]int)
-	for _, r := range t.Records() {
+	pt := t.Packed()
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		totals[r.PC]++
 		var hist uint32
 		if k == localKind {

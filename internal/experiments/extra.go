@@ -22,7 +22,7 @@ type ExtraResult struct {
 // (ideal-static, profiled-gshare) work per workload.
 func (s *Suite) extraCell(tr *trace.Trace) ([]float64, error) {
 	s.log("%s: extra predictors %v", tr.Name(), s.cfg.ExtraSpecs)
-	env := bp.Env{Stats: s.statsFor(tr), Trace: tr}
+	env := bp.Env{Stats: trace.Summarize(tr), Trace: tr}
 	preds, err := bp.ParseAll(s.cfg.ExtraSpecs, env)
 	if err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func splitCell(tr *trace.Trace, split func(tr *trace.Trace) *core.CategorySplit)
 // and PAs predictors against the ideal static predictor.
 func (s *Suite) figure7Split(tr *trace.Trace) *core.CategorySplit {
 	b := s.baseFor(tr)
-	stats := s.statsFor(tr)
+	stats := trace.Summarize(tr)
 	return core.SplitBest(stats, b.static,
 		func(pc trace.Addr) int { return b.gshare.Branch(pc).Correct },
 		func(pc trace.Addr) int { return b.pas.Branch(pc).Correct },
@@ -55,7 +55,7 @@ func (s *Suite) figure7Split(tr *trace.Trace) *core.CategorySplit {
 func (s *Suite) figure8Split(tr *trace.Trace) *core.CategorySplit {
 	g := s.stepFor(tr).global
 	cl := s.classFor(tr)
-	stats := s.statsFor(tr)
+	stats := trace.Summarize(tr)
 	return core.SplitBest(stats, cl.Static,
 		func(pc trace.Addr) int {
 			best := g.ifg.Branch(pc).Correct

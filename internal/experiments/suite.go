@@ -198,7 +198,6 @@ type Suite struct {
 	step    memo[*oracleStep]
 	classes memo[*core.PAClassification]
 	base    memo[*baseBundle]
-	stats   memo[*trace.Stats]
 	log     func(format string, args ...any)
 
 	// oracleBuild runs the full oracle pipeline for one trace/config at
@@ -403,20 +402,13 @@ func (s *Suite) classFor(tr *trace.Trace) *core.PAClassification {
 	})
 }
 
-// statsFor computes (once) a trace's summary statistics. Every reader
-// only reads them: Table 1, the ideal-static baseline, the Figure 7 and
-// 8 splits and the extra specs' profiling Env.
-func (s *Suite) statsFor(tr *trace.Trace) *trace.Stats {
-	return s.stats.get(tr.Name(), func() *trace.Stats { return trace.Summarize(tr) })
-}
-
 // baseFor computes (once) the ideal-static, gshare, and PAs baselines.
 func (s *Suite) baseFor(tr *trace.Trace) *baseBundle {
 	s.obs.Counter("suite.memo.base.calls").Inc()
 	return s.base.get(tr.Name(), func() *baseBundle {
 		s.obs.Counter("suite.memo.base.misses").Inc()
 		s.log("%s: baseline predictors (static, gshare, PAs)", tr.Name())
-		rs := s.simRun(tr, bp.NewIdealStatic(s.statsFor(tr)), s.newGshare(), s.newPAs())
+		rs := s.simRun(tr, bp.NewIdealStatic(trace.Summarize(tr)), s.newGshare(), s.newPAs())
 		return &baseBundle{static: rs[0], gshare: rs[1], pas: rs[2]}
 	})
 }

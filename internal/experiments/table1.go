@@ -27,7 +27,7 @@ type Table1Result struct {
 // table1Cell computes one benchmark's Table 1 row.
 func (s *Suite) table1Cell(tr *trace.Trace) Table1Row {
 	w, _ := workloads.ByName(tr.Name())
-	st := s.statsFor(tr)
+	st := trace.Summarize(tr)
 	desc := ""
 	if w != nil {
 		desc = w.Description()

@@ -17,7 +17,7 @@
 //     stay bit-identical across runs and parallelism levels.
 //
 // The process-wide Default registry is the sink for instrumentation that
-// has no options struct to thread a registry through (e.g. the memoized
+// has no options struct to thread a registry through (e.g. the
 // trace packing); everything options-based (sim.Options, the experiment
 // suite's Config) accepts an explicit *Registry and falls back to
 // Default when given nil.

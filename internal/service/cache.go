@@ -92,3 +92,41 @@ func (c *payloadCache) do(ctx context.Context, key string, compute func() ([]byt
 	close(e.done)
 	return e.bytes, e.err
 }
+
+// spellingCache memoizes the canonical form of a request part (a spec
+// list, a grid) by its wire spelling. Deriving the canonical form
+// constructs the predictors or the grid, which allocates every table;
+// with the memo a repeated request keys the payload cache without
+// constructing anything, and construction runs only on a payload cache
+// miss. The memo is cleared whenever it reaches its capacity.
+type spellingCache struct {
+	mu    sync.Mutex
+	cap   int
+	canon map[string]string
+}
+
+func newSpellingCache(capacity int) *spellingCache {
+	return &spellingCache{cap: capacity, canon: make(map[string]string)}
+}
+
+// get returns the canonical form of spelling, calling derive on a miss.
+// Errors are not cached.
+func (c *spellingCache) get(spelling string, derive func() (string, error)) (string, error) {
+	c.mu.Lock()
+	canon, ok := c.canon[spelling]
+	c.mu.Unlock()
+	if ok {
+		return canon, nil
+	}
+	canon, err := derive()
+	if err != nil {
+		return "", err
+	}
+	c.mu.Lock()
+	if len(c.canon) >= c.cap {
+		clear(c.canon)
+	}
+	c.canon[spelling] = canon
+	c.mu.Unlock()
+	return canon, nil
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -176,5 +177,34 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if misses := s.reg.Counter("service.cache.misses").Value(); misses != 3 {
 		t.Errorf("misses = %d, want 3", misses)
+	}
+}
+
+// TestWarmRequestConstructsNothing pins the spelling memo: a repeated
+// request keys the payload cache without constructing its predictors or
+// grid, whose tables here are 4 MiB each, and a payload miss after a
+// memo hit (the same specs on another trace) still constructs them and
+// answers what a fresh server answers.
+func TestWarmRequestConstructsNothing(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	reqs := []struct{ path, body string }{
+		{"/v1/simulate", `{"trace":{"workload":"%s"},"specs":["gshare:22"]}`},
+		{"/v1/sweep", `{"trace":{"workload":"%s"},"grid":{"family":"gshare-hist","hist":[22]}}`},
+	}
+	for _, r := range reqs {
+		issue(t, ts, r.path, fmt.Sprintf(r.body, "gcc"))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		issue(t, ts, r.path, fmt.Sprintf(r.body, "gcc"))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: warm request allocated %d bytes, want under 1 MiB (no 4 MiB table)", r.path, got)
+		}
+
+		got := issue(t, ts, r.path, fmt.Sprintf(r.body, "perl"))
+		_, fresh := newTestServer(t, nil)
+		if want := issue(t, fresh, r.path, fmt.Sprintf(r.body, "perl")); !bytes.Equal(got, want) {
+			t.Errorf("%s: payload after a memo hit differs from a fresh server's:\n%s\n%s", r.path, got, want)
+		}
 	}
 }

@@ -112,6 +112,9 @@ type Server struct {
 	store  *corpus.Store
 	cache  *payloadCache
 	traces *traceCache
+	// spellings keys requests by canonical specs and grids without
+	// constructing them (see spellingCache).
+	spellings *spellingCache
 
 	sem     chan struct{} // admission slots, cap cfg.Workers
 	waiting atomic.Int64
@@ -126,12 +129,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		cfg:    cfg,
-		reg:    reg,
-		store:  store,
-		cache:  newPayloadCache(cfg.CacheEntries, reg),
-		traces: newTraceCache(cfg.TraceEntries),
-		sem:    make(chan struct{}, cfg.Workers),
+		cfg:       cfg,
+		reg:       reg,
+		store:     store,
+		cache:     newPayloadCache(cfg.CacheEntries, reg),
+		traces:    newTraceCache(cfg.TraceEntries),
+		spellings: newSpellingCache(cfg.CacheEntries),
+		sem:       make(chan struct{}, cfg.Workers),
 	}, nil
 }
 
@@ -366,14 +370,24 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	preds, names, err := canonicalSpecs(req.Specs, rt.tr)
+	var preds []bp.Predictor
+	names, err := s.spellings.get(fmt.Sprintf("specs|%q", req.Specs), func() (string, error) {
+		p, names, err := canonicalSpecs(req.Specs, rt.tr)
+		preds = p
+		return strings.Join(names, "\x00"), err
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("simulate|%s|bucket=%d|perbranch=%t|%s",
-		rt.key, req.BucketSize, req.PerBranch, strings.Join(names, "\x00"))
+	key := fmt.Sprintf("simulate|%s|bucket=%d|perbranch=%t|%s", rt.key, req.BucketSize, req.PerBranch, names)
 	b, err := s.compute(r.Context(), "simulate", rt, key, func(reg *obs.Registry) (any, error) {
+		if preds == nil {
+			var err error
+			if preds, _, err = canonicalSpecs(req.Specs, rt.tr); err != nil {
+				return nil, err
+			}
+		}
 		out := sim.Simulate(rt.tr, preds, sim.Options{
 			Parallel:   s.cfg.SimParallel,
 			BucketSize: req.BucketSize,
@@ -477,15 +491,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	grid, err := buildGrid(req.Grid, rt.tr)
+	// The grid's own canonical identity — name plus per-config labels —
+	// keys the cache, so equivalent wire spellings share an entry.
+	g := req.Grid
+	var grid bp.SweepGrid
+	canon, err := s.spellings.get(fmt.Sprintf("grid|%q|%v|%v|%d|%d|%q", g.Family, g.Hist, g.Table, g.BimodalBits, g.ChooserBits, g.Specs),
+		func() (string, error) {
+			var err error
+			if grid, err = buildGrid(g, rt.tr); err != nil {
+				return "", err
+			}
+			return grid.GridName() + "|" + strings.Join(grid.ConfigNames(), "\x00"), nil
+		})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	// The grid's own canonical identity — name plus per-config labels —
-	// keys the cache, so equivalent wire spellings share an entry.
-	key := fmt.Sprintf("sweep|%s|%s|%s", rt.key, grid.GridName(), strings.Join(grid.ConfigNames(), "\x00"))
+	key := fmt.Sprintf("sweep|%s|%s", rt.key, canon)
 	b, err := s.compute(r.Context(), "sweep", rt, key, func(reg *obs.Registry) (any, error) {
+		if grid == nil {
+			var err error
+			if grid, err = buildGrid(g, rt.tr); err != nil {
+				return nil, err
+			}
+		}
 		out := sim.SimulateSweep(rt.tr, grid, sim.Options{Parallel: s.cfg.SimParallel, Observer: reg})
 		return v1.SweepResponse{
 			Trace:   rt.info(),

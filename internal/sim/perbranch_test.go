@@ -67,7 +67,9 @@ func lateAssignment(tr *trace.Trace, seed int64) [core.MaxSelectiveRefs + 1]core
 	rng := rand.New(rand.NewSource(seed))
 	var order []trace.Addr
 	seen := map[trace.Addr]bool{}
-	for _, r := range tr.Records() {
+	pt := tr.Packed()
+	for i := 0; i < pt.Len(); i++ {
+		r := pt.Record(i)
 		if !seen[r.PC] {
 			seen[r.PC] = true
 			order = append(order, r.PC)

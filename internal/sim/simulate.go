@@ -96,9 +96,9 @@ func newOutcome(predictors []bp.Predictor, opts Options) *Outcome {
 	return out
 }
 
-// wholeBlock views a packed trace as one zero-copy block. Pack zero-pads
-// its bitsets, so at offset 0 the block-relative bits are the absolute
-// ones.
+// wholeBlock views a packed trace as one zero-copy block. A packed
+// view's bitsets are zero-padded, so at offset 0 the block-relative bits
+// are the absolute ones.
 func wholeBlock(pt *trace.Packed) trace.Block {
 	return trace.Block{IDs: pt.IDs(), Taken: pt.TakenWords(), Back: pt.BackwardWords()}
 }

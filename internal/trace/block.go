@@ -41,11 +41,11 @@ func (b Block) Back1(i int) uint64 { return b.Back[i>>6] >> (uint(i) & 63) & 1 }
 
 // BlockSource yields a trace as a sequence of bounded packed blocks.
 // Dense IDs are assigned in order of first appearance across the whole
-// stream — the identical assignment Pack makes for the same record
-// sequence — so a streamed consumer and a Packed consumer see the same
-// IDs for the same trace. Implementations are single-pass: multi-pass
-// consumers (the oracle) re-open a fresh source per pass via an opener
-// callback.
+// stream — the identical assignment a Trace's Packed view makes for the
+// same record sequence — so a streamed consumer and a Packed consumer
+// see the same IDs for the same trace. Implementations are
+// single-pass: multi-pass consumers (the oracle) re-open a fresh source
+// per pass via an opener callback.
 type BlockSource interface {
 	// Name returns the trace name.
 	Name() string

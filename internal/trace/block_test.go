@@ -41,10 +41,16 @@ func drainSource(t *testing.T, src BlockSource) []Record {
 }
 
 func localityTrace(name string, n int, seed int64) *Trace {
+	return FromRecords(name, localityRecords(n, seed))
+}
+
+// localityRecords draws n records over 64 sites with the short PC
+// strides and repeats of real branch traces.
+func localityRecords(n int, seed int64) []Record {
 	rng := rand.New(rand.NewSource(seed))
-	tr := New(name, n)
+	recs := make([]Record, n)
 	pc := Addr(0x1000)
-	for i := 0; i < n; i++ {
+	for i := range recs {
 		switch rng.Intn(4) {
 		case 0:
 			pc = Addr(0x1000 + 4*rng.Intn(64))
@@ -53,9 +59,9 @@ func localityTrace(name string, n int, seed int64) *Trace {
 		default:
 			pc += 4
 		}
-		tr.Append(Record{PC: pc, Taken: rng.Intn(3) != 0, Backward: rng.Intn(5) == 0})
+		recs[i] = Record{PC: pc, Taken: rng.Intn(3) != 0, Backward: rng.Intn(5) == 0}
 	}
-	return tr
+	return recs
 }
 
 // chunkCases returns the adversarial chunk lengths for a trace of n
@@ -75,7 +81,7 @@ func chunkCases(n int) []int {
 func TestPackedSourceMatchesRecords(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 1000} {
 		tr := localityTrace("ps", n, int64(n)+1)
-		pt := Pack(tr)
+		pt := tr.Packed()
 		for _, chunk := range chunkCases(n) {
 			src := pt.Blocks(chunk)
 			if src.Name() != "ps" {
@@ -98,7 +104,7 @@ func TestPackedSourceMatchesRecords(t *testing.T) {
 // streamed IDs must be byte-for-byte the packed column, chunk by chunk.
 func TestPackedSourceIDsMatchPack(t *testing.T) {
 	tr := localityTrace("ids", 777, 7)
-	pt := Pack(tr)
+	pt := tr.Packed()
 	for _, chunk := range chunkCases(tr.Len()) {
 		src := pt.Blocks(chunk)
 		pos := 0
@@ -124,7 +130,7 @@ func TestReadBlocksMatchesPack(t *testing.T) {
 		if err := tr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		pt := Pack(tr)
+		pt := tr.Packed()
 		for _, chunk := range chunkCases(n) {
 			br, err := ReadBlocks(bytes.NewReader(buf.Bytes()), chunk)
 			if err != nil {
@@ -319,7 +325,7 @@ func TestInterleaveStreaming(t *testing.T) {
 	b := localityTrace("b", 120, 2)
 	const quantum = 64
 	merged := Interleave("mix", quantum, a, b)
-	pt := Pack(merged)
+	pt := merged.Packed()
 	for _, chunk := range []int{1, quantum - 1, quantum, quantum + 1, merged.Len()} {
 		got := drainSource(t, pt.Blocks(chunk))
 		if len(got) != merged.Len() {
@@ -354,7 +360,7 @@ func TestInterleaveEmptyInput(t *testing.T) {
 	if got := Interleave("none", 4); got.Len() != 0 || got.Name() != "none" {
 		t.Errorf("Interleave() = %d records, name %q", got.Len(), got.Name())
 	}
-	got := drainSource(t, Pack(Interleave("none", 4)).Blocks(8))
+	got := drainSource(t, Interleave("none", 4).Packed().Blocks(8))
 	if len(got) != 0 {
 		t.Errorf("streaming an empty interleave yielded %d records", len(got))
 	}
@@ -369,7 +375,7 @@ func TestBlockBytes(t *testing.T) {
 
 func TestAssemblePackedRoundTrip(t *testing.T) {
 	tr := localityTrace("as", 257, 9)
-	pt := Pack(tr)
+	pt := tr.Packed()
 	got, err := AssemblePacked(pt.Name(), pt.Addrs(), pt.IDs(), pt.TakenWords(), pt.BackwardWords())
 	if err != nil {
 		t.Fatal(err)
@@ -419,19 +425,29 @@ func TestAssemblePackedRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestFromPackedSeedsMemo pins that FromPacked wraps the view it is
+// given: Packed returns that view itself, and appending to the trace
+// leaves the view as it was.
 func TestFromPackedSeedsMemo(t *testing.T) {
-	tr := localityTrace("fp", 100, 4)
-	pt := Pack(tr)
-	got := FromPacked(pt)
-	if got.Len() != tr.Len() || got.Name() != tr.Name() {
-		t.Fatalf("FromPacked: %d records, name %q", got.Len(), got.Name())
+	recs := localityRecords(100, 4)
+	ref := referencePack("fp", recs)
+	pt, err := AssemblePacked(ref.name, ref.addrs, ref.ids, ref.taken, ref.back)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range tr.Records() {
-		if got.At(i) != tr.At(i) {
-			t.Fatalf("record %d mismatch", i)
-		}
+	got := FromPacked(pt)
+	if got.Len() != len(recs) || got.Name() != "fp" {
+		t.Fatalf("FromPacked: %d records, name %q", got.Len(), got.Name())
 	}
 	if got.Packed() != pt {
 		t.Error("FromPacked should seed the Packed memo with the given view")
+	}
+	extra := Record{PC: 0x9000, Taken: true, Backward: true}
+	got.Append(extra)
+	if d := packedDiff(pt, referencePack("fp", recs)); d != "" {
+		t.Errorf("wrapped view changed after Append: %s", d)
+	}
+	if d := packedDiff(got.Packed(), referencePack("fp", append(recs, extra))); d != "" {
+		t.Errorf("view after Append: %s", d)
 	}
 }

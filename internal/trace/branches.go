@@ -25,24 +25,17 @@ func (p *Packed) Branches() *BranchStreams {
 		start[id+1] = start[id] + (int(c)+63)/64
 	}
 	words := make([]uint64, start[len(counts)])
-	first := make([]uint64, (len(counts)+63)/64)
 	next := make([]int, len(counts)) // bit offset of each branch's next outcome
 	for id := range next {
 		next[id] = 64 * start[id]
 	}
-	taken, back := p.taken, p.back
-	seen := int32(0)
+	taken := p.taken
 	for i, id := range p.ids {
 		pos := next[id]
 		next[id] = pos + 1
 		words[pos>>6] |= (taken[i>>6] >> (uint(i) & 63) & 1) << (uint(pos) & 63)
-		if id == seen {
-			first[id>>6] |= (back[i>>6] >> (uint(i) & 63) & 1) << (uint(id) & 63)
-			seen++
-		}
 	}
-	b := &BranchStreams{words: words, start: start, counts: counts, back: first}
-	return b
+	return &BranchStreams{words: words, start: start, counts: counts, back: p.firstBack}
 }
 
 // Len returns the number of branches.

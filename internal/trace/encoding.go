@@ -55,7 +55,7 @@ const maxNameLen = 1 << 20
 
 // readPrealloc caps how much record capacity the in-memory decoder
 // preallocates from the header's (attacker-controlled) record count; the
-// slice grows normally as records actually arrive, so a 15-byte file
+// columns grow normally as records actually arrive, so a 15-byte file
 // claiming 2^60 records errors out after a few bytes instead of OOMing
 // the process (TestReadHugeCountNoOOM).
 const readPrealloc = 1 << 16
@@ -184,11 +184,13 @@ func (t *Trace) Write(w io.Writer) error {
 	if _, err := bw.WriteString(t.name); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(t.records))); err != nil {
+	p := t.Packed()
+	if err := putUvarint(uint64(p.Len())); err != nil {
 		return err
 	}
 	prev := Addr(0)
-	for _, r := range t.records {
+	for i := 0; i < p.Len(); i++ {
+		r := p.Record(i)
 		hdr := uint64(0)
 		if r.Taken {
 			hdr |= flagTaken
@@ -212,11 +214,11 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read decodes a trace from r, materializing every record in memory.
+// Read decodes a trace from r into an in-memory trace's columns.
 // Arbitrarily long on-disk traces should stream through ReadBlocks
 // instead. The header's record count is treated as a claim,
-// not a budget: preallocation is capped (readPrealloc) and the record
-// slice grows only as records actually decode.
+// not a budget: preallocation is capped (readPrealloc) and the
+// trace's columns grow only as records actually decode.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	name, count, err := readHeader(br)

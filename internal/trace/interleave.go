@@ -21,15 +21,16 @@ func Interleave(name string, quantum int, traces ...*Trace) *Trace {
 		total += t.Len()
 	}
 	out := New(name, total)
+	views := make([]*Packed, len(traces))
+	for i, t := range traces {
+		views[i] = t.Packed()
+	}
 	offsets := make([]int, len(traces))
 	for out.Len() < total {
-		for i, t := range traces {
-			end := offsets[i] + quantum
-			if end > t.Len() {
-				end = t.Len()
-			}
+		for i, p := range views {
+			end := min(offsets[i]+quantum, p.Len())
 			for ; offsets[i] < end; offsets[i]++ {
-				out.Append(t.At(offsets[i]))
+				out.Append(p.Record(offsets[i]))
 			}
 		}
 	}

@@ -18,12 +18,12 @@ func TestInterleaveRoundRobin(t *testing.T) {
 		t.Fatalf("len = %d, want 20", out.Len())
 	}
 	// Expect a[0:4], b[0:4], a[4:8], b[4:8], a[8:10], b[8:10].
-	want := append([]Record{}, a.Records()[0:4]...)
-	want = append(want, b.Records()[0:4]...)
-	want = append(want, a.Records()[4:8]...)
-	want = append(want, b.Records()[4:8]...)
-	want = append(want, a.Records()[8:10]...)
-	want = append(want, b.Records()[8:10]...)
+	want := append([]Record{}, records(a)[0:4]...)
+	want = append(want, records(b)[0:4]...)
+	want = append(want, records(a)[4:8]...)
+	want = append(want, records(b)[4:8]...)
+	want = append(want, records(a)[8:10]...)
+	want = append(want, records(b)[8:10]...)
 	for i, w := range want {
 		if out.At(i) != w {
 			t.Fatalf("record %d = %v, want %v", i, out.At(i), w)
@@ -49,7 +49,7 @@ func TestInterleavePreservesPerProgramOrder(t *testing.T) {
 	b := mk("b", 0x900, 37)
 	out := Interleave("ab", 8, a, b)
 	var gotA, gotB []Record
-	for _, r := range out.Records() {
+	for _, r := range records(out) {
 		if r.PC < 0x900 {
 			gotA = append(gotA, r)
 		} else {
@@ -77,7 +77,7 @@ func TestInterleaveEdgeCases(t *testing.T) {
 	}
 	a := mk("a", 0x100, 5)
 	out := Interleave("solo", 2, a)
-	for i := range a.Records() {
+	for i := range records(a) {
 		if out.At(i) != a.At(i) {
 			t.Fatal("single-trace interleave should be identity")
 		}

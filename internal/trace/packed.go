@@ -2,13 +2,12 @@ package trace
 
 import (
 	"fmt"
-
-	"branchcorr/internal/obs"
+	"maps"
+	"slices"
 )
 
-// Packed is a columnar (structure-of-arrays) view of a Trace, built once
-// and shared by analyses whose inner loops would otherwise pay per-record
-// struct loads and per-address map lookups:
+// Packed is the columnar (structure-of-arrays) view of a Trace, the
+// form every analysis reads:
 //
 //   - every static branch site is interned to a dense ID (first-appearance
 //     order), so per-branch state lives in flat slices indexed by ID
@@ -17,83 +16,85 @@ import (
 //     record, so direction tests are a shift and mask over cache-resident
 //     words.
 //
-// The view is immutable after Pack and safe for concurrent readers; the
-// experiment suite memoizes one Packed per trace (sync.Once) and hands it
-// to every oracle pass.
+// A view is immutable once handed out and safe for concurrent readers.
+// Trace.Packed builds it over the trace's own columns, without copying.
 type Packed struct {
-	name   string
-	ids    []int32 // dense branch ID per dynamic record
-	addrs  []Addr  // ID -> static branch address, first-appearance order
-	idOf   map[Addr]int32
-	counts []int32  // ID -> number of dynamic records (occurrences)
-	taken  []uint64 // bit i = record i resolved taken
-	back   []uint64 // bit i = record i is a backward (loop-closing) branch
+	name  string
+	ids   []int32  // dense branch ID per dynamic record
+	taken []uint64 // bit i = record i resolved taken
+	back  []uint64 // bit i = record i is a backward (loop-closing) branch
+	siteTable
 }
 
-// Pack builds the columnar view of t in one linear pass. Dense IDs are
-// assigned in order of first appearance, so packing is deterministic for
-// a given trace. Every build is accounted into the default registry
-// (counter trace.pack.builds, span trace.pack), surfacing redundant
-// packing that the Trace.Packed memo exists to avoid.
-func Pack(t *Trace) *Packed {
-	obs.Default().Counter("trace.pack.builds").Inc()
-	defer obs.Default().StartSpan("trace.pack").End()
-	recs := t.Records()
-	words := (len(recs) + 63) / 64
-	p := &Packed{
-		name:  t.Name(),
-		ids:   make([]int32, len(recs)),
-		idOf:  make(map[Addr]int32),
-		taken: make([]uint64, words),
-		back:  make([]uint64, words),
+// siteTable is the intern table of a trace's columns: the address of
+// each dense ID, its inverse, and the per-ID tallies that let Summarize
+// and Branches set up in O(static sites).
+type siteTable struct {
+	addrs       []Addr // ID -> static branch address, first-appearance order
+	idOf        map[Addr]int32
+	counts      []int32  // ID -> number of dynamic records (occurrences)
+	takenCounts []int32  // ID -> number of taken records
+	firstBack   []uint64 // bit id = branch id's first record is a backward branch
+}
+
+// add returns pc's dense ID, interning pc as the next ID if it is new;
+// back is the backward bit of the record being interned, which is the
+// site's first when the site is new.
+func (s *siteTable) add(pc Addr, back bool) int32 {
+	if id, ok := s.idOf[pc]; ok {
+		return id
 	}
-	for i, r := range recs {
-		id, ok := p.idOf[r.PC]
-		if !ok {
-			id = int32(len(p.addrs))
-			p.idOf[r.PC] = id
-			p.addrs = append(p.addrs, r.PC)
-			p.counts = append(p.counts, 0)
-		}
-		p.ids[i] = id
-		p.counts[id]++
-		if r.Taken {
-			p.taken[i>>6] |= 1 << (uint(i) & 63)
-		}
-		if r.Backward {
-			p.back[i>>6] |= 1 << (uint(i) & 63)
-		}
+	if s.idOf == nil {
+		s.idOf = make(map[Addr]int32)
 	}
-	return p
+	id := int32(len(s.addrs))
+	s.idOf[pc] = id
+	s.addrs = append(s.addrs, pc)
+	s.counts = append(s.counts, 0)
+	s.takenCounts = append(s.takenCounts, 0)
+	if id&63 == 0 {
+		s.firstBack = append(s.firstBack, 0)
+	}
+	if back {
+		s.firstBack[id>>6] |= 1 << (uint(id) & 63)
+	}
+	return id
+}
+
+// clone returns a copy of s that shares no memory with it.
+func (s siteTable) clone() siteTable {
+	return siteTable{
+		addrs:       slices.Clone(s.addrs),
+		idOf:        maps.Clone(s.idOf),
+		counts:      slices.Clone(s.counts),
+		takenCounts: slices.Clone(s.takenCounts),
+		firstBack:   slices.Clone(s.firstBack),
+	}
 }
 
 // AssemblePacked reconstructs a Packed view from raw columns — the load
 // path of the on-disk corpus format, which persists exactly these
-// columns. It validates the shape Pack guarantees (every ID in range,
-// IDs dense in first-appearance order, bitsets exactly sized with zero
-// tail padding, intern table duplicate-free) and rebuilds the derived
-// idOf map and per-ID counts, so an assembled view is indistinguishable
-// from one Pack built over the same records.
+// columns. It validates the shape a Trace's view has (every ID in
+// range, IDs dense in first-appearance order, bitsets exactly sized with
+// zero tail padding, intern table duplicate-free) and rebuilds the
+// derived idOf map and per-ID tallies, so an assembled view is
+// indistinguishable from a Trace's view of the same records.
 func AssemblePacked(name string, addrs []Addr, ids []int32, taken, back []uint64) (*Packed, error) {
-	words := (len(ids) + 63) / 64
-	if len(taken) != words || len(back) != words {
-		return nil, fmt.Errorf("trace: assemble: bitset sizes (%d, %d words) do not match %d records (%d words)",
-			len(taken), len(back), len(ids), words)
-	}
-	if tail := uint(len(ids)) & 63; tail != 0 && words > 0 {
-		mask := ^(uint64(1)<<tail - 1)
-		if taken[words-1]&mask != 0 || back[words-1]&mask != 0 {
-			return nil, fmt.Errorf("trace: assemble: nonzero bitset padding past record %d", len(ids))
-		}
+	if err := checkBitsets(len(ids), taken, back); err != nil {
+		return nil, err
 	}
 	p := &Packed{
-		name:   name,
-		ids:    ids,
-		addrs:  addrs,
-		idOf:   make(map[Addr]int32, len(addrs)),
-		counts: make([]int32, len(addrs)),
-		taken:  taken,
-		back:   back,
+		name:  name,
+		ids:   ids,
+		taken: taken,
+		back:  back,
+		siteTable: siteTable{
+			addrs:       addrs,
+			idOf:        make(map[Addr]int32, len(addrs)),
+			counts:      make([]int32, len(addrs)),
+			takenCounts: make([]int32, len(addrs)),
+			firstBack:   make([]uint64, (len(addrs)+63)/64),
+		},
 	}
 	for id, a := range addrs {
 		if _, dup := p.idOf[a]; dup {
@@ -110,9 +111,11 @@ func AssemblePacked(name string, addrs []Addr, ids []int32, taken, back []uint64
 			return nil, fmt.Errorf("trace: assemble: record %d introduces ID %d before ID %d (not first-appearance order)", i, id, seen)
 		}
 		if id == seen {
+			p.firstBack[id>>6] |= (back[i>>6] >> (uint(i) & 63) & 1) << (uint(id) & 63)
 			seen++
 		}
 		p.counts[id]++
+		p.takenCounts[id] += int32(taken[i>>6] >> (uint(i) & 63) & 1)
 	}
 	if int(seen) != len(addrs) {
 		return nil, fmt.Errorf("trace: assemble: intern table has %d entries but only %d IDs appear", len(addrs), seen)
@@ -120,12 +123,29 @@ func AssemblePacked(name string, addrs []Addr, ids []int32, taken, back []uint64
 	return p, nil
 }
 
+// checkBitsets reports whether taken and back are the bitsets of n
+// records: exactly the words n bits need, with zero padding past bit n.
+func checkBitsets(n int, taken, back []uint64) error {
+	words := (n + 63) / 64
+	if len(taken) != words || len(back) != words {
+		return fmt.Errorf("trace: bitset sizes (%d, %d words) do not match %d records (%d words)",
+			len(taken), len(back), n, words)
+	}
+	if tail := uint(n) & 63; tail != 0 {
+		mask := ^(uint64(1)<<tail - 1)
+		if taken[words-1]&mask != 0 || back[words-1]&mask != 0 {
+			return fmt.Errorf("trace: nonzero bitset padding past record %d", n)
+		}
+	}
+	return nil
+}
+
 // Name returns the source trace's name.
 func (p *Packed) Name() string { return p.name }
 
 // Packed returns the view itself, so a bare columnar view satisfies
 // interfaces keyed on a Packed() accessor (core.Source) interchangeably
-// with *Trace, whose Packed method memoizes this view.
+// with *Trace.
 func (p *Packed) Packed() *Packed { return p }
 
 // Len returns the number of dynamic records.
@@ -179,8 +199,9 @@ func (p *Packed) Backward(i int) bool {
 	return p.back[i>>6]>>(uint(i)&63)&1 != 0
 }
 
-// Record reconstructs record i from the columns (the inverse of Pack,
-// used by tests and by consumers that need an occasional AoS view).
+// Record reconstructs record i from the columns, for consumers that
+// read whole records (the trace encoder, Interleave, the reference
+// implementations).
 func (p *Packed) Record(i int) Record {
 	return Record{PC: p.addrs[p.ids[i]], Taken: p.Taken(i), Backward: p.Backward(i)}
 }

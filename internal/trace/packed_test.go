@@ -1,41 +1,48 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
 
+var packTestRecords = []Record{
+	{PC: 0x400, Taken: true},
+	{PC: 0x404, Taken: false},
+	{PC: 0x400, Taken: false},
+	{PC: 0x408, Taken: true, Backward: true},
+	{PC: 0x404, Taken: true},
+}
+
 func packTestTrace() *Trace {
 	tr := New("packed", 0)
-	tr.Append(Record{PC: 0x400, Taken: true})
-	tr.Append(Record{PC: 0x404, Taken: false})
-	tr.Append(Record{PC: 0x400, Taken: false})
-	tr.Append(Record{PC: 0x408, Taken: true, Backward: true})
-	tr.Append(Record{PC: 0x404, Taken: true})
+	for _, r := range packTestRecords {
+		tr.Append(r)
+	}
 	return tr
 }
 
 func TestPackRoundTrip(t *testing.T) {
 	tr := packTestTrace()
-	p := Pack(tr)
+	p := tr.Packed()
 	if p.Name() != tr.Name() {
 		t.Errorf("Name = %q, want %q", p.Name(), tr.Name())
 	}
-	if p.Len() != tr.Len() {
-		t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
+	if p.Len() != len(packTestRecords) || tr.Len() != p.Len() {
+		t.Fatalf("Len = %d (trace %d), want %d", p.Len(), tr.Len(), len(packTestRecords))
 	}
-	for i := 0; i < tr.Len(); i++ {
-		if got, want := p.Record(i), tr.At(i); got != want {
+	for i, want := range packTestRecords {
+		if got := p.Record(i); got != want {
 			t.Errorf("record %d: %v, want %v", i, got, want)
 		}
-		if p.Taken(i) != tr.At(i).Taken || p.Backward(i) != tr.At(i).Backward {
+		if p.Taken(i) != want.Taken || p.Backward(i) != want.Backward {
 			t.Errorf("record %d: bit columns disagree with record", i)
 		}
 	}
 }
 
 func TestPackDenseIDsFirstAppearance(t *testing.T) {
-	p := Pack(packTestTrace())
+	p := packTestTrace().Packed()
 	if p.NumBranches() != 3 {
 		t.Fatalf("NumBranches = %d, want 3", p.NumBranches())
 	}
@@ -62,34 +69,34 @@ func TestPackDenseIDsFirstAppearance(t *testing.T) {
 
 func TestPackLargeBitsets(t *testing.T) {
 	// Cross the 64-record word boundary and check every bit.
-	tr := New("big", 0)
-	for i := 0; i < 200; i++ {
-		tr.Append(Record{
+	recs := make([]Record, 200)
+	for i := range recs {
+		recs[i] = Record{
 			PC:       Addr(0x100 + 4*(i%7)),
 			Taken:    i%3 == 0,
 			Backward: i%5 == 0,
-		})
+		}
 	}
-	p := Pack(tr)
+	p := FromRecords("big", recs).Packed()
 	if p.NumBranches() != 7 {
 		t.Fatalf("NumBranches = %d, want 7", p.NumBranches())
 	}
-	for i := 0; i < tr.Len(); i++ {
-		if p.Record(i) != tr.At(i) {
+	for i, r := range recs {
+		if p.Record(i) != r {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
 }
 
 func TestPackEmptyTrace(t *testing.T) {
-	p := Pack(New("empty", 0))
+	p := New("empty", 0).Packed()
 	if p.Len() != 0 || p.NumBranches() != 0 {
 		t.Errorf("empty pack: len=%d branches=%d", p.Len(), p.NumBranches())
 	}
 }
 
 func TestPackCounts(t *testing.T) {
-	p := Pack(packTestTrace())
+	p := packTestTrace().Packed()
 	want := []int32{2, 2, 1} // 0x400 ×2, 0x404 ×2, 0x408 ×1, in ID order
 	counts := p.Counts()
 	if len(counts) != len(want) {
@@ -107,9 +114,10 @@ func TestPackCounts(t *testing.T) {
 	}
 }
 
-// TestTracePackedMemoized pins the memoized columnar view on Trace: the
-// same pointer comes back while the trace is unchanged, and appending
-// invalidates it so the next call re-packs with the new records.
+// TestTracePackedMemoized pins the view's lifetime: the same pointer
+// comes back while the trace is unchanged, and an Append makes the next
+// call build a new view with the new records while the old one keeps
+// exactly the columns it had, bitset padding included.
 func TestTracePackedMemoized(t *testing.T) {
 	tr := packTestTrace()
 	p1 := tr.Packed()
@@ -119,7 +127,7 @@ func TestTracePackedMemoized(t *testing.T) {
 	if p2 := tr.Packed(); p2 != p1 {
 		t.Error("Packed() on an unchanged trace rebuilt the view")
 	}
-	tr.Append(Record{PC: 0x40c, Taken: true})
+	tr.Append(Record{PC: 0x40c, Taken: true, Backward: true})
 	p3 := tr.Packed()
 	if p3 == p1 {
 		t.Fatal("Packed() after Append returned the stale view")
@@ -129,6 +137,13 @@ func TestTracePackedMemoized(t *testing.T) {
 	}
 	if id, ok := p3.IDOf(0x40c); !ok || p3.AddrOf(id) != 0x40c {
 		t.Error("re-packed view is missing the appended branch")
+	}
+	if d := packedDiff(p1, referencePack("packed", packTestRecords)); d != "" {
+		t.Errorf("first view changed after Append: %s", d)
+	}
+	all := append(slices.Clone(packTestRecords), Record{PC: 0x40c, Taken: true, Backward: true})
+	if d := packedDiff(p3, referencePack("packed", all)); d != "" {
+		t.Errorf("view after Append: %s", d)
 	}
 }
 

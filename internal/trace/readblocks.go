@@ -60,7 +60,7 @@ func (b *BlockReader) Name() string { return b.name }
 
 // Addrs implements BlockSource: the intern table covering every dense ID
 // decoded so far, in first-appearance order — the identical assignment
-// Pack makes over the same records.
+// a Trace's Packed view makes over the same records.
 func (b *BlockReader) Addrs() []Addr { return b.addrs }
 
 // Err implements BlockSource.

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"branchcorr/internal/obs"
@@ -47,76 +48,172 @@ func (r Record) String() string {
 	return fmt.Sprintf("0x%x %s", uint32(r.PC), dir)
 }
 
-// Trace is an in-memory branch trace.
+// Trace is an in-memory branch trace, held as the columns of its Packed
+// view and nothing else: a 4-byte entry per record plus one taken and
+// one backward bit. Append writes a record's PC into the entry; the
+// next Packed call interns the PCs appended since the last one to
+// dense branch IDs in place. Records are read back through the view
+// (Packed().Record).
 type Trace struct {
-	name    string
-	records []Record
+	name string
 
-	// packMu guards packed, the memoized columnar view (see Packed).
-	packMu sync.Mutex
-	packed *Packed
+	// mu serializes Packed, whose intern rewrites col in place.
+	mu sync.Mutex
+	// col[i] is record i's dense branch ID for i < interned, and its
+	// PC for i >= interned.
+	col      []int32
+	interned int
+	taken    []uint64 // bit i = record i resolved taken
+	back     []uint64 // bit i = record i is a backward branch
+	sites    siteTable
+	// view is the Packed view of the current length, once one has been
+	// handed out. It shares the columns, so the next Append first gives
+	// the trace its own copy of whatever it would write (unshare).
+	view *Packed
 }
 
 // New returns an empty trace with the given name (typically the workload
 // name) and capacity hint.
 func New(name string, capacity int) *Trace {
-	return &Trace{name: name, records: make([]Record, 0, capacity)}
-}
-
-// FromRecords wraps an existing record slice in a Trace. The slice is not
-// copied.
-func FromRecords(name string, recs []Record) *Trace {
-	return &Trace{name: name, records: recs}
-}
-
-// FromPacked materializes a Trace from a columnar view and seeds the
-// trace's Packed memo with it, so consumers that load a pre-packed trace
-// (the corpus store's hit path) pay neither record re-interning nor
-// bitset reconstruction: the first Packed() call returns p itself.
-func FromPacked(p *Packed) *Trace {
-	recs := make([]Record, p.Len())
-	for i := range recs {
-		recs[i] = p.Record(i)
+	return &Trace{
+		name:  name,
+		col:   make([]int32, 0, capacity),
+		taken: make([]uint64, 0, (capacity+63)/64),
+		back:  make([]uint64, 0, (capacity+63)/64),
 	}
-	return &Trace{name: p.Name(), records: recs, packed: p}
+}
+
+// FromRecords builds a trace holding a copy of recs.
+func FromRecords(name string, recs []Record) *Trace {
+	t := New(name, len(recs))
+	for _, r := range recs {
+		t.Append(r)
+	}
+	return t
+}
+
+// FromColumns returns a trace over raw columns, which it takes over:
+// pcs[i] holds record i's PC (its bits, as an int32), and bit i of
+// taken and back its direction and backward bit. The bitsets must hold
+// exactly the words the records need, with zero bits past the last
+// record. Generators that know their length fill these columns
+// directly, with no per-record call.
+func FromColumns(name string, pcs []int32, taken, back []uint64) (*Trace, error) {
+	if err := checkBitsets(len(pcs), taken, back); err != nil {
+		return nil, err
+	}
+	return &Trace{name: name, col: pcs, taken: taken, back: back}, nil
+}
+
+// FromPacked wraps a columnar view as a Trace without copying: the
+// trace's columns are p's, and its first Packed call returns p itself.
+// The corpus store's hit path loads traces this way, paying neither
+// re-interning nor bitset reconstruction.
+func FromPacked(p *Packed) *Trace {
+	n := len(p.ids)
+	return &Trace{
+		name:     p.name,
+		col:      p.ids[:n:n],
+		interned: n,
+		taken:    p.taken,
+		back:     p.back,
+		sites:    p.siteTable,
+		view:     p,
+	}
 }
 
 // Name returns the trace's name.
 func (t *Trace) Name() string { return t.name }
 
 // Len returns the number of dynamic branches in the trace.
-func (t *Trace) Len() int { return len(t.records) }
+func (t *Trace) Len() int { return len(t.col) }
 
-// At returns the i'th record.
-func (t *Trace) At(i int) Record { return t.records[i] }
+// At returns the i'th record, read from the Packed view. Loops over
+// many records should take the view once and call its Record.
+func (t *Trace) At(i int) Record { return t.Packed().Record(i) }
 
-// Records exposes the underlying record slice for read-only iteration.
-// Callers must not modify it.
-func (t *Trace) Records() []Record { return t.records }
-
-// Append adds a record to the trace.
-func (t *Trace) Append(r Record) { t.records = append(t.records, r) }
-
-// Packed returns the memoized columnar view of the trace, building it on
-// the first call. Every consumer of the trace — the oracle kernels and
-// the sim fast path — shares one view, so interning and bitset
-// construction are paid once per trace. Safe for concurrent callers.
-// Appending after the view is built invalidates it: the next Packed call
-// re-packs (detected by length), but mutating a trace mid-analysis is
-// not supported.
-func (t *Trace) Packed() *Packed {
-	t.packMu.Lock()
-	defer t.packMu.Unlock()
-	reg := obs.Default()
-	reg.Counter("trace.pack.memo.calls").Inc()
-	if t.packed == nil || t.packed.Len() != len(t.records) {
-		reg.Counter("trace.pack.memo.misses").Inc()
-		t.packed = Pack(t)
+// Append adds a record to the trace. It is not safe for concurrent use.
+func (t *Trace) Append(r Record) {
+	if t.view != nil {
+		t.unshare()
 	}
-	return t.packed
+	i := len(t.col)
+	if i&63 == 0 {
+		t.taken = append(t.taken, 0)
+		t.back = append(t.back, 0)
+	}
+	t.col = append(t.col, int32(r.PC))
+	t.taken[i>>6] |= b2u(r.Taken) << (uint(i) & 63)
+	t.back[i>>6] |= b2u(r.Backward) << (uint(i) & 63)
 }
 
-// Slice returns a sub-trace view covering records [lo, hi).
-func (t *Trace) Slice(lo, hi int) *Trace {
-	return &Trace{name: t.name, records: t.records[lo:hi]}
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// unshare gives the trace its own copy of every column an Append or a
+// later intern would write inside the view already handed out: the
+// bitsets (whose last word the view holds) and the intern table. The ID
+// column is not copied: the view's slice of it is capped at its length,
+// and appends and interning write only past that.
+func (t *Trace) unshare() {
+	t.taken = slices.Clone(t.taken)
+	t.back = slices.Clone(t.back)
+	t.sites = t.sites.clone()
+	t.view = nil
+}
+
+// Packed returns the trace's columnar view. The first call after an
+// Append interns the PCs appended since the previous view, in place, and
+// builds the view over the columns (counter trace.pack.builds, span
+// trace.pack); later calls return the same view. A view never changes
+// once handed out, whatever is appended to the trace afterwards. Safe
+// for concurrent callers.
+func (t *Trace) Packed() *Packed {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.view == nil {
+		reg := obs.Default()
+		reg.Counter("trace.pack.builds").Inc()
+		span := reg.StartSpan("trace.pack")
+		t.intern()
+		n := len(t.col)
+		t.view = &Packed{name: t.name, ids: t.col[:n:n], taken: t.taken, back: t.back, siteTable: t.sites}
+		span.End()
+	}
+	return t.view
+}
+
+// internCacheBits sizes the direct-mapped PC -> ID cache in front of the
+// intern map. Workload traces have tens of static sites, so nearly
+// every record hits the cache and the map sees about one lookup per
+// site.
+const internCacheBits = 10
+
+// intern replaces the PCs in col[interned:] by their dense IDs,
+// assigning new IDs in order of first appearance, and tallies each
+// record into its site's counts.
+func (t *Trace) intern() {
+	// id+1 per slot, so the zero slot is empty.
+	var cache [1 << internCacheBits]struct {
+		pc Addr
+		id int32
+	}
+	col, taken, s := t.col, t.taken, &t.sites
+	for i := t.interned; i < len(col); i++ {
+		pc := Addr(col[i])
+		e := &cache[uint32(pc)*0x9e3779b1>>(32-internCacheBits)]
+		id := e.id - 1
+		if id < 0 || e.pc != pc {
+			id = s.add(pc, t.back[i>>6]>>(uint(i)&63)&1 != 0)
+			e.pc, e.id = pc, id+1
+		}
+		col[i] = id
+		s.counts[id]++
+		s.takenCounts[id] += int32(taken[i>>6] >> (uint(i) & 63) & 1)
+	}
+	t.interned = len(col)
 }

@@ -75,38 +75,24 @@ func (s *Stats) SortedSites() []*SiteStats {
 	return out
 }
 
-// Summarize computes summary statistics for a trace in one pass over
-// its memoized packed view: per-site counts are tallied into slices
-// indexed by dense branch ID, and Sites gets one entry per static
-// branch. A site's Backward bit is its first occurrence's; IDs are dense
-// in first-appearance order, so a record whose ID is the next unseen one
-// is that site's first occurrence.
+// Summarize computes summary statistics for a trace from the per-site
+// tallies its packed view keeps, in O(static sites): no pass over the
+// records. A site's Backward bit is its first occurrence's.
 func Summarize(t *Trace) *Stats {
 	p := t.Packed()
-	counts, addrs := p.Counts(), p.Addrs()
-	takenWords := p.TakenWords()
-	taken := make([]int32, len(addrs))
-	back := make([]bool, len(addrs))
-	seen := int32(0)
-	for i, id := range p.IDs() {
-		taken[id] += int32(takenWords[i>>6] >> (uint(i) & 63) & 1)
-		if id == seen {
-			back[id] = p.Backward(i)
-			seen++
-		}
-	}
 	st := &Stats{
 		Name:    t.Name(),
 		Dynamic: p.Len(),
-		Static:  len(addrs),
-		Sites:   make(map[Addr]*SiteStats, len(addrs)),
+		Static:  len(p.addrs),
+		Sites:   make(map[Addr]*SiteStats, len(p.addrs)),
 	}
-	sites := make([]SiteStats, len(addrs))
-	for id, pc := range addrs {
-		sites[id] = SiteStats{PC: pc, Count: int(counts[id]), Taken: int(taken[id]), Backward: back[id]}
+	sites := make([]SiteStats, len(p.addrs))
+	for id, pc := range p.addrs {
+		back := p.firstBack[id>>6]>>(uint(id)&63)&1 != 0
+		sites[id] = SiteStats{PC: pc, Count: int(p.counts[id]), Taken: int(p.takenCounts[id]), Backward: back}
 		st.Sites[pc] = &sites[id]
 		st.Taken += sites[id].Taken
-		if back[id] {
+		if back {
 			st.BackwardSites++
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // fixes its Backward bit).
 func referenceSummarize(t *Trace) *Stats {
 	st := &Stats{Name: t.Name(), Sites: make(map[Addr]*SiteStats)}
-	for _, r := range t.Records() {
+	for _, r := range records(t) {
 		st.Dynamic++
 		if r.Taken {
 			st.Taken++

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"branchcorr/internal/trace"
 )
 
-// testTracer returns a tracer with a huge limit, so subsystem logic can
-// be exercised directly without trace-length plumbing.
+// testTracer returns a tracer with a limit of 4M branches, far above
+// what any subsystem test emits, so subsystem logic can be exercised
+// directly without trace-length plumbing. Its PC column grows as
+// branches arrive.
 func testTracer() *Tracer {
-	return &Tracer{t: trace.New("test", 0), limit: 1 << 30}
+	const limit = 1 << 22
+	return &Tracer{taken: make([]uint64, limit/64), back: make([]uint64, limit/64), limit: limit}
 }
 
 func TestLZWRoundTripDirect(t *testing.T) {

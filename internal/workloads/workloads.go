@@ -126,18 +126,43 @@ type traceFull struct{}
 // that run recovers — this lets workloads be written as straight-line
 // algorithms with no length plumbing.
 type Tracer struct {
-	t     *trace.Trace
-	limit int
+	// pcs, taken and back are the trace's columns as they fill (see
+	// trace.FromColumns); the bitsets are sized for limit records.
+	pcs         []int32
+	taken, back []uint64
+	limit       int
+}
+
+// newTracer returns a tracer that stops the workload once it has
+// recorded limit branches.
+func newTracer(limit int) *Tracer {
+	words := (limit + 63) / 64
+	return &Tracer{
+		pcs:   make([]int32, 0, limit),
+		taken: make([]uint64, words),
+		back:  make([]uint64, words),
+		limit: limit,
+	}
 }
 
 // B records one execution of the conditional branch at site and returns
 // cond unchanged.
 func (t *Tracer) B(site Site, cond bool) bool {
-	t.t.Append(trace.Record{PC: site.PC, Taken: cond, Backward: site.Backward})
-	if t.t.Len() >= t.limit {
+	i := len(t.pcs)
+	t.pcs = append(t.pcs, int32(site.PC))
+	t.taken[i>>6] |= b2u(cond) << (i & 63)
+	t.back[i>>6] |= b2u(site.Backward) << (i & 63)
+	if i+1 >= t.limit {
 		panic(traceFull{})
 	}
 	return cond
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // run executes body, collecting exactly length branches into a trace
@@ -148,8 +173,8 @@ func run(name string, length int, body func(*Tracer)) *trace.Trace {
 	if length <= 0 {
 		return trace.New(name, 0)
 	}
-	tr := &Tracer{t: trace.New(name, length), limit: length}
-	for tr.t.Len() < length {
+	tr := newTracer(length)
+	for len(tr.pcs) < length {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -161,7 +186,11 @@ func run(name string, length int, body func(*Tracer)) *trace.Trace {
 			body(tr)
 		}()
 	}
-	return tr.t
+	t, err := trace.FromColumns(name, tr.pcs, tr.taken, tr.back)
+	if err != nil {
+		panic(err) // unreachable: the bitsets are sized for exactly length records
+	}
+	return t
 }
 
 // prng is the deterministic pseudo-random source workloads draw their
