@@ -864,6 +864,21 @@ func BenchmarkSimPredictor(b *testing.B) {
 		"gshare:16":  {func() bp.SweepGrid { return bp.NewGshareSweep([]uint{16}) }, sim.Options{PerBranch: true}},
 		"bimodal:14": {func() bp.SweepGrid { return bp.NewBimodalSweep([]uint{14}) }, sim.Options{}},
 	}
+	// stored gives the combining specs' stored component hit columns,
+	// as the report's hybrids exhibit reads them from its run memo: both
+	// of the hybrid's, and the tournament's gshare side (its PAs side
+	// runs). The impl=columns rows time the chooser over them.
+	hitsOf := func(tr *trace.Trace, p bp.Predictor) []uint64 {
+		return sim.Simulate(tr, []bp.Predictor{p}, sim.Options{Hits: true}).Hits[0]
+	}
+	stored := map[string]func(tr *trace.Trace) (a, b []uint64){
+		"hybrid:(gshare:16),(pas:12,10,6),12": func(tr *trace.Trace) ([]uint64, []uint64) {
+			return hitsOf(tr, bp.NewGshare(16)), hitsOf(tr, bp.NewPAs(12, 10, 6))
+		},
+		"tournament:12,10,16,12": func(tr *trace.Trace) ([]uint64, []uint64) {
+			return hitsOf(tr, bp.NewGshare(16)), nil
+		},
+	}
 	for _, spec := range specs {
 		for _, n := range benchOracleLengths {
 			tr := benchTraceN(b, "gcc", n)
@@ -889,6 +904,15 @@ func BenchmarkSimPredictor(b *testing.B) {
 				}
 				b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 			})
+			if cols, ok := stored[spec]; ok {
+				ca, cb := cols(tr)
+				b.Run(fmt.Sprintf("pred=%s/len=%d/impl=columns", name, n), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						sim.Simulate(tr, []bp.Predictor{bp.StoredColumns(mk().(bp.ColumnChooser), ca, cb)}, sim.Options{})
+					}
+					b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+				})
+			}
 			if sw, ok := sweep1[spec]; ok {
 				b.Run(fmt.Sprintf("pred=%s/len=%d/impl=sweep1", name, n), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

@@ -50,7 +50,7 @@ func (s *ClassScorer) Score(words []uint64, m int, back bool) ClassCounts {
 		c.Taken += bits.OnesCount64(w)
 	}
 	loop, block, ifpas := classWalk(words, m, back, &s.table, s.histMask)
-	c.Correct = [4]int{max(c.Taken, m-c.Taken), loop, block, ifpas}
+	c.Correct = [4]int{IdealStaticCorrect(c.Taken, m), loop, block, ifpas}
 	return c
 }
 

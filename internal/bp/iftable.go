@@ -114,11 +114,13 @@ func (t *ifTable) reset(n int) {
 // replayIFTable replays one interference-free config's table over a
 // staged history<<1|outcome tile whose records have dense IDs tids (key
 // keyHi[id] | history&m) and returns its correct predictions; with a
-// non-nil perID it also adds each correct prediction to perID[id]. The
-// caller has reserved room for len(kk) insertions.
+// non-nil perID it also adds each correct prediction to perID[id], and
+// with a non-nil hits it sets bit off+i of hits for each correct record
+// i of the tile (the caller clears the words first). The caller has
+// reserved room for len(kk) insertions.
 //
 //bplint:hot
-func replayIFTable(kk []uint64, tids []int32, keyHi []uint64, t *ifTable, m uint64, perID []int32) int32 {
+func replayIFTable(kk []uint64, tids []int32, keyHi []uint64, t *ifTable, m uint64, perID []int32, hits []uint64, off int) int32 {
 	tids = tids[:len(kk)]
 	slots := t.slots
 	fresh := 0
@@ -132,6 +134,10 @@ func replayIFTable(kk []uint64, tids []int32, keyHi []uint64, t *ifTable, m uint
 		n += ok
 		if perID != nil {
 			perID[id] += ok
+		}
+		if hits != nil {
+			j := off + i
+			hits[j>>6] |= uint64(ok) << (uint(j) & 63)
 		}
 		fresh += int(s.c>>2 ^ 1)
 		*s = ifSlot{k, Counter2(x>>1) | ifLive}

@@ -19,11 +19,14 @@ import "branchcorr/internal/trace"
 // loops also emit an optional per-record hit column (columnLoop in
 // kernel_chooser.go) from the same loop, which is how the combining
 // predictors (Hybrid, Tournament) run: their kernels replay each
-// component's loop over a tile into a column, then run one chooser loop
-// over the two columns. The interference-free predictors (IFGshare,
-// IFPAs) are instead one-config grids of their sweep_if.go staged
-// replay over the predictor's own table and registers, so their table
-// loop is written once.
+// component's loop over a tile into a column, or read a column a
+// whole-trace run stored earlier (SimulateColumns), then run one
+// chooser loop over the two columns; SimulateColumn hands the column
+// out. The interference-free predictors (IFGshare, IFPAs) instead run
+// their sweep_if.go staged replay (stageGlobal or stageLocal, then
+// replayIFTable) as one config over the predictor's own table and
+// registers, so their table loop is written once; IFGshare's also
+// writes a hit column.
 
 // KernelBlock is the columnar input one kernel call consumes: the dense-ID and
 // outcome columns of a trace.Packed plus the record range [Lo, Hi) to
@@ -366,23 +369,60 @@ func (p *IdealStatic) SimulateBlock(blk KernelBlock, correct []int32) int {
 	return total
 }
 
-// SimulateBlock implements KernelPredictor as a one-config IFGshareSweep
-// over the predictor's own table and history register: the sweep's
-// staged replay reads each record's counter once where the scalar
-// Predict and Update read it twice. The staging buffer is sized to the
-// block, up to one tile, so short streamed chunks stay cheap.
+// SimulateBlock implements KernelPredictor as a one-config staged
+// replay (sweep_if.go) over the predictor's own table and history
+// register: the replay reads each record's counter once where the
+// scalar Predict and Update read it twice.
 func (p *IFGshare) SimulateBlock(blk KernelBlock, correct []int32) int {
-	g := IFGshareSweep{
-		hmasks:  []uint64{uint64(p.histMask)},
-		tables:  []ifTable{p.table},
-		history: p.history,
-		kt:      make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
+	return p.columns(blk).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+// columns resolves the staged replay for blk. The staging buffer is
+// sized to the block, up to one tile, so short streamed chunks stay
+// cheap.
+func (p *IFGshare) columns(blk KernelBlock) columnLoop {
+	return ifGshareLoop{
+		p:     p,
+		blk:   blk,
+		keyHi: extendKeyHi(nil, blk.Addrs),
+		kt:    make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}
-	var total [1]int32
-	g.sweep(blk, total[:], [][]int32{correct})
-	p.table = g.tables[0]
-	p.history = g.history & p.histMask
-	return int(total[0])
+}
+
+// ifGshareLoop is IFGshare's kernel loop resolved for one block: every
+// dense ID's table-key prefix and the tile staging.
+type ifGshareLoop struct {
+	p     *IFGshare
+	blk   KernelBlock
+	keyHi []uint64
+	kt    []uint64
+}
+
+// run replays [lo, hi) in tiles aligned to sweepTile in absolute record
+// positions, so a tile never outgrows the staging buffer however lo
+// falls: per tile, stageGlobal advances the register, then
+// replayIFTable runs the table and sets the tile's hit bits.
+func (l ifGshareLoop) run(lo, hi int, correct []int32, hits []uint64) int {
+	p := l.p
+	if hits != nil && lo < hi {
+		clear(hits[:(hi-1)>>6-lo>>6+1])
+	}
+	h := p.history
+	total := 0
+	for tlo := lo; tlo < hi; {
+		thi := min(tlo&^(sweepTile-1)+sweepTile, hi)
+		kk := l.kt[:thi-tlo]
+		h = stageGlobal(kk, l.blk.Taken, tlo, h)
+		p.table.reserve(len(kk))
+		var th []uint64
+		if hits != nil {
+			th = hits[tlo>>6-lo>>6:]
+		}
+		total += int(replayIFTable(kk, l.blk.IDs[tlo:thi], l.keyHi, &p.table, uint64(p.histMask), correct, th, tlo&63))
+		tlo = thi
+	}
+	p.history = h & p.histMask
+	return total
 }
 
 // SimulateBlock implements KernelPredictor as a one-config IFPAsSweep

@@ -15,9 +15,11 @@ import (
 //
 //   - each component fills a hit column (bit set iff it predicted the
 //     record correctly) from its own kernel loop when it has one
-//     (columnKernel: bimodal, gshare, GAs, PAs, and the combining
-//     predictors themselves, so nesting composes), else from its
-//     scalar Predict/Update pair;
+//     (columnKernel: bimodal, gshare, GAs, PAs, IF-gshare, and the
+//     combining predictors themselves, so nesting composes), else from
+//     its scalar Predict/Update pair, or reads it from a column a
+//     whole-trace run of the component stored earlier (storedColumn,
+//     SimulateColumns);
 //   - one chooser loop reads the two columns and the outcomes, adds the
 //     selected component's hits to the per-ID counts, and trains the
 //     chooser in the scalar order: toward a when only a was right,
@@ -65,6 +67,64 @@ func replayWords(blk KernelBlock, lo, hi int, correct []int32, hits []uint64,
 		w = we
 	}
 	return total
+}
+
+// HasColumn reports whether p's kernel loop writes a hit column, so
+// SimulateColumn can run it.
+func HasColumn(p Predictor) bool {
+	_, ok := p.(columnKernel)
+	return ok
+}
+
+// SimulateColumn replays blk's range [Lo, Hi) through p's kernel loop
+// exactly as p's SimulateBlock would, and also writes the range's hit
+// column to hits: bit b of hits[k] is record Lo&^63 + 64k + b, set iff
+// p predicted it correctly, and the words the range covers hold no bits
+// for records outside it. p must satisfy HasColumn.
+func SimulateColumn(p Predictor, blk KernelBlock, correct []int32, hits []uint64) int {
+	return p.(columnKernel).columns(blk).run(blk.Lo, blk.Hi, correct, hits)
+}
+
+// storedColumn is the column loop of a component whose whole-trace run
+// was recorded earlier: it copies the range's bits out of the stored hit
+// column (bit i = record i of the block's columns) without the
+// predictor, so the component neither runs nor changes. It is only ever
+// a chooser's component, whose per-ID counts nobody reads
+// (chooserTiles.scratch), so unlike a kernel's loop it adds nothing to
+// correct.
+type storedColumn struct {
+	hits []uint64
+}
+
+func (l storedColumn) run(lo, hi int, _ []int32, hits []uint64) int {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	total := 0
+	for k := first; k <= last; k++ {
+		w := l.hits[k]
+		if k == first {
+			w &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if k == last {
+			w &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
+		}
+		total += bits.OnesCount64(w)
+		if hits != nil {
+			hits[k-first] = w
+		}
+	}
+	return total
+}
+
+// columnOr resolves a component's column loop for blk: the stored
+// column when hits is non-nil, else the component's own loop.
+func columnOr(p Predictor, hits []uint64, blk KernelBlock) columnLoop {
+	if hits != nil {
+		return storedColumn{hits: hits}
+	}
+	return columnsOf(p, blk)
 }
 
 // columnsOf resolves p's column loop for blk: its own kernel loop when
@@ -212,16 +272,58 @@ func (l *chooserLoop) word(w int, ids []int32, tw uint64, correct []int32) uint6
 	return hw << (64 - n)
 }
 
+// ColumnChooser is a combining predictor that can choose over its
+// components' stored hit columns (Hybrid, Tournament).
+type ColumnChooser interface {
+	KernelPredictor
+	SimulateColumns(blk KernelBlock, a, b []uint64, correct []int32) int
+}
+
+// StoredColumns returns c with a kernel that chooses over the stored
+// component columns a and b (c.SimulateColumns; nil: that component
+// runs its kernel), so it is valid for one Simulate over the trace the
+// columns came from. Its Predict and Update stay c's, which replay both
+// components, so a reference-loop run checks the stored columns against
+// a fresh replay.
+func StoredColumns(c ColumnChooser, a, b []uint64) KernelPredictor {
+	return storedChooser{c, a, b}
+}
+
+// storedChooser is StoredColumns' predictor.
+type storedChooser struct {
+	ColumnChooser
+	a, b []uint64
+}
+
+func (c storedChooser) SimulateBlock(blk KernelBlock, correct []int32) int {
+	return c.SimulateColumns(blk, c.a, c.b, correct)
+}
+
 // SimulateBlock implements KernelPredictor on the components' kernels
 // (see the file comment).
 func (h *Hybrid) SimulateBlock(blk KernelBlock, correct []int32) int {
-	return h.columns(blk).run(blk.Lo, blk.Hi, correct, nil)
+	return h.choose(blk, nil, nil).run(blk.Lo, blk.Hi, correct, nil)
 }
 
-func (h *Hybrid) columns(blk KernelBlock) columnLoop {
+// SimulateColumns is SimulateBlock with either component's hit column
+// given: a and b, when non-nil, are the hit columns a whole-trace run of
+// components a and b wrote over blk's columns (bit i = record i
+// predicted correctly), and that component is not run; a nil column runs
+// the component's kernel. A component read from its column keeps its
+// state, so the hybrid's later Predict calls no longer match the scalar
+// replay: this is for one pass over the trace that wrote the columns.
+func (h *Hybrid) SimulateColumns(blk KernelBlock, a, b []uint64, correct []int32) int {
+	return h.choose(blk, a, b).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+func (h *Hybrid) columns(blk KernelBlock) columnLoop { return h.choose(blk, nil, nil) }
+
+// choose resolves the hybrid's chooser loop for blk over the components'
+// columns (columnOr).
+func (h *Hybrid) choose(blk KernelBlock, a, b []uint64) *chooserLoop {
 	return &chooserLoop{
-		a:       columnsOf(h.a, blk),
-		b:       columnsOf(h.b, blk),
+		a:       columnOr(h.a, a, blk),
+		b:       columnOr(h.b, b, blk),
 		blk:     blk,
 		cidx:    pcxOf(blk.Addrs),
 		chooser: h.chooser,
@@ -233,13 +335,26 @@ func (h *Hybrid) columns(blk KernelBlock) columnLoop {
 // (see the file comment); the chooser's history register carries across
 // calls.
 func (p *Tournament) SimulateBlock(blk KernelBlock, correct []int32) int {
-	return p.columns(blk).run(blk.Lo, blk.Hi, correct, nil)
+	return p.choose(blk, nil, nil).run(blk.Lo, blk.Hi, correct, nil)
 }
 
-func (p *Tournament) columns(blk KernelBlock) columnLoop {
+// SimulateColumns is SimulateBlock with either component's hit column
+// given, as in Hybrid.SimulateColumns: global and local, when non-nil,
+// are the gshare and PAs components' whole-trace hit columns over blk's
+// columns. The chooser's history register carries across calls either
+// way.
+func (p *Tournament) SimulateColumns(blk KernelBlock, global, local []uint64, correct []int32) int {
+	return p.choose(blk, global, local).run(blk.Lo, blk.Hi, correct, nil)
+}
+
+func (p *Tournament) columns(blk KernelBlock) columnLoop { return p.choose(blk, nil, nil) }
+
+// choose resolves the tournament's chooser loop for blk over the
+// components' columns (columnOr).
+func (p *Tournament) choose(blk KernelBlock, global, local []uint64) *chooserLoop {
 	return &chooserLoop{
-		a:       p.global.loop(blk),
-		b:       p.local.loop(blk),
+		a:       columnOr(p.global, global, blk),
+		b:       columnOr(p.local, local, blk),
 		blk:     blk,
 		chooser: p.chooser,
 		hist:    &p.history,

@@ -61,6 +61,14 @@ func NewIdealStatic(st *trace.Stats) *IdealStatic {
 	return &IdealStatic{majority: m}
 }
 
+// IdealStaticCorrect is the ideal static predictor's correct count for
+// a branch that ran n times, taken of them taken: the majority
+// direction's count (a tie predicts taken, which is then right exactly
+// half the time either way). A whole-trace replay of IdealStatic counts
+// exactly this per branch, so callers that hold per-site tallies score
+// it in closed form.
+func IdealStaticCorrect(taken, n int) int { return max(taken, n-taken) }
+
 // Name implements Predictor.
 func (p *IdealStatic) Name() string { return "ideal-static" }
 

@@ -91,7 +91,7 @@ func replayIFTables(kk []uint64, tids []int32, keyHi []uint64, tables []ifTable,
 		if branches != nil {
 			perID = branches[c]
 		}
-		correct[c] += replayIFTable(kk, tids, keyHi, &tables[c], hmasks[c], perID)
+		correct[c] += replayIFTable(kk, tids, keyHi, &tables[c], hmasks[c], perID, nil, 0)
 	}
 }
 

@@ -49,7 +49,7 @@ func (s *Suite) ceilingCell(tr *trace.Trace) CeilingRow {
 	s.log("%s: entropy ceilings (k=%d)", tr.Name(), k)
 	local := entropy.LocalCeilings(tr, k)
 	global := entropy.GlobalCeilings(tr, k)
-	rs := s.simRun(tr, bp.NewIFPAs(k), bp.NewIFGshare(k))
+	rs := s.simRun(tr, false, bp.NewIFPAs(k), bp.NewIFGshare(k)).Results
 	return CeilingRow{
 		Benchmark:    tr.Name(),
 		LocalCeil:    local.Weighted[k],

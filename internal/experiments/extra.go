@@ -27,7 +27,7 @@ func (s *Suite) extraCell(tr *trace.Trace) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := s.simRun(tr, preds...)
+	rs := s.simRun(tr, false, preds...).Results
 	row := make([]float64, len(rs))
 	for i, r := range rs {
 		row[i] = r.Accuracy()

@@ -33,19 +33,22 @@ type HybridsResult struct {
 	Rows []HybridRow
 }
 
-// hybridsCell measures the hybrid organizations on one benchmark.
+// hybridsCell measures the hybrid organizations on one benchmark. Both
+// choosers read their gshare(16) component's hit column, and the
+// hybrid its PAs one too, from the run memo; only the tournament's
+// PAs(12,10,0) side, a configuration no other exhibit runs, replays.
 func (s *Suite) hybridsCell(tr *trace.Trace) HybridRow {
 	s.log("%s: hybrid organizations", tr.Name())
-	b := s.baseFor(tr)
-	rs := s.simRun(tr,
-		bp.NewHybrid(s.newGshare(), s.newPAs(), 12),
-		bp.NewTournament(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.GshareBits, 12),
-	)
-	ideal := sim.CombineMax("ideal", b.gshare, b.pas)
+	g, pas := s.runFor(tr, runGshare), s.runFor(tr, runPAs)
+	rs := s.simRun(tr, false,
+		bp.StoredColumns(bp.NewHybrid(s.newGshare(), s.newPAs(), 12), g.hits, pas.hits),
+		bp.StoredColumns(bp.NewTournament(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.GshareBits, 12), g.hits, nil),
+	).Results
+	ideal := sim.CombineMax("ideal", g.res, pas.res)
 	return HybridRow{
 		Benchmark:  tr.Name(),
-		Gshare:     b.gshare.Accuracy(),
-		PAs:        b.pas.Accuracy(),
+		Gshare:     g.res.Accuracy(),
+		PAs:        pas.res.Accuracy(),
 		McFarling:  rs[0].Accuracy(),
 		Tournament: rs[1].Accuracy(),
 		Ideal:      ideal.Accuracy(),

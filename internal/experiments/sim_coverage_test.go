@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
 	"branchcorr/internal/runner"
 )
@@ -71,6 +72,53 @@ func TestReportSelectiveSweepWalks(t *testing.T) {
 		}
 		if reg.Counter("sim.sweep.fused.fig5-selective-windows").Value() == 0 || reg.Counter("sim.sweep.fused.global-correlation").Value() == 0 {
 			t.Errorf("%d reports ran no fused selective sweep, so the check above proves nothing", len(reports))
+		}
+	}
+}
+
+// TestReportOnePassPerConfig pins the run memo's contract: a report
+// over every exhibit, then each exhibit in a report of its own on a
+// fresh suite, replays each memoized configuration (gshare(16),
+// PAs(12,10,6), IF-gshare(16)) exactly once per trace, and no exhibit
+// replays one of them outside the memo: the baselines, the per-branch
+// bundle, the hybrid's and the tournament's choosers and the training
+// timelines all read the one run. The hybrid and the tournament still
+// run once per trace each, choosing over the stored columns.
+func TestReportOnePassPerConfig(t *testing.T) {
+	cfg := Config{Length: 5_000, Workloads: []string{"gcc", "perl"}, Fig5Windows: []int{8}}
+	for _, reports := range [][][]string{{ExhibitOrder()}, exhibitByExhibit()} {
+		reg := obs.New()
+		cfg.Obs = reg
+		s, err := NewSuite(cfg, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, exhibits := range reports {
+			if _, err := s.BuildReport(context.Background(), exhibits, runner.Options{Parallel: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := int64(len(s.Traces()))
+		hybrid := bp.NewHybrid(s.newGshare(), s.newPAs(), 12).Name()
+		tournament := bp.NewTournament(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.GshareBits, 12).Name()
+		for _, c := range []struct {
+			counter string
+			want    int64
+		}{
+			{"suite.memo.run.misses", 3 * n},
+			{"sim.fastpath." + s.newGshare().Name(), n},
+			{"sim.fastpath." + s.newPAs().Name(), n},
+			{"sim.fastpath." + s.newIFGshare().Name(), n},
+			{"sim.fastpath." + hybrid, n},
+			{"sim.fastpath." + tournament, n},
+			{"sim.runs.reference", 0},
+		} {
+			if got := reg.Counter(c.counter).Value(); got != c.want {
+				t.Errorf("%d reports: %s = %d, want %d", len(reports), c.counter, got, c.want)
+			}
+		}
+		if calls := reg.Counter("suite.memo.run.calls").Value(); calls <= 3*n {
+			t.Errorf("%d reports: suite.memo.run.calls = %d: no exhibit read a run another had made, so the check above proves little", len(reports), calls)
 		}
 	}
 }

@@ -147,12 +147,33 @@ type oracleStep struct {
 	global *globalBundle
 }
 
-// baseBundle holds the baseline predictor runs shared by the section 4
-// and 5 exhibits.
+// baseBundle holds the baseline predictor results shared by the
+// section 4 and 5 exhibits.
 type baseBundle struct {
 	static *sim.Result
 	gshare *sim.Result
 	pas    *sim.Result
+}
+
+// runConfig names a predictor configuration the run memo keeps.
+type runConfig int
+
+const (
+	runGshare   runConfig = iota // gshare(GshareBits)
+	runPAs                       // PAs(PAsHistBits, PAsBHTBits, PAsPHTBits)
+	runIFGshare                  // IF-gshare(GshareBits)
+)
+
+// configRun is one memoized (trace, configuration) replay: its
+// per-branch Result and its hit column (bit i = record i predicted
+// correctly, 1 bit per record). Every exhibit that needs the
+// configuration on the trace reads this run instead of replaying it:
+// the baselines and the per-branch bundle read the Result, the
+// hybrid's and the tournament's choosers and the training timelines
+// read the column.
+type configRun struct {
+	res  *sim.Result
+	hits []uint64
 }
 
 // memo is a sync.Once-keyed memoization table: the first caller of a key
@@ -198,6 +219,7 @@ type Suite struct {
 	step    memo[*oracleStep]
 	classes memo[*core.PAClassification]
 	base    memo[*baseBundle]
+	runs    memo[*configRun]
 	log     func(format string, args ...any)
 
 	// oracleBuild runs the full oracle pipeline for one trace/config at
@@ -210,18 +232,12 @@ type Suite struct {
 	// implementation-independent.
 	oracleBuild func(tr *trace.Trace, pc *core.PathClasses, cfg core.OracleConfig, windows []int) ([]*core.Selections, *core.BeamStates)
 
-	// simRun drives a batch of predictors over a trace. It defaults to
-	// sim.Simulate (with the suite's registry), whose columnar fast path
-	// kicks in per predictor with a batched kernel; differential tests
-	// swap in a ForceReference call to prove report bytes are
-	// engine-independent.
-	simRun func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result
-
-	// simTimeline is simRun's counterpart for the training-time exhibit;
-	// it defaults to sim.Simulate with a bucket size (same fast-path
-	// dispatch), and the differential tests swap in a kernel-stripping
-	// wrapper.
-	simTimeline func(tr *trace.Trace, bucket int, predictors ...bp.Predictor) []*sim.Timeline
+	// simRun drives a batch of predictors over a trace, keeping each
+	// one's hit column when hits is set. It defaults to sim.Simulate
+	// (with the suite's registry), whose columnar fast path kicks in per
+	// predictor with a batched kernel; differential tests swap in a
+	// ForceReference call to prove report bytes are engine-independent.
+	simRun func(tr *trace.Trace, hits bool, predictors ...bp.Predictor) *sim.Outcome
 
 	// simSweep drives a whole config grid over a trace in one call,
 	// with per-branch Results when perBranch is set. It defaults to
@@ -254,11 +270,8 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 	s.oracleBuild = func(_ *trace.Trace, pc *core.PathClasses, ocfg core.OracleConfig, windows []int) ([]*core.Selections, *core.BeamStates) {
 		return core.OracleStates(pc, windows, nil, ocfg)
 	}
-	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
-		return sim.Simulate(tr, predictors, sim.Options{Observer: cfg.Obs}).Results
-	}
-	s.simTimeline = func(tr *trace.Trace, bucket int, predictors ...bp.Predictor) []*sim.Timeline {
-		return sim.Simulate(tr, predictors, sim.Options{BucketSize: bucket, Observer: cfg.Obs}).Timelines
+	s.simRun = func(tr *trace.Trace, hits bool, predictors ...bp.Predictor) *sim.Outcome {
+		return sim.Simulate(tr, predictors, sim.Options{Hits: hits, Observer: cfg.Obs})
 	}
 	s.simSweep = func(tr *trace.Trace, grid bp.SweepGrid, perBranch bool) *sim.SweepOutcome {
 		return sim.SimulateSweep(tr, grid, sim.Options{Observer: cfg.Obs, Parallel: cfg.SweepShards, PerBranch: perBranch})
@@ -359,11 +372,11 @@ func (s *Suite) stepFor(tr *trace.Trace) *oracleStep {
 	})
 }
 
-// globalSweep runs the per-branch bundle's six predictors as one
-// per-branch fused sweep: the three oracle-selected selective
-// predictors and the presence-mode 3-ref one share one selective grid,
-// which replays the state vectors st resolved for sels, and the
-// IF-gshare and gshare ride the same pass.
+// globalSweep builds the per-branch bundle: the three oracle-selected
+// selective predictors and the presence-mode 3-ref one run as one
+// per-branch selective sweep, which replays the state vectors st
+// resolved for sels, and the IF-gshare and gshare come from the run
+// memo.
 func (s *Suite) globalSweep(tr *trace.Trace, sels *core.Selections, st *core.BeamStates) *globalBundle {
 	n := s.cfg.Oracle.WindowLen
 	cfgs := make([]core.SelectiveConfig, 0, core.MaxSelectiveRefs+1)
@@ -380,14 +393,13 @@ func (s *Suite) globalSweep(tr *trace.Trace, sels *core.Selections, st *core.Bea
 		Assign: sels.BySize[3],
 		Mode:   core.ModePresence,
 	})
-	grid := bp.NewConcatSweep("global-correlation",
-		core.NewSelectiveSweepStates(st, "global-selective", cfgs),
-		bp.NewIFGshareSweep([]uint{s.cfg.GshareBits}),
-		bp.NewGshareSweep([]uint{s.cfg.GshareBits}),
-	)
-	s.log("%s: simulating selective + gshare predictors", tr.Name())
-	rs := s.simSweep(tr, grid, true).Results
-	b := &globalBundle{presence: rs[3], ifg: rs[4], g: rs[5]}
+	s.log("%s: simulating selective predictors", tr.Name())
+	rs := s.simSweep(tr, core.NewSelectiveSweepStates(st, "global-correlation", cfgs), true).Results
+	b := &globalBundle{
+		presence: rs[3],
+		ifg:      s.runFor(tr, runIFGshare).res,
+		g:        s.runFor(tr, runGshare).res,
+	}
 	b.sel[1], b.sel[2], b.sel[3] = rs[0], rs[1], rs[2]
 	return b
 }
@@ -402,15 +414,59 @@ func (s *Suite) classFor(tr *trace.Trace) *core.PAClassification {
 	})
 }
 
-// baseFor computes (once) the ideal-static, gshare, and PAs baselines.
+// baseFor assembles (once) the ideal-static, gshare, and PAs baselines:
+// the gshare and PAs results from the run memo, the ideal-static one in
+// closed form (idealStatic).
 func (s *Suite) baseFor(tr *trace.Trace) *baseBundle {
 	s.obs.Counter("suite.memo.base.calls").Inc()
 	return s.base.get(tr.Name(), func() *baseBundle {
 		s.obs.Counter("suite.memo.base.misses").Inc()
-		s.log("%s: baseline predictors (static, gshare, PAs)", tr.Name())
-		rs := s.simRun(tr, bp.NewIdealStatic(trace.Summarize(tr)), s.newGshare(), s.newPAs())
-		return &baseBundle{static: rs[0], gshare: rs[1], pas: rs[2]}
+		return &baseBundle{
+			static: idealStatic(tr),
+			gshare: s.runFor(tr, runGshare).res,
+			pas:    s.runFor(tr, runPAs).res,
+		}
 	})
+}
+
+// idealStatic is the ideal static predictor's Result on tr in closed
+// form, O(static sites): each site scores bp.IdealStaticCorrect of the
+// packed view's per-site tallies, exactly what a replay of
+// bp.NewIdealStatic counts.
+func idealStatic(tr *trace.Trace) *sim.Result {
+	pt := tr.Packed()
+	counts, taken := pt.Counts(), pt.TakenCounts()
+	correct := make([]int32, len(counts))
+	for id, n := range counts {
+		correct[id] = int32(bp.IdealStaticCorrect(int(taken[id]), int(n)))
+	}
+	return sim.BranchResult((&bp.IdealStatic{}).Name(), tr.Name(), pt.Addrs(), correct, counts)
+}
+
+// runFor replays (once per trace) configuration c with its hit column
+// kept. Concurrent callers for the same trace and configuration block
+// on one replay and share it.
+func (s *Suite) runFor(tr *trace.Trace, c runConfig) *configRun {
+	s.obs.Counter("suite.memo.run.calls").Inc()
+	return s.runs.get(fmt.Sprintf("%s/%d", tr.Name(), c), func() *configRun {
+		s.obs.Counter("suite.memo.run.misses").Inc()
+		p := s.newConfig(c)
+		s.log("%s: baseline %s", tr.Name(), p.Name())
+		out := s.simRun(tr, true, p)
+		return &configRun{res: out.Results[0], hits: out.Hits[0]}
+	})
+}
+
+// newConfig builds a fresh predictor of configuration c.
+func (s *Suite) newConfig(c runConfig) bp.Predictor {
+	switch c {
+	case runGshare:
+		return s.newGshare()
+	case runPAs:
+		return s.newPAs()
+	default:
+		return s.newIFGshare()
+	}
 }
 
 // traceByName returns the suite trace with the given benchmark name.

@@ -44,14 +44,21 @@ func (s *Suite) trainingBucket() int {
 }
 
 // trainingCell measures one benchmark's cold-start vs steady state.
+// Each timeline is its run's hit column counted per bucket: the gshare
+// and IF-gshare runs come from the run memo, the bimodal one is this
+// exhibit's own.
 func (s *Suite) trainingCell(tr *trace.Trace) TrainingRow {
 	s.log("%s: training timelines", tr.Name())
-	tls := s.simTimeline(tr, s.trainingBucket(),
-		s.newGshare(), s.newIFGshare(), bp.NewBimodal(14))
+	n, bucket := tr.Len(), s.trainingBucket()
+	timeline := func(res *sim.Result, hits []uint64) *sim.Timeline {
+		return sim.HitTimeline(res.Predictor, hits, n, bucket)
+	}
+	g, ifg := s.runFor(tr, runGshare), s.runFor(tr, runIFGshare)
+	bim := s.simRun(tr, true, bp.NewBimodal(14))
 	row := TrainingRow{Benchmark: tr.Name()}
-	row.ColdGshare, row.WarmGshare = coldWarm(tls[0])
-	row.ColdIFGshare, row.WarmIFGshare = coldWarm(tls[1])
-	row.ColdBimodal, row.WarmBimodal = coldWarm(tls[2])
+	row.ColdGshare, row.WarmGshare = coldWarm(timeline(g.res, g.hits))
+	row.ColdIFGshare, row.WarmIFGshare = coldWarm(timeline(ifg.res, ifg.hits))
+	row.ColdBimodal, row.WarmBimodal = coldWarm(timeline(bim.Results[0], bim.Hits[0]))
 	return row
 }
 

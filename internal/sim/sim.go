@@ -39,6 +39,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -141,6 +142,13 @@ type Options struct {
 	// bp.CountsBranches holds; any other grid runs per config. Simulate
 	// and SimulateBlocks always account per branch and ignore it.
 	PerBranch bool
+	// Hits makes Simulate keep each predictor's per-record hit column as
+	// well (Outcome.Hits): bit i is set iff the predictor predicted record
+	// i correctly. Both engines write it: the kernel through its column
+	// loop (bp.SimulateColumn), the reference loop per record. A predictor
+	// whose kernel writes no column (bp.HasColumn) then runs on the
+	// reference loop. SimulateBlocks and SimulateSweep ignore it.
+	Hits bool
 	// Observer receives the engine-engagement counters; nil selects
 	// obs.Default().
 	Observer *obs.Registry
@@ -161,6 +169,41 @@ type Outcome struct {
 	Results []*Result
 	// Timelines is non-nil only when Options.BucketSize > 0.
 	Timelines []*Timeline
+	// Hits is non-nil only when Simulate ran with Options.Hits: each
+	// predictor's hit column, one bit per record (bit i of word i/64).
+	Hits [][]uint64
+}
+
+// HitTimeline is the Timeline of a run whose hit column is hits (one
+// bit per record, n records): each bucket's accuracy is the popcount of
+// its bits over its length, so it equals the Timeline the run would
+// have recorded with Options.BucketSize = bucket, trailing partial
+// bucket included.
+func HitTimeline(predictor string, hits []uint64, n, bucket int) *Timeline {
+	tl := &Timeline{Predictor: predictor, Bucket: bucket}
+	for lo := 0; lo < n; lo += bucket {
+		hi := min(lo+bucket, n)
+		tl.Accuracy = append(tl.Accuracy, float64(onesIn(hits, lo, hi))/float64(hi-lo))
+	}
+	return tl
+}
+
+// onesIn counts the set bits of hits in bit positions [lo, hi).
+func onesIn(hits []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head := ^uint64(0) << (uint(lo) & 63)
+	tail := ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	if first == last {
+		return bits.OnesCount64(hits[first] & head & tail)
+	}
+	n := bits.OnesCount64(hits[first]&head) + bits.OnesCount64(hits[last]&tail)
+	for _, w := range hits[first+1 : last] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // CombineMax builds the paper's hypothetical per-branch combiner: for

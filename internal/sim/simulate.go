@@ -35,6 +35,13 @@ func Simulate(t *trace.Trace, predictors []bp.Predictor, opts Options) *Outcome 
 	defer reg.StartSpan("sim.simulate").End()
 	pt := t.Packed()
 	sims := newSimulators(predictors, opts, reg)
+	if opts.Hits {
+		out.Hits = make([][]uint64, len(sims))
+		for i, s := range sims {
+			s.hits = make([]uint64, (pt.Len()+63)/64)
+			out.Hits[i] = s.hits
+		}
+	}
 	stepAll(sims, wholeBlock(pt), pt.Addrs(), opts.workers())
 	finishAll(out, sims, t.Name(), pt.Addrs(), pt.Counts(), reg)
 	return out
@@ -60,6 +67,7 @@ func Simulate(t *trace.Trace, predictors []bp.Predictor, opts Options) *Outcome 
 // per-predictor engine counters Simulate uses, plus sim.stream.blocks
 // and the peak-resident-chunk gauge sim.stream.peak_block_bytes.
 func SimulateBlocks(src trace.BlockSource, predictors []bp.Predictor, opts Options) (*Outcome, error) {
+	opts.Hits = false
 	reg := obs.Or(opts.Observer)
 	out := newOutcome(predictors, opts)
 	if len(predictors) == 0 {
@@ -107,25 +115,30 @@ func wholeBlock(pt *trace.Packed) trace.Block {
 // once — the predictor's columnar kernel, or the reference loop — and
 // each block replays in segments that end at timeline bucket
 // boundaries, so kernel calls never straddle a bucket. Per-branch
-// correct counts accumulate in a flat slice indexed by dense ID.
+// correct counts accumulate in a flat slice indexed by dense ID, and
+// when hits is non-nil (Simulate with Options.Hits) each segment also
+// writes its hit bits there.
 type simulator struct {
 	p       bp.Predictor
 	kernel  bp.KernelPredictor // nil selects the reference loop
 	bucket  int                // timeline bucket size; <= 0 records none
 	tl      *Timeline
-	correct []int32 // per dense ID
-	open    int     // correct predictions in the open bucket
-	pos     int     // records replayed so far
+	correct []int32  // per dense ID
+	hits    []uint64 // bit i = record i predicted correctly
+	open    int      // correct predictions in the open bucket
+	pos     int      // records replayed so far
 }
 
 // newSimulators fixes each predictor's engine and accounts the
-// engagement. The counters depend only on (predictor, options), so
-// snapshots are identical at any parallelism and chunk size.
+// engagement: the kernel, unless the options force the reference loop
+// or ask for a hit column the kernel cannot write. The counters depend
+// only on (predictor, options), so snapshots are identical at any
+// parallelism and chunk size.
 func newSimulators(predictors []bp.Predictor, opts Options, reg *obs.Registry) []*simulator {
 	sims := make([]*simulator, len(predictors))
 	for i, p := range predictors {
 		s := &simulator{p: p, bucket: opts.BucketSize}
-		if k, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference {
+		if k, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference && (!opts.Hits || bp.HasColumn(p)) {
 			s.kernel = k
 			reg.Counter("sim.runs.fastpath").Inc()
 			reg.Counter("sim.fastpath." + p.Name()).Inc()
@@ -151,11 +164,19 @@ func (s *simulator) step(blk trace.Block, addrs []trace.Addr) {
 			hi = min(hi, lo+s.bucket-(s.pos+lo)%s.bucket)
 		}
 		var c int
-		if s.kernel != nil {
-			kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: lo, Hi: hi}
+		kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: lo, Hi: hi}
+		switch {
+		case s.kernel == nil:
+			c = referenceSegment(s.p, blk, addrs, lo, hi, s.correct, s.hits)
+		case s.hits == nil:
 			c = s.kernel.SimulateBlock(kblk, s.correct)
-		} else {
-			c = referenceSegment(s.p, blk, addrs, lo, hi, s.correct)
+		default:
+			// The column loop rewrites the words the segment covers, so
+			// the first word's bits for the records before lo (an earlier
+			// segment's) are put back.
+			keep := s.hits[lo>>6]
+			c = bp.SimulateColumn(s.p, kblk, s.correct, s.hits[lo>>6:])
+			s.hits[lo>>6] |= keep
 		}
 		s.open += c
 		if s.bucket > 0 && (s.pos+hi)%s.bucket == 0 {
@@ -249,9 +270,10 @@ func fanOut(exhibit string, n, workers int, do func(i int)) {
 // Predict/Update loop — the reference engine, the executable
 // specification the columnar kernels are pinned against — on records
 // rebuilt from the columns (a Record is exactly PC, Taken, Backward),
-// accumulating per-ID correct counts like a kernel call and returning
-// the segment's correct total.
-func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, hi int, correct []int32) int {
+// accumulating per-ID correct counts like a kernel call, setting bit i
+// of hits (when non-nil) for each correct record i, and returning the
+// segment's correct total.
+func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, hi int, correct []int32, hits []uint64) int {
 	c := 0
 	for i := lo; i < hi; i++ {
 		id := blk.IDs[i]
@@ -263,6 +285,9 @@ func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, h
 		if p.Predict(rec) == rec.Taken {
 			correct[id]++
 			c++
+			if hits != nil {
+				hits[i>>6] |= 1 << (uint(i) & 63)
+			}
 		}
 		p.Update(rec)
 	}

@@ -295,7 +295,7 @@ func (s *blockSweeper) step(blk trace.Block, addrs []trace.Addr) {
 		if kp := s.kernels[c]; kp != nil {
 			s.correct[c] += int64(kp.SimulateBlock(kblk, perID))
 		} else {
-			s.correct[c] += int64(referenceSegment(p, blk, addrs, 0, blk.Len(), perID))
+			s.correct[c] += int64(referenceSegment(p, blk, addrs, 0, blk.Len(), perID, nil))
 		}
 	}
 }

@@ -180,6 +180,11 @@ func (p *Packed) IDOf(a Addr) (int32, bool) {
 // not modify it.
 func (p *Packed) Counts() []int32 { return p.counts }
 
+// TakenCounts exposes the per-ID taken counts (TakenCounts()[id] =
+// number of records of branch id resolved taken) for read-only
+// iteration. Callers must not modify it.
+func (p *Packed) TakenCounts() []int32 { return p.takenCounts }
+
 // TakenWords exposes the raw taken bitset (bit i of word i/64 = record
 // i resolved taken) for read-only iteration by batched kernels. Callers
 // must not modify it.
