@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeRequest' -fuzztime $(FUZZTIME) -run '^$$' ./internal/api/v1/
 	$(GO) test -fuzz 'FuzzOracleStates' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 	$(GO) test -fuzz 'FuzzSimulate' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sim/
+	$(GO) test -fuzz 'FuzzSweep' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sim/
 
 # bench smoke-runs every benchmark in the root harness — including the
 # 1M-branch kernel and sweep suites, which is why it pins -benchtime 1x

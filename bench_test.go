@@ -850,19 +850,17 @@ func benchRandomTrace(n, sites int) *trace.Trace {
 // sweeps (kernel.go). The hybrid and tournament kernels run their
 // components' kernel loops per tile and one chooser loop over the hit
 // columns (kernel_chooser.go); hybrid is the hybrids exhibit's McFarling
-// configuration. For gshare and bimodal an impl=sweep1 row runs
-// the same config as a 1-config fused sweep — per branch for gshare,
-// totals for bimodal, whose grid has no per-branch form: the standing
-// evidence that their dedicated kernels beat the staged replay.
+// configuration. For gshare and bimodal an impl=sweep1 row runs the
+// same config as a 1-config fused sweep, totals only: the measurement
+// behind keeping both of their fast paths, the word-loop kernel for one
+// predictor (it also counts per branch and writes the hit column) and
+// the staged replay for a grid.
 func BenchmarkSimPredictor(b *testing.B) {
 	specs := []string{"bimodal:14", "gshare:16", "gas:12,4", "pas:12,10,6", "ifgshare:16", "ifpas:16",
 		"hybrid:(gshare:16),(pas:12,10,6),12", "tournament:12,10,16,12"}
-	sweep1 := map[string]struct {
-		grid func() bp.SweepGrid
-		opts sim.Options
-	}{
-		"gshare:16":  {func() bp.SweepGrid { return bp.NewGshareSweep([]uint{16}) }, sim.Options{PerBranch: true}},
-		"bimodal:14": {func() bp.SweepGrid { return bp.NewBimodalSweep([]uint{14}) }, sim.Options{}},
+	sweep1 := map[string]func() bp.SweepGrid{
+		"gshare:16":  func() bp.SweepGrid { return bp.NewGshareSweep([]uint{16}) },
+		"bimodal:14": func() bp.SweepGrid { return bp.NewBimodalSweep([]uint{14}) },
 	}
 	// stored gives the combining specs' stored component hit columns,
 	// as the report's hybrids exhibit reads them from its run memo: both
@@ -913,10 +911,10 @@ func BenchmarkSimPredictor(b *testing.B) {
 					b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 				})
 			}
-			if sw, ok := sweep1[spec]; ok {
+			if grid, ok := sweep1[spec]; ok {
 				b.Run(fmt.Sprintf("pred=%s/len=%d/impl=sweep1", name, n), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						sim.SimulateSweep(tr, sw.grid(), sw.opts)
+						sim.SimulateSweep(tr, grid(), sim.Options{})
 					}
 					b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 				})
@@ -1038,25 +1036,20 @@ func BenchmarkSimSweep(b *testing.B) {
 
 // benchGlobalGrid is the per-branch grid the report's global-correlation
 // exhibits share (Figures 4 and 8, Table 2, in-path): 1-, 2- and 3-ref
-// oracle-selected selective predictors, the 3-ref one in presence mode,
-// IF-gshare(16) and gshare(16). The selective grid replays the state
-// vectors st resolved for sels, or classifies the trace and runs its
-// own collection when st is nil.
+// oracle-selected selective predictors and the 3-ref one in presence
+// mode (the report reads IF-gshare(16) and gshare(16) from its run
+// memo). The grid replays the state vectors st resolved for sels, or
+// classifies the trace and runs its own collection when st is nil.
 func benchGlobalGrid(st *core.BeamStates, sels *core.Selections) bp.SweepGrid {
 	var cfgs []core.SelectiveConfig
 	for k := 1; k <= core.MaxSelectiveRefs; k++ {
 		cfgs = append(cfgs, core.SelectiveConfig{Name: fmt.Sprintf("IF %d-branch selective(16)", k), Window: 16, Assign: sels.BySize[k]})
 	}
 	cfgs = append(cfgs, core.SelectiveConfig{Name: "presence 3-branch selective(16)", Window: 16, Assign: sels.BySize[3], Mode: core.ModePresence})
-	selective := core.NewSelectiveSweep("global-selective", cfgs)
 	if st != nil {
-		selective = core.NewSelectiveSweepStates(st, "global-selective", cfgs)
+		return core.NewSelectiveSweepStates(st, "global-perbranch", cfgs)
 	}
-	return bp.NewConcatSweep("global-perbranch",
-		selective,
-		bp.NewIFGshareSweep([]uint{16}),
-		bp.NewGshareSweep([]uint{16}),
-	)
+	return core.NewSelectiveSweep("global-perbranch", cfgs)
 }
 
 // benchSimSweepPerBranch adds BenchmarkSimSweep's per-branch rows, the

@@ -54,6 +54,8 @@ func mix(n int) []request {
 	add("/v1/oracle", fmt.Sprintf(`{"trace":%s,"window_len":8,"top_k":8}`, tr("gcc")))
 	add("/v1/oracle", fmt.Sprintf(`{"trace":%s,"window_len":8,"top_k":8,"stage":"profile"}`, tr("gcc")))
 	add("/v1/sweep", fmt.Sprintf(`{"trace":%s,"grid":{"family":"specs","specs":["gshare:6","pas:4,4,6"]}}`, tr("compress")))
+	add("/v1/sweep", fmt.Sprintf(`{"trace":%s,"grid":{"family":"hybrid","hist":[4,8,12],"bimodal_bits":10,"chooser_bits":8}}`, tr("go")))
+	add("/v1/sweep", fmt.Sprintf(`{"trace":%s,"grid":{"family":"if-gshare","hist":[4,8,12]}}`, tr("gcc")))
 	add("/v1/simulate", fmt.Sprintf(`{"trace":%s,"specs":["gshare:8"],"per_branch":true}`, tr("xlisp")))
 	return reqs
 }

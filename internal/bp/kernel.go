@@ -12,21 +12,19 @@ import "branchcorr/internal/trace"
 // (kernel_test.go) pins each kernel bit-identical to its scalar
 // counterpart, including across interleaved scalar/kernel calls.
 //
-// Each family has at most one fast path. The dense-table families
-// (bimodal, gshare, GAs, PAs) and the static predictors have their own
-// loops here; for gshare and bimodal these measure no slower than a
-// 1-config fused sweep (the impl=sweep1 benchmark rows). The dense-table
-// loops also emit an optional per-record hit column (columnLoop in
-// kernel_chooser.go) from the same loop, which is how the combining
-// predictors (Hybrid, Tournament) run: their kernels replay each
-// component's loop over a tile into a column, or read a column a
-// whole-trace run stored earlier (SimulateColumns), then run one
-// chooser loop over the two columns; SimulateColumn hands the column
-// out. The interference-free predictors (IFGshare, IFPAs) instead run
-// their sweep_if.go staged replay (stageGlobal or stageLocal, then
-// replayIFTable) as one config over the predictor's own table and
-// registers, so their table loop is written once; IFGshare's also
-// writes a hit column.
+// Each family has one fast path beside its scalar spec. GAs, PAs and
+// the static predictors run their word loops here. Bimodal and gshare
+// run theirs (bimodalLoop, gshareLoop) for one predictor, counting per
+// branch; a grid of their configs runs sweep.go's staged replay instead,
+// and the two measure at parity as one config (the impl=kernel and
+// impl=sweep1 benchmark rows). Hybrid and Tournament run the chooser
+// loop (kernel_chooser.go) over their components' hit columns, which
+// HybridSweep also runs per config. IFGshare and IFPAs run their grids'
+// staged replay (sweep_if.go) as a grid of one config over the
+// predictor's own table and registers. The dense-table word loops and
+// the IF-gshare replay also emit an optional per-record hit column
+// (columnLoop in kernel_chooser.go) from the same loop; SimulateColumn
+// hands it out.
 
 // KernelBlock is the columnar input one kernel call consumes: the dense-ID and
 // outcome columns of a trace.Packed plus the record range [Lo, Hi) to
@@ -369,60 +367,44 @@ func (p *IdealStatic) SimulateBlock(blk KernelBlock, correct []int32) int {
 	return total
 }
 
-// SimulateBlock implements KernelPredictor as a one-config staged
-// replay (sweep_if.go) over the predictor's own table and history
-// register: the replay reads each record's counter once where the
-// scalar Predict and Update read it twice.
+// SimulateBlock implements KernelPredictor as a one-config IFGshareSweep
+// over the predictor's own table and history register (columns): the
+// replay reads each record's counter once where the scalar Predict and
+// Update read it twice.
 func (p *IFGshare) SimulateBlock(blk KernelBlock, correct []int32) int {
 	return p.columns(blk).run(blk.Lo, blk.Hi, correct, nil)
 }
 
-// columns resolves the staged replay for blk. The staging buffer is
+// columns resolves the one-config grid for blk. Its staging buffer is
 // sized to the block, up to one tile, so short streamed chunks stay
 // cheap.
 func (p *IFGshare) columns(blk KernelBlock) columnLoop {
-	return ifGshareLoop{
-		p:     p,
-		blk:   blk,
-		keyHi: extendKeyHi(nil, blk.Addrs),
-		kt:    make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
-	}
+	return &ifGshareLoop{p: p, blk: blk, g: IFGshareSweep{
+		hmasks: []uint64{uint64(p.histMask)},
+		tables: make([]ifTable, 1),
+		kt:     make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
+	}}
 }
 
-// ifGshareLoop is IFGshare's kernel loop resolved for one block: every
-// dense ID's table-key prefix and the tile staging.
+// ifGshareLoop is IFGshare's kernel loop resolved for one block: the
+// one-config grid its runs replay through.
 type ifGshareLoop struct {
-	p     *IFGshare
-	blk   KernelBlock
-	keyHi []uint64
-	kt    []uint64
+	p   *IFGshare
+	blk KernelBlock
+	g   IFGshareSweep
 }
 
-// run replays [lo, hi) in tiles aligned to sweepTile in absolute record
-// positions, so a tile never outgrows the staging buffer however lo
-// falls: per tile, stageGlobal advances the register, then
-// replayIFTable runs the table and sets the tile's hit bits.
-func (l ifGshareLoop) run(lo, hi int, correct []int32, hits []uint64) int {
-	p := l.p
-	if hits != nil && lo < hi {
-		clear(hits[:(hi-1)>>6-lo>>6+1])
-	}
-	h := p.history
-	total := 0
-	for tlo := lo; tlo < hi; {
-		thi := min(tlo&^(sweepTile-1)+sweepTile, hi)
-		kk := l.kt[:thi-tlo]
-		h = stageGlobal(kk, l.blk.Taken, tlo, h)
-		p.table.reserve(len(kk))
-		var th []uint64
-		if hits != nil {
-			th = hits[tlo>>6-lo>>6:]
-		}
-		total += int(replayIFTable(kk, l.blk.IDs[tlo:thi], l.keyHi, &p.table, uint64(p.histMask), correct, th, tlo&63))
-		tlo = thi
-	}
-	p.history = h & p.histMask
-	return total
+// run loads the predictor's table and register into the grid, replays
+// [lo, hi) through IFGshareSweep.sweep, and stores them back, so runs
+// over adjacent ranges (a chooser's tiles) and scalar calls may
+// interleave.
+func (l *ifGshareLoop) run(lo, hi int, correct []int32, hits []uint64) int {
+	g := &l.g
+	g.tables[0], g.history = l.p.table, l.p.history
+	var total [1]int32
+	g.sweep(l.blk, lo, hi, total[:], [][]int32{correct}, hits)
+	l.p.table, l.p.history = g.tables[0], g.history&l.p.histMask
+	return int(total[0])
 }
 
 // SimulateBlock implements KernelPredictor as a one-config IFPAsSweep

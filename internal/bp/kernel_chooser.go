@@ -28,6 +28,10 @@ import (
 // Comparing hits rather than predictions is exact: both components are
 // judged against the same outcome, so they disagree in prediction iff
 // they disagree in correctness.
+//
+// This chooser loop is the combining predictors' one fast path: the
+// fused hybrid grid (HybridSweep) runs it too, per config, with b a
+// storedColumn over the block's shared bimodal hit column.
 
 // columnLoop is a kernel loop resolved for one block. run replays the
 // block's records [lo, hi) exactly as the predictor's SimulateBlock

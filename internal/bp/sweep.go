@@ -29,7 +29,10 @@ import (
 //
 // GAs and PAs have no grid: no figure sweeps their geometry, and their
 // kernel.go kernels serve every run. The interference-free grids are in
-// sweep_if.go, the hybrid grid in sweep_hybrid.go.
+// sweep_if.go; their staged replay is also the IF kernels' one loop. The
+// hybrid grid (sweep_hybrid.go) runs the chooser kernel per config over
+// one shared bimodal hit column. Grids count totals only: the one grid
+// with a per-branch form (BranchSweepKernel) is core.SelectiveSweep.
 //
 // Execution is tiled to keep the sharing from fighting the cache: each
 // SweepBlock call walks its range in fixed-size tiles, a shared pass
@@ -105,25 +108,19 @@ type SweepKernel interface {
 // sim.SimulateSweep produces under Options.PerBranch. SweepBlockBranches
 // is SweepBlock plus, for every record of the range config c predicts
 // correctly, one added to branches[c][id], id being the record's dense
-// branch ID (each branches[c] must cover len(blk.Addrs)). Kernels choose
-// between their totals-only and per-branch loops once per block or tile,
-// so SweepBlock keeps its own loops.
+// branch ID (each branches[c] must cover len(blk.Addrs)). Only the
+// selective grid (core.SelectiveSweep) has a per-branch form; a
+// per-branch request on any other grid runs per config.
 type BranchSweepKernel interface {
 	SweepKernel
 	SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32)
 }
 
 // CountsBranches reports whether g is a fused grid that can count per
-// branch: a BranchSweepKernel, except a ConcatSweep with a part that
-// cannot.
+// branch (a BranchSweepKernel).
 func CountsBranches(g SweepGrid) bool {
-	switch g := g.(type) {
-	case *ConcatSweep:
-		return g.branches != nil
-	case BranchSweepKernel:
-		return true
-	}
-	return false
+	_, ok := g.(BranchSweepKernel)
+	return ok
 }
 
 // checkShardRange validates a Shard call against the config count.
@@ -249,23 +246,9 @@ func (g *GshareSweep) Shard(lo, hi int) SweepGrid {
 // per-record work once — ID load, outcome extract, key pcx^h, history
 // shift — and each config pair's replay of the staged tile is the
 // single-config kernel loop minus exactly that work.
-func (g *GshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
-	g.sweep(blk, correct, nil)
-}
-
-// SweepBlockBranches implements BranchSweepKernel: the shared pass is
-// SweepBlock's, and each config replays the staged tile alone through
-// replayBranches.
-func (g *GshareSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32) {
-	g.sweep(blk, correct, branches)
-}
-
-// sweep is SweepBlock, and with non-nil branches SweepBlockBranches; the
-// choice between the paired totals-only replay and the per-branch one is
-// made once per tile.
 //
 //bplint:hot
-func (g *GshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
+func (g *GshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	g.pcx = extendPcx(g.pcx, blk.Addrs)
 	pcx := g.pcx
 	phts := g.phts
@@ -285,37 +268,9 @@ func (g *GshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32
 			h = h<<1 | uint32(t)
 			j++
 		}
-		if branches != nil {
-			tids := ids[lo:hi]
-			for c, tbl := range phts {
-				correct[c] += replayBranches(kk, tids, tbl, branches[c])
-			}
-			continue
-		}
 		replayTables(kk, phts, correct)
 	}
 	g.history = h
-}
-
-// replayBranches replays one config's power-of-2 table over a staged
-// key|outcome tile whose records have dense IDs tids, adding each
-// correct prediction to perID[id] as well as to the returned count.
-//
-//bplint:hot
-func replayBranches(kk []uint32, tids []int32, tbl []Counter2, perID []int32) int32 {
-	tids = tids[:len(kk)]
-	m := uint32(len(tbl) - 1)
-	n := int32(0)
-	for i, v := range kk {
-		t := Counter2(v & 1)
-		s := (v >> 1) & m
-		x := sweepStep[tbl[s]<<1|t]
-		ok := int32(x & 1)
-		n += ok
-		perID[tids[i]] += ok
-		tbl[s] = Counter2(x >> 1)
-	}
-	return n
 }
 
 // replayTables replays every config's power-of-2 table over a staged
@@ -501,7 +456,7 @@ func (g *PredictorGrid) Shard(lo, hi int) SweepGrid {
 }
 
 var (
-	_ BranchSweepKernel = (*GshareSweep)(nil)
-	_ SweepKernel       = (*BimodalSweep)(nil)
-	_ SweepGrid         = (*PredictorGrid)(nil)
+	_ SweepKernel = (*GshareSweep)(nil)
+	_ SweepKernel = (*BimodalSweep)(nil)
+	_ SweepGrid   = (*PredictorGrid)(nil)
 )

@@ -9,10 +9,9 @@ import "fmt"
 // is what lets a heterogeneous figure — say selective predictors, an
 // IF-gshare, and a gshare — ride one fused pass per trace.
 type ConcatSweep struct {
-	name     string
-	parts    []SweepKernel
-	branches []BranchSweepKernel // the parts again when every part counts per branch, else nil
-	offs     []int               // offs[i] is part i's first config index; offs[len(parts)] is the total
+	name  string
+	parts []SweepKernel
+	offs  []int // offs[i] is part i's first config index; offs[len(parts)] is the total
 }
 
 // NewConcatSweep returns a fused grid over the parts' configs in
@@ -25,16 +24,7 @@ func NewConcatSweep(name string, parts ...SweepKernel) *ConcatSweep {
 	for i, p := range parts {
 		offs[i+1] = offs[i] + len(p.ConfigNames())
 	}
-	g := &ConcatSweep{name: name, parts: append([]SweepKernel(nil), parts...), offs: offs}
-	branches := make([]BranchSweepKernel, len(parts))
-	for i, p := range parts {
-		if !CountsBranches(p) {
-			return g
-		}
-		branches[i] = p.(BranchSweepKernel)
-	}
-	g.branches = branches
-	return g
+	return &ConcatSweep{name: name, parts: append([]SweepKernel(nil), parts...), offs: offs}
 }
 
 // GridName implements SweepGrid.
@@ -69,20 +59,6 @@ func (g *ConcatSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	}
 }
 
-// SweepBlockBranches implements BranchSweepKernel: each part replays the
-// block against its slices of the count vector and of the per-branch
-// counts. It panics unless every part counts per branch
-// (CountsBranches).
-func (g *ConcatSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32) {
-	if g.branches == nil {
-		panic(fmt.Sprintf("bp: concat sweep %q has a part that cannot count per branch", g.name))
-	}
-	offs := g.offs
-	for i, p := range g.branches {
-		p.SweepBlockBranches(blk, correct[offs[i]:offs[i+1]], branches[offs[i]:offs[i+1]])
-	}
-}
-
 // Shard implements SweepGrid: the sub-range is assembled from shards of
 // the overlapped parts. A part's shard must itself be a SweepKernel (every
 // fused grid's is); anything else is a programming error and panics.
@@ -102,4 +78,4 @@ func (g *ConcatSweep) Shard(lo, hi int) SweepGrid {
 	return NewConcatSweep(fmt.Sprintf("%s[%d:%d)", g.name, lo, hi), parts...)
 }
 
-var _ BranchSweepKernel = (*ConcatSweep)(nil)
+var _ SweepKernel = (*ConcatSweep)(nil)

@@ -6,35 +6,30 @@ import "fmt"
 // combined under a per-config chooser, one config per gshare history
 // length at a fixed bimodal table size and chooser size.
 //
-// Sharing follows the component arguments. The bimodal component always
-// trains (Hybrid.Update updates both components unconditionally), so
-// its table is stream-determined and one copy serves every config; the
-// unmasked global history register is shared exactly as in GshareSweep.
-// Per config: the gshare PHT and the chooser table — the chooser's
-// training depends on the config's gshare prediction, so it cannot be
-// shared even at a fixed size.
+// It runs the combining predictors' chooser kernel (kernel_chooser.go);
+// what it fuses is the bimodal component. That component always trains
+// (Hybrid.Update updates both components unconditionally), so its table
+// is stream-determined and one copy serves every config: per block,
+// bimodalLoop replays it once into a hit column, and each config runs
+// one chooserLoop with a = its gshare's gshareLoop and b = a
+// storedColumn over that shared column. Per config: the gshare
+// predictor and the chooser table — the chooser's training depends on
+// the config's gshare hits, so it cannot be shared even at a fixed size.
 //
-// The shared pass reads the bimodal prediction (pre-update, the order
-// Hybrid.Update observes), trains the bimodal counter, and stages
-// key<<2 | pb<<1 | t per record — gshare key pre-masked to the widest
-// config, bimodal prediction bit, outcome bit. Each config's replay
-// recovers its own gshare counter and chooser entry (chooser index
-// recomputed from the shared pcx column), selects, counts, and trains
-// chooser then PHT in the scalar order.
+// The loops are built once at construction and re-pointed at each
+// block, and all of them read one cached per-ID address column (pc>>2,
+// unmasked: bimodalLoop, gshareLoop and the chooser's cidx each mask it
+// to their own table), so steady-state blocks allocate nothing.
 type HybridSweep struct {
 	gbits       []uint
-	gmasks      []uint32
-	phts        [][]Counter2
-	choosers    [][]Counter2
-	btbl        []Counter2
-	bmask       uint32
-	cmask       uint32
 	bimodalBits uint
 	chooserBits uint
-	kmax        uint32
-	history     uint32
-	pcx         []uint32
-	kt          []uint32 // tile staging: key<<2 | bimodal prediction<<1 | outcome
+	bimodal     bimodalLoop   // the shared bimodal component's loop
+	gshares     []gshareLoop  // per config: the gshare component's loop
+	choosers    []chooserLoop // per config: a = &gshares[c], b = &column
+	column      storedColumn  // the shared bimodal hit column (bit i = record i)
+	tiles       chooserTiles  // every chooser's tile staging and per-ID scratch
+	pcx         []uint32      // cached per-ID address bits
 }
 
 // NewHybridSweep returns a fused grid of hybrid(gshare(b), bimodal,
@@ -52,36 +47,23 @@ func NewHybridSweep(gshareBits []uint, bimodalBits, chooserBits uint) *HybridSwe
 	if chooserBits == 0 || chooserBits > 26 {
 		panic(fmt.Sprintf("bp: hybrid chooser bits %d out of range [1,26]", chooserBits))
 	}
-	gmasks := make([]uint32, len(gshareBits))
-	phts := make([][]Counter2, len(gshareBits))
-	choosers := make([][]Counter2, len(gshareBits))
-	kmax := uint32(0)
+	g := &HybridSweep{
+		gbits:       append([]uint(nil), gshareBits...),
+		bimodalBits: bimodalBits,
+		chooserBits: chooserBits,
+		bimodal:     bimodalLoop{p: NewBimodal(bimodalBits)},
+		gshares:     make([]gshareLoop, len(gshareBits)),
+		choosers:    make([]chooserLoop, len(gshareBits)),
+	}
 	for c, b := range gshareBits {
-		if b == 0 || b > 26 {
-			panic(fmt.Sprintf("bp: gshare history bits %d out of range [1,26]", b))
-		}
-		gmasks[c] = 1<<b - 1
-		phts[c] = make([]Counter2, 1<<b)
 		ch := make([]Counter2, 1<<chooserBits)
 		for i := range ch {
 			ch[i] = WeaklyNotTaken // NewHybrid's neutral chooser start
 		}
-		choosers[c] = ch
-		kmax |= gmasks[c]
+		g.gshares[c].p = NewGshare(b) // panics on bits outside [1,26]
+		g.choosers[c] = chooserLoop{a: &g.gshares[c], b: &g.column, chooser: ch, tiles: &g.tiles}
 	}
-	return &HybridSweep{
-		gbits:       append([]uint(nil), gshareBits...),
-		gmasks:      gmasks,
-		phts:        phts,
-		choosers:    choosers,
-		btbl:        make([]Counter2, 1<<bimodalBits),
-		bmask:       1<<bimodalBits - 1,
-		cmask:       1<<chooserBits - 1,
-		bimodalBits: bimodalBits,
-		chooserBits: chooserBits,
-		kmax:        kmax,
-		kt:          make([]uint32, sweepTile),
-	}
+	return g
 }
 
 // GridName implements SweepGrid.
@@ -117,63 +99,24 @@ func (g *HybridSweep) Shard(lo, hi int) SweepGrid {
 	return NewHybridSweep(g.gbits[lo:hi], g.bimodalBits, g.chooserBits)
 }
 
-// SweepBlock implements SweepKernel.
-//
-//bplint:hot
+// SweepBlock implements SweepKernel: the shared bimodal replay fills
+// the block's hit column, then each config's chooser loop runs over its
+// gshare loop and that column. The per-ID counts every loop adds to are
+// the tiles' scratch, which nobody reads.
 func (g *HybridSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	g.pcx = extendPcx(g.pcx, blk.Addrs)
-	pcx := g.pcx
-	phts := g.phts
-	choosers := g.choosers
-	gmasks := g.gmasks
-	correct = correct[:len(phts)]
-	btbl := g.btbl
-	bmask := g.bmask
-	cmask := g.cmask
-	kmax := g.kmax
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.kt
-	h := g.history
-	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
-		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := uint32(taken[j>>6] >> (uint(j) & 63) & 1)
-			x := pcx[tids[i]]
-			bc := btbl[x&bmask]
-			kk[i] = ((x^h)&kmax)<<2 | uint32(bc>>1)<<1 | t
-			btbl[x&bmask] = Counter2(sweepStep[uint8(bc)<<1|uint8(t)] >> 1)
-			h = h<<1 | t
-			j++
-		}
-		for c := range phts {
-			pht := phts[c]
-			ch := choosers[c]
-			m := gmasks[c]
-			n := int32(0)
-			for i, v := range kk {
-				t := v & 1
-				pb := v >> 1 & 1
-				k := (v >> 2) & m
-				cnt := pht[k]
-				pa := uint32(cnt >> 1)
-				ci := pcx[tids[i]] & cmask
-				cc := ch[ci]
-				sel := uint32(cc >> 1)
-				pred := pb ^ (sel & (pa ^ pb))
-				n += int32(pred ^ t ^ 1)
-				if pa != pb {
-					ch[ci] = counterNext[pa^t^1][cc]
-				}
-				pht[k] = Counter2(sweepStep[uint8(cnt)<<1|uint8(t)] >> 1)
-			}
-			correct[c] += n
-		}
+	g.tiles.scratch = growColumn(g.tiles.scratch, len(blk.Addrs))
+	g.column.hits = growColumn(g.column.hits, (blk.Hi-1)>>6+1)
+	scratch := g.tiles.scratch
+	g.bimodal.blk, g.bimodal.slot = blk, g.pcx
+	g.bimodal.run(blk.Lo, blk.Hi, scratch, g.column.hits[blk.Lo>>6:])
+	correct = correct[:len(g.choosers)]
+	for c := range g.choosers {
+		g.gshares[c].blk, g.gshares[c].pcx = blk, g.pcx
+		ch := &g.choosers[c]
+		ch.blk, ch.cidx = blk, g.pcx
+		correct[c] += int32(ch.run(blk.Lo, blk.Hi, scratch, nil))
 	}
-	g.history = h
 }
 
 var _ SweepKernel = (*HybridSweep)(nil)

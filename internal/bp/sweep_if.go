@@ -26,13 +26,14 @@ import (
 // records as 64-bit words (unmasked 32-bit history plus the outcome
 // bit; stageGlobal or stageLocal), and every config replays the tile
 // through its table (replayIFTable); the per-ID key prefix addr<<32 is a
-// cached column like pcx. The IFGshare and IFPAs kernels (kernel.go)
-// are one-config grids of this replay over the predictor's own table
-// and registers. Steady-state blocks allocate only what the semantics
-// require: table growth for never-seen (address, history) pairs, taken
-// once per tile by ifTable.reserve. The staging scratch and derived
-// columns are allocated once and reused, which sweep_alloc_test.go pins
-// with a bounded (amortized) gate.
+// cached column like pcx. This is each IF family's one fast path: the
+// IFGshare and IFPAs kernels (kernel.go) are one-config grids of it over
+// the predictor's own table and registers, and IFGshareSweep's loop also
+// writes the one-config kernel's hit column. Steady-state blocks
+// allocate only what the semantics require: table growth for never-seen
+// (address, history) pairs, taken once per tile by ifTable.reserve. The
+// staging scratch and derived columns are allocated once and reused,
+// which sweep_alloc_test.go pins with a bounded (amortized) gate.
 
 // extendKeyHi grows a cached per-ID table-key-prefix column (addr<<32) to
 // cover addrs, mirroring extendPcx.
@@ -81,17 +82,19 @@ func stageLocal(kk []uint64, taken []uint64, tids []int32, j int, hist []uint32)
 // replayIFTables replays a staged tile whose records have dense IDs tids
 // through every config's table (config c keyed by its history mask
 // hmasks[c]), adding config c's correct predictions to correct[c] and,
-// when branches is non-nil, to branches[c][id].
+// when branches is non-nil, to branches[c][id]. With a non-nil hits
+// (only a one-config grid passes one) it sets bit off+i of hits for each
+// correct record i of the tile.
 //
 //bplint:hot
-func replayIFTables(kk []uint64, tids []int32, keyHi []uint64, tables []ifTable, hmasks []uint64, correct []int32, branches [][]int32) {
+func replayIFTables(kk []uint64, tids []int32, keyHi []uint64, tables []ifTable, hmasks []uint64, correct []int32, branches [][]int32, hits []uint64, off int) {
 	correct = correct[:len(tables)]
 	for c := range tables {
 		var perID []int32
 		if branches != nil {
 			perID = branches[c]
 		}
-		correct[c] += replayIFTable(kk, tids, keyHi, &tables[c], hmasks[c], perID, nil, 0)
+		correct[c] += replayIFTable(kk, tids, keyHi, &tables[c], hmasks[c], perID, hits, off)
 	}
 }
 
@@ -163,31 +166,38 @@ func (g *IFGshareSweep) Shard(lo, hi int) SweepGrid {
 
 // SweepBlock implements SweepKernel.
 func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
-	g.sweep(blk, correct, nil)
+	g.sweep(blk, blk.Lo, blk.Hi, correct, nil, nil)
 }
 
-// SweepBlockBranches implements BranchSweepKernel.
-func (g *IFGshareSweep) SweepBlockBranches(blk KernelBlock, correct []int32, branches [][]int32) {
-	g.sweep(blk, correct, branches)
-}
-
-// sweep is SweepBlock, and with non-nil branches SweepBlockBranches: per
-// tile, stageGlobal advances the shared register, then replayIFTables runs
-// every config.
+// sweep replays records [lo, hi) of blk through every config, a tile of
+// at most min(sweepTile, hi-lo) records at a time: per tile, stageGlobal
+// advances the shared register, then replayIFTables runs every config.
+// Non-nil branches and hits (only IFGshare's one-config kernel passes
+// them) also count per branch and write the range's hit column: bit b of
+// hits[k] is record lo&^63 + 64k + b, and the words the range covers
+// hold no bits for records outside it. A tile sets its bits from its own
+// first record's word and bit, so they land right wherever tiles start.
 //
 //bplint:hot
-func (g *IFGshareSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
+func (g *IFGshareSweep) sweep(blk KernelBlock, lo, hi int, correct []int32, branches [][]int32, hits []uint64) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
+	if hits != nil && lo < hi {
+		clear(hits[:(hi-1)>>6-lo>>6+1])
+	}
 	h := g.history
 	tables := g.tables
-	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
-		hi := min(lo+sweepTile, blk.Hi)
-		kk := g.kt[:hi-lo]
-		h = stageGlobal(kk, blk.Taken, lo, h)
+	for tlo := lo; tlo < hi; tlo += sweepTile {
+		thi := min(tlo+sweepTile, hi)
+		kk := g.kt[:thi-tlo]
+		h = stageGlobal(kk, blk.Taken, tlo, h)
 		for c := range tables {
 			tables[c].reserve(len(kk)) //bplint:ignore kernel-purity the table's amortized grow path: each distinct (address, history) pair costs O(1)
 		}
-		replayIFTables(kk, blk.IDs[lo:hi], g.keyHi, tables, g.hmasks, correct, branches)
+		var th []uint64
+		if hits != nil {
+			th = hits[tlo>>6-lo>>6:]
+		}
+		replayIFTables(kk, blk.IDs[tlo:thi], g.keyHi, tables, g.hmasks, correct, branches, th, tlo&63)
 	}
 	g.history = h
 }
@@ -282,11 +292,11 @@ func (g *IFPAsSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32)
 		for c := range tables {
 			tables[c].reserve(len(kk)) //bplint:ignore kernel-purity the table's amortized grow path: each distinct (address, history) pair costs O(1)
 		}
-		replayIFTables(kk, tids, g.keyHi, tables, g.hmasks, correct, branches)
+		replayIFTables(kk, tids, g.keyHi, tables, g.hmasks, correct, branches, nil, 0)
 	}
 }
 
 var (
-	_ BranchSweepKernel = (*IFGshareSweep)(nil)
-	_ SweepKernel       = (*IFPAsSweep)(nil)
+	_ SweepKernel = (*IFGshareSweep)(nil)
+	_ SweepKernel = (*IFPAsSweep)(nil)
 )

@@ -121,3 +121,71 @@ func FuzzSimulate(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSweepGrids are FuzzSweep's grids, one builder per fused family and
+// a concatenation of them, every table capped at a few KB. Byte pick
+// draws the hybrid's bimodal bits (low nibble) and chooser bits (high
+// nibble), so the shared bimodal column and the per-config choosers
+// alias at sizes the input chooses.
+func fuzzSweepGrids(pick byte) map[string]func() bp.SweepKernel {
+	bimodal, chooser := 1+uint(pick&15)%10, 1+uint(pick>>4)%8
+	gshare := func() bp.SweepKernel { return bp.NewGshareSweep([]uint{1, 4, 10, 7}) }
+	bimodalGrid := func() bp.SweepKernel { return bp.NewBimodalSweep([]uint{9, 2, 5}) }
+	ifGshare := func() bp.SweepKernel { return bp.NewIFGshareSweep([]uint{1, 5, 12}) }
+	ifPAs := func() bp.SweepKernel { return bp.NewIFPAsSweep([]uint{2, 8}) }
+	hybrid := func() bp.SweepKernel { return bp.NewHybridSweep([]uint{3, 10, 6}, bimodal, chooser) }
+	return map[string]func() bp.SweepKernel{
+		"gshare":    gshare,
+		"bimodal":   bimodalGrid,
+		"if-gshare": ifGshare,
+		"if-pas":    ifPAs,
+		"hybrid":    hybrid,
+		"concat": func() bp.SweepKernel {
+			return bp.NewConcatSweep("fuzz-concat", hybrid(), ifGshare(), gshare(), ifPAs(), bimodalGrid())
+		},
+	}
+}
+
+// FuzzSweep checks the fused sweep kernels on traces drawn from the fuzz
+// bytes (fuzzSimTrace). For every grid of fuzzSweepGrids, SimulateSweep
+// at Parallel 1 and 2 (config shards) must equal per-config
+// ForceReference runs of the grid's Configs, and so must the grid's
+// SweepBlock over three consecutive blocks split where the input's
+// fourth byte says, which lands splits off 64-record words and
+// sweepTile tiles.
+func FuzzSweep(f *testing.F) {
+	f.Add([]byte{5, 0x37, 0x21, 90, 0x80, 3, 0x41, 0x02, 0x80, 5, 0x43, 0x01, 0x44})
+	f.Add([]byte{63, 0xf9, 0xff, 201, 0x10, 0x51, 0x92, 7, 0x23, 0x64, 0xa5, 2, 0x06, 0x47, 0x88})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := fuzzSimTrace(data)
+		n := tr.Len()
+		var pick, at byte
+		if len(data) > 3 {
+			pick, at = data[1], data[3]
+		}
+		s1 := int(at) * n / 255
+		s2 := min((s1+n)/2+int(at&7), n)
+		pt := tr.Packed()
+		blk := bp.KernelBlock{IDs: pt.IDs(), Taken: pt.TakenWords(), Back: pt.BackwardWords(), Addrs: pt.Addrs()}
+		for name, mk := range fuzzSweepGrids(pick) {
+			g := mk()
+			want := make([]int64, len(g.ConfigNames()))
+			for c, p := range g.Configs() {
+				want[c] = int64(Simulate(tr, []bp.Predictor{p}, Options{ForceReference: true}).Results[0].Correct)
+			}
+			for _, par := range []int{1, 2} {
+				sameSweep(t, fmt.Sprintf("%s parallel=%d", name, par), SimulateSweep(tr, mk(), Options{Parallel: par}), want, n)
+			}
+			got := make([]int32, len(want))
+			for _, r := range [][2]int{{0, s1}, {s1, s2}, {s2, n}} {
+				blk.Lo, blk.Hi = r[0], r[1]
+				g.SweepBlock(blk, got)
+			}
+			for c := range want {
+				if int64(got[c]) != want[c] {
+					t.Errorf("%s blocks split at %d,%d: config %s: %d correct, want %d", name, s1, s2, g.ConfigNames()[c], got[c], want[c])
+				}
+			}
+		}
+	})
+}

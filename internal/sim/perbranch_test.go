@@ -97,8 +97,8 @@ func lateAssignment(tr *trace.Trace, seed int64) [core.MaxSelectiveRefs + 1]core
 }
 
 // globalGrid is the report's per-branch grid shape: 1-, 2- and 3-ref
-// selective predictors, the 3-ref one again in presence mode, an
-// IF-gshare and a gshare, concatenated into one fused grid.
+// selective predictors and the 3-ref one again in presence mode, in one
+// fused selective grid.
 func globalGrid(bySize [core.MaxSelectiveRefs + 1]core.Assignment) bp.SweepGrid {
 	const window = 16
 	var cfgs []core.SelectiveConfig
@@ -106,11 +106,13 @@ func globalGrid(bySize [core.MaxSelectiveRefs + 1]core.Assignment) bp.SweepGrid 
 		cfgs = append(cfgs, core.SelectiveConfig{Name: fmt.Sprintf("sel%d", k), Window: window, Assign: bySize[k]})
 	}
 	cfgs = append(cfgs, core.SelectiveConfig{Name: "presence-sel3", Window: window, Assign: bySize[3], Mode: core.ModePresence})
-	return bp.NewConcatSweep("global",
-		core.NewSelectiveSweep("global-selective", cfgs),
-		bp.NewIFGshareSweep([]uint{16}),
-		bp.NewGshareSweep([]uint{16}),
-	)
+	return core.NewSelectiveSweep("global", cfgs)
+}
+
+// gshareConcat is a fused grid with no per-branch form: an IF-gshare and
+// a gshare, concatenated. A per-branch request on it runs per config.
+func gshareConcat() bp.SweepGrid {
+	return bp.NewConcatSweep("if-gshare+gshare", bp.NewIFGshareSweep([]uint{16}), bp.NewGshareSweep([]uint{16}))
 }
 
 // referenceResults simulates each of the grid's configs on its own
@@ -151,6 +153,7 @@ func TestPerBranchSweepMatchesReference(t *testing.T) {
 		"global-oracle":    func() bp.SweepGrid { return globalGrid(oracle.BySize) },
 		"global-late-refs": func() bp.SweepGrid { return globalGrid(lateAssignment(tr, 9)) },
 		"bimodal-fallback": func() bp.SweepGrid { return bp.NewBimodalSweep([]uint{3, 8, 12}) },
+		"concat-fallback":  gshareConcat,
 	}
 	for name, mk := range grids {
 		want := referenceResults(tr, mk())
@@ -172,8 +175,8 @@ func TestPerBranchSweepEngines(t *testing.T) {
 
 	reg := obs.New()
 	out := sim.SimulateSweep(tr, globalGrid(sels.BySize), sim.Options{PerBranch: true, Parallel: 2, Observer: reg})
-	if len(out.Results) != 6 {
-		t.Fatalf("global grid: %d results, want 6", len(out.Results))
+	if len(out.Results) != 4 {
+		t.Fatalf("global grid: %d results, want 4", len(out.Results))
 	}
 	for _, c := range []string{"sim.sweep.runs.fused", "sim.sweep.runs.perbranch"} {
 		if got := count(reg, c); got != 1 {
@@ -184,20 +187,27 @@ func TestPerBranchSweepEngines(t *testing.T) {
 		t.Errorf("global grid left the fused path (%d)", got)
 	}
 
-	reg = obs.New()
-	sim.SimulateSweep(tr, bp.NewBimodalSweep([]uint{4, 8}), sim.Options{PerBranch: true, Observer: reg})
-	name := bp.NewBimodalSweep([]uint{4, 8}).GridName()
-	if got := count(reg, "sim.sweep.perbranch.fallback."+name); got != 1 {
-		t.Errorf("bimodal grid: perbranch.fallback = %d, want 1", got)
-	}
-	if got := count(reg, "sim.sweep.runs.fallback"); got != 1 {
-		t.Errorf("bimodal grid: runs.fallback = %d, want 1", got)
+	// Fused grids without a per-branch form: a per-branch request runs
+	// per config, visibly.
+	for _, g := range []bp.SweepGrid{bp.NewBimodalSweep([]uint{4, 8}), bp.NewGshareSweep([]uint{4, 8}), gshareConcat()} {
+		reg = obs.New()
+		out := sim.SimulateSweep(tr, g, sim.Options{PerBranch: true, Observer: reg})
+		name := g.GridName()
+		if len(out.Results) != len(g.ConfigNames()) {
+			t.Errorf("%s: %d results, want %d", name, len(out.Results), len(g.ConfigNames()))
+		}
+		if got := count(reg, "sim.sweep.perbranch.fallback."+name); got != 1 {
+			t.Errorf("%s: perbranch.fallback = %d, want 1", name, got)
+		}
+		if got := count(reg, "sim.sweep.runs.fallback"); got != 1 {
+			t.Errorf("%s: runs.fallback = %d, want 1", name, got)
+		}
 	}
 
-	// A concatenation counts per branch only if every part does.
+	// A concatenation has no per-branch form, whatever its parts.
 	mixed := bp.NewConcatSweep("mixed", bp.NewGshareSweep([]uint{6}), bp.NewBimodalSweep([]uint{6}))
 	if bp.CountsBranches(mixed) {
-		t.Error("a concat with a bimodal part must not count per branch")
+		t.Error("a concat must not count per branch")
 	}
 
 	reg = obs.New()
