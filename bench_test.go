@@ -921,6 +921,32 @@ func BenchmarkSimPredictor(b *testing.B) {
 			}
 		}
 	}
+	// The interference-free kernels keep their counters dense only while
+	// sites<<k fits four bytes per record; on a 2000-site trace every
+	// 16-bit table is past that bound, so these rows time the hash
+	// layout the gcc rows above no longer reach at 1M.
+	for _, spec := range []string{"ifgshare:16", "ifpas:16"} {
+		for _, n := range benchOracleLengths {
+			tr := benchRandomTrace(n, 2000)
+			tr.Packed()
+			name, _, _ := strings.Cut(spec, ":")
+			for _, impl := range []struct {
+				name string
+				opts sim.Options
+			}{{"ref", sim.Options{ForceReference: true}}, {"kernel", sim.Options{}}} {
+				b.Run(fmt.Sprintf("pred=%s/len=%d/trace=rand2000/impl=%s", name, n, impl.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						p, err := bp.Parse(spec, bp.Env{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						sim.Simulate(tr, []bp.Predictor{p}, impl.opts)
+					}
+					b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+				})
+			}
+		}
+	}
 }
 
 // benchSweepGrids are the fused-sweep benchmark grids: ≥12 configs per

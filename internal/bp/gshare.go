@@ -131,10 +131,12 @@ func (p *GAs) Update(r trace.Record) {
 // IFGshare is the interference-free gshare of the paper: conceptually one
 // private PHT per static branch, indexed by the global history register.
 // The paper notes such a predictor is "prohibitively large" in hardware;
-// here the (branch, history) → counter mapping is a lazily populated
-// flat table (ifTable), which is semantically identical.
+// here the (branch, history) → counter mapping is an ifStore: a dense
+// (ID, history) array while the kernel's input bounds it, else a lazily
+// populated flat table (ifTable), both semantically identical.
 type IFGshare struct {
-	table    ifTable
+	store    ifStore
+	addrs    []trace.Addr // dense ID -> address of the store's dense layout
 	history  uint32
 	histMask uint32
 	histBits uint
@@ -147,7 +149,7 @@ func NewIFGshare(historyBits uint) *IFGshare {
 		panic(fmt.Sprintf("bp: IF-gshare history bits %d out of range [1,32]", historyBits))
 	}
 	return &IFGshare{
-		table:    newIFTable(),
+		store:    ifStore{table: newIFTable()},
 		histMask: uint32(uint64(1)<<historyBits - 1),
 		histBits: historyBits,
 	}
@@ -162,13 +164,14 @@ func (p *IFGshare) key(pc trace.Addr) uint64 {
 
 // Predict implements Predictor.
 func (p *IFGshare) Predict(r trace.Record) bool {
-	return p.table.counter(p.key(r.PC)).Taken()
+	return p.store.hash(p.addrs, p.histBits).counter(p.key(r.PC)).Taken()
 }
 
 // Update implements Predictor.
 func (p *IFGshare) Update(r trace.Record) {
 	k := p.key(r.PC)
-	p.table.set(k, p.table.counter(k).Next(r.Taken))
+	t := p.store.hash(p.addrs, p.histBits)
+	t.set(k, t.counter(k).Next(r.Taken))
 	p.history = (p.history << 1) & p.histMask
 	if r.Taken {
 		p.history |= 1

@@ -1,6 +1,11 @@
 package bp
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+
+	"branchcorr/internal/trace"
+)
 
 // ifTable is the interference-free predictors' counter store: a flat
 // open-addressed (linear-probe) table from a 64-bit key — address<<32 |
@@ -143,5 +148,112 @@ func replayIFTable(kk []uint64, tids []int32, keyHi []uint64, t *ifTable, m uint
 		*s = ifSlot{k, Counter2(x>>1) | ifLive}
 	}
 	t.n += fresh
+	return n
+}
+
+// ifDenseBytesPerRecord is the dense IF layout's budget per record of
+// the input it indexes: the size of the ID column's 4-byte entry. It
+// is a variable only so tests can force either layout.
+var ifDenseBytesPerRecord uint64 = 4
+
+// ifStore is one interference-free config's counter store, in one of
+// two layouts chosen from the input. The dense layout is a flat
+// byte-per-counter slice indexed by uint64(id)<<k | history&mask, id
+// being the record's dense branch ID and k the config's history bits:
+// no key build, no probe, one byte per counter. A config uses it while
+// sites<<k bytes fit its budget, four bytes per record of the longest
+// ID column it has replayed (the trace's own 4-byte entry column, or a
+// streamed chunk's), so the dense table never outgrows the input it
+// indexes. Past that bound (many sites, long histories, short chunks)
+// the counters live in the hash (ifTable), keyed addr<<32 | history.
+//
+// A store starts dense only while its hash is empty. spill moves the
+// non-zero counters into the hash (an absent key reads as the zero
+// counter, so the zero ones need not move) when a block's new sites
+// push it past the budget or a scalar Predict/Update reads it, and from
+// then on the store stays on the hash. Dense IDs only grow across a
+// stream's blocks, so widening the dense layout for new sites is an
+// append.
+type ifStore struct {
+	dense  []uint8 // non-nil: the dense layout
+	table  ifTable // the hash layout
+	budget uint64  // the dense layout's byte bound
+}
+
+// fit resolves the store's layout for a block over sites dense IDs
+// whose ID column holds n records: dense at sites<<k bytes when that
+// fits the budget, else the hash, spilling a dense layout filled under
+// addrs (ID -> address).
+func (s *ifStore) fit(addrs []trace.Addr, n int, k uint) {
+	s.budget = max(s.budget, ifDenseBytesPerRecord*uint64(n))
+	size := uint64(len(addrs)) << k
+	switch {
+	case size <= s.budget && (s.dense != nil || s.table.n == 0):
+		if grow := int(size) - len(s.dense); grow > 0 {
+			s.dense = append(s.dense, make([]uint8, grow)...)
+		}
+	case s.dense != nil:
+		s.spill(addrs, k)
+	}
+}
+
+// spill moves the dense layout's non-zero counters into the hash, IDs
+// naming addrs, and leaves the store on the hash.
+func (s *ifStore) spill(addrs []trace.Addr, k uint) {
+	m := uint64(1)<<k - 1
+	for i, c := range s.dense {
+		if c != 0 {
+			s.table.set(uint64(addrs[i>>k])<<32|uint64(i)&m, Counter2(c)) //bplint:ignore kernel-purity the one spill to the hash: each counter moves once
+		}
+	}
+	s.dense = nil
+}
+
+// hash returns the store's hash layout for a scalar Predict or Update,
+// spilling the dense layout (filled under addrs) first.
+func (s *ifStore) hash(addrs []trace.Addr, k uint) *ifTable {
+	if s.dense != nil {
+		s.spill(addrs, k)
+	}
+	return &s.table
+}
+
+// bind readies a predictor's store for a block over the dense IDs now
+// (ID -> address), given the addrs its dense layout was filled under:
+// those must be a prefix of now, as a stream's growing intern table is,
+// or the dense layout spills. It returns the mapping to keep for a
+// later spill.
+func (s *ifStore) bind(addrs, now []trace.Addr, k uint) []trace.Addr {
+	if len(addrs) > len(now) || !slices.Equal(addrs, now[:len(addrs)]) {
+		if s.dense != nil {
+			s.spill(addrs, k)
+		}
+		addrs = addrs[:0]
+	}
+	return append(addrs, now[len(addrs):]...)
+}
+
+// replayIFDense is replayIFTable over a dense layout of history width k:
+// record i's counter is dense[tids[i]<<k | history&m].
+//
+//bplint:hot
+func replayIFDense(kk []uint64, tids []int32, dense []uint8, k uint, m uint64, perID []int32, hits []uint64, off int) int32 {
+	tids = tids[:len(kk)]
+	n := int32(0)
+	for i, v := range kk {
+		id := tids[i]
+		x := uint64(id)<<k | (v>>1)&m
+		y := sweepStep[dense[x]<<1|uint8(v&1)]
+		ok := int32(y & 1)
+		n += ok
+		if perID != nil {
+			perID[id] += ok
+		}
+		if hits != nil {
+			j := off + i
+			hits[j>>6] |= uint64(ok) << (uint(j) & 63)
+		}
+		dense[x] = y >> 1
+	}
 	return n
 }

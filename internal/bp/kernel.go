@@ -21,10 +21,10 @@ import "branchcorr/internal/trace"
 // loop (kernel_chooser.go) over their components' hit columns, which
 // HybridSweep also runs per config. IFGshare and IFPAs run their grids'
 // staged replay (sweep_if.go) as a grid of one config over the
-// predictor's own table and registers. The dense-table word loops and
-// the IF-gshare replay also emit an optional per-record hit column
-// (columnLoop in kernel_chooser.go) from the same loop; SimulateColumn
-// hands it out.
+// predictor's own counter store and registers. The dense-table word
+// loops and the IF-gshare replay also emit an optional per-record hit
+// column (columnLoop in kernel_chooser.go) from the same loop;
+// SimulateColumn hands it out.
 
 // KernelBlock is the columnar input one kernel call consumes: the dense-ID and
 // outcome columns of a trace.Packed plus the record range [Lo, Hi) to
@@ -368,20 +368,22 @@ func (p *IdealStatic) SimulateBlock(blk KernelBlock, correct []int32) int {
 }
 
 // SimulateBlock implements KernelPredictor as a one-config IFGshareSweep
-// over the predictor's own table and history register (columns): the
+// over the predictor's own store and history register (columns): the
 // replay reads each record's counter once where the scalar Predict and
 // Update read it twice.
 func (p *IFGshare) SimulateBlock(blk KernelBlock, correct []int32) int {
 	return p.columns(blk).run(blk.Lo, blk.Hi, correct, nil)
 }
 
-// columns resolves the one-config grid for blk. Its staging buffer is
-// sized to the block, up to one tile, so short streamed chunks stay
-// cheap.
+// columns resolves the one-config grid for blk, binding the store's
+// dense layout to blk's IDs. Its staging buffer is sized to the block,
+// up to one tile, so short streamed chunks stay cheap.
 func (p *IFGshare) columns(blk KernelBlock) columnLoop {
+	p.addrs = p.store.bind(p.addrs, blk.Addrs, p.histBits)
 	return &ifGshareLoop{p: p, blk: blk, g: IFGshareSweep{
+		bits:   []uint{p.histBits},
 		hmasks: []uint64{uint64(p.histMask)},
-		tables: make([]ifTable, 1),
+		stores: make([]ifStore, 1),
 		kt:     make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}}
 }
@@ -394,37 +396,39 @@ type ifGshareLoop struct {
 	g   IFGshareSweep
 }
 
-// run loads the predictor's table and register into the grid, replays
+// run loads the predictor's store and register into the grid, replays
 // [lo, hi) through IFGshareSweep.sweep, and stores them back, so runs
 // over adjacent ranges (a chooser's tiles) and scalar calls may
 // interleave.
 func (l *ifGshareLoop) run(lo, hi int, correct []int32, hits []uint64) int {
 	g := &l.g
-	g.tables[0], g.history = l.p.table, l.p.history
+	g.stores[0], g.history = l.p.store, l.p.history
 	var total [1]int32
 	g.sweep(l.blk, lo, hi, total[:], [][]int32{correct}, hits)
-	l.p.table, l.p.history = g.tables[0], g.history&l.p.histMask
+	l.p.store, l.p.history = g.stores[0], g.history&l.p.histMask
 	return int(total[0])
 }
 
 // SimulateBlock implements KernelPredictor as a one-config IFPAsSweep
-// over the predictor's own table, with its per-branch history registers
-// loaded into the sweep's dense per-ID file for the duration of the
-// block and written back at the end.
+// over the predictor's own store (bound to blk's IDs as IFGshare's is),
+// with its per-branch history registers loaded into the sweep's dense
+// per-ID file for the duration of the block and written back at the end.
 func (p *IFPAs) SimulateBlock(blk KernelBlock, correct []int32) int {
+	p.addrs = p.store.bind(p.addrs, blk.Addrs, p.histBits)
 	hist := make([]uint32, len(blk.Addrs))
 	for id, a := range blk.Addrs {
 		hist[id] = p.hist[a] //bplint:ignore kernel-purity history registers load once per static branch into a dense slice, not per record
 	}
 	g := IFPAsSweep{
+		bits:   []uint{p.histBits},
 		hmasks: []uint64{uint64(p.histMask)},
-		tables: []ifTable{p.table},
+		stores: []ifStore{p.store},
 		hist:   hist,
 		kt:     make([]uint64, min(sweepTile, blk.Hi-blk.Lo)),
 	}
 	var total [1]int32
 	g.sweep(blk, total[:], [][]int32{correct})
-	p.table = g.tables[0]
+	p.store = g.stores[0]
 	for id, a := range blk.Addrs {
 		p.hist[a] = hist[id] & p.histMask //bplint:ignore kernel-purity per-branch history writeback runs once per static branch at block end
 	}

@@ -85,7 +85,8 @@ func (p *PAs) Update(r trace.Record) {
 // predictability class.
 type IFPAs struct {
 	hist     map[trace.Addr]uint32
-	table    ifTable
+	store    ifStore      // as IFGshare's
+	addrs    []trace.Addr // dense ID -> address of the store's dense layout
 	histMask uint32
 	histBits uint
 }
@@ -98,7 +99,7 @@ func NewIFPAs(historyBits uint) *IFPAs {
 	}
 	return &IFPAs{
 		hist:     make(map[trace.Addr]uint32),
-		table:    newIFTable(),
+		store:    ifStore{table: newIFTable()},
 		histMask: uint32(uint64(1)<<historyBits - 1),
 		histBits: historyBits,
 	}
@@ -117,13 +118,14 @@ func (p *IFPAs) key(pc trace.Addr) uint64 {
 
 // Predict implements Predictor.
 func (p *IFPAs) Predict(r trace.Record) bool {
-	return p.table.counter(p.key(r.PC)).Taken()
+	return p.store.hash(p.addrs, p.histBits).counter(p.key(r.PC)).Taken()
 }
 
 // Update implements Predictor.
 func (p *IFPAs) Update(r trace.Record) {
 	k := p.key(r.PC)
-	p.table.set(k, p.table.counter(k).Next(r.Taken))
+	t := p.store.hash(p.addrs, p.histBits)
+	t.set(k, t.counter(k).Next(r.Taken))
 	h := (p.hist[r.PC] << 1) & p.histMask
 	if r.Taken {
 		h |= 1

@@ -8,8 +8,9 @@ import (
 
 // This file extends the fused-sweep contract (sweep.go) to the
 // interference-free predictor variants. IF predictors keep unbounded
-// per-(address, history) counter state in a flat open-addressed table
-// (ifTable, iftable.go) rather than the dense power-of-2 arrays of the
+// per-(address, history) counter state (ifStore, iftable.go: a dense
+// (ID, history) array while it fits the input, else a flat
+// open-addressed table) rather than the fixed power-of-2 arrays of the
 // other families, but the sharing argument is identical:
 //
 //   - IFGshareSweep: one unmasked global history register serves every
@@ -25,15 +26,19 @@ import (
 // Both grids run one staged replay: a shared pass stages each tile's
 // records as 64-bit words (unmasked 32-bit history plus the outcome
 // bit; stageGlobal or stageLocal), and every config replays the tile
-// through its table (replayIFTable); the per-ID key prefix addr<<32 is a
-// cached column like pcx. This is each IF family's one fast path: the
-// IFGshare and IFPAs kernels (kernel.go) are one-config grids of it over
-// the predictor's own table and registers, and IFGshareSweep's loop also
-// writes the one-config kernel's hit column. Steady-state blocks
-// allocate only what the semantics require: table growth for never-seen
-// (address, history) pairs, taken once per tile by ifTable.reserve. The
-// staging scratch and derived columns are allocated once and reused,
-// which sweep_alloc_test.go pins with a bounded (amortized) gate.
+// through its store (replayIFDense or replayIFTable); the hash's per-ID
+// key prefix addr<<32 is a cached column like pcx. Each block first
+// fits every config's store to the block (ifStore.fit), so within one
+// grid some configs may replay dense and the longer ones hashed. This
+// is each IF family's one fast path: the IFGshare and IFPAs kernels
+// (kernel.go) are one-config grids of it over the predictor's own store
+// and registers, and IFGshareSweep's loop also writes the one-config
+// kernel's hit column. Steady-state blocks allocate only what the
+// semantics require: a dense layout's append for new sites, and hash
+// growth for never-seen (address, history) pairs, taken once per tile
+// by ifTable.reserve. The staging scratch and derived columns are
+// allocated once and reused, which sweep_alloc_test.go pins with a
+// bounded (amortized) gate.
 
 // extendKeyHi grows a cached per-ID table-key-prefix column (addr<<32) to
 // cover addrs, mirroring extendPcx.
@@ -79,22 +84,45 @@ func stageLocal(kk []uint64, taken []uint64, tids []int32, j int, hist []uint32)
 	}
 }
 
-// replayIFTables replays a staged tile whose records have dense IDs tids
-// through every config's table (config c keyed by its history mask
-// hmasks[c]), adding config c's correct predictions to correct[c] and,
-// when branches is non-nil, to branches[c][id]. With a non-nil hits
+// replayIFStores replays a staged tile whose records have dense IDs tids
+// through every config's store (config c keyed by bits[c] of history,
+// mask hmasks[c]), adding config c's correct predictions to correct[c]
+// and, when branches is non-nil, to branches[c][id]. With a non-nil hits
 // (only a one-config grid passes one) it sets bit off+i of hits for each
-// correct record i of the tile.
+// correct record i of the tile. The caller has reserved room in each
+// hashed store for the tile's insertions (reserveStores).
 //
 //bplint:hot
-func replayIFTables(kk []uint64, tids []int32, keyHi []uint64, tables []ifTable, hmasks []uint64, correct []int32, branches [][]int32, hits []uint64, off int) {
-	correct = correct[:len(tables)]
-	for c := range tables {
+func replayIFStores(kk []uint64, tids []int32, keyHi []uint64, stores []ifStore, bits []uint, hmasks []uint64, correct []int32, branches [][]int32, hits []uint64, off int) {
+	correct = correct[:len(stores)]
+	for c := range stores {
 		var perID []int32
 		if branches != nil {
 			perID = branches[c]
 		}
-		correct[c] += replayIFTable(kk, tids, keyHi, &tables[c], hmasks[c], perID, hits, off)
+		s := &stores[c]
+		if s.dense != nil {
+			correct[c] += replayIFDense(kk, tids, s.dense, bits[c], hmasks[c], perID, hits, off)
+		} else {
+			correct[c] += replayIFTable(kk, tids, keyHi, &s.table, hmasks[c], perID, hits, off)
+		}
+	}
+}
+
+// fitStores fits every config's store to blk (ifStore.fit).
+func fitStores(stores []ifStore, bits []uint, blk KernelBlock) {
+	n := len(blk.IDs)
+	for c := range stores {
+		stores[c].fit(blk.Addrs, n, bits[c]) //bplint:ignore kernel-purity once per block and config: a dense layout's append for new sites, or its one spill
+	}
+}
+
+// reserveStores makes room for n insertions in every hashed store.
+func reserveStores(stores []ifStore, n int) {
+	for c := range stores {
+		if stores[c].dense == nil {
+			stores[c].table.reserve(n) //bplint:ignore kernel-purity the table's amortized grow path: each distinct (address, history) pair costs O(1)
+		}
 	}
 }
 
@@ -104,7 +132,7 @@ func replayIFTables(kk []uint64, tids []int32, keyHi []uint64, tables []ifTable,
 type IFGshareSweep struct {
 	bits    []uint
 	hmasks  []uint64 // per-config history mask (widened for the key or)
-	tables  []ifTable
+	stores  []ifStore
 	history uint32 // shared unmasked global history
 	keyHi   []uint64
 	kt      []uint64 // tile staging: history<<1 | outcome
@@ -118,18 +146,18 @@ func NewIFGshareSweep(historyBits []uint) *IFGshareSweep {
 		panic("bp: IF-gshare sweep needs at least one config")
 	}
 	hmasks := make([]uint64, len(historyBits))
-	tables := make([]ifTable, len(historyBits))
+	stores := make([]ifStore, len(historyBits))
 	for c, b := range historyBits {
 		if b == 0 || b > 32 {
 			panic(fmt.Sprintf("bp: IF-gshare history bits %d out of range [1,32]", b))
 		}
 		hmasks[c] = uint64(1)<<b - 1
-		tables[c] = newIFTable()
+		stores[c].table = newIFTable()
 	}
 	return &IFGshareSweep{
 		bits:   append([]uint(nil), historyBits...),
 		hmasks: hmasks,
-		tables: tables,
+		stores: stores,
 		kt:     make([]uint64, sweepTile),
 	}
 }
@@ -171,7 +199,7 @@ func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 
 // sweep replays records [lo, hi) of blk through every config, a tile of
 // at most min(sweepTile, hi-lo) records at a time: per tile, stageGlobal
-// advances the shared register, then replayIFTables runs every config.
+// advances the shared register, then replayIFStores runs every config.
 // Non-nil branches and hits (only IFGshare's one-config kernel passes
 // them) also count per branch and write the range's hit column: bit b of
 // hits[k] is record lo&^63 + 64k + b, and the words the range covers
@@ -181,23 +209,21 @@ func (g *IFGshareSweep) SweepBlock(blk KernelBlock, correct []int32) {
 //bplint:hot
 func (g *IFGshareSweep) sweep(blk KernelBlock, lo, hi int, correct []int32, branches [][]int32, hits []uint64) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
+	fitStores(g.stores, g.bits, blk)
 	if hits != nil && lo < hi {
 		clear(hits[:(hi-1)>>6-lo>>6+1])
 	}
 	h := g.history
-	tables := g.tables
 	for tlo := lo; tlo < hi; tlo += sweepTile {
 		thi := min(tlo+sweepTile, hi)
 		kk := g.kt[:thi-tlo]
 		h = stageGlobal(kk, blk.Taken, tlo, h)
-		for c := range tables {
-			tables[c].reserve(len(kk)) //bplint:ignore kernel-purity the table's amortized grow path: each distinct (address, history) pair costs O(1)
-		}
+		reserveStores(g.stores, len(kk)) //bplint:ignore kernel-purity once per tile: the hash's amortized grow path
 		var th []uint64
 		if hits != nil {
 			th = hits[tlo>>6-lo>>6:]
 		}
-		replayIFTables(kk, blk.IDs[tlo:thi], g.keyHi, tables, g.hmasks, correct, branches, th, tlo&63)
+		replayIFStores(kk, blk.IDs[tlo:thi], g.keyHi, g.stores, g.bits, g.hmasks, correct, branches, th, tlo&63)
 	}
 	g.history = h
 }
@@ -208,7 +234,7 @@ func (g *IFGshareSweep) sweep(blk KernelBlock, lo, hi int, correct []int32, bran
 type IFPAsSweep struct {
 	bits   []uint
 	hmasks []uint64
-	tables []ifTable
+	stores []ifStore
 	hist   []uint32 // shared unmasked per-ID local histories
 	keyHi  []uint64
 	kt     []uint64
@@ -222,18 +248,18 @@ func NewIFPAsSweep(historyBits []uint) *IFPAsSweep {
 		panic("bp: IF-PAs sweep needs at least one config")
 	}
 	hmasks := make([]uint64, len(historyBits))
-	tables := make([]ifTable, len(historyBits))
+	stores := make([]ifStore, len(historyBits))
 	for c, b := range historyBits {
 		if b == 0 || b > 32 {
 			panic(fmt.Sprintf("bp: IF-PAs history bits %d out of range [1,32]", b))
 		}
 		hmasks[c] = uint64(1)<<b - 1
-		tables[c] = newIFTable()
+		stores[c].table = newIFTable()
 	}
 	return &IFPAsSweep{
 		bits:   append([]uint(nil), historyBits...),
 		hmasks: hmasks,
-		tables: tables,
+		stores: stores,
 		kt:     make([]uint64, sweepTile),
 	}
 }
@@ -276,23 +302,21 @@ func (g *IFPAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
 
 // sweep is SweepBlock, and with non-nil branches (only IFPAs's
 // one-config kernel passes them) it also counts per branch: per tile,
-// stageLocal advances the shared registers, then replayIFTables runs every
+// stageLocal advances the shared registers, then replayIFStores runs every
 // config.
 //
 //bplint:hot
 func (g *IFPAsSweep) sweep(blk KernelBlock, correct []int32, branches [][]int32) {
 	g.keyHi = extendKeyHi(g.keyHi, blk.Addrs)
 	g.hist = growColumn(g.hist, len(blk.Addrs))
-	tables := g.tables
+	fitStores(g.stores, g.bits, blk)
 	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
 		hi := min(lo+sweepTile, blk.Hi)
 		tids := blk.IDs[lo:hi]
 		kk := g.kt[:len(tids)]
 		stageLocal(kk, blk.Taken, tids, lo, g.hist)
-		for c := range tables {
-			tables[c].reserve(len(kk)) //bplint:ignore kernel-purity the table's amortized grow path: each distinct (address, history) pair costs O(1)
-		}
-		replayIFTables(kk, tids, g.keyHi, tables, g.hmasks, correct, branches, nil, 0)
+		reserveStores(g.stores, len(kk)) //bplint:ignore kernel-purity once per tile: the hash's amortized grow path
+		replayIFStores(kk, tids, g.keyHi, g.stores, g.bits, g.hmasks, correct, branches, nil, 0)
 	}
 }
 
